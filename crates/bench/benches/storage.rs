@@ -1,0 +1,72 @@
+//! Criterion benches for the two payload kernels of `scdn-storage`: the
+//! fused one-pass FNV+CRC checksum against its two byte-at-a-time
+//! reference kernels run back to back, and the product-row GF(2^8) coder
+//! at RS(4,2) over 1 MiB. For humans; the accept/reject numbers come from
+//! `benchmark/` (`storage.checksum.mib_per_s`, `storage.encode/decode.*`).
+
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use scdn_storage::coding::ErasureCoder;
+use scdn_storage::integrity::{crc32, fnv1a64, Checksum};
+
+/// Incompressible-looking bytes, so table lookups spread over the tables.
+fn payload(len: usize) -> Vec<u8> {
+    (0..len as u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+        .collect()
+}
+
+fn checksums(c: &mut Criterion) {
+    let mut group = c.benchmark_group("storage/checksum");
+    for (name, size) in [
+        ("1KiB", 1usize << 10),
+        ("16KiB", 16 << 10),
+        ("256KiB", 256 << 10),
+    ] {
+        let data = payload(size);
+        group.throughput(Throughput::Bytes(size as u64));
+        group.bench_with_input(BenchmarkId::new("two-pass", name), &data, |b, d| {
+            b.iter(|| {
+                let d = std::hint::black_box(d);
+                Checksum {
+                    fnv: fnv1a64(d),
+                    crc: crc32(d),
+                }
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("fused", name), &data, |b, d| {
+            b.iter(|| Checksum::of(std::hint::black_box(d)));
+        });
+    }
+    group.finish();
+}
+
+fn coding(c: &mut Criterion) {
+    let coder = ErasureCoder::new(4, 2, 7);
+    let content = payload(1 << 20);
+    let blocks = coder.encode(&content);
+    let pick = |indices: [usize; 4]| -> Vec<(u32, &[u8])> {
+        indices
+            .iter()
+            .map(|&i| (i as u32, blocks[i].as_slice()))
+            .collect()
+    };
+    // The four data shards (inverse = identity) against both parity
+    // blocks plus two data shards (two dense inverse rows).
+    let systematic = pick([0, 1, 2, 3]);
+    let parity = pick([4, 5, 0, 1]);
+    let mut group = c.benchmark_group("storage/coding/rs4+2/1MiB");
+    group.throughput(Throughput::Bytes(content.len() as u64));
+    group.bench_function("encode", |b| {
+        b.iter(|| coder.encode(std::hint::black_box(&content)));
+    });
+    group.bench_function("decode_systematic", |b| {
+        b.iter(|| coder.decode(std::hint::black_box(&systematic), content.len()));
+    });
+    group.bench_function("decode_parity", |b| {
+        b.iter(|| coder.decode(std::hint::black_box(&parity), content.len()));
+    });
+    group.finish();
+}
+
+criterion_group!(benches, checksums, coding);
+criterion_main!(benches);

@@ -1,32 +1,13 @@
-//! Criterion benches: transfer-engine throughput, checksum computation, and
-//! dataset segmentation.
+//! Criterion benches: transfer-engine throughput and dataset segmentation
+//! (the checksum and coding kernels are in `storage.rs`).
 
 use bytes::Bytes;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use scdn_net::failure::FailureModel;
 use scdn_net::topology::{LinkQuality, Topology};
 use scdn_net::transfer::TransferEngine;
-use scdn_storage::integrity::{crc32, fnv1a64, Checksum};
 use scdn_storage::object::{Dataset, DatasetId, SegmentId, Sensitivity};
 use scdn_storage::repository::{Partition, StorageRepository};
-
-fn checksums(c: &mut Criterion) {
-    let mut group = c.benchmark_group("storage/checksum");
-    for size in [4usize << 10, 256 << 10] {
-        let data = vec![0xabu8; size];
-        group.throughput(Throughput::Bytes(size as u64));
-        group.bench_with_input(BenchmarkId::new("fnv1a64", size), &data, |b, d| {
-            b.iter(|| fnv1a64(std::hint::black_box(d)));
-        });
-        group.bench_with_input(BenchmarkId::new("crc32", size), &data, |b, d| {
-            b.iter(|| crc32(std::hint::black_box(d)));
-        });
-        group.bench_with_input(BenchmarkId::new("combined", size), &data, |b, d| {
-            b.iter(|| Checksum::of(std::hint::black_box(d)));
-        });
-    }
-    group.finish();
-}
 
 fn segmentation(c: &mut Criterion) {
     let content = Bytes::from(vec![7u8; 4 << 20]);
@@ -87,5 +68,5 @@ fn transfers(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, checksums, segmentation, transfers);
+criterion_group!(benches, segmentation, transfers);
 criterion_main!(benches);

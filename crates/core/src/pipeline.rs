@@ -28,6 +28,11 @@
 //!   [`ShardStamp`] went stale), the requester's repository epoch
 //!   advanced, the clock advanced under a time-dependent availability
 //!   model or trust policy, or the session budget ran out mid-batch.
+//!   When the requester's repository epoch is the *only* cause, the
+//!   re-plan is partial: the resolution, the trace prefix, the payloads
+//!   already fetched and verified from the source and their simulated
+//!   retry chains are kept, and only the destination quota walk re-runs
+//!   against the live repository (`replan_destination`).
 //!
 //! Determinism argument: every plan is a pure function of the snapshot it
 //! was computed against; every effect is applied at commit, in submission
@@ -44,9 +49,10 @@
 //! false-positive replan — recomputed from committed state, which is
 //! exactly what the serial loop would have seen, so outcomes are
 //! unchanged (the equivalence proptests drive shard counts down to 1 to
-//! force these collisions). A stale plan is discarded and recomputed
-//! from committed state, so a batched run is bit-identical to issuing
-//! the same requests one `request` at a time under a fixed seed.
+//! force these collisions). A stale plan is recomputed from committed
+//! state — wholly, or, when only the requester's repository moved, in
+//! the one part that read it — so a batched run is bit-identical to
+//! issuing the same requests one `request` at a time under a fixed seed.
 //! `request` itself is a batch of one through this same pipeline.
 //!
 //! [peek]: scdn_middleware::auth::Middleware::peek_op
@@ -61,7 +67,7 @@ use scdn_graph::NodeId;
 use scdn_middleware::auth::MiddlewareError;
 use scdn_middleware::authz::AccessDecision;
 use scdn_net::failure::AttemptOutcome;
-use scdn_net::transfer::TransferError;
+use scdn_net::transfer::{SegmentSim, TransferError};
 use scdn_obs::{SpanKind, SpanStatus, TraceBuilder};
 use scdn_sim::engine::SimTime;
 use scdn_social::platform::UserId;
@@ -71,7 +77,8 @@ use scdn_storage::repository::{Partition, RepoError};
 use super::{attempt_status, elapsed_ms, Availability, RequestOutcome, Scdn, ScdnError};
 
 /// One deferred trace operation, replayed into a [`TraceBuilder`] at
-/// commit time (attempt ops also drive the `net.attempts.*` counters).
+/// commit time. Transfer attempts are not copied in here: they replay
+/// from the plan's [`Fetched`] list.
 enum TraceOp {
     Span {
         kind: SpanKind,
@@ -84,12 +91,16 @@ enum TraceOp {
         duration_ms: f64,
         peer: u32,
     },
-    Attempt {
-        outcome: AttemptOutcome,
-        duration_ms: f64,
-        attempt: u32,
-        peer: u32,
-    },
+}
+
+/// One segment of a planned transfer as far as the serving side and the
+/// network decide it: the checksum-verified payload fetched from the
+/// source and its simulated retry chain. Nothing in it reads the
+/// requester's repository, so it outlives a re-plan forced only by the
+/// requester's repository epoch.
+struct Fetched {
+    seg: Segment,
+    sim: SegmentSim,
 }
 
 /// Where a planned request ended up, with everything the commit phase
@@ -127,24 +138,40 @@ enum PlanBody {
         decision: AccessDecision,
         error: ScdnError,
     },
-    /// The simulated transfer failed permanently.
+    /// The simulated transfer failed permanently. `fetched` holds every
+    /// segment whose retry chain ran, the failing one included (unless
+    /// the source fetch itself failed).
     TransferFailed {
         user: UserId,
         decision: AccessDecision,
         selection: Selection,
+        segments: Vec<SegmentId>,
+        fetched: Vec<Fetched>,
         error: TransferError,
     },
-    /// Delivered (or self-served): payloads staged for the commit-side
-    /// stores.
+    /// Delivered (or self-served, with nothing fetched): payloads staged
+    /// for the commit-side stores.
     Served {
         user: UserId,
         decision: AccessDecision,
         selection: Selection,
         segments: Vec<SegmentId>,
-        deliveries: Vec<(SegmentId, Segment)>,
+        fetched: Vec<Fetched>,
         total_ms: f64,
         total_bytes: u64,
     },
+}
+
+/// What an earlier commit did to a plan.
+enum Staleness {
+    /// Nothing the plan read has changed.
+    Fresh,
+    /// Only the requester's repository moved: the resolution, the fetched
+    /// payloads and their simulated attempts stand, the destination quota
+    /// walk does not.
+    Destination,
+    /// The resolution itself may differ: re-plan from live state.
+    Full,
 }
 
 /// A fully planned request: pure output of the parallel phase.
@@ -364,26 +391,43 @@ impl Scdn {
                 );
             }
         };
+        let body = self.plan_transfer(node, user, decision, selection, segments, Vec::new());
+        plan(stamp, trace, body)
+    }
+
+    /// Plan the transfer of `segments` from the selected replica: per
+    /// segment, fetch from the source (verify-on-read), simulate the retry
+    /// chain, then simulate the destination quota. `prior` is the
+    /// [`Fetched`] list of an earlier walk of this same selection; its
+    /// entries stand in for the fetch and the simulation (both are
+    /// independent of the requester's repository), and past its end the
+    /// walk fetches live — so a re-walk can end earlier, later or
+    /// differently than the first one did.
+    fn plan_transfer(
+        &self,
+        node: NodeId,
+        user: UserId,
+        decision: AccessDecision,
+        selection: Selection,
+        segments: Vec<SegmentId>,
+        prior: Vec<Fetched>,
+    ) -> PlanBody {
         if selection.node == node {
             // Self-service: the requester already holds a replica.
-            return plan(
-                stamp,
-                trace,
-                PlanBody::Served {
-                    user,
-                    decision,
-                    selection,
-                    segments,
-                    deliveries: Vec::new(),
-                    total_ms: 0.0,
-                    total_bytes: 0,
-                },
-            );
+            return PlanBody::Served {
+                user,
+                decision,
+                selection,
+                segments,
+                fetched: Vec::new(),
+                total_ms: 0.0,
+                total_bytes: 0,
+            };
         }
         let src_repo = &self.repos[selection.node.index()];
         let dst_repo = &self.repos[node.index()];
-        let peer = selection.node.0;
-        let mut deliveries = Vec::with_capacity(segments.len());
+        let mut prior = prior.into_iter();
+        let mut fetched = Vec::with_capacity(segments.len());
         let mut segment_ms = Vec::with_capacity(segments.len());
         let mut total_bytes = 0u64;
         // Quota simulation mirroring `StorageRepository::store`: an
@@ -391,94 +435,126 @@ impl Scdn {
         // has one segmentation), a new segment must fit what remains.
         let capacity = dst_repo.capacity();
         let mut sim_used = dst_repo.used();
+        let mut failure = None;
         for &s in &segments {
-            let seg = match src_repo.fetch_any(s) {
-                Ok(seg) => seg,
-                Err(e) => {
-                    let error = match e {
-                        RepoError::IntegrityFailure(id) => TransferError::SourceCorrupt(id),
-                        _ => TransferError::SourceMissing(s),
-                    };
-                    return plan(
-                        stamp,
-                        trace,
-                        PlanBody::TransferFailed {
-                            user,
-                            decision,
-                            selection,
-                            error,
-                        },
-                    );
-                }
+            let f = match prior.next() {
+                Some(f) => f,
+                None => match src_repo.fetch_any(s) {
+                    Ok(seg) => {
+                        let sim = self.engine.simulate_segment(
+                            selection.node.index(),
+                            node.index(),
+                            s,
+                            seg.len() as u64,
+                        );
+                        Fetched { seg, sim }
+                    }
+                    Err(RepoError::IntegrityFailure(id)) => {
+                        failure = Some(TransferError::SourceCorrupt(id));
+                        break;
+                    }
+                    Err(_) => {
+                        failure = Some(TransferError::SourceMissing(s));
+                        break;
+                    }
+                },
             };
-            let bytes = seg.len() as u64;
-            let sim = self
-                .engine
-                .simulate_segment(selection.node.index(), node.index(), s, bytes);
-            for rec in &sim.attempts {
-                trace.push(TraceOp::Attempt {
-                    outcome: rec.outcome,
-                    duration_ms: rec.duration_ms,
-                    attempt: rec.attempt,
-                    peer,
+            let bytes = f.seg.len() as u64;
+            let (delivered, elapsed_ms) = (f.sim.delivered, f.sim.elapsed_ms);
+            fetched.push(f);
+            if !delivered {
+                failure = Some(TransferError::RetriesExhausted {
+                    segment: s,
+                    attempts: self.engine.max_attempts,
                 });
-            }
-            if !sim.delivered {
-                return plan(
-                    stamp,
-                    trace,
-                    PlanBody::TransferFailed {
-                        user,
-                        decision,
-                        selection,
-                        error: TransferError::RetriesExhausted {
-                            segment: s,
-                            attempts: self.engine.max_attempts,
-                        },
-                    },
-                );
+                break;
             }
             if !dst_repo.contains_in(Partition::User, s) {
                 if sim_used + bytes > capacity {
                     // The delivered attempt was already observed (span
                     // recorded) before the destination rejected it —
                     // exactly the serial store-after-observe order.
-                    return plan(
-                        stamp,
-                        trace,
-                        PlanBody::TransferFailed {
-                            user,
-                            decision,
-                            selection,
-                            error: TransferError::Destination(RepoError::QuotaExceeded {
-                                needed: bytes,
-                                available: capacity - sim_used,
-                            }),
-                        },
-                    );
+                    failure = Some(TransferError::Destination(RepoError::QuotaExceeded {
+                        needed: bytes,
+                        available: capacity - sim_used,
+                    }));
+                    break;
                 }
                 sim_used += bytes;
             }
-            segment_ms.push(sim.elapsed_ms);
+            segment_ms.push(elapsed_ms);
             total_bytes += bytes;
-            deliveries.push((s, seg));
         }
-        // Segments move in waves of `concurrency` parallel streams; with
-        // concurrency 1 this is the serial sum of per-segment times.
-        let total_ms = self.engine.aggregate_elapsed_ms(&segment_ms);
-        plan(
-            stamp,
-            trace,
-            PlanBody::Served {
+        if let Some(error) = failure {
+            return PlanBody::TransferFailed {
                 user,
                 decision,
                 selection,
                 segments,
-                deliveries,
-                total_ms,
-                total_bytes,
-            },
-        )
+                fetched,
+                error,
+            };
+        }
+        // Segments move in waves of `concurrency` parallel streams; with
+        // concurrency 1 this is the serial sum of per-segment times.
+        let total_ms = self.engine.aggregate_elapsed_ms(&segment_ms);
+        PlanBody::Served {
+            user,
+            decision,
+            selection,
+            segments,
+            fetched,
+            total_ms,
+            total_bytes,
+        }
+    }
+
+    /// Re-plan only what the requester's repository decides. The plan is
+    /// stale on its repository epoch alone ([`Staleness::Destination`]),
+    /// so everything else it read still matches committed state: the
+    /// resolution and segment table (shard stamp current), the
+    /// serving-side repository (mutated only through catalog operations,
+    /// which republish that shard), the retry chains (a pure hash of
+    /// endpoints × segment × attempt) and the clock-dependent inputs. Its
+    /// trace prefix and verified payloads are therefore kept, and the
+    /// quota walk alone re-runs against the live repository.
+    fn replan_destination(&self, plan: RequestPlan) -> RequestPlan {
+        let RequestPlan {
+            node,
+            dataset,
+            stamp,
+            trace,
+            body,
+            ..
+        } = plan;
+        let body = match body {
+            PlanBody::TransferFailed {
+                user,
+                decision,
+                selection,
+                segments,
+                fetched,
+                ..
+            }
+            | PlanBody::Served {
+                user,
+                decision,
+                selection,
+                segments,
+                fetched,
+                ..
+            } => self.plan_transfer(node, user, decision, selection, segments, fetched),
+            // No other body reads the requester's repository.
+            other => other,
+        };
+        RequestPlan {
+            node,
+            dataset,
+            stamp,
+            repo_epoch: self.repo_epochs[node.index()],
+            trace,
+            body,
+        }
     }
 
     /// Re-plan from live committed state (current clock, live
@@ -521,32 +597,48 @@ impl Scdn {
                     || self.policy_is_time_dependent(plan.dataset)))
     }
 
-    /// Decide whether an earlier commit invalidated `plan`.
-    fn plan_is_stale(&self, plan: &RequestPlan, planned_clock: SimTime) -> bool {
+    /// Decide what an earlier commit invalidated of `plan`.
+    fn staleness(&self, plan: &RequestPlan, planned_clock: SimTime) -> Staleness {
         let clock_moved = self.clock != planned_clock;
+        let full_if = |stale| {
+            if stale {
+                Staleness::Full
+            } else {
+                Staleness::Fresh
+            }
+        };
         match &plan.body {
             // Node membership and the dataset policy table are immutable
-            // within a batch; auth is re-checked authoritatively anyway.
-            PlanBody::UnknownNode | PlanBody::AuthFailed(_) | PlanBody::UnknownDataset => false,
+            // within a batch.
+            PlanBody::UnknownNode | PlanBody::UnknownDataset => Staleness::Fresh,
+            // Only asked once the authoritative check has passed: the
+            // preview's refusal holds nothing to keep.
+            PlanBody::AuthFailed(_) => Staleness::Full,
             PlanBody::AccessDenied { .. } => {
-                clock_moved && self.policy_is_time_dependent(plan.dataset)
+                full_if(clock_moved && self.policy_is_time_dependent(plan.dataset))
             }
             PlanBody::ResolveFailed { .. }
             | PlanBody::BoundaryBlocked { .. }
-            | PlanBody::SegmentsUnavailable { .. } => self.resolution_stale(plan, clock_moved),
+            | PlanBody::SegmentsUnavailable { .. } => {
+                full_if(self.resolution_stale(plan, clock_moved))
+            }
             // Transfer outcomes additionally read the requester's
             // repository (quota + pre-existing checks), covered by its
             // epoch. Serving-side repositories are only mutated through
             // catalog operations, which the shard stamp already covers.
             PlanBody::TransferFailed { .. } | PlanBody::Served { .. } => {
-                self.resolution_stale(plan, clock_moved)
-                    || self.repo_epochs[plan.node.index()] != plan.repo_epoch
+                if self.resolution_stale(plan, clock_moved) {
+                    Staleness::Full
+                } else if self.repo_epochs[plan.node.index()] != plan.repo_epoch {
+                    Staleness::Destination
+                } else {
+                    Staleness::Fresh
+                }
             }
         }
     }
 
-    /// Replay deferred trace ops into a live builder, driving the
-    /// `net.attempts.*` counters exactly as the serial observer did.
+    /// Replay deferred trace ops into a live builder.
     fn replay_trace(&self, tb: &mut TraceBuilder, ops: &[TraceOp]) {
         for op in ops {
             match *op {
@@ -561,20 +653,26 @@ impl Scdn {
                     duration_ms,
                     peer,
                 } => tb.span_with_peer(kind, status, duration_ms, peer),
-                TraceOp::Attempt {
-                    outcome,
-                    duration_ms,
-                    attempt,
-                    peer,
-                } => {
-                    match outcome {
-                        AttemptOutcome::Delivered => self.att_delivered.inc(),
-                        AttemptOutcome::Lost => self.att_lost.inc(),
-                        AttemptOutcome::Corrupted => self.att_corrupted.inc(),
-                    }
-                    tb.attempt(attempt_status(outcome), duration_ms, attempt, peer);
-                }
             }
+        }
+    }
+
+    /// Replay the simulated transfer attempts of a plan into a live
+    /// builder, driving the `net.attempts.*` counters exactly as the
+    /// serial observer did.
+    fn replay_attempts(&self, tb: &mut TraceBuilder, peer: u32, fetched: &[Fetched]) {
+        for rec in fetched.iter().flat_map(|f| &f.sim.attempts) {
+            match rec.outcome {
+                AttemptOutcome::Delivered => self.att_delivered.inc(),
+                AttemptOutcome::Lost => self.att_lost.inc(),
+                AttemptOutcome::Corrupted => self.att_corrupted.inc(),
+            }
+            tb.attempt(
+                attempt_status(rec.outcome),
+                rec.duration_ms,
+                rec.attempt,
+                peer,
+            );
         }
     }
 
@@ -610,12 +708,17 @@ impl Scdn {
                 return Err(ScdnError::Auth(e));
             }
         };
-        let mut plan = plan;
-        if matches!(plan.body, PlanBody::AuthFailed(_)) || self.plan_is_stale(&plan, planned_clock)
-        {
-            self.batch_replans.inc();
-            plan = self.plan_live(node, dataset, Ok(user));
-        }
+        let mut plan = match self.staleness(&plan, planned_clock) {
+            Staleness::Fresh => plan,
+            Staleness::Destination => {
+                self.batch_replans.inc();
+                self.replan_destination(plan)
+            }
+            Staleness::Full => {
+                self.batch_replans.inc();
+                self.plan_live(node, dataset, Ok(user))
+            }
+        };
         let mut store_failures = 0u32;
         loop {
             match self.apply_plan(tb, plan) {
@@ -726,7 +829,9 @@ impl Scdn {
                 user,
                 decision,
                 selection,
+                fetched,
                 error,
+                ..
             } => {
                 // The serial path stored the successfully transferred
                 // segments and then rolled them back; net repository state
@@ -735,6 +840,7 @@ impl Scdn {
                 self.alloc
                     .commit_resolution(dataset, Some(selection.social_hops));
                 self.replay_trace(&mut tb, &trace);
+                self.replay_attempts(&mut tb, selection.node.0, &fetched);
                 self.cdn_metrics.failures += 1;
                 self.social_metrics
                     .record_exchange(selection.node.index(), node.index(), 0, false);
@@ -747,7 +853,7 @@ impl Scdn {
                 decision,
                 selection,
                 segments,
-                deliveries,
+                fetched,
                 total_ms,
                 total_bytes,
             } => {
@@ -756,12 +862,12 @@ impl Scdn {
                 if selection.node != node {
                     let dst_repo = self.repos[node.index()].clone();
                     let mut applied_new: Vec<SegmentId> = Vec::new();
-                    for (id, seg) in &deliveries {
-                        let pre_existing = dst_repo.contains_in(Partition::User, *id);
+                    for Fetched { seg, .. } in &fetched {
+                        let pre_existing = dst_repo.contains_in(Partition::User, seg.id);
                         match dst_repo.store(Partition::User, seg.clone()) {
                             Ok(()) => {
                                 if !pre_existing {
-                                    applied_new.push(*id);
+                                    applied_new.push(seg.id);
                                 }
                             }
                             Err(e) => {
@@ -777,6 +883,7 @@ impl Scdn {
                 self.alloc
                     .commit_resolution(dataset, Some(selection.social_hops));
                 self.replay_trace(&mut tb, &trace);
+                self.replay_attempts(&mut tb, selection.node.0, &fetched);
                 let hit = matches!(selection.social_hops, Some(h) if h <= 1);
                 if hit {
                     self.cdn_metrics.hits += 1;

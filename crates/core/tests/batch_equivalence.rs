@@ -19,14 +19,16 @@ use std::sync::OnceLock;
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use scdn_core::system::{AvailabilityConfig, Scdn, ScdnConfig};
+use scdn_core::system::{AvailabilityConfig, Scdn, ScdnConfig, ScdnError};
 use scdn_graph::NodeId;
 use scdn_middleware::authz::AccessPolicy;
 use scdn_net::failure::FailureModel;
+use scdn_net::transfer::TransferError;
 use scdn_social::generator::{generate, CaseStudyParams};
 use scdn_social::trustgraph::{build_trust_subgraph, TrustFilter, TrustSubgraph};
 use scdn_social::SyntheticDblp;
 use scdn_storage::object::{DatasetId, Sensitivity};
+use scdn_storage::repository::RepoError;
 use scdn_trust::threshold::TrustPolicy;
 
 fn community() -> &'static (SyntheticDblp, TrustSubgraph) {
@@ -111,6 +113,40 @@ fn build_system(catalog_shards: usize) -> (Scdn, Vec<DatasetId>) {
     (scdn, datasets)
 }
 
+/// A system on which a commit changes nothing a later plan of the same
+/// batch read except the requester's repository: members are always on,
+/// nothing is promoted (no catalog republication mid-batch) and no policy
+/// is trust-gated. Every re-plan in a batch is therefore the partial,
+/// destination-only one, and the 25 KiB repositories make its quota walk
+/// decide outcomes. Datasets (14, 15 and 9 KiB) live on their owners
+/// (nodes 0, 1, 2) alone.
+fn build_quota_system(failure: FailureModel) -> (Scdn, Vec<DatasetId>) {
+    let (c, sub) = community();
+    let config = ScdnConfig {
+        segment_size: 2 << 10,
+        repo_capacity: 25 << 10,
+        failure,
+        transfer_concurrency: 2,
+        ..Default::default()
+    };
+    let mut scdn = Scdn::build(sub, &c.corpus, config);
+    let datasets = [14usize << 10, 15 << 10, 9 << 10]
+        .into_iter()
+        .enumerate()
+        .map(|(i, len)| {
+            scdn.publish(
+                NodeId(i as u32),
+                &format!("quota-{i}"),
+                Bytes::from(vec![i as u8 + 1; len]),
+                Sensitivity::Public,
+                None,
+            )
+            .expect("publish succeeds")
+        })
+        .collect();
+    (scdn, datasets)
+}
+
 type Op = (u16, Vec<(u8, u8)>);
 
 /// Drive a system through the ops; `serial` issues requests one by one,
@@ -181,7 +217,85 @@ fn trace_shapes(scdn: &Scdn) -> Vec<String> {
         .collect()
 }
 
+/// One requester, two datasets, one batch: both plans are computed
+/// against the requester's empty repository, where each delivery fits on
+/// its own. Once the first commits, the second no longer does — the
+/// partial re-plan keeps the second plan's fetched payloads but must
+/// re-walk the quota against the live repository and refuse it exactly
+/// as the serial loop does.
+#[test]
+fn second_delivery_refused_after_first_commits() {
+    let (mut batched, datasets) = build_quota_system(FailureModel::reliable());
+    let (mut serial, _) = build_quota_system(FailureModel::reliable());
+    let requester = NodeId(batched.member_count() as u32 - 1);
+    let reqs = [(requester, datasets[0]), (requester, datasets[1])];
+
+    let out = batched.request_batch(&reqs);
+    assert_eq!(out[0].as_ref().expect("first fits").bytes, 14 << 10);
+    // 14 KiB + five 2 KiB segments leave 1 KiB; the sixth needs 2 KiB.
+    match &out[1] {
+        Err(ScdnError::Transfer(TransferError::Destination(RepoError::QuotaExceeded {
+            needed,
+            available,
+        }))) => assert_eq!((*needed, *available), (2 << 10, 1 << 10)),
+        other => panic!("expected a quota refusal, got {other:?}"),
+    }
+    assert_eq!(
+        batched
+            .observability_snapshot()
+            .counter("core.batch.replans"),
+        Some(1),
+        "the refusal must come from the commit-side re-plan"
+    );
+    // The refused delivery left nothing behind.
+    assert_eq!(batched.repo(requester).expect("member").used(), 14 << 10);
+
+    let serial_out: Vec<_> = reqs.iter().map(|&(n, d)| serial.request(n, d)).collect();
+    assert_eq!(format!("{out:?}"), format!("{serial_out:?}"));
+    assert_eq!(comparable_snapshot(&serial), comparable_snapshot(&batched));
+    assert_eq!(trace_shapes(&serial), trace_shapes(&batched));
+}
+
 proptest! {
+    /// The partial re-plan under quota pressure and a lossy fabric: six
+    /// requesters (three of them the owners, whose repositories are
+    /// already more than half full) repeat within batches, so plans go
+    /// stale on the requester's repository epoch alone and their re-walks
+    /// end in deliveries, quota refusals, exhausted retries and
+    /// size-neutral overwrites.
+    #[test]
+    fn batched_requests_match_serial_loop_on_destination_replans(
+        ops in proptest::collection::vec(
+            (0u16..500, proptest::collection::vec((0u8..6, any::<u8>()), 1..8)),
+            1..5,
+        ),
+    ) {
+        let failure = FailureModel {
+            loss_prob: 0.3,
+            corruption_prob: 0.1,
+            seed: 5,
+            ..FailureModel::default()
+        };
+        let (mut serial, datasets) = build_quota_system(failure);
+        let (mut batched, _) = build_quota_system(failure);
+
+        let serial_out = drive(&mut serial, &datasets, &ops, None, true);
+        let batched_out = drive(&mut batched, &datasets, &ops, None, false);
+
+        prop_assert_eq!(serial_out, batched_out, "outcome sequences diverge");
+        prop_assert_eq!(serial.now(), batched.now(), "clocks diverge");
+        prop_assert_eq!(
+            comparable_snapshot(&serial),
+            comparable_snapshot(&batched),
+            "metric snapshots diverge"
+        );
+        prop_assert_eq!(
+            trace_shapes(&serial),
+            trace_shapes(&batched),
+            "trace span sequences diverge"
+        );
+    }
+
     #[test]
     fn batched_requests_match_serial_loop(
         ops in proptest::collection::vec(

@@ -96,6 +96,8 @@ impl std::error::Error for PlatformError {}
 struct State {
     users: Vec<User>,
     login_index: HashMap<String, UserId>,
+    /// First-registered user per linked corpus author.
+    author_index: HashMap<AuthorId, UserId>,
     passwords: HashMap<UserId, String>,
     friendships: HashMap<UserId, HashSet<UserId>>,
     groups: Vec<Group>,
@@ -137,6 +139,9 @@ impl SocialPlatform {
             interests: Vec::new(),
         });
         s.login_index.insert(login.to_string(), id);
+        if let Some(a) = author {
+            s.author_index.entry(a).or_insert(id);
+        }
         s.passwords.insert(id, password.to_string());
         s.friendships.insert(id, HashSet::new());
         Ok(id)
@@ -164,10 +169,10 @@ impl SocialPlatform {
             .ok_or(PlatformError::UnknownUser(id))
     }
 
-    /// The user linked to a given corpus author, if any.
+    /// The user linked to a given corpus author, if any (the first
+    /// registered, should several users claim one author).
     pub fn user_of_author(&self, a: AuthorId) -> Option<UserId> {
-        let s = self.state.read();
-        s.users.iter().find(|u| u.author == Some(a)).map(|u| u.id)
+        self.state.read().author_index.get(&a).copied()
     }
 
     /// Add a declared research interest to a user profile.
@@ -339,6 +344,10 @@ mod tests {
         assert_eq!(p.user_by_login("alice").map(|u| u.id), Some(a));
         assert_eq!(p.user_of_author(AuthorId(7)), Some(b));
         assert_eq!(p.user_of_author(AuthorId(9)), None);
+        // A second claim on the same author does not displace the first.
+        p.register("bob2", "Bob II", "pw", Some(AuthorId(7)))
+            .expect("register");
+        assert_eq!(p.user_of_author(AuthorId(7)), Some(b));
     }
 
     #[test]

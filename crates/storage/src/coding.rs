@@ -220,6 +220,41 @@ fn gf_div(a: u8, b: u8) -> u8 {
     }
 }
 
+/// The 256 products `coef * d`: built once per (row, coefficient), it turns
+/// every GF(2^8) multiply over a shard into one unconditional lookup.
+fn product_row(coef: u8) -> [u8; 256] {
+    let mut row = [0u8; 256];
+    if coef != 0 {
+        let log_c = GF_LOG[coef as usize] as usize;
+        for (d, p) in row.iter_mut().enumerate().skip(1) {
+            *p = GF_EXP[log_c + GF_LOG[d] as usize];
+        }
+    }
+    row
+}
+
+/// `acc[i] ^= coef * src[i]` over a whole shard. A zero coefficient
+/// contributes nothing and a unit coefficient is a plain XOR, so the
+/// identity rows of the generator (and of its inverse, when decoding
+/// from the systematic blocks) do no field arithmetic at all.
+fn mul_acc(acc: &mut [u8], coef: u8, src: &[u8]) {
+    debug_assert_eq!(acc.len(), src.len());
+    match coef {
+        0 => {}
+        1 => {
+            for (a, &s) in acc.iter_mut().zip(src) {
+                *a ^= s;
+            }
+        }
+        _ => {
+            let row = product_row(coef);
+            for (a, &s) in acc.iter_mut().zip(src) {
+                *a ^= row[s as usize];
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 
 /// Systematic Reed–Solomon coder: a pure function of `(k, m, seed)`.
@@ -284,6 +319,12 @@ impl ErasureCoder {
     /// Encode `content` into `n` blocks of `ceil(len / k).max(1)` bytes.
     /// Blocks `0..k` are the zero-padded data shards; `k..n` are parity.
     pub fn encode(&self, content: &[u8]) -> Vec<Vec<u8>> {
+        self.encode_with(content, mul_acc)
+    }
+
+    /// [`encode`](Self::encode) over a given multiply-accumulate kernel
+    /// (the tests pass the per-byte reference).
+    fn encode_with(&self, content: &[u8], kernel: impl Fn(&mut [u8], u8, &[u8])) -> Vec<Vec<u8>> {
         let shard_len = content.len().div_ceil(self.k).max(1);
         let mut blocks: Vec<Vec<u8>> = (0..self.k)
             .map(|i| {
@@ -296,13 +337,8 @@ impl ErasureCoder {
             .collect();
         for row in &self.parity {
             let mut parity = vec![0u8; shard_len];
-            for (i, &coef) in row.iter().enumerate() {
-                if coef == 0 {
-                    continue;
-                }
-                for (p, &d) in parity.iter_mut().zip(blocks[i].iter()) {
-                    *p ^= gf_mul(coef, d);
-                }
+            for (&coef, shard) in row.iter().zip(&blocks) {
+                kernel(&mut parity, coef, shard);
             }
             blocks.push(parity);
         }
@@ -314,6 +350,16 @@ impl ErasureCoder {
     /// original content length (padding is truncated). Extra blocks beyond
     /// the first `k` usable ones are ignored.
     pub fn decode(&self, blocks: &[(u32, &[u8])], total_len: usize) -> Result<Bytes, CodingError> {
+        self.decode_with(blocks, total_len, mul_acc)
+    }
+
+    /// [`decode`](Self::decode) over a given multiply-accumulate kernel.
+    fn decode_with(
+        &self,
+        blocks: &[(u32, &[u8])],
+        total_len: usize,
+        kernel: impl Fn(&mut [u8], u8, &[u8]),
+    ) -> Result<Bytes, CodingError> {
         let shard_len = total_len.div_ceil(self.k).max(1);
         // Pick the first k distinct, well-formed blocks.
         let mut chosen: Vec<(usize, &[u8])> = Vec::with_capacity(self.k);
@@ -381,18 +427,11 @@ impl ErasureCoder {
             }
         }
         // data_shard[r] = sum_j inv[r][j] * chosen[j].
-        let mut content = Vec::with_capacity(k * shard_len);
-        for inv_row in inv.iter() {
-            let mut shard = vec![0u8; shard_len];
-            for (j, &coef) in inv_row.iter().enumerate() {
-                if coef == 0 {
-                    continue;
-                }
-                for (s, &b) in shard.iter_mut().zip(chosen[j].1.iter()) {
-                    *s ^= gf_mul(coef, b);
-                }
+        let mut content = vec![0u8; k * shard_len];
+        for (inv_row, shard) in inv.iter().zip(content.chunks_exact_mut(shard_len)) {
+            for (&coef, &(_, block)) in inv_row.iter().zip(&chosen) {
+                kernel(shard, coef, block);
             }
-            content.extend_from_slice(&shard);
         }
         content.truncate(total_len);
         Ok(Bytes::from(content))
@@ -441,6 +480,58 @@ mod tests {
             assert_eq!(gf_mul(a, gf_inv(a)), 1, "a = {a}");
             for b in 1..=255u8 {
                 assert_eq!(gf_div(gf_mul(a, b), b), a);
+            }
+        }
+    }
+
+    #[test]
+    fn product_row_matches_gf_mul_exhaustively() {
+        for c in 0..=255u8 {
+            let row = product_row(c);
+            for d in 0..=255u8 {
+                assert_eq!(row[d as usize], gf_mul(c, d), "c = {c}, d = {d}");
+            }
+        }
+    }
+
+    /// The per-byte kernel the product rows replaced, kept as the
+    /// reference the coder is compared against.
+    fn mul_acc_reference(acc: &mut [u8], coef: u8, src: &[u8]) {
+        for (a, &s) in acc.iter_mut().zip(src) {
+            *a ^= gf_mul(coef, s);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn coder_matches_per_byte_reference(
+            content in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..3000),
+            k in 1u8..10,
+            m in 1u8..5,
+            seed in proptest::prelude::any::<u64>(),
+            pick in proptest::prelude::any::<u64>(),
+        ) {
+            let coder = ErasureCoder::new(k, m, seed);
+            let blocks = coder.encode(&content);
+            proptest::prop_assert_eq!(&blocks, &coder.encode_with(&content, mul_acc_reference));
+            let (k, n) = (k as usize, blocks.len());
+            // The k systematic blocks (inverse = identity: copies only),
+            // parity first (every parity block, topped up with data from
+            // the tail), and a seeded rotation of the block order.
+            let systematic: Vec<usize> = (0..k).collect();
+            let parity_first: Vec<usize> = (0..n).rev().take(k).collect();
+            let rotated: Vec<usize> = (0..k).map(|i| (i + pick as usize % n) % n).collect();
+            for subset in [systematic, parity_first, rotated] {
+                let picked: Vec<(u32, &[u8])> = subset
+                    .iter()
+                    .map(|&i| (i as u32, blocks[i].as_slice()))
+                    .collect();
+                let got = coder.decode(&picked, content.len()).expect("any k blocks decode");
+                let want = coder
+                    .decode_with(&picked, content.len(), mul_acc_reference)
+                    .expect("any k blocks decode");
+                proptest::prop_assert_eq!(&got, &want);
+                proptest::prop_assert_eq!(got.as_ref(), &content[..]);
             }
         }
     }
@@ -590,6 +681,29 @@ mod tests {
         // Decode from the last four blocks (pure parity + one data shard).
         let got = decode_blocks(&spec, &segs[3..]).expect("decodes");
         assert_eq!(got.as_ref(), &content[..]);
+    }
+
+    /// Pins `encode_blocks` output byte for byte: the digest below was
+    /// taken from the per-byte `gf_mul` coder before the product-row
+    /// kernel replaced it, hashed with the reference `fnv1a64` (not the
+    /// fused checksum), so neither kernel swap can move it unnoticed.
+    #[test]
+    fn encode_blocks_golden_hash() {
+        let content: Vec<u8> = (0..100_003u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        let spec = CodingSpec {
+            k: 4,
+            m: 2,
+            seed: 0x5cd1_2012,
+            total_len: content.len() as u64,
+        };
+        let all: Vec<u8> = encode_blocks(&spec, DatasetId(11), &content)
+            .iter()
+            .flat_map(|s| s.data.iter().copied())
+            .collect();
+        assert_eq!(all.len(), 6 * 25_001);
+        assert_eq!(crate::integrity::fnv1a64(&all), 0xb88d_4058_8ddb_aa9c);
     }
 
     #[test]

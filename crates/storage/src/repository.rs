@@ -139,9 +139,15 @@ impl StorageRepository {
     }
 
     /// Fetch from either partition (replica first — it is the CDN's copy).
+    /// A corrupt replica copy is never reported as `NotFound`: an intact
+    /// user copy may stand in for it, otherwise the `IntegrityFailure`
+    /// surfaces.
     pub fn fetch_any(&self, id: SegmentId) -> Result<Segment, RepoError> {
-        self.fetch(Partition::Replica, id)
-            .or_else(|_| self.fetch(Partition::User, id))
+        match self.fetch(Partition::Replica, id) {
+            Ok(seg) => Ok(seg),
+            Err(RepoError::NotFound(_)) => self.fetch(Partition::User, id),
+            Err(corrupt) => self.fetch(Partition::User, id).map_err(|_| corrupt),
+        }
     }
 
     /// `true` if the segment is present in either partition.
@@ -293,6 +299,25 @@ mod tests {
         repo.store(Partition::Replica, s.clone()).expect("ok");
         assert!(repo.fetch_any(s.id).is_ok());
         assert!(repo.contains(s.id));
+    }
+
+    #[test]
+    fn fetch_any_reports_replica_corruption() {
+        let repo = StorageRepository::new(1000);
+        let good = seg(1, 0, 20);
+        let mut bad = good.clone();
+        let mut raw = bad.data.to_vec();
+        raw[3] ^= 0x10;
+        bad.data = Bytes::from(raw);
+        repo.store(Partition::Replica, bad).expect("ok");
+        // No user copy: the corruption must not read as "missing".
+        assert_eq!(
+            repo.fetch_any(good.id).unwrap_err(),
+            RepoError::IntegrityFailure(good.id)
+        );
+        // An intact user copy stands in for the corrupt replica copy.
+        repo.store(Partition::User, good.clone()).expect("ok");
+        assert_eq!(repo.fetch_any(good.id).expect("user copy").data, good.data);
     }
 
     #[test]

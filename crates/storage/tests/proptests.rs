@@ -3,7 +3,7 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use scdn_storage::coding::{decode_blocks, encode_blocks, CodingError, CodingSpec};
-use scdn_storage::integrity::{corrupt_bit, Checksum};
+use scdn_storage::integrity::{corrupt_bit, crc32, fnv1a64, Checksum};
 use scdn_storage::object::{Dataset, DatasetId, Segment, SegmentId, Sensitivity};
 use scdn_storage::repository::{Partition, StorageRepository};
 use scdn_storage::vfs::Vfs;
@@ -65,6 +65,25 @@ proptest! {
                 decode_blocks(&spec, short),
                 Err(CodingError::NotEnoughBlocks { .. })
             ));
+        }
+    }
+
+    /// The fused word-at-a-time kernel against the two byte-at-a-time
+    /// reference kernels, on windows of one larger buffer so the word
+    /// loop starts at every alignment and ends on every `len % 8` tail.
+    #[test]
+    fn fused_checksum_matches_reference_kernels(
+        buffer in proptest::collection::vec(any::<u8>(), 70_064..=70_064),
+        offset in 0usize..64,
+        len in 0usize..=70_000,
+        short in 0usize..=24,
+    ) {
+        for len in [len, short] {
+            let d = &buffer[offset..offset + len];
+            prop_assert_eq!(
+                Checksum::of(d),
+                Checksum { fnv: fnv1a64(d), crc: crc32(d) }
+            );
         }
     }
 
