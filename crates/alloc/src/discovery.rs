@@ -11,10 +11,12 @@
 //! * [`select_replica`] — full BFS over the adjacency-list [`Graph`].
 //!   Allocates a distance vector per call; kept as the oracle the CSR
 //!   path is property-tested against.
-//! * [`select_replica_csr`] — bounded multi-target BFS over a frozen
-//!   [`CsrGraph`] through a reusable [`TraversalScratch`]: the traversal
-//!   stops as soon as every candidate is reached (or a hop budget is
-//!   spent) and allocates nothing. This is the per-request hot path.
+//! * [`select_replica_csr`] — bounded multi-target meet-in-the-middle
+//!   search over a frozen [`CsrGraph`] through a reusable
+//!   [`TraversalScratch`]: it visits the neighborhoods where the
+//!   requester's and each candidate's regions meet (or stops at the hop
+//!   budget) and, for up to eight candidates, allocates nothing. This is
+//!   the per-request hot path.
 
 use scdn_graph::traversal::bfs_distances;
 use scdn_graph::{CsrGraph, Graph, NodeId, TraversalScratch};
@@ -61,11 +63,18 @@ pub fn select_replica(
     select_from_hops(candidates, |c| dist.get(c.node.index()).copied().flatten())
 }
 
-/// [`select_replica`] on a frozen CSR graph: identical selection, but the
-/// BFS is multi-target and early-exits once every online candidate is
-/// reached (or `max_hops` is exhausted — pass `u32::MAX` for exact
-/// full-BFS equivalence). The caller-owned `scratch` makes repeated
-/// resolutions allocation-free.
+/// Candidate sets up to this size are handed to the search from a stack
+/// buffer; replica lists are rarely longer (3 in every benchmark
+/// workload), and a longer one costs one heap buffer.
+const INLINE_CANDIDATES: usize = 8;
+
+/// [`select_replica`] on a frozen CSR graph: identical selection, but hop
+/// distances come from [`TraversalScratch::bfs_to_targets`], which stops
+/// where the requester's region meets each candidate's (or when
+/// `max_hops` is exhausted — pass `u32::MAX` for exact full-BFS
+/// equivalence). With the caller-owned `scratch`, a resolution over at
+/// most eight candidates allocates nothing; a larger set costs one id
+/// buffer.
 pub fn select_replica_csr(
     social: &CsrGraph,
     requester: NodeId,
@@ -76,16 +85,21 @@ pub fn select_replica_csr(
     if candidates.iter().all(|c| !c.online) {
         return None;
     }
-    scratch.bfs_to_targets(
-        social,
-        requester,
-        // Stack-free target pass: `bfs_to_targets` skips out-of-range ids,
-        // and offline candidates never win, so targeting every candidate
-        // (not just online ones) is correct; targeting all of them keeps
-        // the cached-hops path (which is online-mask-agnostic) identical.
-        &candidates.iter().map(|c| c.node).collect::<Vec<_>>(),
-        max_hops,
-    );
+    // `bfs_to_targets` skips out-of-range ids, and offline candidates
+    // never win, so targeting every candidate (not just online ones) is
+    // correct; targeting all of them keeps the cached-hops path (which is
+    // online-mask-agnostic) identical.
+    let ids = candidates.iter().map(|c| c.node);
+    let mut inline = [NodeId(0); INLINE_CANDIDATES];
+    let spilled: Vec<NodeId>;
+    let targets = if candidates.len() <= INLINE_CANDIDATES {
+        inline.iter_mut().zip(ids).for_each(|(slot, id)| *slot = id);
+        &inline[..candidates.len()]
+    } else {
+        spilled = ids.collect();
+        &spilled[..]
+    };
+    scratch.bfs_to_targets(social, requester, targets, max_hops);
     select_from_hops(candidates, |c| scratch.target_hops(c.node))
 }
 
@@ -303,10 +317,16 @@ mod tests {
             cand(59, true, 12.0, 0.7),
             cand(7, true, f64::NAN, 0.5),
         ];
+        // Past INLINE_CANDIDATES the ids spill to the heap: same answer.
+        let many: Vec<Candidate> = (0..2 * INLINE_CANDIDATES as u32)
+            .map(|i| cand(59 - 3 * i, i % 3 != 0, 5.0 + f64::from(i % 4), 0.8))
+            .collect();
         for req in [0u32, 17, 59] {
-            let a = select_replica(&g, NodeId(req), &candidates);
-            let c = select_replica_csr(&csr, NodeId(req), &candidates, &mut scratch, u32::MAX);
-            assert_eq!(a, c, "requester {req}");
+            for set in [&candidates[..], &many[..]] {
+                let a = select_replica(&g, NodeId(req), set);
+                let c = select_replica_csr(&csr, NodeId(req), set, &mut scratch, u32::MAX);
+                assert_eq!(a, c, "requester {req}, {} candidates", set.len());
+            }
         }
     }
 }

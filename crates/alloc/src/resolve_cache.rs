@@ -34,11 +34,14 @@
 //! When the graph changes via [`CsrGraph::apply_delta`], flushing
 //! wholesale throws away hop tables that provably cannot have changed.
 //! [`ResolveCache::apply_delta`] instead evicts only the entries whose
-//! cached BFS region *can* intersect a churn-touched endpoint:
+//! distance radius *can* reach a churn-touched endpoint. The argument is
+//! about hop distances alone — which nodes the resolve kernel happened to
+//! visit while computing them (the meet-in-the-middle search visits far
+//! fewer than the ball of that radius) plays no part:
 //!
 //! An entry for requester `q` whose cached hops are all `Some` with
-//! maximum `R` (its BFS radius) is retained iff every touched node is
-//! farther than `R` from `q` in **both** the old and the new graph. Any
+//! maximum `R` (its distance radius) is retained iff every touched node
+//! is farther than `R` from `q` in **both** the old and the new graph. Any
 //! changed shortest path `q → replica` must cross a touched node `t`
 //! (both endpoints of every changed edge are touched): if a distance
 //! shrank, the new path crosses `t` at `d_new(q,t) ≤ d_new(q,replica) <
@@ -47,7 +50,7 @@
 //! side, so "touched frontier farther than `R` on both sides" implies
 //! every cached hop is still exact. Entries with an unreached (`None`)
 //! replica are always evicted — their verdict can flip without a nearby
-//! touched node when the budget clipped the traversal. Both frontier
+//! touched node when the hop budget clipped the search. Both frontier
 //! distances come from one bounded multi-source BFS per side, seeded with
 //! the touched set and capped at [`FRONTIER_DEPTH`]; a requester the
 //! frontier never reached is farther than the cap, so entries with
@@ -101,8 +104,9 @@ struct Slot {
 struct Shard {
     map: HashMap<Key, Slot>,
     /// Insertion order for FIFO eviction. Keys are pushed only on fresh
-    /// insert (version refreshes update in place), so the queue length
-    /// tracks the map size.
+    /// insert (version refreshes update in place) and every removal from
+    /// `map` also leaves the queue, so it holds exactly the map's keys,
+    /// each once.
     fifo: VecDeque<Key>,
 }
 
@@ -117,7 +121,7 @@ pub(crate) struct InsertOutcome {
 pub(crate) struct RetentionOutcome {
     /// Entries that provably survived the graph change.
     pub retained: u64,
-    /// Entries evicted because their BFS region may intersect the churn.
+    /// Entries evicted because their distance radius may reach the churn.
     pub evicted: u64,
 }
 
@@ -189,8 +193,8 @@ impl ResolveCache {
     }
 
     /// Scoped invalidation for a graph change `old → new` produced by
-    /// [`CsrGraph::apply_delta`]: evict only the entries whose cached BFS
-    /// region can intersect a touched node (see the module docs for the
+    /// [`CsrGraph::apply_delta`]: evict only the entries whose distance
+    /// radius can reach a touched node (see the module docs for the
     /// proof sketch), retain everything else, and adopt `new`'s
     /// generation so subsequent [`ensure_graph`](ResolveCache::ensure_graph)
     /// calls leave the survivors alone.
@@ -226,8 +230,9 @@ impl ResolveCache {
                     _ => FRONTIER_DEPTH + 1,
                 };
                 for shard in &self.shards {
-                    let mut sh = shard.lock();
-                    sh.map.retain(|&(requester, _), slot| {
+                    let mut guard = shard.lock();
+                    let Shard { map, fifo } = &mut *guard;
+                    map.retain(|&(requester, _), slot| {
                         let mut radius = 0u32;
                         let keep = slot.hops.iter().all(|h| match h {
                             Some(d) => {
@@ -245,9 +250,14 @@ impl ResolveCache {
                             out.evicted += 1;
                         }
                         keep
-                        // Evicted keys stay in the FIFO as ghosts; pops
-                        // tolerate them, so order bookkeeping stays O(1).
                     });
+                    // An evicted key left in the queue would be pushed a
+                    // second time when it is re-inserted, and its stale
+                    // first copy would later evict the live slot ahead of
+                    // its turn (and the queue would grow without bound).
+                    if fifo.len() != map.len() {
+                        fifo.retain(|k| map.contains_key(k));
+                    }
                 }
             }
             _ => {
@@ -405,7 +415,7 @@ mod tests {
         c.ensure_graph(&old);
         // Requester 0, radius 1: far from the churn at 7—8.
         c.insert(key(0, 1), 1, hops(&[Some(1)]));
-        // Requester 0, radius 9: its BFS region spans the churned edge.
+        // Requester 0, radius 9: reaches past the churned edge.
         c.insert(key(0, 2), 1, hops(&[Some(9)]));
         // Unreached replica: always evicted regardless of distance.
         c.insert(key(1, 3), 1, hops(&[Some(1), None]));
@@ -425,6 +435,67 @@ mod tests {
         // The new generation is adopted: no flush on the next resolve.
         c.ensure_graph(&new);
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn churn_evictions_leave_no_fifo_ghosts() {
+        // A working set well below capacity, evicted and re-inserted
+        // round after round.
+        const W: u32 = 6;
+        let c = ResolveCache::new(SHARDS * W as usize);
+        let mut g = line(12);
+        let mut csr = CsrGraph::from(&g);
+        c.ensure_graph(&csr);
+        let mut scratch = TraversalScratch::new();
+        let check = |c: &ResolveCache| {
+            for shard in &c.shards {
+                let s = shard.lock();
+                assert_eq!(s.fifo.len(), s.map.len(), "queue tracks the map");
+                assert!(s.fifo.iter().all(|k| s.map.contains_key(k)));
+            }
+        };
+        for round in 0..20u32 {
+            // Radius 11 spans the whole line: any structural delta evicts.
+            for d in 0..W {
+                c.insert(key(0, d), 1, hops(&[Some(11)]));
+            }
+            check(&c);
+            let mut delta = GraphDelta::new();
+            if round % 2 == 0 {
+                delta.remove_edge(NodeId(5), NodeId(6));
+            } else {
+                delta.add_edge(NodeId(5), NodeId(6), 1);
+            }
+            let next = csr.apply_delta(&delta);
+            delta.apply_to(&mut g);
+            let out = c.apply_delta(&csr, &next, &mut scratch);
+            assert_eq!((out.retained, out.evicted), (0, u64::from(W)));
+            csr = next;
+            check(&c);
+        }
+
+        // Eviction follows true insertion order. Three keys of one shard
+        // (same requester, datasets a multiple of SHARDS apart), two slots:
+        // with a ghost of `a` at the queue's head, inserting `c` would
+        // evict the live re-inserted `a` instead of the older `b`.
+        let c = ResolveCache::new(2 * SHARDS);
+        let old = CsrGraph::from(&line(12));
+        c.ensure_graph(&old);
+        let [a, b, third] = [0, 1, 2].map(|i| key(0, i * SHARDS as u32));
+        assert!(std::ptr::eq(c.shard(&a), c.shard(&b)));
+        assert!(std::ptr::eq(c.shard(&a), c.shard(&third)));
+        c.insert(a, 1, hops(&[Some(11)]));
+        let mut delta = GraphDelta::new();
+        delta.remove_edge(NodeId(5), NodeId(6));
+        let new = old.apply_delta(&delta);
+        assert_eq!(c.apply_delta(&old, &new, &mut scratch).evicted, 1);
+        c.insert(b, 1, hops(&[Some(5)]));
+        c.insert(a, 1, hops(&[Some(5)]));
+        assert_eq!(c.insert(third, 1, hops(&[Some(5)])).evicted, 1);
+        assert!(c.with_hops(b, 1, |_| ()).is_none(), "oldest goes first");
+        assert!(c.with_hops(a, 1, |_| ()).is_some());
+        assert!(c.with_hops(third, 1, |_| ()).is_some());
+        check(&c);
     }
 
     #[test]

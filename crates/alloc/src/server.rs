@@ -14,8 +14,9 @@
 //! the snapshot load entirely lock-free on the catalog:
 //!
 //! * [`resolve_csr`](AllocationServer::resolve_csr) runs a bounded
-//!   multi-target BFS on a frozen CSR graph through a pooled
-//!   [`TraversalScratch`], early-exiting once every replica is reached;
+//!   multi-target meet-in-the-middle search on a frozen CSR graph through
+//!   a pooled [`TraversalScratch`], visiting two small neighborhoods per
+//!   far replica instead of the graph;
 //! * hop distances are memoized in a version-keyed
 //!   [`ResolveCache`](crate::resolve_cache::ResolveCache) — catalog
 //!   writes bump the entry version, which invalidates stale hops without
@@ -73,8 +74,13 @@ pub struct AllocMetrics {
     pub demand_misses: Counter,
     /// Resolutions whose hop distances came from the version-keyed cache.
     pub cache_hits: Counter,
-    /// Resolutions that had to run the bounded BFS.
+    /// Resolutions that had to run the multi-target search.
     pub cache_misses: Counter,
+    /// Graph nodes visited by those searches, forward and backward
+    /// regions together (`TraversalScratch::last_visited`, added per
+    /// miss): divided by `cache_misses` it says whether a slow miss was
+    /// slow in the graph.
+    pub bfs_visited: Counter,
     /// Cache entries evicted by the capacity bound or by delta-scoped
     /// invalidation.
     pub cache_evictions: Counter,
@@ -101,6 +107,7 @@ impl AllocMetrics {
             demand_misses: reg.counter("alloc.demand.misses"),
             cache_hits: reg.counter("alloc.resolve.cache.hit"),
             cache_misses: reg.counter("alloc.resolve.cache.miss"),
+            bfs_visited: reg.counter("alloc.resolve.bfs.visited"),
             cache_evictions: reg.counter("alloc.resolve.cache.evict"),
             cache_retained: reg.counter("alloc.resolve.cache.retained"),
             rebalance_datasets: reg.counter("alloc.rebalance.datasets"),
@@ -205,11 +212,11 @@ pub struct AllocationServer {
     metrics: AllocMetrics,
     /// Version-keyed hop-distance cache for `resolve_csr`.
     cache: ResolveCache,
-    /// Reusable traversal scratches for the bounded BFS (one per
+    /// Reusable traversal scratches for the multi-target search (one per
     /// concurrently-resolving thread; grown on demand).
     scratch_pool: Mutex<Vec<TraversalScratch>>,
-    /// Hop budget for the bounded BFS (`u32::MAX` = exact full-BFS
-    /// equivalence; the early exit on all-replicas-reached still applies).
+    /// Hop budget for the multi-target search (`u32::MAX` = exact
+    /// full-BFS equivalence).
     hop_budget: AtomicU32,
 }
 
@@ -272,7 +279,7 @@ impl AllocationServer {
         self.cache.set_capacity(capacity);
     }
 
-    /// Bound the resolution BFS to `hops` social hops: replicas beyond
+    /// Bound the resolution search to `hops` social hops: replicas beyond
     /// the budget rank as socially unreachable (still servable on
     /// latency). `u32::MAX` (the default) keeps exact full-BFS semantics.
     pub fn set_resolve_hop_budget(&self, hops: u32) {
@@ -281,8 +288,8 @@ impl AllocationServer {
 
     /// Announce a social-graph change `old → new` produced by
     /// [`CsrGraph::apply_delta`], scoping the hop-cache invalidation to
-    /// the churned region: only entries whose cached BFS radius can reach
-    /// a touched node are evicted (conservative frontier check — see
+    /// the churned region: only entries whose cached distance radius can
+    /// reach a touched node are evicted (conservative frontier check — see
     /// `resolve_cache` module docs for the proof sketch); everything else
     /// stays warm and is served against `new` on the next resolve.
     /// Without this call, the next resolve on `new` flushes the cache
@@ -845,9 +852,9 @@ impl AllocationServer {
     /// [`resolve`](AllocationServer::resolve) on a frozen CSR social
     /// graph — the allocation-free hot path. Hop distances come from the
     /// version-keyed cache when fresh; otherwise one bounded multi-target
-    /// BFS (early exit once every replica is reached, pooled scratch, no
-    /// per-request allocation proportional to the graph) recomputes and
-    /// caches them. Selection is identical to `resolve` on the same
+    /// search (forward from the requester, backward from each replica,
+    /// stopping where they meet; pooled scratch, no per-request
+    /// allocation proportional to the graph) recomputes and caches them. Selection is identical to `resolve` on the same
     /// graph while the default `u32::MAX` hop budget is in effect.
     ///
     /// The cache assumes `csr` is the announced snapshot: passing a graph
@@ -951,8 +958,8 @@ impl AllocationServer {
     }
 
     /// Shared resolution core over one shard snapshot and repository
-    /// table: no lock is held (the caller loaded the `Arc`s), so the BFS
-    /// and the ranking loop run entirely on frozen data.
+    /// table: no lock is held (the caller loaded the `Arc`s), so the
+    /// search and the ranking loop run entirely on frozen data.
     #[allow(clippy::too_many_arguments)]
     fn resolve_csr_in(
         &self,
@@ -991,6 +998,7 @@ impl AllocationServer {
                     &entry.replicas,
                     self.hop_budget.load(Ordering::Relaxed),
                 );
+                self.metrics.bfs_visited.add(scratch.last_visited() as u64);
                 let hops: Box<[Option<u32>]> = entry
                     .replicas
                     .iter()

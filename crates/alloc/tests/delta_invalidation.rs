@@ -2,7 +2,7 @@
 //! conservative-frontier soundness property.
 //!
 //! The resolve cache may retain entries across a graph delta only when
-//! their cached BFS region provably cannot intersect the churn (see
+//! their cached distance radius provably cannot reach the churn (see
 //! `resolve_cache` module docs). These tests drive the public
 //! `AllocationServer` surface: resolve to warm the cache, churn the
 //! graph, resolve again, and require the answer to be identical to a

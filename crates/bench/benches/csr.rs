@@ -3,7 +3,9 @@
 //! placement sweep on a 10k-node generator graph — plus the chunked
 //! copy-on-write `apply_delta` at fixed touch fractions on a 100k-node
 //! graph (the machine-readable twin with bytes accounting and gates is
-//! `bench_churn`'s touch sweep).
+//! `bench_churn`'s touch sweep), and the meet-in-the-middle
+//! `bfs_to_targets` resolve kernel against a full BFS at 10k/40k/100k
+//! nodes and 1–32 targets.
 //!
 //! The machine-readable version of the backend comparison is produced by
 //! the `bench_graph` binary (`cargo run --release -p scdn-bench --bin
@@ -13,7 +15,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use scdn_alloc::placement::PlacementAlgorithm;
 use scdn_graph::centrality::{betweenness, betweenness_csr};
 use scdn_graph::generators::barabasi_albert;
-use scdn_graph::{CsrGraph, GraphDelta, NodeId};
+use scdn_graph::{CsrGraph, GraphDelta, NodeId, TraversalScratch};
 
 fn brandes_backends(c: &mut Criterion) {
     let g = barabasi_albert(2_000, 3, 11);
@@ -122,10 +124,77 @@ fn apply_delta_touch_fractions(c: &mut Criterion) {
     group.finish();
 }
 
+/// `bfs_to_targets` per call against the full `TraversalScratch::bfs` a
+/// one-sided search degenerates to when one target is far. Two target
+/// mixes: `hub+leaf` is the resolve shape (replicas on the two top-degree
+/// members plus random owners), `all-leaf` is every target a random
+/// member — the mix where one backward search per target has the least
+/// to share, so the many-target points show where that could lose to one
+/// flood. Each iteration is one call, cycling through 64 fixed queries.
+fn bfs_to_targets_sizes(c: &mut Criterion) {
+    const QUERIES: usize = 64;
+    for (label, n) in [("10k", 10_000usize), ("40k", 40_000), ("100k", 100_000)] {
+        let csr = CsrGraph::from(&barabasi_albert(n, 3, 17));
+        let mut by_degree: Vec<NodeId> = csr.nodes().collect();
+        by_degree.sort_by_key(|&v| std::cmp::Reverse(csr.degree(v)));
+        let mut rng = 0xb1d1 ^ n as u64;
+        let mut member = || NodeId((splitmix64(&mut rng) % n as u64) as u32);
+        let sources: Vec<NodeId> = (0..QUERIES).map(|_| member()).collect();
+        let mut scratch = TraversalScratch::new();
+        let mut group = c.benchmark_group(&format!("csr/bfs-to-targets/{label}"));
+        group.sample_size(20);
+        let mut next = 0usize;
+        group.bench_function("full-bfs", |b| {
+            b.iter(|| {
+                next = (next + 1) % QUERIES;
+                scratch.bfs(std::hint::black_box(&csr), &sources[next..=next]);
+                scratch.visited().len()
+            });
+        });
+        for k in [1usize, 3, 8, 32] {
+            for (mix, hubs) in [("hub+leaf", 2usize), ("all-leaf", 0)] {
+                if hubs >= k {
+                    continue;
+                }
+                let targets: Vec<Vec<NodeId>> = (0..QUERIES)
+                    .map(|_| {
+                        let mut t = by_degree[..hubs].to_vec();
+                        t.resize_with(k, &mut member);
+                        t
+                    })
+                    .collect();
+                let visited: usize = (0..QUERIES)
+                    .map(|q| {
+                        scratch.bfs_to_targets(&csr, sources[q], &targets[q], u32::MAX);
+                        scratch.last_visited()
+                    })
+                    .sum();
+                eprintln!(
+                    "{label}/{k}-targets/{mix}: {} nodes visited per call",
+                    visited / QUERIES
+                );
+                group.bench_function(format!("{k}-targets/{mix}"), |b| {
+                    b.iter(|| {
+                        next = (next + 1) % QUERIES;
+                        scratch.bfs_to_targets(
+                            std::hint::black_box(&csr),
+                            sources[next],
+                            &targets[next],
+                            u32::MAX,
+                        )
+                    });
+                });
+            }
+        }
+        group.finish();
+    }
+}
+
 criterion_group!(
     benches,
     brandes_backends,
     paper_sweep_backends,
-    apply_delta_touch_fractions
+    apply_delta_touch_fractions,
+    bfs_to_targets_sizes
 );
 criterion_main!(benches);

@@ -168,6 +168,7 @@ fn comparable_snapshot(scdn: &Scdn) -> String {
         .lines()
         .filter(|l| {
             !l.contains("alloc.resolve.cache.")
+                && !l.contains("alloc.resolve.bfs.")
                 && !l.contains("core.batch.")
                 && !l.contains("core.maintain.")
         })

@@ -171,7 +171,11 @@ struct RunOutcome {
 fn comparable_snapshot(scdn: &Scdn) -> String {
     scdn_obs::to_json(&scdn.observability_snapshot())
         .lines()
-        .filter(|l| !l.contains("alloc.resolve.cache.") && !l.contains("core.batch."))
+        .filter(|l| {
+            !l.contains("alloc.resolve.cache.")
+                && !l.contains("alloc.resolve.bfs.")
+                && !l.contains("core.batch.")
+        })
         .collect::<Vec<_>>()
         .join("\n")
 }

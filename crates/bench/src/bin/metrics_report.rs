@@ -16,8 +16,9 @@
 //! snapshot (counters, gauges, bounded histograms) as an `scdn-obs/v1`
 //! JSON document. `--check` does the same run, then validates both the
 //! in-memory snapshot and the JSON round-trip — any NaN, negative counter,
-//! or mis-ordered quantile exits non-zero. CI uses `--check` as a schema
-//! gate.
+//! mis-ordered quantile, or resolve miss that reported no search work
+//! (`alloc.resolve.bfs.visited`) exits non-zero. CI uses `--check` as a
+//! schema gate.
 
 use std::process::ExitCode;
 
@@ -66,6 +67,15 @@ fn check() -> ExitCode {
     }
     if snap.counters.is_empty() || snap.histograms.is_empty() {
         violations.push("snapshot: expected non-empty counters and histograms".into());
+    }
+    // Every hop-cache miss runs one search, and a search visits at least
+    // the requester: a smaller count means a miss path stopped reporting.
+    let misses = snap.counter("alloc.resolve.cache.miss").unwrap_or(0);
+    match snap.counter("alloc.resolve.bfs.visited") {
+        Some(visited) if misses > 0 && visited >= misses => {}
+        other => violations.push(format!(
+            "snapshot: alloc.resolve.bfs.visited is {other:?} after {misses} resolve misses"
+        )),
     }
     if violations.is_empty() {
         println!(

@@ -682,9 +682,9 @@ impl Scdn {
     /// incrementally ([`CsrGraph::apply_delta`] rebuilds only the touched
     /// rows), overlay links are re-verified for every churned pair, and
     /// both caches are invalidated *scoped to the churn*: the resolve
-    /// cache keeps every hop table whose BFS region provably misses the
-    /// touched frontier, the ranking cache keeps every ordering the delta
-    /// class cannot affect. Both request and maintenance pipelines pick up
+    /// cache keeps every hop table whose distance radius provably stops
+    /// short of the touched frontier, the ranking cache keeps every
+    /// ordering the delta class cannot affect. Both request and maintenance pipelines pick up
     /// the new snapshot on their next batch/cycle — plan-phase staleness
     /// is already version-keyed, so nothing else needs republishing.
     ///

@@ -11,8 +11,9 @@
 //!
 //! The only counters excluded from the comparison are the resolve-cache
 //! statistics (`alloc.resolve.cache.*` — a re-planned request probes the
-//! hop cache more often than a serial one) and the re-plan counter itself
-//! (`core.batch.*`), both of which are diagnostics rather than simulation
+//! hop cache more often than a serial one — and `alloc.resolve.bfs.*`,
+//! the work its extra misses do) and the re-plan counter itself
+//! (`core.batch.*`), all of which are diagnostics rather than simulation
 //! state.
 
 use std::sync::OnceLock;
@@ -196,7 +197,11 @@ fn drive(
 fn comparable_snapshot(scdn: &Scdn) -> String {
     scdn_obs::to_json(&scdn.observability_snapshot())
         .lines()
-        .filter(|l| !l.contains("alloc.resolve.cache.") && !l.contains("core.batch."))
+        .filter(|l| {
+            !l.contains("alloc.resolve.cache.")
+                && !l.contains("alloc.resolve.bfs.")
+                && !l.contains("core.batch.")
+        })
         .collect::<Vec<_>>()
         .join("\n")
 }

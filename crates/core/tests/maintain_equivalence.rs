@@ -13,7 +13,8 @@
 //!
 //! The only counters excluded from the comparison are diagnostics that
 //! legitimately differ between the two execution strategies: the
-//! resolve-cache statistics (`alloc.resolve.cache.*`), the request-batch
+//! resolve-cache statistics (`alloc.resolve.cache.*` and the per-miss
+//! search work `alloc.resolve.bfs.*`), the request-batch
 //! counters (`core.batch.*`), and the maintenance-pipeline counters
 //! themselves (`core.maintain.*` — the serial oracles never plan).
 
@@ -136,6 +137,7 @@ fn comparable_snapshot(scdn: &Scdn) -> String {
         .lines()
         .filter(|l| {
             !l.contains("alloc.resolve.cache.")
+                && !l.contains("alloc.resolve.bfs.")
                 && !l.contains("core.batch.")
                 && !l.contains("core.maintain.")
         })

@@ -672,19 +672,36 @@ pub struct TraversalScratch {
     /// cursor), the Brandes stack (iterated in reverse), and the touched
     /// list driving the `O(visited)` reset.
     pub(crate) order: Vec<u32>,
-    /// Epoch stamp per node for the bounded multi-target BFS: a node is
-    /// visited in the current call iff `stamp[v] == epoch`. Never cleared
-    /// between calls — bumping `epoch` invalidates every mark in O(1).
+    /// Forward epoch stamp per node for the multi-target search: a node is
+    /// inside the current call's forward region (or is one of its resolved
+    /// targets) iff `stamp[v] == epoch`. Never cleared between calls —
+    /// bumping `epoch` invalidates every mark in O(1).
     stamp: Vec<u32>,
-    /// Epoch stamp marking the current call's target set.
+    /// Epoch stamp marking the current call's target set (deduplication).
     target_stamp: Vec<u32>,
-    /// Hop distance per node, valid iff `stamp[v] == epoch`.
+    /// Hop distance from the source per node, valid iff `stamp[v] == epoch`.
     hops: Vec<u32>,
-    /// Frontier queue for the bounded BFS (separate from `order` so the
-    /// touched-list reset contract of the full kernels is untouched).
+    /// Backward stamp per node: inside the *current target's* backward
+    /// region iff `back_stamp[v] == back_epoch`. One array serves every
+    /// target of a call because targets are searched one after another,
+    /// each under a fresh `back_epoch`.
+    back_stamp: Vec<u32>,
+    /// The forward region in discovery (= distance) order; its last level
+    /// is the forward frontier. Separate from `order` so the touched-list
+    /// reset contract of the full kernels is untouched.
     queue: Vec<u32>,
-    /// Current epoch; 0 means "no bounded traversal has run yet".
+    /// The current target's backward region, same layout as `queue`.
+    back_queue: Vec<u32>,
+    /// `(target, distance)` pairs settled by a meet outside the forward
+    /// region; written into `stamp`/`hops` only once the call is over, so
+    /// they never pose as forward-region nodes while it runs.
+    met: Vec<(u32, u32)>,
+    /// Current forward epoch; 0 means "no multi-target search has run yet".
     epoch: u32,
+    /// Current backward epoch (one per searched target).
+    back_epoch: u32,
+    /// Nodes discovered by the last multi-target search, both directions.
+    last_visited: usize,
 }
 
 impl TraversalScratch {
@@ -803,35 +820,66 @@ impl TraversalScratch {
         &self.order
     }
 
-    /// Open a fresh epoch for the bounded BFS: grow the stamp arrays to
-    /// `n` and invalidate every previous mark in O(1) (O(n) only on the
-    /// rare u32 wrap-around).
+    /// Open a fresh forward epoch for the multi-target search: grow the
+    /// stamp arrays to `n` and invalidate every previous mark in O(1)
+    /// (O(n) only on the rare u32 wrap-around).
     fn begin_epoch(&mut self, n: usize) {
         if self.stamp.len() < n {
             self.stamp.resize(n, 0);
             self.target_stamp.resize(n, 0);
             self.hops.resize(n, 0);
+            self.back_stamp.resize(n, 0);
         }
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
-            self.stamp.iter_mut().for_each(|s| *s = 0);
-            self.target_stamp.iter_mut().for_each(|s| *s = 0);
+            self.stamp.fill(0);
+            self.target_stamp.fill(0);
             self.epoch = 1;
         }
         self.queue.clear();
+        self.met.clear();
+        self.last_visited = 0;
     }
 
-    /// Bounded multi-target BFS from `src`: explore outward until every
-    /// node in `targets` has been reached, the `max_hops` budget is
-    /// exhausted, or the component is spent — whichever comes first.
-    /// Returns the number of distinct in-range targets reached.
+    /// Open a fresh backward epoch (one per searched target), same O(1)
+    /// invalidation as [`begin_epoch`](Self::begin_epoch).
+    fn begin_back_epoch(&mut self) {
+        self.back_epoch = self.back_epoch.wrapping_add(1);
+        if self.back_epoch == 0 {
+            self.back_stamp.fill(0);
+            self.back_epoch = 1;
+        }
+        self.back_queue.clear();
+    }
+
+    /// Hop distances from `src` to every node in `targets`, by
+    /// meet-in-the-middle search: one forward BFS from `src`, shared by
+    /// all targets of the call, and one backward BFS per target that is
+    /// not already inside the forward region. Both grow a whole level at
+    /// a time, always on the side whose frontier has fewer edges to scan,
+    /// and a target is settled at the first level on which the two
+    /// regions touch. Returns the number of distinct in-range targets
+    /// within `max_hops` of `src`.
     ///
-    /// Distances are exact for every reached target (BFS discovers nodes
-    /// in distance order, so early exit never truncates a target's
-    /// distance); with `max_hops == u32::MAX` a reached/unreached verdict
-    /// matches a full BFS exactly. Visited marks are epoch-stamped, so
-    /// back-to-back calls pay O(visited) with no clearing or allocation.
-    /// Out-of-range and duplicate targets are ignored.
+    /// Distances are exact. While the forward region `F` (every node
+    /// within `df` hops of `src`) and the backward region `B` (every node
+    /// within `db` hops of the target) are disjoint, the distance exceeds
+    /// `df + db` — a shorter path would have a node in both. Growing
+    /// either side by one full level and finding the regions touch
+    /// therefore pins the distance to exactly `df + db` (depths after the
+    /// growth). Neither side grows once `df + db == max_hops`, so a target
+    /// is reported iff it lies within the budget; with
+    /// `max_hops == u32::MAX` the reached/unreached verdict matches a
+    /// full BFS, and an emptied frontier on either side proves the target
+    /// unreachable without exhausting the other side's component.
+    ///
+    /// A far target costs two half-radius balls instead of one
+    /// full-radius ball, which on a small-world graph is the difference
+    /// between a few hundred nodes and nearly all of them
+    /// ([`last_visited`](TraversalScratch::last_visited) reports the
+    /// count). All marks are epoch-stamped, so back-to-back calls pay
+    /// O(visited) with no clearing or allocation. Out-of-range and
+    /// duplicate targets are ignored.
     ///
     /// Query distances afterwards with
     /// [`target_hops`](TraversalScratch::target_hops); they stay valid
@@ -849,43 +897,118 @@ impl TraversalScratch {
         if src.index() >= n {
             return 0;
         }
-        let mut wanted = 0usize;
-        for &t in targets {
-            if t.index() < n && self.target_stamp[t.index()] != epoch {
-                self.target_stamp[t.index()] = epoch;
-                wanted += 1;
-            }
-        }
         self.stamp[src.index()] = epoch;
         self.hops[src.index()] = 0;
         self.queue.push(src.0);
-        let mut reached = usize::from(self.target_stamp[src.index()] == epoch);
-        let mut head = 0;
-        while head < self.queue.len() && reached < wanted {
-            let v = self.queue[head] as usize;
-            head += 1;
-            let dv = self.hops[v];
-            if dv >= max_hops {
-                // The queue is distance-ordered: every later node is at
-                // least this far out, so the budget is spent.
-                break;
+        // Forward frontier = `queue[fwd_start..]`, all at depth `fwd_depth`;
+        // `fwd_cost` is the number of half-edges expanding it would scan.
+        let mut fwd_start = 0usize;
+        let mut fwd_depth = 0u32;
+        let mut fwd_cost = g.degree(src);
+        let mut reached = 0usize;
+        for &t in targets {
+            let ti = t.index();
+            if ti >= n || self.target_stamp[ti] == epoch {
+                continue;
             }
-            for &w in g.neighbor_ids(NodeId(v as u32)) {
-                let wi = w as usize;
-                if self.stamp[wi] != epoch {
-                    self.stamp[wi] = epoch;
-                    self.hops[wi] = dv + 1;
-                    reached += usize::from(self.target_stamp[wi] == epoch);
-                    self.queue.push(w);
+            self.target_stamp[ti] = epoch;
+            if self.stamp[ti] == epoch {
+                // Already inside the forward region: `hops` is exact.
+                reached += 1;
+                continue;
+            }
+            self.begin_back_epoch();
+            let back_epoch = self.back_epoch;
+            self.back_stamp[ti] = back_epoch;
+            self.back_queue.push(t.0);
+            let mut back_start = 0usize;
+            let mut back_depth = 0u32;
+            let mut back_cost = g.degree(t);
+            let met = 'search: loop {
+                if fwd_start == self.queue.len()
+                    || back_start == self.back_queue.len()
+                    || fwd_depth.saturating_add(back_depth) >= max_hops
+                {
+                    // A spent component on either side, or a spent budget.
+                    break false;
                 }
+                if fwd_cost <= back_cost {
+                    // Grow the forward region by one level — a *whole*
+                    // level even after a touch, because later targets
+                    // rely on `F` being every node within `fwd_depth`.
+                    let end = self.queue.len();
+                    let mut touched = false;
+                    fwd_cost = 0;
+                    for i in fwd_start..end {
+                        let v = NodeId(self.queue[i]);
+                        for &w in g.neighbor_ids(v) {
+                            let wi = w as usize;
+                            if self.stamp[wi] != epoch {
+                                self.stamp[wi] = epoch;
+                                self.hops[wi] = fwd_depth + 1;
+                                touched |= self.back_stamp[wi] == back_epoch;
+                                fwd_cost += g.degree(NodeId(w));
+                                self.queue.push(w);
+                            }
+                        }
+                    }
+                    fwd_start = end;
+                    fwd_depth += 1;
+                    if touched {
+                        break true;
+                    }
+                } else {
+                    // Grow this target's backward region by one level;
+                    // it is discarded after the meet, so stop at once.
+                    let end = self.back_queue.len();
+                    back_cost = 0;
+                    back_depth += 1;
+                    for i in back_start..end {
+                        let v = NodeId(self.back_queue[i]);
+                        for &w in g.neighbor_ids(v) {
+                            let wi = w as usize;
+                            if self.stamp[wi] == epoch {
+                                break 'search true;
+                            }
+                            if self.back_stamp[wi] != back_epoch {
+                                self.back_stamp[wi] = back_epoch;
+                                back_cost += g.degree(NodeId(w));
+                                self.back_queue.push(w);
+                            }
+                        }
+                    }
+                    back_start = end;
+                }
+            };
+            self.last_visited += self.back_queue.len();
+            if met {
+                self.met.push((t.0, fwd_depth + back_depth));
+                reached += 1;
             }
+        }
+        self.last_visited += self.queue.len();
+        for &(t, d) in &self.met {
+            self.stamp[t as usize] = epoch;
+            self.hops[t as usize] = d;
         }
         reached
     }
 
-    /// Hop distance of `v` from the last
+    /// Nodes discovered by the last
+    /// [`bfs_to_targets`](TraversalScratch::bfs_to_targets) call, forward
+    /// and backward regions together — the work the call did, for
+    /// telemetry and for the work-bound tests.
+    #[inline]
+    pub fn last_visited(&self) -> usize {
+        self.last_visited
+    }
+
+    /// Hop distance of target `v` from the last
     /// [`bfs_to_targets`](TraversalScratch::bfs_to_targets) source;
-    /// `None` if `v` was not reached before the traversal stopped.
+    /// `None` if `v` is unreachable or beyond that call's hop budget.
+    /// Only meaningful for nodes that were in the call's target set: any
+    /// other node answers `Some` only if the forward region happened to
+    /// cover it.
     #[inline]
     pub fn target_hops(&self, v: NodeId) -> Option<u32> {
         match self.stamp.get(v.index()) {
@@ -898,10 +1021,228 @@ impl TraversalScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::barabasi_albert;
+    use crate::generators::{barabasi_albert, erdos_renyi};
+    use proptest::prelude::*;
 
     fn path4() -> Graph {
         Graph::from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    }
+
+    /// What one `bfs_to_targets` call answers: the reached count and the
+    /// distance of every entry of `targets`, in input order.
+    type TargetHops = (usize, Vec<Option<u32>>);
+
+    /// The one-sided kernel `bfs_to_targets` used to be, kept as the
+    /// reference: a plain BFS from `src` that stops once every target is
+    /// reached, the hop budget is spent, or the component is exhausted.
+    /// Also returns how many nodes it visited.
+    fn one_sided_reference(
+        g: &CsrGraph,
+        src: NodeId,
+        targets: &[NodeId],
+        max_hops: u32,
+    ) -> (TargetHops, usize) {
+        let n = g.node_count();
+        let mut hops = vec![UNVISITED; n];
+        let mut is_target = vec![false; n];
+        let mut queue = Vec::new();
+        let mut reached = 0usize;
+        if src.index() < n {
+            let mut wanted = 0usize;
+            for &t in targets {
+                if t.index() < n && !is_target[t.index()] {
+                    is_target[t.index()] = true;
+                    wanted += 1;
+                }
+            }
+            hops[src.index()] = 0;
+            queue.push(src.0);
+            reached = usize::from(is_target[src.index()]);
+            let mut head = 0;
+            while head < queue.len() && reached < wanted {
+                let v = queue[head] as usize;
+                head += 1;
+                let dv = hops[v];
+                if dv >= max_hops {
+                    // The queue is distance-ordered: every later node is
+                    // at least this far out, so the budget is spent.
+                    break;
+                }
+                for &w in g.neighbor_ids(NodeId(v as u32)) {
+                    let wi = w as usize;
+                    if hops[wi] == UNVISITED {
+                        hops[wi] = dv + 1;
+                        reached += usize::from(is_target[wi]);
+                        queue.push(w);
+                    }
+                }
+            }
+        }
+        let per_target = targets
+            .iter()
+            .map(|t| hops.get(t.index()).copied().filter(|&d| d != UNVISITED))
+            .collect();
+        ((reached, per_target), queue.len())
+    }
+
+    fn run_kernel(
+        scratch: &mut TraversalScratch,
+        g: &CsrGraph,
+        src: NodeId,
+        targets: &[NodeId],
+        max_hops: u32,
+    ) -> TargetHops {
+        let reached = scratch.bfs_to_targets(g, src, targets, max_hops);
+        let hops = targets.iter().map(|&t| scratch.target_hops(t)).collect();
+        (reached, hops)
+    }
+
+    /// Graph families the kernel is compared on: scale-free, sparse
+    /// random with several components, a path and a star.
+    fn family(kind: u32, n: usize, seed: u64) -> Graph {
+        match kind {
+            0 => barabasi_albert(n.max(4), 2, seed),
+            1 => erdos_renyi(n, 1.2 / n as f64, seed),
+            2 => Graph::from_edges(n, (1..n as u32).map(|i| (i - 1, i, 1))),
+            _ => Graph::from_edges(n, (1..n as u32).map(|i| (0, i, 1))),
+        }
+    }
+
+    const HOP_BUDGETS: [u32; 5] = [0, 1, 2, 3, u32::MAX];
+
+    proptest! {
+        #[test]
+        fn bidirectional_matches_one_sided_reference(
+            kind in 0u32..4,
+            n in 2usize..90,
+            seed in any::<u64>(),
+            src in 0u32..100,
+            raw_targets in proptest::collection::vec(0u32..100, 1..33),
+            with_src in any::<bool>(),
+        ) {
+            let g = CsrGraph::from(&family(kind, n, seed));
+            let n = g.node_count() as u32;
+            // Ids up to n + 4: mostly in range, some past the end; short
+            // ranges make duplicates common. `src` is in range except
+            // for the occasional id past the end.
+            let src = NodeId(src % (n + 1));
+            let mut targets: Vec<NodeId> =
+                raw_targets.iter().map(|&t| NodeId(t % (n + 5))).collect();
+            if with_src {
+                targets.push(src);
+            }
+            let mut scratch = TraversalScratch::new();
+            for max_hops in HOP_BUDGETS {
+                let (expect, _) = one_sided_reference(&g, src, &targets, max_hops);
+                // The same scratch serves every budget: marks of one call
+                // must never leak into the next.
+                let got = run_kernel(&mut scratch, &g, src, &targets, max_hops);
+                prop_assert_eq!(got, expect, "kind {} max_hops {}", kind, max_hops);
+            }
+        }
+    }
+
+    #[test]
+    fn bidirectional_scratch_survives_graphs_of_different_size() {
+        let big = CsrGraph::from(&barabasi_albert(300, 3, 1));
+        let small = CsrGraph::from(&path4());
+        let mut scratch = TraversalScratch::new();
+        let far: Vec<NodeId> = [7u32, 150, 299].map(NodeId).to_vec();
+        let near: Vec<NodeId> = [0u32, 3, 299].map(NodeId).to_vec();
+        for _ in 0..3 {
+            assert_eq!(
+                run_kernel(&mut scratch, &big, NodeId(42), &far, u32::MAX),
+                one_sided_reference(&big, NodeId(42), &far, u32::MAX).0
+            );
+            // Ids valid on the big graph are out of range on the small
+            // one and must read as unreached, not as stale marks.
+            assert_eq!(
+                run_kernel(&mut scratch, &small, NodeId(1), &near, u32::MAX),
+                (2, vec![Some(1), Some(2), None])
+            );
+        }
+    }
+
+    #[test]
+    fn bidirectional_epochs_wrap_cleanly() {
+        let g = CsrGraph::from(&barabasi_albert(200, 2, 5));
+        let targets: Vec<NodeId> = [3u32, 90, 199, 150].map(NodeId).to_vec();
+        let mut scratch = TraversalScratch::new();
+        // Leave marks under the epochs the wrapped counters will reuse.
+        for src in [0u32, 120] {
+            scratch.bfs_to_targets(&g, NodeId(src), &targets, u32::MAX);
+        }
+        // Forward wrap: the next call overflows `epoch` to 0 → 1.
+        scratch.epoch = u32::MAX;
+        // Backward wrap: each call opens up to four backward epochs, so
+        // the counter overflows in the middle of the first call.
+        scratch.back_epoch = u32::MAX - 1;
+        for src in [77u32, 0, 120, 199] {
+            assert_eq!(
+                run_kernel(&mut scratch, &g, NodeId(src), &targets, u32::MAX),
+                one_sided_reference(&g, NodeId(src), &targets, u32::MAX).0,
+                "src {src}"
+            );
+        }
+        assert!(scratch.epoch < 8 && scratch.back_epoch < 32, "both wrapped");
+    }
+
+    #[test]
+    fn unreachable_target_does_not_exhaust_the_big_component() {
+        // A 5k-node component plus a detached pair: proving the pair
+        // unreachable must cost the pair, not the component.
+        let mut g = barabasi_albert(5_000, 3, 8);
+        let a = g.add_node();
+        let b = g.add_node();
+        g.add_edge(a, b, 1);
+        let c = CsrGraph::from(&g);
+        let mut scratch = TraversalScratch::new();
+        assert_eq!(scratch.bfs_to_targets(&c, NodeId(4_999), &[a], u32::MAX), 0);
+        assert_eq!(scratch.target_hops(a), None);
+        assert!(scratch.last_visited() < 50, "{}", scratch.last_visited());
+        // And the other way round: a requester in the small component.
+        assert_eq!(scratch.bfs_to_targets(&c, a, &[NodeId(0), b], u32::MAX), 1);
+        assert_eq!(scratch.target_hops(b), Some(1));
+        assert!(scratch.last_visited() < 50, "{}", scratch.last_visited());
+    }
+
+    #[test]
+    fn far_target_costs_two_small_balls_not_the_graph() {
+        // The resolve_cold shape: 40k members, replicas on the two
+        // top-degree hubs plus one random leaf (the dataset owner).
+        const N: usize = 40_000;
+        let g = CsrGraph::from(&barabasi_albert(N, 3, 42));
+        let mut by_degree: Vec<NodeId> = g.nodes().collect();
+        by_degree.sort_by_key(|&v| std::cmp::Reverse(g.degree(v)));
+        let mut scratch = TraversalScratch::new();
+        let mut rng = TestRng::from_seed(7);
+        let mut pick = || NodeId(rng.below(N as u64) as u32);
+        const CALLS: usize = 64;
+        let (mut reference_total, mut total, mut worst) = (0usize, 0usize, 0usize);
+        for _ in 0..CALLS {
+            let targets = [by_degree[0], by_degree[1], pick()];
+            let src = pick();
+            let (expect, reference_visited) = one_sided_reference(&g, src, &targets, u32::MAX);
+            assert_eq!(
+                run_kernel(&mut scratch, &g, src, &targets, u32::MAX),
+                expect
+            );
+            reference_total += reference_visited;
+            total += scratch.last_visited();
+            worst = worst.max(scratch.last_visited());
+        }
+        // Means over the calls (one whole level at a time means a single
+        // call can swallow a hub's neighborhood; it stays under n/10).
+        assert!(
+            reference_total / CALLS > N / 3,
+            "one-sided search visited only {} per call",
+            reference_total / CALLS
+        );
+        assert!(
+            total / CALLS < N / 20 && worst < N / 10,
+            "bidirectional search visited {} per call, {worst} at worst, of {N}",
+            total / CALLS
+        );
     }
 
     #[test]

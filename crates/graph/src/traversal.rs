@@ -69,10 +69,9 @@ pub fn multi_source_bfs_csr(g: &CsrGraph, sources: &[NodeId]) -> Vec<Option<u32>
 }
 
 /// Hop distances from `src` to each of `targets` (in input order) via the
-/// bounded multi-target BFS: the traversal early-exits once every target
-/// is reached or `max_hops` is exhausted. `None` marks targets that were
-/// not reached before the traversal stopped; with `max_hops == u32::MAX`
-/// that verdict matches a full [`bfs_distances`].
+/// bounded multi-target meet-in-the-middle search. `None` marks targets
+/// that are unreachable or farther than `max_hops`; with
+/// `max_hops == u32::MAX` that verdict matches a full [`bfs_distances`].
 ///
 /// This is the allocation-free replica-resolution kernel — callers on the
 /// hot path should hold a [`TraversalScratch`] and use
