@@ -184,24 +184,7 @@ pub fn place_by_degree_csr(g: &CsrGraph, k: usize) -> Vec<NodeId> {
 pub fn place_community_degree(g: &Graph, k: usize) -> Vec<NodeId> {
     let mut order: Vec<NodeId> = g.nodes().collect();
     order.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
-    let mut chosen: Vec<NodeId> = Vec::with_capacity(k);
-    let mut excluded = vec![false; g.node_count()]; // adjacent to a replica
-    let mut taken = vec![false; g.node_count()];
-    while chosen.len() < k {
-        // Best non-adjacent candidate first.
-        let pick = order
-            .iter()
-            .copied()
-            .find(|&v| !taken[v.index()] && !excluded[v.index()])
-            .or_else(|| order.iter().copied().find(|&v| !taken[v.index()]));
-        let Some(v) = pick else { break };
-        chosen.push(v);
-        taken[v.index()] = true;
-        for e in g.neighbors(v) {
-            excluded[e.to.index()] = true;
-        }
-    }
-    chosen
+    community_greedy(&order, k, |v| g.neighbors(v).iter().map(|e| e.to.index())).0
 }
 
 /// [`place_community_degree`] on a frozen [`CsrGraph`]; identical greedy
@@ -211,24 +194,69 @@ pub fn place_community_degree_csr(g: &CsrGraph, k: usize) -> Vec<NodeId> {
     let degree: Vec<usize> = g.nodes().map(|v| g.degree(v)).collect();
     let mut order: Vec<NodeId> = g.nodes().collect();
     order.sort_by_key(|&v| (std::cmp::Reverse(degree[v.index()]), v));
+    community_greedy(&order, k, |v| g.neighbor_ids(v).iter().map(|&u| u as usize)).0
+}
+
+/// Work one [`community_greedy`] call did; read by the work-bound test,
+/// dropped by the placement wrappers.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct GreedyWork {
+    /// Positions of `order` examined, both passes together (≤ 2·n).
+    examined: usize,
+    /// Neighbour exclusion marks written (≤ Σ degree).
+    marks: usize,
+}
+
+/// The community-degree greedy over a degree-sorted `order`, shared by
+/// both graph backends (`neighbors(v)` yields the indices adjacent to `v`).
+///
+/// The greedy's two marks are monotone — a node adjacent to a chosen
+/// replica stays excluded, a taken node stays taken — so "the first
+/// untaken, unexcluded node of `order`" only ever moves forward, and once
+/// no such node is left none reappears. The picks are therefore one
+/// forward pass taking every node not yet excluded (and excluding its
+/// neighbours), then one forward pass taking whatever is left:
+/// O(n + Σ degree) after the sort, and a smaller `k` only stops the same
+/// sequence earlier (prefix consistency).
+fn community_greedy<I>(
+    order: &[NodeId],
+    k: usize,
+    neighbors: impl Fn(NodeId) -> I,
+) -> (Vec<NodeId>, GreedyWork)
+where
+    I: Iterator<Item = usize>,
+{
+    let k = k.min(order.len());
     let mut chosen: Vec<NodeId> = Vec::with_capacity(k);
-    let mut excluded = vec![false; g.node_count()]; // adjacent to a replica
-    let mut taken = vec![false; g.node_count()];
-    while chosen.len() < k {
-        // Best non-adjacent candidate first.
-        let pick = order
-            .iter()
-            .copied()
-            .find(|&v| !taken[v.index()] && !excluded[v.index()])
-            .or_else(|| order.iter().copied().find(|&v| !taken[v.index()]));
-        let Some(v) = pick else { break };
+    let mut work = GreedyWork::default();
+    let mut excluded = vec![false; order.len()]; // adjacent to a replica
+    let mut taken = vec![false; order.len()];
+    for &v in order {
+        if chosen.len() == k {
+            return (chosen, work);
+        }
+        work.examined += 1;
+        if excluded[v.index()] {
+            continue;
+        }
         chosen.push(v);
         taken[v.index()] = true;
-        for &u in g.neighbor_ids(v) {
-            excluded[u as usize] = true;
+        for u in neighbors(v) {
+            excluded[u] = true;
+            work.marks += 1;
         }
     }
-    chosen
+    // Independent set exhausted: highest remaining degree first.
+    for &v in order {
+        if chosen.len() == k {
+            break;
+        }
+        work.examined += 1;
+        if !taken[v.index()] {
+            chosen.push(v);
+        }
+    }
+    (chosen, work)
 }
 
 /// Top-`k` by local clustering coefficient.
@@ -391,6 +419,7 @@ pub fn place_availability_cover(availability_graph: &Graph, cost: &[f64], k: usi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use scdn_graph::generators::{add_clique, barabasi_albert};
 
     fn assert_valid_placement(g: &Graph, p: &[NodeId], k: usize) {
@@ -468,6 +497,93 @@ mod tests {
                 assert!(!g.has_edge(a, b), "{a:?} and {b:?} are adjacent");
             }
         }
+    }
+
+    /// The greedy as the paper words it: every pick rescans `order` from
+    /// position 0. Θ(n·k) — the reference [`community_greedy`] is tested
+    /// against, nothing else calls it.
+    fn restart_greedy_reference(g: &Graph, k: usize) -> Vec<NodeId> {
+        let mut order: Vec<NodeId> = g.nodes().collect();
+        order.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
+        let mut chosen: Vec<NodeId> = Vec::with_capacity(k.min(order.len()));
+        let mut excluded = vec![false; g.node_count()]; // adjacent to a replica
+        let mut taken = vec![false; g.node_count()];
+        while chosen.len() < k {
+            // Best non-adjacent candidate first.
+            let pick = order
+                .iter()
+                .copied()
+                .find(|&v| !taken[v.index()] && !excluded[v.index()])
+                .or_else(|| order.iter().copied().find(|&v| !taken[v.index()]));
+            let Some(v) = pick else { break };
+            chosen.push(v);
+            taken[v.index()] = true;
+            for e in g.neighbors(v) {
+                excluded[e.to.index()] = true;
+            }
+        }
+        chosen
+    }
+
+    /// Graphs on which the greedy leaves its independent-set phase at
+    /// every possible position: after one pick (clique, star), about
+    /// halfway (path), never (edgeless), and anywhere in between (sparse
+    /// random, with and without a block of isolated nodes).
+    fn arb_shaped_graph() -> impl Strategy<Value = Graph> {
+        let pairs = proptest::collection::vec((0u32..1000, 0u32..1000), 0..56);
+        (0usize..6, 0u32..28, pairs).prop_map(|(shape, n, pairs)| {
+            let mut g = Graph::new(n as usize);
+            match shape {
+                0 => add_clique(&mut g, &(0..n).map(NodeId).collect::<Vec<_>>(), 1),
+                1 => (1..n).for_each(|v| g.add_edge(NodeId(0), NodeId(v), 1)),
+                2 => (1..n).for_each(|v| g.add_edge(NodeId(v - 1), NodeId(v), 1)),
+                3 => {}
+                // Random edges over the whole node set, or over its lower
+                // half only (the upper half stays isolated).
+                _ => {
+                    let span = if shape == 4 { n } else { n / 2 };
+                    for (a, b) in pairs {
+                        if span > 0 {
+                            g.add_edge(NodeId(a % span), NodeId(b % span), 1);
+                        }
+                    }
+                }
+            }
+            g
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn linear_greedy_equals_restart_reference_for_every_k(g in arb_shaped_graph()) {
+            let csr = CsrGraph::from(&g);
+            for k in 0..=g.node_count() + 2 {
+                let reference = restart_greedy_reference(&g, k);
+                prop_assert_eq!(&place_community_degree(&g, k), &reference, "adjacency, k={}", k);
+                prop_assert_eq!(&place_community_degree_csr(&csr, k), &reference, "csr, k={}", k);
+            }
+        }
+    }
+
+    #[test]
+    fn full_community_ranking_work_is_linear() {
+        // Counted, not timed: a full ranking (`k = n`, the call
+        // `RankingCache` makes) may look at each position of `order` once
+        // per pass and mark each half-edge at most once.
+        let n = 100_000;
+        let g = CsrGraph::from(&barabasi_albert(n, 3, 41));
+        let mut order: Vec<NodeId> = g.nodes().collect();
+        order.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
+        let (chosen, work) =
+            community_greedy(&order, n, |v| g.neighbor_ids(v).iter().map(|&u| u as usize));
+        assert_eq!(chosen.len(), n);
+        let half_edges: usize = g.nodes().map(|v| g.degree(v)).sum();
+        assert!(work.examined <= 2 * n, "examined {} of {n}", work.examined);
+        assert!(
+            work.marks <= half_edges,
+            "{} marks, {half_edges} half-edges",
+            work.marks
+        );
     }
 
     #[test]

@@ -125,8 +125,8 @@ impl RankingCache {
                 }
             }
         }
-        // Compute outside the lock: rankings can be expensive (community
-        // detection, Brandes) and may themselves use the parallel pool.
+        // Compute outside the lock: rankings can be expensive (Brandes
+        // betweenness, closeness) and may themselves use the parallel pool.
         let order = Arc::new(algorithm.place_csr(csr, csr.node_count(), seed));
         if self.is_enabled() {
             let mut entries = self.entries.lock();

@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use scdn_alloc::placement::PlacementAlgorithm;
 use scdn_graph::generators::barabasi_albert;
+use scdn_graph::CsrGraph;
 use scdn_social::trustgraph::{build_trust_subgraph, TrustFilter};
 
 fn placement_on_ba(c: &mut Criterion) {
@@ -57,10 +58,31 @@ fn placement_on_case_study(c: &mut Criterion) {
     group.finish();
 }
 
+/// The call `RankingCache` makes on a miss: the *full* ordering
+/// (`k = n`) on the frozen CSR. The groups above time `k = 10`, where an
+/// algorithm whose cost grows with `k` looks as cheap as its sort.
+fn full_ranking(c: &mut Criterion) {
+    for (label, n) in [("10k", 10_000usize), ("40k", 40_000), ("100k", 100_000)] {
+        let mut group = c.benchmark_group(&format!("placement/full-ranking/{label}"));
+        group.sample_size(10);
+        let g = CsrGraph::from(&barabasi_albert(n, 3, 7));
+        for alg in PlacementAlgorithm::PAPER_SET.into_iter().chain([
+            PlacementAlgorithm::KCore,
+            PlacementAlgorithm::WeightedDegree,
+        ]) {
+            group.bench_with_input(BenchmarkId::from_parameter(alg.name()), &alg, |b, &alg| {
+                b.iter(|| alg.place_csr(std::hint::black_box(&g), n, 42));
+            });
+        }
+        group.finish();
+    }
+}
+
 criterion_group!(
     benches,
     placement_on_ba,
     betweenness_placement,
-    placement_on_case_study
+    placement_on_case_study,
+    full_ranking
 );
 criterion_main!(benches);

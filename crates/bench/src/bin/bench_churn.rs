@@ -63,7 +63,6 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use bytes::Bytes;
-use scdn_alloc::placement::PlacementAlgorithm;
 use scdn_core::system::{Scdn, ScdnConfig};
 use scdn_graph::generators::barabasi_albert;
 use scdn_graph::{CsrGraph, Graph, GraphDelta, NodeId};
@@ -111,13 +110,6 @@ struct Workload {
     /// Total churn events and their mean inter-arrival.
     churn_events: usize,
     churn_interarrival_ms: f64,
-    /// Replica placement algorithm. The standard workloads keep the
-    /// system default (`CommunityNodeDegree`); the `--huge` workload
-    /// swaps in plain `NodeDegree` because a community-detection ranking
-    /// recompute on a million nodes costs minutes *per churn batch*
-    /// (structural churn evicts edge-sensitive rankings) and the huge
-    /// mode exists to time delta application, not placement quality.
-    placement: PlacementAlgorithm,
 }
 
 impl Workload {
@@ -172,7 +164,6 @@ impl Workload {
             repo_capacity: 64 << 20,
             replicas_per_dataset: 2,
             transfer_concurrency: 2,
-            placement: self.placement,
             ..Default::default()
         };
         let mut scdn = Scdn::build(&sub, &corpus, config);
@@ -281,6 +272,9 @@ struct ModeOutcome {
     churn_ns: u128,
     apply_ns: u128,
     maintain_ns: u128,
+    /// Mean wall time of a placement-ranking recompute
+    /// (`core.maintain.ranking_recompute_ms`), printed per workload.
+    ranking_recompute_ms: f64,
 }
 
 impl ModeOutcome {
@@ -456,6 +450,11 @@ fn run_mode(w: &Workload, delta_mode: bool) -> ModeOutcome {
         churn_ns: tally.churn_ns,
         apply_ns: tally.apply_ns,
         maintain_ns: tally.maintain_ns,
+        ranking_recompute_ms: scdn
+            .registry()
+            .histogram("core.maintain.ranking_recompute_ms")
+            .snapshot()
+            .mean(),
     }
 }
 
@@ -913,7 +912,6 @@ fn main() -> ExitCode {
             request_interarrival_ms: 40.0,
             churn_events: 40,
             churn_interarrival_ms: 2_500.0,
-            placement: PlacementAlgorithm::CommunityNodeDegree,
         }]
     } else {
         vec![
@@ -927,7 +925,6 @@ fn main() -> ExitCode {
                 request_interarrival_ms: 15.0,
                 churn_events: 120,
                 churn_interarrival_ms: 1_500.0,
-                placement: PlacementAlgorithm::CommunityNodeDegree,
             },
             Workload {
                 name: "ba_100k",
@@ -939,7 +936,6 @@ fn main() -> ExitCode {
                 request_interarrival_ms: 10.0,
                 churn_events: 40,
                 churn_interarrival_ms: 3_000.0,
-                placement: PlacementAlgorithm::CommunityNodeDegree,
             },
         ]
     };
@@ -960,7 +956,6 @@ fn main() -> ExitCode {
             request_interarrival_ms: 40.0,
             churn_events: 30,
             churn_interarrival_ms: 1_200.0,
-            placement: PlacementAlgorithm::NodeDegree,
         });
     }
 
@@ -968,11 +963,12 @@ fn main() -> ExitCode {
     for r in &reports {
         println!(
             "{:<16} n={:<7} delta retention resolve {:.1}% / ranking {:.1}%; \
-             oracle retains 0; resolutions identical",
+             ranking recompute {:.2} ms/miss; oracle retains 0; resolutions identical",
             r.name,
             r.nodes,
             r.delta_run.resolve_retention_rate() * 100.0,
             r.delta_run.ranking_retention_rate() * 100.0,
+            r.delta_run.ranking_recompute_ms,
         );
     }
     emit(&reports, &out_path)

@@ -175,6 +175,7 @@ fn comparable_snapshot(scdn: &Scdn) -> String {
             !l.contains("alloc.resolve.cache.")
                 && !l.contains("alloc.resolve.bfs.")
                 && !l.contains("core.batch.")
+                && !l.contains("core.maintain.ranking_recompute_ms")
         })
         .collect::<Vec<_>>()
         .join("\n")

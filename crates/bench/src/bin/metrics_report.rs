@@ -16,9 +16,10 @@
 //! snapshot (counters, gauges, bounded histograms) as an `scdn-obs/v1`
 //! JSON document. `--check` does the same run, then validates both the
 //! in-memory snapshot and the JSON round-trip — any NaN, negative counter,
-//! mis-ordered quantile, or resolve miss that reported no search work
-//! (`alloc.resolve.bfs.visited`) exits non-zero. CI uses `--check` as a
-//! schema gate.
+//! mis-ordered quantile, resolve miss that reported no search work
+//! (`alloc.resolve.bfs.visited`), or ranking-cache miss that left no
+//! recompute time (`core.maintain.ranking_recompute_ms`) exits non-zero.
+//! CI uses `--check` as a schema gate.
 
 use std::process::ExitCode;
 
@@ -76,6 +77,20 @@ fn check() -> ExitCode {
         other => violations.push(format!(
             "snapshot: alloc.resolve.bfs.visited is {other:?} after {misses} resolve misses"
         )),
+    }
+    // Every ranking-cache miss is a full placement recompute and must
+    // leave its wall time behind.
+    let ranking_misses = snap
+        .counter("core.maintain.ranking_cache_miss")
+        .unwrap_or(0);
+    let timed = snap
+        .histogram("core.maintain.ranking_recompute_ms")
+        .map_or(0, |h| h.count());
+    if timed != ranking_misses {
+        violations.push(format!(
+            "snapshot: core.maintain.ranking_recompute_ms holds {timed} samples after \
+             {ranking_misses} ranking-cache misses"
+        ));
     }
     if violations.is_empty() {
         println!(

@@ -394,8 +394,7 @@ impl Scdn {
                     if current.contains(&cand) || cand == owner {
                         continue;
                     }
-                    let online = !self.departed[cand.index()]
-                        && self.availability.is_online(cand.index(), sim_clock);
+                    let online = self.is_online_at(cand, sim_clock);
                     let latency_ms = self.engine.topology.latency_ms(owner.index(), cand.index());
                     if !online {
                         cands.push(GrowCand {
@@ -454,7 +453,7 @@ impl Scdn {
         let Some(owner) = self.datasets.get(&dataset).map(|m| m.owner) else {
             return noop(PlanKind::Noop);
         };
-        if self.departed[owner.index()] || !self.availability.is_online(owner.index(), self.clock) {
+        if !self.is_online(owner) {
             return noop(PlanKind::CodedLive);
         }
         // Re-encode from the owner's plain segment set. A fetch failure
@@ -488,8 +487,7 @@ impl Scdn {
             if cand == owner || used.contains(&cand) {
                 continue;
             }
-            let online = !self.departed[cand.index()]
-                && self.availability.is_online(cand.index(), sim_clock);
+            let online = self.is_online_at(cand, sim_clock);
             let latency_ms = self.engine.topology.latency_ms(owner.index(), cand.index());
             if !online {
                 steps.push(CodedStep {

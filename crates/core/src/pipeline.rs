@@ -9,8 +9,8 @@
 //!   whole batch (`core.batch.snapshot_reuse` counts the amortization)
 //!   and every worker plans against it. Each worker runs authenticate
 //!   (read-only [`Middleware::peek_op`][peek]) → policy check →
-//!   discover/select (quiet [`resolve_csr_snapshot`][planned], against
-//!   the per-batch online bitmap and the batch-entry clock) → simulated
+//!   discover/select (quiet [`resolve_csr_snapshot`][planned], asking
+//!   candidate liveness at the batch-entry clock) → simulated
 //!   transfer timing ([`TransferEngine::simulate_segment`], a pure hash
 //!   of endpoints × segment × attempt, so planning order cannot change
 //!   outcomes). The result is a [`RequestPlan`]: the outcome body, the
@@ -194,10 +194,10 @@ struct RequestPlan {
 
 impl Scdn {
     /// Serve a batch of requests: plan all of them in parallel against an
-    /// immutable snapshot (social CSR, catalog read view, per-batch online
-    /// bitmap, session/policy state, batch-entry clock), then commit the
-    /// plans strictly in submission order. Results are positionally
-    /// parallel to `reqs`.
+    /// immutable snapshot (social CSR, catalog read view, session/policy
+    /// state, liveness at the batch-entry clock), then commit the plans
+    /// strictly in submission order. Results are positionally parallel to
+    /// `reqs`.
     ///
     /// Under a fixed seed the outcomes, metrics, audit trail, and trace
     /// span sequences are bit-identical to calling
@@ -207,7 +207,6 @@ impl Scdn {
         &mut self,
         reqs: &[(NodeId, DatasetId)],
     ) -> Vec<Result<RequestOutcome, ScdnError>> {
-        self.refresh_online_mask();
         let planned_clock = self.clock;
         // One catalog snapshot serves every planner in the batch: after
         // this load the plan phase acquires no catalog lock at all.
@@ -230,9 +229,7 @@ impl Scdn {
                     };
                 }
                 let auth = this.middleware.peek_op(this.sessions[node.index()]);
-                this.plan_after_auth(snap, node, dataset, auth, planned_clock, &|n: NodeId| {
-                    this.online_mask.get(n.index()).copied().unwrap_or(false)
-                })
+                this.plan_after_auth(snap, node, dataset, auth, planned_clock)
             })
         };
         plans
@@ -242,11 +239,12 @@ impl Scdn {
     }
 
     /// Plan one request given an authentication result. Read-only: safe
-    /// from parallel planning workers (shared catalog snapshot, snapshot
-    /// `clock` + `online` view) and reused for commit-side re-planning
-    /// (fresh snapshot — identical to live state on the single commit
-    /// thread — live clock + live availability, authoritative auth
-    /// result).
+    /// from parallel planning workers (shared catalog snapshot, liveness
+    /// and policy evaluated at the batch-entry `clock`) and reused for
+    /// commit-side re-planning (fresh snapshot — identical to live state
+    /// on the single commit thread — live clock, authoritative auth
+    /// result). Departures cannot interleave with a batch, so `clock` is
+    /// all that separates the planned liveness view from the live one.
     fn plan_after_auth(
         &self,
         snap: &CatalogSnapshot,
@@ -254,7 +252,6 @@ impl Scdn {
         dataset: DatasetId,
         auth: Result<UserId, MiddlewareError>,
         clock: SimTime,
-        online: &dyn Fn(NodeId) -> bool,
     ) -> RequestPlan {
         let repo_epoch = self.repo_epochs[node.index()];
         let mut trace: Vec<TraceOp> = Vec::new();
@@ -317,11 +314,14 @@ impl Scdn {
         // Quiet CSR resolution against the shared snapshot: selection
         // identical to `resolve_csr`, zero catalog locks, and the
         // resolve/demand accounting is deferred to the commit.
-        let (resolved, stamp) =
-            self.alloc
-                .resolve_csr_snapshot(snap, dataset, node, &self.social_csr, online, |n| {
-                    topology.latency_ms(node.index(), n.index())
-                });
+        let (resolved, stamp) = self.alloc.resolve_csr_snapshot(
+            snap,
+            dataset,
+            node,
+            &self.social_csr,
+            |n| self.is_online_at(n, clock),
+            |n| topology.latency_ms(node.index(), n.index()),
+        );
         let stamp = Some(stamp);
         let selection = match resolved {
             Ok(sel) => sel,
@@ -557,8 +557,8 @@ impl Scdn {
         }
     }
 
-    /// Re-plan from live committed state (current clock, live
-    /// availability, authoritative auth result). The fresh snapshot *is*
+    /// Re-plan from live committed state (current clock, authoritative
+    /// auth result). The fresh snapshot *is*
     /// live state: commits run single-threaded, so nothing can republish
     /// between this load and the plan's application.
     fn plan_live(
@@ -567,13 +567,8 @@ impl Scdn {
         dataset: DatasetId,
         auth: Result<UserId, MiddlewareError>,
     ) -> RequestPlan {
-        let clock = self.clock;
         let snap = self.alloc.snapshot();
-        self.plan_after_auth(&snap, node, dataset, auth, clock, &|n: NodeId| {
-            n.index() < self.departed.len()
-                && !self.departed[n.index()]
-                && self.availability.is_online(n.index(), clock)
-        })
+        self.plan_after_auth(&snap, node, dataset, auth, self.clock)
     }
 
     /// `true` if the policy decision for `dataset` can change as the

@@ -24,7 +24,9 @@ use scdn_net::failure::{AttemptOutcome, FailureModel};
 use scdn_net::overlay::{PeerCertificate, SocialOverlay};
 use scdn_net::topology::{LinkQuality, Topology};
 use scdn_net::transfer::{CodedSource, TransferEngine, TransferError};
-use scdn_obs::{Counter, Gauge, Registry, SpanStatus, TraceCollector};
+use scdn_obs::{
+    Counter, Gauge, HistogramConfig, Registry, SharedHistogram, SpanStatus, TraceCollector,
+};
 use scdn_sim::availability::{AvailabilityModel, PeriodicChurn};
 use scdn_sim::engine::SimTime;
 use scdn_sim::metrics::{CdnMetrics, SocialMetrics};
@@ -279,12 +281,6 @@ pub struct Scdn {
     att_corrupted: Counter,
     /// Latest sampled online fraction (`core.online_fraction`).
     online_fraction: Gauge,
-    /// Per-node online bitmap, computed in parallel once per clock value
-    /// and shared by `tick` and the batch plan snapshot.
-    online_mask: Vec<bool>,
-    /// Clock the mask was computed at (`None` = invalid, e.g. after a
-    /// departure).
-    online_mask_at: Option<SimTime>,
     /// Commits that had to re-plan because an earlier commit in the same
     /// batch invalidated their snapshot (`core.batch.replans`).
     batch_replans: Counter,
@@ -313,6 +309,10 @@ pub struct Scdn {
     maintain_replanned: Counter,
     ranking_hits: Counter,
     ranking_misses: Counter,
+    /// Wall time of every ranking-cache miss, i.e. of one full placement
+    /// recompute (`core.maintain.ranking_recompute_ms`). Host time: kept
+    /// out of every snapshot-equality comparison.
+    ranking_recompute_ms: SharedHistogram,
     /// Graph-churn counters: deltas applied via
     /// [`apply_graph_delta`](Scdn::apply_graph_delta)
     /// (`core.graph.delta_applied`), total CSR rows rebuilt by them
@@ -484,6 +484,10 @@ impl Scdn {
         let maintain_replanned = registry.counter("core.maintain.replanned");
         let ranking_hits = registry.counter("core.maintain.ranking_cache_hit");
         let ranking_misses = registry.counter("core.maintain.ranking_cache_miss");
+        let ranking_recompute_ms = registry.histogram_with(
+            "core.maintain.ranking_recompute_ms",
+            HistogramConfig::coarse(),
+        );
         let delta_applied = registry.counter("core.graph.delta_applied");
         let delta_nodes_touched = registry.counter("core.graph.delta_nodes_touched");
         let delta_bytes_copied = registry.counter("core.graph.delta_bytes_copied");
@@ -519,8 +523,6 @@ impl Scdn {
             att_lost,
             att_corrupted,
             online_fraction,
-            online_mask: vec![false; n],
-            online_mask_at: None,
             batch_replans,
             repo_epochs: vec![0; n],
             batch_snapshot_reuse,
@@ -531,6 +533,7 @@ impl Scdn {
             maintain_replanned,
             ranking_hits,
             ranking_misses,
+            ranking_recompute_ms,
             delta_applied,
             delta_nodes_touched,
             delta_bytes_copied,
@@ -554,16 +557,15 @@ impl Scdn {
     /// Advance the simulation clock by `ms` milliseconds, sample fabric
     /// availability into the metrics, and feed each node's CDN client.
     ///
-    /// The per-node online bitmap is computed in parallel once per tick
-    /// (the availability model is a pure function of `(node, clock)`) and
-    /// retained: a request batch planned at the same clock reuses it
-    /// instead of re-querying the model per request.
+    /// The one operation that visits every member: each client samples
+    /// its own liveness at the new clock. Requests and maintenance never
+    /// tabulate the membership — they ask [`is_online_at`](Self::is_online_at)
+    /// about the few candidates they reach.
     pub fn tick(&mut self, ms: u64) {
         self.clock = self.clock.plus_millis(ms);
-        self.refresh_online_mask();
         let mut online = 0usize;
         for i in 0..self.repos.len() {
-            let up = self.online_mask[i];
+            let up = self.is_online(NodeId(i as u32));
             self.clients[i].sample_online(up);
             online += usize::from(up);
         }
@@ -574,25 +576,19 @@ impl Scdn {
         }
     }
 
-    /// Recompute the per-node online bitmap for the current clock if it is
-    /// stale (clock moved or a member departed since it was built).
-    pub(crate) fn refresh_online_mask(&mut self) {
-        if self.online_mask_at == Some(self.clock) {
-            return;
-        }
-        let clock = self.clock;
-        let availability = &self.availability;
-        let departed = &self.departed;
-        self.online_mask = scdn_graph::parallel::par_map_collect(self.repos.len(), 256, |i| {
-            !departed[i] && availability.is_online(i, clock)
-        });
-        self.online_mask_at = Some(clock);
+    /// `true` if `node` is online at the current clock (departed members
+    /// never come back; an id outside the membership is never online).
+    pub fn is_online(&self, node: NodeId) -> bool {
+        self.is_online_at(node, self.clock)
     }
 
-    /// `true` if `node` is online at the current clock (departed members
-    /// never come back).
-    pub fn is_online(&self, node: NodeId) -> bool {
-        !self.departed[node.index()] && self.availability.is_online(node.index(), self.clock)
+    /// [`is_online`](Self::is_online) at an explicit clock — the one
+    /// liveness test of the runtime: request plans ask it at the
+    /// batch-entry clock, commit-side re-plans at the live clock,
+    /// maintenance walks at their simulated per-candidate clock.
+    pub fn is_online_at(&self, node: NodeId, clock: SimTime) -> bool {
+        self.departed.get(node.index()) == Some(&false)
+            && self.availability.is_online(node.index(), clock)
     }
 
     /// Flush every CDN client's telemetry (EWMA availability, usage
@@ -610,7 +606,6 @@ impl Scdn {
     pub fn depart(&mut self, node: NodeId) -> Result<Vec<DatasetId>, ScdnError> {
         self.check_node(node)?;
         self.departed[node.index()] = true;
-        self.online_mask_at = None;
         let affected = self.alloc.datasets_hosted_by(node);
         for &d in &affected {
             let _ = self.alloc.remove_replica(d, node);
@@ -827,8 +822,10 @@ impl Scdn {
 
     /// The full memoized placement ordering for the configured algorithm
     /// and seed, counting cache hits/misses in
-    /// `core.maintain.ranking_cache_{hit,miss}`.
+    /// `core.maintain.ranking_cache_{hit,miss}` and the wall time of each
+    /// miss in `core.maintain.ranking_recompute_ms`.
     fn placement_ranking(&self) -> Arc<Vec<NodeId>> {
+        let start = std::time::Instant::now();
         let (order, hit) =
             self.rankings
                 .full_ranking(&self.social_csr, self.config.placement, self.config.seed);
@@ -836,6 +833,7 @@ impl Scdn {
             self.ranking_hits.inc();
         } else {
             self.ranking_misses.inc();
+            self.ranking_recompute_ms.record(elapsed_ms(start));
         }
         order
     }
@@ -1675,14 +1673,12 @@ impl Scdn {
         requester: NodeId,
         dataset: DatasetId,
     ) -> Result<NodeId, ScdnError> {
-        let clock = self.clock;
-        let availability = &self.availability;
         let topology = &self.engine.topology;
         let sel = self.alloc.resolve_csr(
             dataset,
             requester,
             &self.social_csr,
-            |n| availability.is_online(n.index(), clock),
+            |n| self.is_online(n),
             |n| topology.latency_ms(requester.index(), n.index()),
         )?;
         Ok(sel.node)

@@ -12,9 +12,10 @@
 //! The only counters excluded from the comparison are the resolve-cache
 //! statistics (`alloc.resolve.cache.*` — a re-planned request probes the
 //! hop cache more often than a serial one — and `alloc.resolve.bfs.*`,
-//! the work its extra misses do) and the re-plan counter itself
-//! (`core.batch.*`), all of which are diagnostics rather than simulation
-//! state.
+//! the work its extra misses do), the re-plan counter itself
+//! (`core.batch.*`) and the one wall-clock series in the export
+//! (`core.maintain.ranking_recompute_ms`; set-up replicates, so it holds
+//! a sample), all of which are diagnostics rather than simulation state.
 
 use std::sync::OnceLock;
 
@@ -201,6 +202,7 @@ fn comparable_snapshot(scdn: &Scdn) -> String {
             !l.contains("alloc.resolve.cache.")
                 && !l.contains("alloc.resolve.bfs.")
                 && !l.contains("core.batch.")
+                && !l.contains("core.maintain.ranking_recompute_ms")
         })
         .collect::<Vec<_>>()
         .join("\n")
@@ -259,6 +261,139 @@ fn second_delivery_refused_after_first_commits() {
     assert_eq!(format!("{out:?}"), format!("{serial_out:?}"));
     assert_eq!(comparable_snapshot(&serial), comparable_snapshot(&batched));
     assert_eq!(trace_shapes(&serial), trace_shapes(&batched));
+}
+
+/// Always-reliable fabric under periodic churn (duty 0.6), one public
+/// 9 KiB dataset published by node 0 and replicated.
+fn build_churn_system() -> (Scdn, DatasetId) {
+    let (c, sub) = community();
+    let config = ScdnConfig {
+        segment_size: 2 << 10,
+        availability: AvailabilityConfig::Periodic {
+            period_ms: 8_000,
+            duty: 0.6,
+        },
+        ..Default::default()
+    };
+    let mut scdn = Scdn::build(sub, &c.corpus, config);
+    let id = scdn
+        .publish(
+            NodeId(0),
+            "churn",
+            Bytes::from(vec![7u8; 9 << 10]),
+            Sensitivity::Public,
+            None,
+        )
+        .expect("publish succeeds");
+    scdn.replicate(id).expect("replicates");
+    (scdn, id)
+}
+
+/// A replica's on → off boundary falls *inside* a batch: both requests
+/// are planned one millisecond before replica `r` goes dark, the first
+/// commit's transfer carries the clock across the boundary, and the
+/// second request — which resolved to `r` at the batch-entry clock — must
+/// be re-planned against liveness at the *live* clock, exactly as the
+/// serial loop sees it.
+#[test]
+fn replica_going_dark_mid_batch_is_replanned_at_the_live_clock() {
+    // Search a probe system for (r, requester) such that `requester`
+    // resolves to non-owner replica `r` one tick before `r` goes dark.
+    let found = {
+        let (probe, dataset) = build_churn_system();
+        let members = probe.member_count() as u32;
+        let base = probe.now();
+        probe
+            .replicas_of(dataset)
+            .expect("published")
+            .into_iter()
+            .filter(|&r| r != NodeId(0))
+            .find_map(|r| {
+                let last_on = (0..8_000).find(|&ms| {
+                    probe.is_online_at(r, base.plus_millis(ms))
+                        && !probe.is_online_at(r, base.plus_millis(ms + 1))
+                })?;
+                let (mut at_boundary, _) = build_churn_system();
+                at_boundary.tick(last_on);
+                let requester = (0..members)
+                    .map(NodeId)
+                    .find(|&m| m != r && at_boundary.resolve_replica(m, dataset).ok() == Some(r))?;
+                Some((r, last_on, requester))
+            })
+    };
+    let (r, last_on, second) = found.expect("some replica has a requester resolving to it");
+
+    let (mut batched, dataset) = build_churn_system();
+    let (mut serial, _) = build_churn_system();
+    let first = (0..batched.member_count() as u32)
+        .map(NodeId)
+        .find(|&m| m != second && m != r && m != NodeId(0))
+        .expect("a third member");
+    batched.tick(last_on);
+    serial.tick(last_on);
+    let planned_clock = batched.now();
+    assert!(batched.is_online_at(r, planned_clock));
+    let reqs = [(first, dataset), (second, dataset)];
+
+    let out = batched.request_batch(&reqs);
+    out[0].as_ref().expect("served while r is still up");
+    assert!(
+        batched.now() > planned_clock,
+        "the first commit moved the clock"
+    );
+    assert!(
+        !batched.is_online(r),
+        "the boundary fell inside the batch: r is dark at the live clock"
+    );
+    if let Ok(o) = &out[1] {
+        assert_ne!(
+            o.served_by, r,
+            "planned-clock liveness leaked into the re-plan"
+        );
+    }
+    assert!(
+        batched
+            .observability_snapshot()
+            .counter("core.batch.replans")
+            > Some(0)
+    );
+
+    let serial_out: Vec<_> = reqs.iter().map(|&(n, d)| serial.request(n, d)).collect();
+    assert_eq!(format!("{out:?}"), format!("{serial_out:?}"));
+    assert_eq!(serial.now(), batched.now());
+    assert_eq!(comparable_snapshot(&serial), comparable_snapshot(&batched));
+    assert_eq!(trace_shapes(&serial), trace_shapes(&batched));
+}
+
+/// One answer to "is this member online?": a departed member that
+/// re-enters the catalog (here behind the runtime's back; its own
+/// opportunistic promotion does the same) is selectable by neither
+/// `resolve_replica` nor `request`, and an id outside the membership is
+/// offline rather than a panic.
+#[test]
+fn departed_member_back_in_the_catalog_is_never_selected() {
+    let (mut scdn, datasets) = build_quota_system(FailureModel::reliable());
+    let id = datasets[2];
+    let victim = scdn.replicate(id).expect("replicates")[0];
+    // A neighbour of the victim resolves to it while it is alive.
+    let requester = scdn
+        .social
+        .neighbors(victim)
+        .iter()
+        .map(|e| e.to)
+        .find(|&n| scdn.resolve_replica(n, id).ok() == Some(victim))
+        .expect("some neighbour prefers the victim");
+    scdn.depart(victim).expect("departs");
+    scdn.allocation()
+        .add_replica(id, victim)
+        .expect("known dataset");
+    assert!(scdn.replicas_of(id).expect("known").contains(&victim));
+    let resolved = scdn.resolve_replica(requester, id).expect("others alive");
+    let served = scdn.request(requester, id).expect("served").served_by;
+    assert_ne!(resolved, victim, "resolve_replica must honour departures");
+    assert_eq!(resolved, served);
+    assert!(!scdn.is_online(NodeId(scdn.member_count() as u32)));
+    assert!(!scdn.is_online_at(NodeId(u32::MAX), scdn.now()));
 }
 
 proptest! {
