@@ -6,20 +6,17 @@
 //! Selection ranks online replicas by social hop distance, then network
 //! latency, then availability.
 //!
-//! Two equivalent paths compute the social-hop leg of the ranking:
-//!
-//! * [`select_replica`] — full BFS over the adjacency-list [`Graph`].
-//!   Allocates a distance vector per call; kept as the oracle the CSR
-//!   path is property-tested against.
-//! * [`select_replica_csr`] — bounded multi-target meet-in-the-middle
-//!   search over a frozen [`CsrGraph`] through a reusable
-//!   [`TraversalScratch`]: it visits the neighborhoods where the
-//!   requester's and each candidate's regions meet (or stops at the hop
-//!   budget) and, for up to eight candidates, allocates nothing. This is
-//!   the per-request hot path.
+//! [`select_replica`] computes the social-hop leg of the ranking with a
+//! bounded multi-target meet-in-the-middle search over a frozen
+//! [`CsrGraph`] through a reusable [`TraversalScratch`]: it visits the
+//! neighborhoods where the requester's and each candidate's regions meet
+//! (or stops at the hop budget) and, for up to eight candidates, allocates
+//! nothing. [`select_replica_full_bfs`] is its oracle — the same ranking
+//! loop over the distances of one full [`TraversalScratch::bfs`] — for
+//! the equivalence tests and `bench_resolve`'s `full_bfs` mode; nothing
+//! on a serving path calls it.
 
-use scdn_graph::traversal::bfs_distances;
-use scdn_graph::{CsrGraph, Graph, NodeId, TraversalScratch};
+use scdn_graph::{CsrGraph, NodeId, TraversalScratch};
 
 /// Per-candidate information used in ranking.
 #[derive(Clone, Copy, Debug)]
@@ -46,36 +43,24 @@ pub struct Selection {
     pub latency_ms: f64,
 }
 
-/// Pick the best online replica for `requester`.
-///
-/// Ordering: reachable beats unreachable; then fewer social hops; then
-/// lower latency; then higher availability; then smaller node id.
-/// Returns `None` when no candidate is online.
-pub fn select_replica(
-    social: &Graph,
-    requester: NodeId,
-    candidates: &[Candidate],
-) -> Option<Selection> {
-    if candidates.iter().all(|c| !c.online) {
-        return None;
-    }
-    let dist = bfs_distances(social, requester);
-    select_from_hops(candidates, |c| dist.get(c.node.index()).copied().flatten())
-}
-
 /// Candidate sets up to this size are handed to the search from a stack
 /// buffer; replica lists are rarely longer (3 in every benchmark
 /// workload), and a longer one costs one heap buffer.
 const INLINE_CANDIDATES: usize = 8;
 
-/// [`select_replica`] on a frozen CSR graph: identical selection, but hop
-/// distances come from [`TraversalScratch::bfs_to_targets`], which stops
-/// where the requester's region meets each candidate's (or when
+/// Pick the best online replica for `requester`.
+///
+/// Ordering: reachable beats unreachable; then fewer social hops; then
+/// lower latency; then higher availability; then smaller node id.
+/// Returns `None` when no candidate is online.
+///
+/// Hop distances come from [`TraversalScratch::bfs_to_targets`], which
+/// stops where the requester's region meets each candidate's (or when
 /// `max_hops` is exhausted — pass `u32::MAX` for exact full-BFS
 /// equivalence). With the caller-owned `scratch`, a resolution over at
 /// most eight candidates allocates nothing; a larger set costs one id
 /// buffer.
-pub fn select_replica_csr(
+pub fn select_replica(
     social: &CsrGraph,
     requester: NodeId,
     candidates: &[Candidate],
@@ -103,7 +88,21 @@ pub fn select_replica_csr(
     select_from_hops(candidates, |c| scratch.target_hops(c.node))
 }
 
-/// Shared ranking loop: pick the best online candidate given a social-hop
+/// The oracle for [`select_replica`] at `max_hops = u32::MAX`: the same
+/// ranking over the hop distances of one full BFS of the requester's
+/// component. O(component) per call — for tests and `bench_resolve`, not
+/// for serving.
+pub fn select_replica_full_bfs(
+    social: &CsrGraph,
+    requester: NodeId,
+    candidates: &[Candidate],
+    scratch: &mut TraversalScratch,
+) -> Option<Selection> {
+    scratch.bfs(social, &[requester]);
+    select_from_hops(candidates, |c| scratch.distance(c.node))
+}
+
+/// The ranking loop: pick the best online candidate given a social-hop
 /// lookup. Returns `None` when no candidate is online.
 pub(crate) fn select_from_hops(
     candidates: &[Candidate],
@@ -162,10 +161,21 @@ pub(crate) fn rank_key(hops: Option<u32>, c: &Candidate) -> (u32, u64, u64, u32)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scdn_graph::Graph;
+    use crate::frozen;
 
-    fn path4() -> Graph {
-        Graph::from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    fn path4() -> CsrGraph {
+        frozen(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    }
+
+    /// [`select_replica`] at an unbounded hop budget on a fresh scratch.
+    fn select(g: &CsrGraph, requester: NodeId, candidates: &[Candidate]) -> Option<Selection> {
+        select_replica(
+            g,
+            requester,
+            candidates,
+            &mut TraversalScratch::new(),
+            u32::MAX,
+        )
     }
 
     fn cand(node: u32, online: bool, latency_ms: f64, availability: f64) -> Candidate {
@@ -180,7 +190,7 @@ mod tests {
     #[test]
     fn prefers_social_proximity_over_latency() {
         let g = path4();
-        let sel = select_replica(
+        let sel = select(
             &g,
             NodeId(0),
             &[cand(1, true, 100.0, 0.9), cand(3, true, 1.0, 0.9)],
@@ -192,8 +202,8 @@ mod tests {
 
     #[test]
     fn latency_breaks_hop_ties() {
-        let g = Graph::from_edges(3, [(0, 1, 1), (0, 2, 1)]);
-        let sel = select_replica(
+        let g = frozen(3, [(0, 1, 1), (0, 2, 1)]);
+        let sel = select(
             &g,
             NodeId(0),
             &[cand(1, true, 50.0, 0.9), cand(2, true, 10.0, 0.9)],
@@ -204,8 +214,8 @@ mod tests {
 
     #[test]
     fn availability_breaks_full_ties() {
-        let g = Graph::from_edges(3, [(0, 1, 1), (0, 2, 1)]);
-        let sel = select_replica(
+        let g = frozen(3, [(0, 1, 1), (0, 2, 1)]);
+        let sel = select(
             &g,
             NodeId(0),
             &[cand(1, true, 10.0, 0.5), cand(2, true, 10.0, 0.99)],
@@ -217,7 +227,7 @@ mod tests {
     #[test]
     fn offline_candidates_skipped() {
         let g = path4();
-        let sel = select_replica(
+        let sel = select(
             &g,
             NodeId(0),
             &[cand(1, false, 1.0, 0.9), cand(3, true, 50.0, 0.9)],
@@ -229,16 +239,13 @@ mod tests {
     #[test]
     fn all_offline_is_none() {
         let g = path4();
-        assert_eq!(
-            select_replica(&g, NodeId(0), &[cand(1, false, 1.0, 0.9)]),
-            None
-        );
+        assert_eq!(select(&g, NodeId(0), &[cand(1, false, 1.0, 0.9)]), None);
     }
 
     #[test]
     fn unreachable_candidates_rank_last() {
-        let g = Graph::from_edges(4, [(0, 1, 1)]); // 2, 3 disconnected
-        let sel = select_replica(
+        let g = frozen(4, [(0, 1, 1)]); // 2, 3 disconnected
+        let sel = select(
             &g,
             NodeId(0),
             &[cand(2, true, 1.0, 0.99), cand(1, true, 80.0, 0.5)],
@@ -246,16 +253,16 @@ mod tests {
         .expect("online");
         assert_eq!(sel.node, NodeId(1));
         // But if only unreachable nodes are online, we still serve.
-        let sel2 = select_replica(&g, NodeId(0), &[cand(2, true, 1.0, 0.99)]).expect("online");
+        let sel2 = select(&g, NodeId(0), &[cand(2, true, 1.0, 0.99)]).expect("online");
         assert_eq!(sel2.node, NodeId(2));
         assert_eq!(sel2.social_hops, None);
     }
 
     #[test]
     fn nan_latency_ranks_worst() {
-        let g = Graph::from_edges(3, [(0, 1, 1), (0, 2, 1)]);
+        let g = frozen(3, [(0, 1, 1), (0, 2, 1)]);
         // Regression: NaN used to cast to 0 μs and rank best-possible.
-        let sel = select_replica(
+        let sel = select(
             &g,
             NodeId(0),
             &[cand(1, true, f64::NAN, 0.99), cand(2, true, 500.0, 0.1)],
@@ -263,7 +270,7 @@ mod tests {
         .expect("online");
         assert_eq!(sel.node, NodeId(2));
         // NaN availability likewise loses the tie-break.
-        let sel = select_replica(
+        let sel = select(
             &g,
             NodeId(0),
             &[cand(1, true, 10.0, f64::NAN), cand(2, true, 10.0, 0.01)],
@@ -271,7 +278,7 @@ mod tests {
         .expect("online");
         assert_eq!(sel.node, NodeId(2));
         // All-NaN still serves someone (node id tie-break).
-        let sel = select_replica(
+        let sel = select(
             &g,
             NodeId(0),
             &[cand(2, true, f64::NAN, 0.9), cand(1, true, f64::NAN, 0.9)],
@@ -282,10 +289,10 @@ mod tests {
 
     #[test]
     fn negative_latency_orders_totally() {
-        let g = Graph::from_edges(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)]);
+        let g = frozen(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)]);
         // Regression: negatives used to cast to 0 and tie with true zero;
         // now -5 < -1 < 3 in the latency leg.
-        let sel = select_replica(
+        let sel = select(
             &g,
             NodeId(0),
             &[
@@ -297,7 +304,7 @@ mod tests {
         .expect("online");
         assert_eq!(sel.node, NodeId(3));
         // Sub-microsecond latencies are distinct, not quantized equal.
-        let sel = select_replica(
+        let sel = select(
             &g,
             NodeId(0),
             &[cand(1, true, 0.0005, 0.1), cand(2, true, 0.0001, 0.1)],
@@ -307,10 +314,27 @@ mod tests {
     }
 
     #[test]
-    fn csr_selection_matches_adjacency() {
-        let g = scdn_graph::generators::barabasi_albert(60, 2, 3);
-        let csr = CsrGraph::from(&g);
+    fn out_of_range_ids_are_unreachable_not_fatal() {
+        let g = path4();
+        // A candidate past the end of the graph ranks as unreachable on
+        // both the search and the full-BFS oracle (`distance` is total).
+        let set = [cand(9, true, 1.0, 0.9), cand(3, true, 50.0, 0.9)];
+        let sel = select(&g, NodeId(0), &set).expect("online");
+        assert_eq!(sel.node, NodeId(3));
         let mut scratch = TraversalScratch::new();
+        let oracle = select_replica_full_bfs(&g, NodeId(0), &set, &mut scratch);
+        assert_eq!(oracle, Some(sel));
+        // So does every candidate when the requester itself is unknown.
+        let sel = select(&g, NodeId(77), &set).expect("online");
+        assert_eq!((sel.node, sel.social_hops), (NodeId(9), None));
+        let oracle = select_replica_full_bfs(&g, NodeId(77), &set, &mut scratch);
+        assert_eq!(oracle, Some(sel));
+    }
+
+    #[test]
+    fn selection_matches_full_bfs_oracle() {
+        let g = CsrGraph::from(&scdn_graph::generators::barabasi_albert(60, 2, 3));
+        let (mut scratch, mut oracle) = (TraversalScratch::new(), TraversalScratch::new());
         let candidates = [
             cand(3, true, 12.0, 0.7),
             cand(40, false, 1.0, 0.99),
@@ -323,8 +347,8 @@ mod tests {
             .collect();
         for req in [0u32, 17, 59] {
             for set in [&candidates[..], &many[..]] {
-                let a = select_replica(&g, NodeId(req), set);
-                let c = select_replica_csr(&csr, NodeId(req), set, &mut scratch, u32::MAX);
+                let a = select_replica_full_bfs(&g, NodeId(req), set, &mut oracle);
+                let c = select_replica(&g, NodeId(req), set, &mut scratch, u32::MAX);
                 assert_eq!(a, c, "requester {req}, {} candidates", set.len());
             }
         }

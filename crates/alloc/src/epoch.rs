@@ -2,7 +2,7 @@
 //! under [`AllocationServer`](crate::server::AllocationServer).
 //!
 //! The catalog is split into dataset-sharded slices, each published as an
-//! immutable [`ShardSnapshot`] behind a [`Published`] cell. Readers load
+//! immutable [`ShardSnapshot`] behind a `Published` cell. Readers load
 //! the current `Arc` (one refcount bump) and then work entirely on
 //! shared, frozen data — no lock is held across a resolution, a BFS, or
 //! a whole planning phase. Writers clone the shard they touch
@@ -21,7 +21,7 @@
 //!
 //! ## Publication primitive
 //!
-//! [`Published<T>`] is an arc-swap-style cell built from the crates this
+//! `Published<T>` is an arc-swap-style cell built from the crates this
 //! workspace vendors: a `RwLock<Arc<T>>` whose read-side critical
 //! section is a single `Arc::clone`. A true lock-free arc-swap needs
 //! deferred reclamation (and `unsafe`), which the vendored `parking_lot`
@@ -61,7 +61,7 @@ use crate::replication::DemandWindow;
 use crate::server::RepositoryInfo;
 
 /// Default number of catalog shards. A power of two; the multiplicative
-/// hash in [`shard_index`] spreads sequential dataset ids across all of
+/// hash in `shard_index` spreads sequential dataset ids across all of
 /// them. More shards mean finer commit granularity (fewer spurious
 /// stale-plan replans) at the cost of a longer snapshot vector.
 pub const DEFAULT_CATALOG_SHARDS: usize = 16;
@@ -165,21 +165,6 @@ impl DemandState {
     pub(crate) fn drain(&self) {
         self.drain_to(self.hits.get(), self.misses.get());
     }
-
-    /// Snapshot for inter-server sync: counters are copied into fresh
-    /// shards, never shared — two servers must not pool their demand.
-    pub(crate) fn sync_snapshot(&self) -> DemandState {
-        let copy = DemandState::new();
-        copy.hits.add(self.hits.get());
-        copy.misses.add(self.misses.get());
-        copy.hits_drained
-            .store(self.hits_drained.load(Ordering::Relaxed), Ordering::Relaxed);
-        copy.misses_drained.store(
-            self.misses_drained.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        copy
-    }
 }
 
 /// Per-host coded-block inventory of one dataset: `(host, sorted block
@@ -213,19 +198,6 @@ pub(crate) struct EntryState {
 }
 
 impl EntryState {
-    /// Clone for catalog sync: replica set, version, and coded
-    /// inventories copied, demand snapshotted into fresh counters.
-    pub(crate) fn sync_clone(&self) -> EntryState {
-        EntryState {
-            replicas: self.replicas.clone(),
-            segments: self.segments,
-            version: self.version,
-            demand: Arc::new(self.demand.sync_snapshot()),
-            coding: self.coding,
-            coded_hosts: self.coded_hosts.clone(),
-        }
-    }
-
     /// Nodes hosting at least one coded block, in inventory (node-id)
     /// order.
     pub(crate) fn coded_host_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {

@@ -20,7 +20,6 @@
 
 pub mod discovery;
 pub mod epoch;
-pub mod group;
 pub mod partitioning;
 pub mod placement;
 pub mod ranking_cache;
@@ -29,7 +28,6 @@ mod resolve_cache;
 pub mod server;
 
 pub use epoch::{CatalogSnapshot, CodedInventory, ShardStamp, DEFAULT_CATALOG_SHARDS};
-pub use group::ServerGroup;
 pub use placement::PlacementAlgorithm;
 pub use ranking_cache::RankingCache;
 pub use replication::{
@@ -37,3 +35,12 @@ pub use replication::{
     StaticRebalance,
 };
 pub use server::{AllocationError, AllocationServer, RebalanceItem, RebalancePlan, RepositoryInfo};
+
+/// `Graph::from_edges`, frozen — the graph literal of the in-crate tests.
+#[cfg(test)]
+pub(crate) fn frozen(
+    n: usize,
+    edges: impl IntoIterator<Item = (u32, u32, u32)>,
+) -> scdn_graph::CsrGraph {
+    scdn_graph::CsrGraph::from(&scdn_graph::Graph::from_edges(n, edges))
+}

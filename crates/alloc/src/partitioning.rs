@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 use scdn_graph::community::Partition;
 use scdn_graph::traversal::bfs_distances;
-use scdn_graph::{Graph, NodeId};
+use scdn_graph::{CsrGraph, NodeId};
 
 /// A record of segment accesses: `(user_node, segment_ordinal)` counts.
 #[derive(Clone, Debug, Default)]
@@ -61,7 +61,7 @@ pub fn hash_partition(segments: u32, replicas: usize) -> Vec<usize> {
 /// distance to that community's accessing members. Segments never accessed
 /// fall back to round-robin.
 pub fn social_partition(
-    g: &Graph,
+    g: &CsrGraph,
     communities: &Partition,
     replicas: &[NodeId],
     segments: u32,
@@ -122,7 +122,7 @@ pub fn social_partition(
 /// the replica holding the accessed segment (lower is better). Unreachable
 /// pairs count as `penalty` hops.
 pub fn locality_cost(
-    g: &Graph,
+    g: &CsrGraph,
     replicas: &[NodeId],
     assignment: &[usize],
     log: &AccessLog,
@@ -150,7 +150,13 @@ pub fn locality_cost(
 mod tests {
     use super::*;
     use scdn_graph::community::Partition;
-    use scdn_graph::generators::planted_partition;
+    use scdn_graph::generators;
+
+    fn planted_partition(groups: usize, size: usize, p_in: f64, p_out: f64, seed: u64) -> CsrGraph {
+        CsrGraph::from(&generators::planted_partition(
+            groups, size, p_in, p_out, seed,
+        ))
+    }
 
     #[test]
     fn hash_partition_round_robin() {

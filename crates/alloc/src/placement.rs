@@ -1,19 +1,22 @@
 //! Replica placement algorithms (Section V-D / VI-A of the paper).
 //!
-//! All algorithms return `k` distinct nodes of the social graph, fewer only
-//! when the graph has fewer than `k` nodes. Ties break toward smaller node
-//! ids so placements are deterministic given a seed.
+//! All algorithms rank a frozen [`CsrGraph`] — freeze the social graph
+//! once, place many times — and return `k` distinct nodes, fewer only when
+//! the graph has fewer than `k` nodes. Ties break toward smaller node ids
+//! so placements are deterministic given a seed, and every ranking is
+//! prefix-consistent: `place(g, k, seed)` is the first `k` entries of
+//! `place(g, n, seed)`, which is what lets
+//! [`RankingCache`](crate::ranking_cache::RankingCache) memoize one full
+//! ordering per (graph, algorithm, seed).
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use scdn_graph::centrality::{
-    betweenness_parallel, betweenness_parallel_csr, closeness, closeness_csr, top_k_by_score,
-};
+use scdn_graph::centrality::{betweenness_parallel, closeness, top_k_by_score};
 use scdn_graph::cover::greedy_weighted_dominating_set;
-use scdn_graph::metrics::{all_clustering_coefficients, all_clustering_coefficients_csr};
-use scdn_graph::pagerank::{pagerank, pagerank_csr, PageRankOptions};
+use scdn_graph::metrics::all_clustering_coefficients;
+use scdn_graph::pagerank::{pagerank, PageRankOptions};
 use scdn_graph::{CsrGraph, Graph, NodeId};
 
 /// The placement algorithms evaluated in the paper (first four) plus the
@@ -83,13 +86,8 @@ impl PlacementAlgorithm {
 
     /// Place `k` replicas on `g`. `seed` only affects [`Random`].
     ///
-    /// Prefer [`place_csr`](PlacementAlgorithm::place_csr) with a graph
-    /// frozen once when placing repeatedly (sweeps, repeated `replicate`
-    /// calls) — this adjacency-list path is kept as the reference
-    /// implementation and for one-shot callers.
-    ///
     /// [`Random`]: PlacementAlgorithm::Random
-    pub fn place(self, g: &Graph, k: usize, seed: u64) -> Vec<NodeId> {
+    pub fn place(self, g: &CsrGraph, k: usize, seed: u64) -> Vec<NodeId> {
         match self {
             PlacementAlgorithm::Random => place_random(g, k, seed),
             PlacementAlgorithm::NodeDegree => place_by_degree(g, k),
@@ -105,29 +103,8 @@ impl PlacementAlgorithm {
         }
     }
 
-    /// [`place`](PlacementAlgorithm::place) on a frozen [`CsrGraph`] — the
-    /// hot path for placement sweeps: freeze once, place many times.
-    ///
-    /// Every variant produces the same placement as the adjacency version
-    /// (the CSR kernels are bit-identical and every tie-break is shared).
-    pub fn place_csr(self, g: &CsrGraph, k: usize, seed: u64) -> Vec<NodeId> {
-        match self {
-            PlacementAlgorithm::Random => place_random_csr(g, k, seed),
-            PlacementAlgorithm::NodeDegree => place_by_degree_csr(g, k),
-            PlacementAlgorithm::CommunityNodeDegree => place_community_degree_csr(g, k),
-            PlacementAlgorithm::ClusteringCoefficient => place_by_clustering_csr(g, k),
-            PlacementAlgorithm::Betweenness => top_k_by_score(&betweenness_parallel_csr(g), k),
-            PlacementAlgorithm::SocialScore => place_by_social_score_csr(g, k),
-            PlacementAlgorithm::PageRank => {
-                top_k_by_score(&pagerank_csr(g, PageRankOptions::default()), k)
-            }
-            PlacementAlgorithm::KCore => place_by_kcore_csr(g, k),
-            PlacementAlgorithm::WeightedDegree => place_by_strength_csr(g, k),
-        }
-    }
-
     /// `true` if the ranking reads the edge set at all. `Random` shuffles
-    /// the bare node-id list (see [`place_random_csr`]), so it survives
+    /// the bare node-id list (see [`place_random`]), so it survives
     /// pure edge churn — only a node-count change can affect it.
     pub fn edge_sensitive(self) -> bool {
         !matches!(self, PlacementAlgorithm::Random)
@@ -146,18 +123,9 @@ impl PlacementAlgorithm {
     }
 }
 
-/// Uniform random placement.
-pub fn place_random(g: &Graph, k: usize, seed: u64) -> Vec<NodeId> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut nodes: Vec<NodeId> = g.nodes().collect();
-    nodes.shuffle(&mut rng);
-    nodes.truncate(k);
-    nodes
-}
-
-/// [`place_random`] on a frozen [`CsrGraph`]; identical for equal seeds
-/// (only the node-id list enters the shuffle).
-pub fn place_random_csr(g: &CsrGraph, k: usize, seed: u64) -> Vec<NodeId> {
+/// Uniform random placement. Only the node-id list enters the shuffle, so
+/// equal seeds give equal placements on any two graphs of one size.
+pub fn place_random(g: &CsrGraph, k: usize, seed: u64) -> Vec<NodeId> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut nodes: Vec<NodeId> = g.nodes().collect();
     nodes.shuffle(&mut rng);
@@ -166,13 +134,7 @@ pub fn place_random_csr(g: &CsrGraph, k: usize, seed: u64) -> Vec<NodeId> {
 }
 
 /// Top-`k` by degree (ties → smaller id).
-pub fn place_by_degree(g: &Graph, k: usize) -> Vec<NodeId> {
-    let scores: Vec<f64> = g.nodes().map(|v| g.degree(v) as f64).collect();
-    top_k_by_score(&scores, k)
-}
-
-/// [`place_by_degree`] on a frozen [`CsrGraph`].
-pub fn place_by_degree_csr(g: &CsrGraph, k: usize) -> Vec<NodeId> {
+pub fn place_by_degree(g: &CsrGraph, k: usize) -> Vec<NodeId> {
     let scores: Vec<f64> = g.nodes().map(|v| g.degree(v) as f64).collect();
     top_k_by_score(&scores, k)
 }
@@ -181,20 +143,8 @@ pub fn place_by_degree_csr(g: &CsrGraph, k: usize) -> Vec<NodeId> {
 /// adjacent to an already-chosen replica; when no non-adjacent candidates
 /// remain, fall back to the highest-degree remaining node (the paper keeps
 /// placing replicas even in small graphs).
-pub fn place_community_degree(g: &Graph, k: usize) -> Vec<NodeId> {
-    let mut order: Vec<NodeId> = g.nodes().collect();
-    order.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
-    community_greedy(&order, k, |v| g.neighbors(v).iter().map(|e| e.to.index())).0
-}
-
-/// [`place_community_degree`] on a frozen [`CsrGraph`]; identical greedy
-/// order and fallback.
-pub fn place_community_degree_csr(g: &CsrGraph, k: usize) -> Vec<NodeId> {
-    // Precomputed degrees keep the sort comparator to one indexed load.
-    let degree: Vec<usize> = g.nodes().map(|v| g.degree(v)).collect();
-    let mut order: Vec<NodeId> = g.nodes().collect();
-    order.sort_by_key(|&v| (std::cmp::Reverse(degree[v.index()]), v));
-    community_greedy(&order, k, |v| g.neighbor_ids(v).iter().map(|&u| u as usize)).0
+pub fn place_community_degree(g: &CsrGraph, k: usize) -> Vec<NodeId> {
+    community_greedy(g, k).0
 }
 
 /// Work one [`community_greedy`] call did; read by the work-bound test,
@@ -207,8 +157,8 @@ struct GreedyWork {
     marks: usize,
 }
 
-/// The community-degree greedy over a degree-sorted `order`, shared by
-/// both graph backends (`neighbors(v)` yields the indices adjacent to `v`).
+/// The community-degree greedy over `order`, the nodes by descending
+/// degree (ties → smaller id).
 ///
 /// The greedy's two marks are monotone — a node adjacent to a chosen
 /// replica stays excluded, a taken node stays taken — so "the first
@@ -218,20 +168,17 @@ struct GreedyWork {
 /// neighbours), then one forward pass taking whatever is left:
 /// O(n + Σ degree) after the sort, and a smaller `k` only stops the same
 /// sequence earlier (prefix consistency).
-fn community_greedy<I>(
-    order: &[NodeId],
-    k: usize,
-    neighbors: impl Fn(NodeId) -> I,
-) -> (Vec<NodeId>, GreedyWork)
-where
-    I: Iterator<Item = usize>,
-{
+fn community_greedy(g: &CsrGraph, k: usize) -> (Vec<NodeId>, GreedyWork) {
+    // Precomputed degrees keep the sort comparator to one indexed load.
+    let degree: Vec<usize> = g.nodes().map(|v| g.degree(v)).collect();
+    let mut order: Vec<NodeId> = g.nodes().collect();
+    order.sort_by_key(|&v| (std::cmp::Reverse(degree[v.index()]), v));
     let k = k.min(order.len());
     let mut chosen: Vec<NodeId> = Vec::with_capacity(k);
     let mut work = GreedyWork::default();
     let mut excluded = vec![false; order.len()]; // adjacent to a replica
     let mut taken = vec![false; order.len()];
-    for &v in order {
+    for &v in &order {
         if chosen.len() == k {
             return (chosen, work);
         }
@@ -241,13 +188,13 @@ where
         }
         chosen.push(v);
         taken[v.index()] = true;
-        for u in neighbors(v) {
-            excluded[u] = true;
+        for &u in g.neighbor_ids(v) {
+            excluded[u as usize] = true;
             work.marks += 1;
         }
     }
     // Independent set exhausted: highest remaining degree first.
-    for &v in order {
+    for &v in &order {
         if chosen.len() == k {
             break;
         }
@@ -266,7 +213,7 @@ where
 /// tiny complete clique, and the paper observes exactly this failure mode
 /// ("in many cases the nodes with high clustering coefficient are those
 /// with few coauthors who are equally connected in a tight cluster").
-pub fn place_by_clustering(g: &Graph, k: usize) -> Vec<NodeId> {
+pub fn place_by_clustering(g: &CsrGraph, k: usize) -> Vec<NodeId> {
     let cc = all_clustering_coefficients(g);
     let mut order: Vec<NodeId> = g.nodes().collect();
     order.sort_by(|&a, &b| {
@@ -280,51 +227,16 @@ pub fn place_by_clustering(g: &Graph, k: usize) -> Vec<NodeId> {
     order
 }
 
-/// [`place_by_clustering`] on a frozen [`CsrGraph`]; same tie-breaks.
-pub fn place_by_clustering_csr(g: &CsrGraph, k: usize) -> Vec<NodeId> {
-    let cc = all_clustering_coefficients_csr(g);
-    let mut order: Vec<NodeId> = g.nodes().collect();
-    order.sort_by(|&a, &b| {
-        cc[b.index()]
-            .partial_cmp(&cc[a.index()])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(g.degree(a).cmp(&g.degree(b)))
-            .then(a.cmp(&b))
-    });
-    order.truncate(k);
-    order
-}
-
 /// Top-`k` by weighted degree / strength (ties → smaller id).
-pub fn place_by_strength(g: &Graph, k: usize) -> Vec<NodeId> {
-    let scores: Vec<f64> = g.nodes().map(|v| g.strength(v) as f64).collect();
-    top_k_by_score(&scores, k)
-}
-
-/// [`place_by_strength`] on a frozen [`CsrGraph`].
-pub fn place_by_strength_csr(g: &CsrGraph, k: usize) -> Vec<NodeId> {
+pub fn place_by_strength(g: &CsrGraph, k: usize) -> Vec<NodeId> {
     let scores: Vec<f64> = g.nodes().map(|v| g.strength(v) as f64).collect();
     top_k_by_score(&scores, k)
 }
 
 /// Top-`k` by core number, ties broken by higher degree then smaller id:
 /// members of the deepest k-core with the widest reach host first.
-pub fn place_by_kcore(g: &Graph, k: usize) -> Vec<NodeId> {
+pub fn place_by_kcore(g: &CsrGraph, k: usize) -> Vec<NodeId> {
     let core = scdn_graph::kcore::core_numbers(g);
-    let mut order: Vec<NodeId> = g.nodes().collect();
-    order.sort_by(|&a, &b| {
-        core[b.index()]
-            .cmp(&core[a.index()])
-            .then(g.degree(b).cmp(&g.degree(a)))
-            .then(a.cmp(&b))
-    });
-    order.truncate(k);
-    order
-}
-
-/// [`place_by_kcore`] on a frozen [`CsrGraph`]; same tie-breaks.
-pub fn place_by_kcore_csr(g: &CsrGraph, k: usize) -> Vec<NodeId> {
-    let core = scdn_graph::kcore::core_numbers_csr(g);
     let mut order: Vec<NodeId> = g.nodes().collect();
     order.sort_by(|&a, &b| {
         core[b.index()]
@@ -339,7 +251,7 @@ pub fn place_by_kcore_csr(g: &CsrGraph, k: usize) -> Vec<NodeId> {
 /// Social score: `0.5·degree_centrality + 0.3·closeness + 0.2·(1 − CC)`.
 /// Rewards connected, central nodes that are *not* buried in tight corner
 /// cliques — the profile of a good social cache.
-pub fn place_by_social_score(g: &Graph, k: usize) -> Vec<NodeId> {
+pub fn place_by_social_score(g: &CsrGraph, k: usize) -> Vec<NodeId> {
     let n = g.node_count();
     if n == 0 {
         return Vec::new();
@@ -347,26 +259,6 @@ pub fn place_by_social_score(g: &Graph, k: usize) -> Vec<NodeId> {
     let denom = (n.max(2) - 1) as f64;
     let cl = closeness(g);
     let cc = all_clustering_coefficients(g);
-    let scores: Vec<f64> = g
-        .nodes()
-        .map(|v| {
-            let dc = g.degree(v) as f64 / denom;
-            0.5 * dc + 0.3 * cl[v.index()] + 0.2 * (1.0 - cc[v.index()])
-        })
-        .collect();
-    top_k_by_score(&scores, k)
-}
-
-/// [`place_by_social_score`] on a frozen [`CsrGraph`]; the closeness and
-/// clustering inputs are bit-identical, so the blend and ranking are too.
-pub fn place_by_social_score_csr(g: &CsrGraph, k: usize) -> Vec<NodeId> {
-    let n = g.node_count();
-    if n == 0 {
-        return Vec::new();
-    }
-    let denom = (n.max(2) - 1) as f64;
-    let cl = closeness_csr(g);
-    let cc = all_clustering_coefficients_csr(g);
     let scores: Vec<f64> = g
         .nodes()
         .map(|v| {
@@ -419,10 +311,11 @@ pub fn place_availability_cover(availability_graph: &Graph, cost: &[f64], k: usi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frozen;
     use proptest::prelude::*;
     use scdn_graph::generators::{add_clique, barabasi_albert};
 
-    fn assert_valid_placement(g: &Graph, p: &[NodeId], k: usize) {
+    fn assert_valid_placement(g: &CsrGraph, p: &[NodeId], k: usize) {
         assert_eq!(p.len(), k.min(g.node_count()));
         let mut sorted: Vec<_> = p.to_vec();
         sorted.sort_unstable();
@@ -435,7 +328,7 @@ mod tests {
 
     #[test]
     fn all_algorithms_produce_valid_placements() {
-        let g = barabasi_albert(200, 3, 5);
+        let g = CsrGraph::from(&barabasi_albert(200, 3, 5));
         for alg in PlacementAlgorithm::PAPER_SET
             .into_iter()
             .chain(PlacementAlgorithm::EXTENDED_SET)
@@ -449,7 +342,7 @@ mod tests {
 
     #[test]
     fn k_larger_than_graph_returns_all() {
-        let g = Graph::from_edges(3, [(0, 1, 1), (1, 2, 1)]);
+        let g = frozen(3, [(0, 1, 1), (1, 2, 1)]);
         for alg in PlacementAlgorithm::PAPER_SET {
             let p = alg.place(&g, 10, 1);
             assert_eq!(p.len(), 3, "{:?}", alg);
@@ -458,7 +351,7 @@ mod tests {
 
     #[test]
     fn node_degree_picks_hub() {
-        let g = Graph::from_edges(5, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1)]);
+        let g = frozen(5, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1)]);
         assert_eq!(place_by_degree(&g, 1), vec![NodeId(0)]);
     }
 
@@ -476,7 +369,7 @@ mod tests {
         }
         let clique: Vec<NodeId> = (20..30).map(NodeId).collect();
         add_clique(&mut g, &clique, 1);
-        let p = place_by_degree(&g, 5);
+        let p = place_by_degree(&CsrGraph::from(&g), 5);
         assert_eq!(p[0], NodeId(0));
         assert_eq!(p[1], NodeId(1));
         // Remaining picks all fall inside the clique (degree 9 beats the
@@ -488,7 +381,7 @@ mod tests {
 
     #[test]
     fn community_degree_avoids_neighbors() {
-        let g = barabasi_albert(150, 3, 9);
+        let g = CsrGraph::from(&barabasi_albert(150, 3, 9));
         let p = place_community_degree(&g, 8);
         // No two chosen replicas may be adjacent unless the fallback fired;
         // in a 150-node BA graph with k=8 the fallback never fires.
@@ -559,8 +452,7 @@ mod tests {
             let csr = CsrGraph::from(&g);
             for k in 0..=g.node_count() + 2 {
                 let reference = restart_greedy_reference(&g, k);
-                prop_assert_eq!(&place_community_degree(&g, k), &reference, "adjacency, k={}", k);
-                prop_assert_eq!(&place_community_degree_csr(&csr, k), &reference, "csr, k={}", k);
+                prop_assert_eq!(&place_community_degree(&csr, k), &reference, "k={}", k);
             }
         }
     }
@@ -572,10 +464,7 @@ mod tests {
         // per pass and mark each half-edge at most once.
         let n = 100_000;
         let g = CsrGraph::from(&barabasi_albert(n, 3, 41));
-        let mut order: Vec<NodeId> = g.nodes().collect();
-        order.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
-        let (chosen, work) =
-            community_greedy(&order, n, |v| g.neighbor_ids(v).iter().map(|&u| u as usize));
+        let (chosen, work) = community_greedy(&g, n);
         assert_eq!(chosen.len(), n);
         let half_edges: usize = g.nodes().map(|v| g.degree(v)).sum();
         assert!(work.examined <= 2 * n, "examined {} of {n}", work.examined);
@@ -590,7 +479,7 @@ mod tests {
     fn community_degree_fallback_fills_k() {
         // A star: after picking the center every node is excluded, but the
         // fallback must still fill up to k.
-        let g = Graph::from_edges(5, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1)]);
+        let g = frozen(5, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1)]);
         let p = place_community_degree(&g, 3);
         assert_eq!(p.len(), 3);
         assert_eq!(p[0], NodeId(0));
@@ -599,7 +488,7 @@ mod tests {
     #[test]
     fn clustering_picks_tight_corner() {
         // Triangle 0-1-2 (CC 1) + star center 3 (CC 0).
-        let g = Graph::from_edges(
+        let g = frozen(
             7,
             [
                 (0, 1, 1),
@@ -617,7 +506,7 @@ mod tests {
 
     #[test]
     fn random_is_seed_deterministic() {
-        let g = barabasi_albert(100, 2, 3);
+        let g = CsrGraph::from(&barabasi_albert(100, 2, 3));
         assert_eq!(place_random(&g, 7, 42), place_random(&g, 7, 42));
         assert_ne!(place_random(&g, 7, 42), place_random(&g, 7, 43));
     }
@@ -625,7 +514,7 @@ mod tests {
     #[test]
     fn social_score_prefers_bridging_hub_over_clique_corner() {
         // Hub 0 connects two triangles; corners have CC 1 but low degree.
-        let g = Graph::from_edges(
+        let g = frozen(
             7,
             [
                 (1, 2, 1),
@@ -661,29 +550,12 @@ mod tests {
 
     #[test]
     fn empty_graph_gives_empty_placement() {
-        let g = Graph::new(0);
-        let csr = CsrGraph::from(&g);
-        for alg in PlacementAlgorithm::PAPER_SET {
-            assert!(alg.place(&g, 3, 1).is_empty());
-            assert!(alg.place_csr(&csr, 3, 1).is_empty());
-        }
-    }
-
-    #[test]
-    fn csr_placements_match_adjacency_for_all_algorithms() {
-        let g = barabasi_albert(180, 3, 29);
-        let csr = CsrGraph::from(&g);
+        let g = CsrGraph::from(&Graph::new(0));
         for alg in PlacementAlgorithm::PAPER_SET
             .into_iter()
             .chain(PlacementAlgorithm::EXTENDED_SET)
         {
-            for k in [1, 4, 9] {
-                assert_eq!(
-                    alg.place(&g, k, 11),
-                    alg.place_csr(&csr, k, 11),
-                    "{alg:?} k={k}"
-                );
-            }
+            assert!(alg.place(&g, 3, 1).is_empty(), "{alg:?}");
         }
     }
 }

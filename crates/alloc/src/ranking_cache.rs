@@ -108,7 +108,7 @@ impl RankingCache {
     /// The full placement ordering of `csr` under `(algorithm, seed)`,
     /// plus whether it was served from cache. The ordering contains every
     /// node of the graph; any prefix of it is bit-identical to a direct
-    /// `place_csr` call with that prefix length (prefix consistency).
+    /// `place` call with that prefix length (prefix consistency).
     pub fn full_ranking(
         &self,
         csr: &CsrGraph,
@@ -127,7 +127,7 @@ impl RankingCache {
         }
         // Compute outside the lock: rankings can be expensive (Brandes
         // betweenness, closeness) and may themselves use the parallel pool.
-        let order = Arc::new(algorithm.place_csr(csr, csr.node_count(), seed));
+        let order = Arc::new(algorithm.place(csr, csr.node_count(), seed));
         if self.is_enabled() {
             let mut entries = self.entries.lock();
             // An unannounced generation change means the caller swapped
@@ -228,7 +228,7 @@ mod tests {
     }
 
     #[test]
-    fn prefix_matches_direct_place_csr() {
+    fn prefix_matches_direct_place() {
         let csr = line_graph(20);
         let cache = RankingCache::new();
         for algorithm in PlacementAlgorithm::PAPER_SET {
@@ -236,7 +236,7 @@ mod tests {
             for k in [1usize, 3, 7, 20] {
                 assert_eq!(
                     full[..k.min(full.len())],
-                    algorithm.place_csr(&csr, k, 13)[..],
+                    algorithm.place(&csr, k, 13)[..],
                     "{algorithm:?} prefix {k}"
                 );
             }
@@ -338,7 +338,7 @@ mod tests {
         cache.note_delta(csr.generation(), &new);
         let (served, hit) = cache.full_ranking(&new, PlacementAlgorithm::Random, 5);
         assert!(hit);
-        let fresh = PlacementAlgorithm::Random.place_csr(&new, new.node_count(), 5);
+        let fresh = PlacementAlgorithm::Random.place(&new, new.node_count(), 5);
         assert_eq!(served.as_slice(), fresh.as_slice());
         assert_eq!(warm, served);
     }

@@ -1,5 +1,5 @@
-//! The allocation server: repository registry, replica catalog, demand
-//! tracking, and catalog synchronization between servers.
+//! The allocation server: repository registry, replica catalog, and
+//! demand tracking.
 //!
 //! "One or more allocation servers act as catalogs for global datasets …
 //! together they maintain a list of current replicas and place, move,
@@ -17,10 +17,9 @@
 //!   multi-target meet-in-the-middle search on a frozen CSR graph through
 //!   a pooled [`TraversalScratch`], visiting two small neighborhoods per
 //!   far replica instead of the graph;
-//! * hop distances are memoized in a version-keyed
-//!   [`ResolveCache`](crate::resolve_cache::ResolveCache) — catalog
-//!   writes bump the entry version, which invalidates stale hops without
-//!   touching the cache. Entry versions are strictly finer-grained than
+//! * hop distances are memoized in a version-keyed `ResolveCache` —
+//!   catalog writes bump the entry version, which invalidates stale hops
+//!   without touching the cache. Entry versions are strictly finer-grained than
 //!   shard epochs (an entry bump implies a shard bump, never the
 //!   reverse), so commits to *other* datasets — even same-shard ones —
 //!   retain every cached hop table;
@@ -40,13 +39,13 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use scdn_graph::parallel::par_map_collect;
-use scdn_graph::{CsrGraph, Graph, NodeId, TraversalScratch};
+use scdn_graph::{CsrGraph, NodeId, TraversalScratch};
 use scdn_obs::{Counter, Registry};
 use scdn_social::author::AuthorId;
 use scdn_storage::coding::CodingSpec;
 use scdn_storage::object::DatasetId;
 
-use crate::discovery::{rank_key, select_replica, Candidate, Selection};
+use crate::discovery::{rank_key, Candidate, Selection};
 use crate::epoch::{
     shard_index, CatalogSnapshot, CodedInventory, DemandState, EntryState, Published, RepoRecord,
     RepoTable, ShardSnapshot, ShardStamp, DEFAULT_CATALOG_SHARDS,
@@ -207,7 +206,7 @@ pub struct AllocationServer {
     /// telemetry mutates records in place.
     repos: Published<RepoTable>,
     /// Server-wide monotonic source of per-entry versions, shared by
-    /// every shard so versions order consistently for inter-server sync.
+    /// every shard so versions order consistently across shards.
     version_counter: AtomicU64,
     metrics: AllocMetrics,
     /// Version-keyed hop-distance cache for `resolve_csr`.
@@ -626,7 +625,7 @@ impl AllocationServer {
         dataset: DatasetId,
         k: usize,
         algorithm: PlacementAlgorithm,
-        social: &Graph,
+        social: &CsrGraph,
         seed: u64,
     ) -> Result<Vec<NodeId>, AllocationError> {
         let repos = self.repos.load();
@@ -796,48 +795,6 @@ impl AllocationServer {
         touched
     }
 
-    /// Resolve a request: pick the best online replica for `requester`.
-    /// `online` reports current liveness per node. Records demand (hit =
-    /// within 1 social hop).
-    ///
-    /// This is the adjacency-list path: a full BFS over `social` per
-    /// call. It is kept as the oracle the CSR fast path
-    /// ([`resolve_csr`](AllocationServer::resolve_csr)) is
-    /// property-tested against; both record demand through the entry's
-    /// atomic counters and never take any catalog lock across the work.
-    pub fn resolve(
-        &self,
-        dataset: DatasetId,
-        requester: NodeId,
-        social: &Graph,
-        online: impl Fn(NodeId) -> bool,
-        latency_ms: impl Fn(NodeId) -> f64,
-    ) -> Result<Selection, AllocationError> {
-        let shard = self.shards[self.shard_of(dataset)].load();
-        let repos = self.repos.load();
-        let Some(entry) = shard.entries.get(&dataset) else {
-            self.metrics.resolve_failed.inc();
-            return Err(AllocationError::UnknownDataset(dataset));
-        };
-        let candidates: Vec<Candidate> = entry
-            .replicas
-            .iter()
-            .map(|&n| Candidate {
-                node: n,
-                online: online(n),
-                latency_ms: latency_ms(n),
-                availability: repos.get(&n).map(|r| r.availability()).unwrap_or(0.0),
-            })
-            .collect();
-        let Some(sel) = select_replica(social, requester, &candidates) else {
-            self.metrics.resolve_failed.inc();
-            return Err(AllocationError::NoReplicaAvailable(dataset));
-        };
-        self.metrics.resolve_ok.inc();
-        self.record_demand(&entry.demand, sel.social_hops);
-        Ok(sel)
-    }
-
     /// Bump per-dataset and server-wide demand counters for a selection.
     fn record_demand(&self, demand: &DemandState, hops: Option<u32>) {
         if matches!(hops, Some(h) if h <= 1) {
@@ -849,13 +806,19 @@ impl AllocationServer {
         }
     }
 
-    /// [`resolve`](AllocationServer::resolve) on a frozen CSR social
-    /// graph — the allocation-free hot path. Hop distances come from the
-    /// version-keyed cache when fresh; otherwise one bounded multi-target
-    /// search (forward from the requester, backward from each replica,
-    /// stopping where they meet; pooled scratch, no per-request
-    /// allocation proportional to the graph) recomputes and caches them. Selection is identical to `resolve` on the same
-    /// graph while the default `u32::MAX` hop budget is in effect.
+    /// Resolve a request: pick the best online replica for `requester`
+    /// on the frozen social graph. `online` reports current liveness per
+    /// node. Records demand (hit = within 1 social hop) through the
+    /// entry's atomic counters and never takes a catalog lock across the
+    /// work.
+    ///
+    /// Hop distances come from the version-keyed cache when fresh;
+    /// otherwise one bounded multi-target search (forward from the
+    /// requester, backward from each replica, stopping where they meet;
+    /// pooled scratch, no per-request allocation proportional to the
+    /// graph) recomputes and caches them. While the default `u32::MAX`
+    /// hop budget is in effect the selection equals ranking the replicas
+    /// by a full BFS from the requester.
     ///
     /// The cache assumes `csr` is the announced snapshot: passing a graph
     /// with an unannounced [`CsrGraph::generation`] flushes it wholesale,
@@ -878,9 +841,12 @@ impl AllocationServer {
         .0
     }
 
-    /// [`resolve_csr`](AllocationServer::resolve_csr) for planning
-    /// threads: identical selection, but the resolve/demand accounting is
-    /// deferred — the caller records the outcome that actually commits via
+    /// [`resolve_csr`](AllocationServer::resolve_csr) against a
+    /// caller-held [`CatalogSnapshot`] — the batch-planning hot path.
+    /// Acquires **no catalog lock at all**: every read is against the
+    /// snapshot the caller loaded once for the whole batch. The selection
+    /// is identical, but the resolve/demand accounting is deferred — the
+    /// caller records the outcome that actually commits via
     /// [`commit_resolution`](AllocationServer::commit_resolution). Also
     /// returns the [`ShardStamp`] the selection was computed against —
     /// the staleness token a deferred commit checks (via
@@ -888,25 +854,6 @@ impl AllocationServer {
     /// applying the plan. Hop-cache counters (`alloc.resolve.cache.*`)
     /// still tick: they instrument the cache mechanics, not the request
     /// outcome.
-    pub fn resolve_csr_planned(
-        &self,
-        dataset: DatasetId,
-        requester: NodeId,
-        csr: &CsrGraph,
-        online: impl Fn(NodeId) -> bool,
-        latency_ms: impl Fn(NodeId) -> f64,
-    ) -> (Result<Selection, AllocationError>, ShardStamp) {
-        let shard = self.shards[self.shard_of(dataset)].load();
-        let repos = self.repos.load();
-        self.resolve_csr_in(
-            &shard, &repos, dataset, requester, csr, online, latency_ms, false,
-        )
-    }
-
-    /// [`resolve_csr_planned`](AllocationServer::resolve_csr_planned)
-    /// against a caller-held [`CatalogSnapshot`]: the batch-planning hot
-    /// path. Acquires **no catalog lock at all** — every read is against
-    /// the snapshot the caller loaded once for the whole batch.
     pub fn resolve_csr_snapshot(
         &self,
         snap: &CatalogSnapshot,
@@ -932,7 +879,7 @@ impl AllocationServer {
     /// `Some(hops)` for a successful selection (its social-hop distance),
     /// `None` for a failed resolve. This is the accounting
     /// [`resolve_csr`](AllocationServer::resolve_csr) performs inline and
-    /// the planned/snapshot variants defer.
+    /// the snapshot variant defers.
     pub fn commit_resolution(&self, dataset: DatasetId, outcome: Option<Option<u32>>) {
         match outcome {
             None => self.metrics.resolve_failed.inc(),
@@ -1026,7 +973,8 @@ impl AllocationServer {
 
     /// Ranking loop shared by the cached and freshly-traversed paths:
     /// best online replica by (hops, latency, availability, id), exactly
-    /// [`select_replica`]'s order. `hops` is parallel to `replicas`.
+    /// [`select_replica`](crate::discovery::select_replica)'s order.
+    /// `hops` is parallel to `replicas`.
     fn select_online(
         repositories: &RepoTable,
         replicas: &[NodeId],
@@ -1199,103 +1147,23 @@ impl AllocationServer {
         self.metrics.rebalance_datasets.add(items.len() as u64);
         RebalancePlan { items, observed }
     }
-
-    /// Merge another server's catalog into this one (gossip-style sync):
-    /// for each dataset the entry with the higher version wins; repository
-    /// registrations are unioned. Demand counters are snapshotted, never
-    /// shared across servers.
-    ///
-    /// Lock ordering: `other` is snapshotted **first** and completely —
-    /// no lock of `other` is held while any of `self`'s cells are
-    /// acquired. Two servers syncing from each other concurrently
-    /// therefore cannot deadlock (the old single-lock implementation
-    /// held `other`'s read lock across `self`'s write acquisition, which
-    /// could).
-    pub fn sync_from(&self, other: &AllocationServer) {
-        let theirs = other.snapshot();
-        let their_versions = other.version_counter.load(Ordering::SeqCst);
-        // Union missing repositories in one republication. Records are
-        // copied, not shared: availability telemetry must stay per-server.
-        {
-            let mut guard = self.repos.write();
-            let missing: Vec<&Arc<RepoRecord>> = theirs
-                .repos
-                .values()
-                .filter(|r| !guard.contains_key(&r.node))
-                .collect();
-            if !missing.is_empty() {
-                let mut next: RepoTable = (**guard).clone();
-                for r in missing {
-                    next.insert(r.node, Arc::new(RepoRecord::from_info(&r.info())));
-                }
-                *guard = Arc::new(next);
-            }
-        }
-        // Group their entries by *our* shard layout (shard counts may
-        // differ between servers), then merge shard by shard with one
-        // publication per shard that actually changed.
-        let mut by_shard: Vec<Vec<(DatasetId, &Arc<EntryState>)>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for shard in &theirs.shards {
-            for (&d, e) in &shard.entries {
-                by_shard[self.shard_of(d)].push((d, e));
-            }
-        }
-        for (idx, items) in by_shard.into_iter().enumerate() {
-            if items.is_empty() {
-                continue;
-            }
-            let mut guard = self.shards[idx].write();
-            let winners: Vec<(DatasetId, &Arc<EntryState>)> = items
-                .into_iter()
-                .filter(|(d, e)| match guard.entries.get(d) {
-                    Some(mine) => mine.version < e.version,
-                    None => true,
-                })
-                .collect();
-            if winners.is_empty() {
-                continue;
-            }
-            let mut next = guard.cow();
-            for (d, e) in winners {
-                // Every node that hosted under the old entry or hosts
-                // under the new one gets its index membership re-derived
-                // (whole replicas and coded-block holders both count).
-                let mut affected: Vec<NodeId> = next
-                    .entries
-                    .get(&d)
-                    .map(|p| {
-                        p.replicas
-                            .iter()
-                            .copied()
-                            .chain(p.coded_host_nodes())
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                affected.extend(e.replicas.iter().copied());
-                affected.extend(e.coded_host_nodes());
-                affected.sort_unstable();
-                affected.dedup();
-                next.entries.insert(d, Arc::new(e.sync_clone()));
-                for n in affected {
-                    next.sync_host_index(d, n);
-                }
-            }
-            next.epoch += 1;
-            *guard = Arc::new(next);
-        }
-        self.version_counter
-            .fetch_max(their_versions, Ordering::SeqCst);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::discovery::select_replica_full_bfs;
     use crate::replication::ReplicationPolicy;
-    use scdn_graph::generators::barabasi_albert;
 
-    fn server_with_repos(g: &Graph) -> AllocationServer {
+    fn barabasi_albert(n: usize, m: usize, seed: u64) -> CsrGraph {
+        CsrGraph::from(&scdn_graph::generators::barabasi_albert(n, m, seed))
+    }
+
+    fn path(n: u32) -> CsrGraph {
+        crate::frozen(n as usize, (1..n).map(|v| (v - 1, v, 1)))
+    }
+
+    fn server_with_repos(g: &CsrGraph) -> AllocationServer {
         let srv = AllocationServer::new();
         srv.register_repositories(g.nodes().map(|v| RepositoryInfo {
             node: v,
@@ -1366,15 +1234,15 @@ mod tests {
 
     #[test]
     fn resolve_tracks_demand() {
-        let g = Graph::from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)]);
+        let g = path(4);
         let srv = server_with_repos(&g);
         srv.register_dataset(DatasetId(0), 1, NodeId(0))
             .expect("ok");
         // Requester 1 is adjacent to the replica on 0 → hit.
-        srv.resolve(DatasetId(0), NodeId(1), &g, |_| true, |_| 10.0)
+        srv.resolve_csr(DatasetId(0), NodeId(1), &g, |_| true, |_| 10.0)
             .expect("resolves");
         // Requester 3 is 3 hops away → miss.
-        srv.resolve(DatasetId(0), NodeId(3), &g, |_| true, |_| 10.0)
+        srv.resolve_csr(DatasetId(0), NodeId(3), &g, |_| true, |_| 10.0)
             .expect("resolves");
         let d = srv.demand_of(DatasetId(0)).expect("known");
         assert_eq!(d.hits, 1);
@@ -1387,12 +1255,12 @@ mod tests {
 
     #[test]
     fn resolve_fails_when_all_offline() {
-        let g = Graph::from_edges(2, [(0, 1, 1)]);
+        let g = path(2);
         let srv = server_with_repos(&g);
         srv.register_dataset(DatasetId(0), 1, NodeId(0))
             .expect("ok");
         assert_eq!(
-            srv.resolve(DatasetId(0), NodeId(1), &g, |_| false, |_| 1.0)
+            srv.resolve_csr(DatasetId(0), NodeId(1), &g, |_| false, |_| 1.0)
                 .unwrap_err(),
             AllocationError::NoReplicaAvailable(DatasetId(0))
         );
@@ -1422,7 +1290,7 @@ mod tests {
             .expect("ok");
         // Simulate heavy demand with misses.
         for _ in 0..250 {
-            let _ = srv.resolve(DatasetId(0), NodeId(15), &g, |_| true, |_| 1.0);
+            let _ = srv.resolve_csr(DatasetId(0), NodeId(15), &g, |_| true, |_| 1.0);
         }
         let plan = srv.rebalance_plan(&ReplicationPolicy::default());
         assert_eq!(plan.items.len(), 1);
@@ -1439,15 +1307,15 @@ mod tests {
     /// the first entry of the next window.
     #[test]
     fn mid_cycle_demand_survives_the_drain() {
-        let g = Graph::from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)]);
+        let g = path(4);
         let srv = server_with_repos(&g);
         srv.register_dataset(DatasetId(0), 1, NodeId(0))
             .expect("ok");
-        srv.resolve(DatasetId(0), NodeId(1), &g, |_| true, |_| 1.0)
+        srv.resolve_csr(DatasetId(0), NodeId(1), &g, |_| true, |_| 1.0)
             .expect("resolves");
         let plan = srv.rebalance_plan(&ReplicationPolicy::default());
         // A request lands mid-cycle, after the plan read the windows.
-        srv.resolve(DatasetId(0), NodeId(3), &g, |_| true, |_| 1.0)
+        srv.resolve_csr(DatasetId(0), NodeId(3), &g, |_| true, |_| 1.0)
             .expect("resolves");
         srv.drain_demand(&plan);
         let next = srv.demand_of(DatasetId(0)).expect("known");
@@ -1465,14 +1333,14 @@ mod tests {
     /// Datasets registered after the plan's read are not drained by it.
     #[test]
     fn drain_skips_datasets_registered_mid_cycle() {
-        let g = Graph::from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)]);
+        let g = path(4);
         let srv = server_with_repos(&g);
         srv.register_dataset(DatasetId(0), 1, NodeId(0))
             .expect("ok");
         let plan = srv.rebalance_plan(&ReplicationPolicy::default());
         srv.register_dataset(DatasetId(1), 1, NodeId(2))
             .expect("ok");
-        srv.resolve(DatasetId(1), NodeId(3), &g, |_| true, |_| 1.0)
+        srv.resolve_csr(DatasetId(1), NodeId(3), &g, |_| true, |_| 1.0)
             .expect("resolves");
         srv.drain_demand(&plan);
         assert_eq!(
@@ -1483,59 +1351,9 @@ mod tests {
     }
 
     #[test]
-    fn sync_converges_catalogs() {
-        let g = barabasi_albert(10, 2, 5);
-        let a = server_with_repos(&g);
-        let b = AllocationServer::new();
-        a.register_dataset(DatasetId(0), 4, NodeId(1)).expect("ok");
-        b.sync_from(&a);
-        assert_eq!(b.dataset_count(), 1);
-        assert_eq!(b.repository_count(), 10);
-        assert_eq!(b.datasets_hosted_by(NodeId(1)), vec![DatasetId(0)]);
-        // A later change on b propagates back to a (index follows).
-        b.migrate_replica(DatasetId(0), NodeId(1), NodeId(3))
-            .expect("ok");
-        a.sync_from(&b);
-        assert_eq!(a.replicas_of(DatasetId(0)).expect("known"), vec![NodeId(3)]);
-        assert_eq!(a.datasets_hosted_by(NodeId(1)), vec![]);
-        assert_eq!(a.datasets_hosted_by(NodeId(3)), vec![DatasetId(0)]);
-        // Synced demand counters are snapshots, not shared handles.
-        let ga = Graph::from_edges(10, [(3, 4, 1)]);
-        a.resolve(DatasetId(0), NodeId(4), &ga, |_| true, |_| 1.0)
-            .expect("resolves");
-        assert_eq!(a.demand_of(DatasetId(0)).expect("known").total(), 1);
-        assert_eq!(b.demand_of(DatasetId(0)).expect("known").total(), 0);
-    }
-
-    #[test]
-    fn sync_between_different_shard_counts() {
-        // Shard count is a per-server layout choice; sync must re-shard.
-        let g = barabasi_albert(10, 2, 5);
-        let a = server_with_repos(&g);
-        let b = AllocationServer::with_shards(1);
-        for d in 0..20u32 {
-            a.register_dataset(DatasetId(d), 1, NodeId(d % 10))
-                .expect("ok");
-        }
-        b.sync_from(&a);
-        assert_eq!(b.dataset_count(), 20);
-        for d in 0..20u32 {
-            assert_eq!(
-                b.replicas_of(DatasetId(d)).expect("synced"),
-                vec![NodeId(d % 10)]
-            );
-        }
-        // And back the other way into the wider layout.
-        b.migrate_replica(DatasetId(7), NodeId(7), NodeId(0))
-            .expect("ok");
-        a.sync_from(&b);
-        assert_eq!(a.replicas_of(DatasetId(7)).expect("known"), vec![NodeId(0)]);
-    }
-
-    #[test]
     fn registry_bound_metrics_track_resolutions() {
         let reg = Registry::new();
-        let g = Graph::from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)]);
+        let g = path(4);
         let srv = AllocationServer::with_registry(&reg);
         srv.register_repositories(g.nodes().map(|v| RepositoryInfo {
             node: v,
@@ -1545,12 +1363,12 @@ mod tests {
         }));
         srv.register_dataset(DatasetId(0), 1, NodeId(0))
             .expect("ok");
-        srv.resolve(DatasetId(0), NodeId(1), &g, |_| true, |_| 10.0)
+        srv.resolve_csr(DatasetId(0), NodeId(1), &g, |_| true, |_| 10.0)
             .expect("hit");
-        srv.resolve(DatasetId(0), NodeId(3), &g, |_| true, |_| 10.0)
+        srv.resolve_csr(DatasetId(0), NodeId(3), &g, |_| true, |_| 10.0)
             .expect("miss");
-        let _ = srv.resolve(DatasetId(9), NodeId(0), &g, |_| true, |_| 10.0);
-        let _ = srv.resolve(DatasetId(0), NodeId(1), &g, |_| false, |_| 10.0);
+        let _ = srv.resolve_csr(DatasetId(9), NodeId(0), &g, |_| true, |_| 10.0);
+        let _ = srv.resolve_csr(DatasetId(0), NodeId(1), &g, |_| false, |_| 10.0);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("alloc.resolve.ok"), Some(2));
         assert_eq!(snap.counter("alloc.resolve.failed"), Some(2));
@@ -1590,12 +1408,11 @@ mod tests {
     }
 
     #[test]
-    fn resolve_csr_matches_adjacency_and_caches() {
+    fn resolve_csr_matches_full_bfs_and_caches() {
         let reg = Registry::new();
-        let g = barabasi_albert(60, 2, 9);
-        let csr = CsrGraph::from(&g);
+        let csr = barabasi_albert(60, 2, 9);
         let srv = AllocationServer::with_registry(&reg);
-        srv.register_repositories(g.nodes().map(|v| RepositoryInfo {
+        srv.register_repositories(csr.nodes().map(|v| RepositoryInfo {
             node: v,
             owner: AuthorId(v.0),
             capacity: 1 << 30,
@@ -1605,17 +1422,28 @@ mod tests {
             .expect("ok");
         srv.add_replica(DatasetId(0), NodeId(41)).expect("ok");
         srv.add_replica(DatasetId(0), NodeId(17)).expect("ok");
+        let candidates: Vec<Candidate> = srv
+            .replicas_of(DatasetId(0))
+            .expect("registered")
+            .into_iter()
+            .map(|node| Candidate {
+                node,
+                online: true,
+                latency_ms: f64::from(node.0),
+                availability: 0.9,
+            })
+            .collect();
+        let mut scratch = TraversalScratch::new();
         for req in [0u32, 10, 59, 10, 0] {
-            let a = srv
-                .resolve(DatasetId(0), NodeId(req), &g, |_| true, |n| n.0 as f64)
-                .expect("adjacency resolves");
-            let c = srv
+            let oracle = select_replica_full_bfs(&csr, NodeId(req), &candidates, &mut scratch)
+                .expect("all candidates online");
+            let got = srv
                 .resolve_csr(DatasetId(0), NodeId(req), &csr, |_| true, |n| n.0 as f64)
-                .expect("csr resolves");
-            assert_eq!(a, c, "requester {req}");
+                .expect("resolves");
+            assert_eq!(oracle, got, "requester {req}");
         }
         let snap = reg.snapshot();
-        // 5 CSR resolutions over 3 distinct requesters: 3 misses, 2 hits.
+        // 5 resolutions over 3 distinct requesters: 3 misses, 2 hits.
         assert_eq!(snap.counter("alloc.resolve.cache.miss"), Some(3));
         assert_eq!(snap.counter("alloc.resolve.cache.hit"), Some(2));
     }
@@ -1623,10 +1451,9 @@ mod tests {
     #[test]
     fn failed_migration_keeps_cache_warm() {
         let reg = Registry::new();
-        let g = barabasi_albert(20, 2, 13);
-        let csr = CsrGraph::from(&g);
+        let csr = barabasi_albert(20, 2, 13);
         let srv = AllocationServer::with_registry(&reg);
-        srv.register_repositories(g.nodes().map(|v| RepositoryInfo {
+        srv.register_repositories(csr.nodes().map(|v| RepositoryInfo {
             node: v,
             owner: AuthorId(v.0),
             capacity: 1,
@@ -1705,10 +1532,9 @@ mod tests {
         // (counted in `alloc.catalog.touch_all`) and republishes every
         // non-empty shard.
         let reg = Registry::new();
-        let g = barabasi_albert(40, 2, 31);
-        let csr = CsrGraph::from(&g);
+        let csr = barabasi_albert(40, 2, 31);
         let srv = AllocationServer::with_registry(&reg);
-        srv.register_repositories(g.nodes().map(|v| RepositoryInfo {
+        srv.register_repositories(csr.nodes().map(|v| RepositoryInfo {
             node: v,
             owner: AuthorId(v.0),
             capacity: 1 << 30,
@@ -1780,9 +1606,8 @@ mod tests {
 
     #[test]
     fn resolve_batch_matches_sequential() {
-        let g = barabasi_albert(80, 3, 23);
-        let csr = CsrGraph::from(&g);
-        let srv = server_with_repos(&g);
+        let csr = barabasi_albert(80, 3, 23);
+        let srv = server_with_repos(&csr);
         for d in 0..6u32 {
             srv.register_dataset(DatasetId(d), 1, NodeId(d * 7 % 80))
                 .expect("ok");
@@ -1804,9 +1629,8 @@ mod tests {
 
     #[test]
     fn hop_budget_bounds_social_reach() {
-        let g = Graph::from_edges(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)]);
-        let csr = CsrGraph::from(&g);
-        let srv = server_with_repos(&g);
+        let csr = path(5);
+        let srv = server_with_repos(&csr);
         srv.register_dataset(DatasetId(0), 1, NodeId(4))
             .expect("ok");
         srv.set_resolve_hop_budget(2);
@@ -1819,9 +1643,8 @@ mod tests {
 
     #[test]
     fn snapshot_resolution_is_lock_free_and_stamped() {
-        let g = barabasi_albert(25, 2, 41);
-        let csr = CsrGraph::from(&g);
-        let srv = server_with_repos(&g);
+        let csr = barabasi_albert(25, 2, 41);
+        let srv = server_with_repos(&csr);
         srv.register_dataset(DatasetId(0), 1, NodeId(3))
             .expect("ok");
         let snap = srv.snapshot();
@@ -1929,34 +1752,5 @@ mod tests {
         );
         assert!(srv.remove_coded_host(DatasetId(0), NodeId(4)).expect("ok"));
         assert_eq!(srv.datasets_hosted_by(NodeId(4)), vec![]);
-    }
-
-    #[test]
-    fn sync_carries_coded_inventories() {
-        let g = barabasi_albert(10, 2, 5);
-        let a = server_with_repos(&g);
-        let b = AllocationServer::new();
-        let spec = CodingSpec {
-            k: 2,
-            m: 2,
-            seed: 3,
-            total_len: 500,
-        };
-        a.register_dataset_coded(DatasetId(0), 2, NodeId(1), spec)
-            .expect("ok");
-        a.add_coded_blocks(DatasetId(0), NodeId(5), &[0, 3])
-            .expect("ok");
-        b.sync_from(&a);
-        assert_eq!(b.coding_of(DatasetId(0)).expect("known"), Some(spec));
-        let inv = b.coded_inventory(DatasetId(0)).expect("known");
-        assert_eq!(inv.len(), 1);
-        assert_eq!((inv[0].0, (*inv[0].1).clone()), (NodeId(5), vec![0, 3]));
-        assert_eq!(b.datasets_hosted_by(NodeId(5)), vec![DatasetId(0)]);
-        // A newer version without the coded host wins and the index
-        // follows (re-derived, not leaked).
-        b.remove_coded_host(DatasetId(0), NodeId(5)).expect("ok");
-        a.sync_from(&b);
-        assert_eq!(a.coded_inventory(DatasetId(0)).expect("known"), vec![]);
-        assert_eq!(a.datasets_hosted_by(NodeId(5)), vec![]);
     }
 }

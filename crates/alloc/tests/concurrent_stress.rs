@@ -1,6 +1,5 @@
 //! Concurrent stress for the epoch-snapshot catalog: readers resolving
-//! against lock-free snapshots while writers commit and migrate, plus a
-//! regression for the `sync_from` mutual-merge deadlock.
+//! against lock-free snapshots while writers commit and migrate.
 //!
 //! What the readers prove about the publication protocol:
 //!
@@ -18,9 +17,8 @@
 //!   that snapshot holds, even while the live catalog has long moved on.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
 use scdn_alloc::server::{AllocationServer, RepositoryInfo};
 use scdn_graph::{CsrGraph, Graph, NodeId};
@@ -158,50 +156,4 @@ fn readers_never_observe_torn_or_unpublished_state() {
         (DATASETS + WRITERS * MIGRATIONS_PER_WRITER * (DATASETS / WRITERS)) as u64,
         "each commit advances its shard's epoch by exactly one"
     );
-}
-
-/// Two servers merging from each other on concurrent threads. Before
-/// `sync_from` snapshotted the source first, this interleaving could
-/// deadlock: each side held its own shard write lock while waiting to
-/// read the other's. A hang here fails via the watchdog timeout instead
-/// of wedging the test binary forever.
-#[test]
-fn mutual_sync_from_does_not_deadlock() {
-    let a = build_server();
-    let b = build_server();
-    // Skew the two catalogs so the merges do real work.
-    for d in 0..DATASETS {
-        if d % 2 == 0 {
-            a.add_replica(DatasetId(d), NodeId((d + 7) % NODES))
-                .expect("add");
-        } else {
-            b.add_replica(DatasetId(d), NodeId((d + 11) % NODES))
-                .expect("add");
-        }
-    }
-    let (tx, rx) = mpsc::channel();
-    for (src, dst) in [(a.clone(), b.clone()), (b.clone(), a.clone())] {
-        let tx = tx.clone();
-        thread::spawn(move || {
-            for _ in 0..200 {
-                dst.sync_from(&src);
-            }
-            tx.send(()).expect("main alive");
-        });
-    }
-    drop(tx);
-    for _ in 0..2 {
-        rx.recv_timeout(Duration::from_secs(60))
-            .expect("mutual sync_from deadlocked");
-    }
-    // Both catalogs converged: merge is a join, and each side has now
-    // absorbed the other.
-    for d in 0..DATASETS {
-        let dataset = DatasetId(d);
-        let mut ra = a.replicas_of(dataset).expect("known");
-        let mut rb = b.replicas_of(dataset).expect("known");
-        ra.sort_unstable();
-        rb.sort_unstable();
-        assert_eq!(ra, rb, "dataset {d} did not converge");
-    }
 }

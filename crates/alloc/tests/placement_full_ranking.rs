@@ -1,9 +1,8 @@
-//! Property tests: every `PlacementAlgorithm` must pick *identical*
-//! replicas on the adjacency-list and frozen-CSR backends — same nodes,
-//! same order, for every k and seed. This is what lets `place_csr` replace
-//! `place` on the hot path without changing a single experiment result.
-//! (The community-degree kernel's own new-vs-reference and work-bound
-//! tests sit next to it in `placement.rs`.)
+//! Property tests on the full ordering every `PlacementAlgorithm`
+//! produces at `k = n` — the call `RankingCache` makes. (The
+//! community-degree kernel's new-vs-reference and work-bound tests sit
+//! next to it in `placement.rs`; the rankings themselves are pinned
+//! across commits by the root `tests/placement_golden.rs`.)
 
 use proptest::prelude::*;
 use scdn_alloc::placement::PlacementAlgorithm;
@@ -24,30 +23,9 @@ fn all_algorithms() -> impl Iterator<Item = PlacementAlgorithm> {
 }
 
 proptest! {
-    /// Every `k` from nothing to past the full ordering `RankingCache`
-    /// requests (`k = n`), not a sample of small ones.
-    #[test]
-    fn all_algorithms_place_identically_on_both_backends(
-        g in arb_graph(),
-        seed in 0u64..50,
-    ) {
-        let csr = CsrGraph::from(&g);
-        for alg in all_algorithms() {
-            for k in 0..=g.node_count() + 2 {
-                prop_assert_eq!(
-                    alg.place(&g, k, seed),
-                    alg.place_csr(&csr, k, seed),
-                    "{:?} diverged (k={}, seed={})",
-                    alg,
-                    k,
-                    seed
-                );
-            }
-        }
-    }
-
     /// Prefix consistency, which `RankingCache` relies on: the ranking for
-    /// `k` replicas is the first `k` entries of the full ordering.
+    /// `k` replicas is the first `k` entries of the full ordering — for
+    /// every `k` from nothing to past `n`, not a sample of small ones.
     #[test]
     fn every_placement_is_a_prefix_of_the_full_ranking(
         g in arb_graph(),
@@ -56,12 +34,12 @@ proptest! {
         let csr = CsrGraph::from(&g);
         let n = csr.node_count();
         for alg in all_algorithms() {
-            let full = alg.place_csr(&csr, n, seed);
+            let full = alg.place(&csr, n, seed);
             prop_assert_eq!(full.len(), n, "{:?} full ordering covers every node", alg);
             for k in 0..=n + 2 {
                 prop_assert_eq!(
                     &full[..k.min(n)],
-                    &alg.place_csr(&csr, k, seed)[..],
+                    &alg.place(&csr, k, seed)[..],
                     "{:?} prefix {}",
                     alg,
                     k
@@ -76,11 +54,9 @@ proptest! {
 #[test]
 fn community_degree_full_ranking_at_100k_nodes() {
     let n = 100_000;
-    let g = barabasi_albert(n, 3, 23);
-    let csr = CsrGraph::from(&g);
+    let csr = CsrGraph::from(&barabasi_albert(n, 3, 23));
     let alg = PlacementAlgorithm::CommunityNodeDegree;
-    let full = alg.place_csr(&csr, n, 0);
-    assert_eq!(full, alg.place(&g, n, 0), "backends agree at k = n");
+    let full = alg.place(&csr, n, 0);
     let mut seen = vec![false; n];
     for v in &full {
         assert!(
@@ -90,6 +66,6 @@ fn community_degree_full_ranking_at_100k_nodes() {
     }
     assert_eq!(full.len(), n);
     for k in [1, 10, 1_000, n - 1] {
-        assert_eq!(full[..k], alg.place_csr(&csr, k, 0)[..], "prefix {k}");
+        assert_eq!(full[..k], alg.place(&csr, k, 0)[..], "prefix {k}");
     }
 }

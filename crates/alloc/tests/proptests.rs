@@ -1,21 +1,25 @@
 //! Property-based tests for placement, partitioning, replication, and
-//! replica resolution (bounded-CSR fast path vs full-BFS oracle).
+//! replica resolution (bounded meet-in-the-middle search vs full-BFS oracle).
 
 use proptest::prelude::*;
-use scdn_alloc::discovery::{select_replica, select_replica_csr, Candidate};
+use scdn_alloc::discovery::{select_replica, select_replica_full_bfs, Candidate, Selection};
 use scdn_alloc::partitioning::{hash_partition, social_partition, AccessLog};
 use scdn_alloc::placement::PlacementAlgorithm;
 use scdn_alloc::replication::{DemandWindow, ReplicationPolicy, StaticRebalance};
-use scdn_alloc::server::{AllocationServer, RepositoryInfo};
+use scdn_alloc::server::{AllocationError, AllocationServer, RepositoryInfo};
 use scdn_graph::community::Partition;
 use scdn_graph::{CsrGraph, Graph, NodeId, TraversalScratch};
 use scdn_social::author::AuthorId;
 use scdn_storage::object::DatasetId;
 
-fn arb_graph() -> impl Strategy<Value = Graph> {
+fn arb_graph() -> impl Strategy<Value = CsrGraph> {
     (3usize..40).prop_flat_map(|n| {
-        proptest::collection::vec((0..n as u32, 0..n as u32), 0..80)
-            .prop_map(move |edges| Graph::from_edges(n, edges.into_iter().map(|(a, b)| (a, b, 1))))
+        proptest::collection::vec((0..n as u32, 0..n as u32), 0..80).prop_map(move |edges| {
+            CsrGraph::from(&Graph::from_edges(
+                n,
+                edges.into_iter().map(|(a, b)| (a, b, 1)),
+            ))
+        })
     })
 }
 
@@ -211,7 +215,7 @@ fn arb_candidates(n: usize) -> impl Strategy<Value = Vec<Candidate>> {
 
 /// A random graph plus candidate sets and requesters sized to it (some
 /// requesters deliberately out of range).
-fn arb_selection_case() -> impl Strategy<Value = (Graph, Vec<Vec<Candidate>>, Vec<u32>)> {
+fn arb_selection_case() -> impl Strategy<Value = (CsrGraph, Vec<Vec<Candidate>>, Vec<u32>)> {
     arb_graph().prop_flat_map(|g| {
         let n = g.node_count();
         (
@@ -222,10 +226,7 @@ fn arb_selection_case() -> impl Strategy<Value = (Graph, Vec<Vec<Candidate>>, Ve
     })
 }
 
-fn selections_equal(
-    a: &Option<scdn_alloc::discovery::Selection>,
-    b: &Option<scdn_alloc::discovery::Selection>,
-) -> bool {
+fn selections_equal(a: &Option<Selection>, b: &Option<Selection>) -> bool {
     match (a, b) {
         (None, None) => true,
         (Some(x), Some(y)) => {
@@ -239,44 +240,38 @@ fn selections_equal(
 }
 
 proptest! {
-    /// The bounded multi-target CSR path selects exactly what the full-BFS
-    /// adjacency oracle selects, for any graph, candidate set, and online
-    /// mask — including out-of-range candidates, NaN latencies, and a
-    /// reused scratch carried across cases.
+    /// The bounded multi-target search selects exactly what the full-BFS
+    /// oracle selects, for any graph, candidate set, and online mask —
+    /// including out-of-range candidates and requesters, NaN latencies,
+    /// and a reused scratch carried across cases.
     #[test]
-    fn bounded_csr_selection_matches_oracle((g, candidate_sets, requesters) in arb_selection_case()) {
-        let csr = CsrGraph::from(&g);
-        let mut scratch = TraversalScratch::new();
+    fn bounded_selection_matches_full_bfs_oracle(
+        (g, candidate_sets, requesters) in arb_selection_case()
+    ) {
+        let (mut scratch, mut full) = (TraversalScratch::new(), TraversalScratch::new());
         for candidates in &candidate_sets {
             for &req in &requesters {
-                let oracle = select_replica(&g, NodeId(req), candidates);
-                let fast = select_replica_csr(
-                    &csr,
-                    NodeId(req),
-                    candidates,
-                    &mut scratch,
-                    u32::MAX,
-                );
+                let oracle = select_replica_full_bfs(&g, NodeId(req), candidates, &mut full);
+                let fast = select_replica(&g, NodeId(req), candidates, &mut scratch, u32::MAX);
                 prop_assert!(
                     selections_equal(&oracle, &fast),
-                    "req {req}: oracle {oracle:?} != csr {fast:?}"
+                    "req {req}: oracle {oracle:?} != search {fast:?}"
                 );
             }
         }
     }
 
     /// End-to-end: `resolve_csr` (cache + pooled scratch) agrees with the
-    /// adjacency `resolve` oracle under random replica sets and online
-    /// masks — asked twice per requester so the second pass exercises the
-    /// warm cache.
+    /// full-BFS oracle over the catalogued replica set under random
+    /// replica sets and online masks — asked twice per requester so the
+    /// second pass exercises the warm cache.
     #[test]
-    fn resolve_csr_matches_resolve_oracle(
+    fn resolve_csr_matches_full_bfs_oracle(
         g in arb_graph(),
         replicas in proptest::collection::vec(0u32..40, 1..6),
         offline_mod in 2u32..5,
         requesters in proptest::collection::vec(0u32..40, 1..5),
     ) {
-        let csr = CsrGraph::from(&g);
         let n = g.node_count() as u32;
         let srv = AllocationServer::new();
         for v in g.nodes() {
@@ -294,11 +289,24 @@ proptest! {
         }
         let online = |v: NodeId| !v.0.is_multiple_of(offline_mod);
         let latency = |v: NodeId| (v.0 % 13) as f64 - 3.0;
+        let candidates: Vec<Candidate> = srv
+            .replicas_of(DatasetId(0))
+            .expect("registered")
+            .into_iter()
+            .map(|node| Candidate {
+                node,
+                online: online(node),
+                latency_ms: latency(node),
+                availability: srv.repository(node).expect("registered").availability,
+            })
+            .collect();
+        let mut full = TraversalScratch::new();
         for _pass in 0..2 {
             for &req in &requesters {
                 let req = NodeId(req % n);
-                let oracle = srv.resolve(DatasetId(0), req, &g, online, latency);
-                let fast = srv.resolve_csr(DatasetId(0), req, &csr, online, latency);
+                let oracle = select_replica_full_bfs(&g, req, &candidates, &mut full)
+                    .ok_or(AllocationError::NoReplicaAvailable(DatasetId(0)));
+                let fast = srv.resolve_csr(DatasetId(0), req, &g, online, latency);
                 match (&oracle, &fast) {
                     (Ok(a), Ok(b)) => prop_assert!(
                         selections_equal(&Some(*a), &Some(*b)),
@@ -318,10 +326,12 @@ proptest! {
 #[test]
 fn migration_invalidates_cached_resolution() {
     // Path: 0 - 1 - 2 - 3 - 4. Replica starts far (4), moves adjacent (1).
-    let g = Graph::from_edges(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)]);
-    let csr = CsrGraph::from(&g);
+    let csr = CsrGraph::from(&Graph::from_edges(
+        5,
+        [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)],
+    ));
     let srv = AllocationServer::new();
-    for v in g.nodes() {
+    for v in csr.nodes() {
         srv.register_repository(RepositoryInfo {
             node: v,
             owner: AuthorId(v.0),

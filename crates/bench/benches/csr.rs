@@ -1,64 +1,14 @@
-//! Criterion benches: adjacency-list vs frozen-CSR backends on the two
-//! placement hot paths — exact Brandes betweenness and a full `PAPER_SET`
-//! placement sweep on a 10k-node generator graph — plus the chunked
-//! copy-on-write `apply_delta` at fixed touch fractions on a 100k-node
-//! graph (the machine-readable twin with bytes accounting and gates is
-//! `bench_churn`'s touch sweep), and the meet-in-the-middle
-//! `bfs_to_targets` resolve kernel against a full BFS at 10k/40k/100k
-//! nodes and 1–32 targets.
-//!
-//! The machine-readable version of the backend comparison is produced by
-//! the `bench_graph` binary (`cargo run --release -p scdn-bench --bin
-//! bench_graph`), which writes `BENCH_graph.json`.
+//! Criterion benches on the frozen CSR graph: the chunked copy-on-write
+//! `apply_delta` at fixed touch fractions on a 100k-node graph (the
+//! machine-readable twin with bytes accounting and gates is `bench_churn`'s
+//! touch sweep), and the meet-in-the-middle `bfs_to_targets` resolve
+//! kernel against a full BFS at 10k/40k/100k nodes and 1–32 targets.
+//! (Betweenness and the placement sweeps are timed in
+//! `graph_algorithms.rs` and `placement.rs`.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use scdn_alloc::placement::PlacementAlgorithm;
-use scdn_graph::centrality::{betweenness, betweenness_csr};
 use scdn_graph::generators::barabasi_albert;
 use scdn_graph::{CsrGraph, GraphDelta, NodeId, TraversalScratch};
-
-fn brandes_backends(c: &mut Criterion) {
-    let g = barabasi_albert(2_000, 3, 11);
-    let csr = CsrGraph::from(&g);
-    let mut group = c.benchmark_group("csr/betweenness-2k");
-    group.sample_size(10);
-    group.bench_function("adjacency", |b| {
-        b.iter(|| betweenness(std::hint::black_box(&g)));
-    });
-    group.bench_function("csr", |b| {
-        b.iter(|| betweenness_csr(std::hint::black_box(&csr)));
-    });
-    group.finish();
-}
-
-fn paper_sweep_backends(c: &mut Criterion) {
-    let g = barabasi_albert(10_000, 3, 21);
-    let ks: Vec<usize> = (1..=10).collect();
-    let mut group = c.benchmark_group("csr/paper-sweep-10k");
-    group.sample_size(10);
-    group.bench_function("adjacency", |b| {
-        b.iter(|| {
-            for alg in PlacementAlgorithm::PAPER_SET {
-                for &k in &ks {
-                    std::hint::black_box(alg.place(std::hint::black_box(&g), k, 7));
-                }
-            }
-        });
-    });
-    // The CSR side pays the freeze inside the loop — the comparison stays
-    // honest about the one-time conversion cost.
-    group.bench_function("csr", |b| {
-        b.iter(|| {
-            let csr = CsrGraph::from(std::hint::black_box(&g));
-            for alg in PlacementAlgorithm::PAPER_SET {
-                for &k in &ks {
-                    std::hint::black_box(alg.place_csr(&csr, k, 7));
-                }
-            }
-        });
-    });
-    group.finish();
-}
 
 /// splitmix64 — deterministic touched-row picks without an RNG dep.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -190,11 +140,5 @@ fn bfs_to_targets_sizes(c: &mut Criterion) {
     }
 }
 
-criterion_group!(
-    benches,
-    brandes_backends,
-    paper_sweep_backends,
-    apply_delta_touch_fractions,
-    bfs_to_targets_sizes
-);
+criterion_group!(benches, apply_delta_touch_fractions, bfs_to_targets_sizes);
 criterion_main!(benches);

@@ -8,12 +8,12 @@ use scdn_graph::components::connected_components;
 use scdn_graph::generators::{barabasi_albert, watts_strogatz};
 use scdn_graph::metrics::global_clustering_coefficient;
 use scdn_graph::traversal::{bfs_distances, max_span};
-use scdn_graph::NodeId;
+use scdn_graph::{CsrGraph, NodeId};
 
 fn bfs(c: &mut Criterion) {
     let mut group = c.benchmark_group("graph/bfs");
     for n in [1_000usize, 10_000] {
-        let g = barabasi_albert(n, 4, 3);
+        let g = CsrGraph::from(&barabasi_albert(n, 4, 3));
         group.bench_with_input(BenchmarkId::from_parameter(n), &g, |b, g| {
             b.iter(|| bfs_distances(std::hint::black_box(g), NodeId(0)));
         });
@@ -29,7 +29,7 @@ fn components(c: &mut Criterion) {
 }
 
 fn clustering(c: &mut Criterion) {
-    let g = watts_strogatz(2_000, 6, 0.1, 7);
+    let g = CsrGraph::from(&watts_strogatz(2_000, 6, 0.1, 7));
     c.bench_function("graph/global-clustering-ws2k", |b| {
         b.iter(|| global_clustering_coefficient(std::hint::black_box(&g)));
     });
@@ -38,7 +38,7 @@ fn clustering(c: &mut Criterion) {
 fn brandes(c: &mut Criterion) {
     let mut group = c.benchmark_group("graph/betweenness");
     group.sample_size(10);
-    let g = barabasi_albert(400, 3, 11);
+    let g = CsrGraph::from(&barabasi_albert(400, 3, 11));
     group.bench_function("sequential-400", |b| {
         b.iter(|| betweenness(std::hint::black_box(&g)));
     });
@@ -59,7 +59,7 @@ fn communities(c: &mut Criterion) {
 }
 
 fn span(c: &mut Criterion) {
-    let g = barabasi_albert(1_000, 3, 17);
+    let g = CsrGraph::from(&barabasi_albert(1_000, 3, 17));
     let mut group = c.benchmark_group("graph/max-span-1k");
     group.sample_size(10);
     group.bench_function("exact", |b| {

@@ -10,7 +10,7 @@ use scdn_social::trustgraph::{build_trust_subgraph, TrustFilter};
 fn placement_on_ba(c: &mut Criterion) {
     let mut group = c.benchmark_group("placement/ba-2000");
     group.sample_size(20);
-    let g = barabasi_albert(2000, 4, 7);
+    let g = CsrGraph::from(&barabasi_albert(2000, 4, 7));
     for alg in [
         PlacementAlgorithm::Random,
         PlacementAlgorithm::NodeDegree,
@@ -30,7 +30,7 @@ fn betweenness_placement(c: &mut Criterion) {
     let mut group = c.benchmark_group("placement/betweenness");
     group.sample_size(10);
     for n in [200usize, 600] {
-        let g = barabasi_albert(n, 3, 9);
+        let g = CsrGraph::from(&barabasi_albert(n, 3, 9));
         group.bench_with_input(BenchmarkId::from_parameter(n), &g, |b, g| {
             b.iter(|| PlacementAlgorithm::Betweenness.place(std::hint::black_box(g), 10, 0));
         });
@@ -50,16 +50,17 @@ fn placement_on_case_study(c: &mut Criterion) {
         TrustFilter::Baseline,
     )
     .expect("seed present");
+    let g = CsrGraph::from(&sub.graph);
     for alg in PlacementAlgorithm::PAPER_SET {
         group.bench_with_input(BenchmarkId::from_parameter(alg.name()), &alg, |b, &alg| {
-            b.iter(|| alg.place(std::hint::black_box(&sub.graph), 10, 1));
+            b.iter(|| alg.place(std::hint::black_box(&g), 10, 1));
         });
     }
     group.finish();
 }
 
 /// The call `RankingCache` makes on a miss: the *full* ordering
-/// (`k = n`) on the frozen CSR. The groups above time `k = 10`, where an
+/// (`k = n`). The groups above time `k = 10`, where an
 /// algorithm whose cost grows with `k` looks as cheap as its sort.
 fn full_ranking(c: &mut Criterion) {
     for (label, n) in [("10k", 10_000usize), ("40k", 40_000), ("100k", 100_000)] {
@@ -71,7 +72,7 @@ fn full_ranking(c: &mut Criterion) {
             PlacementAlgorithm::WeightedDegree,
         ]) {
             group.bench_with_input(BenchmarkId::from_parameter(alg.name()), &alg, |b, &alg| {
-                b.iter(|| alg.place_csr(std::hint::black_box(&g), n, 42));
+                b.iter(|| alg.place(std::hint::black_box(&g), n, 42));
             });
         }
         group.finish();

@@ -12,7 +12,7 @@
 use scdn_alloc::placement::{place_availability_cover, PlacementAlgorithm};
 use scdn_bench::paper_corpus;
 use scdn_core::casestudy::CaseStudy;
-use scdn_graph::NodeId;
+use scdn_graph::{CsrGraph, NodeId};
 use scdn_sim::availability::{availability_graph, AvailabilityModel, PeriodicChurn};
 use scdn_sim::engine::SimTime;
 use scdn_social::trustgraph::TrustFilter;
@@ -23,7 +23,8 @@ fn main() {
     let sub = cs
         .subgraph(TrustFilter::MaxAuthorsPerPub(6))
         .expect("seed author present");
-    let n = sub.graph.node_count();
+    let social = CsrGraph::from(&sub.graph);
+    let n = social.node_count();
     let horizon = SimTime::from_secs(24 * 3600);
     let samples = 512;
     println!("availability-aware replica selection on the number-of-authors graph ({n} nodes)");
@@ -49,8 +50,8 @@ fn main() {
             .collect();
         for &k in &[5usize, 10] {
             let cover = place_availability_cover(&ag, &cost, k);
-            let degree = PlacementAlgorithm::NodeDegree.place(&sub.graph, k, 0);
-            let random = PlacementAlgorithm::Random.place(&sub.graph, k, 1);
+            let degree = PlacementAlgorithm::NodeDegree.place(&social, k, 0);
+            let random = PlacementAlgorithm::Random.place(&social, k, 1);
             let score = |set: &[NodeId]| reachable_uptime(&churn, set, horizon, samples);
             println!(
                 "{:>6.2} {:>7} {:>21.1}% {:>21.1}% {:>21.1}%",

@@ -3,8 +3,11 @@
 //! Replays an identical request trace against the four resolution paths
 //! of the allocation server, on Barabási–Albert social graphs:
 //!
-//! * `full_bfs` — the adjacency-list oracle: one full BFS per request;
-//! * `csr_uncached` — bounded multi-target CSR BFS, hop cache disabled;
+//! * `full_bfs` — the oracle (`select_replica_full_bfs`): one full
+//!   `TraversalScratch::bfs` of the requester's component per request,
+//!   then the shared ranking loop over the catalogued replicas;
+//! * `csr_uncached` — bounded multi-target meet-in-the-middle search, hop
+//!   cache disabled;
 //! * `csr_cached` — the same with the version-keyed hop cache on;
 //! * `batch@W` — `resolve_batch` fanning the trace over `W` worker
 //!   threads (cache on, cold at the start of the timed region), once per
@@ -35,10 +38,11 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use scdn_alloc::discovery::{select_replica_full_bfs, Candidate};
 use scdn_alloc::server::{AllocationServer, RepositoryInfo};
 use scdn_graph::generators::barabasi_albert;
 use scdn_graph::parallel::set_worker_limit;
-use scdn_graph::{CsrGraph, Graph, NodeId};
+use scdn_graph::{CsrGraph, NodeId, TraversalScratch};
 use scdn_obs::Registry;
 use scdn_social::author::AuthorId;
 use scdn_storage::object::DatasetId;
@@ -47,7 +51,6 @@ use scdn_storage::object::DatasetId;
 /// trace over a pool of distinct requesters.
 struct Workload {
     name: &'static str,
-    graph: Graph,
     csr: CsrGraph,
     datasets: u32,
     replicas_per_dataset: u32,
@@ -72,8 +75,7 @@ impl Workload {
         pool_size: usize,
         request_count: usize,
     ) -> Workload {
-        let graph = barabasi_albert(nodes, 3, seed);
-        let csr = CsrGraph::from(&graph);
+        let csr = CsrGraph::from(&barabasi_albert(nodes, 3, seed));
         let n = nodes as u32;
         let requester_pool: Vec<NodeId> = (0..pool_size as u32)
             .map(|j| NodeId(j.wrapping_mul(97) % n))
@@ -88,7 +90,6 @@ impl Workload {
             .collect();
         Workload {
             name,
-            graph,
             csr,
             datasets,
             replicas_per_dataset,
@@ -110,11 +111,11 @@ impl Workload {
     /// benefits from another's warm state.
     fn build_server(&self, reg: &Registry) -> AllocationServer {
         let srv = AllocationServer::with_registry(reg);
-        let n = self.graph.node_count() as u32;
+        let n = self.csr.node_count() as u32;
         // Bulk registration: one table republication instead of the
         // O(n²) copy-on-write a per-repository loop costs — at a
         // million nodes that loop dominates the whole run.
-        srv.register_repositories(self.graph.nodes().map(|v| RepositoryInfo {
+        srv.register_repositories(self.csr.nodes().map(|v| RepositoryInfo {
             node: v,
             owner: AuthorId(v.0),
             capacity: 1 << 30,
@@ -161,6 +162,7 @@ fn run_path(w: &Workload, reg: &Registry, mode: &str, workers: usize) -> PathRes
         srv.set_resolve_cache_capacity(0);
     }
     let online = |_: NodeId| true;
+    let mut scratch = TraversalScratch::new();
     let start = Instant::now();
     let selected: Vec<Option<NodeId>> = if mode == "batch" {
         set_worker_limit(workers);
@@ -179,12 +181,12 @@ fn run_path(w: &Workload, reg: &Registry, mode: &str, workers: usize) -> PathRes
         };
         trace
             .iter()
-            .map(|&(d, req)| {
-                let sel = match mode {
-                    "full_bfs" => srv.resolve(d, req, &w.graph, online, |n| latency_of(req, n)),
-                    _ => srv.resolve_csr(d, req, &w.csr, online, |n| latency_of(req, n)),
-                };
-                sel.ok().map(|s| s.node)
+            .map(|&(d, req)| match mode {
+                "full_bfs" => full_bfs_selection(&srv, &w.csr, &mut scratch, d, req),
+                _ => srv
+                    .resolve_csr(d, req, &w.csr, online, |n| latency_of(req, n))
+                    .ok()
+                    .map(|s| s.node),
             })
             .collect()
     };
@@ -192,6 +194,29 @@ fn run_path(w: &Workload, reg: &Registry, mode: &str, workers: usize) -> PathRes
         ms: start.elapsed().as_secs_f64() * 1_000.0,
         selected,
     }
+}
+
+/// The oracle: every catalogued replica of `dataset` (all online) ranked
+/// on the hop distances of one full BFS from `requester`.
+fn full_bfs_selection(
+    srv: &AllocationServer,
+    csr: &CsrGraph,
+    scratch: &mut TraversalScratch,
+    dataset: DatasetId,
+    requester: NodeId,
+) -> Option<NodeId> {
+    let candidates: Vec<Candidate> = srv
+        .replicas_of(dataset)
+        .ok()?
+        .into_iter()
+        .map(|node| Candidate {
+            node,
+            online: true,
+            latency_ms: latency_of(requester, node),
+            availability: srv.repository(node).map_or(0.0, |r| r.availability),
+        })
+        .collect();
+    select_replica_full_bfs(csr, requester, &candidates, scratch).map(|s| s.node)
 }
 
 struct WorkloadReport {
@@ -263,7 +288,7 @@ fn run_workload(w: &Workload, worker_counts: &[usize]) -> WorkloadReport {
     eprintln!(
         "workload {}: {} nodes, {} requests over {} requesters (oracle prefix {})...",
         w.name,
-        w.graph.node_count(),
+        w.csr.node_count(),
         w.requests.len(),
         w.requester_pool.len(),
         w.oracle_prefix,
@@ -325,8 +350,8 @@ fn run_workload(w: &Workload, worker_counts: &[usize]) -> WorkloadReport {
         .fold(0.0, f64::max);
     WorkloadReport {
         name: w.name,
-        nodes: w.graph.node_count(),
-        edges: w.graph.edge_count(),
+        nodes: w.csr.node_count(),
+        edges: w.csr.edge_count(),
         datasets: w.datasets,
         requests: w.requests.len(),
         distinct_requesters: w.requester_pool.len(),
@@ -405,8 +430,8 @@ fn emit(reports: &[WorkloadReport], worker_counts: &[usize], out_path: &str) -> 
         concat!(
             "{{\n",
             "  \"schema\": \"scdn-bench-resolve/v2\",\n",
-            "  \"description\": \"replica-resolution throughput: adjacency full-BFS ",
-            "vs bounded CSR BFS vs version-keyed hop cache vs parallel batch swept ",
+            "  \"description\": \"replica-resolution throughput: full-BFS oracle ",
+            "vs bounded bidirectional search vs version-keyed hop cache vs parallel batch swept ",
             "over worker counts; selections gated against the oracle on every ",
             "oracle-checked request\",\n",
             "  \"generator\": \"barabasi_albert(n, 3)\",\n",

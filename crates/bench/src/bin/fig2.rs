@@ -15,6 +15,7 @@ use scdn_graph::components::island_stats;
 use scdn_graph::dot::{to_dot, DotOptions};
 use scdn_graph::metrics::{global_clustering_coefficient, mean_degree};
 use scdn_graph::traversal::max_span;
+use scdn_graph::CsrGraph;
 use scdn_social::trustgraph::build_paper_subgraphs;
 
 fn main() {
@@ -33,16 +34,17 @@ fn main() {
             .node_of(g.seed_author)
             .expect("seed survives every pruning in the calibrated corpus");
         let isl = island_stats(&s.graph);
+        let frozen = CsrGraph::from(&s.graph);
         println!(
             "{:<28} {:>6} {:>7} {:>5} {:>8} {:>9} {:>10.2} {:>10.3}",
             s.filter.name(),
             s.graph.node_count(),
             s.graph.edge_count(),
-            max_span(&s.graph),
+            max_span(&frozen),
             isl.islands,
             s.graph.degree(seed_node),
             mean_degree(&s.graph),
-            global_clustering_coefficient(&s.graph),
+            global_clustering_coefficient(&frozen),
         );
         let dot = to_dot(
             &s.graph,

@@ -10,6 +10,7 @@
 use scdn_alloc::placement::PlacementAlgorithm;
 use scdn_bench::{paper_corpus, REPLICA_COUNTS};
 use scdn_core::casestudy::CaseStudy;
+use scdn_graph::CsrGraph;
 
 fn main() {
     let g = paper_corpus();
@@ -28,6 +29,7 @@ fn main() {
         .chain(PlacementAlgorithm::EXTENDED_SET)
         .collect();
     for (sub, panel) in subs.iter().zip(panels) {
+        let csr = CsrGraph::from(&sub.graph);
         println!("Extended Fig. 3{panel}: hit rate (%) vs replicas");
         print!("{:<24}", "algorithm\\replicas");
         for k in REPLICA_COUNTS {
@@ -37,7 +39,7 @@ fn main() {
         for &alg in &algorithms {
             let curve: Vec<f64> = REPLICA_COUNTS
                 .iter()
-                .map(|&k| cs.mean_hit_rate(sub, alg, k, runs))
+                .map(|&k| cs.mean_hit_rate(sub, &csr, alg, k, runs))
                 .collect();
             println!("{}", scdn_bench::row(alg.name(), &curve));
         }

@@ -17,7 +17,7 @@ use scdn_alloc::placement::PlacementAlgorithm;
 use scdn_bench::paper_corpus;
 use scdn_core::casestudy::CaseStudy;
 use scdn_graph::community::label_propagation;
-use scdn_graph::NodeId;
+use scdn_graph::{CsrGraph, NodeId};
 use scdn_social::interests::interest_partition;
 use scdn_social::trustgraph::TrustFilter;
 
@@ -27,8 +27,8 @@ fn main() {
     let sub = cs
         .subgraph(TrustFilter::MaxAuthorsPerPub(6))
         .expect("seed author present");
-    let graph = &sub.graph;
-    let communities = label_propagation(graph, 11, 50);
+    let communities = label_propagation(&sub.graph, 11, 50);
+    let graph = &CsrGraph::from(&sub.graph);
     let (by_interest, topics) = interest_partition(&g.corpus, &sub.authors);
     println!(
         "number-of-authors graph: {} nodes, {} graph communities, {} interest groups ({} topics)",

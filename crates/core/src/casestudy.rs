@@ -16,7 +16,7 @@
 
 use scdn_alloc::placement::PlacementAlgorithm;
 use scdn_graph::parallel::par_map_collect;
-use scdn_graph::traversal::{multi_source_bfs, multi_source_bfs_csr};
+use scdn_graph::traversal::multi_source_bfs;
 use scdn_graph::{CsrGraph, NodeId};
 use scdn_social::author::AuthorId;
 use scdn_social::corpus::Corpus;
@@ -92,17 +92,10 @@ impl<'c> CaseStudy<'c> {
     }
 
     /// Hit rate (%) of a fixed replica placement on a subgraph, measured
-    /// over the test-year publications.
-    pub fn hit_rate(&self, sub: &TrustSubgraph, replicas: &[NodeId]) -> f64 {
-        let dist = multi_source_bfs(&sub.graph, replicas);
-        self.score_hits(sub, &dist)
-    }
-
-    /// [`hit_rate`](CaseStudy::hit_rate) against a pre-frozen CSR view of
-    /// `sub.graph`. Identical result; used by the sweep so the subgraph is
-    /// frozen once, not once per (algorithm, k, run).
-    pub fn hit_rate_csr(&self, sub: &TrustSubgraph, csr: &CsrGraph, replicas: &[NodeId]) -> f64 {
-        let dist = multi_source_bfs_csr(csr, replicas);
+    /// over the test-year publications. `csr` is `sub.graph` frozen — once
+    /// per subgraph by the caller, not once per (algorithm, k, run).
+    pub fn hit_rate(&self, sub: &TrustSubgraph, csr: &CsrGraph, replicas: &[NodeId]) -> f64 {
+        let dist = multi_source_bfs(csr, replicas);
         self.score_hits(sub, &dist)
     }
 
@@ -133,21 +126,9 @@ impl<'c> CaseStudy<'c> {
 
     /// Mean hit rate (%) of `algorithm` with `k` replicas over `runs`
     /// repetitions (only random placement varies across runs; the paper
-    /// still averages 100 runs for all algorithms).
+    /// still averages 100 runs for all algorithms). `csr` is `sub.graph`
+    /// frozen by the caller.
     pub fn mean_hit_rate(
-        &self,
-        sub: &TrustSubgraph,
-        algorithm: PlacementAlgorithm,
-        k: usize,
-        runs: usize,
-    ) -> f64 {
-        let csr = CsrGraph::from(&sub.graph);
-        self.mean_hit_rate_csr(sub, &csr, algorithm, k, runs)
-    }
-
-    /// [`mean_hit_rate`](CaseStudy::mean_hit_rate) with the CSR view
-    /// supplied by the caller — the freeze-once hot path.
-    pub fn mean_hit_rate_csr(
         &self,
         sub: &TrustSubgraph,
         csr: &CsrGraph,
@@ -161,14 +142,14 @@ impl<'c> CaseStudy<'c> {
         if algorithm == PlacementAlgorithm::Random {
             // Each run uses a distinct seed; runs execute in parallel.
             let rates = par_map_collect(runs, 4, |run| {
-                let replicas = algorithm.place_csr(csr, k, run as u64);
-                self.hit_rate_csr(sub, csr, &replicas)
+                let replicas = algorithm.place(csr, k, run as u64);
+                self.hit_rate(sub, csr, &replicas)
             });
             rates.iter().sum::<f64>() / runs as f64
         } else {
             // Deterministic algorithms produce the same placement per run.
-            let replicas = algorithm.place_csr(csr, k, 0);
-            self.hit_rate_csr(sub, csr, &replicas)
+            let replicas = algorithm.place(csr, k, 0);
+            self.hit_rate(sub, csr, &replicas)
         }
     }
 
@@ -203,13 +184,13 @@ impl<'c> CaseStudy<'c> {
             if algorithm == PlacementAlgorithm::Random {
                 (0..runs)
                     .map(|run| {
-                        let replicas = algorithm.place_csr(&csr, k, run as u64);
-                        self.hit_rate_csr(sub, &csr, &replicas)
+                        let replicas = algorithm.place(&csr, k, run as u64);
+                        self.hit_rate(sub, &csr, &replicas)
                     })
                     .sum::<f64>()
                     / (runs.max(1) as f64)
             } else {
-                self.mean_hit_rate_csr(sub, &csr, algorithm, k, runs)
+                self.mean_hit_rate(sub, &csr, algorithm, k, runs)
             }
         });
         algorithms
@@ -244,7 +225,7 @@ mod tests {
         let g = small_synthetic();
         let cs = CaseStudy::paper_setup(&g.corpus, g.seed_author);
         let sub = cs.subgraph(TrustFilter::Baseline).expect("seed present");
-        assert_eq!(cs.hit_rate(&sub, &[]), 0.0);
+        assert_eq!(cs.hit_rate(&sub, &CsrGraph::from(&sub.graph), &[]), 0.0);
     }
 
     #[test]
@@ -252,9 +233,10 @@ mod tests {
         let g = small_synthetic();
         let cs = CaseStudy::paper_setup(&g.corpus, g.seed_author);
         let sub = cs.subgraph(TrustFilter::Baseline).expect("seed present");
+        let csr = CsrGraph::from(&sub.graph);
         let mut prev = 0.0;
         for k in [1, 3, 5, 10] {
-            let r = cs.mean_hit_rate(&sub, PlacementAlgorithm::NodeDegree, k, 1);
+            let r = cs.mean_hit_rate(&sub, &csr, PlacementAlgorithm::NodeDegree, k, 1);
             assert!(r >= prev - 1e-9, "k={k}: {r} < {prev}");
             prev = r;
         }
@@ -266,8 +248,9 @@ mod tests {
         let g = small_synthetic();
         let cs = CaseStudy::paper_setup(&g.corpus, g.seed_author);
         for sub in cs.paper_subgraphs().expect("seed present") {
+            let csr = CsrGraph::from(&sub.graph);
             for alg in PlacementAlgorithm::PAPER_SET {
-                let r = cs.mean_hit_rate(&sub, alg, 5, 3);
+                let r = cs.mean_hit_rate(&sub, &csr, alg, 5, 3);
                 assert!((0.0..=100.0).contains(&r), "{alg:?}: {r}");
             }
         }
@@ -278,9 +261,10 @@ mod tests {
         let g = small_synthetic();
         let cs = CaseStudy::paper_setup(&g.corpus, g.seed_author);
         let sub = cs.subgraph(TrustFilter::Baseline).expect("seed present");
-        let all: Vec<NodeId> = sub.graph.nodes().collect();
-        let full = cs.hit_rate(&sub, &all);
-        let partial = cs.mean_hit_rate(&sub, PlacementAlgorithm::NodeDegree, 5, 1);
+        let csr = CsrGraph::from(&sub.graph);
+        let all: Vec<NodeId> = csr.nodes().collect();
+        let full = cs.hit_rate(&sub, &csr, &all);
+        let partial = cs.mean_hit_rate(&sub, &csr, PlacementAlgorithm::NodeDegree, 5, 1);
         assert!(full >= partial);
         assert!(
             full > 50.0,
@@ -302,31 +286,12 @@ mod tests {
     }
 
     #[test]
-    fn csr_hit_rate_matches_adjacency() {
-        let g = small_synthetic();
-        let cs = CaseStudy::paper_setup(&g.corpus, g.seed_author);
-        let sub = cs.subgraph(TrustFilter::Baseline).expect("seed present");
-        let csr = CsrGraph::from(&sub.graph);
-        let replicas = PlacementAlgorithm::NodeDegree.place(&sub.graph, 5, 0);
-        assert_eq!(
-            cs.hit_rate(&sub, &replicas),
-            cs.hit_rate_csr(&sub, &csr, &replicas)
-        );
-        for alg in PlacementAlgorithm::PAPER_SET {
-            assert_eq!(
-                cs.mean_hit_rate(&sub, alg, 4, 3),
-                cs.mean_hit_rate_csr(&sub, &csr, alg, 4, 3),
-                "{alg:?}"
-            );
-        }
-    }
-
-    #[test]
     fn random_runs_average_differs_from_single() {
         let g = small_synthetic();
         let cs = CaseStudy::paper_setup(&g.corpus, g.seed_author);
         let sub = cs.subgraph(TrustFilter::Baseline).expect("seed");
-        let avg = cs.mean_hit_rate(&sub, PlacementAlgorithm::Random, 5, 50);
+        let csr = CsrGraph::from(&sub.graph);
+        let avg = cs.mean_hit_rate(&sub, &csr, PlacementAlgorithm::Random, 5, 50);
         assert!(avg > 0.0 && avg < 50.0, "avg = {avg}");
     }
 }

@@ -242,9 +242,10 @@ pub struct Scdn {
     config: ScdnConfig,
     /// The social graph (node ids index everything below).
     pub social: Graph,
-    /// CSR snapshot of `social`, frozen at build time: the membership
-    /// graph never changes after `build`, so every placement ranking in
-    /// `replicate` reuses this instead of re-walking the adjacency lists.
+    /// The frozen view of `social` that resolution and placement query:
+    /// frozen once at build time and advanced copy-on-write by every
+    /// [`apply_graph_delta`](Scdn::apply_graph_delta), so the two always
+    /// describe the same edge set.
     social_csr: CsrGraph,
     /// Node → author mapping.
     pub authors: Vec<AuthorId>,

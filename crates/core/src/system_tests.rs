@@ -560,7 +560,7 @@ fn opportunistic_caching_turns_misses_into_hits() {
         )
         .expect("publishes");
     // Find a requester at distance >= 2 (a miss) with a neighbor.
-    let dist = scdn_graph::traversal::bfs_distances(&scdn.social, owner);
+    let dist = scdn_graph::traversal::bfs_distances(scdn.social_csr(), owner);
     let far = scdn
         .social
         .nodes()

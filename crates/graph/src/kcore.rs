@@ -6,18 +6,14 @@
 //! the extended placement ablations.
 
 use crate::csr::CsrGraph;
-use crate::graph::{Graph, NodeId};
+use crate::graph::NodeId;
 
-/// The peeling loop shared by the adjacency and CSR entry points:
-/// `degree` is the initial degree per node and `neigh(v)` yields `v`'s
-/// neighbors. Both backends iterate neighbors in the same (sorted) order,
-/// so the outputs are identical.
-fn peel_cores<N, I>(mut degree: Vec<usize>, neigh: N) -> Vec<u32>
-where
-    N: Fn(usize) -> I,
-    I: Iterator<Item = usize>,
-{
-    let n = degree.len();
+/// Core number of every node (the largest `k` such that the node belongs
+/// to the k-core). Computed with the standard peeling algorithm in
+/// `O(n + m)` using bucket sort.
+pub fn core_numbers(g: &CsrGraph) -> Vec<u32> {
+    let n = g.node_count();
+    let mut degree: Vec<usize> = g.nodes().map(|v| g.degree(v)).collect();
     let max_deg = degree.iter().copied().max().unwrap_or(0);
     // Bucket sort nodes by degree.
     let mut bins = vec![0usize; max_deg + 2];
@@ -46,7 +42,8 @@ where
     for i in 0..n {
         let v = order[i];
         core[v] = degree[v] as u32;
-        for u in neigh(v) {
+        for &u in g.neighbor_ids(NodeId(v as u32)) {
+            let u = u as usize;
             if degree[u] > degree[v] {
                 // Move u one bucket down: swap with the first node of its
                 // current bucket.
@@ -68,34 +65,8 @@ where
     core
 }
 
-/// Core number of every node (the largest `k` such that the node belongs
-/// to the k-core). Computed with the standard peeling algorithm in
-/// `O(n + m)` using bucket sort.
-pub fn core_numbers(g: &Graph) -> Vec<u32> {
-    let n = g.node_count();
-    if n == 0 {
-        return Vec::new();
-    }
-    let degree: Vec<usize> = (0..n).map(|v| g.degree(NodeId(v as u32))).collect();
-    peel_cores(degree, |v| {
-        g.neighbors(NodeId(v as u32)).iter().map(|e| e.to.index())
-    })
-}
-
-/// [`core_numbers`] on a frozen [`CsrGraph`]. Identical output.
-pub fn core_numbers_csr(g: &CsrGraph) -> Vec<u32> {
-    let n = g.node_count();
-    if n == 0 {
-        return Vec::new();
-    }
-    let degree: Vec<usize> = g.nodes().map(|v| g.degree(v)).collect();
-    peel_cores(degree, |v| {
-        g.neighbor_ids(NodeId(v as u32)).iter().map(|&u| u as usize)
-    })
-}
-
 /// Nodes of the k-core (possibly empty).
-pub fn k_core(g: &Graph, k: u32) -> Vec<NodeId> {
+pub fn k_core(g: &CsrGraph, k: u32) -> Vec<NodeId> {
     core_numbers(g)
         .into_iter()
         .enumerate()
@@ -104,22 +75,8 @@ pub fn k_core(g: &Graph, k: u32) -> Vec<NodeId> {
 }
 
 /// Degeneracy of the graph: the largest `k` with a non-empty k-core.
-pub fn degeneracy(g: &Graph) -> u32 {
+pub fn degeneracy(g: &CsrGraph) -> u32 {
     core_numbers(g).into_iter().max().unwrap_or(0)
-}
-
-/// Nodes of the k-core of a frozen [`CsrGraph`] (possibly empty).
-pub fn k_core_csr(g: &CsrGraph, k: u32) -> Vec<NodeId> {
-    core_numbers_csr(g)
-        .into_iter()
-        .enumerate()
-        .filter_map(|(v, c)| (c >= k).then_some(NodeId(v as u32)))
-        .collect()
-}
-
-/// [`degeneracy`] on a frozen [`CsrGraph`].
-pub fn degeneracy_csr(g: &CsrGraph) -> u32 {
-    core_numbers_csr(g).into_iter().max().unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -127,10 +84,11 @@ mod tests {
     use super::*;
     use crate::generators::complete;
     use crate::graph::Graph;
+    use crate::test_graphs::frozen;
 
     #[test]
     fn clique_core_numbers() {
-        let g = complete(5);
+        let g = CsrGraph::from(&complete(5));
         assert_eq!(core_numbers(&g), vec![4, 4, 4, 4, 4]);
         assert_eq!(degeneracy(&g), 4);
         assert_eq!(k_core(&g, 4).len(), 5);
@@ -139,14 +97,14 @@ mod tests {
 
     #[test]
     fn path_is_one_core() {
-        let g = Graph::from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)]);
+        let g = frozen(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)]);
         assert_eq!(core_numbers(&g), vec![1, 1, 1, 1]);
     }
 
     #[test]
     fn clique_with_pendant() {
         // Triangle 0-1-2 plus pendant 3 attached to 0.
-        let g = Graph::from_edges(4, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (0, 3, 1)]);
+        let g = frozen(4, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (0, 3, 1)]);
         let c = core_numbers(&g);
         assert_eq!(c[0], 2);
         assert_eq!(c[1], 2);
@@ -157,14 +115,14 @@ mod tests {
 
     #[test]
     fn isolated_nodes_are_zero_core() {
-        let g = Graph::from_edges(3, [(0, 1, 1)]);
+        let g = frozen(3, [(0, 1, 1)]);
         assert_eq!(core_numbers(&g), vec![1, 1, 0]);
     }
 
     #[test]
     fn two_tier_structure() {
         // A 4-clique with a path hanging off it.
-        let mut g = Graph::from_edges(
+        let g = frozen(
             7,
             [
                 (0, 1, 1),
@@ -173,11 +131,11 @@ mod tests {
                 (1, 2, 1),
                 (1, 3, 1),
                 (2, 3, 1),
+                (3, 4, 1),
+                (4, 5, 1),
+                (5, 6, 1),
             ],
         );
-        g.add_edge(NodeId(3), NodeId(4), 1);
-        g.add_edge(NodeId(4), NodeId(5), 1);
-        g.add_edge(NodeId(5), NodeId(6), 1);
         let c = core_numbers(&g);
         assert_eq!(&c[..4], &[3, 3, 3, 3]);
         assert_eq!(&c[4..], &[1, 1, 1]);
@@ -186,20 +144,8 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        assert!(core_numbers(&Graph::new(0)).is_empty());
-        assert_eq!(degeneracy(&Graph::new(0)), 0);
-        assert!(core_numbers_csr(&CsrGraph::from(&Graph::new(0))).is_empty());
-        assert_eq!(degeneracy_csr(&CsrGraph::from(&Graph::new(0))), 0);
-    }
-
-    #[test]
-    fn csr_cores_identical() {
-        let g = crate::generators::barabasi_albert(250, 4, 13);
-        let c = CsrGraph::from(&g);
-        assert_eq!(core_numbers(&g), core_numbers_csr(&c));
-        assert_eq!(degeneracy(&g), degeneracy_csr(&c));
-        for k in 0..=degeneracy(&g) {
-            assert_eq!(k_core(&g, k), k_core_csr(&c, k));
-        }
+        let g = CsrGraph::from(&Graph::new(0));
+        assert!(core_numbers(&g).is_empty());
+        assert_eq!(degeneracy(&g), 0);
     }
 }

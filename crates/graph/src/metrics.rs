@@ -1,5 +1,6 @@
-//! Structural graph metrics: clustering coefficients, degree distributions,
-//! and degree assortativity.
+//! Structural graph metrics: clustering coefficients and triangle counts
+//! on a frozen [`CsrGraph`]; degree distributions and degree assortativity
+//! on the [`Graph`] being built.
 //!
 //! The clustering coefficient is one of the paper's four replica-placement
 //! keys (and is shown to be a *bad* one — Section VI-B), so its definition
@@ -41,55 +42,22 @@ fn sorted_intersection_count(a: &[u32], b: &[u32]) -> usize {
     count
 }
 
-/// Connected neighbor pairs of `v` on the CSR backend: for each neighbor
-/// `a`, intersect the later neighbors of `v` with the neighbors of `a` —
-/// one adaptive intersection per neighbor instead of a binary search per
-/// pair.
-fn closed_pairs_csr(g: &CsrGraph, v: NodeId) -> usize {
+/// Local clustering coefficient of one node `v` (see
+/// [`all_clustering_coefficients`] for the definition and for the whole
+/// graph in one pass): for each neighbor `a`, intersect the later
+/// neighbors of `v` with the neighbors of `a` — one adaptive intersection
+/// per neighbor instead of a binary search per pair.
+pub fn local_clustering_coefficient(g: &CsrGraph, v: NodeId) -> f64 {
     let neigh = g.neighbor_ids(v);
-    let mut links = 0;
-    for (i, &a) in neigh.iter().enumerate() {
-        links += sorted_intersection_count(&neigh[i + 1..], g.neighbor_ids(NodeId(a)));
-    }
-    links
-}
-
-/// Local clustering coefficient of `v`:
-/// `2 * triangles(v) / (deg(v) * (deg(v) - 1))`, and 0 when `deg(v) < 2`.
-pub fn local_clustering_coefficient(g: &Graph, v: NodeId) -> f64 {
-    let neigh = g.neighbors(v);
     let d = neigh.len();
     if d < 2 {
         return 0.0;
     }
-    let mut links = 0usize;
-    // Sorted adjacency lets us count pair connections with binary search.
-    for (i, a) in neigh.iter().enumerate() {
-        for b in &neigh[i + 1..] {
-            if g.has_edge(a.to, b.to) {
-                links += 1;
-            }
-        }
+    let mut links = 0;
+    for (i, &a) in neigh.iter().enumerate() {
+        links += sorted_intersection_count(&neigh[i + 1..], g.neighbor_ids(NodeId(a)));
     }
     2.0 * links as f64 / (d * (d - 1)) as f64
-}
-
-/// [`local_clustering_coefficient`] on a frozen [`CsrGraph`].
-/// Bit-identical (the pair count is an integer; the final division is the
-/// same operation).
-pub fn local_clustering_coefficient_csr(g: &CsrGraph, v: NodeId) -> f64 {
-    let d = g.degree(v);
-    if d < 2 {
-        return 0.0;
-    }
-    2.0 * closed_pairs_csr(g, v) as f64 / (d * (d - 1)) as f64
-}
-
-/// Local clustering coefficient for every node.
-pub fn all_clustering_coefficients(g: &Graph) -> Vec<f64> {
-    g.nodes()
-        .map(|v| local_clustering_coefficient(g, v))
-        .collect()
 }
 
 /// Triangle corner counts (closed neighbor pairs) for every node, in one
@@ -98,7 +66,7 @@ pub fn all_clustering_coefficients(g: &Graph) -> Vec<f64> {
 /// corners. `O(Σ_v fwd-deg(v)²) ≤ O(m^{3/2})` total, instead of a pair
 /// loop per node; on skewed degree distributions the hub pair loops this
 /// replaces dominate everything else.
-fn triangle_corners_csr(g: &CsrGraph) -> Vec<u64> {
+fn triangle_corners(g: &CsrGraph) -> Vec<u64> {
     let n = g.node_count();
     let mut order: Vec<u32> = (0..n as u32).collect();
     order.sort_unstable_by_key(|&v| (g.degree(NodeId(v)), v));
@@ -164,11 +132,11 @@ fn triangle_corners_csr(g: &CsrGraph) -> Vec<u64> {
     corners
 }
 
-/// [`all_clustering_coefficients`] on a frozen [`CsrGraph`].
-/// Bit-identical: the corner counts are integers (so discovery order is
-/// irrelevant) and the final per-node division is the same expression.
-pub fn all_clustering_coefficients_csr(g: &CsrGraph) -> Vec<f64> {
-    let corners = triangle_corners_csr(g);
+/// Local clustering coefficient of every node:
+/// `2 * triangles(v) / (deg(v) * (deg(v) - 1))`, and 0 when `deg(v) < 2`.
+/// One forward triangle count serves all nodes.
+pub fn all_clustering_coefficients(g: &CsrGraph) -> Vec<f64> {
+    let corners = triangle_corners(g);
     g.nodes()
         .map(|v| {
             let d = g.degree(v);
@@ -182,7 +150,7 @@ pub fn all_clustering_coefficients_csr(g: &CsrGraph) -> Vec<f64> {
 }
 
 /// Average of local clustering coefficients (Watts–Strogatz definition).
-pub fn average_clustering_coefficient(g: &Graph) -> f64 {
+pub fn average_clustering_coefficient(g: &CsrGraph) -> f64 {
     let n = g.node_count();
     if n == 0 {
         return 0.0;
@@ -190,78 +158,27 @@ pub fn average_clustering_coefficient(g: &Graph) -> f64 {
     all_clustering_coefficients(g).iter().sum::<f64>() / n as f64
 }
 
-/// [`average_clustering_coefficient`] on a frozen [`CsrGraph`].
-pub fn average_clustering_coefficient_csr(g: &CsrGraph) -> f64 {
-    let n = g.node_count();
-    if n == 0 {
-        return 0.0;
-    }
-    all_clustering_coefficients_csr(g).iter().sum::<f64>() / n as f64
-}
-
 /// Global clustering coefficient (transitivity):
 /// `3 * triangles / connected triples`.
-pub fn global_clustering_coefficient(g: &Graph) -> f64 {
-    let mut triangles = 0u64; // counted once per triangle
+pub fn global_clustering_coefficient(g: &CsrGraph) -> f64 {
     let mut triples = 0u64;
     for v in g.nodes() {
         let d = g.degree(v) as u64;
         triples += d * d.saturating_sub(1) / 2;
-        let neigh = g.neighbors(v);
-        for (i, a) in neigh.iter().enumerate() {
-            for b in &neigh[i + 1..] {
-                if g.has_edge(a.to, b.to) {
-                    triangles += 1;
-                }
-            }
-        }
     }
     // Each triangle contributes one closed pair at each of its 3 corners,
-    // so `triangles` here is already 3 × (#distinct triangles).
+    // so the corner sum is already 3 × (#distinct triangles).
+    let corners: u64 = triangle_corners(g).iter().sum();
     if triples == 0 {
         0.0
     } else {
-        triangles as f64 / triples as f64
+        corners as f64 / triples as f64
     }
-}
-
-/// [`global_clustering_coefficient`] on a frozen [`CsrGraph`].
-/// Bit-identical (both counters are integers).
-pub fn global_clustering_coefficient_csr(g: &CsrGraph) -> f64 {
-    let corners = triangle_corners_csr(g);
-    let mut triples = 0u64;
-    for v in g.nodes() {
-        let d = g.degree(v) as u64;
-        triples += d * d.saturating_sub(1) / 2;
-    }
-    let triangles: u64 = corners.iter().sum();
-    if triples == 0 {
-        0.0
-    } else {
-        triangles as f64 / triples as f64
-    }
-}
-
-/// [`triangle_count`] on a frozen [`CsrGraph`] via the one-pass forward
-/// count.
-pub fn triangle_count_csr(g: &CsrGraph) -> u64 {
-    let corners: u64 = triangle_corners_csr(g).iter().sum();
-    corners / 3
 }
 
 /// Number of distinct triangles in the graph.
-pub fn triangle_count(g: &Graph) -> u64 {
-    let mut corners = 0u64;
-    for v in g.nodes() {
-        let neigh = g.neighbors(v);
-        for (i, a) in neigh.iter().enumerate() {
-            for b in &neigh[i + 1..] {
-                if g.has_edge(a.to, b.to) {
-                    corners += 1;
-                }
-            }
-        }
-    }
+pub fn triangle_count(g: &CsrGraph) -> u64 {
+    let corners: u64 = triangle_corners(g).iter().sum();
     corners / 3
 }
 
@@ -313,15 +230,84 @@ pub fn degree_assortativity(g: &Graph) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::Graph;
+    use crate::test_graphs::{arb_graph, frozen};
+    use proptest::prelude::*;
 
-    fn triangle() -> Graph {
-        Graph::from_edges(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
+    /// The adjacency-list pair loop the forward triangle count replaced:
+    /// one `has_edge` binary search per neighbor pair.
+    fn closed_pairs_reference(g: &Graph, v: NodeId) -> u64 {
+        let neigh = g.neighbors(v);
+        let mut links = 0;
+        for (i, a) in neigh.iter().enumerate() {
+            for b in &neigh[i + 1..] {
+                if g.has_edge(a.to, b.to) {
+                    links += 1;
+                }
+            }
+        }
+        links
+    }
+
+    fn clustering_reference(g: &Graph) -> Vec<f64> {
+        g.nodes()
+            .map(|v| {
+                let d = g.degree(v);
+                if d < 2 {
+                    0.0
+                } else {
+                    2.0 * closed_pairs_reference(g, v) as f64 / (d * (d - 1)) as f64
+                }
+            })
+            .collect()
+    }
+
+    /// Every clustering entry point against the pair-loop reference.
+    fn assert_matches_reference(g: &Graph) {
+        let c = CsrGraph::from(g);
+        let cc = clustering_reference(g);
+        assert_eq!(cc, all_clustering_coefficients(&c));
+        for v in g.nodes() {
+            assert_eq!(cc[v.index()], local_clustering_coefficient(&c, v));
+        }
+        let n = g.node_count();
+        let average = if n == 0 {
+            0.0
+        } else {
+            cc.iter().sum::<f64>() / n as f64
+        };
+        assert_eq!(average, average_clustering_coefficient(&c));
+        let corners: u64 = g.nodes().map(|v| closed_pairs_reference(g, v)).sum();
+        let triples: u64 = g
+            .nodes()
+            .map(|v| g.degree(v) as u64)
+            .map(|d| d * d.saturating_sub(1) / 2)
+            .sum();
+        let global = if triples == 0 {
+            0.0
+        } else {
+            corners as f64 / triples as f64
+        };
+        assert_eq!(global, global_clustering_coefficient(&c));
+        assert_eq!(corners / 3, triangle_count(&c));
+    }
+
+    proptest! {
+        #[test]
+        fn clustering_bit_identical_to_reference(g in arb_graph(30, 90)) {
+            assert_matches_reference(&g);
+        }
+    }
+
+    #[test]
+    fn clustering_bit_identical_to_reference_at_scale() {
+        assert_matches_reference(&crate::generators::watts_strogatz(200, 6, 0.1, 3));
+        // Skewed degrees: long hub rows against short leaf rows.
+        assert_matches_reference(&crate::generators::barabasi_albert(300, 3, 5));
     }
 
     #[test]
     fn clustering_of_triangle_is_one() {
-        let g = triangle();
+        let g = frozen(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]);
         for v in g.nodes() {
             assert!((local_clustering_coefficient(&g, v) - 1.0).abs() < 1e-12);
         }
@@ -332,22 +318,27 @@ mod tests {
 
     #[test]
     fn clustering_of_star_is_zero() {
-        let g = Graph::from_edges(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)]);
+        let g = frozen(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)]);
         assert_eq!(local_clustering_coefficient(&g, NodeId(0)), 0.0);
+        assert_eq!(all_clustering_coefficients(&g)[0], 0.0);
         assert_eq!(global_clustering_coefficient(&g), 0.0);
         assert_eq!(triangle_count(&g), 0);
     }
 
     #[test]
     fn clustering_low_degree_zero() {
-        let g = Graph::from_edges(2, [(0, 1, 1)]);
+        let g = frozen(2, [(0, 1, 1)]);
         assert_eq!(local_clustering_coefficient(&g, NodeId(0)), 0.0);
+        assert_eq!(all_clustering_coefficients(&g), vec![0.0, 0.0]);
+        assert_eq!(global_clustering_coefficient(&g), 0.0);
+        assert_eq!(triangle_count(&g), 0);
+        assert_eq!(triangle_count(&CsrGraph::from(&Graph::new(0))), 0);
     }
 
     #[test]
     fn paw_graph_transitivity() {
         // Triangle 0-1-2 plus pendant 3 on 0.
-        let g = Graph::from_edges(4, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (0, 3, 1)]);
+        let g = frozen(4, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (0, 3, 1)]);
         // triples: deg(0)=3 -> 3, deg(1)=2 -> 1, deg(2)=2 -> 1, deg(3)=1 -> 0 => 5
         // closed corners = 3 (one per triangle corner)
         assert!((global_clustering_coefficient(&g) - 3.0 / 5.0).abs() < 1e-12);
@@ -374,34 +365,5 @@ mod tests {
     fn assortativity_empty_is_zero() {
         let g = Graph::new(3);
         assert_eq!(degree_assortativity(&g), 0.0);
-    }
-
-    #[test]
-    fn csr_clustering_is_bit_identical() {
-        let g = crate::generators::watts_strogatz(200, 6, 0.1, 3);
-        let c = CsrGraph::from(&g);
-        assert_eq!(
-            all_clustering_coefficients(&g),
-            all_clustering_coefficients_csr(&c)
-        );
-        assert_eq!(
-            global_clustering_coefficient(&g),
-            global_clustering_coefficient_csr(&c)
-        );
-        assert_eq!(
-            average_clustering_coefficient(&g),
-            average_clustering_coefficient_csr(&c)
-        );
-        assert_eq!(triangle_count(&g), triangle_count_csr(&c));
-    }
-
-    #[test]
-    fn csr_triangle_merge_on_empty_and_tiny() {
-        assert_eq!(triangle_count_csr(&CsrGraph::from(&Graph::new(0))), 0);
-        let g = Graph::from_edges(2, [(0, 1, 1)]);
-        let c = CsrGraph::from(&g);
-        assert_eq!(triangle_count_csr(&c), 0);
-        assert_eq!(local_clustering_coefficient_csr(&c, NodeId(0)), 0.0);
-        assert_eq!(global_clustering_coefficient_csr(&c), 0.0);
     }
 }

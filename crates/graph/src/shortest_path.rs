@@ -91,7 +91,7 @@ mod tests {
     fn matches_bfs_on_unit_costs() {
         let g = crate::generators::erdos_renyi(40, 0.1, 5);
         let (d, _) = dijkstra(&g, NodeId(0), unit_cost);
-        let bfs = crate::traversal::bfs_distances(&g, NodeId(0));
+        let bfs = crate::traversal::bfs_distances(&crate::CsrGraph::from(&g), NodeId(0));
         for (a, b) in d.iter().zip(&bfs) {
             assert_eq!(a.map(|x| x as u32), *b);
         }

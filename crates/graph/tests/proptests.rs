@@ -5,8 +5,8 @@ use scdn_graph::centrality::{betweenness, betweenness_parallel};
 use scdn_graph::components::connected_components;
 use scdn_graph::cover::{greedy_dominating_set, is_dominating_set};
 use scdn_graph::metrics::{all_clustering_coefficients, global_clustering_coefficient};
-use scdn_graph::traversal::{bfs_distances, ego_nodes, max_span, multi_source_bfs};
-use scdn_graph::{Graph, NodeId, UnionFind};
+use scdn_graph::traversal::{bfs_distances, ego_network, max_span, multi_source_bfs};
+use scdn_graph::{CsrGraph, Graph, NodeId, UnionFind};
 
 /// Strategy: a random simple graph with up to `n` nodes and `m` edges.
 fn arb_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = Graph> {
@@ -38,7 +38,7 @@ proptest! {
     #[test]
     fn bfs_distance_triangle_inequality_on_edges(g in arb_graph(30, 80)) {
         // Adjacent nodes differ by at most 1 in BFS distance.
-        let d = bfs_distances(&g, NodeId(0));
+        let d = bfs_distances(&CsrGraph::from(&g), NodeId(0));
         for (a, b, _) in g.edges() {
             if let (Some(da), Some(db)) = (d[a.index()], d[b.index()]) {
                 prop_assert!(da.abs_diff(db) <= 1);
@@ -69,17 +69,18 @@ proptest! {
 
     #[test]
     fn clustering_coefficients_in_unit_interval(g in arb_graph(25, 80)) {
-        for c in all_clustering_coefficients(&g) {
+        let csr = CsrGraph::from(&g);
+        for c in all_clustering_coefficients(&csr) {
             prop_assert!((0.0..=1.0).contains(&c));
         }
-        let gc = global_clustering_coefficient(&g);
+        let gc = global_clustering_coefficient(&csr);
         prop_assert!((0.0..=1.0).contains(&gc));
     }
 
     #[test]
-    fn ego_nodes_monotone_in_radius(g in arb_graph(30, 80), r in 0u32..4) {
-        let inner = ego_nodes(&g, NodeId(0), r);
-        let outer = ego_nodes(&g, NodeId(0), r + 1);
+    fn ego_network_monotone_in_radius(g in arb_graph(30, 80), r in 0u32..4) {
+        let (_, inner) = ego_network(&g, NodeId(0), r);
+        let (_, outer) = ego_network(&g, NodeId(0), r + 1);
         prop_assert!(inner.len() <= outer.len());
         for v in &inner {
             prop_assert!(outer.contains(v));
@@ -89,9 +90,10 @@ proptest! {
     #[test]
     fn multi_source_bfs_is_min_of_singles(g in arb_graph(20, 50)) {
         let sources = [NodeId(0), NodeId(1)];
-        let multi = multi_source_bfs(&g, &sources);
-        let d0 = bfs_distances(&g, NodeId(0));
-        let d1 = bfs_distances(&g, NodeId(1));
+        let csr = CsrGraph::from(&g);
+        let multi = multi_source_bfs(&csr, &sources);
+        let d0 = bfs_distances(&csr, NodeId(0));
+        let d1 = bfs_distances(&csr, NodeId(1));
         for i in 0..g.node_count() {
             let expect = match (d0[i], d1[i]) {
                 (Some(a), Some(b)) => Some(a.min(b)),
@@ -105,8 +107,9 @@ proptest! {
 
     #[test]
     fn betweenness_nonnegative_and_parallel_matches(g in arb_graph(20, 50)) {
-        let seq = betweenness(&g);
-        let par = betweenness_parallel(&g);
+        let csr = CsrGraph::from(&g);
+        let seq = betweenness(&csr);
+        let par = betweenness_parallel(&csr);
         for (a, b) in seq.iter().zip(&par) {
             prop_assert!(*a >= -1e-9);
             prop_assert!((a - b).abs() < 1e-6);
@@ -121,7 +124,7 @@ proptest! {
 
     #[test]
     fn span_bounded_by_node_count(g in arb_graph(25, 60)) {
-        prop_assert!((max_span(&g) as usize) < g.node_count().max(1));
+        prop_assert!((max_span(&CsrGraph::from(&g)) as usize) < g.node_count().max(1));
     }
 
     #[test]

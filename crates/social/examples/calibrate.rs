@@ -4,6 +4,7 @@
 
 use scdn_graph::components::island_stats;
 use scdn_graph::traversal::max_span;
+use scdn_graph::CsrGraph;
 use scdn_social::generator::{generate, CaseStudyParams};
 use scdn_social::trustgraph::build_paper_subgraphs;
 
@@ -32,7 +33,7 @@ fn main() {
             st.nodes,
             st.publications,
             st.edges,
-            max_span(&s.graph),
+            max_span(&CsrGraph::from(&s.graph)),
             isl.islands
         );
     }

@@ -9,6 +9,7 @@
 
 use scdn::alloc::placement::PlacementAlgorithm;
 use scdn::core::casestudy::CaseStudy;
+use scdn::graph::CsrGraph;
 use scdn::social::generator::{generate, CaseStudyParams};
 
 fn main() {
@@ -38,10 +39,11 @@ fn main() {
             print!(" {k:>6}");
         }
         println!();
+        let csr = CsrGraph::from(&s.graph);
         for alg in PlacementAlgorithm::PAPER_SET {
             print!("  {:<24}", alg.name());
             for k in ks {
-                print!(" {:>6.2}", cs.mean_hit_rate(s, alg, k, runs));
+                print!(" {:>6.2}", cs.mean_hit_rate(s, &csr, alg, k, runs));
             }
             println!();
         }

@@ -6,6 +6,7 @@ use scdn::alloc::placement::PlacementAlgorithm;
 use scdn::core::casestudy::CaseStudy;
 use scdn::graph::components::island_stats;
 use scdn::graph::traversal::max_span;
+use scdn::graph::CsrGraph;
 use scdn::social::generator::{generate, CaseStudyParams};
 use scdn::social::SyntheticDblp;
 
@@ -56,9 +57,9 @@ fn fig2_topology_properties() {
         "double graph must fragment"
     );
     // Maximum span ~6 hops (paper: "still 6 hops between nodes").
-    assert_eq!(max_span(&base.graph), 6);
-    assert_eq!(max_span(&few.graph), 6);
-    assert!(max_span(&double.graph) <= 9);
+    assert_eq!(max_span(&CsrGraph::from(&base.graph)), 6);
+    assert_eq!(max_span(&CsrGraph::from(&few.graph)), 6);
+    assert!(max_span(&CsrGraph::from(&double.graph)) <= 9);
 }
 
 #[test]
@@ -68,10 +69,12 @@ fn community_degree_wins_at_ten_replicas_on_baseline() {
     let base = cs
         .subgraph(scdn::social::TrustFilter::Baseline)
         .expect("seed");
-    let community = cs.mean_hit_rate(&base, PlacementAlgorithm::CommunityNodeDegree, 10, 1);
-    let degree = cs.mean_hit_rate(&base, PlacementAlgorithm::NodeDegree, 10, 1);
-    let random = cs.mean_hit_rate(&base, PlacementAlgorithm::Random, 10, 20);
-    let clustering = cs.mean_hit_rate(&base, PlacementAlgorithm::ClusteringCoefficient, 10, 1);
+    let csr = CsrGraph::from(&base.graph);
+    let rate = |alg, runs| cs.mean_hit_rate(&base, &csr, alg, 10, runs);
+    let community = rate(PlacementAlgorithm::CommunityNodeDegree, 1);
+    let degree = rate(PlacementAlgorithm::NodeDegree, 1);
+    let random = rate(PlacementAlgorithm::Random, 20);
+    let clustering = rate(PlacementAlgorithm::ClusteringCoefficient, 1);
     assert!(
         community > degree,
         "community {community} vs degree {degree}"
@@ -93,8 +96,9 @@ fn node_degree_flattens_on_baseline() {
     let base = cs
         .subgraph(scdn::social::TrustFilter::Baseline)
         .expect("seed");
-    let at3 = cs.mean_hit_rate(&base, PlacementAlgorithm::NodeDegree, 3, 1);
-    let at10 = cs.mean_hit_rate(&base, PlacementAlgorithm::NodeDegree, 10, 1);
+    let csr = CsrGraph::from(&base.graph);
+    let at3 = cs.mean_hit_rate(&base, &csr, PlacementAlgorithm::NodeDegree, 3, 1);
+    let at10 = cs.mean_hit_rate(&base, &csr, PlacementAlgorithm::NodeDegree, 10, 1);
     assert!(
         at10 - at3 < 0.5,
         "node degree must flatten: {at3} -> {at10}"
@@ -107,8 +111,9 @@ fn node_degree_flattens_on_baseline() {
     let base2 = cs2
         .subgraph(scdn::social::TrustFilter::Baseline)
         .expect("seed");
-    let b3 = cs2.mean_hit_rate(&base2, PlacementAlgorithm::NodeDegree, 3, 1);
-    let b10 = cs2.mean_hit_rate(&base2, PlacementAlgorithm::NodeDegree, 10, 1);
+    let csr2 = CsrGraph::from(&base2.graph);
+    let b3 = cs2.mean_hit_rate(&base2, &csr2, PlacementAlgorithm::NodeDegree, 3, 1);
+    let b10 = cs2.mean_hit_rate(&base2, &csr2, PlacementAlgorithm::NodeDegree, 10, 1);
     assert!(
         b10 - b3 > (at10 - at3) + 0.5,
         "without the mega pub the curve should keep rising: {b3} -> {b10} \
@@ -121,7 +126,10 @@ fn trust_pruning_improves_hit_rates() {
     let g = corpus();
     let cs = CaseStudy::paper_setup(&g.corpus, g.seed_author);
     let [base, double, few] = cs.paper_subgraphs().expect("seed present");
-    let rate = |s| cs.mean_hit_rate(s, PlacementAlgorithm::CommunityNodeDegree, 10, 1);
+    let rate = |s: &scdn::social::TrustSubgraph| {
+        let csr = CsrGraph::from(&s.graph);
+        cs.mean_hit_rate(s, &csr, PlacementAlgorithm::CommunityNodeDegree, 10, 1)
+    };
     let (rb, rd, rf) = (rate(&base), rate(&double), rate(&few));
     assert!(rd > rb, "double-coauthorship {rd} must beat baseline {rb}");
     assert!(
@@ -137,13 +145,14 @@ fn hit_rates_monotone_in_replica_count() {
     let base = cs
         .subgraph(scdn::social::TrustFilter::Baseline)
         .expect("seed");
+    let csr = CsrGraph::from(&base.graph);
     for alg in [
         PlacementAlgorithm::NodeDegree,
         PlacementAlgorithm::CommunityNodeDegree,
     ] {
         let mut prev = 0.0;
         for k in [1, 2, 4, 6, 8, 10] {
-            let r = cs.mean_hit_rate(&base, alg, k, 1);
+            let r = cs.mean_hit_rate(&base, &csr, alg, k, 1);
             assert!(r + 1e-9 >= prev, "{alg:?} k={k}: {r} < {prev}");
             prev = r;
         }

@@ -158,7 +158,7 @@ fn trust_gate_follows_publication_history() {
     assert!(scdn.request(coauthor, dataset).is_ok());
     // A stranger two or more hops away (never coauthored with the seed)
     // is denied.
-    let stranger = scdn::graph::traversal::bfs_distances(&sub.graph, owner_node)
+    let stranger = scdn::graph::traversal::bfs_distances(scdn.social_csr(), owner_node)
         .iter()
         .enumerate()
         .find(|(_, d)| matches!(d, Some(h) if *h >= 2))
