@@ -4,6 +4,7 @@
 //! at RS(4,2) over 1 MiB. For humans; the accept/reject numbers come from
 //! `benchmark/` (`storage.checksum.mib_per_s`, `storage.encode/decode.*`).
 
+use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use scdn_storage::coding::ErasureCoder;
 use scdn_storage::integrity::{crc32, fnv1a64, Checksum};
@@ -43,28 +44,44 @@ fn checksums(c: &mut Criterion) {
 fn coding(c: &mut Criterion) {
     let coder = ErasureCoder::new(4, 2, 7);
     let content = payload(1 << 20);
-    let blocks = coder.encode(&content);
-    let pick = |indices: [usize; 4]| -> Vec<(u32, &[u8])> {
+    let all_rows: Vec<u32> = (0..6).collect();
+    let blocks: Vec<Bytes> = coder
+        .encode_rows(&content, &all_rows)
+        .into_iter()
+        .map(Bytes::from)
+        .collect();
+    let pick = |indices: [usize; 4]| -> Vec<(u32, Bytes)> {
         indices
             .iter()
-            .map(|&i| (i as u32, blocks[i].as_slice()))
+            .map(|&i| (i as u32, blocks[i].clone()))
             .collect()
     };
-    // The four data shards (inverse = identity) against both parity
-    // blocks plus two data shards (two dense inverse rows).
+    // The four data shards (nothing to reconstruct: the join is the only
+    // copy) against both parity blocks plus two data shards (two shards
+    // rebuilt through dense inverse rows).
     let systematic = pick([0, 1, 2, 3]);
     let parity = pick([4, 5, 0, 1]);
     let mut group = c.benchmark_group("storage/coding/rs4+2/1MiB");
     group.throughput(Throughput::Bytes(content.len() as u64));
     group.bench_function("encode", |b| {
-        b.iter(|| coder.encode(std::hint::black_box(&content)));
+        b.iter(|| coder.encode_rows(std::hint::black_box(&content), &all_rows));
     });
-    group.bench_function("decode_systematic", |b| {
-        b.iter(|| coder.decode(std::hint::black_box(&systematic), content.len()));
+    // What repair pays to regenerate one lost parity block.
+    group.bench_function("encode_one_parity_row", |b| {
+        b.iter(|| coder.encode_rows(std::hint::black_box(&content), &[4]));
     });
-    group.bench_function("decode_parity", |b| {
-        b.iter(|| coder.decode(std::hint::black_box(&parity), content.len()));
-    });
+    for (name, picked) in [
+        ("decode_systematic", &systematic),
+        ("decode_parity", &parity),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                coder
+                    .decode_shards(std::hint::black_box(picked), content.len())
+                    .map(|d| d.range(0, content.len()))
+            });
+        });
+    }
     group.finish();
 }
 

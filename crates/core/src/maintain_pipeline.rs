@@ -31,7 +31,11 @@
 //!   earlier commit in the same cycle invalidated its snapshot: the
 //!   catalog shard the plan read republished (its [`ShardStamp`] went
 //!   stale), a repository epoch the plan recorded advanced, or the clock
-//!   advanced under a time-dependent availability model.
+//!   advanced under a time-dependent availability model. A stale *coded*
+//!   repair keeps the blocks it regenerated when they are still the
+//!   right ones (same blocks missing, owner online and its repository
+//!   untouched) and re-runs only the live block-shipping walk —
+//!   `core.maintain.coded_replans_kept_blocks`.
 //!
 //! The plan phase is entirely lock-free on the catalog: one
 //! [`CatalogSnapshot`] is loaded per cycle (`core.maintain.snapshot_reuse`
@@ -68,13 +72,13 @@ use scdn_alloc::{CatalogSnapshot, ShardStamp};
 use scdn_graph::parallel::par_map_collect;
 use scdn_graph::NodeId;
 use scdn_sim::engine::SimTime;
-use scdn_storage::coding::{encode_blocks, CodingSpec};
+use scdn_storage::coding::CodingSpec;
 use scdn_storage::object::{DatasetId, Segment, SegmentId};
 use scdn_storage::repository::Partition;
 
 use scdn_alloc::replication::RebalancePolicy;
 
-use super::{Availability, RebalanceStrategy, Scdn};
+use super::{coded_missing, Availability, RebalanceStrategy, Scdn};
 
 /// One work item of a maintenance or repair cycle.
 struct WorkItem {
@@ -169,6 +173,7 @@ enum PlanKind {
         owner: NodeId,
         spec: CodingSpec,
         steps: Vec<CodedStep>,
+        regenerated: Regenerated,
     },
     /// Coded repair that must run from live state: the owner was offline
     /// at plan time, and the reconstruct path's any-k multi-source fetch
@@ -179,19 +184,17 @@ enum PlanKind {
     Shrink { drop: usize },
 }
 
-/// Coded-block indices of `dataset` absent from every host inventory in
-/// the snapshot (`0..n` minus the union). Empty when fully provisioned.
-fn coded_missing(snap: &CatalogSnapshot, dataset: DatasetId, spec: &CodingSpec) -> Vec<u32> {
-    let n = spec.n();
-    let mut present = vec![false; n as usize];
-    for (_, blocks) in snap.coded_inventory_of(dataset) {
-        for &b in blocks.iter() {
-            if b < n {
-                present[b as usize] = true;
-            }
-        }
-    }
-    (0..n).filter(|&b| !present[b as usize]).collect()
+/// The blocks a coded plan regenerated from the owner's plain copy, kept
+/// whole so a plan that goes stale on its *destinations* does not have to
+/// read and encode them again: they stay the right blocks for as long as
+/// the same ones are missing and the owner's repository has not changed.
+struct Regenerated {
+    /// Missing block indices at plan time, ascending.
+    missing: Vec<u32>,
+    /// `blocks[i]` is block `missing[i]`.
+    blocks: Vec<Segment>,
+    /// The owner's repository epoch when its plain copy was read.
+    owner_epoch: u64,
 }
 
 /// A fully planned work item: pure output of the parallel phase.
@@ -307,7 +310,9 @@ impl Scdn {
                 // missing (both the owner-online ship walk and the live
                 // reconstruct path rank), regardless of `want`.
                 Target::Grow { want } => match snap.coding_of(item.dataset) {
-                    Some(spec) => !coded_missing(&snap, item.dataset, &spec).is_empty(),
+                    Some(spec) => {
+                        !coded_missing(&snap.coded_inventory_of(item.dataset), &spec).is_empty()
+                    }
                     None => snap
                         .replicas_of(item.dataset)
                         .is_some_and(|r| r.len() < want),
@@ -427,8 +432,8 @@ impl Scdn {
         }
     }
 
-    /// Plan the coded repair of one dataset: regenerate the full block
-    /// set from the owner's plain copy (read-only) and replay the exact
+    /// Plan the coded repair of one dataset: regenerate the missing
+    /// blocks from the owner's plain copy (read-only) and replay the exact
     /// block-shipping walk [`Scdn::restore_coded`] would perform against
     /// the snapshot's inventory — one missing block per accepted
     /// candidate, a failed chain retrying the same block on the next one,
@@ -446,7 +451,8 @@ impl Scdn {
             repos_read: Vec::new(),
             kind,
         };
-        let missing = coded_missing(snap, dataset, &spec);
+        let inventory = snap.coded_inventory_of(dataset);
+        let missing = coded_missing(&inventory, &spec);
         if missing.is_empty() {
             return noop(PlanKind::Noop);
         }
@@ -456,23 +462,18 @@ impl Scdn {
         if !self.is_online(owner) {
             return noop(PlanKind::CodedLive);
         }
-        // Re-encode from the owner's plain segment set. A fetch failure
-        // aborts the serial path before any effect (`reassemble_plain`
-        // errors out of `replicate_to`), so a Noop reproduces it.
-        let Some(segment_count) = snap.segments_of(dataset) else {
+        // A read failure aborts the serial path before any effect
+        // (`restore_coded` errors out of `replicate_to`), so a Noop
+        // reproduces it.
+        let Some(segments) = snap.segments_of(dataset) else {
             return noop(PlanKind::Noop);
         };
-        let src_repo = &self.repos[owner.index()];
-        let mut content = Vec::new();
-        for ordinal in 0..segment_count {
-            let Ok(seg) = src_repo.fetch(Partition::User, SegmentId { dataset, ordinal }) else {
-                return noop(PlanKind::Noop);
-            };
-            content.extend_from_slice(&seg.data);
-        }
-        let blocks = encode_blocks(&spec, dataset, &content);
-        let used: Vec<NodeId> = snap
-            .coded_inventory_of(dataset)
+        let owner_epoch = self.repo_epochs[owner.index()];
+        let Ok(blocks) = self.regenerate_coded_blocks(dataset, owner, &spec, segments, &missing)
+        else {
+            return noop(PlanKind::Noop);
+        };
+        let used: Vec<NodeId> = inventory
             .into_iter()
             .filter(|(_, b)| !b.is_empty())
             .map(|(n, _)| n)
@@ -480,10 +481,10 @@ impl Scdn {
         let mut steps = Vec::new();
         let mut repos_read = Vec::new();
         let mut sim_clock = self.clock;
-        let mut queue = missing.into_iter();
+        let mut queue = missing.iter().copied().zip(&blocks);
         let mut next = queue.next();
         for &cand in ranked {
-            let Some(block) = next else { break };
+            let Some((block, seg)) = next else { break };
             if cand == owner || used.contains(&cand) {
                 continue;
             }
@@ -499,7 +500,6 @@ impl Scdn {
                 continue;
             }
             repos_read.push((cand.index() as u32, self.repo_epochs[cand.index()]));
-            let seg = &blocks[block as usize];
             let dst_repo = &self.repos[cand.index()];
             let sim =
                 self.engine
@@ -536,7 +536,16 @@ impl Scdn {
         MaintainPlan {
             stamp,
             repos_read,
-            kind: PlanKind::CodedGrow { owner, spec, steps },
+            kind: PlanKind::CodedGrow {
+                owner,
+                spec,
+                steps,
+                regenerated: Regenerated {
+                    missing,
+                    blocks,
+                    owner_epoch,
+                },
+            },
         }
     }
 
@@ -667,10 +676,15 @@ impl Scdn {
                 self.maintain_committed.inc();
                 self.apply_grow(item.dataset, owner, cands)
             }
-            PlanKind::CodedGrow { owner, spec, steps } => {
+            PlanKind::CodedGrow {
+                owner,
+                spec,
+                steps,
+                regenerated,
+            } => {
                 if self.grow_plan_stale(stamp, &repos_read, planned_clock) {
                     self.maintain_replanned.inc();
-                    return self.commit_item_live(item);
+                    return self.commit_coded_stale(item, owner, spec, regenerated);
                 }
                 self.maintain_committed.inc();
                 self.apply_coded(item.dataset, owner, spec, steps)
@@ -704,6 +718,40 @@ impl Scdn {
                 shed.len()
             }
         }
+    }
+
+    /// Commit a coded repair whose plan went stale. What the plan read of
+    /// the *destinations* (inventory hosts, candidate liveness and quotas)
+    /// is gone, but the blocks it regenerated are still exactly what the
+    /// live path would regenerate when the same blocks are missing, the
+    /// owner is still online, and the owner's repository epoch has not
+    /// moved — then only the live block-shipping walk re-runs, with the
+    /// staged blocks. Anything else replays the item from live state.
+    fn commit_coded_stale(
+        &mut self,
+        item: &WorkItem,
+        owner: NodeId,
+        spec: CodingSpec,
+        staged: Regenerated,
+    ) -> usize {
+        let live_missing = self
+            .alloc
+            .coded_inventory(item.dataset)
+            .map(|inventory| coded_missing(&inventory, &spec));
+        if live_missing.as_deref() != Ok(&staged.missing[..])
+            || !self.is_online(owner)
+            || self.repo_epochs[owner.index()] != staged.owner_epoch
+        {
+            return self.commit_item_live(item);
+        }
+        self.coded_replans_kept_blocks.inc();
+        let added = self
+            .ship_coded_blocks(item.dataset, owner, &spec, &staged.missing, &staged.blocks)
+            .unwrap_or_default();
+        for &n in &added {
+            self.repo_epochs[n.index()] += 1;
+        }
+        added.len()
     }
 
     /// Apply a fresh grow plan's effects in the serial per-candidate
@@ -831,21 +879,7 @@ impl Scdn {
             self.repo_epochs[s.cand.index()] += 1;
             added += 1;
         }
-        // Closing durability sample in replica-equivalents, from live
-        // state (mirrors `ship_coded_blocks`).
-        let inventory = self.alloc.coded_inventory(dataset).unwrap_or_default();
-        let mut present = vec![false; spec.n() as usize];
-        for (_, b) in &inventory {
-            for &i in b.iter() {
-                if i < spec.n() {
-                    present[i as usize] = true;
-                }
-            }
-        }
-        let distinct = present.iter().filter(|&&p| p).count();
-        self.cdn_metrics
-            .redundancy
-            .record(distinct as f64 / spec.k as f64);
+        self.record_coded_redundancy(dataset, &spec);
         added
     }
 }

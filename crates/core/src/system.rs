@@ -23,7 +23,7 @@ use scdn_middleware::authz::{AccessDecision, AccessPolicy};
 use scdn_net::failure::{AttemptOutcome, FailureModel};
 use scdn_net::overlay::{PeerCertificate, SocialOverlay};
 use scdn_net::topology::{LinkQuality, Topology};
-use scdn_net::transfer::{CodedSource, TransferEngine, TransferError};
+use scdn_net::transfer::{CodedFetchReport, CodedSource, TransferEngine, TransferError};
 use scdn_obs::{
     Counter, Gauge, HistogramConfig, Registry, SharedHistogram, SpanStatus, TraceCollector,
 };
@@ -35,7 +35,10 @@ use scdn_social::corpus::Corpus;
 use scdn_social::platform::SocialPlatform;
 use scdn_social::trustgraph::TrustSubgraph;
 use scdn_storage::cache::{CacheManager, EvictionPolicy};
-use scdn_storage::coding::{decode_blocks, encode_blocks, CodedBlockId, CodingConfig, CodingSpec};
+use scdn_storage::coding::{
+    decode_block_shards, decode_blocks, encode_block_rows, CodedBlockId, CodingConfig, CodingError,
+    CodingSpec, ErasureCoder,
+};
 use scdn_storage::object::{Dataset, DatasetId, Segment, SegmentId, Sensitivity};
 use scdn_storage::repository::{Partition, RepoError, StorageRepository};
 use scdn_trust::interaction::InteractionLedger;
@@ -163,6 +166,8 @@ pub enum ScdnError {
     Repo(RepoError),
     /// Node index outside the membership.
     UnknownNode(NodeId),
+    /// The configured erasure-coding scheme cannot be built.
+    Coding(CodingError),
 }
 
 impl std::fmt::Display for ScdnError {
@@ -174,6 +179,7 @@ impl std::fmt::Display for ScdnError {
             ScdnError::Transfer(e) => write!(f, "transfer: {e}"),
             ScdnError::Repo(e) => write!(f, "storage: {e}"),
             ScdnError::UnknownNode(n) => write!(f, "unknown node {n:?}"),
+            ScdnError::Coding(e) => write!(f, "coding: {e}"),
         }
     }
 }
@@ -330,6 +336,22 @@ pub struct Scdn {
     /// (`alloc.ranking.cache.{retained,evicted}`).
     ranking_retained: Counter,
     ranking_evicted: Counter,
+    /// What coded requests did with blocks (`core.coded.*`): blocks a
+    /// fetch landed, blocks the requester already held, donor chains
+    /// dropped for serving corrupt bytes, and data shards that had to be
+    /// reconstructed from parity (0 while every data block arrives).
+    coded_blocks_landed: Counter,
+    coded_blocks_preexisting: Counter,
+    coded_discarded_corrupt: Counter,
+    coded_shards_reconstructed: Counter,
+    /// Coded blocks regenerated from an owner's plain copy
+    /// (`core.maintain.coded_rows_encoded`), and stale coded repair plans
+    /// that committed with the blocks they had already regenerated
+    /// (`core.maintain.coded_replans_kept_blocks`). Both depend on how
+    /// often plans go stale, so they differ between serial and pipelined
+    /// runs like the rest of `core.maintain.*`.
+    coded_rows_encoded: Counter,
+    coded_replans_kept_blocks: Counter,
 }
 
 /// What one [`Scdn::apply_graph_delta`] call did: how much of the CSR was
@@ -364,6 +386,75 @@ fn attempt_status(outcome: AttemptOutcome) -> SpanStatus {
         AttemptOutcome::Delivered => SpanStatus::Ok,
         AttemptOutcome::Lost => SpanStatus::Lost,
         AttemptOutcome::Corrupted => SpanStatus::Corrupted,
+    }
+}
+
+/// Which of the coded blocks `0..n` some host in `inventory` advertises.
+fn coded_present(inventory: &[(NodeId, Arc<Vec<u32>>)], n: u32) -> Vec<bool> {
+    let mut present = vec![false; n as usize];
+    for (_, blocks) in inventory {
+        for &b in blocks.iter() {
+            if b < n {
+                present[b as usize] = true;
+            }
+        }
+    }
+    present
+}
+
+/// How many distinct coded blocks of `0..n` the hosts in `inventory`
+/// advertise between them.
+fn coded_distinct(inventory: &[(NodeId, Arc<Vec<u32>>)], n: u32) -> usize {
+    coded_present(inventory, n).iter().filter(|&&p| p).count()
+}
+
+/// Coded-block indices absent from every host inventory (`0..n` minus the
+/// union), ascending. Empty when the dataset is fully provisioned.
+pub(crate) fn coded_missing(inventory: &[(NodeId, Arc<Vec<u32>>)], spec: &CodingSpec) -> Vec<u32> {
+    let present = coded_present(inventory, spec.n());
+    (0..spec.n()).filter(|&b| !present[b as usize]).collect()
+}
+
+/// The blocks a successful coded fetch left the destination holding: the
+/// ones it landed, as handed back (verified where the donor read them),
+/// after the ones that were already in the partition, fetched — and so
+/// verified — from it.
+fn fetched_blocks(
+    dst_repo: &StorageRepository,
+    partition: Partition,
+    dataset: DatasetId,
+    rep: &CodedFetchReport,
+) -> Result<Vec<Segment>, ScdnError> {
+    let mut blocks = Vec::with_capacity(rep.pre_existing.len() + rep.landed.len());
+    for &index in &rep.pre_existing {
+        let id = CodedBlockId { dataset, index }.segment_id();
+        blocks.push(dst_repo.fetch(partition, id).map_err(ScdnError::Repo)?);
+    }
+    blocks.extend(rep.landed.iter().cloned());
+    Ok(blocks)
+}
+
+/// Give back the blocks a coded fetch landed; blocks that were in the
+/// partition before it stay.
+fn discard_landed(dst_repo: &StorageRepository, partition: Partition, rep: &CodedFetchReport) {
+    for seg in &rep.landed {
+        let _ = dst_repo.remove(partition, seg.id, false);
+    }
+}
+
+/// Drop every coded block of `dataset` a decoded fetch counted toward k,
+/// landed or already present: once the content is recovered they are
+/// scaffolding.
+fn discard_scaffolding(
+    dst_repo: &StorageRepository,
+    partition: Partition,
+    dataset: DatasetId,
+    rep: &CodedFetchReport,
+) {
+    discard_landed(dst_repo, partition, rep);
+    for &index in &rep.pre_existing {
+        let id = CodedBlockId { dataset, index }.segment_id();
+        let _ = dst_repo.remove(partition, id, false);
     }
 }
 
@@ -495,6 +586,12 @@ impl Scdn {
         let delta_chunks_shared = registry.counter("core.graph.delta_chunks_shared");
         let ranking_retained = registry.counter("alloc.ranking.cache.retained");
         let ranking_evicted = registry.counter("alloc.ranking.cache.evicted");
+        let coded_blocks_landed = registry.counter("core.coded.blocks_landed");
+        let coded_blocks_preexisting = registry.counter("core.coded.blocks_preexisting");
+        let coded_discarded_corrupt = registry.counter("core.coded.discarded_corrupt");
+        let coded_shards_reconstructed = registry.counter("core.coded.shards_reconstructed");
+        let coded_rows_encoded = registry.counter("core.maintain.coded_rows_encoded");
+        let coded_replans_kept_blocks = registry.counter("core.maintain.coded_replans_kept_blocks");
         Scdn {
             social: sub.graph.clone(),
             social_csr: CsrGraph::from(&sub.graph),
@@ -541,6 +638,12 @@ impl Scdn {
             delta_chunks_shared,
             ranking_retained,
             ranking_evicted,
+            coded_blocks_landed,
+            coded_blocks_preexisting,
+            coded_discarded_corrupt,
+            coded_shards_reconstructed,
+            coded_rows_encoded,
+            coded_replans_kept_blocks,
             config,
         }
     }
@@ -748,6 +851,11 @@ impl Scdn {
         policy: Option<AccessPolicy>,
     ) -> Result<DatasetId, ScdnError> {
         self.check_node(node)?;
+        // A coding scheme no coder can be built for fails the publish
+        // before it has any effect.
+        if let CodingConfig::Rs { k, m } = self.config.coding {
+            ErasureCoder::try_new(k, m, self.config.seed).map_err(ScdnError::Coding)?;
+        }
         self.middleware.authorize_op(self.sessions[node.index()])?;
         let id = DatasetId(self.next_dataset);
         self.next_dataset += 1;
@@ -765,10 +873,6 @@ impl Scdn {
                     .register_dataset(id, dataset.segment_count() as u32, node)?;
             }
             CodingConfig::Rs { k, m } => {
-                assert!(
-                    k >= 1 && m >= 1 && (k as usize + m as usize) <= 255,
-                    "invalid Rs coding config: need 1 <= k, 1 <= m, k + m <= 255"
-                );
                 // The owner keeps the plain segment set as the primary
                 // copy; durability comes from the k+m coded blocks that
                 // `replicate` spreads one per host.
@@ -959,12 +1063,13 @@ impl Scdn {
     /// Bring a coded dataset's block inventory back to `n = k + m` distinct
     /// blocks, regenerating *only the missing ones*. Two regimes:
     ///
-    /// * **Owner online** — the owner re-encodes from its plain copy and
-    ///   ships each missing block to a fresh host: `missing × (S/k)` bytes
-    ///   on the wire, versus the `r × S` a whole-replica repair would move.
+    /// * **Owner online** — the owner regenerates the missing blocks from
+    ///   its plain copy and ships each to a fresh host: `missing × (S/k)`
+    ///   bytes on the wire, versus the `r × S` a whole-replica repair
+    ///   would move.
     /// * **Owner offline** — a rebuilder fetches any `k` surviving blocks
-    ///   (one coded multi-source fetch), decodes, re-encodes, keeps the
-    ///   first missing block, and ships the rest.
+    ///   (one coded multi-source fetch), decodes, regenerates the missing
+    ///   blocks, keeps the first and ships the rest.
     ///
     /// Blocks a surviving peer already holds are never transferred again.
     fn restore_coded(&mut self, dataset: DatasetId) -> Result<Vec<NodeId>, ScdnError> {
@@ -978,53 +1083,54 @@ impl Scdn {
             .coding_of(dataset)?
             .ok_or(ScdnError::Alloc(AllocationError::UnknownDataset(dataset)))?;
         let inventory = self.alloc.coded_inventory(dataset)?;
-        let n = spec.n();
-        let mut present = vec![false; n as usize];
-        for (_, blocks) in &inventory {
-            for &b in blocks.iter() {
-                if b < n {
-                    present[b as usize] = true;
-                }
-            }
-        }
-        let missing: Vec<u32> = (0..n).filter(|&b| !present[b as usize]).collect();
+        let missing = coded_missing(&inventory, &spec);
         if missing.is_empty() {
             return Ok(Vec::new());
         }
         if self.is_online(owner) {
-            let content = self.reassemble_plain(dataset, owner)?;
-            let blocks = encode_blocks(&spec, dataset, &content);
+            let segments = self.alloc.segments_of(dataset)?;
+            let blocks = self
+                .regenerate_coded_blocks(dataset, owner, &spec, segments, &missing)
+                .map_err(ScdnError::Repo)?;
             self.ship_coded_blocks(dataset, owner, &spec, &missing, &blocks)
         } else {
             self.restore_coded_reconstruct(dataset, owner, &spec, &inventory, &missing)
         }
     }
 
-    /// Concatenate the owner's plain segment set back into the original
-    /// byte string (the inverse of the `publish` segmentation).
-    fn reassemble_plain(
+    /// Regenerate coded blocks `rows` of `dataset` from the owner's plain
+    /// copy: read (and verify) the `segments` plain segments out of the
+    /// owner's user partition back into the published byte string, then
+    /// encode exactly those rows. Read-only, so the serial repair and a
+    /// parallel planning worker share it.
+    pub(crate) fn regenerate_coded_blocks(
         &self,
         dataset: DatasetId,
         owner: NodeId,
-    ) -> Result<bytes::Bytes, ScdnError> {
+        spec: &CodingSpec,
+        segments: u32,
+        rows: &[u32],
+    ) -> Result<Vec<Segment>, RepoError> {
         let repo = &self.repos[owner.index()];
-        let mut buf = Vec::new();
-        for id in self.segment_ids(dataset)? {
-            let seg = repo.fetch(Partition::User, id).map_err(ScdnError::Repo)?;
-            buf.extend_from_slice(&seg.data);
+        let mut content = Vec::with_capacity(spec.total_len as usize);
+        for ordinal in 0..segments {
+            let seg = repo.fetch(Partition::User, SegmentId { dataset, ordinal })?;
+            content.extend_from_slice(&seg.data);
         }
-        Ok(bytes::Bytes::from(buf))
+        self.coded_rows_encoded.add(rows.len() as u64);
+        Ok(encode_block_rows(spec, dataset, &content, rows))
     }
 
-    /// Ship `missing` coded blocks (ascending) from `src` — which holds the
-    /// freshly encoded block set in memory — to new hosts drawn from the
-    /// placement ranking, one block per accepted candidate. Candidates that
-    /// already hold blocks of this dataset are skipped (their inventory is
-    /// the point of erasure coding: one loss domain per block); offline
-    /// candidates burn a hosting request, exactly like whole-replica
-    /// placement; a failed transfer burns the candidate and retries the
-    /// same block on the next one.
-    fn ship_coded_blocks(
+    /// Ship the regenerated coded blocks `blocks` — `blocks[i]` is block
+    /// `missing[i]`, ascending — from `src`, which holds them in memory,
+    /// to new hosts drawn from the placement ranking, one block per
+    /// accepted candidate. Candidates that already hold blocks of this
+    /// dataset are skipped (their inventory is the point of erasure
+    /// coding: one loss domain per block); offline candidates burn a
+    /// hosting request, exactly like whole-replica placement; a failed
+    /// transfer burns the candidate and retries the same block on the
+    /// next one.
+    pub(crate) fn ship_coded_blocks(
         &mut self,
         dataset: DatasetId,
         src: NodeId,
@@ -1042,10 +1148,10 @@ impl Scdn {
             .collect();
         let ranked = self.placement_ranking();
         let mut added = Vec::new();
-        let mut queue = missing.iter().copied();
+        let mut queue = missing.iter().copied().zip(blocks);
         let mut next = queue.next();
         for &cand in ranked.iter() {
-            let Some(block) = next else { break };
+            let Some((block, seg)) = next else { break };
             if Some(cand) == owner || cand == src || used.contains(&cand) {
                 continue;
             }
@@ -1059,7 +1165,6 @@ impl Scdn {
                 continue;
             }
             let dst_repo = self.repos[cand.index()].clone();
-            let seg = &blocks[block as usize];
             let (att_ok, att_lost, att_bad) = (
                 self.att_delivered.clone(),
                 self.att_lost.clone(),
@@ -1098,29 +1203,26 @@ impl Scdn {
                 }
             }
         }
-        // Durability sample in replica-equivalents: n/k distinct blocks
-        // tolerate the same m losses as m+1 whole replicas.
-        let inventory = self.alloc.coded_inventory(dataset)?;
-        let mut present = vec![false; spec.n() as usize];
-        for (_, b) in &inventory {
-            for &i in b.iter() {
-                if i < spec.n() {
-                    present[i as usize] = true;
-                }
-            }
-        }
-        let distinct = present.iter().filter(|&&p| p).count();
+        self.record_coded_redundancy(dataset, spec);
+        Ok(added)
+    }
+
+    /// Durability sample of a coded dataset in replica-equivalents, from
+    /// the live inventory: n/k distinct blocks tolerate the same m losses
+    /// as m+1 whole replicas.
+    pub(crate) fn record_coded_redundancy(&mut self, dataset: DatasetId, spec: &CodingSpec) {
+        let inventory = self.alloc.coded_inventory(dataset).unwrap_or_default();
+        let distinct = coded_distinct(&inventory, spec.n());
         self.cdn_metrics
             .redundancy
             .record(distinct as f64 / spec.k as f64);
-        Ok(added)
     }
 
     /// Owner-offline coded repair: pick the first ranked online non-host as
     /// the rebuilder, fetch any `k` surviving blocks into it, decode,
-    /// re-encode, keep the first missing block locally and ship the rest.
-    /// Costs `k` blocks in plus `missing - 1` out — still far below a full
-    /// re-replication when few blocks are missing.
+    /// regenerate the missing blocks, keep the first locally and ship the
+    /// rest. Costs `k` blocks in plus `missing - 1` out — still far below
+    /// a full re-replication when few blocks are missing.
     fn restore_coded_reconstruct(
         &mut self,
         dataset: DatasetId,
@@ -1135,15 +1237,7 @@ impl Scdn {
             .filter(|(nid, b)| !b.is_empty() && self.is_online(*nid))
             .cloned()
             .collect();
-        let mut present = vec![false; spec.n() as usize];
-        for (_, b) in &donors {
-            for &i in b.iter() {
-                if i < spec.n() {
-                    present[i as usize] = true;
-                }
-            }
-        }
-        if present.iter().filter(|&&p| p).count() < k as usize {
+        if coded_distinct(&donors, spec.n()) < k as usize {
             // Not enough surviving blocks reachable: the dataset is not
             // repairable until hosts return (the owner's plain copy may
             // still come back).
@@ -1213,38 +1307,44 @@ impl Scdn {
         if err.is_some() {
             return Ok(Vec::new());
         }
-        let landed = dst_repo.list_coded(Partition::Replica, dataset);
-        let mut fetched = Vec::with_capacity(landed.len());
-        for &b in &landed {
-            let id = CodedBlockId { dataset, index: b }.segment_id();
-            fetched.push(
-                dst_repo
-                    .fetch(Partition::Replica, id)
-                    .map_err(ScdnError::Repo)?,
-            );
-        }
-        let content = decode_blocks(spec, &fetched).map_err(|_| {
-            ScdnError::Transfer(TransferError::InsufficientBlocks {
-                dataset,
-                have: fetched.len() as u32,
-                need: k,
-            })
-        })?;
-        let blocks = encode_blocks(spec, dataset, &content);
-        // The fetched donor blocks were scaffolding; the rebuilder keeps
-        // only the first regenerated missing block.
-        for &b in &landed {
-            let id = CodedBlockId { dataset, index: b }.segment_id();
-            let _ = dst_repo.remove(Partition::Replica, id, false);
-        }
-        let keep = missing[0];
+        let regenerated =
+            fetched_blocks(&dst_repo, Partition::Replica, dataset, &rep).and_then(|fetched| {
+                let content = decode_blocks(spec, &fetched).map_err(|_| {
+                    ScdnError::Transfer(TransferError::InsufficientBlocks {
+                        dataset,
+                        have: fetched.len() as u32,
+                        need: k,
+                    })
+                })?;
+                self.coded_rows_encoded.add(missing.len() as u64);
+                Ok(encode_block_rows(spec, dataset, &content, missing))
+            });
+        // The fetched donor blocks were scaffolding: a rebuild that fails
+        // gives back what it landed, one that succeeds keeps only the
+        // first regenerated missing block.
+        let blocks = match regenerated {
+            Ok(blocks) => blocks,
+            Err(e) => {
+                discard_landed(&dst_repo, Partition::Replica, &rep);
+                return Err(e);
+            }
+        };
+        discard_scaffolding(&dst_repo, Partition::Replica, dataset, &rep);
+        let keep = &blocks[0];
         dst_repo
-            .store(Partition::Replica, blocks[keep as usize].clone())
+            .store(Partition::Replica, keep.clone())
             .map_err(ScdnError::Repo)?;
-        self.alloc.add_coded_blocks(dataset, rebuilder, &[keep])?;
-        self.caches[rebuilder.index()].set_pinned(blocks[keep as usize].id, true);
+        self.alloc
+            .add_coded_blocks(dataset, rebuilder, &missing[..1])?;
+        self.caches[rebuilder.index()].set_pinned(keep.id, true);
         let mut added = vec![rebuilder];
-        added.extend(self.ship_coded_blocks(dataset, rebuilder, spec, &missing[1..], &blocks)?);
+        added.extend(self.ship_coded_blocks(
+            dataset,
+            rebuilder,
+            spec,
+            &missing[1..],
+            &blocks[1..],
+        )?);
         Ok(added)
     }
 
@@ -1255,6 +1355,14 @@ impl Scdn {
     /// requester owns it, or fewer than `k` distinct blocks are reachable
     /// (the fallback decision is read-only, so no session budget is spent
     /// twice).
+    ///
+    /// A block is verified once, where the donor reads it; the requester
+    /// decodes from the segments the fetch hands back, the data shards
+    /// among them pass through untouched, and the plain segments it
+    /// stores are slices of those shards wherever a segment lies inside
+    /// one. A fetch that cannot be decoded — a block the requester already
+    /// held is corrupt at rest, or a block is the wrong size — fails the
+    /// request and gives back everything it landed.
     pub fn request_coded(
         &mut self,
         node: NodeId,
@@ -1274,16 +1382,7 @@ impl Scdn {
                 .into_iter()
                 .filter(|(nid, b)| !b.is_empty() && *nid != node && self.is_online(*nid))
                 .collect();
-            let mut present = vec![false; spec.n() as usize];
-            for (_, b) in &donors {
-                for &i in b.iter() {
-                    if i < spec.n() {
-                        present[i as usize] = true;
-                    }
-                }
-            }
-            let distinct = present.iter().filter(|&&p| p).count();
-            (distinct >= spec.k as usize).then_some((spec, donors))
+            (coded_distinct(&donors, spec.n()) >= spec.k as usize).then_some((spec, donors))
         })();
         let Some((spec, donors)) = ready else {
             return self.request(node, dataset);
@@ -1340,6 +1439,11 @@ impl Scdn {
         );
         self.cdn_metrics.bytes_transferred += rep.total_bytes;
         self.clock = self.clock.plus_millis(rep.total_ms as u64);
+        self.coded_blocks_landed.add(rep.landed.len() as u64);
+        self.coded_blocks_preexisting
+            .add(rep.pre_existing.len() as u64);
+        self.coded_discarded_corrupt
+            .add(u64::from(rep.discarded_corrupt));
         if let Some(e) = err {
             self.cdn_metrics.failures += 1;
             self.social_metrics
@@ -1359,33 +1463,33 @@ impl Scdn {
                 .record_exchange(donor, node.index(), bytes, true);
             self.clients[donor].record_served(bytes);
         }
-        // Decode the landed blocks back into the original bytes, then
-        // replace the scaffolding with the plain segment set the rest of
-        // the system expects in the requester's user partition.
-        let landed = dst_repo.list_coded(Partition::User, dataset);
-        let mut fetched = Vec::with_capacity(landed.len());
-        for &b in &landed {
-            let id = CodedBlockId { dataset, index: b }.segment_id();
-            fetched.push(
-                dst_repo
-                    .fetch(Partition::User, id)
-                    .map_err(ScdnError::Repo)?,
-            );
-        }
-        let content = decode_blocks(&spec, &fetched).map_err(|_| {
-            ScdnError::Transfer(TransferError::InsufficientBlocks {
-                dataset,
-                have: fetched.len() as u32,
-                need: spec.k as u32,
-            })
-        })?;
-        for &b in &landed {
-            let id = CodedBlockId { dataset, index: b }.segment_id();
-            let _ = dst_repo.remove(Partition::User, id, false);
-        }
+        // Recover the data shards from the blocks on hand, then replace
+        // the scaffolding with the plain segment set the rest of the
+        // system expects in the requester's user partition.
+        let decoded =
+            fetched_blocks(&dst_repo, Partition::User, dataset, &rep).and_then(|fetched| {
+                decode_block_shards(&spec, &fetched).map_err(|_| {
+                    ScdnError::Transfer(TransferError::InsufficientBlocks {
+                        dataset,
+                        have: fetched.len() as u32,
+                        need: spec.k as u32,
+                    })
+                })
+            });
+        let decoded = match decoded {
+            Ok(decoded) => decoded,
+            Err(e) => {
+                discard_landed(&dst_repo, Partition::User, &rep);
+                self.cdn_metrics.failures += 1;
+                return Err(e);
+            }
+        };
+        self.coded_shards_reconstructed
+            .add(decoded.reconstructed as u64);
+        discard_scaffolding(&dst_repo, Partition::User, dataset, &rep);
         let mut applied_new: Vec<SegmentId> = Vec::new();
         let seg_size = self.config.segment_size.max(1);
-        let total = content.len();
+        let total = spec.total_len as usize;
         let count = total.div_ceil(seg_size).max(1);
         for ordinal in 0..count {
             let start = ordinal * seg_size;
@@ -1395,7 +1499,7 @@ impl Scdn {
                     dataset,
                     ordinal: ordinal as u32,
                 },
-                content.slice(start..end),
+                decoded.range(start, end),
             );
             let pre_existing = dst_repo.contains_in(Partition::User, seg.id);
             match dst_repo.store(Partition::User, seg) {

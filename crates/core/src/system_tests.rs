@@ -786,3 +786,177 @@ fn graph_delta_path_matches_flush_oracle_resolutions() {
             .get()
     );
 }
+
+// ---- coded requests and repairs that cannot decode -----------------------
+
+use scdn_net::transfer::TransferError;
+use scdn_storage::coding::{CodedBlockId, CodingConfig, CodingError};
+use scdn_storage::object::{DatasetId, Segment};
+use scdn_storage::repository::RepoError;
+
+/// An RS(3,2) system with one 10 000 B dataset published at node 0 and
+/// its five blocks placed; returns the block hosts in placement order.
+fn coded_system() -> (Scdn, DatasetId, Vec<NodeId>) {
+    let (c, sub) = community();
+    let config = ScdnConfig {
+        segment_size: 2 << 10,
+        coding: CodingConfig::Rs { k: 3, m: 2 },
+        ..Default::default()
+    };
+    let mut scdn = Scdn::build(&sub, &c.corpus, config);
+    let dataset = scdn
+        .publish(
+            NodeId(0),
+            "coded",
+            Bytes::from((0..10_000u32).map(|i| (i % 251) as u8).collect::<Vec<u8>>()),
+            Sensitivity::Public,
+            None,
+        )
+        .expect("publishes");
+    let hosts = scdn.replicate(dataset).expect("places every block");
+    assert_eq!(hosts.len(), 5);
+    (scdn, dataset, hosts)
+}
+
+/// Block `index` as some host stores it.
+fn stored_block(scdn: &Scdn, dataset: DatasetId, index: u32) -> Segment {
+    let id = CodedBlockId { dataset, index }.segment_id();
+    let inventory = scdn.allocation().coded_inventory(dataset).expect("coded");
+    let (host, _) = inventory
+        .iter()
+        .find(|(_, blocks)| blocks.contains(&index))
+        .expect("block is placed");
+    scdn.repos[host.index()]
+        .fetch(Partition::Replica, id)
+        .expect("host holds it")
+}
+
+/// Block `index` with a flipped byte under its original checksum.
+fn corrupt_at_rest(good: &Segment) -> Segment {
+    let mut raw = good.data.to_vec();
+    raw[0] ^= 0xff;
+    Segment {
+        id: good.id,
+        data: Bytes::from(raw),
+        checksum: good.checksum,
+    }
+}
+
+/// A self-consistent block of the wrong size under `good`'s id.
+fn mis_sized(good: &Segment) -> Segment {
+    Segment::new(good.id, good.data.slice(..good.len() - 1))
+}
+
+#[test]
+fn failed_coded_request_gives_back_what_it_landed() {
+    type Plant = (fn(&Segment) -> Segment, fn(&ScdnError) -> bool);
+    let plant: [Plant; 2] = [
+        (corrupt_at_rest, |e| {
+            matches!(e, ScdnError::Repo(RepoError::IntegrityFailure(_)))
+        }),
+        (mis_sized, |e| {
+            matches!(
+                e,
+                ScdnError::Transfer(TransferError::InsufficientBlocks {
+                    have: 3,
+                    need: 3,
+                    ..
+                })
+            )
+        }),
+    ];
+    for (bad_block, expected) in plant {
+        let (mut scdn, dataset, hosts) = coded_system();
+        let requester = (1..scdn.member_count() as u32)
+            .map(NodeId)
+            .find(|n| !hosts.contains(n))
+            .expect("a member hosting nothing");
+        // The requester already holds block 4 in its user partition — the
+        // fetch counts it toward k without looking inside.
+        let planted = bad_block(&stored_block(&scdn, dataset, 4));
+        let repo = scdn.repo(requester).expect("member").clone();
+        repo.store(Partition::User, planted.clone()).expect("fits");
+        let used_before = repo.used();
+        let failures_before = scdn.cdn_metrics.failures;
+
+        let err = scdn
+            .request_coded(requester, dataset)
+            .expect_err("an undecodable fetch fails the request");
+        assert!(expected(&err), "unexpected error: {err:?}");
+        assert_eq!(repo.used(), used_before, "landed blocks were given back");
+        assert_eq!(
+            repo.list(Partition::User),
+            vec![planted.id],
+            "the block that was there before stays, nothing else does"
+        );
+        assert_eq!(scdn.cdn_metrics.failures, failures_before + 1);
+        let snap = scdn.observability_snapshot();
+        assert_eq!(snap.counter("core.coded.blocks_landed"), Some(2));
+        assert_eq!(snap.counter("core.coded.blocks_preexisting"), Some(1));
+    }
+}
+
+#[test]
+fn failed_coded_rebuild_gives_back_what_it_landed() {
+    // Owner and one block host gone: repair must reconstruct at a
+    // rebuilder. A dry run names the rebuilder the ranking picks.
+    let lose = |scdn: &mut Scdn, hosts: &[NodeId]| {
+        scdn.depart(NodeId(0)).expect("owner departs");
+        scdn.depart(hosts[0]).expect("host departs");
+    };
+    let (mut dry, dataset, hosts) = coded_system();
+    lose(&mut dry, &hosts);
+    let rebuilder = dry.replicate(dataset).expect("rebuilds")[0];
+
+    let (mut scdn, dataset, hosts) = coded_system();
+    lose(&mut scdn, &hosts);
+    let surviving = scdn.allocation().coded_inventory(dataset).expect("coded");
+    let index = *surviving[0].1.first().expect("holds a block");
+    let planted = mis_sized(&stored_block(&scdn, dataset, index));
+    let repo = scdn.repo(rebuilder).expect("member").clone();
+    repo.store(Partition::Replica, planted.clone())
+        .expect("fits");
+    let used_before = repo.used();
+
+    assert!(scdn.replicate(dataset).is_err(), "rebuild cannot decode");
+    assert_eq!(repo.used(), used_before, "landed blocks were given back");
+    assert_eq!(repo.list(Partition::Replica), vec![planted.id]);
+    assert_eq!(
+        scdn.allocation().coded_inventory(dataset).expect("coded"),
+        surviving,
+        "a failed rebuild announces nothing"
+    );
+}
+
+#[test]
+fn bad_coding_config_fails_the_publish_before_any_effect() {
+    let (c, sub) = community();
+    for (k, m) in [(0u8, 2u8), (3, 0), (200, 56)] {
+        let config = ScdnConfig {
+            coding: CodingConfig::Rs { k, m },
+            ..Default::default()
+        };
+        let mut scdn = Scdn::build(&sub, &c.corpus, config);
+        let owner = NodeId(2);
+        let publish = |scdn: &mut Scdn| {
+            scdn.publish(
+                owner,
+                "d",
+                Bytes::from(vec![7u8; 4096]),
+                Sensitivity::Public,
+                None,
+            )
+        };
+        let err = publish(&mut scdn).expect_err("no coder exists for this scheme");
+        assert!(
+            matches!(err, ScdnError::Coding(CodingError::BadParameters)),
+            "RS({k},{m}): {err:?}"
+        );
+        assert_eq!(scdn.repo(owner).expect("member").used(), 0);
+        assert_eq!(scdn.allocation().dataset_count(), 0);
+        assert_eq!(scdn.social_metrics.allocated_bytes, 0);
+        // The id the failed publish would have taken is still free.
+        scdn.config.coding = CodingConfig::Rs { k: 2, m: 1 };
+        assert_eq!(publish(&mut scdn).expect("valid scheme"), DatasetId(0));
+    }
+}

@@ -1,6 +1,6 @@
 //! Equivalence properties of the erasure-coded storage scheme.
 //!
-//! Three contracts:
+//! Four contracts:
 //!
 //! 1. With [`CodingConfig::None`] (the default) the coded entry points
 //!    are pure pass-throughs: `request_coded` falls back to `request`
@@ -13,6 +13,9 @@
 //!    while transferring *only* the missing blocks — never a block a
 //!    surviving peer already holds, and strictly less than a whole-replica
 //!    copy.
+//! 4. The plain segments a coded request leaves at the requester are
+//!    field-identical to the published ones, whichever blocks it raced and
+//!    however the segment size sits against the block length.
 
 use std::sync::OnceLock;
 
@@ -25,7 +28,7 @@ use scdn_social::generator::{generate, CaseStudyParams};
 use scdn_social::trustgraph::{build_trust_subgraph, TrustFilter, TrustSubgraph};
 use scdn_social::SyntheticDblp;
 use scdn_storage::coding::CodingConfig;
-use scdn_storage::object::{DatasetId, Sensitivity};
+use scdn_storage::object::{Dataset, DatasetId, SegmentId, Sensitivity};
 use scdn_storage::repository::Partition;
 
 fn community() -> &'static (SyntheticDblp, TrustSubgraph) {
@@ -392,14 +395,203 @@ fn request_coded_delivers_original_content() {
     let seg_size = 2usize << 10;
     for ordinal in 0..payload.len().div_ceil(seg_size) as u32 {
         let seg = repo
-            .fetch(
-                Partition::User,
-                scdn_storage::object::SegmentId { dataset, ordinal },
-            )
+            .fetch(Partition::User, SegmentId { dataset, ordinal })
             .expect("plain segment stored");
         got.extend_from_slice(&seg.data);
     }
     assert_eq!(got, payload, "decoded content matches the original");
     // No coded scaffolding left behind.
     assert!(repo.list_coded(Partition::User, dataset).is_empty());
+}
+
+/// An always-on, loss-free RS(3,2) system over a one-shard catalog (every
+/// commit republishes the shard every other plan read) with one 9 000 B
+/// dataset per owner, every block placed.
+fn two_dataset_system(owners: [NodeId; 2]) -> (Scdn, Vec<DatasetId>) {
+    let (c, sub) = community();
+    let config = ScdnConfig {
+        segment_size: 2 << 10,
+        repo_capacity: 4 << 20,
+        availability: AvailabilityConfig::AlwaysOn,
+        failure: FailureModel::default(),
+        catalog_shards: 1,
+        coding: CodingConfig::Rs { k: 3, m: 2 },
+        ..Default::default()
+    };
+    let mut scdn = Scdn::build(sub, &c.corpus, config);
+    let datasets = owners
+        .iter()
+        .enumerate()
+        .map(|(i, &owner)| {
+            let id = scdn
+                .publish(
+                    owner,
+                    &format!("coded-{i}"),
+                    Bytes::from(vec![i as u8 + 1; 9_000]),
+                    Sensitivity::Public,
+                    None,
+                )
+                .expect("publish succeeds");
+            scdn.replicate(id).expect("places every block");
+            id
+        })
+        .collect();
+    (scdn, datasets)
+}
+
+/// The host of `dataset`'s block `index`.
+fn host_of(scdn: &Scdn, dataset: DatasetId, index: u32) -> NodeId {
+    scdn.allocation()
+        .coded_inventory(dataset)
+        .expect("coded")
+        .iter()
+        .find(|(_, blocks)| blocks.contains(&index))
+        .map(|(host, _)| *host)
+        .expect("block is placed")
+}
+
+fn maintain_counter(scdn: &Scdn, name: &str) -> u64 {
+    scdn.observability_snapshot()
+        .counter(&format!("core.maintain.{name}"))
+        .unwrap_or(0)
+}
+
+/// Depart `victim`, repair serially on one system and through the
+/// pipeline on its twin, require contract 2, and hand back the pipelined
+/// system's `(replanned, coded_replans_kept_blocks)`.
+fn repair_both_ways(owners: [NodeId; 2], victim: NodeId) -> (u64, u64) {
+    let (mut serial, datasets) = two_dataset_system(owners);
+    let (mut piped, _) = two_dataset_system(owners);
+    for scdn in [&mut serial, &mut piped] {
+        scdn.depart(victim).expect("departs");
+    }
+    assert_eq!(serial.repair_serial(), piped.repair());
+    assert_eq!(serial.now(), piped.now(), "clocks diverge");
+    assert_eq!(
+        catalog_state(&serial, &datasets),
+        catalog_state(&piped, &datasets),
+        "replica sets / versions / coded inventories diverge"
+    );
+    assert_eq!(
+        comparable_snapshot(&serial),
+        comparable_snapshot(&piped),
+        "metric snapshots diverge"
+    );
+    for &d in &datasets {
+        let mut blocks: Vec<u32> = piped
+            .allocation()
+            .coded_inventory(d)
+            .expect("coded")
+            .iter()
+            .flat_map(|(_, b)| b.iter().copied())
+            .collect();
+        blocks.sort_unstable();
+        assert_eq!(blocks, vec![0, 1, 2, 3, 4], "inventory restored");
+    }
+    (
+        maintain_counter(&piped, "replanned"),
+        maintain_counter(&piped, "coded_replans_kept_blocks"),
+    )
+}
+
+/// Contract 2 on the two branches a stale coded plan can take. Both
+/// datasets lose the block their shared first host held; the second
+/// dataset's plan goes stale when the first one commits.
+#[test]
+fn stale_coded_plan_keeps_its_blocks_or_replays() {
+    let owners = [NodeId(0), NodeId(0)];
+    let (probe, datasets) = two_dataset_system(owners);
+    let victim = host_of(&probe, datasets[0], 0);
+    assert_eq!(victim, host_of(&probe, datasets[1], 0), "a shared host");
+
+    // Same block still missing, owner untouched: the stale plan ships the
+    // blocks it had already regenerated.
+    let (replanned, kept) = repair_both_ways(owners, victim);
+    assert_eq!((replanned, kept), (1, 1), "kept-blocks branch");
+
+    // The first dataset's repair lands its block on the second dataset's
+    // owner, moving that repository's epoch between plan and commit: the
+    // staged blocks are dropped and the item replays from live state.
+    let (mut dry, _) = two_dataset_system(owners);
+    dry.depart(victim).expect("departs");
+    dry.repair_serial();
+    let new_host = host_of(&dry, datasets[0], 0);
+    let (replanned, kept) = repair_both_ways([NodeId(0), new_host], victim);
+    assert_eq!((replanned, kept), (1, 0), "fallback branch");
+}
+
+/// Contract 4: whichever blocks the race lands — all data, one parity
+/// block, every parity block — and whether the segment size divides the
+/// block length, exceeds it, or straddles block boundaries, the requester
+/// ends up with exactly the segments `publish` cut.
+#[test]
+fn request_coded_segments_are_field_identical_to_published() {
+    let (c, sub) = community();
+    let (k, m) = (4u8, 2u8);
+    let content: Vec<u8> = (0..14_999u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 11) as u8)
+        .collect();
+    let block_len = content.len().div_ceil(usize::from(k));
+    assert_eq!(block_len, 3_750);
+    // 1 250 divides the block length (every segment inside one shard),
+    // 3 000 straddles every other boundary, 5 000 exceeds a block.
+    for segment_size in [1_250usize, 3_000, 5_000] {
+        // Departing the hosts of the first data blocks pushes the race
+        // onto parity: 0, 1 and 2 (= m, every) parity blocks.
+        for data_hosts_lost in 0..=u32::from(m) {
+            let config = ScdnConfig {
+                segment_size,
+                repo_capacity: 8 << 20,
+                availability: AvailabilityConfig::AlwaysOn,
+                failure: FailureModel::default(),
+                coding: CodingConfig::Rs { k, m },
+                ..Default::default()
+            };
+            let mut scdn = Scdn::build(sub, &c.corpus, config);
+            let dataset = scdn
+                .publish(
+                    NodeId(0),
+                    "coded-fetch",
+                    Bytes::from(content.clone()),
+                    Sensitivity::Public,
+                    None,
+                )
+                .expect("publishes");
+            let hosts = scdn.replicate(dataset).expect("replicates");
+            for index in 0..data_hosts_lost {
+                let host = host_of(&scdn, dataset, index);
+                scdn.depart(host).expect("departs");
+            }
+            let requester = (1..scdn.member_count() as u32)
+                .map(NodeId)
+                .find(|n| !hosts.contains(n))
+                .expect("a member hosting nothing");
+            scdn.request_coded(requester, dataset).expect("served");
+
+            let case = format!("segment size {segment_size}, {data_hosts_lost} data hosts lost");
+            let published = Dataset::from_bytes(
+                dataset,
+                "coded-fetch",
+                Sensitivity::Public,
+                Bytes::from(content.clone()),
+                segment_size,
+            );
+            let repo = scdn.repo(requester).expect("known node");
+            let ids: Vec<SegmentId> = published.segments.iter().map(|s| s.id).collect();
+            assert_eq!(repo.list(Partition::User), ids, "{case}");
+            for want in &published.segments {
+                let got = repo.fetch(Partition::User, want.id).expect("stored");
+                assert_eq!(got.id, want.id, "{case}");
+                assert_eq!(got.data, want.data, "{case}: {:?}", want.id);
+                assert_eq!(got.checksum, want.checksum, "{case}: {:?}", want.id);
+            }
+            let snap = scdn.observability_snapshot();
+            assert_eq!(
+                snap.counter("core.coded.shards_reconstructed"),
+                Some(u64::from(data_hosts_lost)),
+                "{case}: only absent data shards are rebuilt"
+            );
+            assert_eq!(snap.counter("core.coded.blocks_landed"), Some(u64::from(k)));
+        }
+    }
 }

@@ -146,6 +146,12 @@ pub struct CodedFetchReport {
     pub pre_existing: Vec<u32>,
     /// Per-delivered-block transfer reports, in acceptance order.
     pub reports: Vec<TransferReport>,
+    /// The blocks this fetch stored and left in the destination
+    /// partition, in acceptance order: the very segments whose checksums
+    /// the donor-side read verified, so a caller can decode from them
+    /// without fetching (and verifying) them back out of the destination.
+    /// Empty when the fetch failed and rolled its deliveries back.
+    pub landed: Vec<Segment>,
     /// Wall-clock total across waves in milliseconds: each wave costs its
     /// slowest member, except the final wave, which is cut at the moment
     /// the k-th block lands (any still-running chains are abandoned).
@@ -553,7 +559,6 @@ impl TransferEngine {
             outcome: Result<(Segment, SegmentSim), TransferError>,
         }
         let wave_width = self.concurrency.max(1) as usize;
-        let mut newly_delivered: Vec<SegmentId> = Vec::new();
         while have < k as usize && !donors.is_empty() {
             // One wave: the first `wave_width` still-missing blocks, each
             // from its current preferred donor.
@@ -629,12 +634,12 @@ impl TransferEngine {
                         if let Err(e) = dst_repo.store(partition, seg.clone()) {
                             // Destination rejection (quota) is permanent:
                             // no donor can fix it.
-                            for id in newly_delivered {
-                                dst_repo.remove(partition, id, false).ok();
+                            for landed in report.landed.drain(..) {
+                                dst_repo.remove(partition, landed.id, false).ok();
                             }
                             return (report, Some(TransferError::Destination(e)));
                         }
-                        newly_delivered.push(seg.id);
+                        report.landed.push(seg.clone());
                         report
                             .delivered
                             .push((member.block, sources[member.source].node));
@@ -697,8 +702,8 @@ impl TransferEngine {
         if have >= k as usize {
             (report, None)
         } else {
-            for id in newly_delivered {
-                dst_repo.remove(partition, id, false).ok();
+            for landed in report.landed.drain(..) {
+                dst_repo.remove(partition, landed.id, false).ok();
             }
             let err = TransferError::InsufficientBlocks {
                 dataset,
@@ -1178,6 +1183,54 @@ mod tests {
             vec![3],
             "newly delivered rolled back, pre-existing kept"
         );
+    }
+
+    #[test]
+    fn coded_fetch_hands_back_the_blocks_it_landed() {
+        let (e, repos, _, _) = coded_world(3, 2, FailureModel::reliable(), 2);
+        let sources = one_block_sources(&repos, 5);
+        let (report, error) = e.transfer_coded_observed(
+            0,
+            &repos[0],
+            DatasetId(1),
+            3,
+            &sources,
+            Partition::User,
+            &mut |_| {},
+        );
+        assert!(error.is_none());
+        // One verified segment per delivery, in acceptance order, sharing
+        // the donor's buffer — what the destination now stores.
+        assert_eq!(report.landed.len(), report.delivered.len());
+        for (seg, &(block, donor)) in report.landed.iter().zip(&report.delivered) {
+            let id = CodedBlockId {
+                dataset: DatasetId(1),
+                index: block,
+            }
+            .segment_id();
+            assert_eq!(seg.id, id);
+            let at_donor = repos[donor].fetch(Partition::Replica, id).expect("held");
+            let at_dst = repos[0].fetch(Partition::User, id).expect("landed");
+            assert_eq!(seg.data.as_ptr(), at_donor.data.as_ptr());
+            assert_eq!(seg.data.as_ptr(), at_dst.data.as_ptr());
+            assert_eq!(seg.checksum, at_dst.checksum);
+        }
+        // A fetch that stalls below k rolls back and reports nothing landed.
+        let (report, error) = e.transfer_coded_observed(
+            0,
+            &repos[5],
+            DatasetId(1),
+            3,
+            &sources[..2],
+            Partition::User,
+            &mut |_| {},
+        );
+        assert!(matches!(
+            error,
+            Some(TransferError::InsufficientBlocks { have: 2, .. })
+        ));
+        assert_eq!(report.delivered.len(), 2, "accounting keeps the moves");
+        assert!(report.landed.is_empty());
     }
 
     #[test]

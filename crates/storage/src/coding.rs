@@ -266,13 +266,92 @@ pub struct ErasureCoder {
     parity: Vec<Vec<u8>>,
 }
 
+/// The `k` data shards a decode produced, in shard order.
+#[derive(Clone, Debug)]
+pub struct DecodedShards {
+    /// Data shards `0..k`, each exactly the block length (the tail of the
+    /// last ones is zero padding past the content length). A shard that
+    /// was among the supplied blocks is that block's own buffer, not a
+    /// copy.
+    pub shards: Vec<Bytes>,
+    /// Shards that had to be reconstructed from parity; `0` when every
+    /// data block was supplied.
+    pub reconstructed: usize,
+}
+
+impl DecodedShards {
+    /// Bytes `start..end` of the content the shards spell out end to end:
+    /// a slice sharing a shard's buffer when the range lies inside one
+    /// shard, a copy only when it straddles a shard boundary. Panics if
+    /// the range is inverted or runs past the last shard.
+    pub fn range(&self, start: usize, end: usize) -> Bytes {
+        let shard_len = self.shards[0].len();
+        let first = start / shard_len;
+        if end <= (first + 1) * shard_len {
+            return self.shards[first].slice(start - first * shard_len..end - first * shard_len);
+        }
+        let mut bytes = Vec::with_capacity(end - start);
+        let mut at = start;
+        while at < end {
+            let shard = at / shard_len;
+            let upto = end.min((shard + 1) * shard_len);
+            bytes.extend_from_slice(
+                &self.shards[shard][at - shard * shard_len..upto - shard * shard_len],
+            );
+            at = upto;
+        }
+        Bytes::from(bytes)
+    }
+}
+
+/// Invert a `k x k` matrix of generator rows by Gauss–Jordan elimination,
+/// carrying the identity alongside.
+fn invert(mut mat: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
+    let k = mat.len();
+    let mut inv: Vec<Vec<u8>> = (0..k)
+        .map(|r| {
+            let mut row = vec![0u8; k];
+            row[r] = 1;
+            row
+        })
+        .collect();
+    for col in 0..k {
+        // Any k generator rows are linearly independent (Cauchy), so a
+        // pivot always exists.
+        let pivot = (col..k)
+            .find(|&r| mat[r][col] != 0)
+            .expect("any k generator rows are invertible");
+        mat.swap(col, pivot);
+        inv.swap(col, pivot);
+        let p = mat[col][col];
+        for c in 0..k {
+            mat[col][c] = gf_div(mat[col][c], p);
+            inv[col][c] = gf_div(inv[col][c], p);
+        }
+        for r in 0..k {
+            if r == col || mat[r][col] == 0 {
+                continue;
+            }
+            let factor = mat[r][col];
+            for c in 0..k {
+                let m = gf_mul(factor, mat[col][c]);
+                mat[r][c] ^= m;
+                let i = gf_mul(factor, inv[col][c]);
+                inv[r][c] ^= i;
+            }
+        }
+    }
+    inv
+}
+
 impl ErasureCoder {
-    /// Build the coder. Panics on invalid parameters (`k == 0`, `m == 0`,
-    /// or `k + m > 255`) — configs are validated at publish time.
-    pub fn new(k: u8, m: u8, seed: u64) -> ErasureCoder {
-        assert!(k >= 1 && m >= 1, "k and m must be at least 1");
+    /// Build the coder, rejecting invalid parameters (`k == 0`, `m == 0`,
+    /// or `k + m > 255`) — the check a publish runs on its configuration.
+    pub fn try_new(k: u8, m: u8, seed: u64) -> Result<ErasureCoder, CodingError> {
         let n = k as usize + m as usize;
-        assert!(n <= 255, "k + m must be at most 255");
+        if k == 0 || m == 0 || n > 255 {
+            return Err(CodingError::BadParameters);
+        }
         // Distinct field points: seed only shifts the window, so every
         // seed yields a valid Cauchy construction.
         let off = (seed % (256 - n as u64)) as usize;
@@ -287,11 +366,18 @@ impl ErasureCoder {
                     .collect()
             })
             .collect();
-        ErasureCoder {
+        Ok(ErasureCoder {
             k: k as usize,
             m: m as usize,
             parity,
-        }
+        })
+    }
+
+    /// [`try_new`](Self::try_new) for parameters that were already
+    /// validated — a catalogued [`CodingSpec`] passed `try_new` when its
+    /// dataset was published. Panics on invalid parameters.
+    pub fn new(k: u8, m: u8, seed: u64) -> ErasureCoder {
+        ErasureCoder::try_new(k, m, seed).expect("coding parameters are validated at publish time")
     }
 
     /// Data block count.
@@ -316,158 +402,161 @@ impl ErasureCoder {
         }
     }
 
-    /// Encode `content` into `n` blocks of `ceil(len / k).max(1)` bytes.
-    /// Blocks `0..k` are the zero-padded data shards; `k..n` are parity.
-    pub fn encode(&self, content: &[u8]) -> Vec<Vec<u8>> {
-        self.encode_with(content, mul_acc)
-    }
-
-    /// [`encode`](Self::encode) over a given multiply-accumulate kernel
-    /// (the tests pass the per-byte reference).
-    fn encode_with(&self, content: &[u8], kernel: impl Fn(&mut [u8], u8, &[u8])) -> Vec<Vec<u8>> {
+    /// Encode the blocks `rows` (any subset of `0..n`, in any order) of
+    /// `content`, each `ceil(len / k).max(1)` bytes: a data row is its
+    /// zero-padded slice of the content, a parity row accumulates the `k`
+    /// data slices under its generator coefficients. No other block is
+    /// materialised. Panics on a row outside `0..n`.
+    pub fn encode_rows(&self, content: &[u8], rows: &[u32]) -> Vec<Vec<u8>> {
         let shard_len = content.len().div_ceil(self.k).max(1);
-        let mut blocks: Vec<Vec<u8>> = (0..self.k)
-            .map(|i| {
-                let start = (i * shard_len).min(content.len());
-                let end = ((i + 1) * shard_len).min(content.len());
-                let mut shard = content[start..end].to_vec();
-                shard.resize(shard_len, 0);
-                shard
+        // Data shard `i` without its padding (zeros add nothing to parity).
+        let data = |i: usize| {
+            let start = (i * shard_len).min(content.len());
+            let end = ((i + 1) * shard_len).min(content.len());
+            &content[start..end]
+        };
+        rows.iter()
+            .map(|&row| {
+                let row = row as usize;
+                assert!(row < self.n(), "block row {row} outside 0..{}", self.n());
+                if row < self.k {
+                    let mut block = data(row).to_vec();
+                    block.resize(shard_len, 0);
+                    block
+                } else {
+                    let mut block = vec![0u8; shard_len];
+                    for (i, &coef) in self.parity[row - self.k].iter().enumerate() {
+                        let shard = data(i);
+                        mul_acc(&mut block[..shard.len()], coef, shard);
+                    }
+                    block
+                }
             })
-            .collect();
-        for row in &self.parity {
-            let mut parity = vec![0u8; shard_len];
-            for (&coef, shard) in row.iter().zip(&blocks) {
-                kernel(&mut parity, coef, shard);
-            }
-            blocks.push(parity);
-        }
-        blocks
+            .collect()
     }
 
-    /// Reconstruct the original content from any `k` distinct blocks.
-    /// `blocks` pairs each block index with its bytes; `total_len` is the
-    /// original content length (padding is truncated). Extra blocks beyond
-    /// the first `k` usable ones are ignored.
-    pub fn decode(&self, blocks: &[(u32, &[u8])], total_len: usize) -> Result<Bytes, CodingError> {
-        self.decode_with(blocks, total_len, mul_acc)
-    }
-
-    /// [`decode`](Self::decode) over a given multiply-accumulate kernel.
-    fn decode_with(
+    /// The first `k` distinct, well-formed blocks of `blocks`, in the
+    /// order supplied: duplicates are skipped, blocks past the k-th are
+    /// ignored (unchecked), a bad index or length among the ones looked
+    /// at is an error.
+    fn choose<'a>(
         &self,
-        blocks: &[(u32, &[u8])],
-        total_len: usize,
-        kernel: impl Fn(&mut [u8], u8, &[u8]),
-    ) -> Result<Bytes, CodingError> {
-        let shard_len = total_len.div_ceil(self.k).max(1);
-        // Pick the first k distinct, well-formed blocks.
-        let mut chosen: Vec<(usize, &[u8])> = Vec::with_capacity(self.k);
-        for &(index, data) in blocks {
-            let idx = index as usize;
+        blocks: &'a [(u32, Bytes)],
+        shard_len: usize,
+    ) -> Result<Vec<(usize, &'a Bytes)>, CodingError> {
+        let mut chosen: Vec<(usize, &Bytes)> = Vec::with_capacity(self.k);
+        for (index, data) in blocks {
+            let idx = *index as usize;
             if idx >= self.n() {
-                return Err(CodingError::BadBlockIndex(index));
+                return Err(CodingError::BadBlockIndex(*index));
             }
             if chosen.iter().any(|&(c, _)| c == idx) {
                 continue;
             }
             if data.len() != shard_len {
                 return Err(CodingError::BadBlockLength {
-                    index,
+                    index: *index,
                     got: data.len(),
                     want: shard_len,
                 });
             }
             chosen.push((idx, data));
             if chosen.len() == self.k {
-                break;
+                return Ok(chosen);
             }
         }
-        if chosen.len() < self.k {
-            return Err(CodingError::NotEnoughBlocks {
-                have: chosen.len(),
-                need: self.k,
-            });
-        }
-        // Invert the k x k submatrix of generator rows via Gauss–Jordan,
-        // carrying the identity alongside.
-        let k = self.k;
-        let mut mat: Vec<Vec<u8>> = chosen.iter().map(|&(i, _)| self.generator_row(i)).collect();
-        let mut inv: Vec<Vec<u8>> = (0..k)
+        Err(CodingError::NotEnoughBlocks {
+            have: chosen.len(),
+            need: self.k,
+        })
+    }
+
+    /// Recover the `k` data shards from any `k` distinct blocks. `blocks`
+    /// pairs each block index with its bytes; `total_len` is the original
+    /// content length. Extra blocks beyond the first `k` usable ones are
+    /// ignored. A data shard that was supplied passes through as the
+    /// buffer it arrived in; only absent ones are computed, and the
+    /// generator submatrix is inverted only if some shard is absent.
+    pub fn decode_shards(
+        &self,
+        blocks: &[(u32, Bytes)],
+        total_len: usize,
+    ) -> Result<DecodedShards, CodingError> {
+        let shard_len = total_len.div_ceil(self.k).max(1);
+        let chosen = self.choose(blocks, shard_len)?;
+        let mut inverse: Option<Vec<Vec<u8>>> = None;
+        let mut reconstructed = 0;
+        let shards = (0..self.k)
             .map(|r| {
-                let mut row = vec![0u8; k];
-                row[r] = 1;
-                row
+                if let Some(&(_, block)) = chosen.iter().find(|&&(i, _)| i == r) {
+                    return block.clone();
+                }
+                reconstructed += 1;
+                let inv = inverse.get_or_insert_with(|| {
+                    invert(chosen.iter().map(|&(i, _)| self.generator_row(i)).collect())
+                });
+                // data_shard[r] = sum_j inv[r][j] * chosen[j].
+                let mut shard = vec![0u8; shard_len];
+                for (&coef, &(_, block)) in inv[r].iter().zip(&chosen) {
+                    mul_acc(&mut shard, coef, block);
+                }
+                Bytes::from(shard)
             })
             .collect();
-        for col in 0..k {
-            // Any k generator rows are linearly independent (Cauchy), so a
-            // pivot always exists.
-            let pivot = (col..k)
-                .find(|&r| mat[r][col] != 0)
-                .expect("any k generator rows are invertible");
-            mat.swap(col, pivot);
-            inv.swap(col, pivot);
-            let p = mat[col][col];
-            for c in 0..k {
-                mat[col][c] = gf_div(mat[col][c], p);
-                inv[col][c] = gf_div(inv[col][c], p);
-            }
-            for r in 0..k {
-                if r == col || mat[r][col] == 0 {
-                    continue;
-                }
-                let factor = mat[r][col];
-                for c in 0..k {
-                    let m = gf_mul(factor, mat[col][c]);
-                    mat[r][c] ^= m;
-                    let i = gf_mul(factor, inv[col][c]);
-                    inv[r][c] ^= i;
-                }
-            }
-        }
-        // data_shard[r] = sum_j inv[r][j] * chosen[j].
-        let mut content = vec![0u8; k * shard_len];
-        for (inv_row, shard) in inv.iter().zip(content.chunks_exact_mut(shard_len)) {
-            for (&coef, &(_, block)) in inv_row.iter().zip(&chosen) {
-                kernel(shard, coef, block);
-            }
-        }
-        content.truncate(total_len);
-        Ok(Bytes::from(content))
+        Ok(DecodedShards {
+            shards,
+            reconstructed,
+        })
     }
 }
 
-/// Encode a dataset's full content into checksummed coded-block segments
-/// (ordinals `CODED_ORDINAL_BASE..CODED_ORDINAL_BASE + n`), ready for
-/// repository storage and transfer.
-pub fn encode_blocks(spec: &CodingSpec, dataset: DatasetId, content: &[u8]) -> Vec<Segment> {
+/// Encode the coded blocks `rows` of a dataset's content into checksummed
+/// segments (ordinals `CODED_ORDINAL_BASE + row`), in `rows` order, ready
+/// for repository storage and transfer.
+pub fn encode_block_rows(
+    spec: &CodingSpec,
+    dataset: DatasetId,
+    content: &[u8],
+    rows: &[u32],
+) -> Vec<Segment> {
     debug_assert_eq!(content.len() as u64, spec.total_len);
     spec.coder()
-        .encode(content)
+        .encode_rows(content, rows)
         .into_iter()
-        .enumerate()
-        .map(|(i, bytes)| {
+        .zip(rows)
+        .map(|(bytes, &index)| {
             Segment::new(
-                CodedBlockId {
-                    dataset,
-                    index: i as u32,
-                }
-                .segment_id(),
+                CodedBlockId { dataset, index }.segment_id(),
                 Bytes::from(bytes),
             )
         })
         .collect()
 }
 
-/// Decode the original content from any k coded-block segments (as
-/// produced by [`encode_blocks`] and addressed by [`CodedBlockId`]).
-pub fn decode_blocks(spec: &CodingSpec, blocks: &[Segment]) -> Result<Bytes, CodingError> {
-    let pairs: Vec<(u32, &[u8])> = blocks
+/// Encode a dataset's full content into all `n` checksummed coded-block
+/// segments (ordinals `CODED_ORDINAL_BASE..CODED_ORDINAL_BASE + n`).
+pub fn encode_blocks(spec: &CodingSpec, dataset: DatasetId, content: &[u8]) -> Vec<Segment> {
+    let rows: Vec<u32> = (0..spec.n()).collect();
+    encode_block_rows(spec, dataset, content, &rows)
+}
+
+/// Recover the data shards from any k coded-block segments (as produced
+/// by [`encode_blocks`] and addressed by [`CodedBlockId`]); segments that
+/// are not coded blocks are ignored.
+pub fn decode_block_shards(
+    spec: &CodingSpec,
+    blocks: &[Segment],
+) -> Result<DecodedShards, CodingError> {
+    let pairs: Vec<(u32, Bytes)> = blocks
         .iter()
-        .filter_map(|s| CodedBlockId::from_segment_id(s.id).map(|b| (b.index, s.data.as_ref())))
+        .filter_map(|s| CodedBlockId::from_segment_id(s.id).map(|b| (b.index, s.data.clone())))
         .collect();
-    spec.coder().decode(&pairs, spec.total_len as usize)
+    spec.coder().decode_shards(&pairs, spec.total_len as usize)
+}
+
+/// Decode the original content from any k coded-block segments.
+pub fn decode_blocks(spec: &CodingSpec, blocks: &[Segment]) -> Result<Bytes, CodingError> {
+    Ok(decode_block_shards(spec, blocks)?.range(0, spec.total_len as usize))
 }
 
 #[cfg(test)]
@@ -502,6 +591,149 @@ mod tests {
         }
     }
 
+    /// The whole-dataset kernels the row-wise encoder and the shard-wise
+    /// decoder replaced, kept verbatim (over the per-byte multiply) as the
+    /// references the new kernels are property-tested against.
+    impl ErasureCoder {
+        /// All `n` blocks at once: materialise the `k` padded shards, then
+        /// every parity row.
+        fn encode_reference(&self, content: &[u8]) -> Vec<Vec<u8>> {
+            let shard_len = content.len().div_ceil(self.k).max(1);
+            let mut blocks: Vec<Vec<u8>> = (0..self.k)
+                .map(|i| {
+                    let start = (i * shard_len).min(content.len());
+                    let end = ((i + 1) * shard_len).min(content.len());
+                    let mut shard = content[start..end].to_vec();
+                    shard.resize(shard_len, 0);
+                    shard
+                })
+                .collect();
+            for row in &self.parity {
+                let mut parity = vec![0u8; shard_len];
+                for (&coef, shard) in row.iter().zip(&blocks) {
+                    mul_acc_reference(&mut parity, coef, shard);
+                }
+                blocks.push(parity);
+            }
+            blocks
+        }
+
+        /// The whole content at once: invert the chosen generator rows and
+        /// multiply every data shard out, present or not.
+        fn decode_reference(
+            &self,
+            blocks: &[(u32, &[u8])],
+            total_len: usize,
+        ) -> Result<Bytes, CodingError> {
+            let shard_len = total_len.div_ceil(self.k).max(1);
+            // Pick the first k distinct, well-formed blocks.
+            let mut chosen: Vec<(usize, &[u8])> = Vec::with_capacity(self.k);
+            for &(index, data) in blocks {
+                let idx = index as usize;
+                if idx >= self.n() {
+                    return Err(CodingError::BadBlockIndex(index));
+                }
+                if chosen.iter().any(|&(c, _)| c == idx) {
+                    continue;
+                }
+                if data.len() != shard_len {
+                    return Err(CodingError::BadBlockLength {
+                        index,
+                        got: data.len(),
+                        want: shard_len,
+                    });
+                }
+                chosen.push((idx, data));
+                if chosen.len() == self.k {
+                    break;
+                }
+            }
+            if chosen.len() < self.k {
+                return Err(CodingError::NotEnoughBlocks {
+                    have: chosen.len(),
+                    need: self.k,
+                });
+            }
+            let k = self.k;
+            let mut mat: Vec<Vec<u8>> =
+                chosen.iter().map(|&(i, _)| self.generator_row(i)).collect();
+            let mut inv: Vec<Vec<u8>> = (0..k)
+                .map(|r| {
+                    let mut row = vec![0u8; k];
+                    row[r] = 1;
+                    row
+                })
+                .collect();
+            for col in 0..k {
+                let pivot = (col..k)
+                    .find(|&r| mat[r][col] != 0)
+                    .expect("any k generator rows are invertible");
+                mat.swap(col, pivot);
+                inv.swap(col, pivot);
+                let p = mat[col][col];
+                for c in 0..k {
+                    mat[col][c] = gf_div(mat[col][c], p);
+                    inv[col][c] = gf_div(inv[col][c], p);
+                }
+                for r in 0..k {
+                    if r == col || mat[r][col] == 0 {
+                        continue;
+                    }
+                    let factor = mat[r][col];
+                    for c in 0..k {
+                        let m = gf_mul(factor, mat[col][c]);
+                        mat[r][c] ^= m;
+                        let i = gf_mul(factor, inv[col][c]);
+                        inv[r][c] ^= i;
+                    }
+                }
+            }
+            // data_shard[r] = sum_j inv[r][j] * chosen[j].
+            let mut content = vec![0u8; k * shard_len];
+            for (inv_row, shard) in inv.iter().zip(content.chunks_exact_mut(shard_len)) {
+                for (&coef, &(_, block)) in inv_row.iter().zip(&chosen) {
+                    mul_acc_reference(shard, coef, block);
+                }
+            }
+            content.truncate(total_len);
+            Ok(Bytes::from(content))
+        }
+    }
+
+    /// Every block of `content`, through the row-wise kernel.
+    fn encode_all(coder: &ErasureCoder, content: &[u8]) -> Vec<Vec<u8>> {
+        let rows: Vec<u32> = (0..coder.n() as u32).collect();
+        coder.encode_rows(content, &rows)
+    }
+
+    /// The content, through the shard-wise kernel.
+    fn decode(
+        coder: &ErasureCoder,
+        blocks: &[(u32, &[u8])],
+        total_len: usize,
+    ) -> Result<Bytes, CodingError> {
+        let owned: Vec<(u32, Bytes)> = blocks
+            .iter()
+            .map(|&(i, b)| (i, Bytes::from(b.to_vec())))
+            .collect();
+        Ok(coder.decode_shards(&owned, total_len)?.range(0, total_len))
+    }
+
+    /// Seeded filler bytes.
+    fn filler(len: usize, seed: u64) -> Vec<u8> {
+        (0..len as u64)
+            .map(|i| ((i ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 29) as u8)
+            .collect()
+    }
+
+    /// Every `k`-subset of `0..n`, ascending.
+    fn k_subsets(n: usize, k: usize) -> Vec<Vec<usize>> {
+        (0u32..1 << n)
+            .filter(|mask| mask.count_ones() as usize == k)
+            .map(|mask| (0..n).filter(|&i| mask & (1 << i) != 0).collect())
+            .collect()
+    }
+
     proptest::proptest! {
         #[test]
         fn coder_matches_per_byte_reference(
@@ -512,12 +744,12 @@ mod tests {
             pick in proptest::prelude::any::<u64>(),
         ) {
             let coder = ErasureCoder::new(k, m, seed);
-            let blocks = coder.encode(&content);
-            proptest::prop_assert_eq!(&blocks, &coder.encode_with(&content, mul_acc_reference));
+            let blocks = encode_all(&coder, &content);
+            proptest::prop_assert_eq!(&blocks, &coder.encode_reference(&content));
             let (k, n) = (k as usize, blocks.len());
-            // The k systematic blocks (inverse = identity: copies only),
-            // parity first (every parity block, topped up with data from
-            // the tail), and a seeded rotation of the block order.
+            // The k systematic blocks (nothing to reconstruct), parity
+            // first (every parity block, topped up with data from the
+            // tail), and a seeded rotation of the block order.
             let systematic: Vec<usize> = (0..k).collect();
             let parity_first: Vec<usize> = (0..n).rev().take(k).collect();
             let rotated: Vec<usize> = (0..k).map(|i| (i + pick as usize % n) % n).collect();
@@ -526,13 +758,143 @@ mod tests {
                     .iter()
                     .map(|&i| (i as u32, blocks[i].as_slice()))
                     .collect();
-                let got = coder.decode(&picked, content.len()).expect("any k blocks decode");
+                let got = decode(&coder, &picked, content.len()).expect("any k blocks decode");
                 let want = coder
-                    .decode_with(&picked, content.len(), mul_acc_reference)
+                    .decode_reference(&picked, content.len())
                     .expect("any k blocks decode");
                 proptest::prop_assert_eq!(&got, &want);
                 proptest::prop_assert_eq!(got.as_ref(), &content[..]);
             }
+        }
+
+        /// Shard-wise decode against the whole-content reference: every
+        /// k-subset of the n blocks, in a seeded order, with a duplicate
+        /// and the surplus blocks (one of them malformed) trailing — and
+        /// the same error for k−1 blocks, a bad index, a bad length.
+        #[test]
+        fn decode_shards_matches_reference_on_every_k_subset(
+            k in 1u8..=6,
+            m in 1u8..=3,
+            len_kind in 0usize..6,
+            q in 1usize..40,
+            seed in proptest::prelude::any::<u64>(),
+            pick in proptest::prelude::any::<u64>(),
+        ) {
+            let (ku, n) = (k as usize, k as usize + m as usize);
+            let total_len = [0, 1, ku - 1, ku, ku * q + ku.min(2) - 1, ku * q][len_kind];
+            let content = filler(total_len, seed);
+            let coder = ErasureCoder::new(k, m, seed);
+            let blocks = coder.encode_reference(&content);
+            let shard_len = blocks[0].len();
+            let junk = vec![0u8; shard_len + 1];
+            for subset in k_subsets(n, ku) {
+                let mut order = subset.clone();
+                order.rotate_left(pick as usize % ku);
+                if pick & 1 == 1 {
+                    order.reverse();
+                }
+                let mut picked: Vec<(u32, &[u8])> = order
+                    .iter()
+                    .map(|&i| (i as u32, blocks[i].as_slice()))
+                    .collect();
+                // A duplicate mid-list is skipped; everything past the
+                // k-th usable block is never looked at.
+                picked.insert(1, picked[0]);
+                picked.extend((0..n).filter(|i| !subset.contains(i)).map(|i| (i as u32, blocks[i].as_slice())));
+                picked.push((n as u32, junk.as_slice()));
+                let want = coder.decode_reference(&picked, total_len).expect("k blocks decode");
+                let got = decode(&coder, &picked, total_len).expect("k blocks decode");
+                proptest::prop_assert_eq!(&got, &want, "subset {:?}", &subset);
+                proptest::prop_assert_eq!(got.as_ref(), &content[..]);
+                // Reconstructed exactly the absent data shards; present
+                // ones are the supplied buffers.
+                let owned: Vec<(u32, Bytes)> = order
+                    .iter()
+                    .map(|&i| (i as u32, Bytes::from(blocks[i].clone())))
+                    .collect();
+                let decoded = coder.decode_shards(&owned, total_len).expect("k blocks decode");
+                let absent = (0..ku).filter(|r| !subset.contains(r)).count();
+                proptest::prop_assert_eq!(decoded.reconstructed, absent);
+                for (i, block) in &owned {
+                    if (*i as usize) < ku {
+                        proptest::prop_assert_eq!(
+                            decoded.shards[*i as usize].as_ptr(),
+                            block.as_ptr(),
+                            "data shard {} was copied", i
+                        );
+                    }
+                }
+
+                // One block short, a bad index, a bad length (on the
+                // k-th usable block, past the duplicate): same error.
+                let short = &picked[..if ku == 1 { 0 } else { ku }];
+                let bad_index: Vec<(u32, &[u8])> =
+                    std::iter::once((n as u32 + 3, blocks[0].as_slice()))
+                        .chain(picked.iter().copied())
+                        .collect();
+                let mut bad_length = picked.clone();
+                bad_length[if ku == 1 { 0 } else { ku }].1 = junk.as_slice();
+                for hostile in [short, &bad_index[..], &bad_length[..]] {
+                    let want = coder.decode_reference(hostile, total_len).unwrap_err();
+                    let got = decode(&coder, hostile, total_len).unwrap_err();
+                    proptest::prop_assert_eq!(got, want);
+                }
+            }
+        }
+
+        /// Row-wise encode of any row subset, in any order, against the
+        /// same rows of the whole-dataset reference.
+        #[test]
+        fn encode_rows_matches_reference_rows(
+            k in 1u8..=6,
+            m in 1u8..=3,
+            len_kind in 0usize..6,
+            q in 1usize..40,
+            seed in proptest::prelude::any::<u64>(),
+            mask in 0u32..512,
+            pick in proptest::prelude::any::<u64>(),
+        ) {
+            let (ku, n) = (k as usize, k as usize + m as usize);
+            let total_len = [0, 1, ku - 1, ku, ku * q + ku.min(2) - 1, ku * q][len_kind];
+            let content = filler(total_len, seed);
+            let coder = ErasureCoder::new(k, m, seed);
+            let all = coder.encode_reference(&content);
+            let mut rows: Vec<u32> = (0..n as u32).filter(|r| mask & (1 << r) != 0).collect();
+            if !rows.is_empty() {
+                let by = pick as usize % rows.len();
+                rows.rotate_left(by);
+            }
+            let got = coder.encode_rows(&content, &rows);
+            let want: Vec<Vec<u8>> = rows.iter().map(|&r| all[r as usize].clone()).collect();
+            proptest::prop_assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn shard_ranges_share_a_shard_or_copy_across_two() {
+        let coder = ErasureCoder::new(3, 2, 9);
+        let content = filler(100, 9); // three 34 B shards, 2 B of padding
+        let blocks: Vec<(u32, Bytes)> = encode_all(&coder, &content)
+            .into_iter()
+            .enumerate()
+            .map(|(i, b)| (i as u32, Bytes::from(b)))
+            .collect();
+        let decoded = coder.decode_shards(&blocks[..3], 100).expect("decodes");
+        assert_eq!(decoded.reconstructed, 0);
+        for (start, end) in [(0, 0), (0, 34), (34, 68), (40, 60), (68, 100), (100, 100)] {
+            let got = decoded.range(start, end);
+            assert_eq!(got.as_ref(), &content[start..end]);
+            if start < end {
+                let shard = &blocks[start / 34].1;
+                assert_eq!(
+                    got.as_ptr(),
+                    shard[start % 34..].as_ptr(),
+                    "{start}..{end} lies inside one shard and must not be copied"
+                );
+            }
+        }
+        for (start, end) in [(0, 35), (33, 35), (30, 100), (0, 100)] {
+            assert_eq!(decoded.range(start, end).as_ref(), &content[start..end]);
         }
     }
 
@@ -540,7 +902,7 @@ mod tests {
     fn systematic_prefix_is_raw_data() {
         let coder = ErasureCoder::new(4, 2, 7);
         let content: Vec<u8> = (0..100u8).collect();
-        let blocks = coder.encode(&content);
+        let blocks = encode_all(&coder, &content);
         assert_eq!(blocks.len(), 6);
         let shard_len = content.len().div_ceil(4);
         let mut padded = content.clone();
@@ -554,7 +916,7 @@ mod tests {
     fn decode_from_every_k_subset() {
         let coder = ErasureCoder::new(3, 3, 42);
         let content: Vec<u8> = (0..250u8).map(|i| i.wrapping_mul(31)).collect();
-        let blocks = coder.encode(&content);
+        let blocks = encode_all(&coder, &content);
         let n = blocks.len();
         // All C(6, 3) = 20 subsets.
         for a in 0..n {
@@ -564,7 +926,7 @@ mod tests {
                         .iter()
                         .map(|&i| (i as u32, blocks[i].as_slice()))
                         .collect();
-                    let got = coder.decode(&picked, content.len()).expect("decodes");
+                    let got = decode(&coder, &picked, content.len()).expect("decodes");
                     assert_eq!(got.as_ref(), &content[..], "subset ({a},{b},{c})");
                 }
             }
@@ -574,8 +936,8 @@ mod tests {
     #[test]
     fn seed_changes_parity_not_data() {
         let content: Vec<u8> = (0..64u8).collect();
-        let a = ErasureCoder::new(4, 2, 1).encode(&content);
-        let b = ErasureCoder::new(4, 2, 2).encode(&content);
+        let a = encode_all(&ErasureCoder::new(4, 2, 1), &content);
+        let b = encode_all(&ErasureCoder::new(4, 2, 2), &content);
         assert_eq!(a[..4], b[..4], "data shards are seed-independent");
         assert_ne!(a[4..], b[4..], "parity depends on the seed");
         // And each seed decodes its own parity.
@@ -588,8 +950,7 @@ mod tests {
                 (1, blocks[1].as_slice()),
             ];
             assert_eq!(
-                coder
-                    .decode(&picked, content.len())
+                decode(&coder, &picked, content.len())
                     .expect("decodes")
                     .as_ref(),
                 &content[..]
@@ -600,26 +961,26 @@ mod tests {
     #[test]
     fn empty_content_round_trips() {
         let coder = ErasureCoder::new(3, 2, 0);
-        let blocks = coder.encode(&[]);
+        let blocks = encode_all(&coder, &[]);
         assert!(blocks.iter().all(|b| b.len() == 1));
         let picked: Vec<(u32, &[u8])> = [2usize, 3, 4]
             .iter()
             .map(|&i| (i as u32, blocks[i].as_slice()))
             .collect();
-        assert_eq!(coder.decode(&picked, 0).expect("decodes").len(), 0);
+        assert_eq!(decode(&coder, &picked, 0).expect("decodes").len(), 0);
     }
 
     #[test]
     fn not_enough_blocks_is_an_error() {
         let coder = ErasureCoder::new(3, 2, 0);
-        let blocks = coder.encode(&[1, 2, 3, 4, 5, 6]);
+        let blocks = encode_all(&coder, &[1, 2, 3, 4, 5, 6]);
         let picked: Vec<(u32, &[u8])> = vec![
             (0, blocks[0].as_slice()),
             (0, blocks[0].as_slice()),
             (1, blocks[1].as_slice()),
         ];
         assert_eq!(
-            coder.decode(&picked, 6).unwrap_err(),
+            decode(&coder, &picked, 6).unwrap_err(),
             CodingError::NotEnoughBlocks { have: 2, need: 3 }
         );
     }
@@ -627,18 +988,19 @@ mod tests {
     #[test]
     fn bad_index_and_length_are_errors() {
         let coder = ErasureCoder::new(2, 1, 0);
-        let blocks = coder.encode(&[9, 8, 7]);
+        let blocks = encode_all(&coder, &[9, 8, 7]);
         assert_eq!(
-            coder
-                .decode(&[(3, blocks[0].as_slice()), (1, blocks[1].as_slice())], 3)
-                .unwrap_err(),
+            decode(
+                &coder,
+                &[(3, blocks[0].as_slice()), (1, blocks[1].as_slice())],
+                3
+            )
+            .unwrap_err(),
             CodingError::BadBlockIndex(3)
         );
         let short = [0u8; 1];
         assert_eq!(
-            coder
-                .decode(&[(0, &short[..]), (1, blocks[1].as_slice())], 3)
-                .unwrap_err(),
+            decode(&coder, &[(0, &short[..]), (1, blocks[1].as_slice())], 3).unwrap_err(),
             CodingError::BadBlockLength {
                 index: 0,
                 got: 1,
@@ -711,13 +1073,12 @@ mod tests {
         // Stress the Cauchy construction near the field boundary.
         let coder = ErasureCoder::new(20, 10, 0xdead_beef);
         let content: Vec<u8> = (0..997).map(|i| (i * 7 % 256) as u8).collect();
-        let blocks = coder.encode(&content);
+        let blocks = encode_all(&coder, &content);
         // Decode from the *last* k blocks (all parity plus tail data).
         let picked: Vec<(u32, &[u8])> =
             (10..30).map(|i| (i as u32, blocks[i].as_slice())).collect();
         assert_eq!(
-            coder
-                .decode(&picked, content.len())
+            decode(&coder, &picked, content.len())
                 .expect("decodes")
                 .as_ref(),
             &content[..]

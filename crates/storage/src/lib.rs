@@ -25,8 +25,9 @@ pub mod vfs;
 
 pub use cache::{CacheManager, EvictionPolicy};
 pub use coding::{
-    decode_blocks, encode_blocks, is_coded_ordinal, CodedBlockId, CodingConfig, CodingError,
-    CodingSpec, ErasureCoder, CODED_ORDINAL_BASE,
+    decode_block_shards, decode_blocks, encode_block_rows, encode_blocks, is_coded_ordinal,
+    CodedBlockId, CodingConfig, CodingError, CodingSpec, DecodedShards, ErasureCoder,
+    CODED_ORDINAL_BASE,
 };
 pub use object::{Dataset, DatasetId, Segment, SegmentId, Sensitivity};
 pub use provenance::{ProvenanceRecord, ProvenanceStore};

@@ -1,0 +1,153 @@
+//! Integration test: the life of an erasure-coded dataset — publish under
+//! RS(4,2), an any-k fetch, and repair after a data-block host, a
+//! parity-block host, and finally the owner itself leave.
+
+use scdn::bytes::Bytes;
+use scdn::core::system::{Scdn, ScdnConfig};
+use scdn::graph::NodeId;
+use scdn::social::generator::{generate, CaseStudyParams};
+use scdn::social::trustgraph::{build_trust_subgraph, TrustFilter};
+use scdn::storage::coding::{decode_blocks, CodedBlockId, CodingConfig};
+use scdn::storage::object::{DatasetId, Segment};
+use scdn::storage::repository::Partition;
+use scdn::storage::Sensitivity;
+
+const K: u32 = 4;
+const N: u32 = 6;
+
+/// The host of each block `0..N`, requiring every block to be advertised
+/// by exactly one host.
+fn block_hosts(scdn: &Scdn, dataset: DatasetId) -> Vec<NodeId> {
+    let inventory = scdn.allocation().coded_inventory(dataset).expect("coded");
+    (0..N)
+        .map(|index| {
+            let holders: Vec<NodeId> = inventory
+                .iter()
+                .filter(|(_, blocks)| blocks.contains(&index))
+                .map(|(host, _)| *host)
+                .collect();
+            assert_eq!(holders.len(), 1, "block {index} is held exactly once");
+            holders[0]
+        })
+        .collect()
+}
+
+/// The inventory is back to `N` distinct blocks on online hosts, and
+/// every `K` of them decode to the published bytes.
+fn assert_any_k_decode(scdn: &Scdn, dataset: DatasetId, published: &[u8]) {
+    let spec = scdn
+        .allocation()
+        .coding_of(dataset)
+        .expect("known")
+        .expect("coded");
+    let blocks: Vec<Segment> = block_hosts(scdn, dataset)
+        .iter()
+        .zip(0..)
+        .map(|(&host, index)| {
+            assert!(scdn.is_online(host), "block {index} sits on a live host");
+            scdn.repo(host)
+                .expect("member")
+                .fetch(
+                    Partition::Replica,
+                    CodedBlockId { dataset, index }.segment_id(),
+                )
+                .expect("the advertised block is stored and verifies")
+        })
+        .collect();
+    for mask in (0u32..1 << N).filter(|m| m.count_ones() == K) {
+        let subset: Vec<Segment> = (0..N as usize)
+            .filter(|i| mask & (1 << i) != 0)
+            .map(|i| blocks[i].clone())
+            .collect();
+        let decoded = decode_blocks(&spec, &subset).expect("any k blocks decode");
+        assert_eq!(decoded.as_ref(), published, "blocks {mask:#08b}");
+    }
+}
+
+fn bytes_transferred(scdn: &Scdn) -> u64 {
+    scdn.observability_snapshot()
+        .counter("cdn.bytes_transferred")
+        .unwrap_or(0)
+}
+
+#[test]
+fn coded_dataset_survives_fetch_and_three_repairs() {
+    let mut params = CaseStudyParams::default();
+    params.level2_prob = 0.4;
+    params.level3_prob = 0.0;
+    params.mega_pub_authors = 0;
+    params.rng_seed = 5;
+    let c = generate(&params);
+    let sub = build_trust_subgraph(
+        &c.corpus,
+        c.seed_author,
+        3,
+        2009..=2010,
+        TrustFilter::Baseline,
+    )
+    .expect("seed present");
+    // 50 000 B over k = 4 is 12 500 B blocks; 4 096 B segments do not
+    // divide that, so plain segments straddle block boundaries.
+    let config = ScdnConfig {
+        segment_size: 4096,
+        coding: CodingConfig::Rs { k: 4, m: 2 },
+        ..Default::default()
+    };
+    let mut scdn = Scdn::build(&sub, &c.corpus, config);
+    let owner = NodeId(0);
+    let published: Vec<u8> = (0..50_000u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 9) as u8)
+        .collect();
+    let block_len = 12_500u64;
+    let dataset = scdn
+        .publish(
+            owner,
+            "lifecycle",
+            Bytes::from(published.clone()),
+            Sensitivity::Public,
+            None,
+        )
+        .expect("publishes");
+    let placed = scdn.replicate(dataset).expect("places every block");
+    assert_eq!(placed.len(), N as usize);
+    assert_any_k_decode(&scdn, dataset, &published);
+
+    // A member that hosts nothing fetches any k blocks and ends up with
+    // the published bytes as plain segments.
+    let requester = (1..scdn.member_count() as u32)
+        .map(NodeId)
+        .find(|n| !placed.contains(n))
+        .expect("a member hosting nothing");
+    let outcome = scdn.request_coded(requester, dataset).expect("served");
+    assert_eq!(outcome.bytes, u64::from(K) * block_len);
+    let repo = scdn.repo(requester).expect("member").clone();
+    let mut fetched = Vec::new();
+    for id in repo.list(Partition::User) {
+        fetched.extend_from_slice(&repo.fetch(Partition::User, id).expect("verifies").data);
+    }
+    assert_eq!(fetched, published);
+    assert!(repo.list_coded(Partition::User, dataset).is_empty());
+
+    // The host of a data block leaves, then the host of a parity block:
+    // the owner regenerates and ships exactly the block that went missing.
+    for lost in [1u32, 5] {
+        let victim = block_hosts(&scdn, dataset)[lost as usize];
+        scdn.depart(victim).expect("departs");
+        let before = bytes_transferred(&scdn);
+        assert_eq!(scdn.repair(), 1, "block {lost} gets one new host");
+        assert_eq!(
+            bytes_transferred(&scdn) - before,
+            block_len,
+            "repair of block {lost} moves one block"
+        );
+        assert_any_k_decode(&scdn, dataset, &published);
+    }
+
+    // The owner and a block host leave together: a rebuilder reconstructs
+    // the content from k surviving blocks and regenerates the lost one.
+    let victim = block_hosts(&scdn, dataset)[2];
+    scdn.depart(owner).expect("owner departs");
+    scdn.depart(victim).expect("host departs");
+    assert_eq!(scdn.repair(), 1, "the rebuilder hosts the lost block");
+    assert_any_k_decode(&scdn, dataset, &published);
+}
