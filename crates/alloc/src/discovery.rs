@@ -13,8 +13,7 @@
 //! (or stops at the hop budget) and, for up to eight candidates, allocates
 //! nothing. [`select_replica_full_bfs`] is its oracle — the same ranking
 //! loop over the distances of one full [`TraversalScratch::bfs`] — for
-//! the equivalence tests and `bench_resolve`'s `full_bfs` mode; nothing
-//! on a serving path calls it.
+//! the equivalence tests; nothing on a serving path calls it.
 
 use scdn_graph::{CsrGraph, NodeId, TraversalScratch};
 
@@ -90,8 +89,7 @@ pub fn select_replica(
 
 /// The oracle for [`select_replica`] at `max_hops = u32::MAX`: the same
 /// ranking over the hop distances of one full BFS of the requester's
-/// component. O(component) per call — for tests and `bench_resolve`, not
-/// for serving.
+/// component. O(component) per call — for tests, not for serving.
 pub fn select_replica_full_bfs(
     social: &CsrGraph,
     requester: NodeId,

@@ -16,9 +16,7 @@
 //! / offline filtering. A [`CsrGraph::generation`] mismatch flushes the
 //! cache (the graph changed under us — the long-deleted
 //! `CsrGraph::fingerprint` guard collided on equal-sized swaps, which
-//! is why the generation replaced it), and a disabled cache recomputes
-//! the full ordering on every call — same candidates, no memoization —
-//! which benchmarks use to price the uncached baseline honestly.
+//! is why the generation replaced it).
 //!
 //! Rankings never read the catalog, so catalog commits — and the shard
 //! epochs they advance (see [`crate::epoch`]) — cannot invalidate an
@@ -71,7 +69,6 @@ pub struct RankingRetention {
 /// Memoized full placement orderings keyed on `(algorithm, seed)`.
 pub struct RankingCache {
     entries: Mutex<HashMap<(PlacementAlgorithm, u64), Entry>>,
-    enabled: Mutex<bool>,
 }
 
 impl Default for RankingCache {
@@ -81,28 +78,11 @@ impl Default for RankingCache {
 }
 
 impl RankingCache {
-    /// An empty, enabled cache.
+    /// An empty cache.
     pub fn new() -> RankingCache {
         RankingCache {
             entries: Mutex::new(HashMap::new()),
-            enabled: Mutex::new(true),
         }
-    }
-
-    /// Enable or disable memoization. Disabling drops every entry, so
-    /// subsequent calls recompute the full ordering each time (identical
-    /// results, uncached cost).
-    pub fn set_enabled(&self, enabled: bool) {
-        let mut e = self.enabled.lock();
-        if !enabled {
-            self.entries.lock().clear();
-        }
-        *e = enabled;
-    }
-
-    /// `true` if memoization is on.
-    pub fn is_enabled(&self) -> bool {
-        *self.enabled.lock()
     }
 
     /// The full placement ordering of `csr` under `(algorithm, seed)`,
@@ -117,33 +97,28 @@ impl RankingCache {
     ) -> (Arc<Vec<NodeId>>, bool) {
         let generation = csr.generation();
         let key = (algorithm, seed);
-        if self.is_enabled() {
-            let entries = self.entries.lock();
-            if let Some(e) = entries.get(&key) {
-                if e.graph_gen == generation {
-                    return (e.order.clone(), true);
-                }
+        if let Some(e) = self.entries.lock().get(&key) {
+            if e.graph_gen == generation {
+                return (e.order.clone(), true);
             }
         }
         // Compute outside the lock: rankings can be expensive (Brandes
         // betweenness, closeness) and may themselves use the parallel pool.
         let order = Arc::new(algorithm.place(csr, csr.node_count(), seed));
-        if self.is_enabled() {
-            let mut entries = self.entries.lock();
-            // An unannounced generation change means the caller swapped
-            // graphs without going through `note_delta`: every memoized
-            // ordering (not just this key's) is garbage.
-            if entries.values().any(|e| e.graph_gen != generation) {
-                entries.clear();
-            }
-            entries.insert(
-                key,
-                Entry {
-                    graph_gen: generation,
-                    order: order.clone(),
-                },
-            );
+        let mut entries = self.entries.lock();
+        // An unannounced generation change means the caller swapped
+        // graphs without going through `note_delta`: every memoized
+        // ordering (not just this key's) is garbage.
+        if entries.values().any(|e| e.graph_gen != generation) {
+            entries.clear();
         }
+        entries.insert(
+            key,
+            Entry {
+                graph_gen: generation,
+                order: order.clone(),
+            },
+        );
         (order, false)
     }
 
@@ -341,20 +316,6 @@ mod tests {
         let fresh = PlacementAlgorithm::Random.place(&new, new.node_count(), 5);
         assert_eq!(served.as_slice(), fresh.as_slice());
         assert_eq!(warm, served);
-    }
-
-    #[test]
-    fn disabled_cache_recomputes_but_matches() {
-        let csr = line_graph(10);
-        let cache = RankingCache::new();
-        let (warm, _) = cache.full_ranking(&csr, PlacementAlgorithm::ClusteringCoefficient, 3);
-        cache.set_enabled(false);
-        assert!(cache.is_empty(), "disabling drops entries");
-        let (cold, hit) = cache.full_ranking(&csr, PlacementAlgorithm::ClusteringCoefficient, 3);
-        assert!(!hit);
-        assert_eq!(warm, cold, "memoization never changes the ranking");
-        let (_, hit) = cache.full_ranking(&csr, PlacementAlgorithm::ClusteringCoefficient, 3);
-        assert!(!hit, "disabled cache never hits");
     }
 
     #[test]

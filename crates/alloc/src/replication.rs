@@ -14,7 +14,7 @@
 //!   thresholds with the runtime's `replicas_per_dataset` grow floor
 //!   folded in. This is the bit-identical oracle: a maintenance cycle
 //!   driven by it reproduces the pre-trait `maintain` exactly (proven by
-//!   proptest and the `bench_rebalance` identical-outcome gate).
+//!   the `static_policy_plan_matches_legacy_rebalance_plan` proptest).
 //! * [`AdaptiveRebalance`] — per-dataset targets proportional to the
 //!   dataset's share of the cycle's demand under a **global replica
 //!   budget**, following the adaptive-replication frame of Leconte,

@@ -129,7 +129,7 @@ pub(crate) struct RetentionOutcome {
 pub(crate) struct ResolveCache {
     shards: Vec<Mutex<Shard>>,
     /// Total capacity across shards; 0 disables the cache entirely.
-    capacity: Mutex<usize>,
+    capacity: usize,
     /// [`CsrGraph::generation`] of the graph the cached hops were computed
     /// on; `None` until the first traversal.
     graph_gen: Mutex<Option<u64>>,
@@ -139,7 +139,7 @@ impl ResolveCache {
     pub(crate) fn new(capacity: usize) -> ResolveCache {
         ResolveCache {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            capacity: Mutex::new(capacity),
+            capacity,
             graph_gen: Mutex::new(None),
         }
     }
@@ -149,24 +149,6 @@ impl ResolveCache {
         // single hot requester fanning over many datasets.
         let h = (key.0 .0 as usize).wrapping_mul(0x9E37_79B9) ^ (key.1 .0 as usize);
         &self.shards[h % SHARDS]
-    }
-
-    /// Current total capacity (0 = disabled).
-    pub(crate) fn capacity(&self) -> usize {
-        *self.capacity.lock()
-    }
-
-    /// Resize the cache; shrinking (or disabling) drops everything.
-    pub(crate) fn set_capacity(&self, capacity: usize) {
-        let mut cap = self.capacity.lock();
-        if capacity < *cap {
-            for shard in &self.shards {
-                let mut s = shard.lock();
-                s.map.clear();
-                s.fifo.clear();
-            }
-        }
-        *cap = capacity;
     }
 
     /// Flush the cache if `csr` is not the snapshot the cached hops were
@@ -290,12 +272,11 @@ impl ResolveCache {
     /// Insert (or refresh) the hops for `key` at `version`, evicting FIFO
     /// past the capacity share. No-op when the cache is disabled.
     pub(crate) fn insert(&self, key: Key, version: u64, hops: Box<[Option<u32>]>) -> InsertOutcome {
-        let capacity = self.capacity();
         let mut outcome = InsertOutcome { evicted: 0 };
-        if capacity == 0 {
+        if self.capacity == 0 {
             return outcome;
         }
-        let per_shard = capacity.div_ceil(SHARDS).max(1);
+        let per_shard = self.capacity.div_ceil(SHARDS).max(1);
         let mut shard = self.shard(&key).lock();
         // A `Some` return is an in-place version refresh: the FIFO slot
         // pushed at first insert is kept, so no eviction check is needed.
@@ -383,14 +364,6 @@ mod tests {
             c.with_hops(key(4, 4), 2, <[Option<u32>]>::to_vec),
             Some(vec![Some(5)])
         );
-    }
-
-    #[test]
-    fn shrinking_capacity_flushes() {
-        let c = ResolveCache::new(64);
-        c.insert(key(1, 1), 1, hops(&[Some(1)]));
-        c.set_capacity(8);
-        assert_eq!(c.len(), 0);
     }
 
     #[test]

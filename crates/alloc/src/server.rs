@@ -34,7 +34,7 @@
 //!   carrying the returned [`ShardStamp`] to commit time as the
 //!   staleness token.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -50,7 +50,6 @@ use crate::epoch::{
     shard_index, CatalogSnapshot, CodedInventory, DemandState, EntryState, Published, RepoRecord,
     RepoTable, ShardSnapshot, ShardStamp, DEFAULT_CATALOG_SHARDS,
 };
-use crate::placement::PlacementAlgorithm;
 use crate::replication::{CycleStats, DatasetStats, DemandWindow, RebalancePolicy};
 use crate::resolve_cache::ResolveCache;
 
@@ -214,9 +213,6 @@ pub struct AllocationServer {
     /// Reusable traversal scratches for the multi-target search (one per
     /// concurrently-resolving thread; grown on demand).
     scratch_pool: Mutex<Vec<TraversalScratch>>,
-    /// Hop budget for the multi-target search (`u32::MAX` = exact
-    /// full-BFS equivalence).
-    hop_budget: AtomicU32,
 }
 
 impl Default for AllocationServer {
@@ -256,7 +252,6 @@ impl AllocationServer {
             metrics: AllocMetrics::default(),
             cache: ResolveCache::new(DEFAULT_RESOLVE_CACHE_CAPACITY),
             scratch_pool: Mutex::new(Vec::new()),
-            hop_budget: AtomicU32::new(u32::MAX),
         }
     }
 
@@ -271,18 +266,6 @@ impl AllocationServer {
     /// This server's telemetry handles.
     pub fn metrics(&self) -> &AllocMetrics {
         &self.metrics
-    }
-
-    /// Resize the hop-distance cache (0 disables it; shrinking flushes).
-    pub fn set_resolve_cache_capacity(&self, capacity: usize) {
-        self.cache.set_capacity(capacity);
-    }
-
-    /// Bound the resolution search to `hops` social hops: replicas beyond
-    /// the budget rank as socially unreachable (still servable on
-    /// latency). `u32::MAX` (the default) keeps exact full-BFS semantics.
-    pub fn set_resolve_hop_budget(&self, hops: u32) {
-        self.hop_budget.store(hops, Ordering::Relaxed);
     }
 
     /// Announce a social-graph change `old → new` produced by
@@ -591,21 +574,6 @@ impl AllocationServer {
             .ok_or(AllocationError::UnknownDataset(dataset))
     }
 
-    /// Replica list and catalog-entry version in one consistent read —
-    /// the snapshot a maintenance plan is computed against, with the
-    /// version doubling as the commit-side staleness token.
-    pub fn replicas_and_version(
-        &self,
-        dataset: DatasetId,
-    ) -> Result<(Vec<NodeId>, u64), AllocationError> {
-        self.shards[self.shard_of(dataset)]
-            .load()
-            .entries
-            .get(&dataset)
-            .map(|e| (e.replicas.clone(), e.version))
-            .ok_or(AllocationError::UnknownDataset(dataset))
-    }
-
     /// Segment count of a dataset.
     pub fn segments_of(&self, dataset: DatasetId) -> Result<u32, AllocationError> {
         self.shards[self.shard_of(dataset)]
@@ -614,54 +582,6 @@ impl AllocationServer {
             .get(&dataset)
             .map(|e| e.segments)
             .ok_or(AllocationError::UnknownDataset(dataset))
-    }
-
-    /// Grow a dataset to `k` replicas using `algorithm` over the social
-    /// graph, keeping existing replicas. Only registered repositories are
-    /// eligible; candidates already hosting the dataset are skipped.
-    /// Returns the nodes *added*.
-    pub fn place_replicas(
-        &self,
-        dataset: DatasetId,
-        k: usize,
-        algorithm: PlacementAlgorithm,
-        social: &CsrGraph,
-        seed: u64,
-    ) -> Result<Vec<NodeId>, AllocationError> {
-        let repos = self.repos.load();
-        let cell = &self.shards[self.shard_of(dataset)];
-        let mut guard = cell.write();
-        let Some(entry) = guard.entries.get(&dataset) else {
-            return Err(AllocationError::UnknownDataset(dataset));
-        };
-        // Over-provision the ranking so skipped candidates don't starve us.
-        let ranked = algorithm.place(social, k + entry.replicas.len(), seed);
-        let eligible: Vec<NodeId> = ranked
-            .into_iter()
-            .filter(|n| repos.contains_key(n))
-            .collect();
-        let version = self.next_version();
-        let mut next = guard.cow();
-        let mut added = Vec::new();
-        {
-            let entry = next.entry_mut(dataset);
-            for n in eligible {
-                if entry.replicas.len() >= k {
-                    break;
-                }
-                if !entry.replicas.contains(&n) {
-                    entry.replicas.push(n);
-                    added.push(n);
-                }
-            }
-            entry.version = version;
-        }
-        for &n in &added {
-            next.index_add(dataset, n);
-        }
-        next.epoch += 1;
-        *guard = Arc::new(next);
-        Ok(added)
     }
 
     /// Add a single replica location for `dataset` (used by the system
@@ -939,12 +859,8 @@ impl AllocationServer {
             None => {
                 self.metrics.cache_misses.inc();
                 let mut scratch = self.scratch_pool.lock().pop().unwrap_or_default();
-                scratch.bfs_to_targets(
-                    csr,
-                    requester,
-                    &entry.replicas,
-                    self.hop_budget.load(Ordering::Relaxed),
-                );
+                // Unbounded: exact full-BFS distances.
+                scratch.bfs_to_targets(csr, requester, &entry.replicas, u32::MAX);
                 self.metrics.bfs_visited.add(scratch.last_visited() as u64);
                 let hops: Box<[Option<u32>]> = entry
                     .replicas
@@ -1153,6 +1069,7 @@ impl AllocationServer {
 mod tests {
     use super::*;
     use crate::discovery::select_replica_full_bfs;
+    use crate::placement::PlacementAlgorithm;
     use crate::replication::ReplicationPolicy;
 
     fn barabasi_albert(n: usize, m: usize, seed: u64) -> CsrGraph {
@@ -1180,13 +1097,17 @@ mod tests {
         let srv = server_with_repos(&g);
         srv.register_dataset(DatasetId(0), 8, NodeId(5))
             .expect("registers");
-        let added = srv
-            .place_replicas(DatasetId(0), 4, PlacementAlgorithm::NodeDegree, &g, 0)
-            .expect("places");
-        assert_eq!(added.len(), 3); // primary + 3 = 4
+        // The runtime's replication walk: rank, then announce each host
+        // that took the segments.
+        let ranked = PlacementAlgorithm::NodeDegree.place(&g, 3, 0);
+        let added = ranked
+            .iter()
+            .filter(|&&n| srv.add_replica(DatasetId(0), n).expect("registered"))
+            .count();
         let reps = srv.replicas_of(DatasetId(0)).expect("known");
-        assert_eq!(reps.len(), 4);
-        assert!(reps.contains(&NodeId(5)));
+        assert_eq!(reps.len(), 1 + added, "the primary stays");
+        assert_eq!(reps[0], NodeId(5));
+        assert!(ranked.iter().all(|n| reps.contains(n)));
     }
 
     #[test]
@@ -1213,7 +1134,7 @@ mod tests {
     }
 
     #[test]
-    fn placement_skips_unregistered_nodes() {
+    fn unregistered_nodes_cannot_host() {
         let g = barabasi_albert(50, 2, 2);
         let srv = AllocationServer::new();
         // Register only even nodes.
@@ -1225,8 +1146,12 @@ mod tests {
         }));
         srv.register_dataset(DatasetId(0), 1, NodeId(0))
             .expect("ok");
-        srv.place_replicas(DatasetId(0), 5, PlacementAlgorithm::NodeDegree, &g, 0)
-            .expect("places");
+        for n in PlacementAlgorithm::NodeDegree.place(&g, 5, 0) {
+            let hosted = srv.add_replica(DatasetId(0), n);
+            if n.0 % 2 == 1 {
+                assert_eq!(hosted.unwrap_err(), AllocationError::UnknownRepository(n));
+            }
+        }
         for n in srv.replicas_of(DatasetId(0)).expect("known") {
             assert_eq!(n.0 % 2, 0, "only registered repos may host");
         }
@@ -1625,20 +1550,6 @@ mod tests {
             let seq = srv.resolve_csr(d, r, &csr, online, |n| latency(r, n));
             assert_eq!(batch[i], seq, "request {i}");
         }
-    }
-
-    #[test]
-    fn hop_budget_bounds_social_reach() {
-        let csr = path(5);
-        let srv = server_with_repos(&csr);
-        srv.register_dataset(DatasetId(0), 1, NodeId(4))
-            .expect("ok");
-        srv.set_resolve_hop_budget(2);
-        let sel = srv
-            .resolve_csr(DatasetId(0), NodeId(0), &csr, |_| true, |_| 1.0)
-            .expect("still served, just unranked socially");
-        assert_eq!(sel.node, NodeId(4));
-        assert_eq!(sel.social_hops, None, "beyond the 2-hop budget");
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Criterion benches on the frozen CSR graph: the chunked copy-on-write
-//! `apply_delta` at fixed touch fractions on a 100k-node graph (the
-//! machine-readable twin with bytes accounting and gates is `bench_churn`'s
-//! touch sweep), and the meet-in-the-middle `bfs_to_targets` resolve
-//! kernel against a full BFS at 10k/40k/100k nodes and 1–32 targets.
+//! `apply_delta` at fixed touch fractions on a 100k-node graph, and the
+//! meet-in-the-middle `bfs_to_targets` resolve kernel against a full BFS
+//! at 10k/40k/100k nodes and 1–32 targets.
 //! (Betweenness and the placement sweeps are timed in
 //! `graph_algorithms.rs` and `placement.rs`.)
 

@@ -1,9 +1,13 @@
 //! # scdn-bench — experiment harness shared code
 //!
-//! The experiment binaries (`table1`, `fig2`, `fig3`, `fig3_extended`,
-//! `metrics_report`, `partitioning`, `availability`) regenerate the
-//! paper's tables and figures; this library holds the shared setup so
-//! every binary runs on the *same* synthetic corpus.
+//! The paper binaries (`table1`, `fig2`, `fig3`, `fig3_extended`,
+//! `availability`, `boundary`, `caching`, `partitioning`) regenerate the
+//! paper's tables, figures and ablations, and `metrics_report` prints or
+//! validates the Section V-E metrics export; this library holds the
+//! shared setup so every binary runs on the *same* synthetic corpus. The
+//! criterion groups live under `benches/`. Performance numbers come from
+//! the repository's one benchmark, `benchmark/` — nothing here times the
+//! runtime.
 
 use scdn_social::generator::{generate, CaseStudyParams};
 use scdn_social::SyntheticDblp;
@@ -28,32 +32,6 @@ pub fn row(label: &str, values: &[f64]) -> String {
     s
 }
 
-/// Parse a `--threads 1,2,4` / `--threads=1,2,4` flag into a
-/// worker-count sweep for the throughput-style benches. Returns `None`
-/// when the flag is absent; panics on a malformed count so a typo'd CI
-/// invocation fails loudly instead of silently benching the default.
-pub fn parse_threads(args: &[String]) -> Option<Vec<usize>> {
-    let spec = args.iter().enumerate().find_map(|(i, a)| {
-        a.strip_prefix("--threads=")
-            .map(str::to_string)
-            .or_else(|| {
-                (a == "--threads")
-                    .then(|| args.get(i + 1).cloned())
-                    .flatten()
-            })
-    })?;
-    let counts: Vec<usize> = spec
-        .split(',')
-        .map(|s| {
-            let n = s.trim().parse().expect("--threads takes positive integers");
-            assert!(n > 0, "--threads counts must be >= 1");
-            n
-        })
-        .collect();
-    assert!(!counts.is_empty(), "--threads takes at least one count");
-    Some(counts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,17 +50,5 @@ mod tests {
         assert!(s.starts_with("Random"));
         assert!(s.contains("1.00"));
         assert!(s.contains("2.50"));
-    }
-
-    #[test]
-    fn threads_flag_parses_both_forms() {
-        let strs = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_threads(&strs(&[])), None);
-        assert_eq!(parse_threads(&strs(&["--smoke"])), None);
-        assert_eq!(
-            parse_threads(&strs(&["--threads", "1,2,4"])),
-            Some(vec![1, 2, 4])
-        );
-        assert_eq!(parse_threads(&strs(&["--threads=8"])), Some(vec![8]));
     }
 }

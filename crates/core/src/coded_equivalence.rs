@@ -21,7 +21,6 @@ use std::sync::OnceLock;
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use scdn_core::system::{AvailabilityConfig, Scdn, ScdnConfig};
 use scdn_graph::NodeId;
 use scdn_net::failure::FailureModel;
 use scdn_social::generator::{generate, CaseStudyParams};
@@ -30,6 +29,8 @@ use scdn_social::SyntheticDblp;
 use scdn_storage::coding::CodingConfig;
 use scdn_storage::object::{Dataset, DatasetId, SegmentId, Sensitivity};
 use scdn_storage::repository::Partition;
+
+use crate::system::{AvailabilityConfig, Scdn, ScdnConfig};
 
 fn community() -> &'static (SyntheticDblp, TrustSubgraph) {
     static CELL: OnceLock<(SyntheticDblp, TrustSubgraph)> = OnceLock::new();

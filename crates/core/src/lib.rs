@@ -22,5 +22,15 @@ pub mod events;
 pub mod scenario;
 pub mod system;
 
+// Serial ≡ pipelined gates. In-crate because the serial loops they compare
+// against (`system`'s test-only `oracle.rs`) are not part of the built
+// library.
+#[cfg(test)]
+mod coded_equivalence;
+#[cfg(test)]
+mod maintain_equivalence;
+#[cfg(test)]
+mod review_repro;
+
 pub use casestudy::{CaseStudy, HitRateCurve};
 pub use system::{RebalanceStrategy, Scdn, ScdnConfig, ScdnError};

@@ -59,9 +59,9 @@
 //! and the replayed item — even a Noop — re-reads live state exactly as
 //! the serial loop would, reproducing the identical outcome (the
 //! equivalence proptests force shard collisions by running 1-shard
-//! catalogs). So a pipelined cycle is bit-identical to
-//! [`Scdn::maintain_serial`] / [`Scdn::repair_serial`] under a fixed
-//! seed.
+//! catalogs). So a pipelined cycle is bit-identical to the serial
+//! per-dataset loops it replaced (kept as the test-only oracles in
+//! `oracle.rs`) under a fixed seed.
 //!
 //! [cache]: scdn_alloc::ranking_cache::RankingCache
 //! [`TransferEngine::simulate_segment`]: scdn_net::transfer::TransferEngine::simulate_segment
@@ -220,9 +220,9 @@ impl Scdn {
     ///
     /// Grow/shrink decisions, host selection, and transfer simulation
     /// run in parallel against an immutable snapshot; effects apply in
-    /// dataset order. Bit-identical to
-    /// [`maintain_serial`](Self::maintain_serial) under a fixed seed —
-    /// see the module docs for the determinism argument.
+    /// dataset order. Bit-identical to the serial per-dataset loop it
+    /// replaced under a fixed seed — see the module docs for the
+    /// determinism argument.
     pub fn maintain(&mut self) -> usize {
         match self.config.rebalance {
             RebalanceStrategy::Static => {
@@ -238,9 +238,7 @@ impl Scdn {
     /// `replicas_per_dataset.max(target)` clamp is gone (the static
     /// strategy reproduces it inside [`StaticRebalance`]'s grow floor), so
     /// a demand-driven policy can hold a cold dataset below the configured
-    /// count. Bit-identical to
-    /// [`maintain_serial_with`](Self::maintain_serial_with) under a fixed
-    /// seed.
+    /// count. Bit-identical to the serial loop under a fixed seed.
     ///
     /// [`StaticRebalance`]: scdn_alloc::replication::StaticRebalance
     pub fn maintain_with<P: RebalancePolicy>(&mut self, policy: &P) -> usize {
@@ -269,8 +267,8 @@ impl Scdn {
     /// (post-departure repair). Returns the number of replicas restored.
     ///
     /// Same plan/commit cycle as [`maintain`](Self::maintain) with every
-    /// dataset targeted at the configured count; bit-identical to
-    /// [`repair_serial`](Self::repair_serial) under a fixed seed.
+    /// dataset targeted at the configured count; bit-identical to one
+    /// serial `replicate` call per dataset under a fixed seed.
     pub fn repair(&mut self) -> usize {
         let mut datasets: Vec<DatasetId> = self.datasets.keys().copied().collect();
         datasets.sort_unstable();

@@ -3,13 +3,14 @@
 use std::sync::OnceLock;
 
 use bytes::Bytes;
-use scdn_core::system::{AvailabilityConfig, Scdn, ScdnConfig};
 use scdn_graph::NodeId;
 use scdn_net::failure::FailureModel;
 use scdn_social::generator::{generate, CaseStudyParams};
 use scdn_social::trustgraph::{build_trust_subgraph, TrustFilter, TrustSubgraph};
 use scdn_social::SyntheticDblp;
 use scdn_storage::object::{DatasetId, Sensitivity};
+
+use crate::system::{AvailabilityConfig, Scdn, ScdnConfig};
 
 fn community() -> &'static (SyntheticDblp, TrustSubgraph) {
     static CELL: OnceLock<(SyntheticDblp, TrustSubgraph)> = OnceLock::new();

@@ -12,9 +12,7 @@ use std::sync::Arc;
 
 use scdn_alloc::placement::PlacementAlgorithm;
 use scdn_alloc::ranking_cache::RankingCache;
-use scdn_alloc::replication::{
-    AdaptiveRebalance, RebalancePolicy, ReplicationPolicy, StaticRebalance,
-};
+use scdn_alloc::replication::{AdaptiveRebalance, ReplicationPolicy, StaticRebalance};
 use scdn_alloc::server::{AllocationError, AllocationServer, RepositoryInfo};
 use scdn_graph::{CsrGraph, Graph, GraphDelta, NodeId};
 use scdn_middleware::audit::AuditLog;
@@ -66,8 +64,9 @@ pub enum AvailabilityConfig {
 /// floor. `Adaptive` distributes a global replica budget in proportion to
 /// each dataset's share of the demand window (see
 /// [`AdaptiveRebalance`]). Callers with their own policy impl can bypass
-/// the enum entirely via [`Scdn::maintain_with`] /
-/// [`Scdn::maintain_serial_with`].
+/// the enum entirely via [`Scdn::maintain_with`].
+///
+/// [`RebalancePolicy`]: scdn_alloc::replication::RebalancePolicy
 #[derive(Clone, Copy, Debug)]
 pub enum RebalanceStrategy {
     /// The static [`ReplicationPolicy`] from `ScdnConfig::replication`,
@@ -718,26 +717,6 @@ impl Scdn {
         Ok(affected)
     }
 
-    /// Serial oracle for [`repair`](Self::repair): one
-    /// [`replicate`](Self::replicate) call per dataset, in dataset order.
-    /// Kept as the reference implementation the equivalence tests and the
-    /// `bench_maintain` identical-outcome gate compare the plan/commit
-    /// pipeline against.
-    pub fn repair_serial(&mut self) -> usize {
-        let datasets: Vec<DatasetId> = {
-            let mut v: Vec<DatasetId> = self.datasets.keys().copied().collect();
-            v.sort_unstable();
-            v
-        };
-        let mut restored = 0;
-        for d in datasets {
-            if let Ok(added) = self.replicate(d) {
-                restored += added.len();
-            }
-        }
-        restored
-    }
-
     /// The repository contributed by `node`.
     pub fn repo(&self, node: NodeId) -> Result<&Arc<StorageRepository>, ScdnError> {
         self.repos
@@ -820,23 +799,6 @@ impl Scdn {
             ranking_retained: rankings.retained,
             ranking_evicted: rankings.evicted,
         })
-    }
-
-    /// Flush-everything oracle for [`apply_graph_delta`]: apply the same
-    /// ops but re-freeze the CSR from scratch *without* announcing the
-    /// delta, so every cache flushes wholesale on its next use
-    /// (unannounced generation change). Benchmarks replay identical churn
-    /// through both paths and gate on identical selections.
-    ///
-    /// [`apply_graph_delta`]: Scdn::apply_graph_delta
-    pub fn apply_graph_delta_flush(&mut self, delta: &GraphDelta) -> Result<(), ScdnError> {
-        self.check_delta(delta)?;
-        delta.apply_to(&mut self.social);
-        self.social_csr = CsrGraph::from(&self.social);
-        for (a, b) in delta.edge_pairs() {
-            self.overlay.refresh_link(&self.social, a, b);
-        }
-        Ok(())
     }
 
     /// Publish a dataset from `node`'s repository: segments are stored in
@@ -941,22 +903,6 @@ impl Scdn {
             self.ranking_recompute_ms.record(elapsed_ms(start));
         }
         order
-    }
-
-    /// Enable or disable placement-ranking memoization. Rankings are
-    /// recomputed per call while disabled — identical candidates, uncached
-    /// cost — which is how `bench_maintain` prices its serial baseline.
-    pub fn set_ranking_cache_enabled(&self, enabled: bool) {
-        self.rankings.set_enabled(enabled);
-    }
-
-    /// Compute (and memoize) the placement ranking for the configured
-    /// algorithm without placing anything. Maintenance bursts and churn
-    /// studies call this to warm the ranking cache up front, so the next
-    /// [`apply_graph_delta`](Self::apply_graph_delta) has an entry to
-    /// retain or evict and the next grow cycle pays no ranking cost.
-    pub fn warm_placement_ranking(&self) {
-        let _ = self.placement_ranking();
     }
 
     /// [`replicate`](Self::replicate) with an explicit target replica
@@ -1648,7 +1594,7 @@ impl Scdn {
         shed
     }
 
-    /// The [`RebalancePolicy`] equivalent of the configured
+    /// The `RebalancePolicy` equivalent of the configured
     /// [`RebalanceStrategy::Static`] variant: the config's
     /// [`ReplicationPolicy`] with `replicas_per_dataset` as the grow
     /// floor (the floor the old maintain paths applied inline via
@@ -1658,47 +1604,6 @@ impl Scdn {
             policy: self.config.replication,
             grow_floor: self.config.replicas_per_dataset,
         }
-    }
-
-    /// Serial oracle for [`maintain`](Self::maintain): the configured
-    /// rebalance strategy applied one dataset at a time, in dataset order.
-    /// Kept as the reference implementation the equivalence tests and the
-    /// `bench_maintain` / `bench_rebalance` identical-outcome gates compare
-    /// the plan/commit pipeline against.
-    pub fn maintain_serial(&mut self) -> usize {
-        match self.config.rebalance {
-            RebalanceStrategy::Static => {
-                let policy = self.static_rebalance();
-                self.maintain_serial_with(&policy)
-            }
-            RebalanceStrategy::Adaptive(policy) => self.maintain_serial_with(&policy),
-        }
-    }
-
-    /// [`maintain_serial`](Self::maintain_serial) with an explicit
-    /// [`RebalancePolicy`]. The policy's target is honored verbatim — no
-    /// config floor is re-applied here, so a demand-driven policy can hold
-    /// a cold dataset below `replicas_per_dataset`.
-    pub fn maintain_serial_with<P: RebalancePolicy>(&mut self, policy: &P) -> usize {
-        let plan = self.alloc.rebalance_plan(policy);
-        let mut changes = 0usize;
-        for (dataset, current, target) in plan.triples() {
-            if target > current {
-                changes += self
-                    .replicate_to(dataset, target)
-                    .map(|added| added.len())
-                    .unwrap_or(0);
-            } else if target < current {
-                // Shed the last-added replica(s).
-                changes += self.shed_replicas(dataset, current - target).len();
-            }
-        }
-        // Drain each window to the totals the plan observed: requests
-        // resolved between the plan read and this drain stay in the next
-        // window instead of vanishing (the old `reset_demand` dropped
-        // them).
-        self.alloc.drain_demand(&plan);
-        changes
     }
 
     /// The allocation server (read access for tests and experiments).
@@ -1798,6 +1703,12 @@ mod pipeline;
 // Maintenance/repair plan/commit pipeline (same child-module pattern).
 #[path = "maintain_pipeline.rs"]
 mod maintain_pipeline;
+
+// The serial and flush-everything references the equivalence tests hold
+// the two pipelines and the delta path to.
+#[cfg(test)]
+#[path = "oracle.rs"]
+mod oracle;
 
 #[cfg(test)]
 #[path = "system_tests.rs"]

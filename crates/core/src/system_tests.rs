@@ -759,11 +759,25 @@ fn graph_delta_path_matches_flush_oracle_resolutions() {
         let _ = oracle.resolve_replica(NodeId(q), id_oracle);
     }
 
-    // Churn: drop the first coauthorship edge, add a fresh long-range one.
-    let (a, b, _) = sub.graph.edges().next().expect("has edges");
+    // Churn. First recurring coauthorship on an existing tie — a
+    // weight-only delta, which no hop distance and no weight-blind ranking
+    // can feel — then drop the first coauthorship edge and add a fresh
+    // long-range one.
+    let (a, b, w) = sub.graph.edges().next().expect("has edges");
     let far = NodeId(fast.member_count() as u32 - 1);
+    let mut reinforce = scdn_graph::GraphDelta::new();
+    reinforce.add_edge(a, b, w + 1);
     let mut delta = scdn_graph::GraphDelta::new();
     delta.remove_edge(a, b).add_edge(NodeId(0), far, 3);
+    let kept = fast.apply_graph_delta(&reinforce).expect("delta path");
+    oracle
+        .apply_graph_delta_flush(&reinforce)
+        .expect("flush path");
+    // The ranking that survived places what a recomputed one places.
+    assert_eq!(
+        fast.replicate_to(id_fast, 5).expect("grows"),
+        oracle.replicate_to(id_oracle, 5).expect("grows")
+    );
     let stats = fast.apply_graph_delta(&delta).expect("delta path");
     oracle.apply_graph_delta_flush(&delta).expect("flush path");
 
@@ -780,11 +794,20 @@ fn graph_delta_path_matches_flush_oracle_resolutions() {
         );
     }
     assert_eq!(
-        stats.resolve_retained,
+        kept.resolve_retained + stats.resolve_retained,
         fast.registry()
             .counter("alloc.resolve.cache.retained")
             .get()
     );
+    // Scoped invalidation keeps what the churn cannot reach…
+    assert!(kept.resolve_retained > 0, "no distance moved");
+    assert!(kept.ranking_retained > 0, "the ranking reads no weight");
+    // …and the chunked apply shares what it did not touch, where the
+    // oracle's re-freeze copies every column byte.
+    assert!(stats.chunks_shared > 0);
+    let refrozen = oracle.social_csr().cow_stats();
+    assert_eq!(refrozen.chunks_shared, 0);
+    assert!(stats.bytes_copied < refrozen.bytes_copied);
 }
 
 // ---- coded requests and repairs that cannot decode -----------------------

@@ -254,6 +254,13 @@ fn second_delivery_refused_after_first_commits() {
         Some(1),
         "the refusal must come from the commit-side re-plan"
     );
+    assert_eq!(
+        batched
+            .observability_snapshot()
+            .counter("core.batch.snapshot_reuse"),
+        Some(1),
+        "one catalog snapshot load planned both requests"
+    );
     // The refused delivery left nothing behind.
     assert_eq!(batched.repo(requester).expect("member").used(), 14 << 10);
 

@@ -1,6 +1,8 @@
 //! Integration test: the life of an erasure-coded dataset — publish under
 //! RS(4,2), an any-k fetch, and repair after a data-block host, a
-//! parity-block host, and finally the owner itself leave.
+//! parity-block host, and finally the owner itself leave — beside the same
+//! dataset kept as three full copies, which must repair dearer and fetch
+//! no faster in the tail.
 
 use scdn::bytes::Bytes;
 use scdn::core::system::{Scdn, ScdnConfig};
@@ -93,33 +95,63 @@ fn coded_dataset_survives_fetch_and_three_repairs() {
         coding: CodingConfig::Rs { k: 4, m: 2 },
         ..Default::default()
     };
-    let mut scdn = Scdn::build(&sub, &c.corpus, config);
+    let mut scdn = Scdn::build(&sub, &c.corpus, config.clone());
+    // The same dataset under full replication at equal durability: m + 1
+    // copies survive any m host losses, as k + m blocks do.
+    let mut plain = Scdn::build(
+        &sub,
+        &c.corpus,
+        ScdnConfig {
+            coding: CodingConfig::None,
+            replicas_per_dataset: (N - K) as usize + 1,
+            ..config
+        },
+    );
     let owner = NodeId(0);
     let published: Vec<u8> = (0..50_000u32)
         .map(|i| (i.wrapping_mul(2_654_435_761) >> 9) as u8)
         .collect();
     let block_len = 12_500u64;
-    let dataset = scdn
-        .publish(
+    let publish = |scdn: &mut Scdn| {
+        scdn.publish(
             owner,
             "lifecycle",
             Bytes::from(published.clone()),
             Sensitivity::Public,
             None,
         )
-        .expect("publishes");
+        .expect("publishes")
+    };
+    let dataset = publish(&mut scdn);
     let placed = scdn.replicate(dataset).expect("places every block");
     assert_eq!(placed.len(), N as usize);
     assert_any_k_decode(&scdn, dataset, &published);
+    let plain_dataset = publish(&mut plain);
+    let copies = plain.replicate(plain_dataset).expect("places every copy");
+    assert_eq!(copies.len(), (N - K) as usize);
 
-    // A member that hosts nothing fetches any k blocks and ends up with
-    // the published bytes as plain segments.
-    let requester = (1..scdn.member_count() as u32)
+    // Every member that hosts nothing fetches any k blocks, and the same
+    // bytes from one full copy. A requester next to a copy can beat the
+    // race, which waits on its k-th nearest donor; the tail cannot.
+    let requesters: Vec<NodeId> = (1..scdn.member_count() as u32)
         .map(NodeId)
-        .find(|n| !placed.contains(n))
-        .expect("a member hosting nothing");
-    let outcome = scdn.request_coded(requester, dataset).expect("served");
-    assert_eq!(outcome.bytes, u64::from(K) * block_len);
+        .filter(|n| !placed.contains(n))
+        .collect();
+    let (mut slowest_race, mut slowest_stream) = (0.0f64, 0.0f64);
+    for &n in &requesters {
+        let raced = scdn.request_coded(n, dataset).expect("served");
+        assert_eq!(raced.bytes, u64::from(K) * block_len);
+        let streamed = plain.request(n, plain_dataset).expect("served");
+        assert_eq!(streamed.bytes, published.len() as u64);
+        slowest_race = slowest_race.max(raced.response_ms);
+        slowest_stream = slowest_stream.max(streamed.response_ms);
+    }
+    assert!(
+        slowest_race <= slowest_stream,
+        "slowest any-k fetch {slowest_race} ms, slowest single-source fetch {slowest_stream} ms"
+    );
+    // A requester ends up with the published bytes as plain segments.
+    let requester = requesters[0];
     let repo = scdn.repo(requester).expect("member").clone();
     let mut fetched = Vec::new();
     for id in repo.list(Partition::User) {
@@ -142,6 +174,14 @@ fn coded_dataset_survives_fetch_and_three_repairs() {
         );
         assert_any_k_decode(&scdn, dataset, &published);
     }
+    // Losing a host under full replication costs a whole copy.
+    plain.depart(copies[0]).expect("departs");
+    let before = bytes_transferred(&plain);
+    assert_eq!(plain.repair(), 1, "the lost copy gets one new host");
+    assert!(
+        block_len < bytes_transferred(&plain) - before,
+        "coded repair must move less than re-replication"
+    );
 
     // The owner and a block host leave together: a rebuilder reconstructs
     // the content from k surviving blocks and regenerates the lost one.

@@ -2,9 +2,10 @@
 //! demand-driven replication — the CDN behavior the paper motivates with
 //! "help web sites meet the demands of peak usage".
 
+use scdn::alloc::replication::AdaptiveRebalance;
 use scdn::bytes::Bytes;
 use scdn::core::events::{EventDrivenSim, SimEvent};
-use scdn::core::system::{Scdn, ScdnConfig};
+use scdn::core::system::{RebalanceStrategy, Scdn, ScdnConfig};
 use scdn::graph::NodeId;
 use scdn::sim::engine::SimTime;
 use scdn::sim::workload::{generate_requests, with_flash_crowd, WorkloadConfig};
@@ -13,7 +14,7 @@ use scdn::social::trustgraph::{build_trust_subgraph, TrustFilter};
 use scdn::storage::object::DatasetId;
 use scdn::storage::Sensitivity;
 
-fn build_system() -> (Scdn, Vec<DatasetId>) {
+fn build_system(rebalance: RebalanceStrategy) -> (Scdn, Vec<DatasetId>) {
     let mut params = CaseStudyParams::default();
     params.level2_prob = 0.4;
     params.level3_prob = 0.0;
@@ -30,6 +31,7 @@ fn build_system() -> (Scdn, Vec<DatasetId>) {
     .expect("seed present");
     let mut config = ScdnConfig::default();
     config.replicas_per_dataset = 2;
+    config.rebalance = rebalance;
     let mut scdn = Scdn::build(&sub, &c.corpus, config);
     let mut datasets = Vec::new();
     for i in 0..6u32 {
@@ -48,9 +50,11 @@ fn build_system() -> (Scdn, Vec<DatasetId>) {
     (scdn, datasets)
 }
 
-#[test]
-fn flash_crowd_triggers_replication_growth() {
-    let (scdn, datasets) = build_system();
+/// Replay a flash crowd on dataset 3 with a maintenance cycle every 5 s.
+/// Returns the hot dataset's replica count before and after, and the
+/// catalog's final total.
+fn absorb_flash_crowd(rebalance: RebalanceStrategy) -> (usize, usize, usize) {
+    let (scdn, datasets) = build_system(rebalance);
     let members = scdn.member_count();
     let hot = datasets[3];
     let replicas_before = scdn.replicas_of(hot).expect("known").len();
@@ -91,18 +95,46 @@ fn flash_crowd_triggers_replication_growth() {
         stats.maintenance_changes > 0,
         "maintenance must react to the burst"
     );
-    let replicas_after = sim.scdn.replicas_of(hot).expect("known").len();
-    assert!(
-        replicas_after > replicas_before,
-        "the hot dataset must gain replicas ({replicas_before} -> {replicas_after})"
-    );
     // The burst's demand is visible in the served counter.
     assert_eq!(stats.served as usize, workload.len());
+    let replicas = |d: &DatasetId| sim.scdn.replicas_of(*d).expect("known").len();
+    (
+        replicas_before,
+        replicas(&hot),
+        datasets.iter().map(replicas).sum(),
+    )
+}
+
+#[test]
+fn flash_crowd_triggers_replication_growth() {
+    let (before, after, _) = absorb_flash_crowd(RebalanceStrategy::Static);
+    assert!(
+        after > before,
+        "the hot dataset must gain replicas ({before} -> {after})"
+    );
+}
+
+/// The demand-driven policy absorbs the same crowd without spending more
+/// storage than the static formula ended up with: the replicas come from
+/// the datasets nobody is asking for.
+#[test]
+fn adaptive_policy_absorbs_the_crowd_within_the_static_budget() {
+    let (_, _, budget) = absorb_flash_crowd(RebalanceStrategy::Static);
+    let adaptive = AdaptiveRebalance::with_budget(budget);
+    let (before, after, total) = absorb_flash_crowd(RebalanceStrategy::Adaptive(adaptive));
+    assert!(
+        after > before,
+        "the hot dataset must gain replicas ({before} -> {after})"
+    );
+    assert!(
+        total <= budget,
+        "{total} replicas against a budget of {budget}"
+    );
 }
 
 #[test]
 fn quiet_datasets_do_not_grow() {
-    let (scdn, datasets) = build_system();
+    let (scdn, datasets) = build_system(RebalanceStrategy::Static);
     let members = scdn.member_count();
     let quiet = datasets[5];
     let before = scdn.replicas_of(quiet).expect("known").len();
