@@ -1,13 +1,14 @@
 //! Criterion benches for the two payload kernels of `scdn-storage`: the
-//! fused one-pass FNV+CRC checksum against its two byte-at-a-time
-//! reference kernels run back to back, and the product-row GF(2^8) coder
-//! at RS(4,2) over 1 MiB. For humans; the accept/reject numbers come from
-//! `benchmark/` (`storage.checksum.mib_per_s`, `storage.encode/decode.*`).
+//! fused one-pass checksum (lane-striped FNV-1a + slice-by-16 CRC) against
+//! its two byte-at-a-time reference kernels run back to back, and the
+//! product-row GF(2^8) coder at RS(4,2) over 1 MiB. For humans; the
+//! accept/reject numbers come from `benchmark/`
+//! (`storage.checksum.mib_per_s`, `storage.encode/decode.*`).
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use scdn_storage::coding::ErasureCoder;
-use scdn_storage::integrity::{crc32, fnv1a64, Checksum};
+use scdn_storage::integrity::{crc32, fnv1a64_striped, Checksum};
 
 /// Incompressible-looking bytes, so table lookups spread over the tables.
 fn payload(len: usize) -> Vec<u8> {
@@ -21,7 +22,10 @@ fn checksums(c: &mut Criterion) {
     for (name, size) in [
         ("1KiB", 1usize << 10),
         ("16KiB", 16 << 10),
+        // A `churn_maintain` segment and a `coded_repair` dataset.
+        ("64KiB", 64 << 10),
         ("256KiB", 256 << 10),
+        ("1MiB", 1 << 20),
     ] {
         let data = payload(size);
         group.throughput(Throughput::Bytes(size as u64));
@@ -29,7 +33,7 @@ fn checksums(c: &mut Criterion) {
             b.iter(|| {
                 let d = std::hint::black_box(d);
                 Checksum {
-                    fnv: fnv1a64(d),
+                    fnv: fnv1a64_striped(d),
                     crc: crc32(d),
                 }
             });

@@ -11,6 +11,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use scdn_graph::{Graph, NodeId};
+use scdn_storage::integrity::fnv1a64;
 
 /// A member's certificate: an identity plus a fingerprint of its public
 /// key material (simulated as an FNV-1a digest of the key bytes).
@@ -27,18 +28,9 @@ impl PeerCertificate {
     pub fn from_key(node: NodeId, key: &[u8]) -> PeerCertificate {
         PeerCertificate {
             node,
-            fingerprint: fnv(key),
+            fingerprint: fnv1a64(key),
         }
     }
-}
-
-fn fnv(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Why a link could not be established.
@@ -293,6 +285,9 @@ mod tests {
         let social = Graph::from_edges(2, [(0, 1, 1)]);
         let mut o = overlay_with_certs(2);
         let f0 = o.certificates[&NodeId(0)].fingerprint;
+        // Single-chain FNV-1a of "key-0" — not the storage layer's striped
+        // segment digest.
+        assert_eq!(f0, 0x71135bf295f28059);
         assert_eq!(
             o.establish_link(&social, NodeId(0), NodeId(1), f0, 0xBAD),
             Err(LinkError::FingerprintMismatch(NodeId(1)))

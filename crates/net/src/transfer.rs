@@ -12,7 +12,6 @@
 //! * supports *third-party* initiation: the caller need not be either
 //!   endpoint, exactly like Globus' control/data channel split.
 
-use bytes::Bytes;
 use scdn_storage::coding::CodedBlockId;
 use scdn_storage::object::{DatasetId, Segment, SegmentId};
 use scdn_storage::repository::{Partition, RepoError, StorageRepository};
@@ -370,25 +369,10 @@ impl TransferEngine {
                         attempts: record.attempt,
                     });
                 }
-                AttemptOutcome::Lost => {}
-                AttemptOutcome::Corrupted => {
-                    // Full attempt spent; destination checksum rejects.
-                    debug_assert!(
-                        {
-                            let mut raw = seg.data.to_vec();
-                            if !raw.is_empty() {
-                                raw[0] ^= 1;
-                            }
-                            let bad = Segment {
-                                id: seg.id,
-                                data: Bytes::from(raw),
-                                checksum: seg.checksum,
-                            };
-                            seg.is_empty() || !bad.verify()
-                        },
-                        "corrupted payloads must fail verification"
-                    );
-                }
+                // A full attempt spent and nothing stored: a lost payload
+                // never arrives, a corrupted one fails the destination's
+                // checksum (`any_flipped_bit_fails_segment_verify`).
+                AttemptOutcome::Lost | AttemptOutcome::Corrupted => {}
             }
         }
         Err(TransferError::RetriesExhausted {
@@ -719,6 +703,8 @@ impl TransferEngine {
 mod tests {
     use super::*;
     use crate::topology::LinkQuality;
+    use bytes::Bytes;
+    use scdn_storage::integrity::corrupt_bit;
     use scdn_storage::object::{DatasetId, Segment};
 
     fn seg(ds: u32, ord: u32, size: usize) -> Segment {
@@ -969,6 +955,29 @@ mod tests {
                 }
                 Err(TransferError::RetriesExhausted { .. }) => assert!(!sim.delivered),
                 Err(other) => panic!("unexpected: {other:?}"),
+            }
+        }
+    }
+
+    /// What a `Corrupted` attempt stands for: the bytes that would have
+    /// arrived differ from the segment's in at least one bit, and the
+    /// destination's checksum refuses them — so the retry loop stores
+    /// nothing for such an attempt. Exhaustive over every bit of payloads
+    /// shorter than, equal to and longer than a checksum stripe.
+    #[test]
+    fn any_flipped_bit_fails_segment_verify() {
+        for size in [1, 31, 32, 33, 100, 777] {
+            let good = seg(1, 0, size);
+            assert!(good.verify());
+            for bit in 0..size * 8 {
+                let mut raw = good.data.to_vec();
+                corrupt_bit(&mut raw, bit);
+                let bad = Segment {
+                    id: good.id,
+                    data: Bytes::from(raw),
+                    checksum: good.checksum,
+                };
+                assert!(!bad.verify(), "{size} bytes, bit {bit}");
             }
         }
     }

@@ -3,7 +3,7 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use scdn_storage::coding::{decode_blocks, encode_blocks, CodingError, CodingSpec};
-use scdn_storage::integrity::{corrupt_bit, crc32, fnv1a64, Checksum};
+use scdn_storage::integrity::{corrupt_bit, crc32, fnv1a64_striped, Checksum};
 use scdn_storage::object::{Dataset, DatasetId, Segment, SegmentId, Sensitivity};
 use scdn_storage::repository::{Partition, StorageRepository};
 use scdn_storage::vfs::Vfs;
@@ -68,34 +68,59 @@ proptest! {
         }
     }
 
-    /// The fused word-at-a-time kernel against the two byte-at-a-time
-    /// reference kernels, on windows of one larger buffer so the word
-    /// loop starts at every alignment and ends on every `len % 8` tail.
+    /// The fused stripe-at-a-time kernel against the two byte-at-a-time
+    /// reference kernels, on windows of one larger buffer so the stripe
+    /// loop starts at every alignment and ends on every `len % 32` tail.
     #[test]
     fn fused_checksum_matches_reference_kernels(
         buffer in proptest::collection::vec(any::<u8>(), 70_064..=70_064),
         offset in 0usize..64,
         len in 0usize..=70_000,
-        short in 0usize..=24,
+        short in 0usize..=72,
     ) {
         for len in [len, short] {
             let d = &buffer[offset..offset + len];
             prop_assert_eq!(
                 Checksum::of(d),
-                Checksum { fnv: fnv1a64(d), crc: crc32(d) }
+                Checksum { fnv: fnv1a64_striped(d), crc: crc32(d) }
             );
         }
     }
 
     #[test]
     fn any_single_bitflip_is_detected(
-        content in proptest::collection::vec(any::<u8>(), 1..512),
+        content in proptest::collection::vec(any::<u8>(), 1..4096),
         bit in any::<usize>(),
     ) {
         let checksum = Checksum::of(&content);
         let mut tampered = content.clone();
         corrupt_bit(&mut tampered, bit);
         prop_assert!(!checksum.verify(&tampered));
+    }
+
+    /// Two 8-byte words trading places — in one stripe, in one lane or
+    /// neither — and zero bytes appended or cut are all caught: word order
+    /// and length are part of the digest, not only the bytes.
+    #[test]
+    fn word_swaps_and_zero_padding_are_detected(
+        content in proptest::collection::vec(any::<u8>(), 16..2048),
+        a in any::<usize>(),
+        b in any::<usize>(),
+        zeros in 1usize..=96,
+    ) {
+        let checksum = Checksum::of(&content);
+        let words = content.len() / 8;
+        let (a, b) = (a % words, b % words);
+        let mut swapped = content.clone();
+        for i in 0..8 {
+            swapped.swap(8 * a + i, 8 * b + i);
+        }
+        prop_assert_eq!(checksum.verify(&swapped), swapped == content);
+
+        let mut padded = content.clone();
+        padded.resize(content.len() + zeros, 0);
+        prop_assert!(!checksum.verify(&padded));
+        prop_assert!(!Checksum::of(&padded).verify(&content));
     }
 
     #[test]
