@@ -1,6 +1,6 @@
 //! Equivalence properties of the erasure-coded storage scheme.
 //!
-//! Four contracts:
+//! Five contracts:
 //!
 //! 1. With [`CodingConfig::None`] (the default) the coded entry points
 //!    are pure pass-throughs: `request_coded` falls back to `request`
@@ -16,18 +16,25 @@
 //! 4. The plain segments a coded request leaves at the requester are
 //!    field-identical to the published ones, whichever blocks it raced and
 //!    however the segment size sits against the block length.
+//! 5. A block regenerated after the first encode — by an owner-online
+//!    repair, a maintenance `CodedGrow` or an owner-offline rebuild — is
+//!    field-identical to the first encode's block of that index. With 4,
+//!    this is what makes storing a rebuilt segment or block under the
+//!    owner's recorded digest, instead of digesting it again, sound: the
+//!    recorded digest is the digest of the right bytes.
 
 use std::sync::OnceLock;
 
 use bytes::Bytes;
 use proptest::prelude::*;
+use scdn_alloc::replication::{CycleStats, DatasetStats, RebalancePolicy};
 use scdn_graph::NodeId;
 use scdn_net::failure::FailureModel;
 use scdn_social::generator::{generate, CaseStudyParams};
 use scdn_social::trustgraph::{build_trust_subgraph, TrustFilter, TrustSubgraph};
 use scdn_social::SyntheticDblp;
-use scdn_storage::coding::CodingConfig;
-use scdn_storage::object::{Dataset, DatasetId, SegmentId, Sensitivity};
+use scdn_storage::coding::{encode_blocks, CodingConfig};
+use scdn_storage::object::{Dataset, DatasetId, Segment, SegmentId, Sensitivity};
 use scdn_storage::repository::Partition;
 
 use crate::system::{AvailabilityConfig, Scdn, ScdnConfig};
@@ -146,6 +153,13 @@ fn export_without(scdn: &Scdn, dropped: &[&str]) -> String {
         .join("\n")
 }
 
+/// Hand-offs refused for not carrying the owner's digest.
+fn owner_digest_mismatches(scdn: &Scdn) -> u64 {
+    scdn.observability_snapshot()
+        .counter("core.transfer.owner_digest_mismatch")
+        .expect("registered at build")
+}
+
 /// Catalog state per dataset: replica set, version token, and the full
 /// per-host coded-block inventory.
 #[allow(clippy::type_complexity)]
@@ -207,6 +221,7 @@ proptest! {
             comparable_snapshot(&piped),
             "metric snapshots diverge"
         );
+        prop_assert_eq!(owner_digest_mismatches(&piped), 0, "an honest copy was refused");
     }
 
     /// Contract 1: with `CodingConfig::None`, `request_coded` is a
@@ -594,5 +609,135 @@ fn request_coded_segments_are_field_identical_to_published() {
             );
             assert_eq!(snap.counter("core.coded.blocks_landed"), Some(u64::from(k)));
         }
+    }
+}
+
+/// A policy that wants one more replica of every dataset, so a
+/// maintenance cycle plans a grow (for a coded dataset, a `CodedGrow`)
+/// without any demand.
+struct AlwaysGrow;
+
+impl RebalancePolicy for AlwaysGrow {
+    fn target(&self, dataset: &DatasetStats, _cycle: &CycleStats) -> usize {
+        dataset.current + 1
+    }
+}
+
+/// Every block `dataset`'s hosts hold is field-identical to `first[index]`,
+/// and every index is held exactly once.
+fn assert_blocks_are_first_encode(scdn: &Scdn, dataset: DatasetId, first: &[Segment], case: &str) {
+    let mut held = Vec::new();
+    for (host, blocks) in scdn.allocation().coded_inventory(dataset).expect("coded") {
+        for &index in blocks.iter() {
+            let want = &first[index as usize];
+            let got = scdn
+                .repo(host)
+                .expect("member")
+                .fetch(Partition::Replica, want.id)
+                .expect("a placed block verifies");
+            assert_eq!(got.id, want.id, "{case}: block {index}");
+            assert_eq!(got.data, want.data, "{case}: block {index}");
+            assert_eq!(got.checksum, want.checksum, "{case}: block {index}");
+            held.push(index);
+        }
+    }
+    held.sort_unstable();
+    assert_eq!(
+        held,
+        (0..first.len() as u32).collect::<Vec<_>>(),
+        "{case}: every block held once"
+    );
+}
+
+proptest! {
+    /// Contracts 4 and 5 over random codes, lengths (divisible by neither
+    /// k nor the segment size, empty included) and departures that force
+    /// parity reconstruction: every segment a coded request stores
+    /// verifies and equals the published one field for field, and every
+    /// block regenerated later — owner-online repair, maintenance
+    /// `CodedGrow`, owner-offline rebuild — equals the first encode's.
+    #[test]
+    fn coded_rebuilds_carry_the_owners_digests(
+        (k, m) in (1u8..=5, 1u8..=3),
+        len in 0usize..24_000,
+        segment_size in 256usize..6_000,
+        data_hosts_lost in 0u8..=3,
+    ) {
+        let (c, sub) = community();
+        let config = ScdnConfig {
+            segment_size,
+            repo_capacity: 8 << 20,
+            availability: AvailabilityConfig::AlwaysOn,
+            failure: FailureModel::default(),
+            coding: CodingConfig::Rs { k, m },
+            ..Default::default()
+        };
+        let case = format!("RS({k},{m}), {len} B, segment size {segment_size}");
+        let mut scdn = Scdn::build(sub, &c.corpus, config);
+        let owner = NodeId(0);
+        let content: Vec<u8> = (0..len as u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 11) as u8)
+            .collect();
+        let dataset = scdn
+            .publish(owner, "adopt", Bytes::from(content.clone()), Sensitivity::Public, None)
+            .expect("publishes");
+        let hosts = scdn.replicate(dataset).expect("replicates");
+        let spec = scdn.allocation().coding_of(dataset).expect("known").expect("coded");
+        let first = encode_blocks(&spec, dataset, &content);
+        assert_blocks_are_first_encode(&scdn, dataset, &first, &case);
+
+        // Departing the hosts of the first data blocks forces the race
+        // onto parity.
+        let lost = data_hosts_lost.min(k).min(m);
+        for index in 0..u32::from(lost) {
+            let host = host_of(&scdn, dataset, index);
+            scdn.depart(host).expect("departs");
+        }
+        let requester = (1..scdn.member_count() as u32)
+            .map(NodeId)
+            .find(|n| !hosts.contains(n))
+            .expect("a member hosting nothing");
+        scdn.request_coded(requester, dataset).expect("served");
+        let published = Dataset::from_bytes(
+            dataset,
+            "adopt",
+            Sensitivity::Public,
+            Bytes::from(content.clone()),
+            segment_size,
+        );
+        let repo = scdn.repo(requester).expect("member");
+        let ids: Vec<SegmentId> = published.segments.iter().map(|s| s.id).collect();
+        prop_assert_eq!(repo.list(Partition::User), ids, "{}", case);
+        for want in &published.segments {
+            let got = repo.fetch(Partition::User, want.id).expect("stored and verifies");
+            prop_assert!(got.verify(), "{case}: {:?}", want.id);
+            prop_assert_eq!(got.id, want.id, "{}", case);
+            prop_assert_eq!(&got.data, &want.data, "{}: {:?}", case, want.id);
+            prop_assert_eq!(got.checksum, want.checksum, "{}: {:?}", case, want.id);
+        }
+        prop_assert_eq!(
+            scdn.observability_snapshot().counter("core.coded.shards_reconstructed"),
+            Some(u64::from(lost)),
+            "{}: the race reconstructs every lost data shard",
+            case
+        );
+
+        // Owner-online repair, on the serial path.
+        let last = spec.n() - 1;
+        scdn.depart(host_of(&scdn, dataset, last)).expect("departs");
+        scdn.replicate(dataset).expect("owner regenerates");
+        assert_blocks_are_first_encode(&scdn, dataset, &first, &format!("{case}, repair"));
+
+        // Maintenance grows the coded dataset back through `CodedGrow`.
+        scdn.depart(host_of(&scdn, dataset, 0)).expect("departs");
+        prop_assert_eq!(scdn.maintain_with(&AlwaysGrow), 1, "{}: maintain regrows the block", case);
+        assert_blocks_are_first_encode(&scdn, dataset, &first, &format!("{case}, maintain"));
+
+        // Owner-offline rebuild from k surviving blocks.
+        scdn.depart(owner).expect("owner departs");
+        scdn.depart(host_of(&scdn, dataset, last)).expect("departs");
+        prop_assert_eq!(scdn.repair(), 1, "{}: the rebuilder hosts the lost block", case);
+        assert_blocks_are_first_encode(&scdn, dataset, &first, &format!("{case}, rebuild"));
+        prop_assert_eq!(owner_digest_mismatches(&scdn), 0, "{}: an honest copy was refused", case);
     }
 }

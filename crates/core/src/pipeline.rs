@@ -71,6 +71,7 @@ use scdn_net::transfer::{SegmentSim, TransferError};
 use scdn_obs::{SpanKind, SpanStatus, TraceBuilder};
 use scdn_sim::engine::SimTime;
 use scdn_social::platform::UserId;
+use scdn_storage::integrity::Checksum;
 use scdn_storage::object::{DatasetId, Segment, SegmentId};
 use scdn_storage::repository::{Partition, RepoError};
 
@@ -391,18 +392,28 @@ impl Scdn {
                 );
             }
         };
-        let body = self.plan_transfer(node, user, decision, selection, segments, Vec::new());
+        let body = self.plan_transfer(
+            node,
+            user,
+            decision,
+            selection,
+            segments,
+            &meta.segment_digests,
+            Vec::new(),
+        );
         plan(stamp, trace, body)
     }
 
     /// Plan the transfer of `segments` from the selected replica: per
     /// segment, fetch from the source (verify-on-read), simulate the retry
-    /// chain, then simulate the destination quota. `prior` is the
-    /// [`Fetched`] list of an earlier walk of this same selection; its
-    /// entries stand in for the fetch and the simulation (both are
-    /// independent of the requester's repository), and past its end the
-    /// walk fetches live — so a re-walk can end earlier, later or
+    /// chain, refuse a delivered segment whose checksum is not the
+    /// owner's digest in `recorded`, then simulate the destination quota.
+    /// `prior` is the [`Fetched`] list of an earlier walk of this same
+    /// selection; its entries stand in for the fetch and the simulation
+    /// (both are independent of the requester's repository), and past its
+    /// end the walk fetches live — so a re-walk can end earlier, later or
     /// differently than the first one did.
+    #[allow(clippy::too_many_arguments)]
     fn plan_transfer(
         &self,
         node: NodeId,
@@ -410,6 +421,7 @@ impl Scdn {
         decision: AccessDecision,
         selection: Selection,
         segments: Vec<SegmentId>,
+        recorded: &[Checksum],
         prior: Vec<Fetched>,
     ) -> PlanBody {
         if selection.node == node {
@@ -461,12 +473,19 @@ impl Scdn {
             };
             let bytes = f.seg.len() as u64;
             let (delivered, elapsed_ms) = (f.sim.delivered, f.sim.elapsed_ms);
+            let forged = recorded.get(s.ordinal as usize) != Some(&f.seg.checksum);
             fetched.push(f);
             if !delivered {
                 failure = Some(TransferError::RetriesExhausted {
                     segment: s,
                     attempts: self.engine.max_attempts,
                 });
+                break;
+            }
+            if forged {
+                // Delivered, then refused: the source rewrote the segment
+                // under a digest of its own.
+                failure = Some(TransferError::SourceCorrupt(s));
                 break;
             }
             if !dst_repo.contains_in(Partition::User, s) {
@@ -543,7 +562,21 @@ impl Scdn {
                 segments,
                 fetched,
                 ..
-            } => self.plan_transfer(node, user, decision, selection, segments, fetched),
+            } => {
+                let meta = self
+                    .datasets
+                    .get(&dataset)
+                    .expect("a planned transfer's dataset is published");
+                self.plan_transfer(
+                    node,
+                    user,
+                    decision,
+                    selection,
+                    segments,
+                    &meta.segment_digests,
+                    fetched,
+                )
+            }
             // No other body reads the requester's repository.
             other => other,
         };
@@ -836,6 +869,12 @@ impl Scdn {
                     .commit_resolution(dataset, Some(selection.social_hops));
                 self.replay_trace(&mut tb, &trace);
                 self.replay_attempts(&mut tb, selection.node.0, &fetched);
+                if fetched
+                    .last()
+                    .is_some_and(|f| f.sim.delivered && !self.carries_owner_digest(&f.seg))
+                {
+                    self.owner_digest_mismatch.inc();
+                }
                 self.cdn_metrics.failures += 1;
                 self.social_metrics
                     .record_exchange(selection.node.index(), node.index(), 0, false);

@@ -8,7 +8,7 @@
 //! segments; availability churn and all Section V-E metrics are recorded.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use scdn_alloc::placement::PlacementAlgorithm;
 use scdn_alloc::ranking_cache::RankingCache;
@@ -37,6 +37,7 @@ use scdn_storage::coding::{
     decode_block_shards, decode_blocks, encode_block_rows, CodedBlockId, CodingConfig, CodingError,
     CodingSpec, ErasureCoder,
 };
+use scdn_storage::integrity::Checksum;
 use scdn_storage::object::{Dataset, DatasetId, Segment, SegmentId, Sensitivity};
 use scdn_storage::repository::{Partition, RepoError, StorageRepository};
 use scdn_trust::interaction::InteractionLedger;
@@ -219,6 +220,14 @@ pub struct RequestOutcome {
 struct DatasetMeta {
     owner: NodeId,
     policy: AccessPolicy,
+    /// The owner's digest of each plain segment, as `publish` cut it: the
+    /// reference a segment received from another member must carry, and
+    /// the digest a decoded segment is stored under.
+    segment_digests: Arc<[Checksum]>,
+    /// The owner's digest of each coded block `0..n`, recorded by the
+    /// first full encode of its plain copy (never, for an uncoded
+    /// dataset). Set once, possibly from a maintenance planning worker.
+    block_digests: OnceLock<Box<[Checksum]>>,
 }
 
 enum Availability {
@@ -351,6 +360,9 @@ pub struct Scdn {
     /// runs like the rest of `core.maintain.*`.
     coded_rows_encoded: Counter,
     coded_replans_kept_blocks: Counter,
+    /// Segments and coded blocks received from another member under a
+    /// digest other than the owner's (`core.transfer.owner_digest_mismatch`).
+    owner_digest_mismatch: Counter,
 }
 
 /// What one [`Scdn::apply_graph_delta`] call did: how much of the CSR was
@@ -415,9 +427,9 @@ pub(crate) fn coded_missing(inventory: &[(NodeId, Arc<Vec<u32>>)], spec: &Coding
 }
 
 /// The blocks a successful coded fetch left the destination holding: the
-/// ones it landed, as handed back (verified where the donor read them),
-/// after the ones that were already in the partition, fetched — and so
-/// verified — from it.
+/// ones it landed, as handed back (verified where the donor read them and
+/// held to the owner's digests on arrival), after the ones that were
+/// already in the partition, fetched — and so verified — from it.
 fn fetched_blocks(
     dst_repo: &StorageRepository,
     partition: Partition,
@@ -591,6 +603,7 @@ impl Scdn {
         let coded_shards_reconstructed = registry.counter("core.coded.shards_reconstructed");
         let coded_rows_encoded = registry.counter("core.maintain.coded_rows_encoded");
         let coded_replans_kept_blocks = registry.counter("core.maintain.coded_replans_kept_blocks");
+        let owner_digest_mismatch = registry.counter("core.transfer.owner_digest_mismatch");
         Scdn {
             social: sub.graph.clone(),
             social_csr: CsrGraph::from(&sub.graph),
@@ -643,6 +656,7 @@ impl Scdn {
             coded_shards_reconstructed,
             coded_rows_encoded,
             coded_replans_kept_blocks,
+            owner_digest_mismatch,
             config,
         }
     }
@@ -730,6 +744,44 @@ impl Scdn {
         } else {
             Ok(())
         }
+    }
+
+    /// `true` if `seg`, received from another member, carries the digest
+    /// the owner recorded for it — not merely one its own bytes match. A
+    /// 12-byte compare: the sender's read already digested the bytes.
+    fn carries_owner_digest(&self, seg: &Segment) -> bool {
+        let Some(meta) = self.datasets.get(&seg.id.dataset) else {
+            return false;
+        };
+        let recorded = match CodedBlockId::from_segment_id(seg.id) {
+            Some(block) => meta
+                .block_digests
+                .get()
+                .and_then(|d| d.get(block.index as usize)),
+            None => meta.segment_digests.get(seg.id.ordinal as usize),
+        };
+        recorded == Some(&seg.checksum)
+    }
+
+    /// Hold every block a coded fetch landed to the owner's digests. A
+    /// forged block fails the hand-off: each one is counted, everything
+    /// the fetch landed is given back, and the first is the error.
+    fn check_landed(
+        &self,
+        dst_repo: &StorageRepository,
+        partition: Partition,
+        rep: &CodedFetchReport,
+    ) -> Result<(), TransferError> {
+        let mut forged = rep
+            .landed
+            .iter()
+            .filter(|seg| !self.carries_owner_digest(seg));
+        let Some(first) = forged.next() else {
+            return Ok(());
+        };
+        self.owner_digest_mismatch.add(1 + forged.count() as u64);
+        discard_landed(dst_repo, partition, rep);
+        Err(TransferError::SourceCorrupt(first.id))
     }
 
     /// The frozen CSR snapshot of the social graph currently serving
@@ -864,6 +916,8 @@ impl Scdn {
             DatasetMeta {
                 owner: node,
                 policy,
+                segment_digests: dataset.segments.iter().map(|s| s.checksum).collect(),
+                block_digests: OnceLock::new(),
             },
         );
         Ok(id)
@@ -1064,7 +1118,42 @@ impl Scdn {
             content.extend_from_slice(&seg.data);
         }
         self.coded_rows_encoded.add(rows.len() as u64);
-        Ok(encode_block_rows(spec, dataset, &content, rows))
+        Ok(self.encode_coded_rows(dataset, spec, &content, rows))
+    }
+
+    /// Encode coded blocks `rows` of `dataset` from its content. The first
+    /// full encode (every row, the owner's first `replicate`) digests its
+    /// blocks and records the digests as the owner's; every later encode
+    /// stores its rows under the recorded digests without digesting them,
+    /// so a row that comes out wrong fails its first read instead of
+    /// living on under a digest of its own bytes.
+    fn encode_coded_rows(
+        &self,
+        dataset: DatasetId,
+        spec: &CodingSpec,
+        content: &[u8],
+        rows: &[u32],
+    ) -> Vec<Segment> {
+        let recorded = self.datasets.get(&dataset).map(|m| &m.block_digests);
+        if let Some(digests) = recorded.and_then(OnceLock::get) {
+            return spec
+                .coder()
+                .encode_rows(content, rows)
+                .into_iter()
+                .zip(rows)
+                .map(|(bytes, &index)| Segment {
+                    id: CodedBlockId { dataset, index }.segment_id(),
+                    data: bytes::Bytes::from(bytes),
+                    checksum: digests[index as usize],
+                })
+                .collect();
+        }
+        let blocks = encode_block_rows(spec, dataset, content, rows);
+        if let Some(cell) = recorded.filter(|_| rows.iter().copied().eq(0..spec.n())) {
+            // Still unset: a cycle plans each dataset on one worker.
+            let _ = cell.set(blocks.iter().map(|b| b.checksum).collect());
+        }
+        blocks
     }
 
     /// Ship the regenerated coded blocks `blocks` — `blocks[i]` is block
@@ -1168,7 +1257,9 @@ impl Scdn {
     /// the rebuilder, fetch any `k` surviving blocks into it, decode,
     /// regenerate the missing blocks, keep the first locally and ship the
     /// rest. Costs `k` blocks in plus `missing - 1` out — still far below
-    /// a full re-replication when few blocks are missing.
+    /// a full re-replication when few blocks are missing. A landed block
+    /// that does not carry the owner's digest fails the rebuild with
+    /// [`TransferError::SourceCorrupt`] and gives back what it landed.
     fn restore_coded_reconstruct(
         &mut self,
         dataset: DatasetId,
@@ -1253,6 +1344,7 @@ impl Scdn {
         if err.is_some() {
             return Ok(Vec::new());
         }
+        self.check_landed(&dst_repo, Partition::Replica, &rep)?;
         let regenerated =
             fetched_blocks(&dst_repo, Partition::Replica, dataset, &rep).and_then(|fetched| {
                 let content = decode_blocks(spec, &fetched).map_err(|_| {
@@ -1263,7 +1355,7 @@ impl Scdn {
                     })
                 })?;
                 self.coded_rows_encoded.add(missing.len() as u64);
-                Ok(encode_block_rows(spec, dataset, &content, missing))
+                Ok(self.encode_coded_rows(dataset, spec, &content, missing))
             });
         // The fetched donor blocks were scaffolding: a rebuild that fails
         // gives back what it landed, one that succeeds keeps only the
@@ -1302,13 +1394,20 @@ impl Scdn {
     /// (the fallback decision is read-only, so no session budget is spent
     /// twice).
     ///
-    /// A block is verified once, where the donor reads it; the requester
-    /// decodes from the segments the fetch hands back, the data shards
-    /// among them pass through untouched, and the plain segments it
-    /// stores are slices of those shards wherever a segment lies inside
-    /// one. A fetch that cannot be decoded — a block the requester already
-    /// held is corrupt at rest, or a block is the wrong size — fails the
-    /// request and gives back everything it landed.
+    /// A block's bytes are digested once, where the donor reads it; the
+    /// requester then compares the digest each landed block carries with
+    /// the one the owner recorded at its first encode, so a donor that
+    /// rewrote a block under a digest of its own fails the request with
+    /// [`TransferError::SourceCorrupt`]. The requester decodes from the
+    /// segments the fetch hands back, the data shards among them pass
+    /// through untouched, and the plain segments it stores are slices of
+    /// those shards wherever a segment lies inside one, stored under the
+    /// digests the owner recorded at publish rather than digested again.
+    /// A forged block, or a fetch that cannot be decoded — a block the
+    /// requester already held is corrupt at rest, or a block is the wrong
+    /// size — fails the request and gives back everything it landed. The
+    /// requester's own pre-existing blocks are a local read, verified
+    /// against their stored digest, and are not compared.
     pub fn request_coded(
         &mut self,
         node: NodeId,
@@ -1390,6 +1489,7 @@ impl Scdn {
             .add(rep.pre_existing.len() as u64);
         self.coded_discarded_corrupt
             .add(u64::from(rep.discarded_corrupt));
+        let err = err.or_else(|| self.check_landed(&dst_repo, Partition::User, &rep).err());
         if let Some(e) = err {
             self.cdn_metrics.failures += 1;
             self.social_metrics
@@ -1434,27 +1534,33 @@ impl Scdn {
             .add(decoded.reconstructed as u64);
         discard_scaffolding(&dst_repo, Partition::User, dataset, &rep);
         let mut applied_new: Vec<SegmentId> = Vec::new();
-        let seg_size = self.config.segment_size.max(1);
+        let seg_size = self.config.segment_size;
         let total = spec.total_len as usize;
-        let count = total.div_ceil(seg_size).max(1);
-        for ordinal in 0..count {
+        // The decoded segments are stored under the owner's digests, not
+        // digested again: a wrong decode fails its first read.
+        let digests = self
+            .datasets
+            .get(&dataset)
+            .expect("readiness checked")
+            .segment_digests
+            .clone();
+        for (ordinal, &checksum) in digests.iter().enumerate() {
             let start = ordinal * seg_size;
             let end = (start + seg_size).min(total);
-            let seg = Segment::new(
-                SegmentId {
+            let seg = Segment {
+                id: SegmentId {
                     dataset,
                     ordinal: ordinal as u32,
                 },
-                decoded.range(start, end),
-            );
+                data: decoded.range(start, end),
+                checksum,
+            };
             let pre_existing = dst_repo.contains_in(Partition::User, seg.id);
+            let id = seg.id;
             match dst_repo.store(Partition::User, seg) {
                 Ok(()) => {
                     if !pre_existing {
-                        applied_new.push(SegmentId {
-                            dataset,
-                            ordinal: ordinal as u32,
-                        });
+                        applied_new.push(id);
                     }
                 }
                 Err(e) => {

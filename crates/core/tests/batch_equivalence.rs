@@ -441,6 +441,13 @@ proptest! {
             trace_shapes(&batched),
             "trace span sequences diverge"
         );
+        prop_assert_eq!(
+            batched
+                .observability_snapshot()
+                .counter("core.transfer.owner_digest_mismatch"),
+            Some(0),
+            "an honest copy was refused"
+        );
     }
 
     #[test]
@@ -471,6 +478,13 @@ proptest! {
             trace_shapes(&serial),
             trace_shapes(&batched),
             "trace span sequences diverge"
+        );
+        prop_assert_eq!(
+            batched
+                .observability_snapshot()
+                .counter("core.transfer.owner_digest_mismatch"),
+            Some(0),
+            "an honest copy was refused"
         );
     }
 }

@@ -149,7 +149,11 @@ pub struct CodedFetchReport {
     /// partition, in acceptance order: the very segments whose checksums
     /// the donor-side read verified, so a caller can decode from them
     /// without fetching (and verifying) them back out of the destination.
-    /// Empty when the fetch failed and rolled its deliveries back.
+    /// Each carries the checksum its donor stored it under, which matches
+    /// its bytes but is only the donor's claim: a caller holding the
+    /// owner's digest of each block compares the two before trusting the
+    /// block, a 12-byte compare rather than a second digest pass. Empty
+    /// when the fetch failed and rolled its deliveries back.
     pub landed: Vec<Segment>,
     /// Wall-clock total across waves in milliseconds: each wave costs its
     /// slowest member, except the final wave, which is cut at the moment

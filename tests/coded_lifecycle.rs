@@ -191,3 +191,70 @@ fn coded_dataset_survives_fetch_and_three_repairs() {
     assert_eq!(scdn.repair(), 1, "the rebuilder hosts the lost block");
     assert_any_k_decode(&scdn, dataset, &published);
 }
+
+/// A block host rewrites its block and stores it under a checksum of the
+/// new bytes, so its own read verifies. The requester compares that
+/// checksum with the owner's, fails the request and gives back every
+/// block it landed.
+#[test]
+fn forged_block_fails_the_coded_request() {
+    use scdn::core::system::ScdnError;
+    use scdn::net::transfer::TransferError;
+
+    let mut params = CaseStudyParams::default();
+    params.level2_prob = 0.4;
+    params.level3_prob = 0.0;
+    params.mega_pub_authors = 0;
+    params.rng_seed = 5;
+    let c = generate(&params);
+    let sub = build_trust_subgraph(
+        &c.corpus,
+        c.seed_author,
+        3,
+        2009..=2010,
+        TrustFilter::Baseline,
+    )
+    .expect("seed present");
+    let config = ScdnConfig {
+        segment_size: 4096,
+        coding: CodingConfig::Rs { k: 4, m: 2 },
+        ..Default::default()
+    };
+    let mut scdn = Scdn::build(&sub, &c.corpus, config);
+    let dataset = scdn
+        .publish(
+            NodeId(0),
+            "forged",
+            Bytes::from(vec![0xA1u8; 10_000]),
+            Sensitivity::Public,
+            None,
+        )
+        .expect("publishes");
+    let placed = scdn.replicate(dataset).expect("places every block");
+    // The race takes blocks in ascending order, so block 0 always lands.
+    let id = CodedBlockId { dataset, index: 0 }.segment_id();
+    let forged = Segment::new(id, Bytes::from(vec![0x55u8; 2_500]));
+    scdn.repo(block_hosts(&scdn, dataset)[0])
+        .expect("member")
+        .store(Partition::Replica, forged)
+        .expect("same size fits");
+    let requester = (1..scdn.member_count() as u32)
+        .map(NodeId)
+        .find(|n| !placed.contains(n))
+        .expect("a member hosting nothing");
+    let repo = scdn.repo(requester).expect("member").clone();
+    let used = repo.used();
+
+    match scdn.request_coded(requester, dataset) {
+        Err(ScdnError::Transfer(TransferError::SourceCorrupt(bad))) => assert_eq!(bad, id),
+        other => panic!("a forged block must fail the request, got {other:?}"),
+    }
+    assert!(
+        repo.list(Partition::User).is_empty(),
+        "no forged byte and no landed block stays"
+    );
+    assert_eq!(repo.used(), used);
+    let snap = scdn.observability_snapshot();
+    assert_eq!(snap.counter("core.transfer.owner_digest_mismatch"), Some(1));
+    assert_eq!(snap.counter("core.coded.blocks_landed"), Some(u64::from(K)));
+}

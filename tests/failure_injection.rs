@@ -111,6 +111,64 @@ fn corrupted_source_copy_is_refused() {
     }
 }
 
+/// A replica host rewrites its copy of a segment and stores it under a
+/// checksum of the new bytes, so its own read verifies. The requester
+/// compares that checksum with the owner's and refuses the delivery.
+#[test]
+fn forged_replica_copy_is_refused() {
+    use scdn::net::transfer::TransferError;
+    use scdn::storage::{Segment, SegmentId};
+
+    let (c, sub) = community();
+    let mut scdn = Scdn::build(&sub, &c.corpus, ScdnConfig::default());
+    let owner = NodeId(0);
+    let dataset = scdn
+        .publish(
+            owner,
+            "forged",
+            Bytes::from(vec![0x3Cu8; 8000]),
+            Sensitivity::Public,
+            None,
+        )
+        .expect("publishes");
+    let hosts = scdn.replicate(dataset).expect("replicates");
+    let requester = (1..scdn.member_count() as u32)
+        .map(NodeId)
+        .find(|n| !hosts.contains(n))
+        .expect("a member hosting nothing");
+    let source = scdn
+        .resolve_replica(requester, dataset)
+        .expect("a replica serves");
+    let id = SegmentId {
+        dataset,
+        ordinal: 0,
+    };
+    let repo = scdn.repo(source).expect("member").clone();
+    let partition = if repo.contains_in(Partition::Replica, id) {
+        Partition::Replica
+    } else {
+        Partition::User
+    };
+    repo.store(partition, Segment::new(id, Bytes::from(vec![0x55u8; 8000])))
+        .expect("same size fits");
+
+    let before = scdn.repo(requester).expect("member").list(Partition::User);
+    match scdn.request(requester, dataset) {
+        Err(ScdnError::Transfer(TransferError::SourceCorrupt(bad))) => assert_eq!(bad, id),
+        other => panic!("a forged copy must be refused, got {other:?}"),
+    }
+    assert_eq!(
+        scdn.repo(requester).expect("member").list(Partition::User),
+        before,
+        "nothing forged reaches the requester"
+    );
+    assert_eq!(
+        scdn.observability_snapshot()
+            .counter("core.transfer.owner_digest_mismatch"),
+        Some(1)
+    );
+}
+
 #[test]
 fn quota_pressure_surfaces_cleanly() {
     let (c, sub) = community();
