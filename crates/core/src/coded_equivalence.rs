@@ -1,6 +1,6 @@
 //! Equivalence properties of the erasure-coded storage scheme.
 //!
-//! Five contracts:
+//! Six contracts:
 //!
 //! 1. With [`CodingConfig::None`] (the default) the coded entry points
 //!    are pure pass-throughs: `request_coded` falls back to `request`
@@ -22,6 +22,10 @@
 //!    this is what makes storing a rebuilt segment or block under the
 //!    owner's recorded digest, instead of digesting it again, sound: the
 //!    recorded digest is the digest of the right bytes.
+//! 6. A batch that mixes coded and whole-replica requests is the serial
+//!    loop of `request`: a coded plan goes stale under the same rule as a
+//!    resolution, and its commit races the blocks exactly as a single
+//!    request does.
 
 use std::sync::OnceLock;
 
@@ -740,4 +744,169 @@ proptest! {
         assert_blocks_are_first_encode(&scdn, dataset, &first, &format!("{case}, rebuild"));
         prop_assert_eq!(owner_digest_mismatches(&scdn), 0, "{}: an honest copy was refused", case);
     }
+}
+
+/// Two RS(3,2)-coded and two whole-replica 7 KiB datasets on one lossy
+/// system, each placed by one `replicate`.
+fn mixed_system(availability: AvailabilityConfig, catalog_shards: usize) -> (Scdn, Vec<DatasetId>) {
+    let (c, sub) = community();
+    let config = ScdnConfig {
+        segment_size: 2 << 10,
+        repo_capacity: 4 << 20,
+        replicas_per_dataset: 2,
+        availability,
+        failure: FailureModel {
+            loss_prob: 0.15,
+            corruption_prob: 0.05,
+            seed: 23,
+            ..FailureModel::default()
+        },
+        transfer_concurrency: 2,
+        catalog_shards,
+        coding: CodingConfig::Rs { k: 3, m: 2 },
+        ..Default::default()
+    };
+    let mut scdn = Scdn::build(sub, &c.corpus, config);
+    let mut datasets = Vec::new();
+    for i in 0..4u32 {
+        if i == 2 {
+            scdn.set_publish_coding(CodingConfig::None);
+        }
+        let id = scdn
+            .publish(
+                NodeId(i),
+                &format!("mixed-{i}"),
+                Bytes::from(vec![i as u8 + 1; 7 << 10]),
+                Sensitivity::Public,
+                None,
+            )
+            .expect("publish succeeds");
+        let _ = scdn.replicate(id);
+        datasets.push(id);
+    }
+    (scdn, datasets)
+}
+
+/// One step: clock advance, a batch of `(requester, dataset)` selectors,
+/// an optional departure and an optional repair.
+type BatchOp = (u16, Vec<(u8, u8)>, (bool, u8), bool);
+
+/// Drive `ops`, issuing each batch one `request` at a time (`serial`) or
+/// as one `request_batch`; every outcome comes back formatted field for
+/// field.
+fn drive_batches(
+    scdn: &mut Scdn,
+    datasets: &[DatasetId],
+    ops: &[BatchOp],
+    serial: bool,
+) -> Vec<String> {
+    let members = scdn.member_count() as u32;
+    let mut outcomes = Vec::new();
+    for (dt, batch, depart, repair) in ops {
+        scdn.tick(u64::from(*dt));
+        let reqs: Vec<(NodeId, DatasetId)> = batch
+            .iter()
+            .map(|&(n, d)| {
+                (
+                    NodeId(u32::from(n) % members),
+                    datasets[usize::from(d) % datasets.len()],
+                )
+            })
+            .collect();
+        let results = if serial {
+            reqs.iter().map(|&(n, d)| scdn.request(n, d)).collect()
+        } else {
+            scdn.request_batch(&reqs)
+        };
+        outcomes.extend(results.iter().map(|r| format!("{r:?}")));
+        if depart.0 {
+            let _ = scdn.depart(NodeId(u32::from(depart.1) % members));
+        }
+        if *repair {
+            scdn.repair();
+        }
+    }
+    outcomes
+}
+
+/// Serial-vs-batched comparison of two systems driven through the same ops.
+fn assert_batched_is_serial(serial: &Scdn, batched: &Scdn, datasets: &[DatasetId]) {
+    assert_eq!(serial.now(), batched.now(), "clocks diverge");
+    assert_eq!(
+        catalog_state(serial, datasets),
+        catalog_state(batched, datasets),
+        "replica sets / versions / coded inventories diverge"
+    );
+    assert_eq!(
+        comparable_snapshot(serial),
+        comparable_snapshot(batched),
+        "metric snapshots diverge"
+    );
+}
+
+proptest! {
+    /// Contract 6 over random mixed batches, departures and repairs, at
+    /// 1, 2 and 16 catalog shards (few shards force stamp collisions), and
+    /// under periodic availability, where a commit that moves the clock
+    /// re-plans the rest of its batch.
+    #[test]
+    fn batched_coded_requests_match_serial_loop(
+        ops in proptest::collection::vec(
+            (
+                0u16..6_000,
+                proptest::collection::vec((0u8..12, any::<u8>()), 1..6),
+                (any::<bool>(), any::<u8>()),
+                any::<bool>(),
+            ),
+            1..5,
+        ),
+        shards in (0usize..3).prop_map(|i| [1usize, 2, 16][i]),
+        periodic in any::<bool>(),
+    ) {
+        let availability = if periodic {
+            AvailabilityConfig::Periodic { period_ms: 8_000, duty: 0.8 }
+        } else {
+            AvailabilityConfig::AlwaysOn
+        };
+        let (mut serial, datasets) = mixed_system(availability, shards);
+        let (mut batched, _) = mixed_system(availability, shards);
+        let serial_out = drive_batches(&mut serial, &datasets, &ops, true);
+        let batched_out = drive_batches(&mut batched, &datasets, &ops, false);
+        prop_assert_eq!(serial_out, batched_out, "outcomes diverge");
+        assert_batched_is_serial(&serial, &batched, &datasets);
+    }
+}
+
+/// Contract 6, directed: two requesters of one coded dataset share a
+/// batch under periodic availability. The first race moves the clock, so
+/// the second plan re-plans at commit — once — and races in turn.
+#[test]
+fn coded_commit_that_moves_the_clock_replans_the_next() {
+    let always_up = AvailabilityConfig::Periodic {
+        period_ms: 8_000,
+        duty: 1.0,
+    };
+    let (mut batched, datasets) = mixed_system(always_up, 16);
+    let (mut serial, _) = mixed_system(always_up, 16);
+    let coded = datasets[0];
+    let hosts = batched.allocation().coded_inventory(coded).expect("coded");
+    let mut requesters = (1..batched.member_count() as u32)
+        .map(NodeId)
+        .filter(|n| hosts.iter().all(|(h, _)| h != n));
+    let reqs = [
+        (requesters.next().expect("a non-host"), coded),
+        (requesters.next().expect("another"), coded),
+    ];
+
+    let before = batched.now();
+    let out = batched.request_batch(&reqs);
+    assert!(out.iter().all(Result::is_ok), "{out:?}");
+    assert!(batched.now() > before, "the first race moved the clock");
+    let snap = batched.observability_snapshot();
+    assert_eq!(snap.counter("core.batch.replans"), Some(1));
+    assert_eq!(snap.counter("core.coded.blocks_landed"), Some(6));
+
+    let serial_out: Vec<_> = reqs.iter().map(|&(n, d)| serial.request(n, d)).collect();
+    assert_eq!(format!("{out:?}"), format!("{serial_out:?}"));
+    assert_batched_is_serial(&serial, &batched, &datasets);
 }

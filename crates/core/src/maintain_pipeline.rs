@@ -71,6 +71,7 @@ use std::sync::Arc;
 use scdn_alloc::{CatalogSnapshot, ShardStamp};
 use scdn_graph::parallel::par_map_collect;
 use scdn_graph::NodeId;
+use scdn_net::failure::AttemptOutcome;
 use scdn_sim::engine::SimTime;
 use scdn_storage::coding::CodingSpec;
 use scdn_storage::object::{DatasetId, Segment, SegmentId};
@@ -111,10 +112,10 @@ struct GrowCand {
 
 /// Simulated transfer of the full segment set to one candidate.
 struct GrowXfer {
-    /// Attempt tallies `(delivered, lost, corrupted)` across every
-    /// segment the serial loop would have processed, including the
-    /// retries of a segment that ultimately failed.
-    attempts: (u64, u64, u64),
+    /// Attempt outcomes across every segment the serial loop would have
+    /// processed, including the retries of a segment that ultimately
+    /// failed.
+    attempts: Vec<AttemptOutcome>,
     /// Staged payloads of the delivered segments in order; emptied when
     /// the transfer failed (the serial path stores then rolls back, so
     /// the commit stores nothing).
@@ -145,8 +146,8 @@ struct CodedStep {
 
 /// Simulated transfer of one regenerated coded block to one candidate.
 struct CodedXfer {
-    /// Attempt tallies `(delivered, lost, corrupted)` of the retry chain.
-    attempts: (u64, u64, u64),
+    /// Attempt outcomes of the retry chain.
+    attempts: Vec<AttemptOutcome>,
     /// The staged block `(index, payload)`; `None` when the chain
     /// exhausted its retries or the block overflowed the candidate's
     /// quota (the serial path stores nothing in either case and retries
@@ -502,14 +503,7 @@ impl Scdn {
             let sim =
                 self.engine
                     .simulate_segment(owner.index(), cand.index(), seg.id, seg.len() as u64);
-            let mut attempts = (0u64, 0u64, 0u64);
-            for rec in &sim.attempts {
-                match rec.outcome {
-                    scdn_net::failure::AttemptOutcome::Delivered => attempts.0 += 1,
-                    scdn_net::failure::AttemptOutcome::Lost => attempts.1 += 1,
-                    scdn_net::failure::AttemptOutcome::Corrupted => attempts.2 += 1,
-                }
-            }
+            let attempts = sim.attempts.iter().map(|r| r.outcome).collect();
             // Quota sim mirroring `StorageRepository::store`: an
             // overwrite is size-neutral, a new block must fit.
             let delivered = sim.delivered
@@ -556,7 +550,7 @@ impl Scdn {
         let dst_repo = &self.repos[cand.index()];
         let capacity = dst_repo.capacity();
         let mut sim_used = dst_repo.used();
-        let mut attempts = (0u64, 0u64, 0u64);
+        let mut attempts = Vec::new();
         let mut deliveries = Vec::with_capacity(segments.len());
         let mut segment_ms = Vec::with_capacity(segments.len());
         let mut total_bytes = 0u64;
@@ -572,13 +566,7 @@ impl Scdn {
             let sim = self
                 .engine
                 .simulate_segment(owner.index(), cand.index(), s, bytes);
-            for rec in &sim.attempts {
-                match rec.outcome {
-                    scdn_net::failure::AttemptOutcome::Delivered => attempts.0 += 1,
-                    scdn_net::failure::AttemptOutcome::Lost => attempts.1 += 1,
-                    scdn_net::failure::AttemptOutcome::Corrupted => attempts.2 += 1,
-                }
-            }
+            attempts.extend(sim.attempts.iter().map(|r| r.outcome));
             if !sim.delivered {
                 failed = true;
                 break;
@@ -766,9 +754,7 @@ impl Scdn {
             let Some(x) = c.xfer else {
                 continue;
             };
-            self.att_delivered.add(x.attempts.0);
-            self.att_lost.add(x.attempts.1);
-            self.att_corrupted.add(x.attempts.2);
+            x.attempts.iter().for_each(|&a| self.count_attempt(a));
             let mut failed = x.failed;
             if !failed {
                 let dst_repo = self.repos[c.cand.index()].clone();
@@ -846,9 +832,7 @@ impl Scdn {
             let Some(x) = s.xfer else {
                 continue;
             };
-            self.att_delivered.add(x.attempts.0);
-            self.att_lost.add(x.attempts.1);
-            self.att_corrupted.add(x.attempts.2);
+            x.attempts.iter().for_each(|&a| self.count_attempt(a));
             let Some((block, seg)) = x.delivery else {
                 // Retries exhausted or quota overflow: the serial path
                 // charges neither bytes nor clock and burns the

@@ -11,14 +11,22 @@
 //!   that re-freezes the CSR from scratch and tells no cache, so every
 //!   cache flushes wholesale on its next use; scoped invalidation must
 //!   never resolve differently (`system_tests`).
+//! * [`Scdn::set_publish_coding`] lets one fixture hold coded and
+//!   whole-replica datasets side by side (`coded_equivalence`).
 
 use scdn_alloc::replication::RebalancePolicy;
 use scdn_graph::{CsrGraph, GraphDelta};
+use scdn_storage::coding::CodingConfig;
 use scdn_storage::object::DatasetId;
 
 use super::{RebalanceStrategy, Scdn, ScdnError};
 
 impl Scdn {
+    /// Publish later datasets under `coding`; earlier ones keep theirs.
+    pub(crate) fn set_publish_coding(&mut self, coding: CodingConfig) {
+        self.config.coding = coding;
+    }
+
     /// Serial oracle for `repair`: one `replicate` call per dataset, in
     /// dataset order.
     pub(crate) fn repair_serial(&mut self) -> usize {

@@ -1,59 +1,53 @@
-//! Batched request pipeline: parallel read-only *plan* phase, strictly
-//! ordered *commit* phase.
+//! The one request path: a parallel, read-only *plan* phase and a strictly
+//! ordered *commit* phase. [`Scdn::request`] is a batch of one through
+//! [`Scdn::request_batch`], and `request_coded` forwards to `request`.
 //!
-//! [`Scdn::request_batch`] splits the old monolithic `request` state
-//! machine in two:
+//! * **Plan** — parallel over the batch and lock-free on the catalog: one
+//!   [`CatalogSnapshot`] serves every worker (`core.batch.snapshot_reuse`
+//!   counts the amortization). A worker authenticates (read-only
+//!   [`Middleware::peek_op`][peek]), checks the access policy, and then
+//!   plans one of two bodies, with liveness asked at the batch-entry clock:
+//!   - **Coded** — the dataset has a `CodingSpec`, the requester is not its
+//!     owner, and its online block hosts hold at least k distinct blocks.
+//!     With the social boundary enforced, only hosts with an overlay route
+//!     to the requester count. The plan is the list of donors to race.
+//!   - **Resolved** — otherwise: quiet [`resolve_csr_snapshot`][planned]
+//!     picks one replica, the social-boundary rule vets it, and the
+//!     transfer is simulated ([`TransferEngine::simulate_segment`], a pure
+//!     hash of endpoints × segment × attempt) against the requester's
+//!     quota, with each payload fetched and verified at the source.
 //!
-//! * **Plan** — embarrassingly parallel over the batch, and entirely
-//!   lock-free on the catalog: one [`CatalogSnapshot`] is loaded for the
-//!   whole batch (`core.batch.snapshot_reuse` counts the amortization)
-//!   and every worker plans against it. Each worker runs authenticate
-//!   (read-only [`Middleware::peek_op`][peek]) → policy check →
-//!   discover/select (quiet [`resolve_csr_snapshot`][planned], asking
-//!   candidate liveness at the batch-entry clock) → simulated
-//!   transfer timing ([`TransferEngine::simulate_segment`], a pure hash
-//!   of endpoints × segment × attempt, so planning order cannot change
-//!   outcomes). The result is a [`RequestPlan`]: the outcome body, the
-//!   chosen replica, the fetched segment payloads, the exact trace-span
-//!   sequence — and the staleness tokens below — with no shared
-//!   mutation.
+//!   The [`RequestPlan`] carries the body, the trace spans and the
+//!   staleness tokens below, and mutates nothing shared.
+//! * **Commit** — on the calling thread, in submission order: authoritative
+//!   session-budget consumption, the audit record, the body's effects
+//!   (resolve/demand accounting, stores, cache touches, opportunistic
+//!   promotion, metrics, clock advance), the trace record. A coded body
+//!   runs its any-k race here, through the helper the owner-offline rebuild
+//!   also uses: the race reads donor repositories while it runs, and which
+//!   chain lands the k-th block decides its timing, so no snapshot can
+//!   stand in for it without a pure race simulation in `scdn-net`.
 //!
-//! * **Commit** — applies plans on the calling thread in submission
-//!   order: authoritative session-budget consumption, audit trail,
-//!   resolve/demand accounting, repository stores, cache touches and
-//!   opportunistic promotion, Cdn/Social metrics, trace records, clock
-//!   advance. A commit re-plans its request (from live state, at the
-//!   current clock) only when an earlier commit invalidated its
-//!   snapshot: the catalog shard the resolution read republished (its
-//!   [`ShardStamp`] went stale), the requester's repository epoch
-//!   advanced, the clock advanced under a time-dependent availability
-//!   model or trust policy, or the session budget ran out mid-batch.
-//!   When the requester's repository epoch is the *only* cause, the
-//!   re-plan is partial: the resolution, the trace prefix, the payloads
-//!   already fetched and verified from the source and their simulated
-//!   retry chains are kept, and only the destination quota walk re-runs
-//!   against the live repository (`replan_destination`).
+//! **Staleness.** A commit re-plans from live state at the current clock
+//! when an earlier commit in the batch changed something its plan read:
+//! the catalog shard it read republished (its [`ShardStamp`]: replica
+//! sets, cache contents, block inventories); the requester's repository
+//! epoch advanced (quota and pre-existing checks); the clock moved under
+//! periodic availability or a trust-windowed policy (liveness, policy); or
+//! the session budget ran out. When the repository epoch is the only cause,
+//! the re-plan is partial (`replan_destination`): the resolution, trace
+//! prefix, verified payloads and retry chains stand, and only the quota
+//! walk re-runs. A coded plan reads only the catalog and the clock, so it
+//! is stale exactly when a resolution is. Shard stamps are coarser than
+//! per-entry versions: a commit to another dataset of the same shard
+//! forces a false-positive re-plan, which recomputes from committed state
+//! and so reproduces the serial outcome (the equivalence proptests run
+//! 1-shard catalogs to force it).
 //!
-//! Determinism argument: every plan is a pure function of the snapshot it
-//! was computed against; every effect is applied at commit, in submission
-//! order; and every snapshot ingredient a plan read is covered by a
-//! staleness trigger — a **version vector** in two halves: the catalog
-//! shard epoch for replica sets and cache contents (a plan records the
-//! stamp of the shard it resolved against; any commit that republishes
-//! that shard invalidates it), and per-node repository epochs for
-//! quota/pre-existing checks (a commit that stores into a repository
-//! bumps its epoch). The clock covers churn and trust windows, and
-//! commit-time `authorize_op` covers session budgets. Shard stamps are
-//! deliberately coarser than the per-entry catalog versions of earlier
-//! revisions: a commit to *another* dataset in the same shard triggers a
-//! false-positive replan — recomputed from committed state, which is
-//! exactly what the serial loop would have seen, so outcomes are
-//! unchanged (the equivalence proptests drive shard counts down to 1 to
-//! force these collisions). A stale plan is recomputed from committed
-//! state — wholly, or, when only the requester's repository moved, in
-//! the one part that read it — so a batched run is bit-identical to
-//! issuing the same requests one `request` at a time under a fixed seed.
-//! `request` itself is a batch of one through this same pipeline.
+//! **Determinism.** Every plan is a pure function of the snapshot it read,
+//! every effect applies at commit in submission order, and every input a
+//! plan read is covered by a trigger above, so a batch is bit-identical to
+//! issuing its requests one `request` at a time under a fixed seed.
 //!
 //! [peek]: scdn_middleware::auth::Middleware::peek_op
 //! [planned]: scdn_alloc::server::AllocationServer::resolve_csr_snapshot
@@ -61,37 +55,43 @@
 
 use scdn_alloc::discovery::Selection;
 use scdn_alloc::server::AllocationError;
-use scdn_alloc::{CatalogSnapshot, ShardStamp};
+use scdn_alloc::{CatalogSnapshot, CodedInventory, ShardStamp};
 use scdn_graph::parallel::par_map_collect;
 use scdn_graph::NodeId;
 use scdn_middleware::auth::MiddlewareError;
 use scdn_middleware::authz::AccessDecision;
-use scdn_net::failure::AttemptOutcome;
 use scdn_net::transfer::{SegmentSim, TransferError};
 use scdn_obs::{SpanKind, SpanStatus, TraceBuilder};
 use scdn_sim::engine::SimTime;
 use scdn_social::platform::UserId;
+use scdn_storage::coding::CodingSpec;
 use scdn_storage::integrity::Checksum;
 use scdn_storage::object::{DatasetId, Segment, SegmentId};
-use scdn_storage::repository::{Partition, RepoError};
+use scdn_storage::repository::{Partition, RepoError, StorageRepository};
 
-use super::{attempt_status, elapsed_ms, Availability, RequestOutcome, Scdn, ScdnError};
+use super::{
+    attempt_status, coded_distinct, discard_scaffolding, elapsed_ms, Availability, CodedRace,
+    RequestOutcome, Scdn, ScdnError,
+};
 
-/// One deferred trace operation, replayed into a [`TraceBuilder`] at
-/// commit time. Transfer attempts are not copied in here: they replay
-/// from the plan's [`Fetched`] list.
-enum TraceOp {
-    Span {
-        kind: SpanKind,
-        status: SpanStatus,
-        duration_ms: f64,
-    },
-    SpanPeer {
-        kind: SpanKind,
-        status: SpanStatus,
-        duration_ms: f64,
-        peer: u32,
-    },
+/// One deferred trace span, replayed into a [`TraceBuilder`] at commit
+/// time. Transfer attempts are not copied in here: they replay from the
+/// plan's [`Fetched`] list.
+struct TraceOp {
+    kind: SpanKind,
+    status: SpanStatus,
+    duration_ms: f64,
+    peer: Option<u32>,
+}
+
+/// A deferred span without a peer.
+fn span(kind: SpanKind, status: SpanStatus, duration_ms: f64) -> TraceOp {
+    TraceOp {
+        kind,
+        status,
+        duration_ms,
+        peer: None,
+    }
 }
 
 /// One segment of a planned transfer as far as the serving side and the
@@ -118,6 +118,16 @@ enum PlanBody {
     AccessDenied {
         user: UserId,
         decision: AccessDecision,
+    },
+    /// A coded dataset whose blocks the requester races: `donors` are the
+    /// online block hosts (overlay-routable to the requester when the
+    /// social boundary is enforced) that hold at least k distinct blocks.
+    /// The race itself runs at commit.
+    Coded {
+        user: UserId,
+        decision: AccessDecision,
+        spec: CodingSpec,
+        donors: CodedInventory,
     },
     /// Discovery found no online replica.
     ResolveFailed {
@@ -198,7 +208,8 @@ impl Scdn {
     /// immutable snapshot (social CSR, catalog read view, session/policy
     /// state, liveness at the batch-entry clock), then commit the plans
     /// strictly in submission order. Results are positionally parallel to
-    /// `reqs`.
+    /// `reqs`. A coded dataset within reach of `k` blocks is raced exactly
+    /// as [`request`](Scdn::request) describes; its race runs at commit.
     ///
     /// Under a fixed seed the outcomes, metrics, audit trail, and trace
     /// span sequences are bit-identical to calling
@@ -265,28 +276,17 @@ impl Scdn {
             body,
         };
         let auth_start = std::time::Instant::now();
+        let authenticate = |status| span(SpanKind::Authenticate, status, elapsed_ms(auth_start));
         let user = match auth {
             Ok(u) => u,
             Err(e) => {
-                trace.push(TraceOp::Span {
-                    kind: SpanKind::Authenticate,
-                    status: SpanStatus::Denied,
-                    duration_ms: elapsed_ms(auth_start),
-                });
-                return plan(None, trace, PlanBody::AuthFailed(e));
+                let denied = authenticate(SpanStatus::Denied);
+                return plan(None, vec![denied], PlanBody::AuthFailed(e));
             }
         };
         let Some(meta) = self.datasets.get(&dataset) else {
-            trace.push(TraceOp::Span {
-                kind: SpanKind::Authenticate,
-                status: SpanStatus::Ok,
-                duration_ms: elapsed_ms(auth_start),
-            });
-            trace.push(TraceOp::Span {
-                kind: SpanKind::Discover,
-                status: SpanStatus::Error,
-                duration_ms: 0.0,
-            });
+            trace.push(authenticate(SpanStatus::Ok));
+            trace.push(span(SpanKind::Discover, SpanStatus::Error, 0.0));
             return plan(None, trace, PlanBody::UnknownDataset);
         };
         let decision = meta.policy.check(
@@ -298,20 +298,25 @@ impl Scdn {
             clock.as_secs_f64(),
         );
         if !decision.allowed() {
-            trace.push(TraceOp::Span {
-                kind: SpanKind::Authenticate,
-                status: SpanStatus::Denied,
-                duration_ms: elapsed_ms(auth_start),
-            });
+            trace.push(authenticate(SpanStatus::Denied));
             return plan(None, trace, PlanBody::AccessDenied { user, decision });
         }
-        trace.push(TraceOp::Span {
-            kind: SpanKind::Authenticate,
-            status: SpanStatus::Ok,
-            duration_ms: elapsed_ms(auth_start),
-        });
+        trace.push(authenticate(SpanStatus::Ok));
         let topology = &self.engine.topology;
         let discover_start = std::time::Instant::now();
+        let discover = |status| span(SpanKind::Discover, status, elapsed_ms(discover_start));
+        // A coded dataset within reach races its blocks; any other request
+        // resolves one replica.
+        if let Some((spec, donors)) = self.coded_donors(snap, node, meta.owner, dataset, clock) {
+            trace.push(discover(SpanStatus::Ok));
+            let body = PlanBody::Coded {
+                user,
+                decision,
+                spec,
+                donors,
+            };
+            return plan(Some(snap.stamp_of(dataset)), trace, body);
+        }
         // Quiet CSR resolution against the shared snapshot: selection
         // identical to `resolve_csr`, zero catalog locks, and the
         // resolve/demand accounting is deferred to the commit.
@@ -327,11 +332,7 @@ impl Scdn {
         let selection = match resolved {
             Ok(sel) => sel,
             Err(error) => {
-                trace.push(TraceOp::Span {
-                    kind: SpanKind::Discover,
-                    status: SpanStatus::NoReplica,
-                    duration_ms: elapsed_ms(discover_start),
-                });
+                trace.push(discover(SpanStatus::NoReplica));
                 return plan(
                     stamp,
                     trace,
@@ -343,21 +344,16 @@ impl Scdn {
                 );
             }
         };
-        trace.push(TraceOp::Span {
-            kind: SpanKind::Discover,
-            status: SpanStatus::Ok,
-            duration_ms: elapsed_ms(discover_start),
-        });
+        trace.push(discover(SpanStatus::Ok));
+        let select = |status| TraceOp {
+            peer: Some(selection.node.0),
+            ..span(SpanKind::SelectReplica, status, 0.0)
+        };
         if self.config.enforce_social_boundary
             && selection.node != node
             && self.overlay.route(selection.node, node).is_none()
         {
-            trace.push(TraceOp::SpanPeer {
-                kind: SpanKind::SelectReplica,
-                status: SpanStatus::BoundaryBlocked,
-                duration_ms: 0.0,
-                peer: selection.node.0,
-            });
+            trace.push(select(SpanStatus::BoundaryBlocked));
             return plan(
                 stamp,
                 trace,
@@ -368,12 +364,7 @@ impl Scdn {
                 },
             );
         }
-        trace.push(TraceOp::SpanPeer {
-            kind: SpanKind::SelectReplica,
-            status: SpanStatus::Ok,
-            duration_ms: 0.0,
-            peer: selection.node.0,
-        });
+        trace.push(select(SpanStatus::Ok));
         // Segment table from the same snapshot the resolution used — no
         // catalog lock, and trivially consistent with the replica set.
         let segments = match snap.segments_of(dataset) {
@@ -402,6 +393,34 @@ impl Scdn {
             Vec::new(),
         );
         plan(stamp, trace, body)
+    }
+
+    /// The block hosts `node` would race for `dataset`, read from `snap`
+    /// at `clock`: online, not `node`, and overlay-routable to it when the
+    /// social boundary is enforced. `None` — resolve one replica instead —
+    /// when the dataset is uncoded, `node` is its `owner`, or those hosts
+    /// hold fewer than k distinct blocks.
+    fn coded_donors(
+        &self,
+        snap: &CatalogSnapshot,
+        node: NodeId,
+        owner: NodeId,
+        dataset: DatasetId,
+        clock: SimTime,
+    ) -> Option<(CodingSpec, CodedInventory)> {
+        let spec = snap.coding_of(dataset).filter(|_| owner != node)?;
+        let donors: CodedInventory = snap
+            .coded_inventory_of(dataset)
+            .into_iter()
+            .filter(|(host, blocks)| {
+                !blocks.is_empty()
+                    && *host != node
+                    && self.is_online_at(*host, clock)
+                    && (!self.config.enforce_social_boundary
+                        || self.overlay.route(*host, node).is_some())
+            })
+            .collect();
+        (coded_distinct(&donors, spec.n()) >= spec.k as usize).then_some((spec, donors))
     }
 
     /// Plan the transfer of `segments` from the selected replica: per
@@ -645,11 +664,12 @@ impl Scdn {
             PlanBody::AccessDenied { .. } => {
                 full_if(clock_moved && self.policy_is_time_dependent(plan.dataset))
             }
+            // A coded plan reads the block inventory (its shard stamp) and
+            // donor liveness (the clock); the race reads the rest live.
             PlanBody::ResolveFailed { .. }
             | PlanBody::BoundaryBlocked { .. }
-            | PlanBody::SegmentsUnavailable { .. } => {
-                full_if(self.resolution_stale(plan, clock_moved))
-            }
+            | PlanBody::SegmentsUnavailable { .. }
+            | PlanBody::Coded { .. } => full_if(self.resolution_stale(plan, clock_moved)),
             // Transfer outcomes additionally read the requester's
             // repository (quota + pre-existing checks), covered by its
             // epoch. Serving-side repositories are only mutated through
@@ -669,18 +689,9 @@ impl Scdn {
     /// Replay deferred trace ops into a live builder.
     fn replay_trace(&self, tb: &mut TraceBuilder, ops: &[TraceOp]) {
         for op in ops {
-            match *op {
-                TraceOp::Span {
-                    kind,
-                    status,
-                    duration_ms,
-                } => tb.span(kind, status, duration_ms),
-                TraceOp::SpanPeer {
-                    kind,
-                    status,
-                    duration_ms,
-                    peer,
-                } => tb.span_with_peer(kind, status, duration_ms, peer),
+            match op.peer {
+                Some(peer) => tb.span_with_peer(op.kind, op.status, op.duration_ms, peer),
+                None => tb.span(op.kind, op.status, op.duration_ms),
             }
         }
     }
@@ -690,11 +701,7 @@ impl Scdn {
     /// serial observer did.
     fn replay_attempts(&self, tb: &mut TraceBuilder, peer: u32, fetched: &[Fetched]) {
         for rec in fetched.iter().flat_map(|f| &f.sim.attempts) {
-            match rec.outcome {
-                AttemptOutcome::Delivered => self.att_delivered.inc(),
-                AttemptOutcome::Lost => self.att_lost.inc(),
-                AttemptOutcome::Corrupted => self.att_corrupted.inc(),
-            }
+            self.count_attempt(rec.outcome);
             tb.attempt(
                 attempt_status(rec.outcome),
                 rec.duration_ms,
@@ -786,30 +793,46 @@ impl Scdn {
     ) -> Result<Result<RequestOutcome, ScdnError>, (TraceBuilder, RepoError)> {
         let node = plan.node;
         let dataset = plan.dataset;
-        let trace = plan.trace;
         let at_ms = self.clock.as_millis();
-        match plan.body {
-            PlanBody::UnknownNode => Ok(Err(ScdnError::UnknownNode(node))),
-            PlanBody::AuthFailed(e) => {
-                self.replay_trace(&mut tb, &trace);
-                self.traces
-                    .record(tb.finish(SpanKind::Fail, SpanStatus::Denied));
-                Ok(Err(ScdnError::Auth(e)))
+        // Stores first: if one fails the commit retries with a fresh plan
+        // and no effect has been applied yet.
+        if let PlanBody::Served {
+            selection, fetched, ..
+        } = &plan.body
+        {
+            if selection.node != node {
+                let segments = fetched.iter().map(|f| f.seg.clone());
+                if let Err(e) = store_user_segments(&self.repos[node.index()], segments) {
+                    return Err((tb, e));
+                }
             }
-            PlanBody::UnknownDataset => {
-                self.replay_trace(&mut tb, &trace);
-                self.traces
-                    .record(tb.finish(SpanKind::Fail, SpanStatus::Error));
-                Ok(Err(ScdnError::Alloc(AllocationError::UnknownDataset(
-                    dataset,
-                ))))
-            }
+        }
+        self.replay_trace(&mut tb, &plan.trace);
+        let (result, status) = match plan.body {
+            PlanBody::UnknownNode => return Ok(Err(ScdnError::UnknownNode(node))),
+            PlanBody::AuthFailed(e) => (Err(ScdnError::Auth(e)), SpanStatus::Denied),
+            PlanBody::UnknownDataset => (
+                Err(ScdnError::Alloc(AllocationError::UnknownDataset(dataset))),
+                SpanStatus::Error,
+            ),
             PlanBody::AccessDenied { user, decision } => {
                 self.audit.record(at_ms, user, dataset, decision.clone());
-                self.replay_trace(&mut tb, &trace);
-                self.traces
-                    .record(tb.finish(SpanKind::Fail, SpanStatus::Denied));
-                Ok(Err(ScdnError::Access(decision)))
+                (Err(ScdnError::Access(decision)), SpanStatus::Denied)
+            }
+            PlanBody::Coded {
+                user,
+                decision,
+                spec,
+                donors,
+            } => {
+                self.audit.record(at_ms, user, dataset, decision);
+                match self.commit_coded(node, dataset, &spec, &donors) {
+                    Ok(outcome) => (Ok(outcome), SpanStatus::Ok),
+                    Err(e) => {
+                        self.cdn_metrics.failures += 1;
+                        (Err(e), SpanStatus::Error)
+                    }
+                }
             }
             PlanBody::ResolveFailed {
                 user,
@@ -819,10 +842,7 @@ impl Scdn {
                 self.audit.record(at_ms, user, dataset, decision);
                 self.alloc.commit_resolution(dataset, None);
                 self.cdn_metrics.failures += 1;
-                self.replay_trace(&mut tb, &trace);
-                self.traces
-                    .record(tb.finish(SpanKind::Fail, SpanStatus::NoReplica));
-                Ok(Err(ScdnError::Alloc(error)))
+                (Err(ScdnError::Alloc(error)), SpanStatus::NoReplica)
             }
             PlanBody::BoundaryBlocked {
                 user,
@@ -833,12 +853,8 @@ impl Scdn {
                 self.alloc
                     .commit_resolution(dataset, Some(selection.social_hops));
                 self.cdn_metrics.failures += 1;
-                self.replay_trace(&mut tb, &trace);
-                self.traces
-                    .record(tb.finish(SpanKind::Fail, SpanStatus::BoundaryBlocked));
-                Ok(Err(ScdnError::Alloc(AllocationError::NoReplicaAvailable(
-                    dataset,
-                ))))
+                let error = AllocationError::NoReplicaAvailable(dataset);
+                (Err(ScdnError::Alloc(error)), SpanStatus::BoundaryBlocked)
             }
             PlanBody::SegmentsUnavailable {
                 user,
@@ -849,9 +865,7 @@ impl Scdn {
                 // The serial path resolved successfully before the segment
                 // lookup failed, then abandoned the trace builder without
                 // recording it. `tb` is dropped here for the same reason.
-                self.replay_trace(&mut tb, &trace);
-                drop(tb);
-                Ok(Err(error))
+                return Ok(Err(error));
             }
             PlanBody::TransferFailed {
                 user,
@@ -867,7 +881,6 @@ impl Scdn {
                 self.audit.record(at_ms, user, dataset, decision);
                 self.alloc
                     .commit_resolution(dataset, Some(selection.social_hops));
-                self.replay_trace(&mut tb, &trace);
                 self.replay_attempts(&mut tb, selection.node.0, &fetched);
                 if fetched
                     .last()
@@ -878,9 +891,7 @@ impl Scdn {
                 self.cdn_metrics.failures += 1;
                 self.social_metrics
                     .record_exchange(selection.node.index(), node.index(), 0, false);
-                self.traces
-                    .record(tb.finish(SpanKind::Fail, SpanStatus::Error));
-                Ok(Err(ScdnError::Transfer(error)))
+                (Err(ScdnError::Transfer(error)), SpanStatus::Error)
             }
             PlanBody::Served {
                 user,
@@ -891,42 +902,13 @@ impl Scdn {
                 total_ms,
                 total_bytes,
             } => {
-                // Stores first: if one fails the commit retries with a
-                // fresh plan and no effect has been applied yet.
-                if selection.node != node {
-                    let dst_repo = self.repos[node.index()].clone();
-                    let mut applied_new: Vec<SegmentId> = Vec::new();
-                    for Fetched { seg, .. } in &fetched {
-                        let pre_existing = dst_repo.contains_in(Partition::User, seg.id);
-                        match dst_repo.store(Partition::User, seg.clone()) {
-                            Ok(()) => {
-                                if !pre_existing {
-                                    applied_new.push(seg.id);
-                                }
-                            }
-                            Err(e) => {
-                                for &d in &applied_new {
-                                    let _ = dst_repo.remove(Partition::User, d, true);
-                                }
-                                return Err((tb, e));
-                            }
-                        }
-                    }
-                }
                 self.audit.record(at_ms, user, dataset, decision);
                 self.alloc
                     .commit_resolution(dataset, Some(selection.social_hops));
-                self.replay_trace(&mut tb, &trace);
                 self.replay_attempts(&mut tb, selection.node.0, &fetched);
                 let hit = matches!(selection.social_hops, Some(h) if h <= 1);
-                if hit {
-                    self.cdn_metrics.hits += 1;
-                } else {
-                    self.cdn_metrics.misses += 1;
-                }
-                self.cdn_metrics
-                    .response_time_ms
-                    .record(total_ms.max(selection.latency_ms));
+                let response_ms = total_ms.max(selection.latency_ms);
+                self.record_hit(hit, response_ms);
                 self.cdn_metrics.bytes_transferred += total_bytes;
                 if selection.node != node {
                     self.social_metrics.record_exchange(
@@ -944,15 +926,128 @@ impl Scdn {
                 if self.config.opportunistic_caching && selection.node != node {
                     self.promote_opportunistically(node, dataset, &segments);
                 }
-                self.traces
-                    .record(tb.finish(SpanKind::Deliver, SpanStatus::Ok));
-                Ok(Ok(RequestOutcome {
+                let outcome = RequestOutcome {
                     served_by: selection.node,
                     social_hit: hit,
-                    response_ms: total_ms.max(selection.latency_ms),
+                    response_ms,
                     bytes: total_bytes,
-                }))
+                };
+                (Ok(outcome), SpanStatus::Ok)
+            }
+        };
+        let kind = if result.is_ok() {
+            SpanKind::Deliver
+        } else {
+            SpanKind::Fail
+        };
+        self.traces.record(tb.finish(kind, status));
+        Ok(result)
+    }
+
+    /// Count a served request as a social hit or a miss, and sample its
+    /// response time.
+    fn record_hit(&mut self, hit: bool, response_ms: f64) {
+        if hit {
+            self.cdn_metrics.hits += 1;
+        } else {
+            self.cdn_metrics.misses += 1;
+        }
+        self.cdn_metrics.response_time_ms.record(response_ms);
+    }
+
+    /// Apply a coded plan: race its blocks into the requester's user
+    /// partition, then replace them with the plain segments they decode
+    /// to, stored under the owner's digests (a wrong decode fails its
+    /// first read). See the module docs for why the race runs here.
+    fn commit_coded(
+        &mut self,
+        node: NodeId,
+        dataset: DatasetId,
+        spec: &CodingSpec,
+        donors: &CodedInventory,
+    ) -> Result<RequestOutcome, ScdnError> {
+        let (rep, race) = self.race_coded(node, Partition::User, dataset, spec, donors);
+        self.cdn_metrics.bytes_transferred += rep.total_bytes;
+        self.clock = self.clock.plus_millis(rep.total_ms as u64);
+        self.coded_blocks_landed.add(rep.landed.len() as u64);
+        self.coded_blocks_preexisting
+            .add(rep.pre_existing.len() as u64);
+        self.coded_discarded_corrupt
+            .add(u64::from(rep.discarded_corrupt));
+        let decoded = match race {
+            CodedRace::Short(e) | CodedRace::Forged(e) => {
+                self.social_metrics
+                    .record_exchange(donors[0].0.index(), node.index(), 0, false);
+                return Err(ScdnError::Transfer(e));
+            }
+            CodedRace::Landed(decoded) => decoded,
+        };
+        // Per-donor exchange and served accounting, in acceptance order.
+        let mut per_donor: Vec<(usize, u64)> = Vec::new();
+        for ((_, donor), report) in rep.delivered.iter().zip(&rep.reports) {
+            match per_donor.iter_mut().find(|(d, _)| d == donor) {
+                Some((_, bytes)) => *bytes += report.bytes,
+                None => per_donor.push((*donor, report.bytes)),
             }
         }
+        for &(donor, bytes) in &per_donor {
+            self.social_metrics
+                .record_exchange(donor, node.index(), bytes, true);
+            self.clients[donor].record_served(bytes);
+        }
+        let decoded = decoded?;
+        self.coded_shards_reconstructed
+            .add(decoded.reconstructed as u64);
+        let dst_repo = &self.repos[node.index()];
+        discard_scaffolding(dst_repo, Partition::User, dataset, &rep);
+        let (seg_size, total) = (self.config.segment_size, spec.total_len as usize);
+        let digests = self.datasets[&dataset].segment_digests.iter();
+        let plain = digests.zip(0u32..).map(|(&checksum, ordinal)| {
+            let start = ordinal as usize * seg_size;
+            let data = decoded.range(start, (start + seg_size).min(total));
+            let id = SegmentId { dataset, ordinal };
+            Segment { id, data, checksum }
+        });
+        store_user_segments(dst_repo, plain).map_err(ScdnError::Repo)?;
+        self.repo_epochs[node.index()] += 1;
+        let neighbors = self.social.neighbors(node);
+        let social_hit = rep
+            .delivered
+            .iter()
+            .any(|&(_, d)| neighbors.iter().any(|e| e.to.index() == d));
+        self.record_hit(social_hit, rep.total_ms);
+        Ok(RequestOutcome {
+            served_by: rep
+                .delivered
+                .first()
+                .map_or(node, |&(_, d)| NodeId(d as u32)),
+            social_hit,
+            response_ms: rep.total_ms,
+            bytes: rep.total_bytes,
+        })
     }
+}
+
+/// Store `segments` in `repo`'s user partition. On the first refusal, the
+/// segments this call added are removed again (overwritten ones stay) and
+/// the refusal is returned.
+fn store_user_segments(
+    repo: &StorageRepository,
+    segments: impl IntoIterator<Item = Segment>,
+) -> Result<(), RepoError> {
+    let mut added: Vec<SegmentId> = Vec::new();
+    for seg in segments {
+        let id = seg.id;
+        let pre_existing = repo.contains_in(Partition::User, id);
+        if let Err(e) = repo.store(Partition::User, seg) {
+            for d in added {
+                let _ = repo.remove(Partition::User, d, true);
+            }
+            return Err(e);
+        }
+        if !pre_existing {
+            added.push(id);
+        }
+    }
+    Ok(())
 }

@@ -34,8 +34,8 @@ use scdn_social::platform::SocialPlatform;
 use scdn_social::trustgraph::TrustSubgraph;
 use scdn_storage::cache::{CacheManager, EvictionPolicy};
 use scdn_storage::coding::{
-    decode_block_shards, decode_blocks, encode_block_rows, CodedBlockId, CodingConfig, CodingError,
-    CodingSpec, ErasureCoder,
+    decode_block_shards, encode_block_rows, CodedBlockId, CodingConfig, CodingError, CodingSpec,
+    DecodedShards, ErasureCoder,
 };
 use scdn_storage::integrity::Checksum;
 use scdn_storage::object::{Dataset, DatasetId, Segment, SegmentId, Sensitivity};
@@ -123,7 +123,7 @@ pub struct ScdnConfig {
     /// [`CodingConfig::None`] keeps whole-replica replication exactly as
     /// before; [`CodingConfig::Rs`] erasure-codes each dataset into
     /// `k + m` blocks spread one per host, so any `k` reconstruct the
-    /// content ([`Scdn::request_coded`]) and repair regenerates only the
+    /// content ([`Scdn::request`]) and repair regenerates only the
     /// blocks that went missing ([`Scdn::replicate`] on a coded dataset).
     pub coding: CodingConfig,
     /// Master RNG seed (placement + workload side).
@@ -426,23 +426,31 @@ pub(crate) fn coded_missing(inventory: &[(NodeId, Arc<Vec<u32>>)], spec: &Coding
     (0..spec.n()).filter(|&b| !present[b as usize]).collect()
 }
 
-/// The blocks a successful coded fetch left the destination holding: the
-/// ones it landed, as handed back (verified where the donor read them and
-/// held to the owner's digests on arrival), after the ones that were
-/// already in the partition, fetched — and so verified — from it.
-fn fetched_blocks(
+/// Decode the data shards from the blocks a successful coded fetch left
+/// the destination holding: the ones that were already in the partition,
+/// fetched — and so verified — from it, then the ones it landed, as handed
+/// back (verified where the donor read them and held to the owner's
+/// digests on arrival).
+fn decode_fetched(
     dst_repo: &StorageRepository,
     partition: Partition,
+    spec: &CodingSpec,
     dataset: DatasetId,
     rep: &CodedFetchReport,
-) -> Result<Vec<Segment>, ScdnError> {
+) -> Result<DecodedShards, ScdnError> {
     let mut blocks = Vec::with_capacity(rep.pre_existing.len() + rep.landed.len());
     for &index in &rep.pre_existing {
         let id = CodedBlockId { dataset, index }.segment_id();
         blocks.push(dst_repo.fetch(partition, id).map_err(ScdnError::Repo)?);
     }
     blocks.extend(rep.landed.iter().cloned());
-    Ok(blocks)
+    decode_block_shards(spec, &blocks).map_err(|_| {
+        ScdnError::Transfer(TransferError::InsufficientBlocks {
+            dataset,
+            have: blocks.len() as u32,
+            need: spec.k as u32,
+        })
+    })
 }
 
 /// Give back the blocks a coded fetch landed; blocks that were in the
@@ -467,6 +475,18 @@ fn discard_scaffolding(
         let id = CodedBlockId { dataset, index }.segment_id();
         let _ = dst_repo.remove(partition, id, false);
     }
+}
+
+/// How one any-k race ([`Scdn::race_coded`]) ended. Every ending but a
+/// decoded `Landed` has given back what the race landed.
+enum CodedRace {
+    /// Fewer than k blocks landed.
+    Short(TransferError),
+    /// A landed block does not carry the owner's digest.
+    Forged(TransferError),
+    /// k blocks landed under the owner's digests: the decoded data shards,
+    /// or why the blocks on hand do not decode.
+    Landed(Result<DecodedShards, ScdnError>),
 }
 
 impl Scdn {
@@ -784,6 +804,64 @@ impl Scdn {
         Err(TransferError::SourceCorrupt(first.id))
     }
 
+    /// Count one network attempt in `net.attempts.*` — the one place an
+    /// attempt is counted, whether a transfer observes it live or a
+    /// commit replays it from a plan.
+    fn count_attempt(&self, outcome: AttemptOutcome) {
+        match outcome {
+            AttemptOutcome::Delivered => self.att_delivered.inc(),
+            AttemptOutcome::Lost => self.att_lost.inc(),
+            AttemptOutcome::Corrupted => self.att_corrupted.inc(),
+        }
+    }
+
+    /// The any-k fetch, shared by a coded request's commit and the
+    /// owner-offline rebuild: race `dataset`'s blocks from `donors` into
+    /// `dst`'s `partition` until any k land, hold every landed block to the
+    /// owner's digests, and decode the blocks on hand. Blocks that do not
+    /// decode — one already held is corrupt at rest, or one is the wrong
+    /// size — are given back like a short or forged race's. Bytes, clock
+    /// and exchanges are the caller's to account.
+    fn race_coded(
+        &self,
+        dst: NodeId,
+        partition: Partition,
+        dataset: DatasetId,
+        spec: &CodingSpec,
+        donors: &[(NodeId, Arc<Vec<u32>>)],
+    ) -> (CodedFetchReport, CodedRace) {
+        let dst_repo = &self.repos[dst.index()];
+        let sources: Vec<CodedSource<'_>> = donors
+            .iter()
+            .map(|(host, blocks)| CodedSource {
+                node: host.index(),
+                repo: &self.repos[host.index()],
+                blocks: blocks.to_vec(),
+            })
+            .collect();
+        let (rep, short) = self.engine.transfer_coded_observed(
+            dst.index(),
+            dst_repo,
+            dataset,
+            spec.k as u32,
+            &sources,
+            partition,
+            &mut |r| self.count_attempt(r.outcome),
+        );
+        let race = if let Some(e) = short {
+            CodedRace::Short(e)
+        } else if let Err(e) = self.check_landed(dst_repo, partition, &rep) {
+            CodedRace::Forged(e)
+        } else {
+            let decoded = decode_fetched(dst_repo, partition, spec, dataset, &rep);
+            if decoded.is_err() {
+                discard_landed(dst_repo, partition, &rep);
+            }
+            CodedRace::Landed(decoded)
+        };
+        (rep, race)
+    }
+
     /// The frozen CSR snapshot of the social graph currently serving
     /// resolution and placement.
     pub fn social_csr(&self) -> &CsrGraph {
@@ -1014,25 +1092,14 @@ impl Scdn {
             // replica must not squat in the candidate's replica partition,
             // since the catalog never learns about it and nothing would
             // ever reclaim that space.
-            let src_repo = self.repos[owner.index()].clone();
-            let dst_repo = self.repos[cand.index()].clone();
-            let (att_ok, att_lost, att_bad) = (
-                self.att_delivered.clone(),
-                self.att_lost.clone(),
-                self.att_corrupted.clone(),
-            );
             let (reports, error) = self.engine.transfer_many_observed(
                 owner.index(),
                 cand.index(),
-                &src_repo,
-                &dst_repo,
+                &self.repos[owner.index()],
+                &self.repos[cand.index()],
                 &segments,
                 Partition::Replica,
-                &mut |r| match r.outcome {
-                    AttemptOutcome::Delivered => att_ok.inc(),
-                    AttemptOutcome::Lost => att_lost.inc(),
-                    AttemptOutcome::Corrupted => att_bad.inc(),
-                },
+                &mut |r| self.count_attempt(r.outcome),
             );
             let failed = error.is_some();
             let segment_ms: Vec<f64> = reports.iter().map(|r| r.duration_ms).collect();
@@ -1199,23 +1266,13 @@ impl Scdn {
             if !online {
                 continue;
             }
-            let dst_repo = self.repos[cand.index()].clone();
-            let (att_ok, att_lost, att_bad) = (
-                self.att_delivered.clone(),
-                self.att_lost.clone(),
-                self.att_corrupted.clone(),
-            );
             let res = self.engine.transfer_payload_observed(
                 src.index(),
                 cand.index(),
-                &dst_repo,
+                &self.repos[cand.index()],
                 seg,
                 Partition::Replica,
-                &mut |r| match r.outcome {
-                    AttemptOutcome::Delivered => att_ok.inc(),
-                    AttemptOutcome::Lost => att_lost.inc(),
-                    AttemptOutcome::Corrupted => att_bad.inc(),
-                },
+                &mut |r| self.count_attempt(r.outcome),
             );
             match res {
                 Ok(report) => {
@@ -1268,13 +1325,12 @@ impl Scdn {
         inventory: &[(NodeId, Arc<Vec<u32>>)],
         missing: &[u32],
     ) -> Result<Vec<NodeId>, ScdnError> {
-        let k = spec.k as u32;
         let donors: Vec<(NodeId, Arc<Vec<u32>>)> = inventory
             .iter()
             .filter(|(nid, b)| !b.is_empty() && self.is_online(*nid))
             .cloned()
             .collect();
-        if coded_distinct(&donors, spec.n()) < k as usize {
+        if coded_distinct(&donors, spec.n()) < spec.k as usize {
             // Not enough surviving blocks reachable: the dataset is not
             // repairable until hosts return (the owner's plain copy may
             // still come back).
@@ -1299,74 +1355,25 @@ impl Scdn {
             .latency_ms(donors[0].0.index(), rebuilder.index());
         self.social_metrics
             .record_hosting_request(true, Some(SimTime::from_millis(latency as u64)));
-        let dst_repo = self.repos[rebuilder.index()].clone();
-        let src_repos: Vec<Arc<StorageRepository>> = donors
-            .iter()
-            .map(|(nid, _)| self.repos[nid.index()].clone())
-            .collect();
-        let sources: Vec<CodedSource<'_>> = donors
-            .iter()
-            .zip(&src_repos)
-            .map(|((nid, blocks), repo)| CodedSource {
-                node: nid.index(),
-                repo,
-                blocks: blocks.to_vec(),
-            })
-            .collect();
-        let (att_ok, att_lost, att_bad) = (
-            self.att_delivered.clone(),
-            self.att_lost.clone(),
-            self.att_corrupted.clone(),
-        );
-        let (rep, err) = self.engine.transfer_coded_observed(
-            rebuilder.index(),
-            &dst_repo,
-            dataset,
-            k,
-            &sources,
-            Partition::Replica,
-            &mut |r| match r.outcome {
-                AttemptOutcome::Delivered => att_ok.inc(),
-                AttemptOutcome::Lost => att_lost.inc(),
-                AttemptOutcome::Corrupted => att_bad.inc(),
-            },
-        );
+        let (rep, race) = self.race_coded(rebuilder, Partition::Replica, dataset, spec, &donors);
         self.cdn_metrics.bytes_transferred += rep.total_bytes;
         self.clock = self.clock.plus_millis(rep.total_ms as u64);
+        let landed = !matches!(race, CodedRace::Short(_));
         for ((_, donor), report) in rep.delivered.iter().zip(&rep.reports) {
-            self.social_metrics.record_exchange(
-                *donor,
-                rebuilder.index(),
-                report.bytes,
-                err.is_none(),
-            );
+            self.social_metrics
+                .record_exchange(*donor, rebuilder.index(), report.bytes, landed);
         }
-        if err.is_some() {
-            return Ok(Vec::new());
-        }
-        self.check_landed(&dst_repo, Partition::Replica, &rep)?;
-        let regenerated =
-            fetched_blocks(&dst_repo, Partition::Replica, dataset, &rep).and_then(|fetched| {
-                let content = decode_blocks(spec, &fetched).map_err(|_| {
-                    ScdnError::Transfer(TransferError::InsufficientBlocks {
-                        dataset,
-                        have: fetched.len() as u32,
-                        need: k,
-                    })
-                })?;
-                self.coded_rows_encoded.add(missing.len() as u64);
-                Ok(self.encode_coded_rows(dataset, spec, &content, missing))
-            });
-        // The fetched donor blocks were scaffolding: a rebuild that fails
-        // gives back what it landed, one that succeeds keeps only the
-        // first regenerated missing block.
-        let blocks = match regenerated {
-            Ok(blocks) => blocks,
-            Err(e) => {
-                discard_landed(&dst_repo, Partition::Replica, &rep);
-                return Err(e);
-            }
+        let decoded = match race {
+            CodedRace::Short(_) => return Ok(Vec::new()),
+            CodedRace::Forged(e) => return Err(e.into()),
+            CodedRace::Landed(decoded) => decoded?,
         };
+        self.coded_rows_encoded.add(missing.len() as u64);
+        let content = decoded.range(0, spec.total_len as usize);
+        let blocks = self.encode_coded_rows(dataset, spec, &content, missing);
+        // The fetched donor blocks were scaffolding: the rebuilder keeps
+        // only the first regenerated missing block.
+        let dst_repo = self.repos[rebuilder.index()].clone();
         discard_scaffolding(&dst_repo, Partition::Replica, dataset, &rep);
         let keep = &blocks[0];
         dst_repo
@@ -1386,238 +1393,44 @@ impl Scdn {
         Ok(added)
     }
 
-    /// Request a coded dataset from `node` by racing its blocks from every
-    /// online block host at once and completing as soon as any `k` land —
-    /// the any-k-of-n fast path. Falls back to the ordinary single-source
-    /// [`request`](Self::request) when the dataset is uncoded, the
-    /// requester owns it, or fewer than `k` distinct blocks are reachable
-    /// (the fallback decision is read-only, so no session budget is spent
-    /// twice).
-    ///
-    /// A block's bytes are digested once, where the donor reads it; the
-    /// requester then compares the digest each landed block carries with
-    /// the one the owner recorded at its first encode, so a donor that
-    /// rewrote a block under a digest of its own fails the request with
-    /// [`TransferError::SourceCorrupt`]. The requester decodes from the
-    /// segments the fetch hands back, the data shards among them pass
-    /// through untouched, and the plain segments it stores are slices of
-    /// those shards wherever a segment lies inside one, stored under the
-    /// digests the owner recorded at publish rather than digested again.
-    /// A forged block, or a fetch that cannot be decoded — a block the
-    /// requester already held is corrupt at rest, or a block is the wrong
-    /// size — fails the request and gives back everything it landed. The
-    /// requester's own pre-existing blocks are a local read, verified
-    /// against their stored digest, and are not compared.
-    pub fn request_coded(
-        &mut self,
-        node: NodeId,
-        dataset: DatasetId,
-    ) -> Result<RequestOutcome, ScdnError> {
-        self.check_node(node)?;
-        let ready = (|| {
-            let spec = self.alloc.coding_of(dataset).ok()??;
-            let meta = self.datasets.get(&dataset)?;
-            if meta.owner == node {
-                return None;
-            }
-            let donors: Vec<(NodeId, Arc<Vec<u32>>)> = self
-                .alloc
-                .coded_inventory(dataset)
-                .ok()?
-                .into_iter()
-                .filter(|(nid, b)| !b.is_empty() && *nid != node && self.is_online(*nid))
-                .collect();
-            (coded_distinct(&donors, spec.n()) >= spec.k as usize).then_some((spec, donors))
-        })();
-        let Some((spec, donors)) = ready else {
-            return self.request(node, dataset);
-        };
-        let user = self
-            .middleware
-            .authorize_op(self.sessions[node.index()])
-            .map_err(ScdnError::Auth)?;
-        let meta = self.datasets.get(&dataset).expect("readiness checked");
-        let decision = meta.policy.check(
-            &self.platform,
-            user,
-            Some(self.authors[node.index()]),
-            &self.trust_model,
-            &self.ledger,
-            self.clock.as_secs_f64(),
-        );
-        self.audit
-            .record(self.clock.as_millis(), user, dataset, decision.clone());
-        if !decision.allowed() {
-            return Err(ScdnError::Access(decision));
-        }
-        let dst_repo = self.repos[node.index()].clone();
-        let src_repos: Vec<Arc<StorageRepository>> = donors
-            .iter()
-            .map(|(nid, _)| self.repos[nid.index()].clone())
-            .collect();
-        let sources: Vec<CodedSource<'_>> = donors
-            .iter()
-            .zip(&src_repos)
-            .map(|((nid, blocks), repo)| CodedSource {
-                node: nid.index(),
-                repo,
-                blocks: blocks.to_vec(),
-            })
-            .collect();
-        let (att_ok, att_lost, att_bad) = (
-            self.att_delivered.clone(),
-            self.att_lost.clone(),
-            self.att_corrupted.clone(),
-        );
-        let (rep, err) = self.engine.transfer_coded_observed(
-            node.index(),
-            &dst_repo,
-            dataset,
-            spec.k as u32,
-            &sources,
-            Partition::User,
-            &mut |r| match r.outcome {
-                AttemptOutcome::Delivered => att_ok.inc(),
-                AttemptOutcome::Lost => att_lost.inc(),
-                AttemptOutcome::Corrupted => att_bad.inc(),
-            },
-        );
-        self.cdn_metrics.bytes_transferred += rep.total_bytes;
-        self.clock = self.clock.plus_millis(rep.total_ms as u64);
-        self.coded_blocks_landed.add(rep.landed.len() as u64);
-        self.coded_blocks_preexisting
-            .add(rep.pre_existing.len() as u64);
-        self.coded_discarded_corrupt
-            .add(u64::from(rep.discarded_corrupt));
-        let err = err.or_else(|| self.check_landed(&dst_repo, Partition::User, &rep).err());
-        if let Some(e) = err {
-            self.cdn_metrics.failures += 1;
-            self.social_metrics
-                .record_exchange(donors[0].0.index(), node.index(), 0, false);
-            return Err(ScdnError::Transfer(e));
-        }
-        // Per-donor exchange and served accounting, in acceptance order.
-        let mut per_donor: Vec<(usize, u64)> = Vec::new();
-        for ((_, donor), report) in rep.delivered.iter().zip(&rep.reports) {
-            match per_donor.iter_mut().find(|(d, _)| d == donor) {
-                Some((_, bytes)) => *bytes += report.bytes,
-                None => per_donor.push((*donor, report.bytes)),
-            }
-        }
-        for &(donor, bytes) in &per_donor {
-            self.social_metrics
-                .record_exchange(donor, node.index(), bytes, true);
-            self.clients[donor].record_served(bytes);
-        }
-        // Recover the data shards from the blocks on hand, then replace
-        // the scaffolding with the plain segment set the rest of the
-        // system expects in the requester's user partition.
-        let decoded =
-            fetched_blocks(&dst_repo, Partition::User, dataset, &rep).and_then(|fetched| {
-                decode_block_shards(&spec, &fetched).map_err(|_| {
-                    ScdnError::Transfer(TransferError::InsufficientBlocks {
-                        dataset,
-                        have: fetched.len() as u32,
-                        need: spec.k as u32,
-                    })
-                })
-            });
-        let decoded = match decoded {
-            Ok(decoded) => decoded,
-            Err(e) => {
-                discard_landed(&dst_repo, Partition::User, &rep);
-                self.cdn_metrics.failures += 1;
-                return Err(e);
-            }
-        };
-        self.coded_shards_reconstructed
-            .add(decoded.reconstructed as u64);
-        discard_scaffolding(&dst_repo, Partition::User, dataset, &rep);
-        let mut applied_new: Vec<SegmentId> = Vec::new();
-        let seg_size = self.config.segment_size;
-        let total = spec.total_len as usize;
-        // The decoded segments are stored under the owner's digests, not
-        // digested again: a wrong decode fails its first read.
-        let digests = self
-            .datasets
-            .get(&dataset)
-            .expect("readiness checked")
-            .segment_digests
-            .clone();
-        for (ordinal, &checksum) in digests.iter().enumerate() {
-            let start = ordinal * seg_size;
-            let end = (start + seg_size).min(total);
-            let seg = Segment {
-                id: SegmentId {
-                    dataset,
-                    ordinal: ordinal as u32,
-                },
-                data: decoded.range(start, end),
-                checksum,
-            };
-            let pre_existing = dst_repo.contains_in(Partition::User, seg.id);
-            let id = seg.id;
-            match dst_repo.store(Partition::User, seg) {
-                Ok(()) => {
-                    if !pre_existing {
-                        applied_new.push(id);
-                    }
-                }
-                Err(e) => {
-                    for &d in &applied_new {
-                        let _ = dst_repo.remove(Partition::User, d, true);
-                    }
-                    self.cdn_metrics.failures += 1;
-                    return Err(ScdnError::Repo(e));
-                }
-            }
-        }
-        self.repo_epochs[node.index()] += 1;
-        let served_by = rep
-            .delivered
-            .first()
-            .map(|&(_, d)| NodeId(d as u32))
-            .unwrap_or(node);
-        let social_hit = rep.delivered.iter().any(|&(_, d)| {
-            self.social
-                .neighbors(node)
-                .iter()
-                .any(|e| e.to.index() == d)
-        });
-        if social_hit {
-            self.cdn_metrics.hits += 1;
-        } else {
-            self.cdn_metrics.misses += 1;
-        }
-        self.cdn_metrics.response_time_ms.record(rep.total_ms);
-        Ok(RequestOutcome {
-            served_by,
-            social_hit,
-            response_ms: rep.total_ms,
-            bytes: rep.total_bytes,
-        })
-    }
-
     /// Request a dataset from `node`: authenticate, check access policy,
-    /// resolve the best online replica, and transfer every segment into
-    /// the requester's user partition.
+    /// then deliver it into the requester's user partition.
     ///
-    /// Every request — served or failed — leaves a lifecycle trace in the
-    /// collector: `authenticate → discover → select replica → transfer
-    /// attempt(s) → deliver | fail`, with per-span timing and outcome
-    /// (control-plane spans carry wall-clock time, transfer attempts the
-    /// simulated network time).
+    /// A coded dataset is raced when the requester is not its owner and
+    /// its online block hosts — only those with an overlay route to the
+    /// requester, under [`ScdnConfig::enforce_social_boundary`] — hold `k`
+    /// distinct blocks: every such host serves at once and the request
+    /// completes when any `k` land. A landed block must carry the owner's
+    /// digest ([`TransferError::SourceCorrupt`] otherwise); the plain
+    /// segments decoded from the blocks are stored under the owner's
+    /// digests, and a failed race gives back what it landed. Any other
+    /// request transfers every segment from the best online replica.
+    ///
+    /// Every request leaves a lifecycle trace: `authenticate → discover →
+    /// select replica → transfer attempt(s) → deliver | fail`, or
+    /// `authenticate → discover → deliver | fail` for a race. Control-plane
+    /// spans carry wall-clock time, attempts the simulated network time.
     pub fn request(
         &mut self,
         node: NodeId,
         dataset: DatasetId,
     ) -> Result<RequestOutcome, ScdnError> {
         // A batch of one through the plan/commit pipeline (see the
-        // `pipeline` module): the commit path applies exactly the effects
-        // the old inline state machine produced, in the same order.
+        // `pipeline` module).
         self.request_batch(std::slice::from_ref(&(node, dataset)))
             .pop()
             .expect("one request in, one result out")
+    }
+
+    /// [`request`](Self::request), which races the blocks of a coded
+    /// dataset itself. The name remains because `benchmark/`'s
+    /// `coded_repair` workload calls it.
+    pub fn request_coded(
+        &mut self,
+        node: NodeId,
+        dataset: DatasetId,
+    ) -> Result<RequestOutcome, ScdnError> {
+        self.request(node, dataset)
     }
 
     /// Promote the freshly downloaded copy into the requester's replica

@@ -231,6 +231,66 @@ fn requests_leave_well_formed_traces_and_valid_snapshot() {
 }
 
 #[test]
+fn coded_requests_leave_well_formed_traces() {
+    use scdn_obs::SpanKind::{Authenticate, Deliver, Discover, Fail};
+    use scdn_storage::coding::{CodedBlockId, CodingConfig};
+    use scdn_storage::object::Segment;
+
+    let (c, sub) = community();
+    let config = ScdnConfig {
+        coding: CodingConfig::Rs { k: 2, m: 1 },
+        ..ScdnConfig::default()
+    };
+    let mut scdn = Scdn::build(&sub, &c.corpus, config);
+    let id = scdn
+        .publish(
+            NodeId(0),
+            "traced-coded",
+            Bytes::from(vec![7u8; 4096]),
+            Sensitivity::Public,
+            None,
+        )
+        .expect("publishes");
+    let hosts = scdn.replicate(id).expect("places every block");
+    let mut requesters = (1..scdn.member_count() as u32)
+        .map(NodeId)
+        .filter(|n| !hosts.contains(n));
+    let served = requesters.next().expect("a member hosting nothing");
+    let refused = requesters.next().expect("another");
+    scdn.request(served, id).expect("served by the race");
+    // The host of block 0 rewrites it under a checksum of its own bytes;
+    // the race takes blocks in ascending order, so it lands.
+    let block = CodedBlockId {
+        dataset: id,
+        index: 0,
+    }
+    .segment_id();
+    let inventory = scdn.allocation().coded_inventory(id).expect("coded");
+    let (host, _) = inventory
+        .iter()
+        .find(|(_, blocks)| blocks.contains(&0))
+        .expect("block 0 is placed");
+    scdn.repo(*host)
+        .expect("member")
+        .store(
+            Partition::Replica,
+            Segment::new(block, Bytes::from(vec![0x55u8; 2048])),
+        )
+        .expect("same size fits");
+    assert!(scdn.request(refused, id).is_err(), "a forged block fails");
+
+    let traces: Vec<_> = scdn.traces().recent().collect();
+    assert_eq!(traces.len(), 2);
+    assert!(traces.iter().all(|t| t.is_well_formed()));
+    let kinds = |i: usize| traces[i].spans.iter().map(|s| s.kind).collect::<Vec<_>>();
+    assert_eq!(kinds(0), [Authenticate, Discover, Deliver]);
+    assert_eq!(kinds(1), [Authenticate, Discover, Fail]);
+    let snap = scdn.observability_snapshot();
+    assert_eq!(snap.counter("core.transfer.owner_digest_mismatch"), Some(1));
+    assert!(snap.counter("net.attempts.delivered").unwrap_or(0) >= 4);
+}
+
+#[test]
 fn clock_advances_with_traffic() {
     let (c, sub) = community();
     let mut scdn = Scdn::build(&sub, &c.corpus, ScdnConfig::default());
@@ -500,6 +560,85 @@ fn social_boundary_blocks_cross_island_service() {
         .find(|&v| v != owner && comps.component_of(v) == owner_comp)
         .expect("insider exists");
     assert!(scdn.request(insider, id).is_ok());
+}
+
+#[test]
+fn coded_request_obeys_the_social_boundary() {
+    use scdn_alloc::server::AllocationError;
+    use scdn_storage::coding::CodingConfig;
+
+    // The same fragmented double-coauthorship graph, with the dataset held
+    // as RS(2,1) blocks on hosts in the owner's island: a requester in
+    // another island has no overlay route to any donor.
+    let mut params = CaseStudyParams::default();
+    params.rng_seed = 13;
+    let c = generate(&params);
+    let sub = build_trust_subgraph(
+        &c.corpus,
+        c.seed_author,
+        3,
+        2009..=2010,
+        TrustFilter::MinJointPubs(2),
+    )
+    .expect("seed present");
+    let comps = scdn_graph::components::connected_components(&sub.graph);
+    let config = ScdnConfig {
+        enforce_social_boundary: true,
+        coding: CodingConfig::Rs { k: 2, m: 1 },
+        ..ScdnConfig::default()
+    };
+    let mut scdn = Scdn::build(&sub, &c.corpus, config);
+    let owner = sub.node_of(c.seed_author).expect("seed in graph");
+    let island = comps.component_of(owner);
+    let id = scdn
+        .publish(
+            owner,
+            "coded-island",
+            Bytes::from(vec![3u8; 4096]),
+            Sensitivity::Public,
+            None,
+        )
+        .expect("publishes");
+    let hosts = scdn.replicate(id).expect("places every block");
+    assert_eq!(hosts.len(), 3);
+    assert!(hosts.iter().all(|&h| comps.component_of(h) == island));
+    let landed = |scdn: &Scdn| {
+        scdn.observability_snapshot()
+            .counter("core.coded.blocks_landed")
+            .expect("registered at build")
+    };
+    let refused = |r: Result<_, ScdnError>| {
+        matches!(
+            r,
+            Err(ScdnError::Alloc(AllocationError::NoReplicaAvailable(d))) if d == id
+        )
+    };
+
+    let outsiders: Vec<NodeId> = scdn
+        .social
+        .nodes()
+        .filter(|&v| comps.component_of(v) != island)
+        .take(5)
+        .collect();
+    assert!(!outsiders.is_empty(), "another island exists");
+    for &outsider in &outsiders {
+        assert!(refused(scdn.request_coded(outsider, id)), "{outsider:?}");
+        assert!(refused(scdn.request(outsider, id)), "{outsider:?}");
+        let batch = scdn.request_batch(&[(outsider, id)]).pop().expect("one");
+        assert!(refused(batch), "{outsider:?}");
+    }
+    assert_eq!(landed(&scdn), 0, "no block crossed the boundary");
+
+    // A member of the owner's island, every donor routable, races k blocks.
+    let insider = scdn
+        .social
+        .nodes()
+        .find(|&v| v != owner && !hosts.contains(&v) && comps.component_of(v) == island)
+        .expect("insider exists");
+    let outcome = scdn.request(insider, id).expect("served by the race");
+    assert_eq!(outcome.bytes, 2 * 2048, "k blocks on the wire");
+    assert_eq!(landed(&scdn), 2);
+    assert!(hosts.contains(&outcome.served_by));
 }
 
 #[test]

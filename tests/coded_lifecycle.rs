@@ -258,3 +258,72 @@ fn forged_block_fails_the_coded_request() {
     assert_eq!(snap.counter("core.transfer.owner_digest_mismatch"), Some(1));
     assert_eq!(snap.counter("core.coded.blocks_landed"), Some(u64::from(K)));
 }
+
+/// `request` and a two-request `request_batch` race a coded dataset's
+/// blocks as `request_coded` does: each requester is charged k blocks and
+/// ends up with the published bytes as plain segments.
+#[test]
+fn every_request_entry_point_races_a_coded_dataset() {
+    let mut params = CaseStudyParams::default();
+    params.level2_prob = 0.4;
+    params.level3_prob = 0.0;
+    params.mega_pub_authors = 0;
+    params.rng_seed = 5;
+    let c = generate(&params);
+    let sub = build_trust_subgraph(
+        &c.corpus,
+        c.seed_author,
+        3,
+        2009..=2010,
+        TrustFilter::Baseline,
+    )
+    .expect("seed present");
+    let config = ScdnConfig {
+        segment_size: 4096,
+        coding: CodingConfig::Rs { k: 4, m: 2 },
+        ..Default::default()
+    };
+    let mut scdn = Scdn::build(&sub, &c.corpus, config);
+    let published: Vec<u8> = (0..50_000u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 9) as u8)
+        .collect();
+    let dataset = scdn
+        .publish(
+            NodeId(0),
+            "entry-points",
+            Bytes::from(published.clone()),
+            Sensitivity::Public,
+            None,
+        )
+        .expect("publishes");
+    let placed = scdn.replicate(dataset).expect("places every block");
+    let requesters: Vec<NodeId> = (1..scdn.member_count() as u32)
+        .map(NodeId)
+        .filter(|n| !placed.contains(n))
+        .take(4)
+        .collect();
+    assert_eq!(requesters.len(), 4);
+
+    let mut outcomes = vec![
+        scdn.request_coded(requesters[0], dataset),
+        scdn.request(requesters[1], dataset),
+    ];
+    outcomes.extend(scdn.request_batch(&[(requesters[2], dataset), (requesters[3], dataset)]));
+    for (outcome, &n) in outcomes.iter().zip(&requesters) {
+        let outcome = outcome.as_ref().expect("served");
+        assert_eq!(outcome.bytes, u64::from(K) * 12_500, "{n:?}: k blocks");
+        let repo = scdn.repo(n).expect("member");
+        let mut fetched = Vec::new();
+        for id in repo.list(Partition::User) {
+            fetched.extend_from_slice(&repo.fetch(Partition::User, id).expect("verifies").data);
+        }
+        assert_eq!(fetched, published, "{n:?}");
+        assert!(repo.list_coded(Partition::User, dataset).is_empty());
+    }
+    let snap = scdn.observability_snapshot();
+    assert_eq!(
+        snap.counter("core.coded.blocks_landed"),
+        Some(4 * u64::from(K))
+    );
+    assert_eq!(snap.counter("trace.recorded"), Some(4));
+}
