@@ -29,35 +29,18 @@
 //! [`ResolveCache::apply_delta`]) flushes everything, exactly like the old
 //! fingerprint guard but without its equal-sized-graph collision.
 //!
-//! ## Scoped invalidation under churn
+//! ## Invalidation under churn
 //!
-//! When the graph changes via [`CsrGraph::apply_delta`], flushing
-//! wholesale throws away hop tables that provably cannot have changed.
-//! [`ResolveCache::apply_delta`] instead evicts only the entries whose
-//! distance radius *can* reach a churn-touched endpoint. The argument is
-//! about hop distances alone — which nodes the resolve kernel happened to
-//! visit while computing them (the meet-in-the-middle search visits far
-//! fewer than the ball of that radius) plays no part:
-//!
-//! An entry for requester `q` whose cached hops are all `Some` with
-//! maximum `R` (its distance radius) is retained iff every touched node
-//! is farther than `R` from `q` in **both** the old and the new graph. Any
-//! changed shortest path `q → replica` must cross a touched node `t`
-//! (both endpoints of every changed edge are touched): if a distance
-//! shrank, the new path crosses `t` at `d_new(q,t) ≤ d_new(q,replica) <
-//! d_old(q,replica) ≤ R`; if it grew, the broken old path crossed `t` at
-//! `d_old(q,t) ≤ R`. Either way a touched node sits within `R` on one
-//! side, so "touched frontier farther than `R` on both sides" implies
-//! every cached hop is still exact. Entries with an unreached (`None`)
-//! replica are always evicted — their verdict can flip without a nearby
-//! touched node when the hop budget clipped the search. Both frontier
-//! distances come from one bounded multi-source BFS per side, seeded with
-//! the touched set and capped at [`FRONTIER_DEPTH`]; a requester the
-//! frontier never reached is farther than the cap, so entries with
-//! `R ≥ FRONTIER_DEPTH` are conservatively evicted. False positives
-//! (extra evictions) only cost a recompute; false negatives are
-//! impossible — property-tested against full-BFS recomputation in
-//! `tests/delta_invalidation.rs`.
+//! A graph change announced through [`ResolveCache::apply_delta`] is
+//! evicted by generation: a delta whose
+//! [`DeltaSummary::distances_unchanged`](scdn_graph::DeltaSummary::distances_unchanged)
+//! (weight-only reinforcement, isolated activation) keeps every entry, and
+//! any other delta flushes the cache, exactly like an unannounced swap.
+//! Keeping the entries a distance-changing delta could not reach would
+//! need two whole-graph frontier searches per delta; measured under churn
+//! they kept under 1% of the cache (about one resolve miss saved per
+//! delta) at hundreds of times the cost of that miss (EXPERIMENTS.md
+//! "Cheap churn").
 //!
 //! ## Chunked COW storage changes nothing here
 //!
@@ -65,28 +48,19 @@
 //! [`CsrGraph::apply_delta`] rewrites only touched chunks. That is a
 //! *storage* optimization: the generation counter stays globally
 //! monotonic (every apply/freeze mints a fresh value, never reuses one),
-//! and the `touched` set in [`DeltaSummary`](scdn_graph::DeltaSummary)
-//! still over-approximates every changed row regardless of how many
-//! chunks the rows map onto. Both guards this cache relies on are
+//! and whether a delta changed any distance does not depend on how many
+//! chunks its rows map onto. Both guards this cache relies on are
 //! therefore layout-independent — no rekeying, and no sensitivity to
-//! `chunk_rows`, which the chunk-size sweep in
-//! `tests/delta_invalidation.rs` pins.
+//! `chunk_rows`.
 
 use std::collections::{HashMap, VecDeque};
 
 use parking_lot::Mutex;
-use scdn_graph::csr::UNVISITED;
-use scdn_graph::{CsrGraph, NodeId, TraversalScratch};
+use scdn_graph::{CsrGraph, NodeId};
 use scdn_storage::object::DatasetId;
 
 /// Number of independent shards (power of two).
 const SHARDS: usize = 8;
-
-/// Hop cap for the scoped-invalidation frontier BFS. Entries whose cached
-/// radius reaches this deep are evicted unconditionally; social resolution
-/// radii are tiny (the paper's graphs have diameter ≪ 16), so in practice
-/// the cap never bites.
-pub(crate) const FRONTIER_DEPTH: u32 = 16;
 
 /// Cache key: one requester resolving one dataset.
 type Key = (NodeId, DatasetId);
@@ -116,12 +90,12 @@ pub(crate) struct InsertOutcome {
     pub evicted: u64,
 }
 
-/// Outcome of a scoped delta invalidation (for telemetry).
+/// Outcome of a delta invalidation (for telemetry).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct RetentionOutcome {
-    /// Entries that provably survived the graph change.
+    /// Entries kept because the delta changed no hop distance.
     pub retained: u64,
-    /// Entries evicted because their distance radius may reach the churn.
+    /// Entries flushed because the delta may have changed a distance.
     pub evicted: u64,
 }
 
@@ -174,81 +148,28 @@ impl ResolveCache {
         }
     }
 
-    /// Scoped invalidation for a graph change `old → new` produced by
-    /// [`CsrGraph::apply_delta`]: evict only the entries whose distance
-    /// radius can reach a touched node (see the module docs for the
-    /// proof sketch), retain everything else, and adopt `new`'s
-    /// generation so subsequent [`ensure_graph`](ResolveCache::ensure_graph)
-    /// calls leave the survivors alone.
-    ///
-    /// Falls back to a wholesale flush when `old` is not the announced
-    /// snapshot or `new` carries no delta summary (not produced by
-    /// `apply_delta`). A delta that provably changed no hop distance
-    /// (weight-only reinforcement, isolated activation) retains every
-    /// entry without any traversal.
-    pub(crate) fn apply_delta(
-        &self,
-        old: &CsrGraph,
-        new: &CsrGraph,
-        scratch: &mut TraversalScratch,
-    ) -> RetentionOutcome {
+    /// Invalidation for a graph change `old → new` produced by
+    /// [`CsrGraph::apply_delta`]: a delta that provably changed no hop
+    /// distance (weight-only reinforcement, isolated activation) retains
+    /// every entry; any other delta, an `old` that is not the announced
+    /// snapshot, or a `new` without a delta summary flushes the cache.
+    /// Either way `new`'s generation is adopted, so subsequent
+    /// [`ensure_graph`](ResolveCache::ensure_graph) calls leave the
+    /// survivors alone.
+    pub(crate) fn apply_delta(&self, old: &CsrGraph, new: &CsrGraph) -> RetentionOutcome {
         let mut out = RetentionOutcome::default();
         let mut cur = self.graph_gen.lock();
         let announced = *cur == Some(old.generation()) || cur.is_none();
         *cur = Some(new.generation());
-        match new.last_delta() {
-            Some(summary) if announced && summary.distances_unchanged() => {
-                out.retained = self.shards.iter().map(|s| s.lock().map.len() as u64).sum();
-            }
-            Some(summary) if announced => {
-                // One bounded multi-source BFS per side: distance from the
-                // touched set to every node within FRONTIER_DEPTH hops.
-                scratch.bfs_bounded(old, &summary.touched, FRONTIER_DEPTH);
-                let old_frontier: Vec<u32> = scratch.distances().to_vec();
-                scratch.bfs_bounded(new, &summary.touched, FRONTIER_DEPTH);
-                let fence = |dists: &[u32], q: NodeId| match dists.get(q.index()) {
-                    Some(&d) if d != UNVISITED => d,
-                    // Unreached within the cap: farther than FRONTIER_DEPTH.
-                    _ => FRONTIER_DEPTH + 1,
-                };
-                for shard in &self.shards {
-                    let mut guard = shard.lock();
-                    let Shard { map, fifo } = &mut *guard;
-                    map.retain(|&(requester, _), slot| {
-                        let mut radius = 0u32;
-                        let keep = slot.hops.iter().all(|h| match h {
-                            Some(d) => {
-                                radius = radius.max(*d);
-                                true
-                            }
-                            // A budget-clipped verdict can flip without a
-                            // nearby touched node: always evict.
-                            None => false,
-                        }) && radius < fence(&old_frontier, requester)
-                            && radius < fence(scratch.distances(), requester);
-                        if keep {
-                            out.retained += 1;
-                        } else {
-                            out.evicted += 1;
-                        }
-                        keep
-                    });
-                    // An evicted key left in the queue would be pushed a
-                    // second time when it is re-inserted, and its stale
-                    // first copy would later evict the live slot ahead of
-                    // its turn (and the queue would grow without bound).
-                    if fifo.len() != map.len() {
-                        fifo.retain(|k| map.contains_key(k));
-                    }
-                }
-            }
-            _ => {
-                for shard in &self.shards {
-                    let mut s = shard.lock();
-                    out.evicted += s.map.len() as u64;
-                    s.map.clear();
-                    s.fifo.clear();
-                }
+        let keep = announced && new.last_delta().is_some_and(|d| d.distances_unchanged());
+        for shard in &self.shards {
+            let mut s = shard.lock();
+            if keep {
+                out.retained += s.map.len() as u64;
+            } else {
+                out.evicted += s.map.len() as u64;
+                s.map.clear();
+                s.fifo.clear();
             }
         }
         out
@@ -381,36 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_scoped_eviction_retains_far_entries_only() {
-        let mut g = line(10);
-        let old = CsrGraph::from(&g);
-        let c = ResolveCache::new(64);
-        c.ensure_graph(&old);
-        // Requester 0, radius 1: far from the churn at 7—8.
-        c.insert(key(0, 1), 1, hops(&[Some(1)]));
-        // Requester 0, radius 9: reaches past the churned edge.
-        c.insert(key(0, 2), 1, hops(&[Some(9)]));
-        // Unreached replica: always evicted regardless of distance.
-        c.insert(key(1, 3), 1, hops(&[Some(1), None]));
-
-        let mut d = GraphDelta::new();
-        d.remove_edge(NodeId(7), NodeId(8));
-        let new = old.apply_delta(&d);
-        d.apply_to(&mut g);
-
-        let mut scratch = TraversalScratch::new();
-        let out = c.apply_delta(&old, &new, &mut scratch);
-        assert_eq!(out.retained, 1);
-        assert_eq!(out.evicted, 2);
-        assert!(c.with_hops(key(0, 1), 1, |_| ()).is_some());
-        assert!(c.with_hops(key(0, 2), 1, |_| ()).is_none());
-        assert!(c.with_hops(key(1, 3), 1, |_| ()).is_none());
-        // The new generation is adopted: no flush on the next resolve.
-        c.ensure_graph(&new);
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
     fn churn_evictions_leave_no_fifo_ghosts() {
         // A working set well below capacity, evicted and re-inserted
         // round after round.
@@ -419,7 +310,6 @@ mod tests {
         let mut g = line(12);
         let mut csr = CsrGraph::from(&g);
         c.ensure_graph(&csr);
-        let mut scratch = TraversalScratch::new();
         let check = |c: &ResolveCache| {
             for shard in &c.shards {
                 let s = shard.lock();
@@ -428,7 +318,6 @@ mod tests {
             }
         };
         for round in 0..20u32 {
-            // Radius 11 spans the whole line: any structural delta evicts.
             for d in 0..W {
                 c.insert(key(0, d), 1, hops(&[Some(11)]));
             }
@@ -441,7 +330,7 @@ mod tests {
             }
             let next = csr.apply_delta(&delta);
             delta.apply_to(&mut g);
-            let out = c.apply_delta(&csr, &next, &mut scratch);
+            let out = c.apply_delta(&csr, &next);
             assert_eq!((out.retained, out.evicted), (0, u64::from(W)));
             csr = next;
             check(&c);
@@ -461,7 +350,7 @@ mod tests {
         let mut delta = GraphDelta::new();
         delta.remove_edge(NodeId(5), NodeId(6));
         let new = old.apply_delta(&delta);
-        assert_eq!(c.apply_delta(&old, &new, &mut scratch).evicted, 1);
+        assert_eq!(c.apply_delta(&old, &new).evicted, 1);
         c.insert(b, 1, hops(&[Some(5)]));
         c.insert(a, 1, hops(&[Some(5)]));
         assert_eq!(c.insert(third, 1, hops(&[Some(5)])).evicted, 1);
@@ -485,8 +374,7 @@ mod tests {
         let new = old.apply_delta(&d);
         d.apply_to(&mut g);
 
-        let mut scratch = TraversalScratch::new();
-        let out = c.apply_delta(&old, &new, &mut scratch);
+        let out = c.apply_delta(&old, &new);
         assert_eq!(out.retained, 2, "hop distances provably unchanged");
         assert_eq!(out.evicted, 0);
     }
@@ -502,8 +390,7 @@ mod tests {
         let mut d = GraphDelta::new();
         d.add_edge(NodeId(0), NodeId(4), 1);
         let new = b.apply_delta(&d); // delta over a snapshot we never saw
-        let mut scratch = TraversalScratch::new();
-        let out = c.apply_delta(&b, &new, &mut scratch);
+        let out = c.apply_delta(&b, &new);
         assert_eq!(out.retained, 0);
         assert_eq!(out.evicted, 1);
         assert_eq!(c.len(), 0);

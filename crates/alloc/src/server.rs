@@ -79,12 +79,11 @@ pub struct AllocMetrics {
     /// miss): divided by `cache_misses` it says whether a slow miss was
     /// slow in the graph.
     pub bfs_visited: Counter,
-    /// Cache entries evicted by the capacity bound or by delta-scoped
-    /// invalidation.
+    /// Cache entries evicted by the capacity bound or by a
+    /// distance-changing graph delta.
     pub cache_evictions: Counter,
-    /// Cache entries that provably survived a graph delta
-    /// ([`note_graph_delta`](AllocationServer::note_graph_delta)) instead
-    /// of being flushed wholesale.
+    /// Cache entries kept across a graph delta that changed no hop
+    /// distance ([`note_graph_delta`](AllocationServer::note_graph_delta)).
     pub cache_retained: Counter,
     /// Datasets flagged for replica-count changes by rebalance plans.
     pub rebalance_datasets: Counter,
@@ -269,20 +268,17 @@ impl AllocationServer {
     }
 
     /// Announce a social-graph change `old → new` produced by
-    /// [`CsrGraph::apply_delta`], scoping the hop-cache invalidation to
-    /// the churned region: only entries whose cached distance radius can
-    /// reach a touched node are evicted (conservative frontier check — see
-    /// `resolve_cache` module docs for the proof sketch); everything else
-    /// stays warm and is served against `new` on the next resolve.
+    /// [`CsrGraph::apply_delta`]. The hop cache is evicted by generation:
+    /// a delta that changed no hop distance (weight-only reinforcement,
+    /// isolated activation) keeps every entry warm for the next resolve on
+    /// `new`; any other delta flushes it (see `resolve_cache` module docs).
     /// Without this call, the next resolve on `new` flushes the cache
     /// wholesale (unannounced generation change).
     ///
     /// Returns `(retained, evicted)` entry counts; both are also exported
     /// via `alloc.resolve.cache.retained` / `alloc.resolve.cache.evict`.
     pub fn note_graph_delta(&self, old: &CsrGraph, new: &CsrGraph) -> (u64, u64) {
-        let mut scratch = self.scratch_pool.lock().pop().unwrap_or_default();
-        let outcome = self.cache.apply_delta(old, new, &mut scratch);
-        self.scratch_pool.lock().push(scratch);
+        let outcome = self.cache.apply_delta(old, new);
         self.metrics.cache_retained.add(outcome.retained);
         self.metrics.cache_evictions.add(outcome.evicted);
         (outcome.retained, outcome.evicted)
@@ -742,9 +738,9 @@ impl AllocationServer {
     ///
     /// The cache assumes `csr` is the announced snapshot: passing a graph
     /// with an unannounced [`CsrGraph::generation`] flushes it wholesale,
-    /// while churn routed through
-    /// [`note_graph_delta`](AllocationServer::note_graph_delta) keeps the
-    /// provably unaffected entries warm.
+    /// while a distance-preserving delta routed through
+    /// [`note_graph_delta`](AllocationServer::note_graph_delta) keeps every
+    /// entry warm.
     pub fn resolve_csr(
         &self,
         dataset: DatasetId,

@@ -1,14 +1,13 @@
-//! Delta-scoped cache invalidation: stale-hop regression tests plus the
-//! conservative-frontier soundness property.
+//! Hop-cache invalidation under graph deltas: stale-hop regression tests,
+//! the retention rule, and a cold-recomputation property.
 //!
-//! The resolve cache may retain entries across a graph delta only when
-//! their cached distance radius provably cannot reach the churn (see
+//! The resolve cache keeps its entries across a graph delta only when the
+//! delta changed no hop distance; any other delta flushes it (see
 //! `resolve_cache` module docs). These tests drive the public
 //! `AllocationServer` surface: resolve to warm the cache, churn the
 //! graph, resolve again, and require the answer to be identical to a
-//! cold full recomputation — under both the scoped delta path
-//! (`note_graph_delta`) and the flush-everything oracle (an unannounced
-//! re-freeze).
+//! cold full recomputation — under both the announced delta path
+//! (`note_graph_delta`) and an unannounced re-freeze.
 
 use proptest::prelude::*;
 use scdn_alloc::server::{AllocationServer, RepositoryInfo};
@@ -63,8 +62,8 @@ fn removed_shortest_path_edge_is_never_served_stale_delta_path() {
     let new = old.apply_delta(&delta);
     delta.apply_to(&mut g);
     srv.note_graph_delta(&old, &new);
-    // The cached 3-hop entry sat within the churn frontier: it must be
-    // gone, and the resolve must see the detour distance.
+    // The delta changed a distance: the cached 3-hop entry must be gone,
+    // and the resolve must see the detour distance.
     assert_eq!(resolve_hops(&srv, DatasetId(0), NodeId(0), &new), Some(4));
 }
 
@@ -94,11 +93,9 @@ fn removed_shortest_path_edge_is_never_served_stale_flush_path() {
     assert_eq!(resolve_hops(&srv, DatasetId(0), NodeId(0), &new), Some(4));
 }
 
-/// A retained far-away entry keeps serving from cache — and still
-/// serves the *correct* (unchanged) distance.
-#[test]
-fn far_entries_survive_and_stay_exact() {
-    // Long line: requester 0 next to its replica, churn at the far end.
+/// Warm `(requester 0, dataset 0)` on a 30-node line whose replica sits
+/// next to the requester, then announce `delta`.
+fn warm_line_then(delta: &GraphDelta) -> (AllocationServer, CsrGraph, (u64, u64)) {
     let mut g = Graph::new(30);
     for i in 0..29u32 {
         g.add_edge(NodeId(i), NodeId(i + 1), 1);
@@ -107,25 +104,35 @@ fn far_entries_survive_and_stay_exact() {
     srv.register_dataset(DatasetId(0), 16, NodeId(1)).unwrap();
     let old = CsrGraph::from(&g);
     assert_eq!(resolve_hops(&srv, DatasetId(0), NodeId(0), &old), Some(1));
+    let new = old.apply_delta(delta);
+    let counts = srv.note_graph_delta(&old, &new);
+    (srv, new, counts)
+}
 
+/// A delta that can change a distance evicts every entry — even one whose
+/// hops it provably cannot reach, 28 hops from the churn.
+#[test]
+fn distance_changing_delta_evicts_every_entry() {
     let mut delta = GraphDelta::new();
     delta.remove_edge(NodeId(28), NodeId(29));
-    let new = old.apply_delta(&delta);
-    delta.apply_to(&mut g);
-    let (retained, evicted) = srv.note_graph_delta(&old, &new);
-    assert_eq!(
-        (retained, evicted),
-        (1, 0),
-        "radius-1 entry is 28 hops away"
-    );
-
-    let hits_before = srv.metrics().cache_hits.get();
+    let (srv, new, counts) = warm_line_then(&delta);
+    assert_eq!(counts, (0, 1));
+    let misses = srv.metrics().cache_misses.get();
     assert_eq!(resolve_hops(&srv, DatasetId(0), NodeId(0), &new), Some(1));
-    assert_eq!(
-        srv.metrics().cache_hits.get(),
-        hits_before + 1,
-        "served warm"
-    );
+    assert_eq!(srv.metrics().cache_misses.get(), misses + 1, "served cold");
+}
+
+/// A weight-only delta changes no hop distance: every entry is retained
+/// and keeps serving warm.
+#[test]
+fn weight_only_delta_retains_every_entry() {
+    let mut delta = GraphDelta::new();
+    delta.add_edge(NodeId(28), NodeId(29), 5); // reinforce an existing edge
+    let (srv, new, counts) = warm_line_then(&delta);
+    assert_eq!(counts, (1, 0));
+    let hits = srv.metrics().cache_hits.get();
+    assert_eq!(resolve_hops(&srv, DatasetId(0), NodeId(0), &new), Some(1));
+    assert_eq!(srv.metrics().cache_hits.get(), hits + 1, "served warm");
 }
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -140,14 +147,12 @@ fn arb_churn(max_ops: usize) -> impl Strategy<Value = Vec<(bool, u32, u32)>> {
 }
 
 proptest! {
-    /// Soundness of the conservative frontier check, proven against
-    /// full-BFS recomputation: after any random delta, every resolve on
-    /// the delta path — warm survivors included — must return exactly
+    /// After any random delta, every resolve on the delta path — warm
+    /// survivors of a weight-only delta included — must return exactly
     /// what a cold server computes on the post-churn graph with a fresh
-    /// full BFS. False positives (evictions) are invisible here; a false
-    /// negative (stale survivor) shows up as a hop mismatch.
+    /// full BFS. A stale survivor shows up as a hop mismatch.
     #[test]
-    fn retained_entries_match_full_bfs_recomputation(
+    fn answers_after_a_delta_match_a_cold_recomputation(
         mut g in arb_graph(),
         churn in arb_churn(12),
         dataset_nodes in proptest::collection::vec(any::<u32>(), 1..5),
@@ -188,56 +193,10 @@ proptest! {
                 let cold = resolve_hops(&oracle, d, NodeId(q), &new);
                 prop_assert_eq!(
                     warm, cold,
-                    "requester {} dataset {:?}: scoped invalidation served stale hops", q, d
+                    "requester {} dataset {:?}: stale hops served after a delta", q, d
                 );
             }
         }
         prop_assert!(srv.metrics().cache_retained.get() + srv.metrics().cache_evictions.get() > 0);
-    }
-
-    /// The frontier check is layout-independent: the same churn on the
-    /// same graph, frozen at different chunk sizes, must never serve a
-    /// stale hop. Generation keying and the touched set come from the
-    /// ops, not from which COW chunks got rewritten, so the chunk size
-    /// can change what is *copied* but never what is *correct*.
-    #[test]
-    fn scoped_invalidation_is_chunk_size_independent(
-        mut g in arb_graph(),
-        churn in arb_churn(8),
-        publisher in any::<u32>(),
-    ) {
-        let n = g.node_count() as u32;
-        let mut delta = GraphDelta::new();
-        for &(add, a, b) in &churn {
-            if add {
-                delta.add_edge(NodeId(a % n), NodeId(b % n), 1);
-            } else {
-                delta.remove_edge(NodeId(a % n), NodeId(b % n));
-            }
-        }
-        let pre = g.clone();
-        delta.apply_to(&mut g); // g is now post-churn
-
-        for &rows in &[1usize, 64, 4096] {
-            let srv = server_for(&pre);
-            srv.register_dataset(DatasetId(0), 16, NodeId(publisher % n)).unwrap();
-            let old = CsrGraph::from_graph_chunked(&pre, rows);
-            for q in 0..n {
-                let _ = resolve_hops(&srv, DatasetId(0), NodeId(q), &old);
-            }
-            let new = old.apply_delta(&delta);
-            srv.note_graph_delta(&old, &new);
-
-            let oracle = server_for(&g);
-            oracle.register_dataset(DatasetId(0), 16, NodeId(publisher % n)).unwrap();
-            let fresh = CsrGraph::from(&g);
-            for q in 0..n {
-                prop_assert_eq!(
-                    resolve_hops(&srv, DatasetId(0), NodeId(q), &new),
-                    resolve_hops(&oracle, DatasetId(0), NodeId(q), &fresh),
-                    "chunk_rows {} requester {}: stale hop served", rows, q
-                );
-            }
-        }
     }
 }

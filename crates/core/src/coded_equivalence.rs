@@ -470,7 +470,7 @@ fn host_of(scdn: &Scdn, dataset: DatasetId, index: u32) -> NodeId {
         .expect("block is placed")
 }
 
-fn maintain_counter(scdn: &Scdn, name: &str) -> u64 {
+pub(crate) fn maintain_counter(scdn: &Scdn, name: &str) -> u64 {
     scdn.observability_snapshot()
         .counter(&format!("core.maintain.{name}"))
         .unwrap_or(0)

@@ -28,8 +28,10 @@ use scdn_net::failure::FailureModel;
 use scdn_social::generator::{generate, CaseStudyParams};
 use scdn_social::trustgraph::{build_trust_subgraph, TrustFilter, TrustSubgraph};
 use scdn_social::SyntheticDblp;
-use scdn_storage::object::{DatasetId, Sensitivity};
+use scdn_storage::object::{DatasetId, Segment, SegmentId, Sensitivity};
+use scdn_storage::repository::Partition;
 
+use crate::coded_equivalence::maintain_counter;
 use crate::system::{AvailabilityConfig, RebalanceStrategy, Scdn, ScdnConfig};
 
 fn community() -> &'static (SyntheticDblp, TrustSubgraph) {
@@ -201,6 +203,142 @@ proptest! {
             comparable_snapshot(&piped),
             "metric snapshots diverge"
         );
+    }
+}
+
+/// Every member's replica partition: each segment with its bytes, or
+/// `None` where the stored copy fails its own checksum.
+fn replica_contents(scdn: &Scdn) -> Vec<Vec<(SegmentId, Option<Bytes>)>> {
+    (0..scdn.member_count() as u32)
+        .map(|n| {
+            let repo = scdn.repo(NodeId(n)).expect("member");
+            repo.list(Partition::Replica)
+                .into_iter()
+                .map(|id| (id, repo.fetch(Partition::Replica, id).ok().map(|s| s.data)))
+                .collect()
+        })
+        .collect()
+}
+
+/// Depart one non-owner replica host of every dataset (owners are nodes
+/// 0..4), so the next repair grows every item.
+fn depart_a_replica_of_each(scdn: &mut Scdn, datasets: &[DatasetId]) {
+    for &d in datasets {
+        let victim = scdn
+            .replicas_of(d)
+            .expect("dataset exists")
+            .into_iter()
+            .find(|n| n.0 >= datasets.len() as u32);
+        if let Some(v) = victim {
+            let _ = scdn.depart(v);
+        }
+    }
+}
+
+/// On a 1-shard catalog every grow after a cycle's first commit is stale
+/// (its shard republished). Each re-plans at the live clock with the
+/// owner's segments its first plan read, and the cycle still lands
+/// exactly what the serial loop lands: changes, replicas, clock, the
+/// bytes in every repository, and the metric snapshot. (Repository
+/// epochs are a pipeline-only staleness token the serial loop never
+/// advances, so the test compares what they guard: the contents.)
+#[test]
+fn stale_grow_keeps_its_payload_and_matches_serial() {
+    let (mut serial, datasets) = build_system(1, RebalanceStrategy::Static);
+    let (mut piped, _) = build_system(1, RebalanceStrategy::Static);
+    // Rounds land the cycle at different points of the availability
+    // period, so some re-plans see a candidate's liveness flip.
+    for dt in [1_300u64, 2_900, 3_950, 5_000, 7_700] {
+        for (scdn, serial_loop) in [(&mut serial, true), (&mut piped, false)] {
+            scdn.tick(dt);
+            depart_a_replica_of_each(scdn, &datasets);
+            let changes = if serial_loop {
+                scdn.repair_serial()
+            } else {
+                scdn.repair()
+            };
+            assert!(changes > 0, "departures left something to repair");
+        }
+        assert_eq!(serial.now(), piped.now(), "clocks diverge");
+        assert_eq!(
+            catalog_state(&serial, &datasets),
+            catalog_state(&piped, &datasets)
+        );
+        assert_eq!(replica_contents(&serial), replica_contents(&piped));
+        assert_eq!(comparable_snapshot(&serial), comparable_snapshot(&piped));
+    }
+    assert!(maintain_counter(&piped, "replans_kept_payload") > 0);
+    assert_eq!(
+        maintain_counter(&piped, "replanned"),
+        ["stamp", "repo_epoch", "clock"]
+            .map(|cause| maintain_counter(&piped, &format!("replan.{cause}")))
+            .iter()
+            .sum::<u64>(),
+        "every re-plan has exactly one cause"
+    );
+}
+
+/// The owner's copy of two datasets is corrupted at rest before the
+/// cycle. Neither the fresh commit (the cycle's first item) nor a stale
+/// one (every later item, on a 1-shard catalog) may store a byte that
+/// did not pass the owner-side read check: every replica copy in the
+/// system still verifies and holds its own dataset's bytes.
+#[test]
+fn corrupt_owner_copy_is_never_replicated_fresh_or_stale() {
+    let (mut scdn, datasets) = build_system(1, RebalanceStrategy::Static);
+    let corrupted = [0usize, 2];
+    for &i in &corrupted {
+        let repo = scdn.repo(NodeId(i as u32)).expect("owner").clone();
+        let id = *repo
+            .list(Partition::User)
+            .iter()
+            .rev()
+            .find(|id| id.dataset == datasets[i])
+            .expect("owner holds its dataset");
+        let good = repo.fetch(Partition::User, id).expect("intact");
+        let mut raw = good.data.to_vec();
+        raw[0] ^= 0xff;
+        let bad = Segment {
+            data: Bytes::from(raw),
+            ..good
+        };
+        repo.store(Partition::User, bad)
+            .expect("overwrite in place");
+    }
+    depart_a_replica_of_each(&mut scdn, &datasets);
+    let before: Vec<usize> = datasets
+        .iter()
+        .map(|&d| scdn.replicas_of(d).expect("dataset exists").len())
+        .collect();
+    scdn.tick(1_300);
+    assert!(scdn.repair() > 0, "the intact datasets still repair");
+    assert!(
+        maintain_counter(&scdn, "committed") > 0,
+        "a fresh commit ran"
+    );
+    assert!(
+        maintain_counter(&scdn, "replanned") > 0,
+        "a stale commit ran"
+    );
+    for &i in &corrupted {
+        assert_eq!(
+            scdn.replicas_of(datasets[i]).expect("dataset exists").len(),
+            before[i],
+            "a corrupt source gains no replica"
+        );
+    }
+    for node in replica_contents(&scdn) {
+        for (id, data) in node {
+            let data = data.expect("every stored replica copy verifies");
+            let i = datasets
+                .iter()
+                .position(|&d| d == id.dataset)
+                .expect("a published dataset");
+            assert!(
+                data.iter().all(|&b| b == i as u8 + 1),
+                "{id:?} holds another dataset's bytes"
+            );
+        }
     }
 }
 

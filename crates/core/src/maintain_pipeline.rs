@@ -25,17 +25,22 @@
 //!   repository stores with partial-failure rollback, catalog
 //!   `add_replica`, cache pinning, redundancy samples, clock advance.
 //!   Shrink items always execute against live state (victim selection is
-//!   cheap and reads nothing a concurrent plan could cache). A grow
-//!   commit discards its plan and re-runs [`Scdn::replicate_to`] from
-//!   live state — counted in `core.maintain.replanned` — only when an
-//!   earlier commit in the same cycle invalidated its snapshot: the
-//!   catalog shard the plan read republished (its [`ShardStamp`] went
-//!   stale), a repository epoch the plan recorded advanced, or the clock
-//!   advanced under a time-dependent availability model. A stale *coded*
-//!   repair keeps the blocks it regenerated when they are still the
-//!   right ones (same blocks missing, owner online and its repository
-//!   untouched) and re-runs only the live block-shipping walk —
-//!   `core.maintain.coded_replans_kept_blocks`.
+//!   cheap and reads nothing a concurrent plan could cache). A grow plan
+//!   is re-planned only when an earlier commit in the same cycle
+//!   invalidated its snapshot — counted in `core.maintain.replanned` and,
+//!   by the first trigger that fired, in `core.maintain.replan.{stamp,
+//!   repo_epoch,clock}`: the catalog shard the plan read republished (its
+//!   [`ShardStamp`] went stale), a repository epoch the plan recorded
+//!   advanced, or the clock advanced under a time-dependent availability
+//!   model. A stale grow plans again against a fresh snapshot at the live
+//!   clock — candidates, liveness, quotas and attempts all re-derived —
+//!   but keeps the owner's segments its first plan already read and
+//!   verified (`core.maintain.replans_kept_payload`): nothing inside a
+//!   cycle rewrites the owner's copy (see [`MaintainPlan::repos_read`]).
+//!   A stale *coded* repair keeps the blocks it regenerated when they are
+//!   still the right ones (same blocks missing, owner online and its
+//!   repository untouched) and re-runs only the live block-shipping walk
+//!   — `core.maintain.coded_replans_kept_blocks`.
 //!
 //! The plan phase is entirely lock-free on the catalog: one
 //! [`CatalogSnapshot`] is loaded per cycle (`core.maintain.snapshot_reuse`
@@ -198,6 +203,18 @@ struct Regenerated {
     owner_epoch: u64,
 }
 
+/// Why an earlier commit in the cycle left a plan stale, in the order the
+/// triggers are checked; indexes `Scdn::maintain_replan_causes`.
+#[derive(Clone, Copy)]
+enum ReplanCause {
+    /// The catalog shard the plan read republished.
+    Stamp = 0,
+    /// A repository the plan read was written.
+    RepoEpoch = 1,
+    /// The clock moved under a time-dependent availability model.
+    Clock = 2,
+}
+
 /// A fully planned work item: pure output of the parallel phase.
 struct MaintainPlan {
     /// Stamp of the catalog shard the plan read — the commit-side
@@ -323,7 +340,9 @@ impl Scdn {
         let plans: Vec<MaintainPlan> = {
             let this: &Scdn = self;
             let snap = &snap;
-            par_map_collect(items.len(), 1, |i| this.plan_item(snap, &items[i], ranked))
+            par_map_collect(items.len(), 1, |i| {
+                this.plan_item(snap, &items[i], ranked, &[])
+            })
         };
         self.maintain_planned.add(plans.len() as u64);
         items
@@ -335,11 +354,14 @@ impl Scdn {
 
     /// Plan one work item. Read-only: safe from parallel planning
     /// workers (shared catalog snapshot, simulated per-item clock).
+    /// `staged` holds owner segments already read and verified this cycle
+    /// (see [`Scdn::simulate_fan_in`]).
     fn plan_item(
         &self,
         snap: &CatalogSnapshot,
         item: &WorkItem,
         ranked: &[NodeId],
+        staged: &[(SegmentId, Segment)],
     ) -> MaintainPlan {
         let stamp = snap.stamp_of(item.dataset);
         let noop = || MaintainPlan {
@@ -410,7 +432,7 @@ impl Scdn {
                         continue;
                     }
                     repos_read.push((cand.index() as u32, self.repo_epochs[cand.index()]));
-                    let xfer = self.simulate_fan_in(owner, cand, &segments);
+                    let xfer = self.simulate_fan_in(owner, cand, &segments, staged);
                     sim_clock = sim_clock.plus_millis(xfer.total_ms as u64);
                     if !xfer.failed {
                         have += 1;
@@ -545,7 +567,16 @@ impl Scdn {
     /// chains via the pure failure model, destination quota mirroring
     /// `StorageRepository::store` (an overwrite of a same-partition copy
     /// is size-neutral; a new segment must fit the remaining capacity).
-    fn simulate_fan_in(&self, owner: NodeId, cand: NodeId, segments: &[SegmentId]) -> GrowXfer {
+    /// A segment in `staged` — the owner's copy, read through `fetch_any`
+    /// earlier in this cycle — is taken from there; every other segment is
+    /// read (and verified) from the owner's repository.
+    fn simulate_fan_in(
+        &self,
+        owner: NodeId,
+        cand: NodeId,
+        segments: &[SegmentId],
+        staged: &[(SegmentId, Segment)],
+    ) -> GrowXfer {
         let src_repo = &self.repos[owner.index()];
         let dst_repo = &self.repos[cand.index()];
         let capacity = dst_repo.capacity();
@@ -555,10 +586,14 @@ impl Scdn {
         let mut segment_ms = Vec::with_capacity(segments.len());
         let mut total_bytes = 0u64;
         let mut failed = false;
-        for &s in segments {
+        for (i, &s) in segments.iter().enumerate() {
+            let seg = match staged.get(i) {
+                Some((id, seg)) if *id == s => Ok(seg.clone()),
+                _ => src_repo.fetch_any(s),
+            };
             // A missing/corrupt source aborts before any network attempt,
             // exactly like `transfer_segment_observed`.
-            let Ok(seg) = src_repo.fetch_any(s) else {
+            let Ok(seg) = seg else {
                 failed = true;
                 break;
             };
@@ -599,20 +634,34 @@ impl Scdn {
         }
     }
 
-    /// `true` if an earlier commit in this cycle invalidated a grow
-    /// plan's snapshot.
+    /// The first trigger under which an earlier commit in this cycle
+    /// invalidated a grow plan's snapshot, or `None` while it is fresh.
     fn grow_plan_stale(
         &self,
         stamp: ShardStamp,
         repos_read: &[(u32, u64)],
         planned_clock: SimTime,
-    ) -> bool {
-        !self.alloc.stamp_current(stamp)
-            || (self.clock != planned_clock
-                && matches!(self.availability, Availability::Periodic(_)))
-            || repos_read
-                .iter()
-                .any(|&(r, e)| self.repo_epochs[r as usize] != e)
+    ) -> Option<ReplanCause> {
+        if !self.alloc.stamp_current(stamp) {
+            Some(ReplanCause::Stamp)
+        } else if repos_read
+            .iter()
+            .any(|&(r, e)| self.repo_epochs[r as usize] != e)
+        {
+            Some(ReplanCause::RepoEpoch)
+        } else if self.clock != planned_clock
+            && matches!(self.availability, Availability::Periodic(_))
+        {
+            Some(ReplanCause::Clock)
+        } else {
+            None
+        }
+    }
+
+    /// Count one re-plan under its cause.
+    fn count_replan(&self, cause: ReplanCause) {
+        self.maintain_replanned.inc();
+        self.maintain_replan_causes[cause as usize].inc();
     }
 
     /// Commit one work item in the serial order, re-planning from live
@@ -637,7 +686,7 @@ impl Scdn {
                 // is still at target (or unknown), so the live path makes
                 // zero changes — exactly the serial outcome.
                 if !self.alloc.stamp_current(stamp) {
-                    self.maintain_replanned.inc();
+                    self.count_replan(ReplanCause::Stamp);
                     return self.commit_item_live(item);
                 }
                 self.maintain_committed.inc();
@@ -655,9 +704,9 @@ impl Scdn {
                 shed.len()
             }
             PlanKind::Grow { owner, cands } => {
-                if self.grow_plan_stale(stamp, &repos_read, planned_clock) {
-                    self.maintain_replanned.inc();
-                    return self.commit_item_live(item);
+                if let Some(cause) = self.grow_plan_stale(stamp, &repos_read, planned_clock) {
+                    self.count_replan(cause);
+                    return self.replan_grow(item, cands);
                 }
                 self.maintain_committed.inc();
                 self.apply_grow(item.dataset, owner, cands)
@@ -668,8 +717,8 @@ impl Scdn {
                 steps,
                 regenerated,
             } => {
-                if self.grow_plan_stale(stamp, &repos_read, planned_clock) {
-                    self.maintain_replanned.inc();
+                if let Some(cause) = self.grow_plan_stale(stamp, &repos_read, planned_clock) {
+                    self.count_replan(cause);
                     return self.commit_coded_stale(item, owner, spec, regenerated);
                 }
                 self.maintain_committed.inc();
@@ -703,6 +752,40 @@ impl Scdn {
                 }
                 shed.len()
             }
+        }
+    }
+
+    /// Commit a grow whose plan went stale: plan it again against a fresh
+    /// snapshot at the live clock and apply that plan at once, so it is
+    /// exactly what [`Scdn::replicate_to`] would do from live state. The
+    /// re-plan takes the owner's segments from the stale plan's delivered
+    /// payload, when it has one, instead of reading and digesting them
+    /// again.
+    fn replan_grow(&mut self, item: &WorkItem, stale: Vec<GrowCand>) -> usize {
+        let staged = stale
+            .into_iter()
+            .filter_map(|c| c.xfer)
+            .map(|x| x.deliveries)
+            .find(|d| !d.is_empty())
+            .unwrap_or_default();
+        let snap = self.alloc.snapshot();
+        // Rank only when the item still grows, where `replicate_to` does:
+        // an item already at target (or gone) changes nothing.
+        let grows = matches!(item.target, Target::Grow { want }
+            if snap.replicas_of(item.dataset).is_some_and(|r| r.len() < want));
+        if !grows {
+            return 0;
+        }
+        let ranked = self.placement_ranking();
+        match self.plan_item(&snap, item, &ranked, &staged).kind {
+            PlanKind::Grow { owner, cands } => {
+                if !staged.is_empty() && cands.iter().any(|c| c.xfer.is_some()) {
+                    self.replans_kept_payload.inc();
+                }
+                self.apply_grow(item.dataset, owner, cands)
+            }
+            // No segment table: `replicate_to` fails before any effect.
+            _ => 0,
         }
     }
 

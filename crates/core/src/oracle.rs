@@ -9,8 +9,8 @@
 //!   (`maintain_equivalence`, `coded_equivalence`, `review_repro`).
 //! * [`Scdn::apply_graph_delta_flush`] is the twin of `apply_graph_delta`
 //!   that re-freezes the CSR from scratch and tells no cache, so every
-//!   cache flushes wholesale on its next use; scoped invalidation must
-//!   never resolve differently (`system_tests`).
+//!   cache flushes wholesale on its next use; the announced delta path
+//!   must never resolve differently (`system_tests`).
 //! * [`Scdn::set_publish_coding`] lets one fixture hold coded and
 //!   whole-replica datasets side by side (`coded_equivalence`).
 

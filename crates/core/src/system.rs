@@ -318,10 +318,15 @@ pub struct Scdn {
     /// `repair` rank the social graph once per cycle and slice per
     /// dataset instead of re-running the placement algorithm per dataset.
     rankings: RankingCache,
-    /// Maintenance plan/commit counters (`core.maintain.*`).
+    /// Maintenance plan/commit counters (`core.maintain.*`):
+    /// `replanned` is the total of the three cause counters
+    /// `core.maintain.replan.{stamp,repo_epoch,clock}` (indexed by
+    /// `ReplanCause`), each re-plan counted under the first trigger that
+    /// fired in that order.
     maintain_planned: Counter,
     maintain_committed: Counter,
     maintain_replanned: Counter,
+    maintain_replan_causes: [Counter; 3],
     ranking_hits: Counter,
     ranking_misses: Counter,
     /// Wall time of every ranking-cache miss, i.e. of one full placement
@@ -353,13 +358,16 @@ pub struct Scdn {
     coded_discarded_corrupt: Counter,
     coded_shards_reconstructed: Counter,
     /// Coded blocks regenerated from an owner's plain copy
-    /// (`core.maintain.coded_rows_encoded`), and stale coded repair plans
+    /// (`core.maintain.coded_rows_encoded`), stale coded repair plans
     /// that committed with the blocks they had already regenerated
-    /// (`core.maintain.coded_replans_kept_blocks`). Both depend on how
-    /// often plans go stale, so they differ between serial and pipelined
-    /// runs like the rest of `core.maintain.*`.
+    /// (`core.maintain.coded_replans_kept_blocks`), and stale grow plans
+    /// re-planned with the owner's segments they had already read
+    /// (`core.maintain.replans_kept_payload`). All depend on how often
+    /// plans go stale, so they differ between serial and pipelined runs
+    /// like the rest of `core.maintain.*`.
     coded_rows_encoded: Counter,
     coded_replans_kept_blocks: Counter,
+    replans_kept_payload: Counter,
     /// Segments and coded blocks received from another member under a
     /// digest other than the owner's (`core.transfer.owner_digest_mismatch`).
     owner_digest_mismatch: Counter,
@@ -376,9 +384,10 @@ pub struct GraphDeltaStats {
     pub bytes_copied: u64,
     /// Chunks the new CSR snapshot shares with its predecessor.
     pub chunks_shared: usize,
-    /// Resolve-cache entries that provably survived.
+    /// Resolve-cache entries kept because the delta changed no hop
+    /// distance (weight-only reinforcement, isolated activation).
     pub resolve_retained: u64,
-    /// Resolve-cache entries evicted by the conservative frontier check.
+    /// Resolve-cache entries flushed by a distance-changing delta.
     pub resolve_evicted: u64,
     /// Placement orderings that provably survived.
     pub ranking_retained: u64,
@@ -605,6 +614,8 @@ impl Scdn {
         let maintain_planned = registry.counter("core.maintain.planned");
         let maintain_committed = registry.counter("core.maintain.committed");
         let maintain_replanned = registry.counter("core.maintain.replanned");
+        let maintain_replan_causes = ["stamp", "repo_epoch", "clock"]
+            .map(|cause| registry.counter(&format!("core.maintain.replan.{cause}")));
         let ranking_hits = registry.counter("core.maintain.ranking_cache_hit");
         let ranking_misses = registry.counter("core.maintain.ranking_cache_miss");
         let ranking_recompute_ms = registry.histogram_with(
@@ -623,6 +634,7 @@ impl Scdn {
         let coded_shards_reconstructed = registry.counter("core.coded.shards_reconstructed");
         let coded_rows_encoded = registry.counter("core.maintain.coded_rows_encoded");
         let coded_replans_kept_blocks = registry.counter("core.maintain.coded_replans_kept_blocks");
+        let replans_kept_payload = registry.counter("core.maintain.replans_kept_payload");
         let owner_digest_mismatch = registry.counter("core.transfer.owner_digest_mismatch");
         Scdn {
             social: sub.graph.clone(),
@@ -661,6 +673,7 @@ impl Scdn {
             maintain_planned,
             maintain_committed,
             maintain_replanned,
+            maintain_replan_causes,
             ranking_hits,
             ranking_misses,
             ranking_recompute_ms,
@@ -676,6 +689,7 @@ impl Scdn {
             coded_shards_reconstructed,
             coded_rows_encoded,
             coded_replans_kept_blocks,
+            replans_kept_payload,
             owner_digest_mismatch,
             config,
         }

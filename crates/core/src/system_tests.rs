@@ -868,7 +868,7 @@ fn graph_delta_refreshes_csr_and_counts_metrics() {
 #[test]
 fn graph_delta_path_matches_flush_oracle_resolutions() {
     // Two identical systems absorb the same churn — one through the
-    // incremental delta path with scoped invalidation, one through the
+    // incremental delta path with announced invalidation, one through the
     // flush-everything oracle. Every subsequent resolution must agree,
     // and the frozen snapshots must be bit-identical.
     let (c, sub) = community();
@@ -938,7 +938,7 @@ fn graph_delta_path_matches_flush_oracle_resolutions() {
             .counter("alloc.resolve.cache.retained")
             .get()
     );
-    // Scoped invalidation keeps what the churn cannot reach…
+    // A weight-only delta keeps every hop table and the ranking…
     assert!(kept.resolve_retained > 0, "no distance moved");
     assert!(kept.ranking_retained > 0, "the ranking reads no weight");
     // …and the chunked apply shares what it did not touch, where the

@@ -311,8 +311,8 @@ impl CsrGraph {
     }
 
     /// Summary of the delta that produced this snapshot, or `None` if it
-    /// was frozen from scratch. Caches use the touched-node set for
-    /// scoped invalidation.
+    /// was frozen from scratch. Caches read its change class to decide
+    /// which entries survive the delta.
     #[inline]
     pub fn last_delta(&self) -> Option<&DeltaSummary> {
         self.last_delta.as_ref()

@@ -154,8 +154,8 @@ impl GraphDelta {
 /// `touched` over-approximates: a node appears if its adjacency row was
 /// *rebuilt*, even when the rebuild reproduced the old row (e.g. a
 /// `RemoveEdge` of an absent edge). That direction of error is safe for
-/// the scoped cache invalidation built on top — extra touched nodes can
-/// only cause extra evictions, never a stale survivor.
+/// any consumer that treats a touched row as possibly changed — extra
+/// touched nodes can only cost extra work, never a stale answer.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DeltaSummary {
     /// Nodes whose adjacency rows were rebuilt (sorted, deduplicated),

@@ -167,7 +167,7 @@ proptest! {
 
         let summary = updated.last_delta().expect("delta result carries a summary");
         prop_assert_eq!(summary.nodes_added, delta.nodes_added());
-        // Soundness direction that the scoped invalidation relies on:
+        // Soundness direction a consumer of `touched` relies on:
         // any node whose row differs from the old snapshot MUST be in
         // `touched` (over-approximation is fine, omission is not).
         for v in updated.nodes() {
