@@ -146,23 +146,30 @@ fn arb_churn(max_ops: usize) -> impl Strategy<Value = Vec<(bool, u32, u32)>> {
     proptest::collection::vec((any::<bool>(), any::<u32>(), any::<u32>()), 1..max_ops)
 }
 
+/// Chunk sizes the property runs at: 1 and 8 split the small test
+/// graphs into many chunks, so the delta shares most of them; 64 is
+/// `DEFAULT_CHUNK_ROWS`, one chunk per graph.
+const CHUNK_SWEEP: [usize; 3] = [1, 8, 64];
+
 proptest! {
     /// After any random delta, every resolve on the delta path — warm
     /// survivors of a weight-only delta included — must return exactly
     /// what a cold server computes on the post-churn graph with a fresh
-    /// full BFS. A stale survivor shows up as a hop mismatch.
+    /// full BFS, at every chunk size. A stale survivor shows up as a hop
+    /// mismatch.
     #[test]
     fn answers_after_a_delta_match_a_cold_recomputation(
         mut g in arb_graph(),
         churn in arb_churn(12),
         dataset_nodes in proptest::collection::vec(any::<u32>(), 1..5),
+        rows in 0..CHUNK_SWEEP.len(),
     ) {
         let n = g.node_count() as u32;
         let srv = server_for(&g);
         for (i, &p) in dataset_nodes.iter().enumerate() {
             srv.register_dataset(DatasetId(i as u32), 16, NodeId(p % n)).unwrap();
         }
-        let old = CsrGraph::from(&g);
+        let old = CsrGraph::from_graph_chunked(&g, CHUNK_SWEEP[rows]);
         // Warm the cache: every requester × dataset.
         for q in 0..n {
             for i in 0..dataset_nodes.len() {

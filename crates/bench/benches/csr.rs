@@ -1,11 +1,15 @@
 //! Criterion benches on the frozen CSR graph: the chunked copy-on-write
-//! `apply_delta` at fixed touch fractions on a 100k-node graph, and the
+//! `apply_delta` at fixed touch fractions on a 100k-node graph, the
 //! meet-in-the-middle `bfs_to_targets` resolve kernel against a full BFS
-//! at 10k/40k/100k nodes and 1–32 targets.
-//! (Betweenness and the placement sweeps are timed in
-//! `graph_algorithms.rs` and `placement.rs`.)
+//! at 10k/40k/100k nodes and 1–32 targets, and a chunk-size sweep
+//! (`csr/chunk-rows/*`) that prices the read and write paths at
+//! {8, 64, 512, 4096} rows per chunk independently of
+//! `DEFAULT_CHUNK_ROWS`.
+//! (Betweenness and the placement sweeps at the default layout are timed
+//! in `graph_algorithms.rs` and `placement.rs`.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use scdn_graph::centrality::betweenness;
 use scdn_graph::generators::barabasi_albert;
 use scdn_graph::{CsrGraph, GraphDelta, NodeId, TraversalScratch};
 
@@ -139,5 +143,78 @@ fn bfs_to_targets_sizes(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, apply_delta_touch_fractions, bfs_to_targets_sizes);
+/// Chunk sizes the layout sweep prices, through `from_graph_chunked` so
+/// the numbers do not depend on `DEFAULT_CHUNK_ROWS`.
+const CHUNK_SWEEP: [usize; 4] = [8, 64, 512, 4096];
+
+/// The read and write shapes the chunk size trades against each other,
+/// one group per shape with one point per chunk size:
+/// - `bfs-to-targets-40k`: one `bfs_to_targets` call on a 40k-node BA
+///   graph with 3 targets (the two top-degree hubs plus a random leaf —
+///   the resolve shape), cycling through 64 fixed queries;
+/// - `betweenness-10k`: full Brandes betweenness on a 10k-node BA graph;
+/// - `apply-delta-20k-32ops`: one 32-op edge-add delta on a 20k-node BA
+///   graph (the `churn_maintain` delta size), with the bytes it copies
+///   printed once per size.
+fn chunk_rows_sweep(c: &mut Criterion) {
+    const QUERIES: usize = 64;
+    let g40k = barabasi_albert(40_000, 3, 17);
+    let mut group = c.benchmark_group("csr/chunk-rows/bfs-to-targets-40k");
+    for rows in CHUNK_SWEEP {
+        let csr = CsrGraph::from_graph_chunked(&g40k, rows);
+        let mut by_degree: Vec<NodeId> = csr.nodes().collect();
+        by_degree.sort_by_key(|&v| std::cmp::Reverse(csr.degree(v)));
+        let mut rng = 0xc4c5;
+        let mut member = || NodeId((splitmix64(&mut rng) % 40_000) as u32);
+        let queries: Vec<(NodeId, [NodeId; 3])> = (0..QUERIES)
+            .map(|_| (member(), [by_degree[0], by_degree[1], member()]))
+            .collect();
+        let mut scratch = TraversalScratch::new();
+        let mut next = 0usize;
+        group.bench_function(format!("{rows}"), |b| {
+            b.iter(|| {
+                next = (next + 1) % QUERIES;
+                let (src, targets) = &queries[next];
+                scratch.bfs_to_targets(std::hint::black_box(&csr), *src, targets, u32::MAX)
+            });
+        });
+    }
+    group.finish();
+
+    let g10k = barabasi_albert(10_000, 3, 23);
+    let mut group = c.benchmark_group("csr/chunk-rows/betweenness-10k");
+    for rows in CHUNK_SWEEP {
+        let csr = CsrGraph::from_graph_chunked(&g10k, rows);
+        group.bench_function(format!("{rows}"), |b| {
+            b.iter(|| betweenness(std::hint::black_box(&csr)));
+        });
+    }
+    group.finish();
+
+    const N: u32 = 20_000;
+    let g20k = barabasi_albert(N as usize, 3, 29);
+    let delta = delta_touching(N, 64, 0x3209);
+    let mut group = c.benchmark_group("csr/chunk-rows/apply-delta-20k-32ops");
+    for rows in CHUNK_SWEEP {
+        let base = CsrGraph::from_graph_chunked(&g20k, rows);
+        let cow = base.apply_delta(&delta).cow_stats();
+        eprintln!(
+            "chunk-rows {rows}: {} bytes copied, {} of {} chunks rewritten",
+            cow.bytes_copied,
+            cow.chunks_rewritten,
+            base.chunk_count(),
+        );
+        group.bench_function(format!("{rows}"), |b| {
+            b.iter(|| std::hint::black_box(&base).apply_delta(std::hint::black_box(&delta)));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    apply_delta_touch_fractions,
+    bfs_to_targets_sizes,
+    chunk_rows_sweep
+);
 criterion_main!(benches);

@@ -903,10 +903,10 @@ impl Scdn {
     /// The mutable graph absorbs the ops, the frozen CSR is refreshed
     /// incrementally ([`CsrGraph::apply_delta`] rebuilds only the touched
     /// rows), overlay links are re-verified for every churned pair, and
-    /// both caches are invalidated *scoped to the churn*: the resolve
-    /// cache keeps every hop table whose distance radius provably stops
-    /// short of the touched frontier, the ranking cache keeps every
-    /// ordering the delta class cannot affect. Both request and maintenance pipelines pick up
+    /// both caches are invalidated by the delta's change class: the
+    /// resolve cache keeps every hop table across a delta that changes no
+    /// hop distance and flushes on any other, the ranking cache keeps
+    /// every ordering the delta class cannot affect. Both request and maintenance pipelines pick up
     /// the new snapshot on their next batch/cycle — plan-phase staleness
     /// is already version-keyed, so nothing else needs republishing.
     ///

@@ -5,19 +5,22 @@
 //! that absorb incremental coauthorship edges cheaply. Once a trust
 //! subgraph is fixed, every downstream consumer (placement sweeps,
 //! centrality rankings, hit-rate scoring) only *reads* it — and reads it
-//! thousands of times. [`CsrGraph`] freezes the adjacency into CSR
-//! columns (`offsets`, `neighbors`, `weights`) so traversals walk
-//! contiguous memory instead of chasing one heap allocation per node.
+//! thousands of times. [`CsrGraph`] freezes the adjacency into CSR rows
+//! so traversals walk contiguous memory instead of chasing one heap
+//! allocation per node.
 //!
-//! The columns are stored as **fixed-size row chunks behind `Arc`**
-//! ([`DEFAULT_CHUNK_ROWS`] rows per chunk): every row's neighbor list is
-//! contiguous inside its chunk, so per-row reads are still flat slices,
-//! while [`CsrGraph::apply_delta`] clones and rewrites only the chunks
-//! containing touched rows and bumps the refcount on every other chunk.
-//! A small-delta update on a million-node graph therefore moves
-//! `O(touched chunks + ops)` bytes instead of re-copying the whole
-//! `O(n + m)` arrays; [`CsrGraph::cow_stats`] reports exactly how many
-//! bytes each snapshot assembly copied and how many chunks it shared.
+//! The rows are stored as **fixed-size row chunks, one immutable slab
+//! each, behind `Arc`** ([`DEFAULT_CHUNK_ROWS`] rows per chunk). A slab
+//! is a single `[u32]` allocation: a header of `chunk_rows + 1` row
+//! starts, then each row's sorted neighbor ids followed by its weights
+//! (a partial last chunk pads with empty rows), so a row
+//! read is one hop from the chunk table and the header and a small row
+//! usually share a cache line. [`CsrGraph::apply_delta`] rebuilds only
+//! the slabs containing touched rows and bumps the refcount on every
+//! other one. A small-delta update on a million-node graph therefore
+//! moves `O(touched chunks + ops)` bytes instead of re-copying the whole
+//! graph; [`CsrGraph::cow_stats`] reports exactly how many bytes each
+//! snapshot assembly copied and how many chunks it shared.
 //!
 //! Neighbor order is preserved exactly (sorted by id, like [`Graph`]), so
 //! every kernel visits nodes and edges in the order the adjacency lists
@@ -43,15 +46,16 @@ pub const UNVISITED: u32 = u32::MAX;
 
 /// Default rows per CSR chunk (must be a power of two).
 ///
-/// Small on purpose: delta application copies every chunk a touched row
-/// lands in, and churn touches rows *uniformly* — at a 1% touch rate on a
-/// 100k-node graph, 4096-row chunks alias essentially every chunk (the
-/// graph only has ~25) and degrade to a full copy, while 8-row chunks
-/// keep the expected rewritten fraction under 8%. The cost of small
-/// chunks is one extra pointer hop per row read and ~30% per-chunk
-/// metadata overhead on low-degree graphs; the win is that delta bytes
-/// track the touch rate instead of the graph size. See DESIGN.md §17.
-pub const DEFAULT_CHUNK_ROWS: usize = 8;
+/// Picked from a measured sweep over {8, 64, 512, 4096} (the
+/// `csr/chunk-rows/*` criterion group): reads get faster up to 64 rows
+/// and are flat within noise beyond (the resolve-shaped `bfs_to_targets`
+/// on 40k nodes reads ~4.2 µs at 8 rows, 3.6–4.0 µs from 64 on), while delta application
+/// copies every chunk a touched row lands in, so its bytes and wall time
+/// grow with the chunk size (a 32-op delta on 20k nodes copies 35 KB at
+/// 8 rows, 186 KB at 64, 769 KB at 512). 64 is the knee: it keeps the
+/// read win and leaves churn deltas a small fraction of a full freeze.
+/// See DESIGN.md §17.
+pub const DEFAULT_CHUNK_ROWS: usize = 64;
 
 /// Process-global generation source. Every freeze (`CsrGraph::from`) and
 /// every [`CsrGraph::apply_delta`] draws a fresh value, so two distinct
@@ -65,45 +69,65 @@ fn next_generation() -> u64 {
     NEXT_GENERATION.fetch_add(1, Ordering::Relaxed)
 }
 
-/// One fixed-size run of CSR rows: chunk-local `offsets` (length
-/// `rows + 1`, `offsets[0] == 0`) indexing chunk-local `neighbors` /
-/// `weights`. A chunk is immutable once built and shared between
-/// snapshots behind `Arc`; a delta that touches none of its rows costs
-/// one refcount bump instead of a copy.
-#[derive(Debug, Default)]
-struct Chunk {
-    /// `offsets[l]..offsets[l + 1]` indexes `neighbors`/`weights` for the
-    /// chunk's `l`-th row.
-    offsets: Vec<u32>,
-    /// Neighbor ids, grouped per row, sorted by id within each group.
-    neighbors: Vec<u32>,
-    /// Edge weights parallel to `neighbors`.
-    weights: Vec<u32>,
+/// One fixed-size run of `chunk_rows` CSR rows, stored as a single
+/// immutable slab: a header of `chunk_rows + 1` row starts (absolute
+/// positions inside the slab, so `slab[0] == chunk_rows + 1` and
+/// `slab[chunk_rows] == slab.len()`), then each row's neighbor ids
+/// followed by its weights. Row `l` is `slab[slab[l]..slab[l + 1]]`: its
+/// first half is the sorted ids, its second half the parallel weights.
+/// A partial last chunk pads its header with empty rows, so every row
+/// read inside the chunk table is well-formed without a range check. One
+/// allocation per chunk means a row read is one hop from the chunk
+/// table. A slab is shared between snapshots behind `Arc`; a delta that
+/// touches none of its rows costs one refcount bump instead of a copy.
+type Slab = Arc<[u32]>;
+
+/// Half-edges stored in `slab` (every row holds two `u32`s per half-edge).
+#[inline]
+fn slab_half_edges(slab: &[u32]) -> usize {
+    (slab.len() - slab[0] as usize) / 2
 }
 
-impl Chunk {
-    /// Half-edges stored in this chunk.
-    #[inline]
-    fn half_edges(&self) -> usize {
-        self.neighbors.len()
+/// Build the slab of rows `lo..lo + chunk_rows` in `buf` (cleared first,
+/// reused across chunks so each slab costs one exact-size allocation).
+/// `write_row(v, buf)` appends row `v`'s ids then its weights, for every
+/// `v < n`; rows from `n` on stay empty.
+fn build_slab(
+    buf: &mut Vec<u32>,
+    lo: usize,
+    chunk_rows: usize,
+    n: usize,
+    mut write_row: impl FnMut(usize, &mut Vec<u32>),
+) -> Slab {
+    buf.clear();
+    buf.resize(chunk_rows + 1, 0);
+    buf[0] = (chunk_rows + 1) as u32;
+    for l in 0..chunk_rows {
+        if lo + l < n {
+            write_row(lo + l, buf);
+        }
+        buf[l + 1] = buf.len() as u32;
     }
-
-    /// Bytes of column data this chunk holds (offsets + neighbors +
-    /// weights entries, 4 bytes each) — what building it from scratch
-    /// copies.
-    #[inline]
-    fn column_bytes(&self) -> u64 {
-        4 * (self.offsets.len() + self.neighbors.len() + self.weights.len()) as u64
-    }
+    assert!(
+        u32::try_from(buf.len()).is_ok(),
+        "chunk too large for u32 slab offsets"
+    );
+    debug_assert!(
+        (buf.len() - chunk_rows - 1).is_multiple_of(2),
+        "rows hold ids then weights"
+    );
+    Arc::from(&buf[..])
 }
 
 /// How a [`CsrGraph`] snapshot was assembled: bytes of column data copied
 /// into freshly allocated chunks versus chunks shared (refcount-bumped)
 /// from the predecessor snapshot.
 ///
-/// `bytes_copied` counts every `u32` written into rebuilt chunks
-/// (offsets, neighbors, weights) plus the per-snapshot chunk-base index;
-/// it deliberately excludes the `Arc` pointer table itself (8 bytes per
+/// `bytes_copied` counts every `u32` written into rebuilt slabs (the
+/// `chunk_rows + 1` row-start header, then each row's ids and weights)
+/// plus the per-snapshot chunk-base index. A rebuilt chunk is priced
+/// whole, so the figure grows with the chunk size as well as the touch
+/// count. It deliberately excludes the `Arc` pointer table itself (8 bytes per
 /// chunk, pure pointer memcpy), which is reported via `chunks_shared` /
 /// `chunks_rewritten` instead. A from-scratch freeze shares nothing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -117,7 +141,8 @@ pub struct CowStats {
 }
 
 /// Immutable compressed-sparse-row view of an undirected weighted graph,
-/// stored as fixed-size row chunks shared copy-on-write behind `Arc`.
+/// stored as fixed-size row chunks (one slab each) shared copy-on-write
+/// behind `Arc`.
 ///
 /// Built once from a [`Graph`] via `CsrGraph::from(&g)`; node ids and the
 /// query surface ([`degree`](CsrGraph::degree),
@@ -128,15 +153,20 @@ pub struct CowStats {
 /// predecessor — and stamps the result with a fresh
 /// [`generation`](CsrGraph::generation).
 ///
+/// The row reads carry no range check of their own: a node id past the
+/// last chunk panics on the chunk-table index, and one past
+/// [`node_count`](CsrGraph::node_count) inside the last chunk reads as an
+/// isolated node.
+///
 /// Equality compares *logical structure only* (per-row neighbor lists,
 /// weights, and edge count), independent of chunk size and of which
 /// chunks are shared — a delta-applied snapshot equals its from-scratch
 /// twin even though their generations and chunk layouts differ.
 #[derive(Clone, Debug)]
 pub struct CsrGraph {
-    /// Row chunks: node `v` lives in `chunks[v >> shift]` at local row
+    /// Row slabs: node `v` lives in `chunks[v >> shift]` at local row
     /// `v & mask`. The last chunk may hold fewer than `chunk_rows` rows.
-    chunks: Vec<Arc<Chunk>>,
+    chunks: Vec<Slab>,
     /// Global half-edge index of each chunk's first neighbor slot —
     /// per-snapshot (never shared) because an upstream chunk changing
     /// length rebases everything after it. Length == `chunks.len()`.
@@ -207,30 +237,17 @@ impl CsrGraph {
         let mut bases = Vec::with_capacity(n_chunks);
         let mut base = 0u32;
         let mut bytes_copied = 0u64;
+        let mut buf = Vec::new();
         for c in 0..n_chunks {
-            let lo = c * chunk_rows;
-            let hi = (lo + chunk_rows).min(n);
-            let len: usize = (lo..hi).map(|v| g.degree(NodeId(v as u32))).sum();
-            let mut offsets = Vec::with_capacity(hi - lo + 1);
-            let mut neighbors = Vec::with_capacity(len);
-            let mut weights = Vec::with_capacity(len);
-            offsets.push(0u32);
-            for v in lo..hi {
-                for e in g.neighbors(NodeId(v as u32)) {
-                    neighbors.push(e.to.0);
-                    weights.push(e.weight);
-                }
-                offsets.push(neighbors.len() as u32);
-            }
-            let chunk = Chunk {
-                offsets,
-                neighbors,
-                weights,
-            };
-            bytes_copied += chunk.column_bytes();
+            let slab = build_slab(&mut buf, c * chunk_rows, chunk_rows, n, |v, buf| {
+                let row = g.neighbors(NodeId(v as u32));
+                buf.extend(row.iter().map(|e| e.to.0));
+                buf.extend(row.iter().map(|e| e.weight));
+            });
+            bytes_copied += 4 * slab.len() as u64;
             bases.push(base);
-            base += chunk.half_edges() as u32;
-            chunks.push(Arc::new(chunk));
+            base += slab_half_edges(&slab) as u32;
+            chunks.push(slab);
         }
         bytes_copied += 4 * bases.len() as u64;
         debug_assert_eq!(base as usize, half_edges);
@@ -335,23 +352,23 @@ impl CsrGraph {
         ((v.0 >> self.shift) as usize, (v.0 & self.mask) as usize)
     }
 
-    /// The chunk holding `v` plus `v`'s local half-edge range inside it.
-    /// Panics (index out of bounds) when `v` is out of range, exactly
-    /// like the flat layout did.
+    /// `v`'s row inside its slab: the ids, then the parallel weights.
+    /// Panics when `v` lies past the last chunk; a `v` past `node_count`
+    /// inside the last chunk reads as an empty row. The hot kernels call
+    /// this per visited node, so it carries no separate range check.
     #[inline]
-    fn row(&self, v: NodeId) -> (&Chunk, std::ops::Range<usize>) {
+    fn row(&self, v: NodeId) -> &[u32] {
         let (c, l) = self.loc(v);
-        let chunk = &*self.chunks[c];
-        (
-            chunk,
-            chunk.offsets[l] as usize..chunk.offsets[l + 1] as usize,
-        )
+        let slab = &*self.chunks[c];
+        &slab[slab[l] as usize..slab[l + 1] as usize]
     }
 
     /// Degree (number of distinct neighbors) of `v`.
     #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
-        self.row(v).1.len()
+        let (c, l) = self.loc(v);
+        let slab = &*self.chunks[c];
+        (slab[l + 1] - slab[l]) as usize / 2
     }
 
     /// Sum of incident edge weights of `v` (weighted degree / strength).
@@ -359,32 +376,30 @@ impl CsrGraph {
         self.neighbor_weights(v).iter().map(|&w| w as u64).sum()
     }
 
-    /// Neighbor ids of `v`, sorted ascending — still one flat contiguous
-    /// slice: a row never straddles a chunk boundary.
+    /// Neighbor ids of `v`, sorted ascending — one flat contiguous slice:
+    /// a row never straddles a chunk boundary.
     #[inline]
     pub fn neighbor_ids(&self, v: NodeId) -> &[u32] {
-        let (chunk, r) = self.row(v);
-        &chunk.neighbors[r]
+        let row = self.row(v);
+        &row[..row.len() / 2]
     }
 
     /// Edge weights of `v`, parallel to [`neighbor_ids`](CsrGraph::neighbor_ids).
     #[inline]
     pub fn neighbor_weights(&self, v: NodeId) -> &[u32] {
-        let (chunk, r) = self.row(v);
-        &chunk.weights[r]
+        let row = self.row(v);
+        &row[row.len() / 2..]
     }
 
     /// Neighbors of `v` as [`EdgeRef`]s, in the same order as
     /// [`Graph::neighbors`].
     pub fn neighbors(&self, v: NodeId) -> impl Iterator<Item = EdgeRef> + '_ {
-        let (chunk, r) = self.row(v);
-        chunk.neighbors[r.clone()]
-            .iter()
-            .zip(&chunk.weights[r])
-            .map(|(&to, &weight)| EdgeRef {
-                to: NodeId(to),
-                weight,
-            })
+        let row = self.row(v);
+        let (ids, weights) = row.split_at(row.len() / 2);
+        ids.iter().zip(weights).map(|(&to, &weight)| EdgeRef {
+            to: NodeId(to),
+            weight,
+        })
     }
 
     /// `true` if the undirected edge `a — b` exists.
@@ -400,11 +415,9 @@ impl CsrGraph {
         if a.index() >= self.node_count() {
             return None;
         }
-        let (chunk, r) = self.row(a);
-        chunk.neighbors[r.clone()]
-            .binary_search(&b.0)
-            .ok()
-            .map(|i| chunk.weights[r.start + i])
+        let row = self.row(a);
+        let deg = row.len() / 2;
+        row[..deg].binary_search(&b.0).ok().map(|i| row[deg + i])
     }
 
     /// Iterator over each undirected edge exactly once as `(a, b, w)` with
@@ -421,8 +434,8 @@ impl CsrGraph {
     pub fn max_degree(&self) -> usize {
         self.chunks
             .iter()
-            .flat_map(|c| c.offsets.windows(2))
-            .map(|w| (w[1] - w[0]) as usize)
+            .flat_map(|slab| slab[..slab[0] as usize].windows(2))
+            .map(|w| (w[1] - w[0]) as usize / 2)
             .max()
             .unwrap_or(0)
     }
@@ -436,12 +449,13 @@ impl CsrGraph {
     #[inline]
     pub fn row_start(&self, v: NodeId) -> usize {
         let (c, l) = self.loc(v);
-        self.bases[c] as usize + self.chunks[c].offsets[l] as usize
+        let slab = &*self.chunks[c];
+        self.bases[c] as usize + (slab[l] - slab[0]) as usize / 2
     }
 
     /// Total number of half-edges (`2 * edge_count`).
     #[inline]
-    pub fn half_edge_count(&self) -> usize {
+    pub(crate) fn half_edge_count(&self) -> usize {
         2 * self.edge_count
     }
 
@@ -457,15 +471,16 @@ impl CsrGraph {
     /// none of them are shared with this snapshot by `Arc` refcount bump,
     /// making delta application `O(touched chunks + ops)` in bytes copied
     /// (plus an `O(chunk count)` pointer-table clone and base-index
-    /// rebuild). Each rebuilt chunk is sized *exactly* from its final row
-    /// lengths — removal-heavy deltas no longer over-allocate the way the
-    /// old flat layout's `old_len + 2·ops` reserve did.
+    /// rebuild). Each rebuilt chunk is one exact-size slab allocation: an
+    /// untouched row inside a dirty chunk is copied over as one block (its
+    /// ids and weights are adjacent in the old slab).
     ///
     /// The result carries a fresh [`generation`](CsrGraph::generation), a
     /// [`DeltaSummary`] ([`last_delta`](CsrGraph::last_delta)) with the
-    /// touched-node set that drives scoped cache invalidation, and
-    /// [`CowStats`] ([`cow_stats`](CsrGraph::cow_stats)) pricing the
-    /// assembly.
+    /// touched-node set and change class — caches read the class to decide
+    /// whether their entries survive, and the runtime reports the touched
+    /// count — and [`CowStats`] ([`cow_stats`](CsrGraph::cow_stats))
+    /// pricing the assembly.
     ///
     /// # Panics
     /// Panics where [`Graph::add_edge`] would: an `AddEdge` endpoint out
@@ -565,56 +580,30 @@ impl CsrGraph {
         let mut base = 0u64;
         let mut bytes_copied = 0u64;
         let mut chunks_shared = 0usize;
+        let mut buf = Vec::new();
         for (c, dirty) in dirty.into_iter().enumerate() {
-            let chunk = if !dirty && c < self.chunks.len() {
+            let slab = if !dirty && c < self.chunks.len() {
                 chunks_shared += 1;
                 Arc::clone(&self.chunks[c])
             } else {
-                let lo = c * chunk_rows;
-                let hi = (lo + chunk_rows).min(n);
-                // Exact sizing from the final row lengths — no op-count
-                // over-reserve on removal-heavy deltas.
-                let len: usize = (lo..hi)
-                    .map(|v| match rows.get(&(v as u32)) {
-                        Some(row) => row.len(),
-                        None if v < old_n => self.degree(NodeId(v as u32)),
-                        None => 0,
-                    })
-                    .sum();
-                let mut offsets = Vec::with_capacity(hi - lo + 1);
-                let mut neighbors = Vec::with_capacity(len);
-                let mut weights = Vec::with_capacity(len);
-                offsets.push(0u32);
-                for v in lo..hi {
+                let slab = build_slab(&mut buf, c * chunk_rows, chunk_rows, n, |v, buf| {
                     match rows.get(&(v as u32)) {
                         Some(row) => {
-                            for e in row {
-                                neighbors.push(e.to.0);
-                                weights.push(e.weight);
-                            }
+                            buf.extend(row.iter().map(|e| e.to.0));
+                            buf.extend(row.iter().map(|e| e.weight));
                         }
-                        None if v < old_n => {
-                            let u = NodeId(v as u32);
-                            neighbors.extend_from_slice(self.neighbor_ids(u));
-                            weights.extend_from_slice(self.neighbor_weights(u));
-                        }
+                        None if v < old_n => buf.extend_from_slice(self.row(NodeId(v as u32))),
                         // A freshly activated node no edge op named:
                         // empty row.
                         None => {}
                     }
-                    offsets.push(neighbors.len() as u32);
-                }
-                let chunk = Chunk {
-                    offsets,
-                    neighbors,
-                    weights,
-                };
-                bytes_copied += chunk.column_bytes();
-                Arc::new(chunk)
+                });
+                bytes_copied += 4 * slab.len() as u64;
+                slab
             };
             bases.push(base as u32);
-            base += chunk.half_edges() as u64;
-            chunks.push(chunk);
+            base += slab_half_edges(&slab) as u64;
+            chunks.push(slab);
         }
         bytes_copied += 4 * bases.len() as u64;
         assert!(
@@ -747,8 +736,8 @@ impl TraversalScratch {
 
     /// Depth-bounded multi-source BFS: like [`bfs`](TraversalScratch::bfs)
     /// but stops expanding at `max_hops`, so [`distance`] is `Some(d)` iff
-    /// `d <= max_hops`. Used by the scoped cache invalidation to ask "is
-    /// any churn-touched node within `h` hops of this requester?" without
+    /// `d <= max_hops`. [`ego_network`](crate::traversal::ego_network)
+    /// uses it to collect the nodes within `h` hops of a center without
     /// paying for the full component.
     ///
     /// [`distance`]: TraversalScratch::distance
@@ -1419,7 +1408,7 @@ mod tests {
         // 64 nodes over 8-row chunks = 8 chunks; touch only node 0's and
         // node 63's rows → chunks 0 and 7 rebuilt, 6 shared.
         let mut g = barabasi_albert(64, 2, 3);
-        let base = CsrGraph::from(&g);
+        let base = CsrGraph::from_graph_chunked(&g, 8);
         assert_eq!(base.chunk_count(), 8);
         assert_eq!(base.cow_stats().chunks_shared, 0, "freeze shares nothing");
         let mut d = GraphDelta::new();
@@ -1457,7 +1446,7 @@ mod tests {
         // 16 nodes = 2 full 8-row chunks; activating 3 nodes appends a
         // fresh partial chunk and must not rebuild the old full ones.
         let g = barabasi_albert(16, 2, 8);
-        let base = CsrGraph::from(&g);
+        let base = CsrGraph::from_graph_chunked(&g, 8);
         assert_eq!(base.chunk_count(), 2);
         let mut d = GraphDelta::new();
         d.add_nodes(3);
@@ -1477,5 +1466,87 @@ mod tests {
         assert_eq!(grown2.chunk_count(), 3);
         assert_eq!(grown2.cow_stats().chunks_shared, 1, "chunk 1 survives");
         assert_eq!(grown2.edge_weight(NodeId(0), NodeId(19)), Some(2));
+    }
+
+    /// Every per-row read of `c` against the adjacency lists of `g`, and
+    /// `row_start` against the flat half-edge positions.
+    fn assert_rows_match(c: &CsrGraph, g: &Graph) {
+        assert_eq!(c.node_count(), g.node_count());
+        assert_eq!(c.edge_count(), g.edge_count());
+        assert_eq!(c.max_degree(), g.max_degree());
+        let mut flat = 0usize;
+        for v in g.nodes() {
+            let ids: Vec<u32> = g.neighbors(v).iter().map(|e| e.to.0).collect();
+            let weights: Vec<u32> = g.neighbors(v).iter().map(|e| e.weight).collect();
+            assert_eq!(c.neighbor_ids(v), &ids[..], "ids of {v:?}");
+            assert_eq!(c.neighbor_weights(v), &weights[..], "weights of {v:?}");
+            assert_eq!(c.degree(v), g.degree(v));
+            assert_eq!(c.row_start(v), flat, "row_start of {v:?}");
+            flat += c.degree(v);
+        }
+        assert_eq!(flat, c.half_edge_count());
+    }
+
+    #[test]
+    fn slab_rows_round_trip_at_every_chunk_size() {
+        // 8229 nodes: the first 4096 are isolated (every chunk over them
+        // is all-empty rows, up to 4096-row chunks), the rest carry a
+        // deterministic edge set with every 7th node isolated, and
+        // 8229 = 2·4096 + 37 leaves a partial last chunk at every size
+        // above 1.
+        const EMPTY: u32 = 4096;
+        const N: u32 = 2 * 4096 + 37;
+        let live = |v: u32| v >= EMPTY && !(v - EMPTY).is_multiple_of(7);
+        let edges = (EMPTY..N).flat_map(|v| {
+            let far = EMPTY + (v.wrapping_mul(31) + 7) % (N - EMPTY);
+            [(v, far, v % 5 + 1), (v, v + 1, 1), (v, v + 3, 2)]
+                .into_iter()
+                .filter(move |&(a, b, _)| b < N && live(a) && live(b))
+        });
+        let g = Graph::from_edges(N as usize, edges);
+        assert_eq!(g.degree(NodeId(EMPTY + 7)), 0, "an isolated node");
+        assert!(g.max_degree() > 2);
+        let mut grow = GraphDelta::new();
+        grow.add_nodes(3)
+            .add_edge(NodeId(N), NodeId(EMPTY + 1), 4)
+            .add_edge(NodeId(N + 2), NodeId(N), 1);
+        for rows in [1usize, 2, 8, 64, 4096] {
+            let c = CsrGraph::from_graph_chunked(&g, rows);
+            assert_eq!(c.chunk_count(), (N as usize).div_ceil(rows));
+            assert_rows_match(&c, &g);
+            for v in (0..rows.min(EMPTY as usize)).map(|v| NodeId(v as u32)) {
+                assert!(c.neighbor_ids(v).is_empty() && c.neighbor_weights(v).is_empty());
+            }
+            // A grown graph rebuilds its tail chunk around the new rows
+            // (one empty, two linked) and still reads back row for row.
+            let grown = c.apply_delta(&grow);
+            let mut twin = g.clone();
+            grow.apply_to(&mut twin);
+            assert_eq!(grown.chunk_count(), (N as usize + 3).div_ceil(rows));
+            assert_rows_match(&grown, &twin);
+            assert_eq!(grown.neighbor_weights(NodeId(N)), &[4, 1]);
+            assert_eq!(grown.degree(NodeId(N + 1)), 0);
+        }
+    }
+
+    #[test]
+    fn partial_last_chunk_pads_with_empty_rows() {
+        // 4 nodes in one 8-row chunk: rows 4..8 are inside the chunk but
+        // past the graph, and read as empty rows, never as row data.
+        let c = CsrGraph::from_graph_chunked(&path4(), 8);
+        for v in (4..8).map(NodeId) {
+            assert_eq!(c.degree(v), 0);
+            assert!(c.neighbor_ids(v).is_empty() && c.neighbor_weights(v).is_empty());
+            assert_eq!(c.row_start(v), c.half_edge_count());
+        }
+        let grown = c.apply_delta(GraphDelta::new().add_nodes(1));
+        assert_eq!(grown.degree(NodeId(4)), 0);
+        assert_eq!(grown.neighbor_ids(NodeId(3)), &[2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn row_past_the_last_chunk_panics() {
+        CsrGraph::from_graph_chunked(&path4(), 8).degree(NodeId(8));
     }
 }
