@@ -8,16 +8,16 @@
 //! a whole planning phase. Writers clone the shard they touch
 //! (copy-on-write over `Arc`'d entries, so a clone is O(shard-size)
 //! pointer bumps), apply the mutation, advance the shard's **epoch**,
-//! and publish the new `Arc`. Unrelated shards keep their epoch and
-//! their snapshots — a commit to dataset A cannot invalidate a plan, a
-//! cached hop table, or a memoized ranking that only read dataset B's
-//! shard.
+//! and publish the new `Arc`. Unrelated shards keep their snapshots.
 //!
-//! Epochs are the staleness currency of the plan/commit pipelines: a
-//! plan records the [`ShardStamp`] of every shard it read; at commit
-//! time the plan is stale iff one of those shards has advanced. This
-//! replaces the coarse touched-repo bitmap of earlier revisions with a
-//! per-shard version vector (see `DESIGN.md` §13).
+//! A shard's epoch counts its publications and nothing else. Staleness
+//! is judged per catalog entry: every mutation of an entry stamps it
+//! with a fresh server-wide **version**, a plan records the version of
+//! the entry it read ([`CatalogSnapshot::version_of`]), and at commit
+//! time the plan is stale iff that entry's version moved. The hop cache
+//! keys on the same version, so a commit to dataset A invalidates
+//! neither a plan nor a cached hop table that only read dataset B, even
+//! when both live in one shard (see `DESIGN.md` §13).
 //!
 //! ## Publication primitive
 //!
@@ -39,8 +39,8 @@
 //!   `concurrent_stress` integration test).
 //! * A [`CatalogSnapshot`] loads each shard independently; cross-shard
 //!   skew is possible and harmless, because no plan depends on more
-//!   than one shard and every shard a plan read is covered by its
-//!   stamp.
+//!   than one catalog entry and the entry a plan read is covered by its
+//!   recorded version.
 //! * Demand counters and repository availability live in shared state
 //!   (`Arc`'d atomics) deliberately: they are telemetry that must keep
 //!   accumulating across entry republications without forcing one, and
@@ -60,10 +60,11 @@ use scdn_storage::object::DatasetId;
 use crate::replication::DemandWindow;
 use crate::server::RepositoryInfo;
 
-/// Default number of catalog shards. A power of two; the multiplicative
-/// hash in `shard_index` spreads sequential dataset ids across all of
-/// them. More shards mean finer commit granularity (fewer spurious
-/// stale-plan replans) at the cost of a longer snapshot vector.
+/// Number of catalog shards. A power of two; the multiplicative hash in
+/// `shard_index` spreads sequential dataset ids across all of them.
+/// Shards bound the copy-on-write cost of one commit (a clone is
+/// O(shard-size) pointer bumps) and the writer contention; they play no
+/// part in plan staleness, which is per entry.
 pub const DEFAULT_CATALOG_SHARDS: usize = 16;
 
 /// Shard of `dataset` among `2^shift` shards: Fibonacci multiplicative
@@ -179,9 +180,10 @@ pub type CodedInventory = Vec<(NodeId, Arc<Vec<u32>>)>;
 pub(crate) struct EntryState {
     pub(crate) replicas: Vec<NodeId>,
     pub(crate) segments: u32,
-    /// Per-entry version: bumped by every replica-set mutation, used
-    /// for inter-server sync (higher wins) and hop-cache keying. Drawn
-    /// from the server-wide monotonic counter, so versions order
+    /// Per-entry version: bumped by every mutation of the entry (replica
+    /// set or coded inventory). The one catalog staleness token: plans
+    /// record it and commits compare it, and the hop cache keys on it.
+    /// Drawn from the server-wide monotonic counter, so versions order
     /// consistently across shards.
     pub(crate) version: u64,
     pub(crate) demand: Arc<DemandState>,
@@ -255,16 +257,13 @@ pub(crate) type RepoTable = HashMap<NodeId, Arc<RepoRecord>>;
 
 /// One immutable published version of a catalog shard: the entries of
 /// every dataset hashing to this shard plus the matching slice of the
-/// hosted reverse index, stamped with the shard's epoch. Entry values
+/// hosted reverse index, numbered by the shard's epoch. Entry values
 /// and hosted sets are `Arc`'d so a copy-on-write republication is
 /// O(shard-size) pointer bumps.
 #[derive(Debug)]
 pub struct ShardSnapshot {
-    /// This shard's index within the server's shard vector.
-    pub(crate) shard: u32,
     /// Monotonic publication epoch: advanced by exactly one on every
-    /// publication of this shard. The staleness token of every plan
-    /// that read this shard.
+    /// publication of this shard.
     pub(crate) epoch: u64,
     pub(crate) entries: HashMap<DatasetId, Arc<EntryState>>,
     /// Reverse index node → datasets (of this shard) with a replica
@@ -274,9 +273,8 @@ pub struct ShardSnapshot {
 }
 
 impl ShardSnapshot {
-    pub(crate) fn empty(shard: u32) -> Self {
+    pub(crate) fn empty() -> Self {
         ShardSnapshot {
-            shard,
             epoch: 0,
             entries: HashMap::new(),
             hosted: HashMap::new(),
@@ -288,18 +286,9 @@ impl ShardSnapshot {
         self.epoch
     }
 
-    /// Stamp identifying this exact published version.
-    pub fn stamp(&self) -> ShardStamp {
-        ShardStamp {
-            shard: self.shard,
-            epoch: self.epoch,
-        }
-    }
-
     /// Copy-on-write clone (same epoch; the publisher bumps it).
     pub(crate) fn cow(&self) -> ShardSnapshot {
         ShardSnapshot {
-            shard: self.shard,
             epoch: self.epoch,
             entries: self.entries.clone(),
             hosted: self.hosted.clone(),
@@ -370,26 +359,11 @@ impl ShardSnapshot {
     }
 }
 
-/// The identity of one published shard version: which shard, and its
-/// epoch at read time. A plan that resolved against a shard records its
-/// stamp; the plan is stale iff the shard has since republished
-/// (`epoch` advanced). False positives (another dataset in the same
-/// shard changed) cost a replan from live state and nothing else;
-/// false negatives are impossible because every catalog mutation
-/// advances its shard's epoch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShardStamp {
-    /// Shard index within the owning server.
-    pub shard: u32,
-    /// Publication epoch the reader observed.
-    pub epoch: u64,
-}
-
 /// A full catalog snapshot: every shard's current published version
 /// plus the repository table, loaded lock-free-after-load. The unit a
 /// planning phase works against — grab one per batch, plan every
-/// request on it, and let the per-shard stamps decide at commit time
-/// whether a plan must be recomputed.
+/// request on it, and let the recorded entry versions decide at commit
+/// time whether a plan must be recomputed.
 pub struct CatalogSnapshot {
     pub(crate) shards: Vec<Arc<ShardSnapshot>>,
     pub(crate) repos: Arc<RepoTable>,
@@ -417,15 +391,7 @@ impl CatalogSnapshot {
         &self.shards[index]
     }
 
-    /// Stamp of the shard `dataset` lives in — valid (and meaningful as
-    /// a staleness token) even for datasets not yet registered, since
-    /// registering one would advance this same shard's epoch.
-    pub fn stamp_of(&self, dataset: DatasetId) -> ShardStamp {
-        self.shard_for(dataset).stamp()
-    }
-
-    /// Epoch of every shard, indexed by shard — the version vector this
-    /// snapshot represents.
+    /// Publication epoch of every shard, indexed by shard.
     pub fn epochs(&self) -> Vec<u64> {
         self.shards.iter().map(|s| s.epoch).collect()
     }
@@ -444,7 +410,10 @@ impl CatalogSnapshot {
         self.entry(dataset).map(|e| e.segments)
     }
 
-    /// Per-entry version of `dataset` in this snapshot.
+    /// Per-entry version of `dataset` in this snapshot (`None` while it
+    /// is unregistered) — the staleness token a plan records and its
+    /// commit compares with
+    /// [`catalog_version`](crate::server::AllocationServer::catalog_version).
     pub fn version_of(&self, dataset: DatasetId) -> Option<u64> {
         self.entry(dataset).map(|e| e.version)
     }

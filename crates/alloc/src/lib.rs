@@ -27,7 +27,7 @@ pub mod replication;
 mod resolve_cache;
 pub mod server;
 
-pub use epoch::{CatalogSnapshot, CodedInventory, ShardStamp, DEFAULT_CATALOG_SHARDS};
+pub use epoch::{CatalogSnapshot, CodedInventory, DEFAULT_CATALOG_SHARDS};
 pub use placement::PlacementAlgorithm;
 pub use ranking_cache::RankingCache;
 pub use replication::{

@@ -9,13 +9,10 @@
 //! entry version, which invalidates the cached hops implicitly (no
 //! eager cache walk on the write path).
 //!
-//! Entry versions are strictly *finer* than the catalog's shard epochs
-//! (see [`crate::epoch`]): every entry-version bump republishes its
-//! shard and advances the epoch, but an epoch advance bumps only the
-//! entries actually mutated. Keying on the entry version therefore
-//! retains strictly more: a commit to another dataset — even one in the
-//! same shard — invalidates plans stamped on that shard (cheap replans)
-//! while every cached hop table here stays warm. The wholesale
+//! The entry version is also the plan/commit pipelines' staleness token
+//! (see [`crate::epoch`]), so cached hops and in-flight plans go stale
+//! together: a commit to another dataset — even one in the same shard —
+//! invalidates neither. The wholesale
 //! counterpart is `AllocationServer::touch_all`, which bumps every
 //! entry version and thus flushes this cache implicitly — its
 //! `alloc.catalog.touch_all` counter makes that cost visible.

@@ -19,10 +19,8 @@
 //!   far replica instead of the graph;
 //! * hop distances are memoized in a version-keyed `ResolveCache` —
 //!   catalog writes bump the entry version, which invalidates stale hops
-//!   without touching the cache. Entry versions are strictly finer-grained than
-//!   shard epochs (an entry bump implies a shard bump, never the
-//!   reverse), so commits to *other* datasets — even same-shard ones —
-//!   retain every cached hop table;
+//!   without touching the cache, so commits to *other* datasets — even
+//!   same-shard ones — retain every cached hop table;
 //! * demand hit/miss accounting uses sharded atomic [`Counter`]s shared
 //!   across entry versions, so resolution never publishes anything;
 //! * [`resolve_batch`](AllocationServer::resolve_batch) loads one
@@ -31,8 +29,9 @@
 //! * planning pipelines call [`snapshot`](AllocationServer::snapshot)
 //!   once per batch and resolve via
 //!   [`resolve_csr_snapshot`](AllocationServer::resolve_csr_snapshot),
-//!   carrying the returned [`ShardStamp`] to commit time as the
-//!   staleness token.
+//!   carrying the returned entry version to commit time as the
+//!   staleness token (compared with
+//!   [`catalog_version`](AllocationServer::catalog_version)).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -48,7 +47,7 @@ use scdn_storage::object::DatasetId;
 use crate::discovery::{rank_key, Candidate, Selection};
 use crate::epoch::{
     shard_index, CatalogSnapshot, CodedInventory, DemandState, EntryState, Published, RepoRecord,
-    RepoTable, ShardSnapshot, ShardStamp, DEFAULT_CATALOG_SHARDS,
+    RepoTable, ShardSnapshot, DEFAULT_CATALOG_SHARDS,
 };
 use crate::replication::{CycleStats, DatasetStats, DemandWindow, RebalancePolicy};
 use crate::resolve_cache::ResolveCache;
@@ -90,7 +89,7 @@ pub struct AllocMetrics {
     /// Catalog entries force-invalidated by
     /// [`touch_all`](AllocationServer::touch_all) — each one costs a hop
     /// cache refill and a stale-plan replan, which is exactly why
-    /// per-entry versions and per-shard epochs exist.
+    /// versions are per entry.
     pub touch_all: Counter,
 }
 
@@ -216,36 +215,11 @@ pub struct AllocationServer {
 
 impl Default for AllocationServer {
     fn default() -> Self {
-        Self::with_shards(DEFAULT_CATALOG_SHARDS)
-    }
-}
-
-impl AllocationServer {
-    /// New empty server with standalone (unregistered) metrics and the
-    /// default shard count.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// New empty server whose metrics are bound to `reg` (exported under
-    /// `alloc.*`).
-    pub fn with_registry(reg: &Registry) -> Self {
-        Self::with_registry_and_shards(reg, DEFAULT_CATALOG_SHARDS)
-    }
-
-    /// New empty server with an explicit catalog shard count (rounded up
-    /// to a power of two, minimum 1). The shard count is a performance
-    /// knob, never a correctness one: fewer shards mean coarser commit
-    /// granularity — more stale-plan replans under contention — and the
-    /// equivalence suites deliberately run with tiny counts to stress
-    /// exactly that.
-    pub fn with_shards(shards: usize) -> Self {
-        let count = shards.max(1).next_power_of_two();
         AllocationServer {
-            shards: (0..count)
-                .map(|i| Published::new(ShardSnapshot::empty(i as u32)))
+            shards: (0..DEFAULT_CATALOG_SHARDS)
+                .map(|_| Published::new(ShardSnapshot::empty()))
                 .collect(),
-            shard_mask: count - 1,
+            shard_mask: DEFAULT_CATALOG_SHARDS - 1,
             repos: Published::new(RepoTable::new()),
             version_counter: AtomicU64::new(0),
             metrics: AllocMetrics::default(),
@@ -253,12 +227,20 @@ impl AllocationServer {
             scratch_pool: Mutex::new(Vec::new()),
         }
     }
+}
 
-    /// [`with_shards`](Self::with_shards) with metrics bound to `reg`.
-    pub fn with_registry_and_shards(reg: &Registry, shards: usize) -> Self {
+impl AllocationServer {
+    /// New empty server with standalone (unregistered) metrics.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// New empty server whose metrics are bound to `reg` (exported under
+    /// `alloc.*`).
+    pub fn with_registry(reg: &Registry) -> Self {
         AllocationServer {
             metrics: AllocMetrics::from_registry(reg),
-            ..Self::with_shards(shards)
+            ..Self::default()
         }
     }
 
@@ -294,20 +276,10 @@ impl AllocationServer {
         shard_index(dataset, self.shard_mask)
     }
 
-    /// Current publication epoch of one shard.
-    pub fn shard_epoch(&self, shard: usize) -> u64 {
-        self.shards[shard].load().epoch
-    }
-
-    /// Current epoch of every shard — the live version vector.
+    /// Current publication epoch of every shard, indexed by shard: how
+    /// many times each has republished.
     pub fn shard_epochs(&self) -> Vec<u64> {
         self.shards.iter().map(|s| s.load().epoch).collect()
-    }
-
-    /// `true` while the shard a plan read has not republished since:
-    /// the commit-side staleness check for a recorded [`ShardStamp`].
-    pub fn stamp_current(&self, stamp: ShardStamp) -> bool {
-        self.shard_epoch(stamp.shard as usize) == stamp.epoch
     }
 
     /// One consistent-per-shard view of the whole catalog and the
@@ -642,8 +614,8 @@ impl AllocationServer {
 
     /// Move a replica from one node to another (migration). Validation
     /// happens before anything publishes: a failed migration must not
-    /// spuriously invalidate catalog versions (or the hop cache keyed on
-    /// them) or advance the shard epoch (or the plans stamped on it).
+    /// spuriously invalidate the entry version (or the hop cache and the
+    /// in-flight plans keyed on it) or advance the shard epoch.
     pub fn migrate_replica(
         &self,
         dataset: DatasetId,
@@ -681,8 +653,8 @@ impl AllocationServer {
     }
 
     /// Force-invalidate every catalog entry: each entry's version is
-    /// bumped (every cached hop table goes stale) and every non-empty
-    /// shard republishes (every in-flight plan replans). This is the
+    /// bumped (every cached hop table goes stale and every in-flight plan
+    /// replans) and every non-empty shard republishes. This is the
     /// wholesale counterpart of the per-entry invalidation the normal
     /// mutations perform — kept for out-of-band catalog surgery, and
     /// deliberately expensive. `alloc.catalog.touch_all` counts the
@@ -764,9 +736,10 @@ impl AllocationServer {
     /// is identical, but the resolve/demand accounting is deferred — the
     /// caller records the outcome that actually commits via
     /// [`commit_resolution`](AllocationServer::commit_resolution). Also
-    /// returns the [`ShardStamp`] the selection was computed against —
-    /// the staleness token a deferred commit checks (via
-    /// [`stamp_current`](AllocationServer::stamp_current)) before
+    /// returns the version of the catalog entry the selection was
+    /// computed against (`None` for an unregistered dataset) — the
+    /// staleness token a deferred commit compares with
+    /// [`catalog_version`](AllocationServer::catalog_version) before
     /// applying the plan. Hop-cache counters (`alloc.resolve.cache.*`)
     /// still tick: they instrument the cache mechanics, not the request
     /// outcome.
@@ -778,7 +751,7 @@ impl AllocationServer {
         csr: &CsrGraph,
         online: impl Fn(NodeId) -> bool,
         latency_ms: impl Fn(NodeId) -> f64,
-    ) -> (Result<Selection, AllocationError>, ShardStamp) {
+    ) -> (Result<Selection, AllocationError>, Option<u64>) {
         self.resolve_csr_in(
             snap.shard_for(dataset),
             &snap.repos,
@@ -810,8 +783,9 @@ impl AllocationServer {
     }
 
     /// Current catalog-entry version of `dataset` (`None` if unknown).
-    /// Every replica-set mutation bumps it, so comparing versions detects
-    /// whether a deferred plan's selection might be stale.
+    /// Every mutation of the entry bumps it, so comparing it with the
+    /// version a deferred plan recorded detects whether the plan might
+    /// be stale.
     pub fn catalog_version(&self, dataset: DatasetId) -> Option<u64> {
         self.shards[self.shard_of(dataset)]
             .load()
@@ -834,15 +808,15 @@ impl AllocationServer {
         online: impl Fn(NodeId) -> bool,
         latency_ms: impl Fn(NodeId) -> f64,
         record: bool,
-    ) -> (Result<Selection, AllocationError>, ShardStamp) {
+    ) -> (Result<Selection, AllocationError>, Option<u64>) {
         self.cache.ensure_graph(csr);
-        let stamp = shard.stamp();
         let Some(entry) = shard.entries.get(&dataset) else {
             if record {
                 self.metrics.resolve_failed.inc();
             }
-            return (Err(AllocationError::UnknownDataset(dataset)), stamp);
+            return (Err(AllocationError::UnknownDataset(dataset)), None);
         };
+        let version = Some(entry.version);
         let key = (requester, dataset);
         let cached = self.cache.with_hops(key, entry.version, |hops| {
             Self::select_online(repos, &entry.replicas, hops, &online, &latency_ms)
@@ -874,13 +848,13 @@ impl AllocationServer {
             if record {
                 self.metrics.resolve_failed.inc();
             }
-            return (Err(AllocationError::NoReplicaAvailable(dataset)), stamp);
+            return (Err(AllocationError::NoReplicaAvailable(dataset)), version);
         };
         if record {
             self.metrics.resolve_ok.inc();
             self.record_demand(&entry.demand, sel.social_hops);
         }
-        (Ok(sel), stamp)
+        (Ok(sel), version)
     }
 
     /// Ranking loop shared by the cached and freshly-traversed paths:
@@ -1408,35 +1382,37 @@ mod tests {
     }
 
     #[test]
-    fn unrelated_commits_leave_other_shards_alone() {
-        // The retention win the sharded catalog buys: a commit advances
-        // only its own shard's epoch, so plans and cached state keyed on
-        // every other shard stay valid.
+    fn unrelated_commits_keep_other_entries_current() {
+        // A commit publishes only its own shard, and the staleness key is
+        // the entry, not the shard: a plan that resolved a same-shard
+        // neighbour stays fresh while the shard epoch advances, and every
+        // other shard keeps its epoch.
         let g = barabasi_albert(30, 2, 21);
         let srv = server_with_repos(&g);
-        // Find two datasets in different shards.
-        let (a, b) = {
-            let a = DatasetId(0);
-            let mut b = DatasetId(1);
-            while srv.shard_of(b) == srv.shard_of(a) {
-                b = DatasetId(b.0 + 1);
-            }
-            (a, b)
+        let a = DatasetId(0);
+        let shard = srv.shard_of(a);
+        let find = |same: bool| {
+            (1..)
+                .map(DatasetId)
+                .find(|&d| (srv.shard_of(d) == shard) == same)
+                .expect("16 shards over u32 ids")
         };
-        srv.register_dataset(a, 1, NodeId(1)).expect("ok");
-        srv.register_dataset(b, 1, NodeId(2)).expect("ok");
+        let (b, other) = (find(true), find(false));
+        for (d, primary) in [(a, 1), (b, 2), (other, 3)] {
+            srv.register_dataset(d, 1, NodeId(primary)).expect("ok");
+        }
         let snap = srv.snapshot();
-        let stamp_a = snap.stamp_of(a);
-        let stamp_b = snap.stamp_of(b);
+        let epochs = srv.shard_epochs();
+        let (sel, read_b) = srv.resolve_csr_snapshot(&snap, b, NodeId(5), &g, |_| true, |_| 1.0);
+        assert_eq!(sel.expect("resolves").node, NodeId(2));
         srv.add_replica(a, NodeId(9)).expect("ok");
-        assert!(
-            !srv.stamp_current(stamp_a),
-            "a's shard republished — plans that read it must replan"
-        );
-        assert!(
-            srv.stamp_current(stamp_b),
-            "b's shard is untouched — plans that read it stay fresh"
-        );
+        let after = srv.shard_epochs();
+        assert_eq!(after[shard], epochs[shard] + 1, "a's shard republished");
+        let other_shard = srv.shard_of(other);
+        assert_eq!(after[other_shard], epochs[other_shard]);
+        assert_ne!(srv.catalog_version(a), snap.version_of(a), "a moved");
+        assert_eq!(srv.catalog_version(b), read_b, "a plan for b stays fresh");
+        assert_eq!(srv.catalog_version(other), snap.version_of(other));
         // The held snapshot still serves the pre-commit view of a.
         assert_eq!(snap.replicas_of(a), Some(&[NodeId(1)][..]));
         assert_eq!(
@@ -1549,23 +1525,32 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_resolution_is_lock_free_and_stamped() {
+    fn snapshot_resolution_is_lock_free_and_versioned() {
         let csr = barabasi_albert(25, 2, 41);
         let srv = server_with_repos(&csr);
         srv.register_dataset(DatasetId(0), 1, NodeId(3))
             .expect("ok");
         let snap = srv.snapshot();
-        let (sel, stamp) =
+        let (sel, version) =
             srv.resolve_csr_snapshot(&snap, DatasetId(0), NodeId(8), &csr, |_| true, |_| 1.0);
         assert_eq!(sel.expect("resolves").node, NodeId(3));
-        assert!(srv.stamp_current(stamp), "nothing committed since");
-        // A commit to the same shard invalidates the stamp; the snapshot
-        // keeps resolving to the frozen view.
+        assert_eq!(version, snap.version_of(DatasetId(0)));
+        assert_eq!(
+            srv.catalog_version(DatasetId(0)),
+            version,
+            "nothing committed since"
+        );
+        // A commit to the entry moves its version; the snapshot keeps
+        // resolving to the frozen view.
         srv.add_replica(DatasetId(0), NodeId(11)).expect("ok");
-        assert!(!srv.stamp_current(stamp));
-        let (sel2, stamp2) =
+        assert_ne!(srv.catalog_version(DatasetId(0)), version);
+        let (sel2, version2) =
             srv.resolve_csr_snapshot(&snap, DatasetId(0), NodeId(8), &csr, |_| true, |_| 1.0);
-        assert_eq!(stamp2, stamp, "snapshot stamps are frozen");
+        assert_eq!(version2, version, "snapshot versions are frozen");
+        let (unknown, none) =
+            srv.resolve_csr_snapshot(&snap, DatasetId(7), NodeId(8), &csr, |_| true, |_| 1.0);
+        assert_eq!(unknown, Err(AllocationError::UnknownDataset(DatasetId(7))));
+        assert_eq!(none, None, "an unregistered dataset has no version");
         assert_eq!(
             sel2.expect("resolves").node,
             NodeId(3),

@@ -14,7 +14,8 @@
 //!   join.
 //! * **Resolution agrees with its own snapshot** — a selection computed
 //!   via [`AllocationServer::resolve_csr_snapshot`] lands on the replica
-//!   that snapshot holds, even while the live catalog has long moved on.
+//!   that snapshot holds, and reports the entry version that snapshot
+//!   holds, even while the live catalog has long moved on.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -108,7 +109,7 @@ fn readers_never_observe_torn_or_unpublished_state() {
                             1,
                             "dataset {d}: a migrate must never expose 0 or 2 replicas"
                         );
-                        let (sel, stamp) = srv.resolve_csr_snapshot(
+                        let (sel, version) = srv.resolve_csr_snapshot(
                             &snap,
                             dataset,
                             NodeId(d % NODES),
@@ -122,9 +123,9 @@ fn readers_never_observe_torn_or_unpublished_state() {
                             "selection disagrees with its own snapshot"
                         );
                         assert_eq!(
-                            stamp.epoch,
-                            epochs[snap.shard_of(dataset)],
-                            "stamp must identify the snapshot actually read"
+                            version,
+                            snap.version_of(dataset),
+                            "the version must identify the entry actually read"
                         );
                     }
                     snapshots_checked += 1;

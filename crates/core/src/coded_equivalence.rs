@@ -66,7 +66,7 @@ fn community() -> &'static (SyntheticDblp, TrustSubgraph) {
 
 /// Deterministic build: two calls with the same arguments produce
 /// bit-identical systems.
-fn build_system(coding: CodingConfig, catalog_shards: usize) -> (Scdn, Vec<DatasetId>) {
+fn build_system(coding: CodingConfig) -> (Scdn, Vec<DatasetId>) {
     let (c, sub) = community();
     let config = ScdnConfig {
         segment_size: 2 << 10,
@@ -84,7 +84,6 @@ fn build_system(coding: CodingConfig, catalog_shards: usize) -> (Scdn, Vec<Datas
         },
         opportunistic_caching: false,
         transfer_concurrency: 2,
-        catalog_shards,
         coding,
         ..Default::default()
     };
@@ -190,8 +189,8 @@ fn catalog_state(
 
 proptest! {
     /// Contract 2: pipelined coded repair/maintenance == serial oracle,
-    /// including the shard-stale replay path (1-shard catalogs force
-    /// stamp collisions).
+    /// including the stale replay path (items that walk the same ranking
+    /// collide on candidate repositories).
     #[test]
     fn pipelined_coded_repair_matches_serial(
         ops in proptest::collection::vec(
@@ -203,11 +202,10 @@ proptest! {
             ),
             1..5,
         ),
-        shards in (0usize..3).prop_map(|i| [1usize, 2, 16][i]),
     ) {
         let coding = CodingConfig::Rs { k: 3, m: 2 };
-        let (mut serial, datasets) = build_system(coding, shards);
-        let (mut piped, datasets_b) = build_system(coding, shards);
+        let (mut serial, datasets) = build_system(coding);
+        let (mut piped, datasets_b) = build_system(coding);
         prop_assert_eq!(&datasets, &datasets_b, "builds are deterministic");
 
         let serial_changes = drive(&mut serial, &datasets, &ops, true);
@@ -235,8 +233,8 @@ proptest! {
     fn request_coded_is_identity_when_uncoded(
         reqs in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..12),
     ) {
-        let (mut plain, datasets) = build_system(CodingConfig::None, 0);
-        let (mut coded, _) = build_system(CodingConfig::None, 0);
+        let (mut plain, datasets) = build_system(CodingConfig::None);
+        let (mut coded, _) = build_system(CodingConfig::None);
         let members = plain.member_count() as u32;
         for &(n, d) in &reqs {
             let node = NodeId(u32::from(n) % members);
@@ -424,9 +422,10 @@ fn request_coded_delivers_original_content() {
     assert!(repo.list_coded(Partition::User, dataset).is_empty());
 }
 
-/// An always-on, loss-free RS(3,2) system over a one-shard catalog (every
-/// commit republishes the shard every other plan read) with one 9 000 B
-/// dataset per owner, every block placed.
+/// An always-on, loss-free RS(3,2) system with one 9 000 B dataset per
+/// owner, every block placed. Both datasets' blocks sit on the same five
+/// hosts, the top of one placement ranking, so their repairs walk the
+/// same candidates.
 fn two_dataset_system(owners: [NodeId; 2]) -> (Scdn, Vec<DatasetId>) {
     let (c, sub) = community();
     let config = ScdnConfig {
@@ -434,7 +433,6 @@ fn two_dataset_system(owners: [NodeId; 2]) -> (Scdn, Vec<DatasetId>) {
         repo_capacity: 4 << 20,
         availability: AvailabilityConfig::AlwaysOn,
         failure: FailureModel::default(),
-        catalog_shards: 1,
         coding: CodingConfig::Rs { k: 3, m: 2 },
         ..Default::default()
     };
@@ -476,14 +474,16 @@ pub(crate) fn maintain_counter(scdn: &Scdn, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// Depart `victim`, repair serially on one system and through the
+/// Depart `victims`, repair serially on one system and through the
 /// pipeline on its twin, require contract 2, and hand back the pipelined
 /// system's `(replanned, coded_replans_kept_blocks)`.
-fn repair_both_ways(owners: [NodeId; 2], victim: NodeId) -> (u64, u64) {
+fn repair_both_ways(owners: [NodeId; 2], victims: &[NodeId]) -> (u64, u64) {
     let (mut serial, datasets) = two_dataset_system(owners);
     let (mut piped, _) = two_dataset_system(owners);
     for scdn in [&mut serial, &mut piped] {
-        scdn.depart(victim).expect("departs");
+        for &victim in victims {
+            scdn.depart(victim).expect("departs");
+        }
     }
     assert_eq!(serial.repair_serial(), piped.repair());
     assert_eq!(serial.now(), piped.now(), "clocks diverge");
@@ -515,28 +515,39 @@ fn repair_both_ways(owners: [NodeId; 2], victim: NodeId) -> (u64, u64) {
 }
 
 /// Contract 2 on the two branches a stale coded plan can take. Both
-/// datasets lose the block their shared first host held; the second
-/// dataset's plan goes stale when the first one commits.
+/// datasets lose the blocks their shared hosts held, and both repairs
+/// walk the same ranking: the first one's commit stores into a candidate
+/// the second one planned for, so the second plan goes stale on that
+/// repository's epoch.
 #[test]
 fn stale_coded_plan_keeps_its_blocks_or_replays() {
     let owners = [NodeId(0), NodeId(0)];
     let (probe, datasets) = two_dataset_system(owners);
-    let victim = host_of(&probe, datasets[0], 0);
-    assert_eq!(victim, host_of(&probe, datasets[1], 0), "a shared host");
+    let victims = [0, 1].map(|b| host_of(&probe, datasets[0], b));
+    for (b, &victim) in victims.iter().enumerate() {
+        assert_eq!(
+            victim,
+            host_of(&probe, datasets[1], b as u32),
+            "a shared host"
+        );
+    }
 
     // Same block still missing, owner untouched: the stale plan ships the
     // blocks it had already regenerated.
-    let (replanned, kept) = repair_both_ways(owners, victim);
+    let (replanned, kept) = repair_both_ways(owners, &victims[..1]);
     assert_eq!((replanned, kept), (1, 1), "kept-blocks branch");
 
-    // The first dataset's repair lands its block on the second dataset's
-    // owner, moving that repository's epoch between plan and commit: the
+    // Two blocks lost: the first dataset's repair lands one on the second
+    // dataset's owner and one on that dataset's first candidate. The plan
+    // is stale, and the owner's epoch moved between plan and commit: the
     // staged blocks are dropped and the item replays from live state.
     let (mut dry, _) = two_dataset_system(owners);
-    dry.depart(victim).expect("departs");
+    for &victim in &victims {
+        dry.depart(victim).expect("departs");
+    }
     dry.repair_serial();
     let new_host = host_of(&dry, datasets[0], 0);
-    let (replanned, kept) = repair_both_ways([NodeId(0), new_host], victim);
+    let (replanned, kept) = repair_both_ways([NodeId(0), new_host], &victims);
     assert_eq!((replanned, kept), (1, 0), "fallback branch");
 }
 
@@ -748,7 +759,7 @@ proptest! {
 
 /// Two RS(3,2)-coded and two whole-replica 7 KiB datasets on one lossy
 /// system, each placed by one `replicate`.
-fn mixed_system(availability: AvailabilityConfig, catalog_shards: usize) -> (Scdn, Vec<DatasetId>) {
+fn mixed_system(availability: AvailabilityConfig) -> (Scdn, Vec<DatasetId>) {
     let (c, sub) = community();
     let config = ScdnConfig {
         segment_size: 2 << 10,
@@ -762,7 +773,6 @@ fn mixed_system(availability: AvailabilityConfig, catalog_shards: usize) -> (Scd
             ..FailureModel::default()
         },
         transfer_concurrency: 2,
-        catalog_shards,
         coding: CodingConfig::Rs { k: 3, m: 2 },
         ..Default::default()
     };
@@ -845,8 +855,7 @@ fn assert_batched_is_serial(serial: &Scdn, batched: &Scdn, datasets: &[DatasetId
 }
 
 proptest! {
-    /// Contract 6 over random mixed batches, departures and repairs, at
-    /// 1, 2 and 16 catalog shards (few shards force stamp collisions), and
+    /// Contract 6 over random mixed batches, departures and repairs, and
     /// under periodic availability, where a commit that moves the clock
     /// re-plans the rest of its batch.
     #[test]
@@ -860,7 +869,6 @@ proptest! {
             ),
             1..5,
         ),
-        shards in (0usize..3).prop_map(|i| [1usize, 2, 16][i]),
         periodic in any::<bool>(),
     ) {
         let availability = if periodic {
@@ -868,8 +876,8 @@ proptest! {
         } else {
             AvailabilityConfig::AlwaysOn
         };
-        let (mut serial, datasets) = mixed_system(availability, shards);
-        let (mut batched, _) = mixed_system(availability, shards);
+        let (mut serial, datasets) = mixed_system(availability);
+        let (mut batched, _) = mixed_system(availability);
         let serial_out = drive_batches(&mut serial, &datasets, &ops, true);
         let batched_out = drive_batches(&mut batched, &datasets, &ops, false);
         prop_assert_eq!(serial_out, batched_out, "outcomes diverge");
@@ -886,8 +894,8 @@ fn coded_commit_that_moves_the_clock_replans_the_next() {
         period_ms: 8_000,
         duty: 1.0,
     };
-    let (mut batched, datasets) = mixed_system(always_up, 16);
-    let (mut serial, _) = mixed_system(always_up, 16);
+    let (mut batched, datasets) = mixed_system(always_up);
+    let (mut serial, _) = mixed_system(always_up);
     let coded = datasets[0];
     let hosts = batched.allocation().coded_inventory(coded).expect("coded");
     let mut requesters = (1..batched.member_count() as u32)

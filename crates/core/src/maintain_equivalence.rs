@@ -4,9 +4,10 @@
 //!
 //! Two identically built systems run the same random schedule — demand
 //! bursts (requests that feed the replication policy's windows),
-//! periodic churn (offline hosts), a lossy transfer fabric, and optional
-//! mid-run departures — then interleave maintenance and repair cycles.
-//! One system drives the serial loops, the other the plan/commit
+//! periodic churn (offline hosts) or always-on members, roomy or small
+//! repositories, a lossy transfer fabric, and optional mid-run
+//! departures — then interleave maintenance and repair cycles. One
+//! system drives the serial loops, the other the plan/commit
 //! pipeline. Per-cycle change counts, replica sets, catalog-entry
 //! versions, clocks, and full metric snapshots (hosting-request and
 //! exchange records included) must match exactly.
@@ -55,23 +56,35 @@ fn community() -> &'static (SyntheticDblp, TrustSubgraph) {
     })
 }
 
+/// Room for every copy the schedules make.
+const ROOMY: u64 = 4 << 20;
+
 /// A freshly built system plus its published datasets. Deterministic:
-/// two calls produce bit-identical systems. `catalog_shards` exercises
-/// the shard-stale re-plan path: a 1-shard catalog makes every commit
-/// collide with every in-flight plan's stamp — including Noop replays —
-/// while 16 shards spread the datasets out (0 = server default).
-/// `rebalance` selects the maintenance policy: the equivalence holds for
-/// any `RebalancePolicy` impl, so the proptest sweeps both.
-fn build_system(catalog_shards: usize, rebalance: RebalanceStrategy) -> (Scdn, Vec<DatasetId>) {
+/// two calls produce bit-identical systems. `rebalance` selects the
+/// maintenance policy: the equivalence holds for any `RebalancePolicy`
+/// impl, so the proptest sweeps both. Under periodic availability every
+/// grow commit that moves the clock re-plans the rest of its cycle, and
+/// with [`ROOMY`] repositories no store can overflow, so only an
+/// always-on build with a small `capacity` shows whether the
+/// repository-epoch trigger alone catches an earlier item's store.
+fn build_system(
+    rebalance: RebalanceStrategy,
+    periodic: bool,
+    capacity: u64,
+) -> (Scdn, Vec<DatasetId>) {
     let (c, sub) = community();
     let config = ScdnConfig {
         segment_size: 2 << 10,
-        repo_capacity: 4 << 20,
+        repo_capacity: capacity,
         replicas_per_dataset: 2,
         rebalance,
-        availability: AvailabilityConfig::Periodic {
-            period_ms: 8_000,
-            duty: 0.5,
+        availability: if periodic {
+            AvailabilityConfig::Periodic {
+                period_ms: 8_000,
+                duty: 0.5,
+            }
+        } else {
+            AvailabilityConfig::AlwaysOn
         },
         failure: FailureModel {
             loss_prob: 0.2,
@@ -81,7 +94,6 @@ fn build_system(catalog_shards: usize, rebalance: RebalanceStrategy) -> (Scdn, V
         },
         opportunistic_caching: true,
         transfer_concurrency: 2,
-        catalog_shards,
         ..Default::default()
     };
     let mut scdn = Scdn::build(sub, &c.corpus, config);
@@ -173,8 +185,9 @@ proptest! {
             ),
             1..5,
         ),
-        shards in (0usize..3).prop_map(|i| [1usize, 2, 16][i]),
         adaptive in any::<bool>(),
+        periodic in any::<bool>(),
+        tight in any::<bool>(),
     ) {
         let rebalance = if adaptive {
             // A tight budget (datasets × replicas_per_dataset) so the
@@ -184,8 +197,9 @@ proptest! {
         } else {
             RebalanceStrategy::Static
         };
-        let (mut serial, datasets) = build_system(shards, rebalance);
-        let (mut piped, datasets_b) = build_system(shards, rebalance);
+        let capacity = if tight { 16 << 10 } else { ROOMY };
+        let (mut serial, datasets) = build_system(rebalance, periodic, capacity);
+        let (mut piped, datasets_b) = build_system(rebalance, periodic, capacity);
         prop_assert_eq!(&datasets, &datasets_b, "builds are deterministic");
 
         let serial_changes = drive(&mut serial, &datasets, &ops, true);
@@ -235,17 +249,20 @@ fn depart_a_replica_of_each(scdn: &mut Scdn, datasets: &[DatasetId]) {
     }
 }
 
-/// On a 1-shard catalog every grow after a cycle's first commit is stale
-/// (its shard republished). Each re-plans at the live clock with the
-/// owner's segments its first plan read, and the cycle still lands
-/// exactly what the serial loop lands: changes, replicas, clock, the
-/// bytes in every repository, and the metric snapshot. (Repository
-/// epochs are a pipeline-only staleness token the serial loop never
-/// advances, so the test compares what they guard: the contents.)
+/// Every item of a repair cycle walks the same placement ranking, so a
+/// grow after the cycle's first commit goes stale when an earlier item
+/// stored into a candidate it planned for (that repository's epoch
+/// moved). Each such grow re-plans at the live clock with the owner's
+/// segments its first plan read, and the cycle still lands exactly what
+/// the serial loop lands: changes, replicas, clock, the bytes in every
+/// repository, and the metric snapshot. (Repository epochs are a
+/// pipeline-only staleness token the serial loop never advances, so the
+/// test compares what they guard: the contents.) A cycle commits one
+/// item per dataset, so no plan ever sees its own entry move.
 #[test]
 fn stale_grow_keeps_its_payload_and_matches_serial() {
-    let (mut serial, datasets) = build_system(1, RebalanceStrategy::Static);
-    let (mut piped, _) = build_system(1, RebalanceStrategy::Static);
+    let (mut serial, datasets) = build_system(RebalanceStrategy::Static, true, ROOMY);
+    let (mut piped, _) = build_system(RebalanceStrategy::Static, true, ROOMY);
     // Rounds land the cycle at different points of the availability
     // period, so some re-plans see a candidate's liveness flip.
     for dt in [1_300u64, 2_900, 3_950, 5_000, 7_700] {
@@ -270,22 +287,28 @@ fn stale_grow_keeps_its_payload_and_matches_serial() {
     assert!(maintain_counter(&piped, "replans_kept_payload") > 0);
     assert_eq!(
         maintain_counter(&piped, "replanned"),
-        ["stamp", "repo_epoch", "clock"]
+        ["entry", "repo_epoch", "clock"]
             .map(|cause| maintain_counter(&piped, &format!("replan.{cause}")))
             .iter()
             .sum::<u64>(),
         "every re-plan has exactly one cause"
     );
+    assert_eq!(
+        maintain_counter(&piped, "replan.entry"),
+        0,
+        "no commit in a cycle changes another item's entry"
+    );
 }
 
 /// The owner's copy of two datasets is corrupted at rest before the
 /// cycle. Neither the fresh commit (the cycle's first item) nor a stale
-/// one (every later item, on a 1-shard catalog) may store a byte that
-/// did not pass the owner-side read check: every replica copy in the
-/// system still verifies and holds its own dataset's bytes.
+/// one (a later item whose candidate an earlier item stored into) may
+/// store a byte that did not pass the owner-side read check: every
+/// replica copy in the system still verifies and holds its own dataset's
+/// bytes.
 #[test]
 fn corrupt_owner_copy_is_never_replicated_fresh_or_stale() {
-    let (mut scdn, datasets) = build_system(1, RebalanceStrategy::Static);
+    let (mut scdn, datasets) = build_system(RebalanceStrategy::Static, true, ROOMY);
     let corrupted = [0usize, 2];
     for &i in &corrupted {
         let repo = scdn.repo(NodeId(i as u32)).expect("owner").clone();
@@ -405,7 +428,7 @@ fn replication_walks_past_offline_ranking_prefix() {
 /// still.
 #[test]
 fn repeated_cycles_hit_the_ranking_cache() {
-    let (mut scdn, datasets) = build_system(0, RebalanceStrategy::Static);
+    let (mut scdn, datasets) = build_system(RebalanceStrategy::Static, true, ROOMY);
     let hits = |s: &Scdn| {
         s.registry()
             .counter("core.maintain.ranking_cache_hit")

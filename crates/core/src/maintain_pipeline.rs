@@ -28,11 +28,13 @@
 //!   cheap and reads nothing a concurrent plan could cache). A grow plan
 //!   is re-planned only when an earlier commit in the same cycle
 //!   invalidated its snapshot — counted in `core.maintain.replanned` and,
-//!   by the first trigger that fired, in `core.maintain.replan.{stamp,
-//!   repo_epoch,clock}`: the catalog shard the plan read republished (its
-//!   [`ShardStamp`] went stale), a repository epoch the plan recorded
-//!   advanced, or the clock advanced under a time-dependent availability
-//!   model. A stale grow plans again against a fresh snapshot at the live
+//!   by the first trigger that fired, in `core.maintain.replan.{entry,
+//!   repo_epoch,clock}`: the version of the catalog entry the plan read
+//!   moved, a repository epoch the plan recorded advanced, or the clock
+//!   advanced under a time-dependent availability model. A cycle has one
+//!   item per dataset and every commit changes only its own item's entry,
+//!   so the entry trigger cannot fire inside a cycle; it stays as the
+//!   safety net for the invariant. A stale grow plans again against a fresh snapshot at the live
 //!   clock — candidates, liveness, quotas and attempts all re-derived —
 //!   but keeps the owner's segments its first plan already read and
 //!   verified (`core.maintain.replans_kept_payload`): nothing inside a
@@ -49,22 +51,19 @@
 //! Determinism argument: a transfer simulation depends only on endpoint
 //! identities, segment identities, and the failure model — never on the
 //! clock — so under an always-on availability model the only snapshot
-//! ingredients a grow plan reads are the catalog shard (covered by the
-//! stamp) and destination repository quotas (covered by the per-node
-//! repository epochs, which both grow stores and shrink evictions bump).
+//! ingredients a grow plan reads are its catalog entry (covered by the
+//! entry version) and destination repository quotas (covered by the
+//! per-node repository epochs, which both grow stores and shrink
+//! evictions bump).
 //! Under periodic churn candidate liveness also depends on the clock:
 //! *within* an item the plan replays the serial walk's clock advance
 //! (each online candidate's transfer time pushes a simulated clock
 //! forward, so a transfer straddling an availability boundary flips
 //! later candidates exactly as it would serially), and *across* items
 //! any commit that moved the real clock leaves the item's starting
-//! clock wrong — covered by the clock-moved trigger. Shard
-//! stamps are coarser than the per-entry versions they replaced: a
-//! same-shard commit to another dataset forces a false-positive replan,
-//! and the replayed item — even a Noop — re-reads live state exactly as
-//! the serial loop would, reproducing the identical outcome (the
-//! equivalence proptests force shard collisions by running 1-shard
-//! catalogs). So a pipelined cycle is bit-identical to the serial
+//! clock wrong — covered by the clock-moved trigger. A stale item
+//! re-reads live state exactly as the serial loop would, reproducing the
+//! identical outcome. So a pipelined cycle is bit-identical to the serial
 //! per-dataset loops it replaced (kept as the test-only oracles in
 //! `oracle.rs`) under a fixed seed.
 //!
@@ -73,7 +72,7 @@
 
 use std::sync::Arc;
 
-use scdn_alloc::{CatalogSnapshot, ShardStamp};
+use scdn_alloc::CatalogSnapshot;
 use scdn_graph::parallel::par_map_collect;
 use scdn_graph::NodeId;
 use scdn_net::failure::AttemptOutcome;
@@ -207,8 +206,8 @@ struct Regenerated {
 /// triggers are checked; indexes `Scdn::maintain_replan_causes`.
 #[derive(Clone, Copy)]
 enum ReplanCause {
-    /// The catalog shard the plan read republished.
-    Stamp = 0,
+    /// The catalog entry the plan read has a new version.
+    Entry = 0,
     /// A repository the plan read was written.
     RepoEpoch = 1,
     /// The clock moved under a time-dependent availability model.
@@ -217,10 +216,9 @@ enum ReplanCause {
 
 /// A fully planned work item: pure output of the parallel phase.
 struct MaintainPlan {
-    /// Stamp of the catalog shard the plan read — the commit-side
-    /// staleness token. Meaningful even for unknown datasets, since
-    /// registering one would republish this same shard.
-    stamp: ShardStamp,
+    /// Version of the catalog entry the plan read (`None` for an
+    /// unknown dataset) — the commit-side catalog staleness token.
+    version: Option<u64>,
     /// `(node index, repository epoch at plan time)` of every repository
     /// whose quota/contents the plan read (the online candidates it
     /// simulated stores into). The owner's repository is deliberately
@@ -363,9 +361,9 @@ impl Scdn {
         ranked: &[NodeId],
         staged: &[(SegmentId, Segment)],
     ) -> MaintainPlan {
-        let stamp = snap.stamp_of(item.dataset);
+        let version = snap.version_of(item.dataset);
         let noop = || MaintainPlan {
-            stamp,
+            version,
             repos_read: Vec::new(),
             kind: PlanKind::Noop,
         };
@@ -374,7 +372,7 @@ impl Scdn {
         };
         match item.target {
             Target::Shrink { drop } => MaintainPlan {
-                stamp,
+                version,
                 repos_read: Vec::new(),
                 kind: PlanKind::Shrink { drop },
             },
@@ -445,7 +443,7 @@ impl Scdn {
                     });
                 }
                 MaintainPlan {
-                    stamp,
+                    version,
                     repos_read,
                     kind: PlanKind::Grow { owner, cands },
                 }
@@ -466,9 +464,9 @@ impl Scdn {
         spec: CodingSpec,
         ranked: &[NodeId],
     ) -> MaintainPlan {
-        let stamp = snap.stamp_of(dataset);
+        let version = snap.version_of(dataset);
         let noop = |kind| MaintainPlan {
-            stamp,
+            version,
             repos_read: Vec::new(),
             kind,
         };
@@ -548,7 +546,7 @@ impl Scdn {
             });
         }
         MaintainPlan {
-            stamp,
+            version,
             repos_read,
             kind: PlanKind::CodedGrow {
                 owner,
@@ -638,12 +636,13 @@ impl Scdn {
     /// invalidated a grow plan's snapshot, or `None` while it is fresh.
     fn grow_plan_stale(
         &self,
-        stamp: ShardStamp,
+        dataset: DatasetId,
+        version: Option<u64>,
         repos_read: &[(u32, u64)],
         planned_clock: SimTime,
     ) -> Option<ReplanCause> {
-        if !self.alloc.stamp_current(stamp) {
-            Some(ReplanCause::Stamp)
+        if self.alloc.catalog_version(dataset) != version {
+            Some(ReplanCause::Entry)
         } else if repos_read
             .iter()
             .any(|&(r, e)| self.repo_epochs[r as usize] != e)
@@ -674,19 +673,15 @@ impl Scdn {
         planned_clock: SimTime,
     ) -> usize {
         let MaintainPlan {
-            stamp,
+            version,
             repos_read,
             kind,
         } = plan;
         match kind {
             PlanKind::Noop => {
-                // A stale noop replays from live state. Shard stamps make
-                // this a possible false positive (a same-shard commit to
-                // another dataset), but the replay is harmless: the item
-                // is still at target (or unknown), so the live path makes
-                // zero changes — exactly the serial outcome.
-                if !self.alloc.stamp_current(stamp) {
-                    self.count_replan(ReplanCause::Stamp);
+                // A noop whose entry moved replays from live state.
+                if self.alloc.catalog_version(item.dataset) != version {
+                    self.count_replan(ReplanCause::Entry);
                     return self.commit_item_live(item);
                 }
                 self.maintain_committed.inc();
@@ -704,7 +699,9 @@ impl Scdn {
                 shed.len()
             }
             PlanKind::Grow { owner, cands } => {
-                if let Some(cause) = self.grow_plan_stale(stamp, &repos_read, planned_clock) {
+                if let Some(cause) =
+                    self.grow_plan_stale(item.dataset, version, &repos_read, planned_clock)
+                {
                     self.count_replan(cause);
                     return self.replan_grow(item, cands);
                 }
@@ -717,7 +714,9 @@ impl Scdn {
                 steps,
                 regenerated,
             } => {
-                if let Some(cause) = self.grow_plan_stale(stamp, &repos_read, planned_clock) {
+                if let Some(cause) =
+                    self.grow_plan_stale(item.dataset, version, &repos_read, planned_clock)
+                {
                     self.count_replan(cause);
                     return self.commit_coded_stale(item, owner, spec, regenerated);
                 }

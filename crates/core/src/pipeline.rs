@@ -30,19 +30,16 @@
 //!
 //! **Staleness.** A commit re-plans from live state at the current clock
 //! when an earlier commit in the batch changed something its plan read:
-//! the catalog shard it read republished (its [`ShardStamp`]: replica
-//! sets, cache contents, block inventories); the requester's repository
-//! epoch advanced (quota and pre-existing checks); the clock moved under
-//! periodic availability or a trust-windowed policy (liveness, policy); or
-//! the session budget ran out. When the repository epoch is the only cause,
-//! the re-plan is partial (`replan_destination`): the resolution, trace
-//! prefix, verified payloads and retry chains stand, and only the quota
-//! walk re-runs. A coded plan reads only the catalog and the clock, so it
-//! is stale exactly when a resolution is. Shard stamps are coarser than
-//! per-entry versions: a commit to another dataset of the same shard
-//! forces a false-positive re-plan, which recomputes from committed state
-//! and so reproduces the serial outcome (the equivalence proptests run
-//! 1-shard catalogs to force it).
+//! the version of the catalog entry it read moved (replica set, block
+//! inventory — and with them the serving repositories' copies, which
+//! change only through a catalog operation on that entry); the
+//! requester's repository epoch advanced (quota and pre-existing checks);
+//! the clock moved under periodic availability or a trust-windowed policy
+//! (liveness, policy); or the session budget ran out. When the repository
+//! epoch is the only cause, the re-plan is partial (`replan_destination`):
+//! the resolution, trace prefix, verified payloads and retry chains stand,
+//! and only the quota walk re-runs. A coded plan reads only the catalog
+//! entry and the clock, so it is stale exactly when a resolution is.
 //!
 //! **Determinism.** Every plan is a pure function of the snapshot it read,
 //! every effect applies at commit in submission order, and every input a
@@ -55,7 +52,7 @@
 
 use scdn_alloc::discovery::Selection;
 use scdn_alloc::server::AllocationError;
-use scdn_alloc::{CatalogSnapshot, CodedInventory, ShardStamp};
+use scdn_alloc::{CatalogSnapshot, CodedInventory};
 use scdn_graph::parallel::par_map_collect;
 use scdn_graph::NodeId;
 use scdn_middleware::auth::MiddlewareError;
@@ -189,11 +186,10 @@ enum Staleness {
 struct RequestPlan {
     node: NodeId,
     dataset: DatasetId,
-    /// Stamp of the catalog shard the resolution read (`None` before
-    /// resolution was attempted) — the catalog half of the commit-side
-    /// staleness vector. Valid even when the dataset is unregistered:
-    /// registering it would republish this same shard.
-    stamp: Option<ShardStamp>,
+    /// Version of the catalog entry the plan read (`None` while the
+    /// dataset is unregistered) — the catalog half of the commit-side
+    /// staleness vector, checked only for bodies that read the entry.
+    version: Option<u64>,
     /// The requester's repository epoch at plan time — the repository
     /// half of the staleness vector (quota + pre-existing checks).
     repo_epoch: u64,
@@ -234,7 +230,7 @@ impl Scdn {
                     return RequestPlan {
                         node,
                         dataset,
-                        stamp: None,
+                        version: None,
                         repo_epoch: 0,
                         trace: Vec::new(),
                         body: PlanBody::UnknownNode,
@@ -267,10 +263,10 @@ impl Scdn {
     ) -> RequestPlan {
         let repo_epoch = self.repo_epochs[node.index()];
         let mut trace: Vec<TraceOp> = Vec::new();
-        let plan = |stamp, trace, body| RequestPlan {
+        let plan = |version, trace, body| RequestPlan {
             node,
             dataset,
-            stamp,
+            version,
             repo_epoch,
             trace,
             body,
@@ -315,12 +311,12 @@ impl Scdn {
                 spec,
                 donors,
             };
-            return plan(Some(snap.stamp_of(dataset)), trace, body);
+            return plan(snap.version_of(dataset), trace, body);
         }
         // Quiet CSR resolution against the shared snapshot: selection
         // identical to `resolve_csr`, zero catalog locks, and the
         // resolve/demand accounting is deferred to the commit.
-        let (resolved, stamp) = self.alloc.resolve_csr_snapshot(
+        let (resolved, version) = self.alloc.resolve_csr_snapshot(
             snap,
             dataset,
             node,
@@ -328,13 +324,12 @@ impl Scdn {
             |n| self.is_online_at(n, clock),
             |n| topology.latency_ms(node.index(), n.index()),
         );
-        let stamp = Some(stamp);
         let selection = match resolved {
             Ok(sel) => sel,
             Err(error) => {
                 trace.push(discover(SpanStatus::NoReplica));
                 return plan(
-                    stamp,
+                    version,
                     trace,
                     PlanBody::ResolveFailed {
                         user,
@@ -355,7 +350,7 @@ impl Scdn {
         {
             trace.push(select(SpanStatus::BoundaryBlocked));
             return plan(
-                stamp,
+                version,
                 trace,
                 PlanBody::BoundaryBlocked {
                     user,
@@ -373,7 +368,7 @@ impl Scdn {
                 .collect::<Vec<_>>(),
             None => {
                 return plan(
-                    stamp,
+                    version,
                     trace,
                     PlanBody::SegmentsUnavailable {
                         user,
@@ -392,7 +387,7 @@ impl Scdn {
             &meta.segment_digests,
             Vec::new(),
         );
-        plan(stamp, trace, body)
+        plan(version, trace, body)
     }
 
     /// The block hosts `node` would race for `dataset`, read from `snap`
@@ -550,9 +545,9 @@ impl Scdn {
     /// Re-plan only what the requester's repository decides. The plan is
     /// stale on its repository epoch alone ([`Staleness::Destination`]),
     /// so everything else it read still matches committed state: the
-    /// resolution and segment table (shard stamp current), the
-    /// serving-side repository (mutated only through catalog operations,
-    /// which republish that shard), the retry chains (a pure hash of
+    /// resolution and segment table (entry version current), the
+    /// serving-side copy (changed only through catalog operations on this
+    /// entry, which bump its version), the retry chains (a pure hash of
     /// endpoints × segment × attempt) and the clock-dependent inputs. Its
     /// trace prefix and verified payloads are therefore kept, and the
     /// quota walk alone re-runs against the live repository.
@@ -560,7 +555,7 @@ impl Scdn {
         let RequestPlan {
             node,
             dataset,
-            stamp,
+            version,
             trace,
             body,
             ..
@@ -602,7 +597,7 @@ impl Scdn {
         RequestPlan {
             node,
             dataset,
-            stamp,
+            version,
             repo_epoch: self.repo_epochs[node.index()],
             trace,
             body,
@@ -632,13 +627,11 @@ impl Scdn {
     }
 
     /// `true` if the snapshot a resolution-bearing plan was computed
-    /// against no longer matches committed state: the catalog shard the
-    /// resolution read has republished (any replica-set change in it —
-    /// possibly another dataset's, in which case the replan reproduces
-    /// the same selection), or a time-dependent input moved with the
-    /// clock.
+    /// against no longer matches committed state: the catalog entry the
+    /// resolution read has a new version, or a time-dependent input moved
+    /// with the clock.
     fn resolution_stale(&self, plan: &RequestPlan, clock_moved: bool) -> bool {
-        plan.stamp.is_some_and(|st| !self.alloc.stamp_current(st))
+        self.alloc.catalog_version(plan.dataset) != plan.version
             || (clock_moved
                 && (matches!(self.availability, Availability::Periodic(_))
                     || self.policy_is_time_dependent(plan.dataset)))
@@ -664,16 +657,17 @@ impl Scdn {
             PlanBody::AccessDenied { .. } => {
                 full_if(clock_moved && self.policy_is_time_dependent(plan.dataset))
             }
-            // A coded plan reads the block inventory (its shard stamp) and
-            // donor liveness (the clock); the race reads the rest live.
+            // A coded plan reads the block inventory (its entry version)
+            // and donor liveness (the clock); the race reads the rest live.
             PlanBody::ResolveFailed { .. }
             | PlanBody::BoundaryBlocked { .. }
             | PlanBody::SegmentsUnavailable { .. }
             | PlanBody::Coded { .. } => full_if(self.resolution_stale(plan, clock_moved)),
             // Transfer outcomes additionally read the requester's
             // repository (quota + pre-existing checks), covered by its
-            // epoch. Serving-side repositories are only mutated through
-            // catalog operations, which the shard stamp already covers.
+            // epoch. A serving repository's copy of the dataset changes
+            // only through a catalog operation on it, which the entry
+            // version already covers.
             PlanBody::TransferFailed { .. } | PlanBody::Served { .. } => {
                 if self.resolution_stale(plan, clock_moved) {
                     Staleness::Full

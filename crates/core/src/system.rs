@@ -113,12 +113,6 @@ pub struct ScdnConfig {
     /// in waves: per-stream bandwidth drops, but multi-segment datasets
     /// finish sooner whenever per-attempt latency is non-zero.
     pub transfer_concurrency: u32,
-    /// Catalog shard count for the allocation server (`0` = the alloc
-    /// crate's default). A performance knob, never a correctness one:
-    /// fewer shards coarsen commit granularity, so more plans go
-    /// shard-stale and replan — the equivalence suites run tiny counts
-    /// (down to 1) to stress exactly those replans.
-    pub catalog_shards: usize,
     /// Storage-redundancy scheme for published datasets. The default
     /// [`CodingConfig::None`] keeps whole-replica replication exactly as
     /// before; [`CodingConfig::Rs`] erasure-codes each dataset into
@@ -144,7 +138,6 @@ impl Default for ScdnConfig {
             enforce_social_boundary: false,
             opportunistic_caching: false,
             transfer_concurrency: 1,
-            catalog_shards: 0,
             coding: CodingConfig::None,
             seed: 7,
         }
@@ -306,7 +299,7 @@ pub struct Scdn {
     /// commit time the plan is stale iff one of those epochs advanced —
     /// the repository half of the version-vector staleness scheme that
     /// replaced the per-batch touched-repo bitmap (the catalog half is
-    /// the alloc crate's per-shard epochs).
+    /// the alloc crate's per-entry versions).
     repo_epochs: Vec<u64>,
     /// Requests planned against a reused catalog snapshot — one load
     /// serves the whole batch (`core.batch.snapshot_reuse`).
@@ -320,7 +313,7 @@ pub struct Scdn {
     rankings: RankingCache,
     /// Maintenance plan/commit counters (`core.maintain.*`):
     /// `replanned` is the total of the three cause counters
-    /// `core.maintain.replan.{stamp,repo_epoch,clock}` (indexed by
+    /// `core.maintain.replan.{entry,repo_epoch,clock}` (indexed by
     /// `ReplanCause`), each re-plan counted under the first trigger that
     /// fired in that order.
     maintain_planned: Counter,
@@ -524,11 +517,7 @@ impl Scdn {
             }
         };
         let registry = Arc::new(Registry::new());
-        let shards = match config.catalog_shards {
-            0 => scdn_alloc::DEFAULT_CATALOG_SHARDS,
-            n => n,
-        };
-        let alloc = AllocationServer::with_registry_and_shards(&registry, shards);
+        let alloc = AllocationServer::with_registry(&registry);
         let mut repo_infos = Vec::with_capacity(n);
         let mut social_metrics = SocialMetrics::default();
         for (i, &author) in sub.authors.iter().enumerate() {
@@ -614,7 +603,7 @@ impl Scdn {
         let maintain_planned = registry.counter("core.maintain.planned");
         let maintain_committed = registry.counter("core.maintain.committed");
         let maintain_replanned = registry.counter("core.maintain.replanned");
-        let maintain_replan_causes = ["stamp", "repo_epoch", "clock"]
+        let maintain_replan_causes = ["entry", "repo_epoch", "clock"]
             .map(|cause| registry.counter(&format!("core.maintain.replan.{cause}")));
         let ranking_hits = registry.counter("core.maintain.ranking_cache_hit");
         let ranking_misses = registry.counter("core.maintain.ranking_cache_miss");

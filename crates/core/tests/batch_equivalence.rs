@@ -3,7 +3,7 @@
 //!
 //! Two identically built systems run the same random workload — mixed
 //! datasets (public, confidential, trust-gated), periodic churn (offline
-//! nodes), a lossy transfer fabric, opportunistic caching (catalog
+//! nodes) or always-on members, a lossy transfer fabric, opportunistic caching (catalog
 //! mutations mid-batch), and an optional mid-run departure. One system
 //! issues every request through `request` (a batch of one), the other
 //! batches all same-tick requests through `request_batch`. Outcomes,
@@ -55,18 +55,22 @@ fn community() -> &'static (SyntheticDblp, TrustSubgraph) {
 }
 
 /// A freshly built system plus its published datasets. Deterministic:
-/// two calls produce bit-identical systems. `catalog_shards` exercises
-/// the shard-stale re-plan path: a 1-shard catalog makes every commit
-/// collide with every in-flight plan's stamp, while 16 shards spread
-/// the datasets out (0 = server default).
-fn build_system(catalog_shards: usize) -> (Scdn, Vec<DatasetId>) {
+/// two calls produce bit-identical systems. Under periodic availability
+/// every commit that moves the clock re-plans the rest of its batch, so
+/// only an always-on build shows whether the catalog-entry trigger alone
+/// catches a mid-batch promotion.
+fn build_system(periodic: bool) -> (Scdn, Vec<DatasetId>) {
     let (c, sub) = community();
     let config = ScdnConfig {
         segment_size: 2 << 10,
         repo_capacity: 4 << 20,
-        availability: AvailabilityConfig::Periodic {
-            period_ms: 8_000,
-            duty: 0.5,
+        availability: if periodic {
+            AvailabilityConfig::Periodic {
+                period_ms: 8_000,
+                duty: 0.5,
+            }
+        } else {
+            AvailabilityConfig::AlwaysOn
         },
         failure: FailureModel {
             loss_prob: 0.25,
@@ -76,7 +80,6 @@ fn build_system(catalog_shards: usize) -> (Scdn, Vec<DatasetId>) {
         },
         opportunistic_caching: true,
         transfer_concurrency: 2,
-        catalog_shards,
         ..Default::default()
     };
     let mut scdn = Scdn::build(sub, &c.corpus, config);
@@ -270,6 +273,92 @@ fn second_delivery_refused_after_first_commits() {
     assert_eq!(trace_shapes(&serial), trace_shapes(&batched));
 }
 
+/// An always-on, reliable system with opportunistic caching and two
+/// public 9 KiB datasets, `a` and `b`, that hash to the same catalog
+/// shard. Each lives on its owner alone; the datasets published between
+/// them (to reach a shared shard) are never requested.
+fn build_same_shard_system() -> (Scdn, DatasetId, DatasetId) {
+    let (c, sub) = community();
+    let config = ScdnConfig {
+        segment_size: 2 << 10,
+        opportunistic_caching: true,
+        ..Default::default()
+    };
+    let mut scdn = Scdn::build(sub, &c.corpus, config);
+    let mut published = Vec::new();
+    for i in 0u32.. {
+        let d = scdn
+            .publish(
+                NodeId(i),
+                &format!("shard-{i}"),
+                Bytes::from(vec![i as u8 + 1; 9 << 10]),
+                Sensitivity::Public,
+                None,
+            )
+            .expect("publish succeeds");
+        published.push(d);
+        let shard = |d: DatasetId| scdn.allocation().shard_of(d);
+        if i > 0 && shard(d) == shard(published[0]) {
+            break;
+        }
+    }
+    let b = published.pop().expect("published");
+    (scdn, published[0], b)
+}
+
+/// A batch of two requests on [`build_same_shard_system`]: the first,
+/// for `a`, is served remotely and promoted into its requester's replica
+/// partition, so `a`'s entry gets a new version and the shared shard
+/// republishes mid-batch. Returns the batch's re-plan count after
+/// requiring the batch to equal the serial loop.
+fn promote_a_then_request(second: fn(DatasetId, DatasetId) -> DatasetId) -> u64 {
+    let (mut batched, a, b) = build_same_shard_system();
+    let (mut serial, _, _) = build_same_shard_system();
+    let last = batched.member_count() as u32 - 1;
+    let reqs = [(NodeId(last), a), (NodeId(last - 1), second(a, b))];
+    let epochs = batched.allocation().shard_epochs();
+
+    let out = batched.request_batch(&reqs);
+    assert!(out.iter().all(Result::is_ok), "{out:?}");
+    assert!(
+        batched
+            .replicas_of(a)
+            .expect("published")
+            .contains(&NodeId(last)),
+        "the first request was promoted"
+    );
+    let shard = batched.allocation().shard_of(a);
+    assert!(
+        batched.allocation().shard_epochs()[shard] > epochs[shard],
+        "the shard both datasets live in republished"
+    );
+
+    let serial_out: Vec<_> = reqs.iter().map(|&(n, d)| serial.request(n, d)).collect();
+    assert_eq!(format!("{out:?}"), format!("{serial_out:?}"));
+    assert_eq!(serial.now(), batched.now());
+    assert_eq!(comparable_snapshot(&serial), comparable_snapshot(&batched));
+    assert_eq!(trace_shapes(&serial), trace_shapes(&batched));
+    batched
+        .observability_snapshot()
+        .counter("core.batch.replans")
+        .expect("registered at build")
+}
+
+/// Staleness is judged per catalog entry, not per shard: promoting `a`
+/// mid-batch leaves a plan that only read `b` fresh, even though both
+/// entries live in the shard that republished.
+#[test]
+fn promotion_of_one_dataset_leaves_a_same_shard_plan_fresh() {
+    assert_eq!(promote_a_then_request(|_, b| b), 0);
+}
+
+/// The twin: a second plan for `a` itself read the entry the promotion
+/// changed, and re-plans.
+#[test]
+fn promotion_of_a_dataset_replans_a_second_request_for_it() {
+    assert_eq!(promote_a_then_request(|a, _| a), 1);
+}
+
 /// Always-reliable fabric under periodic churn (duty 0.6), one public
 /// 9 KiB dataset published by node 0 and replicated.
 fn build_churn_system() -> (Scdn, DatasetId) {
@@ -457,11 +546,11 @@ proptest! {
             1..6,
         ),
         depart in (any::<bool>(), any::<u8>()),
-        shards in (0usize..3).prop_map(|i| [1usize, 2, 16][i]),
+        periodic in any::<bool>(),
     ) {
         let depart_sel = depart.0.then_some(depart.1);
-        let (mut serial, datasets) = build_system(shards);
-        let (mut batched, datasets_b) = build_system(shards);
+        let (mut serial, datasets) = build_system(periodic);
+        let (mut batched, datasets_b) = build_system(periodic);
         prop_assert_eq!(&datasets, &datasets_b, "builds are deterministic");
 
         let serial_out = drive(&mut serial, &datasets, &ops, depart_sel, true);

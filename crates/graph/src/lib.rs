@@ -6,8 +6,8 @@
 //! * [`Graph`] — the adjacency-list graph you **build and mutate**
 //!   (`add_edge`, `remove_edge`, [`GraphDelta`], `induced_subgraph`),
 //!   together with the algorithms that only ever run on a graph under
-//!   construction (components, community detection, covers, Dijkstra, DOT
-//!   export, generators);
+//!   construction (components, community detection, covers, DOT export,
+//!   generators);
 //! * [`CsrGraph`] — the frozen, chunked copy-on-write view you **query**:
 //!   BFS and eccentricity, centrality (including a parallel Brandes
 //!   betweenness), PageRank, k-core and clustering each exist once, on
@@ -47,7 +47,6 @@ pub mod kcore;
 pub mod metrics;
 pub mod pagerank;
 pub mod parallel;
-pub mod shortest_path;
 pub mod traversal;
 pub mod union_find;
 

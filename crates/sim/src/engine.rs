@@ -124,37 +124,11 @@ impl<E: Eq> EventQueue<E> {
         self.seq += 1;
     }
 
-    /// Schedule `event` after a delay of `ms` milliseconds from now.
-    pub fn schedule_in(&mut self, ms: u64, event: E) {
-        self.schedule(self.now.plus_millis(ms), event);
-    }
-
     /// Pop the next event, advancing the clock to its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let Reverse(e) = self.heap.pop()?;
         self.now = e.time;
         Some((e.time, e.event))
-    }
-
-    /// Time of the next pending event without popping.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.time)
-    }
-
-    /// Drain events up to and including `until`, in order.
-    pub fn drain_until(&mut self, until: SimTime) -> Vec<(SimTime, E)> {
-        let mut out = Vec::new();
-        while let Some(t) = self.peek_time() {
-            if t > until {
-                break;
-            }
-            out.push(self.pop().expect("peeked event exists"));
-        }
-        // If nothing remained at/before `until`, still advance the clock.
-        if self.now < until {
-            self.now = until;
-        }
-        out
     }
 }
 
@@ -191,29 +165,6 @@ mod tests {
         q.schedule(SimTime::from_millis(1), "late");
         let (t, _) = q.pop().expect("event");
         assert_eq!(t, SimTime::from_millis(10));
-    }
-
-    #[test]
-    fn schedule_in_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_millis(100), ());
-        q.pop();
-        q.schedule_in(50, ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(150)));
-    }
-
-    #[test]
-    fn drain_until_partitions() {
-        let mut q = EventQueue::new();
-        for ms in [10u64, 20, 30, 40] {
-            q.schedule(SimTime::from_millis(ms), ms);
-        }
-        let first = q.drain_until(SimTime::from_millis(25));
-        assert_eq!(first.len(), 2);
-        assert_eq!(q.len(), 2);
-        let rest = q.drain_until(SimTime::from_millis(100));
-        assert_eq!(rest.len(), 2);
-        assert_eq!(q.now(), SimTime::from_millis(100));
     }
 
     #[test]
