@@ -6,14 +6,18 @@
 //! Selection ranks online replicas by social hop distance, then network
 //! latency, then availability.
 //!
-//! [`select_replica`] computes the social-hop leg of the ranking with a
-//! bounded multi-target meet-in-the-middle search over a frozen
-//! [`CsrGraph`] through a reusable [`TraversalScratch`]: it visits the
-//! neighborhoods where the requester's and each candidate's regions meet
-//! (or stops at the hop budget) and, for up to eight candidates, allocates
-//! nothing. [`select_replica_full_bfs`] is its oracle — the same ranking
-//! loop over the distances of one full [`TraversalScratch::bfs`] — for
-//! the equivalence tests; nothing on a serving path calls it.
+//! [`select_replica`] computes the social-hop leg of the ranking with
+//! [`TraversalScratch::bfs_to_nearest`] over a frozen [`CsrGraph`]: a
+//! meet-in-the-middle search that settles the nearest *online* candidate
+//! and every candidate at its distance, and leaves farther ones
+//! unsettled — they cannot win, so their distances are never computed.
+//! For up to eight candidates it allocates nothing. `select_from_hops`
+//! is the one ranking loop; the allocation server's resolve path ranks
+//! its cached or freshly searched hops with it too, and it asks for a
+//! candidate's latency only when that can decide the winner.
+//! [`select_replica_full_bfs`] is the oracle — the same ranking over the
+//! distances of one full [`TraversalScratch::bfs`] — for the equivalence
+//! tests; nothing on a serving path calls it.
 
 use scdn_graph::{CsrGraph, NodeId, TraversalScratch};
 
@@ -53,12 +57,12 @@ const INLINE_CANDIDATES: usize = 8;
 /// lower latency; then higher availability; then smaller node id.
 /// Returns `None` when no candidate is online.
 ///
-/// Hop distances come from [`TraversalScratch::bfs_to_targets`], which
-/// stops where the requester's region meets each candidate's (or when
-/// `max_hops` is exhausted — pass `u32::MAX` for exact full-BFS
-/// equivalence). With the caller-owned `scratch`, a resolution over at
-/// most eight candidates allocates nothing; a larger set costs one id
-/// buffer.
+/// Hop distances come from [`TraversalScratch::bfs_to_nearest`] with the
+/// online candidates eligible: it settles the nearest online candidate
+/// and every candidate at its distance (or stops when `max_hops` is
+/// exhausted — pass `u32::MAX` for exact full-BFS equivalence). With the
+/// caller-owned `scratch`, a resolution over at most eight candidates
+/// allocates nothing; a larger set costs one id buffer.
 pub fn select_replica(
     social: &CsrGraph,
     requester: NodeId,
@@ -69,10 +73,12 @@ pub fn select_replica(
     if candidates.iter().all(|c| !c.online) {
         return None;
     }
-    // `bfs_to_targets` skips out-of-range ids, and offline candidates
-    // never win, so targeting every candidate (not just online ones) is
-    // correct; targeting all of them keeps the cached-hops path (which is
-    // online-mask-agnostic) identical.
+    // The search skips out-of-range ids. Offline candidates are targets
+    // too, but ineligible: they never shrink the bound, so every online
+    // candidate that could win is still settled, and the id buffer stays
+    // a plain copy of the candidate list. The allocation server targets
+    // its whole replica list the same way, so that one cached slot can
+    // answer under any later liveness its bound decides.
     let ids = candidates.iter().map(|c| c.node);
     let mut inline = [NodeId(0); INLINE_CANDIDATES];
     let spilled: Vec<NodeId>;
@@ -83,8 +89,10 @@ pub fn select_replica(
         spilled = ids.collect();
         &spilled[..]
     };
-    scratch.bfs_to_targets(social, requester, targets, max_hops);
-    select_from_hops(candidates, |c| scratch.target_hops(c.node))
+    scratch.bfs_to_nearest(social, requester, targets, max_hops, |v| {
+        candidates.iter().any(|c| c.online && c.node == v)
+    });
+    rank_candidates(candidates, |v| scratch.target_hops(v))
 }
 
 /// The oracle for [`select_replica`] at `max_hops = u32::MAX`: the same
@@ -97,31 +105,81 @@ pub fn select_replica_full_bfs(
     scratch: &mut TraversalScratch,
 ) -> Option<Selection> {
     scratch.bfs(social, &[requester]);
-    select_from_hops(candidates, |c| scratch.distance(c.node))
+    rank_candidates(candidates, |v| scratch.distance(v))
 }
 
-/// The ranking loop: pick the best online candidate given a social-hop
-/// lookup. Returns `None` when no candidate is online.
-pub(crate) fn select_from_hops(
+/// [`select_from_hops`] over a candidate list, given a social-hop lookup.
+fn rank_candidates(
     candidates: &[Candidate],
-    hop_of: impl Fn(&Candidate) -> Option<u32>,
+    hop_of: impl Fn(NodeId) -> Option<u32>,
 ) -> Option<Selection> {
-    let mut best: Option<(&Candidate, Option<u32>)> = None;
-    for c in candidates.iter().filter(|c| c.online) {
-        let hops = hop_of(c);
-        let better = match &best {
-            None => true,
-            Some((b, bh)) => rank_key(hops, c) < rank_key(*bh, b),
-        };
-        if better {
-            best = Some((c, hops));
+    select_from_hops(
+        candidates.len(),
+        |i| {
+            let c = &candidates[i];
+            c.online.then(|| (c.node, hop_of(c.node)))
+        },
+        |i| (candidates[i].latency_ms, candidates[i].availability),
+    )
+}
+
+/// The one ranking loop, shared by every selection path: the best online
+/// candidate by social hops (reachable before unreachable, then fewer),
+/// then lower latency, then higher availability, then smaller node id.
+/// Returns `None` when no candidate is online.
+///
+/// Candidates are indexed `0..len`: `online_hops(i)` is `None` for an
+/// offline candidate and its node and hop distance otherwise, and
+/// `tie_break(i)` is its `(latency_ms, availability)`. Latency only breaks
+/// hop ties, so `tie_break` is asked only of the first candidate at the
+/// fewest hops and of the candidates tied with it; on the resolve path a
+/// latency is a great-circle computation.
+///
+/// Latency and unavailability order by [`total_order_key`], so negative
+/// values order naturally below smaller magnitudes and NaN always ranks
+/// worst — the seed's `(x * 1000.0) as u64` cast sent NaN and negative
+/// latencies to 0, ranking a corrupt measurement as best-possible.
+pub(crate) fn select_from_hops(
+    len: usize,
+    online_hops: impl Fn(usize) -> Option<(NodeId, Option<u32>)>,
+    tie_break: impl Fn(usize) -> (f64, f64),
+) -> Option<Selection> {
+    let hop_key = |hops: Option<u32>| hops.unwrap_or(u32::MAX);
+    // The fewest hops any online candidate has, and the first to have them.
+    let mut nearest: Option<(usize, u32)> = None;
+    for i in 0..len {
+        if let Some((_, hops)) = online_hops(i) {
+            let key = hop_key(hops);
+            if nearest.is_none_or(|(_, fewest)| key < fewest) {
+                nearest = Some((i, key));
+            }
         }
     }
-    best.map(|(c, hops)| Selection {
-        node: c.node,
-        social_hops: hops,
-        latency_ms: c.latency_ms,
-    })
+    let (first, fewest) = nearest?;
+    let mut best: Option<(Selection, (u64, u64, u32))> = None;
+    for i in first..len {
+        let Some((node, hops)) = online_hops(i) else {
+            continue;
+        };
+        if hop_key(hops) != fewest {
+            continue;
+        }
+        let (latency_ms, availability) = tie_break(i);
+        let key = (
+            total_order_key(latency_ms),
+            total_order_key(1.0 - availability),
+            node.0,
+        );
+        if best.as_ref().is_none_or(|(_, b)| key < *b) {
+            let sel = Selection {
+                node,
+                social_hops: hops,
+                latency_ms,
+            };
+            best = Some((sel, key));
+        }
+    }
+    best.map(|(sel, _)| sel)
 }
 
 /// Map an `f64` onto a `u64` whose unsigned order is the `f64::total_cmp`
@@ -139,21 +197,6 @@ fn total_order_key(x: f64) -> u64 {
     } else {
         bits | (1 << 63)
     }
-}
-
-/// Lexicographic ranking key (lower is better).
-///
-/// Latency and unavailability use [`total_order_key`], so negative values
-/// order naturally below smaller magnitudes and NaN always ranks worst —
-/// the old `(x * 1000.0) as u64` cast sent NaN and negative latencies to
-/// 0, ranking a corrupt measurement as best-possible.
-pub(crate) fn rank_key(hops: Option<u32>, c: &Candidate) -> (u32, u64, u64, u32) {
-    (
-        hops.unwrap_or(u32::MAX),
-        total_order_key(c.latency_ms),
-        total_order_key(1.0 - c.availability),
-        c.node.0,
-    )
 }
 
 #[cfg(test)]

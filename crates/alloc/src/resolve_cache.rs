@@ -9,6 +9,23 @@
 //! entry version, which invalidates the cached hops implicitly (no
 //! eager cache walk on the write path).
 //!
+//! ## Nearest-only slots
+//!
+//! A miss runs `TraversalScratch::bfs_to_nearest` with the replicas
+//! online *now* eligible: it settles the nearest of them and every
+//! replica at its distance, and leaves every other replica unsettled
+//! (`None`) — each lies strictly beyond the search's bound. A slot stores
+//! that bound next to the hops, and a lookup answers only when the slot
+//! decides the winner under the caller's liveness: the best replica
+//! online now was settled within the bound (or the bound is `u32::MAX`,
+//! which makes every hop exact), or no replica is online at all. An
+//! unsettled online replica could be nearer than a settled one beyond
+//! the bound, so any other lookup is a miss
+//! (`alloc.resolve.cache.bound_miss`) and searches again under current
+//! liveness. The settled hops are still a function of the graph and the
+//! replica set, so the cache stays keyed without liveness, and a cache
+//! answer still equals a cold recomputation.
+//!
 //! The entry version is also the plan/commit pipelines' staleness token
 //! (see [`crate::epoch`]), so cached hops and in-flight plans go stale
 //! together: a commit to another dataset — even one in the same shard —
@@ -66,8 +83,12 @@ type Key = (NodeId, DatasetId);
 struct Slot {
     /// Catalog entry version the hops were computed against.
     version: u64,
+    /// The bound the search that filled `hops` settled within: every
+    /// replica at most this far is settled, and every `None` lies beyond
+    /// it or is unreachable.
+    bound: u32,
     /// Hop distance per replica, parallel to the entry's replica list at
-    /// `version` (`None` = socially unreachable).
+    /// `version` (`None` = beyond `bound`, or socially unreachable).
     hops: Box<[Option<u32>]>,
 }
 
@@ -172,24 +193,33 @@ impl ResolveCache {
         out
     }
 
-    /// Run `f` over the cached hops for `key` if they exist *and* were
-    /// computed at `version`; `None` is a miss (absent or stale).
+    /// Run `f` over the cached hops and their bound for `key` if they
+    /// exist *and* were computed at `version`; `None` is a miss (absent
+    /// or stale). Whether the slot decides this request is the caller's
+    /// check (module docs).
     pub(crate) fn with_hops<R>(
         &self,
         key: Key,
         version: u64,
-        f: impl FnOnce(&[Option<u32>]) -> R,
+        f: impl FnOnce(&[Option<u32>], u32) -> R,
     ) -> Option<R> {
         let shard = self.shard(&key).lock();
         match shard.map.get(&key) {
-            Some(slot) if slot.version == version => Some(f(&slot.hops)),
+            Some(slot) if slot.version == version => Some(f(&slot.hops, slot.bound)),
             _ => None,
         }
     }
 
-    /// Insert (or refresh) the hops for `key` at `version`, evicting FIFO
-    /// past the capacity share. No-op when the cache is disabled.
-    pub(crate) fn insert(&self, key: Key, version: u64, hops: Box<[Option<u32>]>) -> InsertOutcome {
+    /// Insert (or refresh) the hops for `key` at `version`, settled within
+    /// `bound`, evicting FIFO past the capacity share. No-op when the
+    /// cache is disabled.
+    pub(crate) fn insert(
+        &self,
+        key: Key,
+        version: u64,
+        bound: u32,
+        hops: Box<[Option<u32>]>,
+    ) -> InsertOutcome {
         let mut outcome = InsertOutcome { evicted: 0 };
         if self.capacity == 0 {
             return outcome;
@@ -198,7 +228,12 @@ impl ResolveCache {
         let mut shard = self.shard(&key).lock();
         // A `Some` return is an in-place version refresh: the FIFO slot
         // pushed at first insert is kept, so no eviction check is needed.
-        let fresh = shard.map.insert(key, Slot { version, hops }).is_none();
+        let slot = Slot {
+            version,
+            bound,
+            hops,
+        };
+        let fresh = shard.map.insert(key, slot).is_none();
         if fresh {
             while shard.map.len() > per_shard {
                 let Some(old) = shard.fifo.pop_front() else {
@@ -245,20 +280,23 @@ mod tests {
     #[test]
     fn hit_requires_matching_version() {
         let c = ResolveCache::new(64);
-        c.insert(key(1, 2), 7, hops(&[Some(1), None]));
+        c.insert(key(1, 2), 7, 1, hops(&[Some(1), None]));
         assert_eq!(
-            c.with_hops(key(1, 2), 7, <[Option<u32>]>::to_vec),
-            Some(vec![Some(1), None])
+            c.with_hops(key(1, 2), 7, |h, bound| (h.to_vec(), bound)),
+            Some((vec![Some(1), None], 1))
         );
-        assert!(c.with_hops(key(1, 2), 8, |_| ()).is_none(), "stale version");
-        assert!(c.with_hops(key(1, 3), 7, |_| ()).is_none(), "absent key");
+        assert!(
+            c.with_hops(key(1, 2), 8, |_, _| ()).is_none(),
+            "stale version"
+        );
+        assert!(c.with_hops(key(1, 3), 7, |_, _| ()).is_none(), "absent key");
     }
 
     #[test]
     fn capacity_zero_disables() {
         let c = ResolveCache::new(0);
-        c.insert(key(1, 1), 1, hops(&[Some(0)]));
-        assert!(c.with_hops(key(1, 1), 1, |_| ()).is_none());
+        c.insert(key(1, 1), 1, u32::MAX, hops(&[Some(0)]));
+        assert!(c.with_hops(key(1, 1), 1, |_, _| ()).is_none());
     }
 
     #[test]
@@ -266,7 +304,7 @@ mod tests {
         let c = ResolveCache::new(SHARDS); // one slot per shard
         let mut evicted = 0;
         for i in 0..64u32 {
-            evicted += c.insert(key(i, 0), 1, hops(&[Some(1)])).evicted;
+            evicted += c.insert(key(i, 0), 1, u32::MAX, hops(&[Some(1)])).evicted;
         }
         assert!(c.len() <= SHARDS, "len {} > {}", c.len(), SHARDS);
         assert!(evicted >= 64 - SHARDS as u64);
@@ -275,11 +313,11 @@ mod tests {
     #[test]
     fn refresh_updates_in_place() {
         let c = ResolveCache::new(64);
-        c.insert(key(4, 4), 1, hops(&[Some(3)]));
-        c.insert(key(4, 4), 2, hops(&[Some(5)]));
+        c.insert(key(4, 4), 1, u32::MAX, hops(&[Some(3)]));
+        c.insert(key(4, 4), 2, u32::MAX, hops(&[Some(5)]));
         assert_eq!(c.len(), 1);
         assert_eq!(
-            c.with_hops(key(4, 4), 2, <[Option<u32>]>::to_vec),
+            c.with_hops(key(4, 4), 2, |h, _| h.to_vec()),
             Some(vec![Some(5)])
         );
     }
@@ -291,7 +329,7 @@ mod tests {
         let b = CsrGraph::from(&g); // structurally identical, new generation
         let c = ResolveCache::new(64);
         c.ensure_graph(&a);
-        c.insert(key(1, 1), 1, hops(&[Some(1)]));
+        c.insert(key(1, 1), 1, u32::MAX, hops(&[Some(1)]));
         c.ensure_graph(&a);
         assert_eq!(c.len(), 1, "same snapshot keeps entries");
         c.ensure_graph(&b);
@@ -316,7 +354,7 @@ mod tests {
         };
         for round in 0..20u32 {
             for d in 0..W {
-                c.insert(key(0, d), 1, hops(&[Some(11)]));
+                c.insert(key(0, d), 1, u32::MAX, hops(&[Some(11)]));
             }
             check(&c);
             let mut delta = GraphDelta::new();
@@ -343,17 +381,17 @@ mod tests {
         let [a, b, third] = [0, 1, 2].map(|i| key(0, i * SHARDS as u32));
         assert!(std::ptr::eq(c.shard(&a), c.shard(&b)));
         assert!(std::ptr::eq(c.shard(&a), c.shard(&third)));
-        c.insert(a, 1, hops(&[Some(11)]));
+        c.insert(a, 1, u32::MAX, hops(&[Some(11)]));
         let mut delta = GraphDelta::new();
         delta.remove_edge(NodeId(5), NodeId(6));
         let new = old.apply_delta(&delta);
         assert_eq!(c.apply_delta(&old, &new).evicted, 1);
-        c.insert(b, 1, hops(&[Some(5)]));
-        c.insert(a, 1, hops(&[Some(5)]));
-        assert_eq!(c.insert(third, 1, hops(&[Some(5)])).evicted, 1);
-        assert!(c.with_hops(b, 1, |_| ()).is_none(), "oldest goes first");
-        assert!(c.with_hops(a, 1, |_| ()).is_some());
-        assert!(c.with_hops(third, 1, |_| ()).is_some());
+        c.insert(b, 1, u32::MAX, hops(&[Some(5)]));
+        c.insert(a, 1, u32::MAX, hops(&[Some(5)]));
+        assert_eq!(c.insert(third, 1, u32::MAX, hops(&[Some(5)])).evicted, 1);
+        assert!(c.with_hops(b, 1, |_, _| ()).is_none(), "oldest goes first");
+        assert!(c.with_hops(a, 1, |_, _| ()).is_some());
+        assert!(c.with_hops(third, 1, |_, _| ()).is_some());
         check(&c);
     }
 
@@ -363,8 +401,8 @@ mod tests {
         let old = CsrGraph::from(&g);
         let c = ResolveCache::new(64);
         c.ensure_graph(&old);
-        c.insert(key(0, 1), 1, hops(&[Some(5)]));
-        c.insert(key(3, 2), 1, hops(&[Some(2), None]));
+        c.insert(key(0, 1), 1, u32::MAX, hops(&[Some(5)]));
+        c.insert(key(3, 2), 1, u32::MAX, hops(&[Some(2), None]));
 
         let mut d = GraphDelta::new();
         d.add_edge(NodeId(2), NodeId(3), 9); // reinforce an existing edge
@@ -383,7 +421,7 @@ mod tests {
         let b = CsrGraph::from(&g);
         let c = ResolveCache::new(64);
         c.ensure_graph(&a);
-        c.insert(key(0, 1), 1, hops(&[Some(1)]));
+        c.insert(key(0, 1), 1, u32::MAX, hops(&[Some(1)]));
         let mut d = GraphDelta::new();
         d.add_edge(NodeId(0), NodeId(4), 1);
         let new = b.apply_delta(&d); // delta over a snapshot we never saw

@@ -13,14 +13,16 @@
 //! control-plane hot path — is read-mostly, allocation-free, and after
 //! the snapshot load entirely lock-free on the catalog:
 //!
-//! * [`resolve_csr`](AllocationServer::resolve_csr) runs a bounded
-//!   multi-target meet-in-the-middle search on a frozen CSR graph through
-//!   a pooled [`TraversalScratch`], visiting two small neighborhoods per
-//!   far replica instead of the graph;
-//! * hop distances are memoized in a version-keyed `ResolveCache` —
-//!   catalog writes bump the entry version, which invalidates stale hops
-//!   without touching the cache, so commits to *other* datasets — even
-//!   same-shard ones — retain every cached hop table;
+//! * [`resolve_csr`](AllocationServer::resolve_csr) runs a
+//!   meet-in-the-middle search on a frozen CSR graph through a pooled
+//!   [`TraversalScratch`] that settles only the nearest online replica
+//!   and the replicas at its distance, visiting a level or two past a
+//!   near hub instead of the graph;
+//! * hop distances are memoized with the search's bound in a
+//!   version-keyed `ResolveCache` — catalog writes bump the entry
+//!   version, which invalidates stale hops without touching the cache,
+//!   so commits to *other* datasets — even same-shard ones — retain
+//!   every cached hop table;
 //! * demand hit/miss accounting uses sharded atomic [`Counter`]s shared
 //!   across entry versions, so resolution never publishes anything;
 //! * [`resolve_batch`](AllocationServer::resolve_batch) loads one
@@ -44,7 +46,7 @@ use scdn_social::author::AuthorId;
 use scdn_storage::coding::CodingSpec;
 use scdn_storage::object::DatasetId;
 
-use crate::discovery::{rank_key, Candidate, Selection};
+use crate::discovery::{select_from_hops, Selection};
 use crate::epoch::{
     shard_index, CatalogSnapshot, CodedInventory, DemandState, EntryState, Published, RepoRecord,
     RepoTable, ShardSnapshot, DEFAULT_CATALOG_SHARDS,
@@ -73,11 +75,20 @@ pub struct AllocMetrics {
     pub cache_hits: Counter,
     /// Resolutions that had to run the multi-target search.
     pub cache_misses: Counter,
+    /// Cached slots at the entry's current version that could not decide
+    /// the request: the best replica online now lies beyond the bound the
+    /// slot was searched under, so the lookup searched again (each is
+    /// also one of `cache_misses`).
+    pub cache_bound_misses: Counter,
     /// Graph nodes visited by those searches, forward and backward
     /// regions together (`TraversalScratch::last_visited`, added per
     /// miss): divided by `cache_misses` it says whether a slow miss was
     /// slow in the graph.
     pub bfs_visited: Counter,
+    /// Replicas those searches left unsettled, added per miss: each lies
+    /// beyond the nearest online replica (or is unreachable), so its
+    /// distance was never computed.
+    pub targets_beyond_bound: Counter,
     /// Cache entries evicted by the capacity bound or by a
     /// distance-changing graph delta.
     pub cache_evictions: Counter,
@@ -103,7 +114,9 @@ impl AllocMetrics {
             demand_misses: reg.counter("alloc.demand.misses"),
             cache_hits: reg.counter("alloc.resolve.cache.hit"),
             cache_misses: reg.counter("alloc.resolve.cache.miss"),
+            cache_bound_misses: reg.counter("alloc.resolve.cache.bound_miss"),
             bfs_visited: reg.counter("alloc.resolve.bfs.visited"),
+            targets_beyond_bound: reg.counter("alloc.resolve.bfs.targets_beyond_bound"),
             cache_evictions: reg.counter("alloc.resolve.cache.evict"),
             cache_retained: reg.counter("alloc.resolve.cache.retained"),
             rebalance_datasets: reg.counter("alloc.rebalance.datasets"),
@@ -700,13 +713,14 @@ impl AllocationServer {
     /// entry's atomic counters and never takes a catalog lock across the
     /// work.
     ///
-    /// Hop distances come from the version-keyed cache when fresh;
-    /// otherwise one bounded multi-target search (forward from the
-    /// requester, backward from each replica, stopping where they meet;
-    /// pooled scratch, no per-request allocation proportional to the
-    /// graph) recomputes and caches them. While the default `u32::MAX`
-    /// hop budget is in effect the selection equals ranking the replicas
-    /// by a full BFS from the requester.
+    /// Hop distances come from the version-keyed cache when its slot
+    /// decides the winner under this call's `online`; otherwise one
+    /// nearest-target search (forward from the requester, backward from
+    /// each replica, highest degree first, stopping at the nearest online
+    /// replica's distance; pooled scratch, no per-request allocation
+    /// proportional to the graph) recomputes and caches them with their
+    /// bound. The selection equals ranking the replicas by a full BFS
+    /// from the requester.
     ///
     /// The cache assumes `csr` is the announced snapshot: passing a graph
     /// with an unannounced [`CsrGraph::generation`] flushes it wholesale,
@@ -818,27 +832,45 @@ impl AllocationServer {
         };
         let version = Some(entry.version);
         let key = (requester, dataset);
-        let cached = self.cache.with_hops(key, entry.version, |hops| {
-            Self::select_online(repos, &entry.replicas, hops, &online, &latency_ms)
+        let replicas = &entry.replicas;
+        let rank = |hops: &[Option<u32>]| {
+            select_from_hops(
+                replicas.len(),
+                |i| online(replicas[i]).then(|| (replicas[i], hops.get(i).copied().flatten())),
+                |i| {
+                    let availability = repos.get(&replicas[i]).map_or(0.0, |r| r.availability());
+                    (latency_ms(replicas[i]), availability)
+                },
+            )
+        };
+        let cached = self.cache.with_hops(key, entry.version, |hops, bound| {
+            let sel = rank(hops);
+            // Decided iff no replica is online or the winner lies within
+            // the bound: every replica that could beat it was settled.
+            let decided = sel.is_none_or(|s| s.social_hops.unwrap_or(u32::MAX) <= bound);
+            (sel, decided)
         });
         let sel = match cached {
-            Some(sel) => {
+            Some((sel, true)) => {
                 self.metrics.cache_hits.inc();
                 sel
             }
-            None => {
+            undecided => {
+                if undecided.is_some() {
+                    self.metrics.cache_bound_misses.inc();
+                }
                 self.metrics.cache_misses.inc();
                 let mut scratch = self.scratch_pool.lock().pop().unwrap_or_default();
-                // Unbounded: exact full-BFS distances.
-                scratch.bfs_to_targets(csr, requester, &entry.replicas, u32::MAX);
+                // Unbounded budget: the bound is the nearest online
+                // replica's distance, and hop counts are full-BFS exact.
+                let bound = scratch.bfs_to_nearest(csr, requester, replicas, u32::MAX, &online);
                 self.metrics.bfs_visited.add(scratch.last_visited() as u64);
-                let hops: Box<[Option<u32>]> = entry
-                    .replicas
-                    .iter()
-                    .map(|&r| scratch.target_hops(r))
-                    .collect();
-                let sel = Self::select_online(repos, &entry.replicas, &hops, &online, &latency_ms);
-                let outcome = self.cache.insert(key, entry.version, hops);
+                let hops: Box<[Option<u32>]> =
+                    replicas.iter().map(|&r| scratch.target_hops(r)).collect();
+                let unsettled = hops.iter().filter(|h| h.is_none()).count();
+                self.metrics.targets_beyond_bound.add(unsettled as u64);
+                let sel = rank(&hops);
+                let outcome = self.cache.insert(key, entry.version, bound, hops);
                 self.metrics.cache_evictions.add(outcome.evicted);
                 self.scratch_pool.lock().push(scratch);
                 sel
@@ -855,47 +887,6 @@ impl AllocationServer {
             self.record_demand(&entry.demand, sel.social_hops);
         }
         (Ok(sel), version)
-    }
-
-    /// Ranking loop shared by the cached and freshly-traversed paths:
-    /// best online replica by (hops, latency, availability, id), exactly
-    /// [`select_replica`](crate::discovery::select_replica)'s order.
-    /// `hops` is parallel to `replicas`.
-    fn select_online(
-        repositories: &RepoTable,
-        replicas: &[NodeId],
-        hops: &[Option<u32>],
-        online: &impl Fn(NodeId) -> bool,
-        latency_ms: &impl Fn(NodeId) -> f64,
-    ) -> Option<Selection> {
-        let mut best: Option<(Selection, (u32, u64, u64, u32))> = None;
-        for (i, &n) in replicas.iter().enumerate() {
-            if !online(n) {
-                continue;
-            }
-            let c = Candidate {
-                node: n,
-                online: true,
-                latency_ms: latency_ms(n),
-                availability: repositories
-                    .get(&n)
-                    .map(|r| r.availability())
-                    .unwrap_or(0.0),
-            };
-            let h = hops.get(i).copied().flatten();
-            let key = rank_key(h, &c);
-            if best.as_ref().is_none_or(|(_, bk)| key < *bk) {
-                best = Some((
-                    Selection {
-                        node: n,
-                        social_hops: h,
-                        latency_ms: c.latency_ms,
-                    },
-                    key,
-                ));
-            }
-        }
-        best.map(|(sel, _)| sel)
     }
 
     /// Resolve a batch of `(dataset, requester)` requests in parallel
@@ -1038,7 +1029,7 @@ impl AllocationServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::discovery::select_replica_full_bfs;
+    use crate::discovery::{select_replica_full_bfs, Candidate};
     use crate::placement::PlacementAlgorithm;
     use crate::replication::ReplicationPolicy;
 

@@ -273,20 +273,7 @@ proptest! {
         requesters in proptest::collection::vec(0u32..40, 1..5),
     ) {
         let n = g.node_count() as u32;
-        let srv = AllocationServer::new();
-        for v in g.nodes() {
-            srv.register_repository(RepositoryInfo {
-                node: v,
-                owner: AuthorId(v.0),
-                capacity: 1,
-                availability: (v.0 % 7) as f64 / 7.0,
-            });
-        }
-        let primary = NodeId(replicas[0] % n);
-        srv.register_dataset(DatasetId(0), 1, primary).expect("ok");
-        for &r in &replicas[1..] {
-            let _ = srv.add_replica(DatasetId(0), NodeId(r % n));
-        }
+        let srv = server_with_dataset(&g, &replicas);
         let online = |v: NodeId| !v.0.is_multiple_of(offline_mod);
         let latency = |v: NodeId| (v.0 % 13) as f64 - 3.0;
         let candidates: Vec<Candidate> = srv
@@ -318,6 +305,100 @@ proptest! {
             }
         }
     }
+}
+
+/// A server over `g` with every node a repository and dataset 0 on
+/// `replicas` (reduced modulo the node count; the first is the primary).
+fn server_with_dataset(g: &CsrGraph, replicas: &[u32]) -> AllocationServer {
+    let n = g.node_count() as u32;
+    let srv = AllocationServer::new();
+    srv.register_repositories(g.nodes().map(|v| RepositoryInfo {
+        node: v,
+        owner: AuthorId(v.0),
+        capacity: 1,
+        availability: (v.0 % 7) as f64 / 7.0,
+    }));
+    srv.register_dataset(DatasetId(0), 1, NodeId(replicas[0] % n))
+        .expect("ok");
+    for &r in &replicas[1..] {
+        let _ = srv.add_replica(DatasetId(0), NodeId(r % n));
+    }
+    srv
+}
+
+proptest! {
+    /// A slot filled under one liveness mask answers a request under
+    /// another exactly as a cold resolve on a fresh server does: the
+    /// second mask may take offline the replica whose distance bounded
+    /// the first search, and then the slot must not answer.
+    #[test]
+    fn cached_slot_under_a_new_mask_matches_a_cold_resolve(
+        g in arb_graph(),
+        replicas in proptest::collection::vec(0u32..40, 1..6),
+        masks in (any::<u64>(), any::<u64>()),
+        requesters in proptest::collection::vec(0u32..40, 1..5),
+    ) {
+        let n = g.node_count() as u32;
+        let warm = server_with_dataset(&g, &replicas);
+        let [a, b] = [masks.0, masks.1].map(|m| move |v: NodeId| m >> (v.0 % 64) & 1 == 1);
+        let latency = |v: NodeId| (v.0 % 13) as f64 - 3.0;
+        for &req in &requesters {
+            let req = NodeId(req % n);
+            let _ = warm.resolve_csr(DatasetId(0), req, &g, a, latency);
+            let got = warm.resolve_csr(DatasetId(0), req, &g, b, latency);
+            let cold = server_with_dataset(&g, &replicas)
+                .resolve_csr(DatasetId(0), req, &g, b, latency);
+            prop_assert_eq!(got, cold, "requester {:?}", req);
+        }
+    }
+}
+
+/// The replica that bounded a search goes offline. Node 1 (degree 3) is
+/// one hop from requester 0 and is settled first, so it bounds the search
+/// at 1 and node 2 (degree 1), two hops away behind node 5, is left
+/// unsettled. With node 1 offline the slot cannot decide — its one online
+/// replica was never settled — so the lookup searches again and finds
+/// node 2 at two hops, as a cold server does.
+#[test]
+fn bound_setter_going_offline_forces_a_fresh_search() {
+    let g = CsrGraph::from(&Graph::from_edges(
+        6,
+        [(0, 1, 1), (1, 3, 1), (1, 4, 1), (0, 5, 1), (5, 2, 1)],
+    ));
+    let all = |_: NodeId| true;
+    let without_1 = |v: NodeId| v != NodeId(1);
+    let latency = |_: NodeId| 1.0;
+    let srv = server_with_dataset(&g, &[2, 1]);
+    let first = srv
+        .resolve_csr(DatasetId(0), NodeId(0), &g, all, latency)
+        .expect("resolves");
+    assert_eq!((first.node, first.social_hops), (NodeId(1), Some(1)));
+    assert_eq!(
+        srv.metrics().targets_beyond_bound.get(),
+        1,
+        "node 2 unsettled"
+    );
+
+    let after = srv.resolve_csr(DatasetId(0), NodeId(0), &g, without_1, latency);
+    let cold = server_with_dataset(&g, &[2, 1]).resolve_csr(
+        DatasetId(0),
+        NodeId(0),
+        &g,
+        without_1,
+        latency,
+    );
+    assert_eq!(after, cold);
+    let after = after.expect("node 2 is online");
+    assert_eq!((after.node, after.social_hops), (NodeId(2), Some(2)));
+    assert_eq!(srv.metrics().cache_bound_misses.get(), 1);
+    assert_eq!(srv.metrics().cache_misses.get(), 2);
+
+    // The refreshed slot (bound 2) decides the first mask again: a hit.
+    let again = srv
+        .resolve_csr(DatasetId(0), NodeId(0), &g, all, latency)
+        .expect("resolves");
+    assert_eq!(again, first);
+    assert_eq!(srv.metrics().cache_hits.get(), 1);
 }
 
 /// Migrating a replica bumps the catalog-entry version, so the next

@@ -1,7 +1,7 @@
 //! Criterion benches on the frozen CSR graph: the chunked copy-on-write
 //! `apply_delta` at fixed touch fractions on a 100k-node graph, the
-//! meet-in-the-middle `bfs_to_targets` resolve kernel against a full BFS
-//! at 10k/40k/100k nodes and 1–32 targets, and a chunk-size sweep
+//! nearest-target `bfs_to_targets` resolve kernel against a full BFS at
+//! 10k/40k/100k nodes and 1–32 targets, and a chunk-size sweep
 //! (`csr/chunk-rows/*`) that prices the read and write paths at
 //! {8, 64, 512, 4096} rows per chunk independently of
 //! `DEFAULT_CHUNK_ROWS`.
@@ -77,8 +77,9 @@ fn apply_delta_touch_fractions(c: &mut Criterion) {
     group.finish();
 }
 
-/// `bfs_to_targets` per call against the full `TraversalScratch::bfs` a
-/// one-sided search degenerates to when one target is far. Two target
+/// `bfs_to_targets` per call — which settles the nearest target and every
+/// target at its distance — against the full `TraversalScratch::bfs` a
+/// one-sided search degenerates to when the nearest target is far. Two target
 /// mixes: `hub+leaf` is the resolve shape (replicas on the two top-degree
 /// members plus random owners), `all-leaf` is every target a random
 /// member — the mix where one backward search per target has the least
@@ -150,8 +151,10 @@ const CHUNK_SWEEP: [usize; 4] = [8, 64, 512, 4096];
 /// The read and write shapes the chunk size trades against each other,
 /// one group per shape with one point per chunk size:
 /// - `bfs-to-targets-40k`: one `bfs_to_targets` call on a 40k-node BA
-///   graph with 3 targets (the two top-degree hubs plus a random leaf —
-///   the resolve shape), cycling through 64 fixed queries;
+///   graph with 3 targets — the two top-degree hubs plus a random owner,
+///   the `NodeDegree` layout the benchmark's `resolve_cold` workload
+///   resolves against — cycling through 64 fixed queries, with the nodes
+///   visited per call printed once per size;
 /// - `betweenness-10k`: full Brandes betweenness on a 10k-node BA graph;
 /// - `apply-delta-20k-32ops`: one 32-op edge-add delta on a 20k-node BA
 ///   graph (the `churn_maintain` delta size), with the bytes it copies
@@ -170,6 +173,17 @@ fn chunk_rows_sweep(c: &mut Criterion) {
             .map(|_| (member(), [by_degree[0], by_degree[1], member()]))
             .collect();
         let mut scratch = TraversalScratch::new();
+        let visited: usize = queries
+            .iter()
+            .map(|(src, targets)| {
+                scratch.bfs_to_targets(&csr, *src, targets, u32::MAX);
+                scratch.last_visited()
+            })
+            .sum();
+        eprintln!(
+            "chunk-rows {rows}: {} nodes visited per call",
+            visited / QUERIES
+        );
         let mut next = 0usize;
         group.bench_function(format!("{rows}"), |b| {
             b.iter(|| {

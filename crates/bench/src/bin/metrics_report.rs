@@ -17,7 +17,9 @@
 //! JSON document. `--check` does the same run, then validates both the
 //! in-memory snapshot and the JSON round-trip — any NaN, negative counter,
 //! mis-ordered quantile, resolve miss that reported no search work
-//! (`alloc.resolve.bfs.visited`), or ranking-cache miss that left no
+//! (`alloc.resolve.bfs.visited`), bound miss outnumbering misses, missing
+//! `alloc.resolve.bfs.targets_beyond_bound`, request re-plan causes that
+//! do not sum to `core.batch.replans`, or ranking-cache miss that left no
 //! recompute time (`core.maintain.ranking_recompute_ms`) exits non-zero.
 //! CI uses `--check` as a schema gate.
 
@@ -77,6 +79,31 @@ fn check() -> ExitCode {
         other => violations.push(format!(
             "snapshot: alloc.resolve.bfs.visited is {other:?} after {misses} resolve misses"
         )),
+    }
+    // A bound miss is one kind of miss.
+    let bound_misses = snap.counter("alloc.resolve.cache.bound_miss");
+    if bound_misses.is_none_or(|b| b > misses) {
+        violations.push(format!(
+            "snapshot: alloc.resolve.cache.bound_miss is {bound_misses:?} after {misses} \
+             resolve misses"
+        ));
+    }
+    if snap
+        .counter("alloc.resolve.bfs.targets_beyond_bound")
+        .is_none()
+    {
+        violations.push("snapshot: alloc.resolve.bfs.targets_beyond_bound is missing".into());
+    }
+    // Every request re-plan is counted under exactly one cause.
+    let replans = snap.counter("core.batch.replans");
+    let causes: Option<u64> = ["entry", "repo_epoch", "clock", "session"]
+        .iter()
+        .map(|cause| snap.counter(&format!("core.batch.replan.{cause}")))
+        .sum();
+    if replans.is_none() || causes != replans {
+        violations.push(format!(
+            "snapshot: core.batch.replan.* sums to {causes:?}, core.batch.replans is {replans:?}"
+        ));
     }
     // Every ranking-cache miss is a full placement recompute and must
     // leave its wall time behind.

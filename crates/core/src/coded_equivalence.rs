@@ -912,6 +912,7 @@ fn coded_commit_that_moves_the_clock_replans_the_next() {
     assert!(batched.now() > before, "the first race moved the clock");
     let snap = batched.observability_snapshot();
     assert_eq!(snap.counter("core.batch.replans"), Some(1));
+    assert_eq!(snap.counter("core.batch.replan.clock"), Some(1));
     assert_eq!(snap.counter("core.coded.blocks_landed"), Some(6));
 
     let serial_out: Vec<_> = reqs.iter().map(|&(n, d)| serial.request(n, d)).collect();

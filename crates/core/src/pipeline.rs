@@ -40,6 +40,10 @@
 //! the resolution, trace prefix, verified payloads and retry chains stand,
 //! and only the quota walk re-runs. A coded plan reads only the catalog
 //! entry and the clock, so it is stale exactly when a resolution is.
+//! Every re-plan counts in `core.batch.replans` and, under the first
+//! trigger that fired, in `core.batch.replan.{entry,repo_epoch,clock,
+//! session}` — `session` when the plan's authentication preview failed
+//! but the authoritative check passed.
 //!
 //! **Determinism.** Every plan is a pure function of the snapshot it read,
 //! every effect applies at commit in submission order, and every input a
@@ -179,7 +183,25 @@ enum Staleness {
     /// walk does not.
     Destination,
     /// The resolution itself may differ: re-plan from live state.
-    Full,
+    Full(ReplanCause),
+}
+
+/// Why a commit re-planned, by the first trigger that fired in this
+/// order; indexes `Scdn::batch_replan_causes`
+/// (`core.batch.replan.{entry,repo_epoch,clock,session}`).
+#[derive(Clone, Copy)]
+enum ReplanCause {
+    /// The catalog entry the plan read has a new version.
+    Entry = 0,
+    /// The requester's repository was written (a partial re-plan), or a
+    /// commit-side store into it failed.
+    RepoEpoch = 1,
+    /// The clock moved under periodic availability or a trust-windowed
+    /// policy.
+    Clock = 2,
+    /// The plan's authentication preview failed but the authoritative
+    /// check passed.
+    Session = 3,
 }
 
 /// A fully planned request: pure output of the parallel phase.
@@ -626,37 +648,38 @@ impl Scdn {
             .is_some_and(|m| m.policy.trust.is_some())
     }
 
-    /// `true` if the snapshot a resolution-bearing plan was computed
-    /// against no longer matches committed state: the catalog entry the
-    /// resolution read has a new version, or a time-dependent input moved
-    /// with the clock.
-    fn resolution_stale(&self, plan: &RequestPlan, clock_moved: bool) -> bool {
-        self.alloc.catalog_version(plan.dataset) != plan.version
-            || (clock_moved
-                && (matches!(self.availability, Availability::Periodic(_))
-                    || self.policy_is_time_dependent(plan.dataset)))
+    /// Why the snapshot a resolution-bearing plan was computed against no
+    /// longer matches committed state, if it does not: the catalog entry
+    /// the resolution read has a new version, or a time-dependent input
+    /// moved with the clock.
+    fn resolution_stale(&self, plan: &RequestPlan, clock_moved: bool) -> Option<ReplanCause> {
+        if self.alloc.catalog_version(plan.dataset) != plan.version {
+            Some(ReplanCause::Entry)
+        } else if clock_moved
+            && (matches!(self.availability, Availability::Periodic(_))
+                || self.policy_is_time_dependent(plan.dataset))
+        {
+            Some(ReplanCause::Clock)
+        } else {
+            None
+        }
     }
 
     /// Decide what an earlier commit invalidated of `plan`.
     fn staleness(&self, plan: &RequestPlan, planned_clock: SimTime) -> Staleness {
         let clock_moved = self.clock != planned_clock;
-        let full_if = |stale| {
-            if stale {
-                Staleness::Full
-            } else {
-                Staleness::Fresh
-            }
-        };
+        let full_if = |cause: Option<ReplanCause>| cause.map_or(Staleness::Fresh, Staleness::Full);
         match &plan.body {
             // Node membership and the dataset policy table are immutable
             // within a batch.
             PlanBody::UnknownNode | PlanBody::UnknownDataset => Staleness::Fresh,
             // Only asked once the authoritative check has passed: the
             // preview's refusal holds nothing to keep.
-            PlanBody::AuthFailed(_) => Staleness::Full,
-            PlanBody::AccessDenied { .. } => {
-                full_if(clock_moved && self.policy_is_time_dependent(plan.dataset))
-            }
+            PlanBody::AuthFailed(_) => Staleness::Full(ReplanCause::Session),
+            PlanBody::AccessDenied { .. } => full_if(
+                (clock_moved && self.policy_is_time_dependent(plan.dataset))
+                    .then_some(ReplanCause::Clock),
+            ),
             // A coded plan reads the block inventory (its entry version)
             // and donor liveness (the clock); the race reads the rest live.
             PlanBody::ResolveFailed { .. }
@@ -669,8 +692,8 @@ impl Scdn {
             // only through a catalog operation on it, which the entry
             // version already covers.
             PlanBody::TransferFailed { .. } | PlanBody::Served { .. } => {
-                if self.resolution_stale(plan, clock_moved) {
-                    Staleness::Full
+                if let Some(cause) = self.resolution_stale(plan, clock_moved) {
+                    Staleness::Full(cause)
                 } else if self.repo_epochs[plan.node.index()] != plan.repo_epoch {
                     Staleness::Destination
                 } else {
@@ -703,6 +726,12 @@ impl Scdn {
                 peer,
             );
         }
+    }
+
+    /// Count one re-plan under its cause.
+    fn count_batch_replan(&self, cause: ReplanCause) {
+        self.batch_replans.inc();
+        self.batch_replan_causes[cause as usize].inc();
     }
 
     /// Commit one plan: authoritative auth, staleness check (re-plan if an
@@ -740,11 +769,11 @@ impl Scdn {
         let mut plan = match self.staleness(&plan, planned_clock) {
             Staleness::Fresh => plan,
             Staleness::Destination => {
-                self.batch_replans.inc();
+                self.count_batch_replan(ReplanCause::RepoEpoch);
                 self.replan_destination(plan)
             }
-            Staleness::Full => {
-                self.batch_replans.inc();
+            Staleness::Full(cause) => {
+                self.count_batch_replan(cause);
                 self.plan_live(node, dataset, Ok(user))
             }
         };
@@ -769,7 +798,7 @@ impl Scdn {
                         return Err(ScdnError::Transfer(TransferError::Destination(repo_err)));
                     }
                     tb = builder;
-                    self.batch_replans.inc();
+                    self.count_batch_replan(ReplanCause::RepoEpoch);
                     plan = self.plan_live(node, dataset, Ok(user));
                 }
             }

@@ -290,8 +290,12 @@ pub struct Scdn {
     /// Latest sampled online fraction (`core.online_fraction`).
     online_fraction: Gauge,
     /// Commits that had to re-plan because an earlier commit in the same
-    /// batch invalidated their snapshot (`core.batch.replans`).
+    /// batch invalidated their snapshot (`core.batch.replans`), the total
+    /// of the four cause counters
+    /// `core.batch.replan.{entry,repo_epoch,clock,session}` (indexed by
+    /// the pipeline's `ReplanCause`).
     batch_replans: Counter,
+    batch_replan_causes: [Counter; 4],
     /// Per-node repository mutation epochs: bumped whenever a commit
     /// mutates a node's repository contents (stores after a remote
     /// serve, grow-plan stores, shrink evictions). Plans record the
@@ -598,6 +602,8 @@ impl Scdn {
         let att_corrupted = registry.counter("net.attempts.corrupted");
         let online_fraction = registry.gauge("core.online_fraction");
         let batch_replans = registry.counter("core.batch.replans");
+        let batch_replan_causes = ["entry", "repo_epoch", "clock", "session"]
+            .map(|cause| registry.counter(&format!("core.batch.replan.{cause}")));
         let batch_snapshot_reuse = registry.counter("core.batch.snapshot_reuse");
         let maintain_snapshot_reuse = registry.counter("core.maintain.snapshot_reuse");
         let maintain_planned = registry.counter("core.maintain.planned");
@@ -655,6 +661,7 @@ impl Scdn {
             att_corrupted,
             online_fraction,
             batch_replans,
+            batch_replan_causes,
             repo_epochs: vec![0; n],
             batch_snapshot_reuse,
             maintain_snapshot_reuse,

@@ -211,6 +211,18 @@ fn comparable_snapshot(scdn: &Scdn) -> String {
         .join("\n")
 }
 
+/// `core.batch.replans` and its split by cause, `[entry, repo_epoch,
+/// clock, session]`, after checking that the split sums to the total.
+fn replans_by_cause(scdn: &Scdn) -> (u64, [u64; 4]) {
+    let snap = scdn.observability_snapshot();
+    let count = |name: &str| snap.counter(name).expect("registered at build");
+    let causes = ["entry", "repo_epoch", "clock", "session"]
+        .map(|cause| count(&format!("core.batch.replan.{cause}")));
+    let total = count("core.batch.replans");
+    assert_eq!(causes.iter().sum::<u64>(), total, "causes {causes:?}");
+    (total, causes)
+}
+
 /// Trace structure without wall-clock span durations (which measure host
 /// time, not simulation state).
 fn trace_shapes(scdn: &Scdn) -> Vec<String> {
@@ -251,11 +263,9 @@ fn second_delivery_refused_after_first_commits() {
         other => panic!("expected a quota refusal, got {other:?}"),
     }
     assert_eq!(
-        batched
-            .observability_snapshot()
-            .counter("core.batch.replans"),
-        Some(1),
-        "the refusal must come from the commit-side re-plan"
+        replans_by_cause(&batched),
+        (1, [0, 1, 0, 0]),
+        "the refusal must come from the commit-side re-plan, on the repository epoch"
     );
     assert_eq!(
         batched
@@ -309,9 +319,9 @@ fn build_same_shard_system() -> (Scdn, DatasetId, DatasetId) {
 /// A batch of two requests on [`build_same_shard_system`]: the first,
 /// for `a`, is served remotely and promoted into its requester's replica
 /// partition, so `a`'s entry gets a new version and the shared shard
-/// republishes mid-batch. Returns the batch's re-plan count after
+/// republishes mid-batch. Returns the batch's re-plans by cause after
 /// requiring the batch to equal the serial loop.
-fn promote_a_then_request(second: fn(DatasetId, DatasetId) -> DatasetId) -> u64 {
+fn promote_a_then_request(second: fn(DatasetId, DatasetId) -> DatasetId) -> (u64, [u64; 4]) {
     let (mut batched, a, b) = build_same_shard_system();
     let (mut serial, _, _) = build_same_shard_system();
     let last = batched.member_count() as u32 - 1;
@@ -338,10 +348,7 @@ fn promote_a_then_request(second: fn(DatasetId, DatasetId) -> DatasetId) -> u64 
     assert_eq!(serial.now(), batched.now());
     assert_eq!(comparable_snapshot(&serial), comparable_snapshot(&batched));
     assert_eq!(trace_shapes(&serial), trace_shapes(&batched));
-    batched
-        .observability_snapshot()
-        .counter("core.batch.replans")
-        .expect("registered at build")
+    replans_by_cause(&batched)
 }
 
 /// Staleness is judged per catalog entry, not per shard: promoting `a`
@@ -349,14 +356,14 @@ fn promote_a_then_request(second: fn(DatasetId, DatasetId) -> DatasetId) -> u64 
 /// entries live in the shard that republished.
 #[test]
 fn promotion_of_one_dataset_leaves_a_same_shard_plan_fresh() {
-    assert_eq!(promote_a_then_request(|_, b| b), 0);
+    assert_eq!(promote_a_then_request(|_, b| b), (0, [0; 4]));
 }
 
 /// The twin: a second plan for `a` itself read the entry the promotion
 /// changed, and re-plans.
 #[test]
 fn promotion_of_a_dataset_replans_a_second_request_for_it() {
-    assert_eq!(promote_a_then_request(|a, _| a), 1);
+    assert_eq!(promote_a_then_request(|a, _| a), (1, [1, 0, 0, 0]));
 }
 
 /// Always-reliable fabric under periodic churn (duty 0.6), one public
@@ -447,12 +454,8 @@ fn replica_going_dark_mid_batch_is_replanned_at_the_live_clock() {
             "planned-clock liveness leaked into the re-plan"
         );
     }
-    assert!(
-        batched
-            .observability_snapshot()
-            .counter("core.batch.replans")
-            > Some(0)
-    );
+    let (_, [_, _, clock, _]) = replans_by_cause(&batched);
+    assert!(clock > 0, "the clock moved under periodic availability");
 
     let serial_out: Vec<_> = reqs.iter().map(|&(n, d)| serial.request(n, d)).collect();
     assert_eq!(format!("{out:?}"), format!("{serial_out:?}"));
@@ -537,6 +540,7 @@ proptest! {
             Some(0),
             "an honest copy was refused"
         );
+        replans_by_cause(&batched);
     }
 
     #[test]
@@ -575,5 +579,6 @@ proptest! {
             Some(0),
             "an honest copy was refused"
         );
+        replans_by_cause(&batched);
     }
 }

@@ -669,6 +669,10 @@ pub struct TraversalScratch {
     stamp: Vec<u32>,
     /// Epoch stamp marking the current call's target set (deduplication).
     target_stamp: Vec<u32>,
+    /// The current call's distinct in-range targets as `(degree, id)`,
+    /// in settling order (highest degree first). Kept between calls, so
+    /// a search allocates nothing once it has seen its largest target set.
+    by_degree: Vec<(u32, u32)>,
     /// Hop distance from the source per node, valid iff `stamp[v] == epoch`.
     hops: Vec<u32>,
     /// Backward stamp per node: inside the *current target's* backward
@@ -692,6 +696,15 @@ pub struct TraversalScratch {
     back_epoch: u32,
     /// Nodes discovered by the last multi-target search, both directions.
     last_visited: usize,
+}
+
+/// The forward side of one nearest-target search, shared by all its
+/// targets: the frontier is `queue[start..]`, all at `depth`, and `cost`
+/// is the number of half-edges expanding it would scan.
+struct Frontier {
+    start: usize,
+    depth: u32,
+    cost: usize,
 }
 
 impl TraversalScratch {
@@ -825,38 +838,10 @@ impl TraversalScratch {
         self.back_queue.clear();
     }
 
-    /// Hop distances from `src` to every node in `targets`, by
-    /// meet-in-the-middle search: one forward BFS from `src`, shared by
-    /// all targets of the call, and one backward BFS per target that is
-    /// not already inside the forward region. Both grow a whole level at
-    /// a time, always on the side whose frontier has fewer edges to scan,
-    /// and a target is settled at the first level on which the two
-    /// regions touch. Returns the number of distinct in-range targets
-    /// within `max_hops` of `src`.
-    ///
-    /// Distances are exact. While the forward region `F` (every node
-    /// within `df` hops of `src`) and the backward region `B` (every node
-    /// within `db` hops of the target) are disjoint, the distance exceeds
-    /// `df + db` — a shorter path would have a node in both. Growing
-    /// either side by one full level and finding the regions touch
-    /// therefore pins the distance to exactly `df + db` (depths after the
-    /// growth). Neither side grows once `df + db == max_hops`, so a target
-    /// is reported iff it lies within the budget; with
-    /// `max_hops == u32::MAX` the reached/unreached verdict matches a
-    /// full BFS, and an emptied frontier on either side proves the target
-    /// unreachable without exhausting the other side's component.
-    ///
-    /// A far target costs two half-radius balls instead of one
-    /// full-radius ball, which on a small-world graph is the difference
-    /// between a few hundred nodes and nearly all of them
-    /// ([`last_visited`](TraversalScratch::last_visited) reports the
-    /// count). All marks are epoch-stamped, so back-to-back calls pay
-    /// O(visited) with no clearing or allocation. Out-of-range and
-    /// duplicate targets are ignored.
-    ///
-    /// Query distances afterwards with
-    /// [`target_hops`](TraversalScratch::target_hops); they stay valid
-    /// until the next `bfs_to_targets` call on this scratch.
+    /// [`bfs_to_nearest`](TraversalScratch::bfs_to_nearest) with every
+    /// target eligible: settles the nearest target and every target at
+    /// its distance, and returns how many distinct in-range targets it
+    /// settled.
     pub fn bfs_to_targets(
         &mut self,
         g: &CsrGraph,
@@ -864,99 +849,114 @@ impl TraversalScratch {
         targets: &[NodeId],
         max_hops: u32,
     ) -> usize {
+        self.search_nearest(g, src, targets, max_hops, |_| true).0
+    }
+
+    /// Exact hop distances from `src` to the nearest *eligible* target
+    /// and to every target no farther away, by meet-in-the-middle search.
+    /// Returns the bound: the nearest eligible target's distance, or
+    /// `max_hops` when no eligible target lies within it. Every target
+    /// left unsettled lies strictly beyond the bound or is unreachable,
+    /// so ranking the eligible targets by distance needs nothing the
+    /// call left out. With no eligible target within `max_hops` the
+    /// bound never shrinks and the verdict is the exhaustive one: a
+    /// target is settled iff it lies within `max_hops`. Out-of-range and
+    /// duplicate targets are ignored; `eligible` is asked only of
+    /// settled targets nearer than the current bound.
+    ///
+    /// The search: one forward BFS from `src`, shared by all targets of
+    /// the call, and one backward BFS per target that is not already
+    /// inside the forward region. Both grow a whole level at a time,
+    /// always on the side whose frontier has fewer edges to scan, and a
+    /// target is settled at the first level on which the two regions
+    /// touch. Targets are taken highest degree first, and each is
+    /// searched only up to the current bound, which drops to the distance
+    /// of every eligible target settled below it. Replicas sit on hubs by
+    /// construction, and a hub is near everyone, so a far low-degree
+    /// target behind a near hub costs a level or two instead of two
+    /// half-radius balls.
+    ///
+    /// Distances are exact. While the forward region `F` (every node
+    /// within `df` hops of `src`) and the backward region `B` (every node
+    /// within `db` hops of the target) are disjoint, the distance exceeds
+    /// `df + db` — a shorter path would have a node in both. Growing
+    /// either side by one full level and finding the regions touch
+    /// therefore pins the distance to exactly `df + db` (depths after the
+    /// growth). Neither side grows once `df + db` reaches the current
+    /// bound, so an unsettled target lies beyond the bound it was
+    /// searched under, which is at least the final one; an emptied
+    /// frontier on either side proves the target unreachable without
+    /// exhausting the other side's component.
+    ///
+    /// [`last_visited`](TraversalScratch::last_visited) reports the nodes
+    /// the call discovered. All marks are epoch-stamped and the
+    /// degree-ordered target list lives in the scratch, so back-to-back
+    /// calls pay O(visited) with no clearing, and no allocation once the
+    /// scratch has seen its largest target set.
+    ///
+    /// Query distances afterwards with
+    /// [`target_hops`](TraversalScratch::target_hops); they stay valid
+    /// until the next search on this scratch.
+    pub fn bfs_to_nearest(
+        &mut self,
+        g: &CsrGraph,
+        src: NodeId,
+        targets: &[NodeId],
+        max_hops: u32,
+        eligible: impl Fn(NodeId) -> bool,
+    ) -> u32 {
+        self.search_nearest(g, src, targets, max_hops, eligible).1
+    }
+
+    /// The kernel behind both entry points: `(targets settled, bound)`.
+    fn search_nearest(
+        &mut self,
+        g: &CsrGraph,
+        src: NodeId,
+        targets: &[NodeId],
+        max_hops: u32,
+        eligible: impl Fn(NodeId) -> bool,
+    ) -> (usize, u32) {
         let n = g.node_count();
         self.begin_epoch(n);
         let epoch = self.epoch;
+        let mut bound = max_hops;
         if src.index() >= n {
-            return 0;
+            return (0, bound);
         }
         self.stamp[src.index()] = epoch;
         self.hops[src.index()] = 0;
         self.queue.push(src.0);
-        // Forward frontier = `queue[fwd_start..]`, all at depth `fwd_depth`;
-        // `fwd_cost` is the number of half-edges expanding it would scan.
-        let mut fwd_start = 0usize;
-        let mut fwd_depth = 0u32;
-        let mut fwd_cost = g.degree(src);
-        let mut reached = 0usize;
+        self.by_degree.clear();
         for &t in targets {
             let ti = t.index();
-            if ti >= n || self.target_stamp[ti] == epoch {
-                continue;
+            if ti < n && self.target_stamp[ti] != epoch {
+                self.target_stamp[ti] = epoch;
+                self.by_degree.push((g.degree(t) as u32, t.0));
             }
-            self.target_stamp[ti] = epoch;
-            if self.stamp[ti] == epoch {
+        }
+        self.by_degree
+            .sort_unstable_by_key(|&(degree, id)| (std::cmp::Reverse(degree), id));
+        let mut fwd = Frontier {
+            start: 0,
+            depth: 0,
+            cost: g.degree(src),
+        };
+        let mut settled = 0usize;
+        for k in 0..self.by_degree.len() {
+            let t = NodeId(self.by_degree[k].1);
+            let dist = if self.stamp[t.index()] == epoch {
                 // Already inside the forward region: `hops` is exact.
-                reached += 1;
-                continue;
-            }
-            self.begin_back_epoch();
-            let back_epoch = self.back_epoch;
-            self.back_stamp[ti] = back_epoch;
-            self.back_queue.push(t.0);
-            let mut back_start = 0usize;
-            let mut back_depth = 0u32;
-            let mut back_cost = g.degree(t);
-            let met = 'search: loop {
-                if fwd_start == self.queue.len()
-                    || back_start == self.back_queue.len()
-                    || fwd_depth.saturating_add(back_depth) >= max_hops
-                {
-                    // A spent component on either side, or a spent budget.
-                    break false;
-                }
-                if fwd_cost <= back_cost {
-                    // Grow the forward region by one level — a *whole*
-                    // level even after a touch, because later targets
-                    // rely on `F` being every node within `fwd_depth`.
-                    let end = self.queue.len();
-                    let mut touched = false;
-                    fwd_cost = 0;
-                    for i in fwd_start..end {
-                        let v = NodeId(self.queue[i]);
-                        for &w in g.neighbor_ids(v) {
-                            let wi = w as usize;
-                            if self.stamp[wi] != epoch {
-                                self.stamp[wi] = epoch;
-                                self.hops[wi] = fwd_depth + 1;
-                                touched |= self.back_stamp[wi] == back_epoch;
-                                fwd_cost += g.degree(NodeId(w));
-                                self.queue.push(w);
-                            }
-                        }
-                    }
-                    fwd_start = end;
-                    fwd_depth += 1;
-                    if touched {
-                        break true;
-                    }
-                } else {
-                    // Grow this target's backward region by one level;
-                    // it is discarded after the meet, so stop at once.
-                    let end = self.back_queue.len();
-                    back_cost = 0;
-                    back_depth += 1;
-                    for i in back_start..end {
-                        let v = NodeId(self.back_queue[i]);
-                        for &w in g.neighbor_ids(v) {
-                            let wi = w as usize;
-                            if self.stamp[wi] == epoch {
-                                break 'search true;
-                            }
-                            if self.back_stamp[wi] != back_epoch {
-                                self.back_stamp[wi] = back_epoch;
-                                back_cost += g.degree(NodeId(w));
-                                self.back_queue.push(w);
-                            }
-                        }
-                    }
-                    back_start = end;
+                self.hops[t.index()]
+            } else {
+                match self.meet(g, t, bound, &mut fwd) {
+                    Some(d) => d,
+                    None => continue,
                 }
             };
-            self.last_visited += self.back_queue.len();
-            if met {
-                self.met.push((t.0, fwd_depth + back_depth));
-                reached += 1;
+            settled += 1;
+            if dist < bound && eligible(t) {
+                bound = dist;
             }
         }
         self.last_visited += self.queue.len();
@@ -964,10 +964,90 @@ impl TraversalScratch {
             self.stamp[t as usize] = epoch;
             self.hops[t as usize] = d;
         }
-        reached
+        (settled, bound)
+    }
+
+    /// Search one target `t` outside the forward region: grow the forward
+    /// region `fwd` and a fresh backward region from `t` until they touch,
+    /// within `bound` hops in total. Returns the distance, or `None` when
+    /// `t` lies beyond `bound` or is unreachable. A settled `t` is queued
+    /// in `met`, so it never poses as a forward-region node while the
+    /// call runs.
+    fn meet(&mut self, g: &CsrGraph, t: NodeId, bound: u32, fwd: &mut Frontier) -> Option<u32> {
+        let epoch = self.epoch;
+        self.begin_back_epoch();
+        let back_epoch = self.back_epoch;
+        self.back_stamp[t.index()] = back_epoch;
+        self.back_queue.push(t.0);
+        let mut back_start = 0usize;
+        let mut back_depth = 0u32;
+        let mut back_cost = g.degree(t);
+        let met = 'search: loop {
+            if fwd.start == self.queue.len()
+                || back_start == self.back_queue.len()
+                || fwd.depth.saturating_add(back_depth) >= bound
+            {
+                // A spent component on either side, or a spent budget.
+                break false;
+            }
+            if fwd.cost <= back_cost {
+                // Grow the forward region by one level — a *whole* level
+                // even after a touch, because later targets rely on `F`
+                // being every node within `fwd.depth`.
+                let end = self.queue.len();
+                let mut touched = false;
+                fwd.cost = 0;
+                for i in fwd.start..end {
+                    let v = NodeId(self.queue[i]);
+                    for &w in g.neighbor_ids(v) {
+                        let wi = w as usize;
+                        if self.stamp[wi] != epoch {
+                            self.stamp[wi] = epoch;
+                            self.hops[wi] = fwd.depth + 1;
+                            touched |= self.back_stamp[wi] == back_epoch;
+                            fwd.cost += g.degree(NodeId(w));
+                            self.queue.push(w);
+                        }
+                    }
+                }
+                fwd.start = end;
+                fwd.depth += 1;
+                if touched {
+                    break true;
+                }
+            } else {
+                // Grow this target's backward region by one level; it is
+                // discarded after the meet, so stop at once.
+                let end = self.back_queue.len();
+                back_cost = 0;
+                back_depth += 1;
+                for i in back_start..end {
+                    let v = NodeId(self.back_queue[i]);
+                    for &w in g.neighbor_ids(v) {
+                        let wi = w as usize;
+                        if self.stamp[wi] == epoch {
+                            break 'search true;
+                        }
+                        if self.back_stamp[wi] != back_epoch {
+                            self.back_stamp[wi] = back_epoch;
+                            back_cost += g.degree(NodeId(w));
+                            self.back_queue.push(w);
+                        }
+                    }
+                }
+                back_start = end;
+            }
+        };
+        self.last_visited += self.back_queue.len();
+        let dist = fwd.depth + back_depth;
+        met.then(|| {
+            self.met.push((t.0, dist));
+            dist
+        })
     }
 
     /// Nodes discovered by the last
+    /// [`bfs_to_nearest`](TraversalScratch::bfs_to_nearest) or
     /// [`bfs_to_targets`](TraversalScratch::bfs_to_targets) call, forward
     /// and backward regions together — the work the call did, for
     /// telemetry and for the work-bound tests.
@@ -976,12 +1056,11 @@ impl TraversalScratch {
         self.last_visited
     }
 
-    /// Hop distance of target `v` from the last
-    /// [`bfs_to_targets`](TraversalScratch::bfs_to_targets) source;
-    /// `None` if `v` is unreachable or beyond that call's hop budget.
-    /// Only meaningful for nodes that were in the call's target set: any
-    /// other node answers `Some` only if the forward region happened to
-    /// cover it.
+    /// Hop distance of target `v` from the last search's source; `None`
+    /// if the search left `v` unsettled: unreachable, beyond `max_hops`,
+    /// or beyond the call's bound. Only meaningful for nodes that were in
+    /// the call's target set: any other node answers `Some` only if the
+    /// forward region happened to cover it.
     #[inline]
     pub fn target_hops(&self, v: NodeId) -> Option<u32> {
         match self.stamp.get(v.index()) {
@@ -1001,8 +1080,8 @@ mod tests {
         Graph::from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
     }
 
-    /// What one `bfs_to_targets` call answers: the reached count and the
-    /// distance of every entry of `targets`, in input order.
+    /// The exhaustive answer for one target set: the reached count and
+    /// the distance of every entry of `targets`, in input order.
     type TargetHops = (usize, Vec<Option<u32>>);
 
     /// The one-sided kernel `bfs_to_targets` used to be, kept as the
@@ -1058,16 +1137,44 @@ mod tests {
         ((reached, per_target), queue.len())
     }
 
-    fn run_kernel(
+    /// One `bfs_to_nearest` call checked against the exhaustive
+    /// reference: every settled target's distance is exact, the bound is
+    /// the nearest eligible target's distance (or `max_hops` without
+    /// one), every target within the bound is settled and every
+    /// unsettled one lies beyond it, and with no eligible target within
+    /// the budget the answer is the exhaustive verdict itself. Returns the
+    /// bound and the per-target answers.
+    fn check_nearest(
         scratch: &mut TraversalScratch,
         g: &CsrGraph,
         src: NodeId,
         targets: &[NodeId],
         max_hops: u32,
-    ) -> TargetHops {
-        let reached = scratch.bfs_to_targets(g, src, targets, max_hops);
-        let hops = targets.iter().map(|&t| scratch.target_hops(t)).collect();
-        (reached, hops)
+        eligible: impl Fn(NodeId) -> bool,
+    ) -> (u32, Vec<Option<u32>>) {
+        let ((_, exact), _) = one_sided_reference(g, src, targets, max_hops);
+        let bound = scratch.bfs_to_nearest(g, src, targets, max_hops, &eligible);
+        let got: Vec<Option<u32>> = targets.iter().map(|&t| scratch.target_hops(t)).collect();
+        let nearest = targets
+            .iter()
+            .zip(&exact)
+            .filter(|(&t, _)| eligible(t))
+            .filter_map(|(_, &d)| d)
+            .min();
+        assert_eq!(bound, nearest.unwrap_or(max_hops), "src {src:?}");
+        for ((t, want), have) in targets.iter().zip(&exact).zip(&got) {
+            match have {
+                Some(_) => assert_eq!(have, want, "settled {t:?} exactly"),
+                None => assert!(
+                    want.is_none_or(|d| d > bound),
+                    "{t:?} at {want:?} left unsettled within bound {bound}"
+                ),
+            }
+        }
+        if nearest.is_none() {
+            assert_eq!(got, exact, "no eligible target: the exhaustive verdict");
+        }
+        (bound, got)
     }
 
     /// Graph families the kernel is compared on: scale-free, sparse
@@ -1092,6 +1199,7 @@ mod tests {
             src in 0u32..100,
             raw_targets in proptest::collection::vec(0u32..100, 1..33),
             with_src in any::<bool>(),
+            mask in any::<u64>(),
         ) {
             let g = CsrGraph::from(&family(kind, n, seed));
             let n = g.node_count() as u32;
@@ -1104,13 +1212,21 @@ mod tests {
             if with_src {
                 targets.push(src);
             }
+            let masked = |t: NodeId| mask >> (t.0 % 64) & 1 == 1;
             let mut scratch = TraversalScratch::new();
             for max_hops in HOP_BUDGETS {
-                let (expect, _) = one_sided_reference(&g, src, &targets, max_hops);
-                // The same scratch serves every budget: marks of one call
-                // must never leak into the next.
-                let got = run_kernel(&mut scratch, &g, src, &targets, max_hops);
-                prop_assert_eq!(got, expect, "kind {} max_hops {}", kind, max_hops);
+                // The same scratch serves every budget and mask: marks of
+                // one call must never leak into the next.
+                check_nearest(&mut scratch, &g, src, &targets, max_hops, |_| true);
+                check_nearest(&mut scratch, &g, src, &targets, max_hops, masked);
+                check_nearest(&mut scratch, &g, src, &targets, max_hops, |_| false);
+                // The all-eligible entry point settles the same targets.
+                let settled = scratch.bfs_to_targets(&g, src, &targets, max_hops);
+                let mut distinct: Vec<NodeId> = targets.clone();
+                distinct.sort_unstable();
+                distinct.dedup();
+                let found = distinct.iter().filter(|&&t| scratch.target_hops(t).is_some()).count();
+                prop_assert_eq!(settled, found, "kind {} max_hops {}", kind, max_hops);
             }
         }
     }
@@ -1123,14 +1239,18 @@ mod tests {
         let far: Vec<NodeId> = [7u32, 150, 299].map(NodeId).to_vec();
         let near: Vec<NodeId> = [0u32, 3, 299].map(NodeId).to_vec();
         for _ in 0..3 {
-            assert_eq!(
-                run_kernel(&mut scratch, &big, NodeId(42), &far, u32::MAX),
-                one_sided_reference(&big, NodeId(42), &far, u32::MAX).0
-            );
+            check_nearest(&mut scratch, &big, NodeId(42), &far, u32::MAX, |_| true);
             // Ids valid on the big graph are out of range on the small
-            // one and must read as unreached, not as stale marks.
+            // one and must read as unreached, not as stale marks. Node 0
+            // (one hop) bounds the search, so node 3 (two hops) is left.
             assert_eq!(
-                run_kernel(&mut scratch, &small, NodeId(1), &near, u32::MAX),
+                check_nearest(&mut scratch, &small, NodeId(1), &near, u32::MAX, |_| true),
+                (1, vec![Some(1), None, None])
+            );
+            // With node 0 ineligible, node 3 bounds the search instead.
+            assert_eq!(
+                check_nearest(&mut scratch, &small, NodeId(1), &near, u32::MAX, |t| t.0
+                    != 0),
                 (2, vec![Some(1), Some(2), None])
             );
         }
@@ -1151,11 +1271,7 @@ mod tests {
         // the counter overflows in the middle of the first call.
         scratch.back_epoch = u32::MAX - 1;
         for src in [77u32, 0, 120, 199] {
-            assert_eq!(
-                run_kernel(&mut scratch, &g, NodeId(src), &targets, u32::MAX),
-                one_sided_reference(&g, NodeId(src), &targets, u32::MAX).0,
-                "src {src}"
-            );
+            check_nearest(&mut scratch, &g, NodeId(src), &targets, u32::MAX, |_| true);
         }
         assert!(scratch.epoch < 8 && scratch.back_epoch < 32, "both wrapped");
     }
@@ -1195,11 +1311,8 @@ mod tests {
         for _ in 0..CALLS {
             let targets = [by_degree[0], by_degree[1], pick()];
             let src = pick();
-            let (expect, reference_visited) = one_sided_reference(&g, src, &targets, u32::MAX);
-            assert_eq!(
-                run_kernel(&mut scratch, &g, src, &targets, u32::MAX),
-                expect
-            );
+            let (_, reference_visited) = one_sided_reference(&g, src, &targets, u32::MAX);
+            check_nearest(&mut scratch, &g, src, &targets, u32::MAX, |_| true);
             reference_total += reference_visited;
             total += scratch.last_visited();
             worst = worst.max(scratch.last_visited());

@@ -154,9 +154,18 @@ mod tests {
             let full = bfs_reference(&g, &[NodeId(src)]);
             let targets: Vec<NodeId> = [1u32, 40, 88].map(NodeId).to_vec();
             scratch.bfs_to_targets(&c, NodeId(src), &targets, u32::MAX);
+            // The nearest target and every target at its distance are
+            // settled exactly; the rest lie beyond it.
+            let nearest = targets.iter().filter_map(|t| full[t.index()]).min();
             for &t in &targets {
-                assert_eq!(scratch.target_hops(t), full[t.index()], "src {src} t {t:?}");
+                match scratch.target_hops(t) {
+                    Some(d) => assert_eq!(Some(d), full[t.index()], "src {src} t {t:?}"),
+                    None => assert!(full[t.index()] > nearest, "src {src} t {t:?}"),
+                }
             }
+            assert!(
+                nearest.is_some_and(|d| targets.iter().any(|&t| scratch.target_hops(t) == Some(d)))
+            );
         }
     }
 }
