@@ -6,18 +6,17 @@
 //! Selection ranks online replicas by social hop distance, then network
 //! latency, then availability.
 //!
-//! [`select_replica`] computes the social-hop leg of the ranking with
-//! [`TraversalScratch::bfs_to_nearest`] over a frozen [`CsrGraph`]: a
-//! meet-in-the-middle search that settles the nearest *online* candidate
-//! and every candidate at its distance, and leaves farther ones
-//! unsettled — they cannot win, so their distances are never computed.
-//! For up to eight candidates it allocates nothing. `select_from_hops`
-//! is the one ranking loop; the allocation server's resolve path ranks
-//! its cached or freshly searched hops with it too, and it asks for a
-//! candidate's latency only when that can decide the winner.
-//! [`select_replica_full_bfs`] is the oracle — the same ranking over the
-//! distances of one full [`TraversalScratch::bfs`] — for the equivalence
-//! tests; nothing on a serving path calls it.
+//! The allocation server's resolve path
+//! ([`AllocationServer::resolve_csr`](crate::server::AllocationServer::resolve_csr))
+//! takes its hop distances from the hop cache or from
+//! [`TraversalScratch::bfs_to_nearest`], which settles the nearest
+//! *online* replica and every replica at its distance and leaves farther
+//! ones unsettled — they cannot win. `select_from_hops` is the one
+//! ranking loop over those hops, and it asks for a candidate's latency
+//! only when that can decide the winner. [`select_replica_full_bfs`] is
+//! the oracle — the same ranking over the distances of one full
+//! [`TraversalScratch::bfs`] — for the equivalence tests; nothing on a
+//! serving path calls it.
 
 use scdn_graph::{CsrGraph, NodeId, TraversalScratch};
 
@@ -46,58 +45,12 @@ pub struct Selection {
     pub latency_ms: f64,
 }
 
-/// Candidate sets up to this size are handed to the search from a stack
-/// buffer; replica lists are rarely longer (3 in every benchmark
-/// workload), and a longer one costs one heap buffer.
-const INLINE_CANDIDATES: usize = 8;
-
-/// Pick the best online replica for `requester`.
-///
-/// Ordering: reachable beats unreachable; then fewer social hops; then
-/// lower latency; then higher availability; then smaller node id.
-/// Returns `None` when no candidate is online.
-///
-/// Hop distances come from [`TraversalScratch::bfs_to_nearest`] with the
-/// online candidates eligible: it settles the nearest online candidate
-/// and every candidate at its distance (or stops when `max_hops` is
-/// exhausted — pass `u32::MAX` for exact full-BFS equivalence). With the
-/// caller-owned `scratch`, a resolution over at most eight candidates
-/// allocates nothing; a larger set costs one id buffer.
-pub fn select_replica(
-    social: &CsrGraph,
-    requester: NodeId,
-    candidates: &[Candidate],
-    scratch: &mut TraversalScratch,
-    max_hops: u32,
-) -> Option<Selection> {
-    if candidates.iter().all(|c| !c.online) {
-        return None;
-    }
-    // The search skips out-of-range ids. Offline candidates are targets
-    // too, but ineligible: they never shrink the bound, so every online
-    // candidate that could win is still settled, and the id buffer stays
-    // a plain copy of the candidate list. The allocation server targets
-    // its whole replica list the same way, so that one cached slot can
-    // answer under any later liveness its bound decides.
-    let ids = candidates.iter().map(|c| c.node);
-    let mut inline = [NodeId(0); INLINE_CANDIDATES];
-    let spilled: Vec<NodeId>;
-    let targets = if candidates.len() <= INLINE_CANDIDATES {
-        inline.iter_mut().zip(ids).for_each(|(slot, id)| *slot = id);
-        &inline[..candidates.len()]
-    } else {
-        spilled = ids.collect();
-        &spilled[..]
-    };
-    scratch.bfs_to_nearest(social, requester, targets, max_hops, |v| {
-        candidates.iter().any(|c| c.online && c.node == v)
-    });
-    rank_candidates(candidates, |v| scratch.target_hops(v))
-}
-
-/// The oracle for [`select_replica`] at `max_hops = u32::MAX`: the same
-/// ranking over the hop distances of one full BFS of the requester's
-/// component. O(component) per call — for tests, not for serving.
+/// The resolve path's oracle: the best online candidate by
+/// `select_from_hops`'s ranking, over the hop distances of one full BFS
+/// of the requester's component (reachable beats unreachable; then fewer
+/// social hops; then lower latency; then higher availability; then
+/// smaller node id; `None` when no candidate is online). O(component)
+/// per call — for tests, not for serving.
 pub fn select_replica_full_bfs(
     social: &CsrGraph,
     requester: NodeId,
@@ -208,15 +161,9 @@ mod tests {
         frozen(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
     }
 
-    /// [`select_replica`] at an unbounded hop budget on a fresh scratch.
+    /// [`select_replica_full_bfs`] on a fresh scratch.
     fn select(g: &CsrGraph, requester: NodeId, candidates: &[Candidate]) -> Option<Selection> {
-        select_replica(
-            g,
-            requester,
-            candidates,
-            &mut TraversalScratch::new(),
-            u32::MAX,
-        )
+        select_replica_full_bfs(g, requester, candidates, &mut TraversalScratch::new())
     }
 
     fn cand(node: u32, online: bool, latency_ms: f64, availability: f64) -> Candidate {
@@ -357,41 +304,13 @@ mod tests {
     #[test]
     fn out_of_range_ids_are_unreachable_not_fatal() {
         let g = path4();
-        // A candidate past the end of the graph ranks as unreachable on
-        // both the search and the full-BFS oracle (`distance` is total).
+        // A candidate past the end of the graph ranks as unreachable
+        // (`distance` is total).
         let set = [cand(9, true, 1.0, 0.9), cand(3, true, 50.0, 0.9)];
         let sel = select(&g, NodeId(0), &set).expect("online");
         assert_eq!(sel.node, NodeId(3));
-        let mut scratch = TraversalScratch::new();
-        let oracle = select_replica_full_bfs(&g, NodeId(0), &set, &mut scratch);
-        assert_eq!(oracle, Some(sel));
         // So does every candidate when the requester itself is unknown.
         let sel = select(&g, NodeId(77), &set).expect("online");
         assert_eq!((sel.node, sel.social_hops), (NodeId(9), None));
-        let oracle = select_replica_full_bfs(&g, NodeId(77), &set, &mut scratch);
-        assert_eq!(oracle, Some(sel));
-    }
-
-    #[test]
-    fn selection_matches_full_bfs_oracle() {
-        let g = CsrGraph::from(&scdn_graph::generators::barabasi_albert(60, 2, 3));
-        let (mut scratch, mut oracle) = (TraversalScratch::new(), TraversalScratch::new());
-        let candidates = [
-            cand(3, true, 12.0, 0.7),
-            cand(40, false, 1.0, 0.99),
-            cand(59, true, 12.0, 0.7),
-            cand(7, true, f64::NAN, 0.5),
-        ];
-        // Past INLINE_CANDIDATES the ids spill to the heap: same answer.
-        let many: Vec<Candidate> = (0..2 * INLINE_CANDIDATES as u32)
-            .map(|i| cand(59 - 3 * i, i % 3 != 0, 5.0 + f64::from(i % 4), 0.8))
-            .collect();
-        for req in [0u32, 17, 59] {
-            for set in [&candidates[..], &many[..]] {
-                let a = select_replica_full_bfs(&g, NodeId(req), set, &mut oracle);
-                let c = select_replica(&g, NodeId(req), set, &mut scratch, u32::MAX);
-                assert_eq!(a, c, "requester {req}, {} candidates", set.len());
-            }
-        }
     }
 }

@@ -156,16 +156,6 @@ impl DemandState {
         self.hits_drained.fetch_max(hits, Ordering::Relaxed);
         self.misses_drained.fetch_max(misses, Ordering::Relaxed);
     }
-
-    /// Start a new observation window at the *current* totals. This is
-    /// the coarse variant for callers without a recorded observation —
-    /// anything resolved between a planner's window read and this call
-    /// is silently dropped from both windows, which is exactly the lost-
-    /// demand bug the maintenance cycles avoid by draining to plan-time
-    /// totals instead.
-    pub(crate) fn drain(&self) {
-        self.drain_to(self.hits.get(), self.misses.get());
-    }
 }
 
 /// Per-host coded-block inventory of one dataset: `(host, sorted block

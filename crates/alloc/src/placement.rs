@@ -104,7 +104,7 @@ impl PlacementAlgorithm {
     }
 
     /// `true` if the ranking reads the edge set at all. `Random` shuffles
-    /// the bare node-id list (see [`place_random`]), so it survives
+    /// the bare node-id list (see `place_random`), so it survives
     /// pure edge churn — only a node-count change can affect it.
     pub fn edge_sensitive(self) -> bool {
         !matches!(self, PlacementAlgorithm::Random)
@@ -125,7 +125,7 @@ impl PlacementAlgorithm {
 
 /// Uniform random placement. Only the node-id list enters the shuffle, so
 /// equal seeds give equal placements on any two graphs of one size.
-pub fn place_random(g: &CsrGraph, k: usize, seed: u64) -> Vec<NodeId> {
+fn place_random(g: &CsrGraph, k: usize, seed: u64) -> Vec<NodeId> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut nodes: Vec<NodeId> = g.nodes().collect();
     nodes.shuffle(&mut rng);
@@ -134,7 +134,7 @@ pub fn place_random(g: &CsrGraph, k: usize, seed: u64) -> Vec<NodeId> {
 }
 
 /// Top-`k` by degree (ties → smaller id).
-pub fn place_by_degree(g: &CsrGraph, k: usize) -> Vec<NodeId> {
+fn place_by_degree(g: &CsrGraph, k: usize) -> Vec<NodeId> {
     let scores: Vec<f64> = g.nodes().map(|v| g.degree(v) as f64).collect();
     top_k_by_score(&scores, k)
 }
@@ -143,7 +143,7 @@ pub fn place_by_degree(g: &CsrGraph, k: usize) -> Vec<NodeId> {
 /// adjacent to an already-chosen replica; when no non-adjacent candidates
 /// remain, fall back to the highest-degree remaining node (the paper keeps
 /// placing replicas even in small graphs).
-pub fn place_community_degree(g: &CsrGraph, k: usize) -> Vec<NodeId> {
+fn place_community_degree(g: &CsrGraph, k: usize) -> Vec<NodeId> {
     community_greedy(g, k).0
 }
 
@@ -213,7 +213,7 @@ fn community_greedy(g: &CsrGraph, k: usize) -> (Vec<NodeId>, GreedyWork) {
 /// tiny complete clique, and the paper observes exactly this failure mode
 /// ("in many cases the nodes with high clustering coefficient are those
 /// with few coauthors who are equally connected in a tight cluster").
-pub fn place_by_clustering(g: &CsrGraph, k: usize) -> Vec<NodeId> {
+fn place_by_clustering(g: &CsrGraph, k: usize) -> Vec<NodeId> {
     let cc = all_clustering_coefficients(g);
     let mut order: Vec<NodeId> = g.nodes().collect();
     order.sort_by(|&a, &b| {
@@ -228,14 +228,14 @@ pub fn place_by_clustering(g: &CsrGraph, k: usize) -> Vec<NodeId> {
 }
 
 /// Top-`k` by weighted degree / strength (ties → smaller id).
-pub fn place_by_strength(g: &CsrGraph, k: usize) -> Vec<NodeId> {
+fn place_by_strength(g: &CsrGraph, k: usize) -> Vec<NodeId> {
     let scores: Vec<f64> = g.nodes().map(|v| g.strength(v) as f64).collect();
     top_k_by_score(&scores, k)
 }
 
 /// Top-`k` by core number, ties broken by higher degree then smaller id:
 /// members of the deepest k-core with the widest reach host first.
-pub fn place_by_kcore(g: &CsrGraph, k: usize) -> Vec<NodeId> {
+fn place_by_kcore(g: &CsrGraph, k: usize) -> Vec<NodeId> {
     let core = scdn_graph::kcore::core_numbers(g);
     let mut order: Vec<NodeId> = g.nodes().collect();
     order.sort_by(|&a, &b| {
@@ -251,7 +251,7 @@ pub fn place_by_kcore(g: &CsrGraph, k: usize) -> Vec<NodeId> {
 /// Social score: `0.5·degree_centrality + 0.3·closeness + 0.2·(1 − CC)`.
 /// Rewards connected, central nodes that are *not* buried in tight corner
 /// cliques — the profile of a good social cache.
-pub fn place_by_social_score(g: &CsrGraph, k: usize) -> Vec<NodeId> {
+fn place_by_social_score(g: &CsrGraph, k: usize) -> Vec<NodeId> {
     let n = g.node_count();
     if n == 0 {
         return Vec::new();

@@ -66,7 +66,7 @@ impl DemandWindow {
     }
 
     /// Miss rate (0 when no requests).
-    pub fn miss_rate(&self) -> f64 {
+    fn miss_rate(&self) -> f64 {
         if self.total() == 0 {
             0.0
         } else {

@@ -34,9 +34,10 @@
 //! entry version and thus flushes this cache implicitly — its
 //! `alloc.catalog.touch_all` counter makes that cost visible.
 //!
-//! The cache is sharded (requester-hashed) so parallel
-//! [`resolve_batch`](crate::server::AllocationServer::resolve_batch)
-//! workers don't serialize on one mutex, and bounded: each shard evicts
+//! The cache is sharded (requester-hashed) so the parallel planning
+//! workers of a request batch (each calling
+//! [`resolve_csr_snapshot`](crate::server::AllocationServer::resolve_csr_snapshot))
+//! don't serialize on one mutex, and bounded: each shard evicts
 //! FIFO once it reaches its capacity share. The graph guard is the CSR's
 //! monotonic [`CsrGraph::generation`] — an *unannounced* generation change
 //! (a caller swapping in a different graph without going through

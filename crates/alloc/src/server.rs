@@ -25,9 +25,6 @@
 //!   every cached hop table;
 //! * demand hit/miss accounting uses sharded atomic [`Counter`]s shared
 //!   across entry versions, so resolution never publishes anything;
-//! * [`resolve_batch`](AllocationServer::resolve_batch) loads one
-//!   catalog snapshot and fans a request slice over worker threads via
-//!   `par_map_collect` — zero catalog locks per request;
 //! * planning pipelines call [`snapshot`](AllocationServer::snapshot)
 //!   once per batch and resolve via
 //!   [`resolve_csr_snapshot`](AllocationServer::resolve_csr_snapshot),
@@ -39,7 +36,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use scdn_graph::parallel::par_map_collect;
 use scdn_graph::{CsrGraph, NodeId, TraversalScratch};
 use scdn_obs::{Counter, Registry};
 use scdn_social::author::AuthorId;
@@ -889,36 +885,6 @@ impl AllocationServer {
         (Ok(sel), version)
     }
 
-    /// Resolve a batch of `(dataset, requester)` requests in parallel
-    /// over the CSR fast path. Results are positionally parallel to
-    /// `requests`. One catalog snapshot is loaded for the whole batch;
-    /// workers share it (and the warmed hop cache) with zero catalog
-    /// locks per request. `latency_ms` takes `(requester, replica)`
-    /// since one batch spans many requesters.
-    pub fn resolve_batch(
-        &self,
-        requests: &[(DatasetId, NodeId)],
-        csr: &CsrGraph,
-        online: impl Fn(NodeId) -> bool + Sync,
-        latency_ms: impl Fn(NodeId, NodeId) -> f64 + Sync,
-    ) -> Vec<Result<Selection, AllocationError>> {
-        let snap = self.snapshot();
-        par_map_collect(requests.len(), 64, |i| {
-            let (dataset, requester) = requests[i];
-            self.resolve_csr_in(
-                snap.shard_for(dataset),
-                &snap.repos,
-                dataset,
-                requester,
-                csr,
-                &online,
-                |n| latency_ms(requester, n),
-                true,
-            )
-            .0
-        })
-    }
-
     /// All datasets with a replica on `node` (used for departure repair).
     /// Served from the per-shard reverse indexes in O(answer).
     pub fn datasets_hosted_by(&self, node: NodeId) -> Vec<DatasetId> {
@@ -940,20 +906,6 @@ impl AllocationServer {
             .get(&dataset)
             .map(|e| e.demand.window())
             .ok_or(AllocationError::UnknownDataset(dataset))
-    }
-
-    /// Drain all demand windows at their *current* totals. Coarse: any
-    /// request resolved between a planner's window read and this call is
-    /// dropped from both the old and the new window — maintenance cycles
-    /// use [`drain_demand`](Self::drain_demand) with the plan's recorded
-    /// observation instead. In-place on the shared demand state — no
-    /// shard republishes, no epoch moves, no plan goes stale.
-    pub fn reset_demand(&self) {
-        for cell in &self.shards {
-            for entry in cell.load().entries.values() {
-                entry.demand.drain();
-            }
-        }
     }
 
     /// Drain every demand window **to the totals `plan` observed**: the
@@ -1134,7 +1086,7 @@ mod tests {
         assert_eq!(d.hits, 1);
         assert_eq!(d.misses, 1);
         // Draining resets the window without losing the counters.
-        srv.reset_demand();
+        srv.drain_demand(&srv.rebalance_plan(&ReplicationPolicy::default()));
         let d = srv.demand_of(DatasetId(0)).expect("known");
         assert_eq!((d.hits, d.misses), (0, 0));
     }
@@ -1210,10 +1162,6 @@ mod tests {
             (0, 1),
             "the mid-cycle miss must open the next window, not vanish"
         );
-        // The coarse reset (no observation) is the lossy baseline the
-        // maintenance cycles no longer use.
-        srv.reset_demand();
-        assert_eq!(srv.demand_of(DatasetId(0)).expect("known").total(), 0);
     }
 
     /// Datasets registered after the plan's read are not drained by it.
@@ -1490,29 +1438,6 @@ mod tests {
             vec![DatasetId(0), DatasetId(1)]
         );
         assert_eq!(srv.datasets_hosted_by(NodeId(11)), vec![]);
-    }
-
-    #[test]
-    fn resolve_batch_matches_sequential() {
-        let csr = barabasi_albert(80, 3, 23);
-        let srv = server_with_repos(&csr);
-        for d in 0..6u32 {
-            srv.register_dataset(DatasetId(d), 1, NodeId(d * 7 % 80))
-                .expect("ok");
-            srv.add_replica(DatasetId(d), NodeId((d * 13 + 1) % 80))
-                .expect("ok");
-        }
-        let requests: Vec<(DatasetId, NodeId)> = (0..200u32)
-            .map(|i| (DatasetId(i % 6), NodeId((i * 31) % 80)))
-            .collect();
-        let online = |n: NodeId| !n.0.is_multiple_of(5);
-        let latency = |req: NodeId, n: NodeId| ((req.0 ^ n.0) % 17) as f64;
-        let batch = srv.resolve_batch(&requests, &csr, online, latency);
-        assert_eq!(batch.len(), requests.len());
-        for (i, &(d, r)) in requests.iter().enumerate() {
-            let seq = srv.resolve_csr(d, r, &csr, online, |n| latency(r, n));
-            assert_eq!(batch[i], seq, "request {i}");
-        }
     }
 
     #[test]

@@ -61,16 +61,6 @@ impl MonitoringClient {
         self.bytes_since_report += bytes;
     }
 
-    /// Current availability estimate in [0, 1].
-    pub fn availability_estimate(&self) -> f64 {
-        self.ewma_availability
-    }
-
-    /// Number of availability samples observed.
-    pub fn sample_count(&self) -> u64 {
-        self.samples
-    }
-
     /// Flush the telemetry to an allocation server, resetting the usage
     /// counters. Returns `(served, bytes)` flushed.
     pub fn report(&mut self, server: &AllocationServer) -> (u64, u64) {
@@ -97,7 +87,7 @@ mod tests {
         for i in 0..2_000 {
             c.sample_online(i % 10 < 3);
         }
-        let est = c.availability_estimate();
+        let est = c.ewma_availability;
         assert!((est - 0.3).abs() < 0.1, "est = {est}");
     }
 
@@ -105,8 +95,8 @@ mod tests {
     fn first_sample_initializes() {
         let mut c = MonitoringClient::new(NodeId(0), 0.1);
         c.sample_online(false);
-        assert_eq!(c.availability_estimate(), 0.0);
-        assert_eq!(c.sample_count(), 1);
+        assert_eq!(c.ewma_availability, 0.0);
+        assert_eq!(c.samples, 1);
     }
 
     #[test]

@@ -18,7 +18,6 @@
 
 pub mod casestudy;
 pub mod client;
-pub mod events;
 pub mod scenario;
 pub mod system;
 

@@ -1,5 +1,5 @@
 //! Node centrality measures on a frozen [`CsrGraph`]: degree, closeness,
-//! harmonic, and Brandes betweenness (sequential, parallel, and sampled).
+//! and Brandes betweenness (sequential and parallel).
 //!
 //! Section V-D of the paper lists "centrality and betweenness values derived
 //! from the social connectivity graph" as social placement metrics; the
@@ -47,25 +47,6 @@ pub fn closeness(g: &CsrGraph) -> Vec<f64> {
             let r = reach as f64;
             out[v.index()] = (r / (n as f64 - 1.0)) * (r / total as f64);
         }
-    }
-    out
-}
-
-/// Harmonic centrality: `sum over u != v of 1 / d(v, u)`, unreachable pairs
-/// contribute 0. Robust to disconnection without correction factors. The
-/// reciprocal sum runs in node-id order (not visit order), which fixes the
-/// floating-point result independently of how the BFS discovers nodes.
-pub fn harmonic_centrality(g: &CsrGraph) -> Vec<f64> {
-    let n = g.node_count();
-    let mut out = vec![0.0; n];
-    let mut scratch = TraversalScratch::new();
-    for v in g.nodes() {
-        scratch.bfs(g, &[v]);
-        out[v.index()] = scratch.distances()[..n]
-            .iter()
-            .filter(|&&d| d != UNVISITED && d > 0)
-            .map(|&d| 1.0 / d as f64)
-            .sum();
     }
     out
 }
@@ -167,26 +148,6 @@ pub fn betweenness_parallel(g: &CsrGraph) -> Vec<f64> {
     bc
 }
 
-/// Approximate betweenness by sampling `k` pivot sources (Brandes–Pich).
-/// Scores are scaled by `n / k` so magnitudes are comparable with the exact
-/// values. `seeds` selects the pivots deterministically.
-pub fn betweenness_sampled(g: &CsrGraph, pivots: &[NodeId]) -> Vec<f64> {
-    let n = g.node_count();
-    let mut bc = vec![0.0; n];
-    if pivots.is_empty() {
-        return bc;
-    }
-    let mut scratch = TraversalScratch::new();
-    for &s in pivots {
-        brandes_from_source(g, s, &mut scratch, &mut bc);
-    }
-    let scale = n as f64 / pivots.len() as f64 / 2.0;
-    for b in &mut bc {
-        *b *= scale;
-    }
-    bc
-}
-
 /// Indices of the top-`k` nodes by `score` (descending), ties broken by
 /// smaller node id for determinism.
 pub fn top_k_by_score(scores: &[f64], k: usize) -> Vec<NodeId> {
@@ -231,21 +192,6 @@ mod tests {
         out
     }
 
-    /// The adjacency-list harmonic centrality [`harmonic_centrality`]
-    /// replaced.
-    fn harmonic_reference(g: &Graph) -> Vec<f64> {
-        g.nodes()
-            .map(|v| {
-                bfs_reference(g, &[v])
-                    .into_iter()
-                    .flatten()
-                    .filter(|&d| d > 0)
-                    .map(|d| 1.0 / d as f64)
-                    .sum()
-            })
-            .collect()
-    }
-
     /// One textbook Brandes iteration over adjacency lists: a `VecDeque`,
     /// a stack, and one predecessor `Vec` per node, all allocated per
     /// source. [`brandes_from_source`] must visit, record predecessors and
@@ -285,24 +231,6 @@ mod tests {
         }
     }
 
-    /// Sampled betweenness over the reference iteration; with every node
-    /// a pivot the scale is 1/2 and this is exact betweenness.
-    fn betweenness_sampled_reference(g: &Graph, pivots: &[NodeId]) -> Vec<f64> {
-        let n = g.node_count();
-        let mut bc = vec![0.0; n];
-        if pivots.is_empty() {
-            return bc;
-        }
-        for &s in pivots {
-            brandes_reference(g, s, &mut bc);
-        }
-        let scale = n as f64 / pivots.len() as f64 / 2.0;
-        for b in &mut bc {
-            *b *= scale;
-        }
-        bc
-    }
-
     fn betweenness_reference(g: &Graph) -> Vec<f64> {
         let mut bc = vec![0.0; g.node_count()];
         for s in g.nodes() {
@@ -337,22 +265,16 @@ mod tests {
 
     proptest! {
         #[test]
-        fn closeness_and_harmonic_bit_identical_to_reference(g in arb_graph(35, 100)) {
+        fn closeness_bit_identical_to_reference(g in arb_graph(35, 100)) {
             let c = CsrGraph::from(&g);
             prop_assert_eq!(closeness_reference(&g), closeness(&c));
-            prop_assert_eq!(harmonic_reference(&g), harmonic_centrality(&c));
         }
 
         #[test]
-        fn betweenness_bit_identical_to_reference(g in arb_graph(30, 90), stride in 1usize..4) {
+        fn betweenness_bit_identical_to_reference(g in arb_graph(30, 90)) {
             let c = CsrGraph::from(&g);
             prop_assert_eq!(betweenness_reference(&g), betweenness(&c));
             prop_assert_eq!(betweenness_parallel_reference(&g), betweenness_parallel(&c));
-            let pivots: Vec<NodeId> = g.nodes().step_by(stride).collect();
-            prop_assert_eq!(
-                betweenness_sampled_reference(&g, &pivots),
-                betweenness_sampled(&c, &pivots)
-            );
         }
     }
 
@@ -390,17 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn sampled_with_all_pivots_matches_exact() {
-        let g = path5();
-        let pivots: Vec<_> = g.nodes().collect();
-        let exact = betweenness(&g);
-        let sampled = betweenness_sampled(&g, &pivots);
-        for (a, b) in exact.iter().zip(&sampled) {
-            assert!((a - b).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn closeness_center_of_path_highest() {
         let c = closeness(&path5());
         assert!(c[2] > c[1] && c[1] > c[0]);
@@ -412,15 +323,6 @@ mod tests {
         let c = closeness(&g);
         assert!(c.iter().all(|x| x.is_finite()));
         assert_eq!(c[2], 0.0);
-    }
-
-    #[test]
-    fn harmonic_complete_graph() {
-        let g = frozen(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]);
-        let h = harmonic_centrality(&g);
-        for x in h {
-            assert!((x - 2.0).abs() < 1e-12);
-        }
     }
 
     #[test]
@@ -444,6 +346,5 @@ mod tests {
         assert_eq!(betweenness_reference(&g), betweenness(&c));
         assert_eq!(betweenness_parallel_reference(&g), betweenness_parallel(&c));
         assert_eq!(closeness_reference(&g), closeness(&c));
-        assert_eq!(harmonic_reference(&g), harmonic_centrality(&c));
     }
 }

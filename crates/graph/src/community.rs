@@ -2,8 +2,8 @@
 //!
 //! Section V-D / VI-C: the allocation servers "parse trusted subgraphs to
 //! identify groups of users with similar data usage requirements". We
-//! provide (a) weighted label propagation, (b) Newman modularity to score a
-//! partition, and (c) a simple greedy modularity merge for small graphs.
+//! provide weighted label propagation and Newman modularity to score a
+//! partition.
 
 use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, SeedableRng};
@@ -52,11 +52,6 @@ impl Partition {
             sizes[l as usize] += 1;
         }
         sizes
-    }
-
-    /// Community of node `v`.
-    pub fn community_of(&self, v: NodeId) -> u32 {
-        self.assignment[v.index()]
     }
 }
 
@@ -133,72 +128,6 @@ pub fn label_propagation(g: &Graph, seed: u64, max_iters: usize) -> Partition {
     Partition::from_labels(&labels)
 }
 
-/// Greedy agglomerative modularity optimization (CNM-style, O(n² m) naive):
-/// repeatedly merge the pair of communities whose merge most increases `Q`,
-/// until no merge improves it. Intended for small/medium graphs (≤ a few
-/// thousand nodes) such as the case-study subgraphs.
-pub fn greedy_modularity(g: &Graph) -> Partition {
-    let n = g.node_count();
-    let mut labels: Vec<u32> = (0..n as u32).collect();
-    if n == 0 {
-        return Partition {
-            assignment: labels,
-            count: 0,
-        };
-    }
-    let two_w = 2.0 * g.total_weight() as f64;
-    if two_w == 0.0 {
-        return Partition::from_labels(&labels);
-    }
-    // community -> (strength sum); pair weights between communities.
-    let mut strength: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
-    for v in g.nodes() {
-        *strength.entry(labels[v.index()]).or_insert(0.0) += g.strength(v) as f64;
-    }
-    let mut between: std::collections::HashMap<(u32, u32), f64> = std::collections::HashMap::new();
-    for (a, b, w) in g.edges() {
-        let (ca, cb) = (labels[a.index()], labels[b.index()]);
-        let key = if ca < cb { (ca, cb) } else { (cb, ca) };
-        *between.entry(key).or_insert(0.0) += w as f64;
-    }
-    loop {
-        // Find best merge: ΔQ = 2*(e_ij/2W − s_i s_j / (2W)²)
-        let mut best: Option<((u32, u32), f64)> = None;
-        for (&(i, j), &eij) in &between {
-            if i == j {
-                continue;
-            }
-            let dq = 2.0 * (eij / two_w - strength[&i] * strength[&j] / (two_w * two_w));
-            if best.map(|(_, b)| dq > b).unwrap_or(dq > 1e-12) {
-                best = Some(((i, j), dq));
-            }
-        }
-        let Some(((i, j), _)) = best else { break };
-        // Merge j into i.
-        for l in &mut labels {
-            if *l == j {
-                *l = i;
-            }
-        }
-        let sj = strength.remove(&j).unwrap_or(0.0);
-        *strength.entry(i).or_insert(0.0) += sj;
-        // Rebuild j's between entries onto i.
-        let keys: Vec<(u32, u32)> = between.keys().copied().collect();
-        for key in keys {
-            if key.0 == j || key.1 == j {
-                let w = between.remove(&key).expect("key present");
-                let other = if key.0 == j { key.1 } else { key.0 };
-                if other == i {
-                    continue; // now internal
-                }
-                let nk = if i < other { (i, other) } else { (other, i) };
-                *between.entry(nk).or_insert(0.0) += w;
-            }
-        }
-    }
-    Partition::from_labels(&labels)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,30 +182,8 @@ mod tests {
     }
 
     #[test]
-    fn greedy_modularity_two_cliques() {
-        let g = Graph::from_edges(
-            6,
-            [
-                (0, 1, 1),
-                (1, 2, 1),
-                (0, 2, 1),
-                (3, 4, 1),
-                (4, 5, 1),
-                (3, 5, 1),
-                (2, 3, 1),
-            ],
-        );
-        let p = greedy_modularity(&g);
-        assert_eq!(p.count, 2);
-        assert_eq!(p.community_of(NodeId(0)), p.community_of(NodeId(2)));
-        assert_eq!(p.community_of(NodeId(3)), p.community_of(NodeId(5)));
-        assert_ne!(p.community_of(NodeId(0)), p.community_of(NodeId(5)));
-    }
-
-    #[test]
     fn empty_graph_partitions() {
         let g = Graph::new(0);
         assert_eq!(label_propagation(&g, 0, 10).count, 0);
-        assert_eq!(greedy_modularity(&g).count, 0);
     }
 }

@@ -105,36 +105,10 @@ pub fn is_dominating_set(g: &Graph, set: &[NodeId]) -> bool {
     covered.into_iter().all(|c| c)
 }
 
-/// Greedy 2-approximation of minimum vertex cover (take both endpoints of an
-/// uncovered edge). Useful as a coarse "relay placement" baseline.
-pub fn greedy_vertex_cover(g: &Graph) -> Vec<NodeId> {
-    let mut in_cover = vec![false; g.node_count()];
-    let mut cover = Vec::new();
-    for (a, b, _) in g.edges() {
-        if !in_cover[a.index()] && !in_cover[b.index()] {
-            in_cover[a.index()] = true;
-            in_cover[b.index()] = true;
-            cover.push(a);
-            cover.push(b);
-        }
-    }
-    cover
-}
-
-/// Check whether `set` is a vertex cover.
-pub fn is_vertex_cover(g: &Graph, set: &[NodeId]) -> bool {
-    let mut in_set = vec![false; g.node_count()];
-    for &v in set {
-        in_set[v.index()] = true;
-    }
-    g.edges()
-        .all(|(a, b, _)| in_set[a.index()] || in_set[b.index()])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{barabasi_albert, erdos_renyi};
+    use crate::generators::erdos_renyi;
     use crate::graph::Graph;
 
     #[test]
@@ -173,17 +147,9 @@ mod tests {
     }
 
     #[test]
-    fn vertex_cover_valid_on_scale_free() {
-        let g = barabasi_albert(120, 2, 11);
-        let vc = greedy_vertex_cover(&g);
-        assert!(is_vertex_cover(&g, &vc));
-    }
-
-    #[test]
     fn empty_graph_covers() {
         let g = Graph::new(0);
         assert!(greedy_dominating_set(&g).is_empty());
-        assert!(greedy_vertex_cover(&g).is_empty());
         assert!(is_dominating_set(&g, &[]));
     }
 }

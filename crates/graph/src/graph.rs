@@ -75,17 +75,6 @@ impl Graph {
         }
     }
 
-    /// Create a graph with `n` nodes, reserving adjacency capacity
-    /// `expected_degree` per node to avoid reallocation in hot builders.
-    pub fn with_expected_degree(n: usize, expected_degree: usize) -> Self {
-        Graph {
-            adj: (0..n)
-                .map(|_| Vec::with_capacity(expected_degree))
-                .collect(),
-            edge_count: 0,
-        }
-    }
-
     /// Number of nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
@@ -277,15 +266,6 @@ impl Graph {
         self.induced_subgraph(&keep)
     }
 
-    /// Graph density `2m / (n (n-1))`; 0 for graphs with <2 nodes.
-    pub fn density(&self) -> f64 {
-        let n = self.node_count() as f64;
-        if n < 2.0 {
-            return 0.0;
-        }
-        2.0 * self.edge_count as f64 / (n * (n - 1.0))
-    }
-
     /// Build a graph from an explicit edge list over `n` nodes.
     pub fn from_edges(n: usize, edges: impl IntoIterator<Item = (u32, u32, u32)>) -> Graph {
         let mut g = Graph::new(n);
@@ -307,7 +287,6 @@ mod tests {
         assert_eq!(g.node_count(), 0);
         assert_eq!(g.edge_count(), 0);
         assert_eq!(g.max_degree(), 0);
-        assert_eq!(g.density(), 0.0);
     }
 
     #[test]
@@ -392,12 +371,6 @@ mod tests {
         assert_eq!(c.node_count(), 2);
         assert_eq!(c.edge_count(), 1);
         assert_eq!(map, vec![NodeId(1), NodeId(3)]);
-    }
-
-    #[test]
-    fn density_of_triangle() {
-        let g = Graph::from_edges(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]);
-        assert!((g.density() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -65,20 +65,6 @@ pub fn core_numbers(g: &CsrGraph) -> Vec<u32> {
     core
 }
 
-/// Nodes of the k-core (possibly empty).
-pub fn k_core(g: &CsrGraph, k: u32) -> Vec<NodeId> {
-    core_numbers(g)
-        .into_iter()
-        .enumerate()
-        .filter_map(|(v, c)| (c >= k).then_some(NodeId(v as u32)))
-        .collect()
-}
-
-/// Degeneracy of the graph: the largest `k` with a non-empty k-core.
-pub fn degeneracy(g: &CsrGraph) -> u32 {
-    core_numbers(g).into_iter().max().unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,9 +76,6 @@ mod tests {
     fn clique_core_numbers() {
         let g = CsrGraph::from(&complete(5));
         assert_eq!(core_numbers(&g), vec![4, 4, 4, 4, 4]);
-        assert_eq!(degeneracy(&g), 4);
-        assert_eq!(k_core(&g, 4).len(), 5);
-        assert!(k_core(&g, 5).is_empty());
     }
 
     #[test]
@@ -110,7 +93,6 @@ mod tests {
         assert_eq!(c[1], 2);
         assert_eq!(c[2], 2);
         assert_eq!(c[3], 1);
-        assert_eq!(k_core(&g, 2), vec![NodeId(0), NodeId(1), NodeId(2)]);
     }
 
     #[test]
@@ -139,13 +121,11 @@ mod tests {
         let c = core_numbers(&g);
         assert_eq!(&c[..4], &[3, 3, 3, 3]);
         assert_eq!(&c[4..], &[1, 1, 1]);
-        assert_eq!(degeneracy(&g), 3);
     }
 
     #[test]
     fn empty_graph() {
         let g = CsrGraph::from(&Graph::new(0));
         assert!(core_numbers(&g).is_empty());
-        assert_eq!(degeneracy(&g), 0);
     }
 }

@@ -1,6 +1,5 @@
-//! Structural graph metrics: clustering coefficients and triangle counts
-//! on a frozen [`CsrGraph`]; degree distributions and degree assortativity
-//! on the [`Graph`] being built.
+//! Structural graph metrics: clustering coefficients on a frozen
+//! [`CsrGraph`]; the mean degree of the [`Graph`] being built.
 //!
 //! The clustering coefficient is one of the paper's four replica-placement
 //! keys (and is shown to be a *bad* one — Section VI-B), so its definition
@@ -149,15 +148,6 @@ pub fn all_clustering_coefficients(g: &CsrGraph) -> Vec<f64> {
         .collect()
 }
 
-/// Average of local clustering coefficients (Watts–Strogatz definition).
-pub fn average_clustering_coefficient(g: &CsrGraph) -> f64 {
-    let n = g.node_count();
-    if n == 0 {
-        return 0.0;
-    }
-    all_clustering_coefficients(g).iter().sum::<f64>() / n as f64
-}
-
 /// Global clustering coefficient (transitivity):
 /// `3 * triangles / connected triples`.
 pub fn global_clustering_coefficient(g: &CsrGraph) -> f64 {
@@ -176,54 +166,12 @@ pub fn global_clustering_coefficient(g: &CsrGraph) -> f64 {
     }
 }
 
-/// Number of distinct triangles in the graph.
-pub fn triangle_count(g: &CsrGraph) -> u64 {
-    let corners: u64 = triangle_corners(g).iter().sum();
-    corners / 3
-}
-
-/// Degree histogram: `hist[d]` = number of nodes with degree `d`.
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
-    let mut hist = vec![0usize; g.max_degree() + 1];
-    for v in g.nodes() {
-        hist[g.degree(v)] += 1;
-    }
-    hist
-}
-
 /// Mean degree (`2m / n`); 0 for the empty graph.
 pub fn mean_degree(g: &Graph) -> f64 {
     if g.node_count() == 0 {
         0.0
     } else {
         2.0 * g.edge_count() as f64 / g.node_count() as f64
-    }
-}
-
-/// Pearson degree assortativity over edges (Newman). Returns 0 for graphs
-/// where the correlation is undefined (no edges or zero variance).
-pub fn degree_assortativity(g: &Graph) -> f64 {
-    let m = g.edge_count();
-    if m == 0 {
-        return 0.0;
-    }
-    let mut sum_xy = 0.0;
-    let mut sum_x = 0.0;
-    let mut sum_x2 = 0.0;
-    // Treat each undirected edge as two ordered pairs for symmetry.
-    for (a, b, _) in g.edges() {
-        let (da, db) = (g.degree(a) as f64, g.degree(b) as f64);
-        sum_xy += 2.0 * da * db;
-        sum_x += da + db;
-        sum_x2 += da * da + db * db;
-    }
-    let inv = 1.0 / (2.0 * m as f64);
-    let num = inv * sum_xy - (inv * sum_x).powi(2);
-    let den = inv * sum_x2 - (inv * sum_x).powi(2);
-    if den.abs() < 1e-12 {
-        0.0
-    } else {
-        num / den
     }
 }
 
@@ -269,13 +217,6 @@ mod tests {
         for v in g.nodes() {
             assert_eq!(cc[v.index()], local_clustering_coefficient(&c, v));
         }
-        let n = g.node_count();
-        let average = if n == 0 {
-            0.0
-        } else {
-            cc.iter().sum::<f64>() / n as f64
-        };
-        assert_eq!(average, average_clustering_coefficient(&c));
         let corners: u64 = g.nodes().map(|v| closed_pairs_reference(g, v)).sum();
         let triples: u64 = g
             .nodes()
@@ -288,7 +229,6 @@ mod tests {
             corners as f64 / triples as f64
         };
         assert_eq!(global, global_clustering_coefficient(&c));
-        assert_eq!(corners / 3, triangle_count(&c));
     }
 
     proptest! {
@@ -312,8 +252,6 @@ mod tests {
             assert!((local_clustering_coefficient(&g, v) - 1.0).abs() < 1e-12);
         }
         assert!((global_clustering_coefficient(&g) - 1.0).abs() < 1e-12);
-        assert!((average_clustering_coefficient(&g) - 1.0).abs() < 1e-12);
-        assert_eq!(triangle_count(&g), 1);
     }
 
     #[test]
@@ -322,7 +260,6 @@ mod tests {
         assert_eq!(local_clustering_coefficient(&g, NodeId(0)), 0.0);
         assert_eq!(all_clustering_coefficients(&g)[0], 0.0);
         assert_eq!(global_clustering_coefficient(&g), 0.0);
-        assert_eq!(triangle_count(&g), 0);
     }
 
     #[test]
@@ -331,8 +268,10 @@ mod tests {
         assert_eq!(local_clustering_coefficient(&g, NodeId(0)), 0.0);
         assert_eq!(all_clustering_coefficients(&g), vec![0.0, 0.0]);
         assert_eq!(global_clustering_coefficient(&g), 0.0);
-        assert_eq!(triangle_count(&g), 0);
-        assert_eq!(triangle_count(&CsrGraph::from(&Graph::new(0))), 0);
+        assert_eq!(
+            global_clustering_coefficient(&CsrGraph::from(&Graph::new(0))),
+            0.0
+        );
     }
 
     #[test]
@@ -342,28 +281,11 @@ mod tests {
         // triples: deg(0)=3 -> 3, deg(1)=2 -> 1, deg(2)=2 -> 1, deg(3)=1 -> 0 => 5
         // closed corners = 3 (one per triangle corner)
         assert!((global_clustering_coefficient(&g) - 3.0 / 5.0).abs() < 1e-12);
-        assert_eq!(triangle_count(&g), 1);
     }
 
     #[test]
-    fn histogram_and_mean() {
+    fn mean_degree_of_a_star() {
         let g = Graph::from_edges(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)]);
-        let h = degree_histogram(&g);
-        assert_eq!(h, vec![0, 3, 0, 1]);
         assert!((mean_degree(&g) - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn assortativity_bounds() {
-        // A path has negative assortativity; check it's within [-1, 1].
-        let g = Graph::from_edges(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)]);
-        let r = degree_assortativity(&g);
-        assert!((-1.0..=1.0).contains(&r), "r = {r}");
-    }
-
-    #[test]
-    fn assortativity_empty_is_zero() {
-        let g = Graph::new(3);
-        assert_eq!(degree_assortativity(&g), 0.0);
     }
 }

@@ -23,15 +23,10 @@ pub fn set_worker_limit(limit: usize) {
     WORKER_LIMIT.store(limit, Ordering::Relaxed);
 }
 
-/// The current worker override (`0` = none). See [`set_worker_limit`].
-pub fn worker_limit() -> usize {
-    WORKER_LIMIT.load(Ordering::Relaxed)
-}
-
 /// Number of worker threads to use: the available parallelism (or the
 /// [`set_worker_limit`] override), capped so tiny inputs don't pay spawn
 /// overhead.
-pub fn worker_count(items: usize) -> usize {
+fn worker_count(items: usize) -> usize {
     let hw = match WORKER_LIMIT.load(Ordering::Relaxed) {
         0 => std::thread::available_parallelism()
             .map(|n| n.get())
@@ -41,70 +36,14 @@ pub fn worker_count(items: usize) -> usize {
     hw.min(items.max(1))
 }
 
-/// Parallel indexed map-reduce over `0..n`.
-///
-/// Each worker repeatedly claims a chunk of indices (atomic counter), maps
-/// them with `map`, folds into a thread-local accumulator created by `init`,
-/// and the accumulators are combined with `merge` at the end. Deterministic
-/// iff `merge` is commutative/associative over the `map` outputs.
-pub fn par_map_reduce<A, M, I, R>(n: usize, chunk: usize, init: I, map: M, merge: R) -> A
-where
-    A: Send,
-    I: Fn() -> A + Sync,
-    M: Fn(usize, &mut A) + Sync,
-    R: Fn(A, A) -> A,
-{
-    let workers = worker_count(n);
-    if workers <= 1 || n == 0 {
-        let mut acc = init();
-        for i in 0..n {
-            map(i, &mut acc);
-        }
-        return acc;
-    }
-    let chunk = chunk.max(1);
-    let cursor = AtomicUsize::new(0);
-    let results = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let cursor = &cursor;
-                let init = &init;
-                let map = &map;
-                s.spawn(move |_| {
-                    let mut acc = init();
-                    loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        let end = (start + chunk).min(n);
-                        for i in start..end {
-                            map(i, &mut acc);
-                        }
-                    }
-                    acc
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect::<Vec<_>>()
-    })
-    .expect("scope panicked");
-    let mut iter = results.into_iter();
-    let first = iter.next().expect("at least one worker");
-    iter.fold(first, merge)
-}
-
 /// Deterministic parallel map-reduce over `0..n`: worker `w` of `W` folds
 /// the contiguous range `[w·n/W, (w+1)·n/W)` in index order and the
 /// per-worker accumulators merge in worker order.
 ///
-/// Unlike [`par_map_reduce`], the index→worker assignment does not depend
-/// on scheduling, so for a fixed machine (fixed `W`) the result is
-/// bit-reproducible even when `merge` is not exactly associative (e.g.
-/// floating-point sums in parallel Brandes betweenness).
+/// The index→worker assignment does not depend on scheduling, so for a
+/// fixed machine (fixed `W`) the result is bit-reproducible even when
+/// `merge` is not exactly associative (e.g. floating-point sums in
+/// parallel Brandes betweenness).
 pub fn par_map_reduce_ranges<A, M, I, R>(n: usize, init: I, map: M, merge: R) -> A
 where
     A: Send,
@@ -208,18 +147,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn map_reduce_sums() {
-        let total: u64 = par_map_reduce(1000, 16, || 0u64, |i, acc| *acc += i as u64, |a, b| a + b);
-        assert_eq!(total, 499_500);
-    }
-
-    #[test]
-    fn map_reduce_empty() {
-        let total: u64 = par_map_reduce(0, 16, || 7u64, |_, _| unreachable!(), |a, _| a);
-        assert_eq!(total, 7);
-    }
-
-    #[test]
     fn map_collect_preserves_order() {
         let v = par_map_collect(257, 8, |i| i * 2);
         assert_eq!(v.len(), 257);
@@ -287,12 +214,9 @@ mod tests {
         }
         let _reset = Reset;
         set_worker_limit(3);
-        assert_eq!(worker_limit(), 3);
         assert_eq!(worker_count(1_000_000), 3);
         assert_eq!(worker_count(2), 2); // still capped by item count
         let v = par_map_collect(100, 4, |i| i * i);
         assert_eq!(v[99], 99 * 99);
-        set_worker_limit(0);
-        assert_eq!(worker_limit(), 0);
     }
 }

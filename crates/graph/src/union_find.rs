@@ -67,12 +67,6 @@ impl UnionFind {
     pub fn connected(&mut self, a: usize, b: usize) -> bool {
         self.find(a) == self.find(b)
     }
-
-    /// Size of the set containing `x`.
-    pub fn set_size(&mut self, x: usize) -> usize {
-        let r = self.find(x);
-        self.size[r] as usize
-    }
 }
 
 #[cfg(test)]
@@ -84,7 +78,6 @@ mod tests {
         let mut uf = UnionFind::new(4);
         assert_eq!(uf.component_count(), 4);
         assert!(!uf.connected(0, 1));
-        assert_eq!(uf.set_size(2), 1);
     }
 
     #[test]
@@ -95,7 +88,6 @@ mod tests {
         assert!(!uf.union(0, 2));
         assert_eq!(uf.component_count(), 3);
         assert!(uf.connected(0, 2));
-        assert_eq!(uf.set_size(1), 3);
     }
 
     #[test]
@@ -106,7 +98,6 @@ mod tests {
         }
         assert_eq!(uf.component_count(), 1);
         assert!(uf.connected(0, 99));
-        assert_eq!(uf.set_size(50), 100);
     }
 
     #[test]

@@ -75,16 +75,6 @@ impl AuditLog {
         self.entries.read().is_empty()
     }
 
-    /// All entries for one user, in order.
-    pub fn by_user(&self, user: UserId) -> Vec<AuditEntry> {
-        self.entries
-            .read()
-            .iter()
-            .filter(|e| e.user == user)
-            .cloned()
-            .collect()
-    }
-
     /// All entries for one dataset, in order.
     pub fn by_dataset(&self, dataset: DatasetId) -> Vec<AuditEntry> {
         self.entries
@@ -145,14 +135,13 @@ mod tests {
     }
 
     #[test]
-    fn query_by_user_and_dataset() {
+    fn query_by_dataset() {
         let log = AuditLog::new();
         log.record(1, UserId(1), DatasetId(0), grant());
         log.record(2, UserId(2), DatasetId(0), deny());
         log.record(3, UserId(1), DatasetId(1), grant());
-        assert_eq!(log.by_user(UserId(1)).len(), 2);
         assert_eq!(log.by_dataset(DatasetId(0)).len(), 2);
-        assert_eq!(log.by_user(UserId(9)).len(), 0);
+        assert_eq!(log.by_dataset(DatasetId(9)).len(), 0);
     }
 
     #[test]

@@ -113,16 +113,6 @@ impl Middleware {
         }
         Ok(s.user)
     }
-
-    /// Terminate a session.
-    pub fn end_session(&self, session_id: u64) {
-        self.sessions.write().remove(&session_id);
-    }
-
-    /// Number of live sessions.
-    pub fn session_count(&self) -> usize {
-        self.sessions.read().len()
-    }
 }
 
 #[cfg(test)]
@@ -177,20 +167,7 @@ mod tests {
             mw.authorize_op(s.id).unwrap_err(),
             MiddlewareError::SessionInvalid
         );
-        assert_eq!(mw.session_count(), 0);
-    }
-
-    #[test]
-    fn ended_sessions_invalid() {
-        let p = platform();
-        let mw = Middleware::new(p.clone());
-        let tok = p.login("alice", "pw").expect("login");
-        let s = mw.establish_session(&tok).expect("session");
-        mw.end_session(s.id);
-        assert_eq!(
-            mw.authorize_op(s.id).unwrap_err(),
-            MiddlewareError::SessionInvalid
-        );
+        assert_eq!(mw.sessions.read().len(), 0);
     }
 
     #[test]
@@ -212,12 +189,12 @@ mod tests {
             mw.peek_op(s.id).unwrap_err(),
             MiddlewareError::SessionInvalid
         );
-        assert_eq!(mw.session_count(), 1);
+        assert_eq!(mw.sessions.read().len(), 1);
         assert_eq!(
             mw.authorize_op(s.id).unwrap_err(),
             MiddlewareError::SessionInvalid
         );
-        assert_eq!(mw.session_count(), 0);
+        assert_eq!(mw.sessions.read().len(), 0);
         assert_eq!(
             mw.peek_op(404).unwrap_err(),
             MiddlewareError::SessionInvalid

@@ -88,7 +88,7 @@ impl SocialOverlay {
     ///
     /// Requires (1) a social edge between them, and (2) both presented
     /// fingerprints to match the published certificates.
-    pub fn establish_link(
+    fn establish_link(
         &mut self,
         social: &Graph,
         a: NodeId,
@@ -139,7 +139,7 @@ impl SocialOverlay {
 
     /// Tear down the link `a — b` if present (e.g. the social edge
     /// backing it lapsed). Returns `true` if a link was removed.
-    pub fn teardown_link(&mut self, a: NodeId, b: NodeId) -> bool {
+    fn teardown_link(&mut self, a: NodeId, b: NodeId) -> bool {
         if a.index() >= self.n || b.index() >= self.n {
             return false;
         }

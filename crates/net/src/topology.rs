@@ -69,7 +69,7 @@ impl Topology {
     }
 
     /// Great-circle distance between two nodes in km.
-    pub fn distance_km(&self, a: usize, b: usize) -> f64 {
+    fn distance_km(&self, a: usize, b: usize) -> f64 {
         haversine_km(self.positions[a], self.positions[b])
     }
 
@@ -87,13 +87,7 @@ impl Topology {
     /// Effective bulk bandwidth of a transfer `a → b` in bytes/s: the
     /// bottleneck of `a`'s uplink and `b`'s downlink, divided by the number
     /// of concurrent streams at each endpoint.
-    pub fn effective_bandwidth(
-        &self,
-        a: usize,
-        b: usize,
-        concurrent_a: u32,
-        concurrent_b: u32,
-    ) -> f64 {
+    fn effective_bandwidth(&self, a: usize, b: usize, concurrent_a: u32, concurrent_b: u32) -> f64 {
         let up = self.links[a].up_bps as f64 / concurrent_a.max(1) as f64;
         let down = self.links[b].down_bps as f64 / concurrent_b.max(1) as f64;
         up.min(down)

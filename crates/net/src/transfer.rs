@@ -193,7 +193,7 @@ impl TransferEngine {
     }
 
     /// Estimate the duration of one attempt in milliseconds.
-    pub fn attempt_time_ms(&self, src: usize, dst: usize, bytes: u64) -> f64 {
+    fn attempt_time_ms(&self, src: usize, dst: usize, bytes: u64) -> f64 {
         self.topology
             .transfer_time_ms(src, dst, bytes, self.concurrency)
     }
@@ -265,9 +265,9 @@ impl TransferEngine {
     /// `concurrency` parallel streams, each wave costing its slowest
     /// member. With `concurrency == 1` this is the plain serial sum.
     /// (Per-stream bandwidth already divides by `concurrency` inside
-    /// [`attempt_time_ms`](Self::attempt_time_ms), so raising concurrency
-    /// trades slower individual streams for overlap — a win whenever
-    /// per-attempt latency is non-zero.)
+    /// `attempt_time_ms`, so raising concurrency trades slower individual
+    /// streams for overlap — a win whenever per-attempt latency is
+    /// non-zero.)
     pub fn aggregate_elapsed_ms(&self, per_segment_ms: &[f64]) -> f64 {
         let wave = self.concurrency.max(1) as usize;
         per_segment_ms
@@ -289,33 +289,20 @@ impl TransferEngine {
         dst_repo: &StorageRepository,
         segment: SegmentId,
     ) -> Result<TransferReport, TransferError> {
-        self.transfer_segment_into(src, dst, src_repo, dst_repo, segment, Partition::Replica)
-    }
-
-    /// Like [`transfer_segment`](Self::transfer_segment) but delivering
-    /// into a chosen destination partition (user downloads land in the
-    /// user partition; CDN replication lands in the replica partition).
-    pub fn transfer_segment_into(
-        &self,
-        src: usize,
-        dst: usize,
-        src_repo: &StorageRepository,
-        dst_repo: &StorageRepository,
-        segment: SegmentId,
-        partition: Partition,
-    ) -> Result<TransferReport, TransferError> {
         self.transfer_segment_observed(
             src,
             dst,
             src_repo,
             dst_repo,
             segment,
-            partition,
+            Partition::Replica,
             &mut |_| {},
         )
     }
 
-    /// Like [`transfer_segment_into`](Self::transfer_segment_into) but
+    /// Like [`transfer_segment`](Self::transfer_segment) but delivering
+    /// into a chosen destination partition (user downloads land in the
+    /// user partition; CDN replication lands in the replica partition) and
     /// invoking `observe` once per network attempt, in order, with the
     /// outcome and charged time of each. The observer sees every attempt —
     /// including the final delivered/failed one — before the result is

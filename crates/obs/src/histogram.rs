@@ -269,21 +269,6 @@ impl Histogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// Non-empty buckets as `(lower_bound_value, count)` pairs, ascending
-    /// (for exporters).
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                (
-                    self.config.lower_bound(i) as f64 / self.config.unit_scale,
-                    c,
-                )
-            })
-    }
 }
 
 /// Thread-safe histogram handle: records through `&self`, cheap to clone

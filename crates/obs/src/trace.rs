@@ -46,7 +46,7 @@ impl SpanKind {
     }
 
     /// `true` for `Deliver` / `Fail`.
-    pub fn is_terminal(self) -> bool {
+    fn is_terminal(self) -> bool {
         matches!(self, SpanKind::Deliver | SpanKind::Fail)
     }
 }

@@ -1,9 +1,8 @@
 //! # scdn-sim — simulation substrate
 //!
-//! A small discrete-event simulation kernel plus the models the S-CDN
-//! evaluation needs:
+//! The simulation clock plus the models the S-CDN evaluation needs:
 //!
-//! * [`engine`] — simulation clock and a deterministic event queue;
+//! * [`engine`] — the millisecond simulation clock;
 //! * [`availability`] — node uptime/churn models (always-on, fractional,
 //!   diurnal, trace-driven) and the availability-overlap graphs used by
 //!   My3-style replica selection (Section V-D of the paper);
@@ -19,4 +18,4 @@ pub mod engine;
 pub mod metrics;
 pub mod workload;
 
-pub use engine::{EventQueue, SimTime};
+pub use engine::SimTime;

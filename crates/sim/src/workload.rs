@@ -141,28 +141,6 @@ pub fn generate_requests(cfg: &WorkloadConfig) -> Vec<Request> {
     out
 }
 
-/// Split a time-sorted request stream into maximal runs of identical
-/// arrival times. Batched drivers feed each run to one
-/// `request_batch` call: same-instant requests observe the same clock in
-/// the serial loop too, so batching them cannot change outcomes.
-///
-/// Returns consecutive subslices covering the whole input (empty input →
-/// no groups).
-pub fn group_by_arrival(reqs: &[Request]) -> Vec<&[Request]> {
-    let mut groups = Vec::new();
-    let mut start = 0usize;
-    for i in 1..reqs.len() {
-        if reqs[i].at != reqs[start].at {
-            groups.push(&reqs[start..i]);
-            start = i;
-        }
-    }
-    if start < reqs.len() {
-        groups.push(&reqs[start..]);
-    }
-    groups
-}
-
 /// One phase of a scripted workload: a fixed-duration regime with its own
 /// popularity skew, request rate, and optional flash crowd. Phases run
 /// back to back, so a script models a popularity *phase change* — the
@@ -559,32 +537,6 @@ mod tests {
     fn requests_deterministic_by_seed() {
         let cfg = WorkloadConfig::default();
         assert_eq!(generate_requests(&cfg), generate_requests(&cfg));
-    }
-
-    #[test]
-    fn group_by_arrival_partitions_stream() {
-        // Dense arrivals (tiny mean inter-arrival) force millisecond
-        // collisions, so some groups have more than one request.
-        let reqs = generate_requests(&WorkloadConfig {
-            count: 400,
-            mean_interarrival_ms: 0.4,
-            ..Default::default()
-        });
-        let groups = group_by_arrival(&reqs);
-        let total: usize = groups.iter().map(|g| g.len()).sum();
-        assert_eq!(total, reqs.len(), "groups cover the stream exactly");
-        assert!(groups.iter().any(|g| g.len() > 1), "some same-ms runs");
-        let mut flat = Vec::new();
-        for g in &groups {
-            assert!(!g.is_empty());
-            assert!(g.iter().all(|r| r.at == g[0].at), "uniform arrival time");
-            flat.extend_from_slice(g);
-        }
-        assert_eq!(flat, reqs, "order preserved");
-        for w in groups.windows(2) {
-            assert!(w[0][0].at < w[1][0].at, "strictly increasing group times");
-        }
-        assert!(group_by_arrival(&[]).is_empty());
     }
 
     #[test]

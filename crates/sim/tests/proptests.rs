@@ -2,36 +2,10 @@
 
 use proptest::prelude::*;
 use scdn_sim::availability::{overlap_fraction, AvailabilityModel, PeriodicChurn, Trace};
-use scdn_sim::engine::{EventQueue, SimTime};
+use scdn_sim::engine::SimTime;
 use scdn_sim::workload::{generate_requests, WorkloadConfig, Zipf};
 
 proptest! {
-    #[test]
-    fn event_queue_pops_sorted(times in proptest::collection::vec(0u64..10_000, 1..100)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_millis(t), i);
-        }
-        let mut last = SimTime::ZERO;
-        let mut count = 0;
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t >= last);
-            last = t;
-            count += 1;
-        }
-        prop_assert_eq!(count, times.len());
-    }
-
-    #[test]
-    fn equal_times_preserve_insertion_order(n in 1usize..50) {
-        let mut q = EventQueue::new();
-        for i in 0..n {
-            q.schedule(SimTime::from_millis(42), i);
-        }
-        let popped: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        prop_assert_eq!(popped, (0..n).collect::<Vec<_>>());
-    }
-
     #[test]
     fn zipf_sample_in_range(n in 1usize..200, s in 0.0f64..2.5, seed in 0u64..100) {
         use rand::{rngs::StdRng, SeedableRng};

@@ -71,14 +71,6 @@ pub struct CoauthorNetwork {
 }
 
 impl CoauthorNetwork {
-    /// Degree of an author (0 if absent).
-    pub fn author_degree(&self, a: AuthorId) -> usize {
-        self.index
-            .node_of(a)
-            .map(|v| self.graph.degree(v))
-            .unwrap_or(0)
-    }
-
     /// `true` if the author participates in the network.
     pub fn contains(&self, a: AuthorId) -> bool {
         self.index.node_of(a).is_some()
@@ -163,6 +155,11 @@ mod tests {
         Corpus::new(authors, inst, pubs).expect("valid")
     }
 
+    /// Degree of an author in the network (0 if absent).
+    fn degree_of(net: &CoauthorNetwork, a: AuthorId) -> usize {
+        net.index.node_of(a).map_or(0, |v| net.graph.degree(v))
+    }
+
     #[test]
     fn weights_count_joint_pubs() {
         let net = build_coauthorship(&corpus(), 2009..=2010, |_| true);
@@ -176,17 +173,17 @@ mod tests {
     #[test]
     fn year_filter_excludes() {
         let net = build_coauthorship(&corpus(), 2009..=2010, |_| true);
-        assert!(!net.contains(AuthorId(4)) || net.author_degree(AuthorId(4)) == 0);
+        assert!(!net.contains(AuthorId(4)) || degree_of(&net, AuthorId(4)) == 0);
         // Author 4's only 2009-2010 appearance is a solo pub → isolated node.
         assert!(net.contains(AuthorId(4)));
-        assert_eq!(net.author_degree(AuthorId(4)), 0);
+        assert_eq!(degree_of(&net, AuthorId(4)), 0);
     }
 
     #[test]
     fn pub_filter_applies() {
         // Exclude pubs with 3+ authors: the triangle pub 2 disappears.
         let net = build_coauthorship(&corpus(), 2009..=2011, |p| p.author_count() < 3);
-        assert_eq!(net.author_degree(AuthorId(2)), 0);
+        assert_eq!(degree_of(&net, AuthorId(2)), 0);
         assert!(net.contains(AuthorId(3)));
         let (a3, a4) = (
             net.index.node_of(AuthorId(3)).unwrap(),

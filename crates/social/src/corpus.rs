@@ -170,11 +170,6 @@ impl Corpus {
             .filter(move |p| years.contains(&p.year))
     }
 
-    /// Find an author by exact name (linear scan; corpora are small).
-    pub fn author_by_name(&self, name: &str) -> Option<&Author> {
-        self.authors.iter().find(|a| a.name == name)
-    }
-
     /// Declare a research interest for an author (idempotent).
     pub fn add_interest(&mut self, a: AuthorId, topic: &str) {
         assert!(a.index() < self.authors.len(), "unknown author {a}");
@@ -192,22 +187,6 @@ impl Corpus {
     /// All authors with at least one declared interest.
     pub fn authors_with_interests(&self) -> usize {
         self.interests.len()
-    }
-
-    /// Number of distinct coauthors of `a` within the year range.
-    pub fn coauthor_count(&self, a: AuthorId, years: std::ops::RangeInclusive<u16>) -> usize {
-        let mut seen: HashMap<AuthorId, ()> = HashMap::new();
-        for &pid in self.publications_of(a) {
-            let p = self.publication(pid);
-            if years.contains(&p.year) {
-                for &other in &p.authors {
-                    if other != a {
-                        seen.insert(other, ());
-                    }
-                }
-            }
-        }
-        seen.len()
     }
 }
 
@@ -251,15 +230,6 @@ mod tests {
         assert_eq!(c.publication_count(), 3);
         assert_eq!(c.publications_of(AuthorId(0)), &[PubId(0), PubId(1)]);
         assert_eq!(c.publications_in(2009..=2010).count(), 2);
-        assert_eq!(c.author_by_name("A2").map(|a| a.id), Some(AuthorId(2)));
-    }
-
-    #[test]
-    fn coauthor_count_respects_years() {
-        let c = mini_corpus();
-        assert_eq!(c.coauthor_count(AuthorId(0), 2009..=2010), 3);
-        assert_eq!(c.coauthor_count(AuthorId(0), 2009..=2009), 1);
-        assert_eq!(c.coauthor_count(AuthorId(1), 2011..=2011), 1);
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! to extract areas of interest" when grouping users with similar data
 //! needs. Interests are declared per author (the generator derives them
 //! from team topics); this module turns them into a graph [`Partition`]
-//! usable by the social data partitioner, plus pairwise interest
-//! similarity for discovery-style ranking.
+//! usable by the social data partitioner.
 
 use std::collections::HashMap;
 
@@ -38,19 +37,6 @@ pub fn interest_partition(corpus: &Corpus, authors: &[AuthorId]) -> (Partition, 
         labels.push(label);
     }
     (Partition::from_labels(&labels), names)
-}
-
-/// Jaccard similarity of two authors' declared interest sets (0 when
-/// either set is empty).
-pub fn interest_similarity(corpus: &Corpus, a: AuthorId, b: AuthorId) -> f64 {
-    let sa = corpus.interests_of(a);
-    let sb = corpus.interests_of(b);
-    if sa.is_empty() || sb.is_empty() {
-        return 0.0;
-    }
-    let inter = sa.iter().filter(|t| sb.contains(t)).count();
-    let union = sa.len() + sb.len() - inter;
-    inter as f64 / union as f64
 }
 
 #[cfg(test)]
@@ -97,16 +83,6 @@ mod tests {
         assert_eq!(names.len(), 3);
         assert!(names.contains(&"neuroimaging".to_string()));
         assert_eq!(names.last().map(String::as_str), Some("(none)"));
-    }
-
-    #[test]
-    fn similarity_is_jaccard() {
-        let c = corpus_with_interests();
-        // {neuro, ml} vs {neuro}: 1 / 2.
-        assert!((interest_similarity(&c, AuthorId(0), AuthorId(1)) - 0.5).abs() < 1e-12);
-        assert_eq!(interest_similarity(&c, AuthorId(0), AuthorId(2)), 0.0);
-        assert_eq!(interest_similarity(&c, AuthorId(0), AuthorId(3)), 0.0);
-        assert!((interest_similarity(&c, AuthorId(1), AuthorId(1)) - 1.0).abs() < 1e-12);
     }
 
     #[test]

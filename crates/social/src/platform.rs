@@ -152,14 +152,6 @@ impl SocialPlatform {
         self.state.read().users.len()
     }
 
-    /// Look up a user by login name.
-    pub fn user_by_login(&self, login: &str) -> Option<User> {
-        let s = self.state.read();
-        s.login_index
-            .get(login)
-            .map(|&id| s.users[id.index()].clone())
-    }
-
     /// Fetch a user record.
     pub fn user(&self, id: UserId) -> Result<User, PlatformError> {
         let s = self.state.read();
@@ -213,19 +205,6 @@ impl SocialPlatform {
             .get(&a)
             .map(|f| f.contains(&b))
             .unwrap_or(false)
-    }
-
-    /// All relationships of `a`.
-    pub fn friends_of(&self, a: UserId) -> Vec<UserId> {
-        let mut v: Vec<UserId> = self
-            .state
-            .read()
-            .friendships
-            .get(&a)
-            .map(|f| f.iter().copied().collect())
-            .unwrap_or_default();
-        v.sort_unstable();
-        v
     }
 
     /// Authenticate and obtain a bearer token.
@@ -341,7 +320,7 @@ mod tests {
     fn register_and_lookup() {
         let (p, a, b) = platform_with_two_users();
         assert_eq!(p.user_count(), 2);
-        assert_eq!(p.user_by_login("alice").map(|u| u.id), Some(a));
+        assert_eq!(p.user(a).map(|u| u.login).as_deref(), Ok("alice"));
         assert_eq!(p.user_of_author(AuthorId(7)), Some(b));
         assert_eq!(p.user_of_author(AuthorId(9)), None);
         // A second claim on the same author does not displace the first.
@@ -365,7 +344,6 @@ mod tests {
         p.befriend(a, b).expect("befriend");
         assert!(p.are_friends(a, b));
         assert!(p.are_friends(b, a));
-        assert_eq!(p.friends_of(a), vec![b]);
     }
 
     #[test]

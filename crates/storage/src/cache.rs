@@ -116,7 +116,7 @@ impl CacheManager {
     }
 
     /// `true` if the segment is pinned.
-    pub fn is_pinned(&self, id: SegmentId) -> bool {
+    fn is_pinned(&self, id: SegmentId) -> bool {
         self.state.get(&id).map(|e| e.2).unwrap_or(false)
     }
 

@@ -12,16 +12,13 @@
 //!   coding crates);
 //! * [`integrity`] — checksum algorithms (FNV-1a and CRC-32, implemented
 //!   here: no external hashing crates) and corruption detection;
-//! * [`repository`] — the partitioned repository with quotas and eviction;
-//! * [`vfs`] — the DropBox-like shared folder tree users interact with.
+//! * [`repository`] — the partitioned repository with quotas and eviction.
 
 pub mod cache;
 pub mod coding;
 pub mod integrity;
 pub mod object;
-pub mod provenance;
 pub mod repository;
-pub mod vfs;
 
 pub use cache::{CacheManager, EvictionPolicy};
 pub use coding::{
@@ -30,5 +27,4 @@ pub use coding::{
     CODED_ORDINAL_BASE,
 };
 pub use object::{Dataset, DatasetId, Segment, SegmentId, Sensitivity};
-pub use provenance::{ProvenanceRecord, ProvenanceStore};
 pub use repository::{Partition, RepoError, StorageRepository};

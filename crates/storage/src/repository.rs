@@ -174,14 +174,6 @@ impl StorageRepository {
         Ok(())
     }
 
-    /// Copy a user-partition segment into the replica partition (the
-    /// "copied to the replica partition if so instructed by an allocation
-    /// server" flow).
-    pub fn promote(&self, id: SegmentId) -> Result<(), RepoError> {
-        let seg = self.fetch(Partition::User, id)?;
-        self.store(Partition::Replica, seg)
-    }
-
     /// All segment ids in a partition (sorted for determinism).
     pub fn list(&self, p: Partition) -> Vec<SegmentId> {
         let mut ids: Vec<SegmentId> = self.shelf(p).read().keys().copied().collect();
@@ -318,16 +310,6 @@ mod tests {
         // An intact user copy stands in for the corrupt replica copy.
         repo.store(Partition::User, good.clone()).expect("ok");
         assert_eq!(repo.fetch_any(good.id).expect("user copy").data, good.data);
-    }
-
-    #[test]
-    fn promote_copies_to_replica() {
-        let repo = StorageRepository::new(1000);
-        let s = seg(2, 3, 50);
-        repo.store(Partition::User, s.clone()).expect("ok");
-        repo.promote(s.id).expect("promotes");
-        assert_eq!(repo.segment_count(Partition::Replica), 1);
-        assert_eq!(repo.used(), 100); // both copies count
     }
 
     #[test]

@@ -6,7 +6,6 @@ use scdn_storage::coding::{decode_blocks, encode_blocks, CodingError, CodingSpec
 use scdn_storage::integrity::{corrupt_bit, crc32, fnv1a64_striped, Checksum};
 use scdn_storage::object::{Dataset, DatasetId, Segment, SegmentId, Sensitivity};
 use scdn_storage::repository::{Partition, StorageRepository};
-use scdn_storage::vfs::Vfs;
 
 proptest! {
     #[test]
@@ -165,24 +164,5 @@ proptest! {
             let _ = repo.store(Partition::Replica, seg);
             prop_assert!(repo.used() <= capacity);
         }
-    }
-
-    #[test]
-    fn vfs_write_read_consistent(
-        names in proptest::collection::vec("[a-z]{1,8}", 1..10),
-    ) {
-        let mut vfs = Vfs::new();
-        vfs.mkdir_all("/data").expect("mkdir");
-        for (i, name) in names.iter().enumerate() {
-            let path = format!("/data/{name}-{i}");
-            let segs = vec![SegmentId {
-                dataset: DatasetId(i as u32),
-                ordinal: 0,
-            }];
-            vfs.write_file(&path, segs.clone()).expect("writes");
-            prop_assert_eq!(vfs.read_file(&path).expect("reads"), &segs[..]);
-        }
-        let listed = vfs.list("/data").expect("lists");
-        prop_assert_eq!(listed.len(), names.len());
     }
 }

@@ -4,11 +4,10 @@
 
 use scdn::alloc::replication::AdaptiveRebalance;
 use scdn::bytes::Bytes;
-use scdn::core::events::{EventDrivenSim, SimEvent};
 use scdn::core::system::{RebalanceStrategy, Scdn, ScdnConfig};
 use scdn::graph::NodeId;
 use scdn::sim::engine::SimTime;
-use scdn::sim::workload::{generate_requests, with_flash_crowd, WorkloadConfig};
+use scdn::sim::workload::{generate_requests, with_flash_crowd, Request, WorkloadConfig};
 use scdn::social::generator::{generate, CaseStudyParams};
 use scdn::social::trustgraph::{build_trust_subgraph, TrustFilter};
 use scdn::storage::object::DatasetId;
@@ -50,11 +49,55 @@ fn build_system(rebalance: RebalanceStrategy) -> (Scdn, Vec<DatasetId>) {
     (scdn, datasets)
 }
 
+/// Counters from one [`replay`].
+#[derive(Default)]
+struct Stats {
+    served: u64,
+    failed: u64,
+    maintenance_changes: u64,
+}
+
+/// Replay `workload` (dataset index modulo `datasets`) in time order, with
+/// a maintenance cycle every `every_ms` up to the last request. The clock
+/// ticks forward to each event; a maintenance cycle that falls on a
+/// request's millisecond runs after that request.
+fn replay(scdn: &mut Scdn, workload: &[Request], datasets: &[DatasetId], every_ms: u64) -> Stats {
+    let horizon = workload.last().expect("non-empty").at.as_millis();
+    let cycles = (1..=horizon / every_ms).map(|i| (SimTime::from_millis(i * every_ms), None));
+    let mut events: Vec<(SimTime, Option<&Request>)> = workload
+        .iter()
+        .map(|r| (r.at, Some(r)))
+        .chain(cycles)
+        .collect();
+    // Stable: requests keep their order and precede a same-time cycle.
+    events.sort_by_key(|&(at, _)| at);
+    let mut stats = Stats::default();
+    for (at, event) in events {
+        let dt = at.since(scdn.now());
+        if dt > 0 {
+            scdn.tick(dt);
+        }
+        match event {
+            Some(r) => {
+                match scdn.request(NodeId(r.user as u32), datasets[r.dataset % datasets.len()]) {
+                    Ok(_) => stats.served += 1,
+                    Err(_) => stats.failed += 1,
+                }
+            }
+            None => stats.maintenance_changes += scdn.maintain() as u64,
+        }
+    }
+    // Transfers take simulated time too: the clock ends at or past the
+    // last arrival.
+    assert!(scdn.now().as_millis() >= horizon);
+    stats
+}
+
 /// Replay a flash crowd on dataset 3 with a maintenance cycle every 5 s.
 /// Returns the hot dataset's replica count before and after, and the
 /// catalog's final total.
 fn absorb_flash_crowd(rebalance: RebalanceStrategy) -> (usize, usize, usize) {
-    let (scdn, datasets) = build_system(rebalance);
+    let (mut scdn, datasets) = build_system(rebalance);
     let members = scdn.member_count();
     let hot = datasets[3];
     let replicas_before = scdn.replicas_of(hot).expect("known").len();
@@ -85,11 +128,7 @@ fn absorb_flash_crowd(rebalance: RebalanceStrategy) -> (usize, usize, usize) {
     );
     assert!(workload.len() > base.len() + 150, "burst materialized");
 
-    let mut sim = EventDrivenSim::new(scdn);
-    sim.schedule_workload(&workload, &datasets);
-    let horizon = workload.last().expect("non-empty").at;
-    sim.schedule_periodic(SimEvent::Maintenance, 5_000, horizon);
-    let stats = sim.run();
+    let stats = replay(&mut scdn, &workload, &datasets, 5_000);
     assert_eq!(stats.failed, 0, "always-on fabric serves everything");
     assert!(
         stats.maintenance_changes > 0,
@@ -97,7 +136,7 @@ fn absorb_flash_crowd(rebalance: RebalanceStrategy) -> (usize, usize, usize) {
     );
     // The burst's demand is visible in the served counter.
     assert_eq!(stats.served as usize, workload.len());
-    let replicas = |d: &DatasetId| sim.scdn.replicas_of(*d).expect("known").len();
+    let replicas = |d: &DatasetId| scdn.replicas_of(*d).expect("known").len();
     (
         replicas_before,
         replicas(&hot),
@@ -134,7 +173,7 @@ fn adaptive_policy_absorbs_the_crowd_within_the_static_budget() {
 
 #[test]
 fn quiet_datasets_do_not_grow() {
-    let (scdn, datasets) = build_system(RebalanceStrategy::Static);
+    let (mut scdn, datasets) = build_system(RebalanceStrategy::Static);
     let members = scdn.member_count();
     let quiet = datasets[5];
     let before = scdn.replicas_of(quiet).expect("known").len();
@@ -147,14 +186,7 @@ fn quiet_datasets_do_not_grow() {
         count: 60,
         ..Default::default()
     });
-    let mut sim = EventDrivenSim::new(scdn);
-    sim.schedule_workload(&base, &datasets[..1]);
-    sim.schedule_periodic(
-        SimEvent::Maintenance,
-        10_000,
-        base.last().expect("non-empty").at,
-    );
-    sim.run();
-    let after = sim.scdn.replicas_of(quiet).expect("known").len();
+    replay(&mut scdn, &base, &datasets[..1], 10_000);
+    let after = scdn.replicas_of(quiet).expect("known").len();
     assert!(after <= before, "idle datasets must not gain replicas");
 }
