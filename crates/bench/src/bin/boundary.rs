@@ -12,6 +12,7 @@
 
 use bytes::Bytes;
 use scdn_bench::paper_corpus;
+use scdn_core::ops::{Op, OpOutcome};
 use scdn_core::system::{Scdn, ScdnConfig};
 use scdn_graph::components::connected_components;
 use scdn_graph::NodeId;
@@ -69,19 +70,23 @@ fn main() {
             count: 1_500,
             ..Default::default()
         });
+        let ops: Vec<Op> = workload
+            .iter()
+            .map(|r| Op::Request(NodeId(r.user as u32), datasets[r.dataset % datasets.len()]))
+            .collect();
         let mut served = 0u64;
         let mut refused = 0u64;
         let mut cross_island = 0u64;
-        for r in &workload {
-            let node = NodeId(r.user as u32);
-            match scdn.request(node, datasets[r.dataset % datasets.len()]) {
-                Ok(outcome) => {
+        for op in &ops {
+            let outcome = scdn.apply(op);
+            refused += outcome.failed() as u64;
+            if let (Op::Request(node, _), OpOutcome::Requests(results)) = (op, &outcome) {
+                for o in results.iter().flatten() {
                     served += 1;
-                    if !comps.same_component(outcome.served_by, node) {
+                    if !comps.same_component(o.served_by, *node) {
                         cross_island += 1;
                     }
                 }
-                Err(_) => refused += 1,
             }
         }
         println!(

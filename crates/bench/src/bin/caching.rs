@@ -9,6 +9,7 @@
 
 use bytes::Bytes;
 use scdn_bench::paper_corpus;
+use scdn_core::ops::Op;
 use scdn_core::system::{Scdn, ScdnConfig};
 use scdn_graph::NodeId;
 use scdn_sim::workload::{generate_requests, WorkloadConfig};
@@ -61,12 +62,16 @@ fn main() {
             count: 1_500,
             ..Default::default()
         });
+        let ops: Vec<Op> = workload
+            .iter()
+            .map(|r| Op::Request(NodeId(r.user as u32), datasets[r.dataset % datasets.len()]))
+            .collect();
         let mut window_rates = Vec::new();
-        for window in workload.chunks(500) {
+        for window in ops.chunks(500) {
             let hits_before = scdn.cdn_metrics.hits;
             let total_before = scdn.cdn_metrics.hits + scdn.cdn_metrics.misses;
-            for r in window {
-                let _ = scdn.request(NodeId(r.user as u32), datasets[r.dataset % datasets.len()]);
+            for op in window {
+                scdn.apply(op);
             }
             let hits = scdn.cdn_metrics.hits - hits_before;
             let total = (scdn.cdn_metrics.hits + scdn.cdn_metrics.misses) - total_before;

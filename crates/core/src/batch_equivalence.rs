@@ -4,10 +4,11 @@
 //! Two identically built systems run the same random workload — mixed
 //! datasets (public, confidential, trust-gated), periodic churn (offline
 //! nodes) or always-on members, a lossy transfer fabric, opportunistic caching (catalog
-//! mutations mid-batch), and an optional mid-run departure. One system
-//! issues every request through `request` (a batch of one), the other
-//! batches all same-tick requests through `request_batch`. Outcomes,
-//! metric snapshots, and trace span sequences must match exactly.
+//! mutations mid-batch), and an optional mid-run departure. Both run one
+//! operation stream: through `apply_serial`, which issues every request
+//! of a batch through `request` (a batch of one), and through `apply`,
+//! which issues each batch as one `request_batch`. Outcomes, metric
+//! snapshots, and trace span sequences must match exactly.
 //!
 //! The only counters excluded from the comparison are the resolve-cache
 //! statistics (`alloc.resolve.cache.*` — a re-planned request probes the
@@ -21,7 +22,6 @@ use std::sync::OnceLock;
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use scdn_core::system::{AvailabilityConfig, Scdn, ScdnConfig, ScdnError};
 use scdn_graph::NodeId;
 use scdn_middleware::authz::AccessPolicy;
 use scdn_net::failure::FailureModel;
@@ -32,6 +32,11 @@ use scdn_social::SyntheticDblp;
 use scdn_storage::object::{DatasetId, Sensitivity};
 use scdn_storage::repository::RepoError;
 use scdn_trust::threshold::TrustPolicy;
+
+use crate::coded_equivalence::export_without;
+use crate::maintain_equivalence::pick;
+use crate::ops::Op;
+use crate::system::{AvailabilityConfig, Scdn, ScdnConfig, ScdnError};
 
 fn community() -> &'static (SyntheticDblp, TrustSubgraph) {
     static CELL: OnceLock<(SyntheticDblp, TrustSubgraph)> = OnceLock::new();
@@ -152,63 +157,42 @@ fn build_quota_system(failure: FailureModel) -> (Scdn, Vec<DatasetId>) {
     (scdn, datasets)
 }
 
-type Op = (u16, Vec<(u8, u8)>);
+type Step = (u16, Vec<(u8, u8)>);
 
-/// Drive a system through the ops; `serial` issues requests one by one,
-/// otherwise each op's requests go through one `request_batch` call.
-fn drive(
-    scdn: &mut Scdn,
+/// The stream of `steps`: `depart_sel`'s departure before the second
+/// step, then each step's tick and batch.
+fn batch_ops(
+    scdn: &Scdn,
     datasets: &[DatasetId],
-    ops: &[Op],
+    steps: &[Step],
     depart_sel: Option<u8>,
-    serial: bool,
-) -> Vec<String> {
+) -> Vec<Op> {
     let members = scdn.member_count() as u32;
-    let mut results = Vec::new();
-    for (i, (dt, batch)) in ops.iter().enumerate() {
-        if i == 1 {
-            if let Some(sel) = depart_sel {
-                let _ = scdn.depart(NodeId(u32::from(sel) % members));
-            }
+    let mut ops = Vec::new();
+    for (i, (dt, batch)) in steps.iter().enumerate() {
+        if let (1, Some(sel)) = (i, depart_sel) {
+            ops.push(Op::Depart(NodeId(u32::from(sel) % members)));
         }
-        scdn.tick(u64::from(*dt));
-        let reqs: Vec<(NodeId, DatasetId)> = batch
-            .iter()
-            .map(|&(n, d)| {
-                (
-                    NodeId(u32::from(n) % members),
-                    datasets[usize::from(d) % datasets.len()],
-                )
-            })
-            .collect();
-        if serial {
-            for &(n, d) in &reqs {
-                results.push(format!("{:?}", scdn.request(n, d)));
-            }
-        } else {
-            results.extend(
-                scdn.request_batch(&reqs)
-                    .into_iter()
-                    .map(|r| format!("{r:?}")),
-            );
-        }
+        ops.push(Op::Tick(u64::from(*dt)));
+        ops.push(Op::Batch(
+            batch.iter().map(|&nd| pick(scdn, datasets, nd)).collect(),
+        ));
     }
-    results
+    ops
 }
 
 /// Exported snapshot minus the diagnostics that legitimately differ
 /// between serial and batched execution.
 fn comparable_snapshot(scdn: &Scdn) -> String {
-    scdn_obs::to_json(&scdn.observability_snapshot())
-        .lines()
-        .filter(|l| {
-            !l.contains("alloc.resolve.cache.")
-                && !l.contains("alloc.resolve.bfs.")
-                && !l.contains("core.batch.")
-                && !l.contains("core.maintain.ranking_recompute_ms")
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
+    export_without(
+        scdn,
+        &[
+            "alloc.resolve.cache.",
+            "alloc.resolve.bfs.",
+            "core.batch.",
+            "core.maintain.ranking_recompute_ms",
+        ],
+    )
 }
 
 /// `core.batch.replans` and its split by cause, `[entry, repo_epoch,
@@ -518,10 +502,12 @@ proptest! {
         let (mut serial, datasets) = build_quota_system(failure);
         let (mut batched, _) = build_quota_system(failure);
 
-        let serial_out = drive(&mut serial, &datasets, &ops, None, true);
-        let batched_out = drive(&mut batched, &datasets, &ops, None, false);
-
-        prop_assert_eq!(serial_out, batched_out, "outcome sequences diverge");
+        let stream = batch_ops(&serial, &datasets, &ops, None);
+        prop_assert_eq!(
+            serial.apply_each(&stream, true),
+            batched.apply_each(&stream, false),
+            "outcome sequences diverge"
+        );
         prop_assert_eq!(serial.now(), batched.now(), "clocks diverge");
         prop_assert_eq!(
             comparable_snapshot(&serial),
@@ -557,10 +543,12 @@ proptest! {
         let (mut batched, datasets_b) = build_system(periodic);
         prop_assert_eq!(&datasets, &datasets_b, "builds are deterministic");
 
-        let serial_out = drive(&mut serial, &datasets, &ops, depart_sel, true);
-        let batched_out = drive(&mut batched, &datasets, &ops, depart_sel, false);
-
-        prop_assert_eq!(serial_out, batched_out, "outcome sequences diverge");
+        let stream = batch_ops(&serial, &datasets, &ops, depart_sel);
+        prop_assert_eq!(
+            serial.apply_each(&stream, true),
+            batched.apply_each(&stream, false),
+            "outcome sequences diverge"
+        );
         prop_assert_eq!(serial.now(), batched.now(), "clocks diverge");
         prop_assert_eq!(
             comparable_snapshot(&serial),

@@ -41,9 +41,11 @@ use scdn_storage::coding::{encode_blocks, CodingConfig};
 use scdn_storage::object::{Dataset, DatasetId, Segment, SegmentId, Sensitivity};
 use scdn_storage::repository::Partition;
 
+use crate::maintain_equivalence::{cycle_ops, pick};
+use crate::ops::Op;
 use crate::system::{AvailabilityConfig, Scdn, ScdnConfig};
 
-fn community() -> &'static (SyntheticDblp, TrustSubgraph) {
+pub(crate) fn community() -> &'static (SyntheticDblp, TrustSubgraph) {
     static CELL: OnceLock<(SyntheticDblp, TrustSubgraph)> = OnceLock::new();
     CELL.get_or_init(|| {
         let mut params = CaseStudyParams::default();
@@ -105,37 +107,9 @@ fn build_system(coding: CodingConfig) -> (Scdn, Vec<DatasetId>) {
     (scdn, datasets)
 }
 
-/// One schedule step: clock advance, demand burst, optional departure,
-/// repair-vs-maintain selector.
-type Op = (u16, Vec<(u8, u8)>, bool, (bool, u8));
-
-fn drive(scdn: &mut Scdn, datasets: &[DatasetId], ops: &[Op], serial: bool) -> Vec<usize> {
-    let members = scdn.member_count() as u32;
-    let mut changes = Vec::new();
-    for (dt, burst, repair, depart) in ops {
-        scdn.tick(u64::from(*dt));
-        for &(n, d) in burst {
-            let _ = scdn.request(
-                NodeId(u32::from(n) % members),
-                datasets[usize::from(d) % datasets.len()],
-            );
-        }
-        if depart.0 {
-            let _ = scdn.depart(NodeId(u32::from(depart.1) % members));
-        }
-        changes.push(match (repair, serial) {
-            (true, true) => scdn.repair_serial(),
-            (true, false) => scdn.repair(),
-            (false, true) => scdn.maintain_serial(),
-            (false, false) => scdn.maintain(),
-        });
-    }
-    changes
-}
-
 /// Exported snapshot minus the diagnostics that legitimately differ
 /// between serial and pipelined execution (see `maintain_equivalence`).
-fn comparable_snapshot(scdn: &Scdn) -> String {
+pub(crate) fn comparable_snapshot(scdn: &Scdn) -> String {
     export_without(
         scdn,
         &[
@@ -148,7 +122,7 @@ fn comparable_snapshot(scdn: &Scdn) -> String {
 }
 
 /// The JSON export minus every line naming one of `dropped`.
-fn export_without(scdn: &Scdn, dropped: &[&str]) -> String {
+pub(crate) fn export_without(scdn: &Scdn, dropped: &[&str]) -> String {
     scdn_obs::to_json(&scdn.observability_snapshot())
         .lines()
         .filter(|l| !dropped.iter().any(|d| l.contains(d)))
@@ -166,7 +140,7 @@ fn owner_digest_mismatches(scdn: &Scdn) -> u64 {
 /// Catalog state per dataset: replica set, version token, and the full
 /// per-host coded-block inventory.
 #[allow(clippy::type_complexity)]
-fn catalog_state(
+pub(crate) fn catalog_state(
     scdn: &Scdn,
     datasets: &[DatasetId],
 ) -> Vec<(Vec<NodeId>, Option<u64>, Vec<(NodeId, Vec<u32>)>)> {
@@ -208,10 +182,12 @@ proptest! {
         let (mut piped, datasets_b) = build_system(coding);
         prop_assert_eq!(&datasets, &datasets_b, "builds are deterministic");
 
-        let serial_changes = drive(&mut serial, &datasets, &ops, true);
-        let piped_changes = drive(&mut piped, &datasets, &ops, false);
-
-        prop_assert_eq!(serial_changes, piped_changes, "per-cycle change counts diverge");
+        let stream = cycle_ops(&serial, &datasets, &ops);
+        prop_assert_eq!(
+            serial.apply_each(&stream, true),
+            piped.apply_each(&stream, false),
+            "outcomes (per-cycle change counts included) diverge"
+        );
         prop_assert_eq!(serial.now(), piped.now(), "clocks diverge");
         prop_assert_eq!(
             catalog_state(&serial, &datasets),
@@ -801,42 +777,23 @@ fn mixed_system(availability: AvailabilityConfig) -> (Scdn, Vec<DatasetId>) {
 /// an optional departure and an optional repair.
 type BatchOp = (u16, Vec<(u8, u8)>, (bool, u8), bool);
 
-/// Drive `ops`, issuing each batch one `request` at a time (`serial`) or
-/// as one `request_batch`; every outcome comes back formatted field for
-/// field.
-fn drive_batches(
-    scdn: &mut Scdn,
-    datasets: &[DatasetId],
-    ops: &[BatchOp],
-    serial: bool,
-) -> Vec<String> {
-    let members = scdn.member_count() as u32;
-    let mut outcomes = Vec::new();
-    for (dt, batch, depart, repair) in ops {
-        scdn.tick(u64::from(*dt));
-        let reqs: Vec<(NodeId, DatasetId)> = batch
-            .iter()
-            .map(|&(n, d)| {
-                (
-                    NodeId(u32::from(n) % members),
-                    datasets[usize::from(d) % datasets.len()],
-                )
-            })
-            .collect();
-        let results = if serial {
-            reqs.iter().map(|&(n, d)| scdn.request(n, d)).collect()
-        } else {
-            scdn.request_batch(&reqs)
-        };
-        outcomes.extend(results.iter().map(|r| format!("{r:?}")));
+/// The stream of `steps`.
+fn batch_ops(scdn: &Scdn, datasets: &[DatasetId], steps: &[BatchOp]) -> Vec<Op> {
+    let mut ops = Vec::new();
+    for (dt, batch, depart, repair) in steps {
+        ops.push(Op::Tick(u64::from(*dt)));
+        ops.push(Op::Batch(
+            batch.iter().map(|&nd| pick(scdn, datasets, nd)).collect(),
+        ));
         if depart.0 {
-            let _ = scdn.depart(NodeId(u32::from(depart.1) % members));
+            let members = scdn.member_count() as u32;
+            ops.push(Op::Depart(NodeId(u32::from(depart.1) % members)));
         }
         if *repair {
-            scdn.repair();
+            ops.push(Op::Repair);
         }
     }
-    outcomes
+    ops
 }
 
 /// Serial-vs-batched comparison of two systems driven through the same ops.
@@ -878,9 +835,12 @@ proptest! {
         };
         let (mut serial, datasets) = mixed_system(availability);
         let (mut batched, _) = mixed_system(availability);
-        let serial_out = drive_batches(&mut serial, &datasets, &ops, true);
-        let batched_out = drive_batches(&mut batched, &datasets, &ops, false);
-        prop_assert_eq!(serial_out, batched_out, "outcomes diverge");
+        let stream = batch_ops(&serial, &datasets, &ops);
+        prop_assert_eq!(
+            serial.apply_each(&stream, true),
+            batched.apply_each(&stream, false),
+            "outcomes diverge"
+        );
         assert_batched_is_serial(&serial, &batched, &datasets);
     }
 }

@@ -12,18 +12,24 @@
 //! * [`casestudy`] — the Section VI evaluation harness: replica placement
 //!   on DBLP-style trust subgraphs, hit-rate measurement on test-year
 //!   publications, multi-run sweeps (regenerates Table I and Fig. 2/3);
+//! * [`ops`] — the operation stream: [`ops::Op`], [`Scdn::apply`] and the
+//!   outcome [`ops::Digest`]; every driver builds a `Vec<Op>` and folds
+//!   it through `apply`;
 //! * [`scenario`] — end-to-end scenario driver combining a synthetic
 //!   corpus, churn, a request workload, and the full system (used by the
 //!   metrics experiments and the examples).
 
 pub mod casestudy;
 pub mod client;
+pub mod ops;
 pub mod scenario;
 pub mod system;
 
 // Serial ≡ pipelined gates. In-crate because the serial loops they compare
 // against (`system`'s test-only `oracle.rs`) are not part of the built
 // library.
+#[cfg(test)]
+mod batch_equivalence;
 #[cfg(test)]
 mod coded_equivalence;
 #[cfg(test)]

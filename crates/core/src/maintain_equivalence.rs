@@ -7,8 +7,9 @@
 //! periodic churn (offline hosts) or always-on members, roomy or small
 //! repositories, a lossy transfer fabric, and optional mid-run
 //! departures — then interleave maintenance and repair cycles. One
-//! system drives the serial loops, the other the plan/commit
-//! pipeline. Per-cycle change counts, replica sets, catalog-entry
+//! system runs the stream through `apply_serial` (the serial loops), the
+//! other through `apply` (the plan/commit pipeline). Every outcome
+//! (per-cycle change counts included), replica sets, catalog-entry
 //! versions, clocks, and full metric snapshots (hosting-request and
 //! exchange records included) must match exactly.
 //!
@@ -19,42 +20,17 @@
 //! counters (`core.batch.*`), and the maintenance-pipeline counters
 //! themselves (`core.maintain.*` — the serial oracles never plan).
 
-use std::sync::OnceLock;
-
 use bytes::Bytes;
 use proptest::prelude::*;
 use scdn_alloc::replication::AdaptiveRebalance;
 use scdn_graph::NodeId;
 use scdn_net::failure::FailureModel;
-use scdn_social::generator::{generate, CaseStudyParams};
-use scdn_social::trustgraph::{build_trust_subgraph, TrustFilter, TrustSubgraph};
-use scdn_social::SyntheticDblp;
 use scdn_storage::object::{DatasetId, Segment, SegmentId, Sensitivity};
 use scdn_storage::repository::Partition;
 
-use crate::coded_equivalence::maintain_counter;
+use crate::coded_equivalence::{catalog_state, community, comparable_snapshot, maintain_counter};
+use crate::ops::Op;
 use crate::system::{AvailabilityConfig, RebalanceStrategy, Scdn, ScdnConfig};
-
-fn community() -> &'static (SyntheticDblp, TrustSubgraph) {
-    static CELL: OnceLock<(SyntheticDblp, TrustSubgraph)> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let mut params = CaseStudyParams::default();
-        params.level2_prob = 0.35;
-        params.level3_prob = 0.0;
-        params.mega_pub_authors = 0;
-        params.rng_seed = 91;
-        let c = generate(&params);
-        let sub = build_trust_subgraph(
-            &c.corpus,
-            c.seed_author,
-            3,
-            2009..=2010,
-            TrustFilter::Baseline,
-        )
-        .expect("seed present");
-        (c, sub)
-    })
-}
 
 /// Room for every copy the schedules make.
 const ROOMY: u64 = 4 << 20;
@@ -115,62 +91,36 @@ fn build_system(
 }
 
 /// One schedule step: advance the clock, issue a demand burst, maybe
-/// depart a member, then run a maintenance or repair cycle.
-type Op = (u16, Vec<(u8, u8)>, bool, (bool, u8));
+/// depart a member, then run a maintenance (`false`) or repair (`true`)
+/// cycle.
+pub(crate) type Step = (u16, Vec<(u8, u8)>, bool, (bool, u8));
 
-/// Drive a system through the schedule; `serial` selects the oracle
-/// loops, otherwise the plan/commit pipeline. Returns the per-cycle
-/// change counts.
-fn drive(scdn: &mut Scdn, datasets: &[DatasetId], ops: &[Op], serial: bool) -> Vec<usize> {
-    let members = scdn.member_count() as u32;
-    let mut changes = Vec::new();
-    for (dt, burst, repair, depart) in ops {
-        scdn.tick(u64::from(*dt));
-        for &(n, d) in burst {
-            let _ = scdn.request(
-                NodeId(u32::from(n) % members),
-                datasets[usize::from(d) % datasets.len()],
-            );
-        }
+/// Requester `n` and dataset `d` of a selector pair, taken modulo the
+/// membership and the datasets.
+pub(crate) fn pick(scdn: &Scdn, datasets: &[DatasetId], (n, d): (u8, u8)) -> (NodeId, DatasetId) {
+    (
+        NodeId(u32::from(n) % scdn.member_count() as u32),
+        datasets[usize::from(d) % datasets.len()],
+    )
+}
+
+/// The stream of `steps`. A burst is single requests, which feed the
+/// replication policy's windows on both sides alike.
+pub(crate) fn cycle_ops(scdn: &Scdn, datasets: &[DatasetId], steps: &[Step]) -> Vec<Op> {
+    let mut ops = Vec::new();
+    for (dt, burst, repair, depart) in steps {
+        ops.push(Op::Tick(u64::from(*dt)));
+        ops.extend(burst.iter().map(|&nd| {
+            let (n, d) = pick(scdn, datasets, nd);
+            Op::Request(n, d)
+        }));
         if depart.0 {
-            let _ = scdn.depart(NodeId(u32::from(depart.1) % members));
+            let members = scdn.member_count() as u32;
+            ops.push(Op::Depart(NodeId(u32::from(depart.1) % members)));
         }
-        changes.push(match (repair, serial) {
-            (true, true) => scdn.repair_serial(),
-            (true, false) => scdn.repair(),
-            (false, true) => scdn.maintain_serial(),
-            (false, false) => scdn.maintain(),
-        });
+        ops.push(if *repair { Op::Repair } else { Op::Maintain });
     }
-    changes
-}
-
-/// Exported snapshot minus the diagnostics that legitimately differ
-/// between serial and pipelined execution.
-fn comparable_snapshot(scdn: &Scdn) -> String {
-    scdn_obs::to_json(&scdn.observability_snapshot())
-        .lines()
-        .filter(|l| {
-            !l.contains("alloc.resolve.cache.")
-                && !l.contains("alloc.resolve.bfs.")
-                && !l.contains("core.batch.")
-                && !l.contains("core.maintain.")
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-/// Catalog state: replica set and version token per dataset.
-fn catalog_state(scdn: &Scdn, datasets: &[DatasetId]) -> Vec<(Vec<NodeId>, Option<u64>)> {
-    datasets
-        .iter()
-        .map(|&d| {
-            (
-                scdn.replicas_of(d).unwrap_or_default(),
-                scdn.allocation().catalog_version(d),
-            )
-        })
-        .collect()
+    ops
 }
 
 proptest! {
@@ -202,10 +152,12 @@ proptest! {
         let (mut piped, datasets_b) = build_system(rebalance, periodic, capacity);
         prop_assert_eq!(&datasets, &datasets_b, "builds are deterministic");
 
-        let serial_changes = drive(&mut serial, &datasets, &ops, true);
-        let piped_changes = drive(&mut piped, &datasets, &ops, false);
-
-        prop_assert_eq!(serial_changes, piped_changes, "per-cycle change counts diverge");
+        let stream = cycle_ops(&serial, &datasets, &ops);
+        prop_assert_eq!(
+            serial.apply_each(&stream, true),
+            piped.apply_each(&stream, false),
+            "outcomes (per-cycle change counts included) diverge"
+        );
         prop_assert_eq!(serial.now(), piped.now(), "clocks diverge");
         prop_assert_eq!(
             catalog_state(&serial, &datasets),

@@ -13,6 +13,9 @@
 //!   must never resolve differently (`system_tests`).
 //! * [`Scdn::set_publish_coding`] lets one fixture hold coded and
 //!   whole-replica datasets side by side (`coded_equivalence`).
+//! * [`Scdn::apply_serial`] is the gates' one oracle entry: the serial
+//!   twin of [`Scdn::apply`], which each gate holds `apply` to over one
+//!   `Vec<Op>` through [`Scdn::apply_each`].
 
 use scdn_alloc::replication::RebalancePolicy;
 use scdn_graph::{CsrGraph, GraphDelta};
@@ -20,8 +23,38 @@ use scdn_storage::coding::CodingConfig;
 use scdn_storage::object::DatasetId;
 
 use super::{RebalanceStrategy, Scdn, ScdnError};
+use crate::ops::{Op, OpOutcome};
 
 impl Scdn {
+    /// Serial oracle for [`apply`](Self::apply): a batch is the loop of
+    /// `request`, a maintenance or repair cycle its serial loop, and every
+    /// other op `apply` itself.
+    pub(crate) fn apply_serial(&mut self, op: &Op) -> OpOutcome {
+        match op {
+            Op::Batch(reqs) => {
+                OpOutcome::Requests(reqs.iter().map(|&(n, d)| self.request(n, d)).collect())
+            }
+            Op::Maintain => OpOutcome::Changes(self.maintain_serial()),
+            Op::Repair => OpOutcome::Changes(self.repair_serial()),
+            _ => self.apply(op),
+        }
+    }
+
+    /// Every outcome of `ops` through [`apply_serial`](Self::apply_serial)
+    /// (`serial`) or [`apply`](Self::apply), formatted field for field.
+    pub(crate) fn apply_each(&mut self, ops: &[Op], serial: bool) -> Vec<String> {
+        ops.iter()
+            .map(|op| {
+                let outcome = if serial {
+                    self.apply_serial(op)
+                } else {
+                    self.apply(op)
+                };
+                format!("{outcome:?}")
+            })
+            .collect()
+    }
+
     /// Publish later datasets under `coding`; earlier ones keep theirs.
     pub(crate) fn set_publish_coding(&mut self, coding: CodingConfig) {
         self.config.coding = coding;

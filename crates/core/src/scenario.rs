@@ -8,11 +8,12 @@ use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scdn_graph::NodeId;
-use scdn_sim::workload::{generate_requests, WorkloadConfig};
+use scdn_sim::workload::{generate_requests, Request, WorkloadConfig};
 use scdn_social::generator::{generate, CaseStudyParams};
 use scdn_social::trustgraph::TrustFilter;
 use scdn_storage::object::{DatasetId, Sensitivity};
 
+use crate::ops::{Digest, Op, OpOutcome};
 use crate::system::{Scdn, ScdnConfig};
 
 /// Scenario parameters.
@@ -77,6 +78,8 @@ pub struct ScenarioReport {
     pub requests_failed: usize,
     /// Replica changes made by maintenance cycles.
     pub maintenance_changes: usize,
+    /// [`Digest`] of every operation's outcome.
+    pub digest: u64,
 }
 
 /// Run a scenario end to end.
@@ -132,43 +135,16 @@ pub fn run(cfg: &ScenarioConfig) -> ScenarioReport {
         mean_interarrival_ms: cfg.mean_interarrival_ms,
         count: cfg.requests,
     });
+    let ops = schedule(&workload, &datasets, cfg.maintenance_every);
     let mut failed = 0usize;
     let mut maintenance_changes = 0usize;
-    let mut last_time = 0u64;
-    let mut batch: Vec<(NodeId, DatasetId)> = Vec::new();
-    let mut i = 0usize;
-    while i < workload.len() {
-        let dt = workload[i].at.as_millis().saturating_sub(last_time);
-        last_time = workload[i].at.as_millis();
-        scdn.tick(dt);
-        // Requests arriving at the same instant share one batch (planned
-        // in parallel, committed in order); a maintenance boundary cuts
-        // the batch so the cycle still runs at exactly the request index
-        // the serial loop ran it.
-        batch.clear();
-        let mut maintain_after = false;
-        loop {
-            let req = &workload[i];
-            batch.push((
-                NodeId(req.user as u32),
-                datasets[req.dataset % datasets.len()],
-            ));
-            i += 1;
-            if cfg.maintenance_every > 0 && i.is_multiple_of(cfg.maintenance_every) {
-                maintain_after = true;
-                break;
-            }
-            if i >= workload.len() || workload[i].at.as_millis() != last_time {
-                break;
-            }
-        }
-        failed += scdn
-            .request_batch(&batch)
-            .iter()
-            .filter(|r| r.is_err())
-            .count();
-        if maintain_after {
-            maintenance_changes += scdn.maintain();
+    let mut digest = Digest::default();
+    for op in &ops {
+        let outcome = scdn.apply(op);
+        digest.fold(op, &outcome);
+        failed += outcome.failed();
+        if let OpOutcome::Changes(n) = outcome {
+            maintenance_changes += n;
         }
     }
     ScenarioReport {
@@ -178,7 +154,40 @@ pub fn run(cfg: &ScenarioConfig) -> ScenarioReport {
         requests_failed: failed,
         scdn,
         maintenance_changes,
+        digest: digest.value(),
     }
+}
+
+/// The request stream: requests arriving at the same instant share one
+/// batch (planned in parallel, committed in order) after a tick of the
+/// arrival gap, and a maintenance cycle follows every
+/// `maintenance_every`-th request. The cycle cuts its batch, so it runs
+/// at exactly the request index a serial loop runs it, and the rest of
+/// that instant follows a `tick(0)`.
+fn schedule(workload: &[Request], datasets: &[DatasetId], maintenance_every: usize) -> Vec<Op> {
+    let mut ops = Vec::new();
+    let mut last_time = 0u64;
+    let mut batch = Vec::new();
+    for (i, req) in workload.iter().enumerate() {
+        let at = req.at.as_millis();
+        batch.push((
+            NodeId(req.user as u32),
+            datasets[req.dataset % datasets.len()],
+        ));
+        let maintain = maintenance_every > 0 && (i + 1).is_multiple_of(maintenance_every);
+        let instant_ends = workload
+            .get(i + 1)
+            .is_none_or(|next| next.at.as_millis() != at);
+        if maintain || instant_ends {
+            ops.push(Op::Tick(at.saturating_sub(last_time)));
+            last_time = at;
+            ops.push(Op::Batch(std::mem::take(&mut batch)));
+            if maintain {
+                ops.push(Op::Maintain);
+            }
+        }
+    }
+    ops
 }
 
 #[cfg(test)]
@@ -196,6 +205,22 @@ mod tests {
         cfg.dataset_bytes = 8 << 10;
         cfg.scdn.segment_size = 4 << 10;
         cfg
+    }
+
+    /// The `metrics_report` small scenario's outcome digest, pinned: a
+    /// change to batching, tick order or maintenance placement moves it.
+    #[test]
+    fn metrics_report_scenario_digest_is_pinned() {
+        let mut cfg = small_config();
+        cfg.requests = 200;
+        cfg.scdn.availability = AvailabilityConfig::Periodic {
+            period_ms: 30_000,
+            duty: 0.8,
+        };
+        let report = run(&cfg);
+        assert_eq!(report.digest, 0x3da9_cf93_d157_9c3b);
+        assert_eq!(report.requests_failed, 7);
+        assert_eq!(report.maintenance_changes, 10);
     }
 
     #[test]

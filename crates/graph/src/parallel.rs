@@ -27,13 +27,23 @@ pub fn set_worker_limit(limit: usize) {
 /// [`set_worker_limit`] override), capped so tiny inputs don't pay spawn
 /// overhead.
 fn worker_count(items: usize) -> usize {
-    let hw = match WORKER_LIMIT.load(Ordering::Relaxed) {
+    let limit = WORKER_LIMIT.load(Ordering::Relaxed);
+    // The host is asked only when no limit replaces its answer: the query
+    // reads cgroup files, and the request path sizes every batch here.
+    let hardware = match limit {
         0 => std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
-        n => n,
+        _ => 0,
     };
-    hw.min(items.max(1))
+    worker_cap(limit, hardware, items)
+}
+
+/// The capping rule of [`worker_count`]: a non-zero `limit` replaces
+/// `hardware`, and no more workers than `items` (at least one) run.
+fn worker_cap(limit: usize, hardware: usize, items: usize) -> usize {
+    let workers = if limit == 0 { hardware } else { limit };
+    workers.min(items.max(1))
 }
 
 /// Deterministic parallel map-reduce over `0..n`: worker `w` of `W` folds
@@ -200,23 +210,17 @@ mod tests {
     fn worker_count_caps_at_items() {
         assert_eq!(worker_count(1), 1);
         assert!(worker_count(1_000_000) >= 1);
+        assert_eq!(worker_cap(0, 8, 0), 1);
     }
 
+    /// The rule alone: the process-wide limit stays untouched, so the
+    /// bit-identity tests in this binary never see another worker count.
     #[test]
     fn worker_limit_overrides_hardware_count() {
-        // Other tests in this binary use the default limit concurrently,
-        // so restore it even on assertion failure via a guard.
-        struct Reset;
-        impl Drop for Reset {
-            fn drop(&mut self) {
-                set_worker_limit(0);
-            }
-        }
-        let _reset = Reset;
-        set_worker_limit(3);
-        assert_eq!(worker_count(1_000_000), 3);
-        assert_eq!(worker_count(2), 2); // still capped by item count
-        let v = par_map_collect(100, 4, |i| i * i);
-        assert_eq!(v[99], 99 * 99);
+        assert_eq!(worker_cap(3, 8, 1_000_000), 3);
+        assert_eq!(worker_cap(3, 1, 1_000_000), 3); // may oversubscribe
+        assert_eq!(worker_cap(3, 8, 2), 2); // still capped by item count
+        assert_eq!(worker_cap(0, 8, 1_000_000), 8);
+        assert_eq!(worker_cap(0, 8, 5), 5);
     }
 }

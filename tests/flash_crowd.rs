@@ -4,6 +4,7 @@
 
 use scdn::alloc::replication::AdaptiveRebalance;
 use scdn::bytes::Bytes;
+use scdn::core::ops::{Op, OpOutcome};
 use scdn::core::system::{RebalanceStrategy, Scdn, ScdnConfig};
 use scdn::graph::NodeId;
 use scdn::sim::engine::SimTime;
@@ -49,7 +50,7 @@ fn build_system(rebalance: RebalanceStrategy) -> (Scdn, Vec<DatasetId>) {
     (scdn, datasets)
 }
 
-/// Counters from one [`replay`].
+/// Counters from one [`run`].
 #[derive(Default)]
 struct Stats {
     served: u64,
@@ -57,38 +58,48 @@ struct Stats {
     maintenance_changes: u64,
 }
 
-/// Replay `workload` (dataset index modulo `datasets`) in time order, with
-/// a maintenance cycle every `every_ms` up to the last request. The clock
-/// ticks forward to each event; a maintenance cycle that falls on a
-/// request's millisecond runs after that request.
-fn replay(scdn: &mut Scdn, workload: &[Request], datasets: &[DatasetId], every_ms: u64) -> Stats {
+/// The stream of `workload` (dataset index modulo `datasets`) in time
+/// order, with a maintenance cycle every `every_ms` up to the last
+/// request. Each event follows a tick of its arrival gap; a maintenance
+/// cycle that falls on a request's millisecond runs after that request.
+fn schedule(workload: &[Request], datasets: &[DatasetId], every_ms: u64) -> Vec<Op> {
     let horizon = workload.last().expect("non-empty").at.as_millis();
-    let cycles = (1..=horizon / every_ms).map(|i| (SimTime::from_millis(i * every_ms), None));
-    let mut events: Vec<(SimTime, Option<&Request>)> = workload
+    let cycles = (1..=horizon / every_ms).map(|i| (i * every_ms, Op::Maintain));
+    let mut events: Vec<(u64, Op)> = workload
         .iter()
-        .map(|r| (r.at, Some(r)))
+        .map(|r| {
+            let op = Op::Request(NodeId(r.user as u32), datasets[r.dataset % datasets.len()]);
+            (r.at.as_millis(), op)
+        })
         .chain(cycles)
         .collect();
     // Stable: requests keep their order and precede a same-time cycle.
-    events.sort_by_key(|&(at, _)| at);
+    events.sort_by_key(|e| e.0);
+    let mut last = 0;
+    let mut ops = Vec::with_capacity(2 * events.len());
+    for (at, op) in events {
+        ops.extend([Op::Tick(at - last), op]);
+        last = at;
+    }
+    ops
+}
+
+/// Fold the [`schedule`] of `workload` through [`Scdn::apply`].
+fn run(scdn: &mut Scdn, workload: &[Request], datasets: &[DatasetId], every_ms: u64) -> Stats {
     let mut stats = Stats::default();
-    for (at, event) in events {
-        let dt = at.since(scdn.now());
-        if dt > 0 {
-            scdn.tick(dt);
-        }
-        match event {
-            Some(r) => {
-                match scdn.request(NodeId(r.user as u32), datasets[r.dataset % datasets.len()]) {
-                    Ok(_) => stats.served += 1,
-                    Err(_) => stats.failed += 1,
-                }
-            }
-            None => stats.maintenance_changes += scdn.maintain() as u64,
+    for op in &schedule(workload, datasets, every_ms) {
+        let outcome = scdn.apply(op);
+        let failed = outcome.failed() as u64;
+        stats.failed += failed;
+        match outcome {
+            OpOutcome::Requests(results) => stats.served += results.len() as u64 - failed,
+            OpOutcome::Changes(n) => stats.maintenance_changes += n as u64,
+            _ => {}
         }
     }
     // Transfers take simulated time too: the clock ends at or past the
     // last arrival.
+    let horizon = workload.last().expect("non-empty").at.as_millis();
     assert!(scdn.now().as_millis() >= horizon);
     stats
 }
@@ -128,7 +139,7 @@ fn absorb_flash_crowd(rebalance: RebalanceStrategy) -> (usize, usize, usize) {
     );
     assert!(workload.len() > base.len() + 150, "burst materialized");
 
-    let stats = replay(&mut scdn, &workload, &datasets, 5_000);
+    let stats = run(&mut scdn, &workload, &datasets, 5_000);
     assert_eq!(stats.failed, 0, "always-on fabric serves everything");
     assert!(
         stats.maintenance_changes > 0,
@@ -186,7 +197,7 @@ fn quiet_datasets_do_not_grow() {
         count: 60,
         ..Default::default()
     });
-    replay(&mut scdn, &base, &datasets[..1], 10_000);
+    run(&mut scdn, &base, &datasets[..1], 10_000);
     let after = scdn.replicas_of(quiet).expect("known").len();
     assert!(after <= before, "idle datasets must not gain replicas");
 }
