@@ -1,14 +1,19 @@
 //! Criterion benches for the two payload kernels of `scdn-storage`: the
-//! fused one-pass checksum (lane-striped FNV-1a + slice-by-16 CRC) against
-//! its two byte-at-a-time reference kernels run back to back, and the
-//! product-row GF(2^8) coder at RS(4,2) over 1 MiB. For humans; the
-//! accept/reject numbers come from `benchmark/`
-//! (`storage.checksum.mib_per_s`, `storage.encode/decode.*`).
+//! checksum and the product-row GF(2^8) coder at RS(4,2) over 1 MiB.
+//!
+//! `storage/checksum/*` reproduces EXPERIMENTS.md "Carry-less CRC":
+//! `checksum` is `Checksum::of` as the product runs it (byte-load FNV
+//! lanes, then the carry-less-multiply CRC-32 where the CPU has
+//! `pclmulqdq`); `crc32-only` and `fnv-lanes-only` are its two passes
+//! alone; `portable` is what a host without `pclmulqdq` runs (the CRC on
+//! slice-by-16 tables); `references` is the two byte-at-a-time reference
+//! kernels back to back. For humans; the accept/reject numbers come from
+//! `benchmark/` (`storage.checksum.mib_per_s`, `storage.encode/decode.*`).
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use scdn_storage::coding::ErasureCoder;
-use scdn_storage::integrity::{crc32, fnv1a64_striped, Checksum};
+use scdn_storage::integrity::{crc32, crc32_fast, fnv1a64_lanes, fnv1a64_striped, Checksum};
 
 /// Incompressible-looking bytes, so table lookups spread over the tables.
 fn payload(len: usize) -> Vec<u8> {
@@ -29,7 +34,19 @@ fn checksums(c: &mut Criterion) {
     ] {
         let data = payload(size);
         group.throughput(Throughput::Bytes(size as u64));
-        group.bench_with_input(BenchmarkId::new("two-pass", name), &data, |b, d| {
+        group.bench_with_input(BenchmarkId::new("checksum", name), &data, |b, d| {
+            b.iter(|| Checksum::of(std::hint::black_box(d)));
+        });
+        group.bench_with_input(BenchmarkId::new("crc32-only", name), &data, |b, d| {
+            b.iter(|| crc32_fast(std::hint::black_box(d)));
+        });
+        group.bench_with_input(BenchmarkId::new("fnv-lanes-only", name), &data, |b, d| {
+            b.iter(|| fnv1a64_lanes(std::hint::black_box(d)));
+        });
+        group.bench_with_input(BenchmarkId::new("portable", name), &data, |b, d| {
+            b.iter(|| Checksum::of_portable(std::hint::black_box(d)));
+        });
+        group.bench_with_input(BenchmarkId::new("references", name), &data, |b, d| {
             b.iter(|| {
                 let d = std::hint::black_box(d);
                 Checksum {
@@ -37,9 +54,6 @@ fn checksums(c: &mut Criterion) {
                     crc: crc32(d),
                 }
             });
-        });
-        group.bench_with_input(BenchmarkId::new("fused", name), &data, |b, d| {
-            b.iter(|| Checksum::of(std::hint::black_box(d)));
         });
     }
     group.finish();

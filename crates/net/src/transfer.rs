@@ -954,10 +954,13 @@ mod tests {
     /// arrived differ from the segment's in at least one bit, and the
     /// destination's checksum refuses them — so the retry loop stores
     /// nothing for such an attempt. Exhaustive over every bit of payloads
-    /// shorter than, equal to and longer than a checksum stripe.
+    /// shorter than, equal to and longer than a checksum stripe, and of
+    /// sizes that end the carry-less CRC fold in each of its branches
+    /// (table only, four accumulators alone, one to three single folds, a
+    /// byte tail after each).
     #[test]
     fn any_flipped_bit_fails_segment_verify() {
-        for size in [1, 31, 32, 33, 100, 777] {
+        for size in [1, 31, 32, 33, 64, 100, 127, 128, 129, 192, 255, 777] {
             let good = seg(1, 0, size);
             assert!(good.verify());
             for bit in 0..size * 8 {

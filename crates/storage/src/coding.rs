@@ -1047,8 +1047,8 @@ mod tests {
 
     /// Pins `encode_blocks` output byte for byte: the digest below was
     /// taken from the per-byte `gf_mul` coder before the product-row
-    /// kernel replaced it, hashed with the reference `fnv1a64` (not the
-    /// fused checksum), so neither kernel swap can move it unnoticed.
+    /// kernel replaced it, hashed with the reference `fnv1a64` (not
+    /// `Checksum::of`), so neither kernel swap can move it unnoticed.
     #[test]
     fn encode_blocks_golden_hash() {
         let content: Vec<u8> = (0..100_003u32)

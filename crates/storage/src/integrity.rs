@@ -21,12 +21,6 @@ const fn fnv_step(h: u64, b: u8) -> u64 {
     (h ^ b as u64).wrapping_mul(FNV_PRIME)
 }
 
-/// Byte `i` of a little-endian word.
-#[inline(always)]
-fn byte(word: u64, i: usize) -> u8 {
-    (word >> (8 * i)) as u8
-}
-
 /// Independent FNV-1a chains of the striped digest. Chosen by measurement
 /// from {2, 4, 8} (EXPERIMENTS.md "Lane-striped digest"): four chains keep
 /// the multiplier busy every cycle, eight only spill registers.
@@ -65,8 +59,8 @@ fn fold_lanes(lanes: [u64; LANES]) -> u64 {
 /// `len % 32` bytes continue byte-wise on the folded state.
 ///
 /// Byte-at-a-time reference kernel: this function *defines* the digest;
-/// [`Checksum::of`] computes it with the four chains in flight at once and
-/// is tested against this.
+/// [`fnv1a64_lanes`] computes it with the four chains in flight at once
+/// and is tested against this.
 pub fn fnv1a64_striped(data: &[u8]) -> u64 {
     let (stripes, tail) = data.split_at(data.len() - data.len() % STRIPE);
     let mut lanes = LANE_BASIS;
@@ -77,8 +71,32 @@ pub fn fnv1a64_striped(data: &[u8]) -> u64 {
     tail.iter().fold(fold_lanes(lanes), |h, &b| fnv_step(h, b))
 }
 
+/// [`fnv1a64_striped`], the four chains in flight at once: the `fnv` half
+/// of [`Checksum::of`]. Each lane's chain is one multiply latency per
+/// byte, but the four chains are independent, so a multiply issues every
+/// cycle. Each step reads its byte straight from the stripe — one
+/// zero-extending load — rather than shifting it out of a loaded word
+/// (EXPERIMENTS.md "Carry-less CRC"): the loads go to the load ports, and
+/// the shifts would have competed with the xors for the ALUs.
+pub fn fnv1a64_lanes(data: &[u8]) -> u64 {
+    let mut lanes = LANE_BASIS;
+    let mut stripes = data.chunks_exact(STRIPE);
+    for stripe in &mut stripes {
+        let stripe: &[u8; STRIPE] = stripe.try_into().expect("chunks_exact yields a stripe");
+        for i in 0..8 {
+            for (j, lane) in lanes.iter_mut().enumerate() {
+                *lane = fnv_step(*lane, stripe[8 * j + i]);
+            }
+        }
+    }
+    stripes
+        .remainder()
+        .iter()
+        .fold(fold_lanes(lanes), |h, &b| fnv_step(h, b))
+}
+
 /// CRC-32 (IEEE 802.3 polynomial, reflected), one table lookup per byte.
-/// Reference kernel for the slice-by-16 loop in [`Checksum::of`].
+/// Reference kernel for [`crc32_fast`] and the portable slice-by-16 loop.
 pub fn crc32(data: &[u8]) -> u32 {
     !data.iter().fold(!0u32, |crc, &b| crc_step(crc, b))
 }
@@ -128,6 +146,195 @@ const fn build_crc_tables() -> [[u32; 256]; CRC_SLICE] {
     tables
 }
 
+/// Run the CRC register over `data` sixteen bytes a step: the register is
+/// XORed into the low four bytes of the block and the sixteen lookups
+/// `T[15][b0] ^ … ^ T[0][b15]` depend on neither each other nor the last
+/// step's lookups. The last `len % 16` bytes take the byte step.
+fn crc_slice16(mut crc: u32, data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut blocks = data.chunks_exact(CRC_SLICE);
+    for block in &mut blocks {
+        let word =
+            |at: usize| u64::from_le_bytes(block[at..at + 8].try_into().expect("8 of 16 bytes"));
+        let (lo, hi) = (word(0) ^ crc as u64, word(8));
+        crc = 0;
+        for i in 0..8 {
+            crc ^= t[CRC_SLICE - 1 - i][(lo >> (8 * i)) as u8 as usize]
+                ^ t[CRC_SLICE - 9 - i][(hi >> (8 * i)) as u8 as usize];
+        }
+    }
+    blocks
+        .remainder()
+        .iter()
+        .fold(crc, |crc, &b| crc_step(crc, b))
+}
+
+/// Shortest input the carry-less fold takes; shorter inputs run the
+/// slice-by-16 loop. The fold needs 64 bytes to fill its four
+/// accumulators, and from there on it beats the table even after its
+/// fixed reduction: chosen by measurement from {64, 128, 256}
+/// (EXPERIMENTS.md "Carry-less CRC").
+#[cfg(target_arch = "x86_64")]
+const CLMUL_MIN: usize = 64;
+
+/// CRC-32 of `data` ([`crc32`]), the `crc` half of [`Checksum::of`].
+///
+/// The kernel is picked by the CPU alone. An `x86_64` host with
+/// `pclmulqdq` and `sse4.1` runs the carry-less-multiply fold, which
+/// takes 64 bytes with eight independent multiplies; every other host —
+/// another architecture, or an x86 part without the instructions — runs
+/// the portable slice-by-16 table loop, whose 16 lookups per 16 bytes are
+/// the best a table can do. Both equal [`crc32`] on every input.
+pub fn crc32_fast(data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if data.len() >= CLMUL_MIN
+        && is_x86_feature_detected!("pclmulqdq")
+        && is_x86_feature_detected!("sse4.1")
+    {
+        // SAFETY: `clmul::fold` needs `pclmulqdq` and `sse4.1`, and both
+        // were just detected at run time on this CPU.
+        return !unsafe { clmul::fold(!0, data) };
+    }
+    !crc_slice16(!0, data)
+}
+
+/// Carry-less-multiply CRC-32: Intel's "Fast CRC Computation for Generic
+/// Polynomials Using PCLMULQDQ Instruction" (Gopal et al., 2009) for the
+/// reflected IEEE polynomial.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    // Fold constants, bit-reflected as the reflected CRC needs them: each
+    // is `x^n mod P(x)` for the distance `n` it moves a 64-bit half.
+    /// `x^(4·128+32)`, `x^(4·128−32)`: fold an accumulator 64 bytes on.
+    const K1: i64 = 0x1_5444_2bd4;
+    const K2: i64 = 0x1_c6e4_1596;
+    /// `x^(128+32)`, `x^(128−32)`: fold an accumulator 16 bytes on.
+    const K3: i64 = 0x1_7519_97d0;
+    const K4: i64 = 0x0_ccaa_009e;
+    /// `x^64`: fold the 96 bits left after the 128 → 64 step to 64.
+    const K5: i64 = 0x1_63cd_6124;
+    /// `P(x)` and `μ = ⌊x^64 / P(x)⌋`, reflected, for the Barrett step.
+    const P: i64 = 0x1_db71_0641;
+    const MU: i64 = 0x1_f701_1641;
+
+    /// Unaligned load of the 16 bytes at `block[..16]`.
+    #[inline]
+    fn load(block: &[u8]) -> __m128i {
+        let block: &[u8; 16] = block[..16].try_into().expect("16 bytes");
+        // SAFETY: `block` is 16 readable bytes and `loadu` has no alignment
+        // requirement (a `Bytes` slice starts anywhere); `sse2` is part of
+        // the `x86_64` baseline.
+        unsafe { _mm_loadu_si128(block.as_ptr().cast()) }
+    }
+
+    /// Move the 128-bit accumulator `acc` on by the distance `keys`
+    /// encodes and add the block that sits there: `acc.lo · k_lo ^
+    /// acc.hi · k_hi ^ block`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold_into(acc: __m128i, block: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(acc, keys, 0x00);
+        let hi = _mm_clmulepi64_si128(acc, keys, 0x11);
+        _mm_xor_si128(_mm_xor_si128(lo, hi), block)
+    }
+
+    /// Run the raw CRC register `crc` over `data` (at least 64 bytes):
+    /// four 128-bit accumulators over 64-byte blocks, one fold of the four
+    /// into one, single 16-byte folds to the last whole block, a fold to
+    /// 64 bits and a Barrett reduction to the 32-bit register. The last
+    /// `len % 16` bytes take the table's byte step.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `pclmulqdq` and `sse4.1`: callers check both
+    /// with `is_x86_feature_detected!` first.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn fold(crc: u32, data: &[u8]) -> u32 {
+        let (first, rest) = data
+            .split_first_chunk::<64>()
+            .expect("the caller passes at least 64 bytes");
+        let mut acc = [
+            load(&first[0..]),
+            load(&first[16..]),
+            load(&first[32..]),
+            load(&first[48..]),
+        ];
+        acc[0] = _mm_xor_si128(acc[0], _mm_cvtsi32_si128(crc as i32));
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        let mut blocks = rest.chunks_exact(64);
+        for block in &mut blocks {
+            for (j, a) in acc.iter_mut().enumerate() {
+                *a = fold_into(*a, load(&block[16 * j..]), k1k2);
+            }
+        }
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut x = fold_into(acc[0], acc[1], k3k4);
+        x = fold_into(x, acc[2], k3k4);
+        x = fold_into(x, acc[3], k3k4);
+        let mut blocks = blocks.remainder().chunks_exact(16);
+        for block in &mut blocks {
+            x = fold_into(x, load(block), k3k4);
+        }
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        // 128 → 96 bits: the low half moves 64 bits on into the high half.
+        x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
+        // 96 → 64 bits.
+        x = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5), 0x00),
+            _mm_srli_si128(x, 4),
+        );
+        // Barrett: T1 = (R mod x^32) · μ, T2 = (T1 mod x^32) · P, and the
+        // register is the high 32 bits of R ^ T2 (reflected).
+        let pmu = _mm_set_epi64x(MU, P);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pmu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pmu, 0x00);
+        let crc = _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32;
+        blocks
+            .remainder()
+            .iter()
+            .fold(crc, |crc, &b| super::crc_step(crc, b))
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        /// `x^n mod P(x)` in normal bit order, by shift-and-reduce.
+        fn x_pow_mod_p(n: u32) -> u32 {
+            (0..n).fold(1u64, |r, _| {
+                let r = r << 1;
+                if r >> 32 != 0 {
+                    r ^ 0x1_04c1_1db7
+                } else {
+                    r
+                }
+            }) as u32
+        }
+
+        #[test]
+        fn fold_constants_are_reflected_powers_of_x() {
+            let k = |n| i64::from(x_pow_mod_p(n).reverse_bits()) << 1;
+            assert_eq!([K1, K2, K3, K4, K5], [k(544), k(480), k(160), k(96), k(64)]);
+            // μ = ⌊x^64 / P(x)⌋ by long division; both 33-bit values reflected.
+            let p = 0x1_04c1_1db7u64;
+            let (mut rem, mut mu) = (1u128 << 64, 0u64);
+            for shift in (0..=32).rev() {
+                if rem >> (32 + shift) & 1 != 0 {
+                    rem ^= u128::from(p) << shift;
+                    mu |= 1 << shift;
+                }
+            }
+            let reflect33 = |v: u64| (v.reverse_bits() >> 31) as i64;
+            assert_eq!((P, MU), (reflect33(p), reflect33(mu)));
+        }
+    }
+}
+
 /// The checksum attached to stored segments: two digests of unrelated
 /// construction (a multiplicative hash and a cyclic code) over the same
 /// bytes, compared together.
@@ -141,42 +348,27 @@ pub struct Checksum {
 }
 
 impl Checksum {
-    /// Compute the checksum of `data` in one pass, a 32-byte stripe at a
-    /// time. The stripe's four words are loaded once; each lane's chain
-    /// is one multiply latency per byte, but the four chains are
-    /// independent, so a multiply issues every cycle; the two slice-by-16
-    /// CRC steps take their bytes from the same words, and their lookups
-    /// depend on neither the lanes nor each other.
+    /// Compute the checksum of `data`: two single-purpose passes over the
+    /// same bytes, [`fnv1a64_lanes`] and [`crc32_fast`]. The second pass
+    /// reads what the first left in L1; kept apart, neither loop's
+    /// registers and ports crowd the other's (EXPERIMENTS.md "Carry-less
+    /// CRC" has the fused loop this replaced).
     pub fn of(data: &[u8]) -> Checksum {
-        let t = &CRC_TABLES;
-        let mut lanes = LANE_BASIS;
-        let mut crc = !0u32;
-        let mut stripes = data.chunks_exact(STRIPE);
-        for stripe in &mut stripes {
-            let mut words = [0u64; LANES];
-            for (word, bytes) in words.iter_mut().zip(stripe.chunks_exact(8)) {
-                *word = u64::from_le_bytes(bytes.try_into().expect("chunks_exact yields 8 bytes"));
-            }
-            for pair in words.chunks_exact(CRC_SLICE / 8) {
-                let (lo, hi) = (pair[0] ^ crc as u64, pair[1]);
-                crc = 0;
-                for i in 0..8 {
-                    crc ^= t[CRC_SLICE - 1 - i][byte(lo, i) as usize]
-                        ^ t[CRC_SLICE - 9 - i][byte(hi, i) as usize];
-                }
-            }
-            for i in 0..8 {
-                for (lane, word) in lanes.iter_mut().zip(words) {
-                    *lane = fnv_step(*lane, byte(word, i));
-                }
-            }
+        Checksum {
+            fnv: fnv1a64_lanes(data),
+            crc: crc32_fast(data),
         }
-        let mut fnv = fold_lanes(lanes);
-        for &b in stripes.remainder() {
-            fnv = fnv_step(fnv, b);
-            crc = crc_step(crc, b);
+    }
+
+    /// [`Checksum::of`] with the CRC half on the portable slice-by-16 loop
+    /// whatever the CPU offers: what a host without `pclmulqdq` runs. For
+    /// tests and benches, which hold both kernels to the references on
+    /// every host.
+    pub fn of_portable(data: &[u8]) -> Checksum {
+        Checksum {
+            fnv: fnv1a64_lanes(data),
+            crc: !crc_slice16(!0, data),
         }
-        Checksum { fnv, crc: !crc }
     }
 
     /// Verify `data` against this checksum.
@@ -239,8 +431,48 @@ mod tests {
         ];
         for (data, fnv, crc) in vectors {
             assert_eq!(Checksum::of(data), Checksum { fnv, crc }, "{data:?}");
+            assert_eq!(
+                Checksum::of_portable(data),
+                Checksum { fnv, crc },
+                "{data:?}"
+            );
             assert_eq!(fnv1a64_striped(data), fnv, "{data:?}");
             assert_eq!(crc32(data), crc, "{data:?}");
+        }
+    }
+
+    /// Every length 0..=320 at 16 offsets through the dispatched and the
+    /// portable kernel, and through the carry-less fold itself from its
+    /// 64-byte minimum where the CPU has it: every fold branch (four
+    /// accumulators, zero to four single folds, every `len % 16` tail) on
+    /// every host, and the portable loop on a `pclmulqdq` host too.
+    #[test]
+    fn every_short_length_and_offset_matches_the_references() {
+        let buffer: Vec<u8> = (0..336u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        #[cfg(target_arch = "x86_64")]
+        let clmul = is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1");
+        for offset in 0..16 {
+            for len in 0..=320 {
+                let d = &buffer[offset..offset + len];
+                let reference = Checksum {
+                    fnv: fnv1a64_striped(d),
+                    crc: crc32(d),
+                };
+                assert_eq!(Checksum::of(d), reference, "offset {offset}, len {len}");
+                assert_eq!(
+                    Checksum::of_portable(d),
+                    reference,
+                    "offset {offset}, len {len}"
+                );
+                #[cfg(target_arch = "x86_64")]
+                if clmul && len >= 64 {
+                    // SAFETY: `pclmulqdq` and `sse4.1` were detected above.
+                    let crc = !unsafe { clmul::fold(!0, d) };
+                    assert_eq!(crc, reference.crc, "offset {offset}, len {len}");
+                }
+            }
         }
     }
 

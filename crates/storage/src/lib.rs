@@ -13,6 +13,12 @@
 //! * [`integrity`] — checksum algorithms (FNV-1a and CRC-32, implemented
 //!   here: no external hashing crates) and corruption detection;
 //! * [`repository`] — the partitioned repository with quotas and eviction.
+//!
+//! The crate's only `unsafe` is the carry-less-multiply CRC in
+//! [`integrity`]; each block names the run-time feature detection it
+//! relies on, and the lint below keeps it that way.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod cache;
 pub mod coding;

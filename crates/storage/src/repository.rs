@@ -128,14 +128,21 @@ impl StorageRepository {
         Ok(())
     }
 
-    /// Fetch a segment from a partition, verifying integrity.
+    /// Fetch a segment from a partition, verifying integrity. The segment
+    /// is cloned under the partition's read lock (a refcount bump) and
+    /// hashed after the lock is released, so a `store` or `remove` on this
+    /// repository never waits on a checksum pass.
     pub fn fetch(&self, p: Partition, id: SegmentId) -> Result<Segment, RepoError> {
-        let shelf = self.shelf(p).read();
-        let seg = shelf.get(&id).ok_or(RepoError::NotFound(id))?;
+        let seg = self
+            .shelf(p)
+            .read()
+            .get(&id)
+            .cloned()
+            .ok_or(RepoError::NotFound(id))?;
         if !seg.verify() {
             return Err(RepoError::IntegrityFailure(id));
         }
-        Ok(seg.clone())
+        Ok(seg)
     }
 
     /// Fetch from either partition (replica first — it is the CDN's copy).

@@ -67,22 +67,23 @@ proptest! {
         }
     }
 
-    /// The fused stripe-at-a-time kernel against the two byte-at-a-time
-    /// reference kernels, on windows of one larger buffer so the stripe
-    /// loop starts at every alignment and ends on every `len % 32` tail.
+    /// The dispatched kernel (`Checksum::of`: carry-less CRC where the CPU
+    /// has it) and the portable one (`Checksum::of_portable`, slice-by-16
+    /// on every host), each against the two byte-at-a-time reference
+    /// kernels, on windows of one larger buffer so the loops start at
+    /// every alignment and end on every `len % 32` tail.
     #[test]
     fn fused_checksum_matches_reference_kernels(
         buffer in proptest::collection::vec(any::<u8>(), 70_064..=70_064),
         offset in 0usize..64,
         len in 0usize..=70_000,
-        short in 0usize..=72,
+        short in 0usize..=320,
     ) {
         for len in [len, short] {
             let d = &buffer[offset..offset + len];
-            prop_assert_eq!(
-                Checksum::of(d),
-                Checksum { fnv: fnv1a64_striped(d), crc: crc32(d) }
-            );
+            let reference = Checksum { fnv: fnv1a64_striped(d), crc: crc32(d) };
+            prop_assert_eq!(Checksum::of(d), reference);
+            prop_assert_eq!(Checksum::of_portable(d), reference);
         }
     }
 
