@@ -4,20 +4,18 @@
 //! The catalog is split into dataset-sharded slices, each published as an
 //! immutable [`ShardSnapshot`] behind a `Published` cell. Readers load
 //! the current `Arc` (one refcount bump) and then work entirely on
-//! shared, frozen data — no lock is held across a resolution, a BFS, or
-//! a whole planning phase. Writers clone the shard they touch
+//! shared, frozen data — no lock is held across a resolution or a BFS.
+//! Writers clone the shard they touch
 //! (copy-on-write over `Arc`'d entries, so a clone is O(shard-size)
 //! pointer bumps), apply the mutation, advance the shard's **epoch**,
 //! and publish the new `Arc`. Unrelated shards keep their snapshots.
 //!
-//! A shard's epoch counts its publications and nothing else. Staleness
-//! is judged per catalog entry: every mutation of an entry stamps it
-//! with a fresh server-wide **version**, a plan records the version of
-//! the entry it read ([`CatalogSnapshot::version_of`]), and at commit
-//! time the plan is stale iff that entry's version moved. The hop cache
-//! keys on the same version, so a commit to dataset A invalidates
-//! neither a plan nor a cached hop table that only read dataset B, even
-//! when both live in one shard (see `DESIGN.md` §13).
+//! A shard's epoch counts its publications and nothing else. Change is
+//! judged per catalog entry: every mutation of an entry stamps it with a
+//! fresh server-wide **version** ([`CatalogSnapshot::version_of`]). The
+//! hop cache keys on that version, so a commit to dataset A leaves a
+//! cached hop table that only read dataset B warm, even when both live
+//! in one shard (see `DESIGN.md` §13).
 //!
 //! ## Publication primitive
 //!
@@ -25,11 +23,9 @@
 //! workspace vendors: a `RwLock<Arc<T>>` whose read-side critical
 //! section is a single `Arc::clone`. A true lock-free arc-swap needs
 //! deferred reclamation (and `unsafe`), which the vendored `parking_lot`
-//! shim does not provide; the throughput property the pipelines rely on
-//! — *plan phases take no catalog lock* — comes from loading the
-//! snapshot **once per batch** and planning every request against it,
-//! so the per-load cost is amortized to zero and writers never block a
-//! planner mid-flight.
+//! shim does not provide. The lock guards only the pointer swap, so a
+//! reader holds it for one refcount bump and a writer never blocks a
+//! resolution mid-flight.
 //!
 //! ## Consistency model
 //!
@@ -38,13 +34,11 @@
 //!   readers can never observe a torn shard (asserted by the
 //!   `concurrent_stress` integration test).
 //! * A [`CatalogSnapshot`] loads each shard independently; cross-shard
-//!   skew is possible and harmless, because no plan depends on more
-//!   than one catalog entry and the entry a plan read is covered by its
-//!   recorded version.
+//!   skew is possible and harmless, because no reader in the runtime
+//!   depends on more than one catalog entry at a time.
 //! * Demand counters and repository availability live in shared state
 //!   (`Arc`'d atomics) deliberately: they are telemetry that must keep
-//!   accumulating across entry republications without forcing one, and
-//!   they are never read by a parallel planner mid-batch.
+//!   accumulating across entry republications without forcing one.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,7 +58,7 @@ use crate::server::RepositoryInfo;
 /// `shard_index` spreads sequential dataset ids across all of them.
 /// Shards bound the copy-on-write cost of one commit (a clone is
 /// O(shard-size) pointer bumps) and the writer contention; they play no
-/// part in plan staleness, which is per entry.
+/// part in invalidation, which is per entry.
 pub const DEFAULT_CATALOG_SHARDS: usize = 16;
 
 /// Shard of `dataset` among `2^shift` shards: Fibonacci multiplicative
@@ -171,8 +165,7 @@ pub(crate) struct EntryState {
     pub(crate) replicas: Vec<NodeId>,
     pub(crate) segments: u32,
     /// Per-entry version: bumped by every mutation of the entry (replica
-    /// set or coded inventory). The one catalog staleness token: plans
-    /// record it and commits compare it, and the hop cache keys on it.
+    /// set or coded inventory). The hop cache keys on it.
     /// Drawn from the server-wide monotonic counter, so versions order
     /// consistently across shards.
     pub(crate) version: u64,
@@ -350,10 +343,8 @@ impl ShardSnapshot {
 }
 
 /// A full catalog snapshot: every shard's current published version
-/// plus the repository table, loaded lock-free-after-load. The unit a
-/// planning phase works against — grab one per batch, plan every
-/// request on it, and let the recorded entry versions decide at commit
-/// time whether a plan must be recomputed.
+/// plus the repository table, loaded lock-free-after-load: one
+/// consistent-per-shard view for a caller that reads many datasets.
 pub struct CatalogSnapshot {
     pub(crate) shards: Vec<Arc<ShardSnapshot>>,
     pub(crate) repos: Arc<RepoTable>,
@@ -401,8 +392,7 @@ impl CatalogSnapshot {
     }
 
     /// Per-entry version of `dataset` in this snapshot (`None` while it
-    /// is unregistered) — the staleness token a plan records and its
-    /// commit compares with
+    /// is unregistered), comparable with
     /// [`catalog_version`](crate::server::AllocationServer::catalog_version).
     pub fn version_of(&self, dataset: DatasetId) -> Option<u64> {
         self.entry(dataset).map(|e| e.version)
@@ -412,15 +402,6 @@ impl CatalogSnapshot {
     /// for unregistered or whole-replica datasets).
     pub fn coding_of(&self, dataset: DatasetId) -> Option<CodingSpec> {
         self.entry(dataset).and_then(|e| e.coding)
-    }
-
-    /// Per-host coded-block inventory of `dataset` in this snapshot:
-    /// `(host, sorted block indices)`, ordered by node id. Empty for
-    /// whole-replica datasets.
-    pub fn coded_inventory_of(&self, dataset: DatasetId) -> CodedInventory {
-        self.entry(dataset)
-            .map(|e| e.coded_hosts.clone())
-            .unwrap_or_default()
     }
 
     /// Datasets in this snapshot.

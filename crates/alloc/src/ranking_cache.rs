@@ -21,9 +21,9 @@
 //! Rankings never read the catalog, so catalog commits — and the shard
 //! epochs they advance (see [`crate::epoch`]) — cannot invalidate an
 //! ordering: the graph generation is the *only* guard this cache
-//! needs, and it is deliberately coarser than any shard epoch. A
-//! maintenance cycle that replans a stale item re-slices the same
-//! memoized ordering; only a structural graph change recomputes it.
+//! needs, and it is deliberately coarser than any shard epoch. Every
+//! grow of a maintenance cycle re-slices the same memoized ordering; only
+//! a structural graph change recomputes it.
 //!
 //! Under churn, [`note_delta`](RankingCache::note_delta) marks only the
 //! *affected* `(algorithm, seed)` entries stale instead of clearing the

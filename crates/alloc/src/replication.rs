@@ -127,10 +127,9 @@ pub struct CycleStats {
 
 /// A pluggable replica-count policy for maintenance cycles.
 ///
-/// Implementations must be pure functions of their inputs: the planner
-/// may evaluate datasets in any order (or in parallel), and the
-/// serial-vs-pipelined equivalence proofs rely on a dataset's target
-/// depending only on `(dataset, cycle)`.
+/// Implementations must be pure functions of their inputs: a dataset's
+/// target depends only on `(dataset, cycle)`, whatever order the planner
+/// evaluates datasets in.
 pub trait RebalancePolicy {
     /// The replica count `dataset` should have, given the cycle context.
     /// The maintenance cycle grows or shrinks toward this value

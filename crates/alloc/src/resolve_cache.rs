@@ -26,18 +26,15 @@
 //! replica set, so the cache stays keyed without liveness, and a cache
 //! answer still equals a cold recomputation.
 //!
-//! The entry version is also the plan/commit pipelines' staleness token
-//! (see [`crate::epoch`]), so cached hops and in-flight plans go stale
-//! together: a commit to another dataset — even one in the same shard —
-//! invalidates neither. The wholesale
+//! Keying on the entry version (see [`crate::epoch`]) means a commit to
+//! another dataset — even one in the same shard — invalidates nothing
+//! here. The wholesale
 //! counterpart is `AllocationServer::touch_all`, which bumps every
 //! entry version and thus flushes this cache implicitly — its
 //! `alloc.catalog.touch_all` counter makes that cost visible.
 //!
-//! The cache is sharded (requester-hashed) so the parallel planning
-//! workers of a request batch (each calling
-//! [`resolve_csr_snapshot`](crate::server::AllocationServer::resolve_csr_snapshot))
-//! don't serialize on one mutex, and bounded: each shard evicts
+//! The cache is sharded (requester-hashed) so concurrent resolvers don't
+//! serialize on one mutex, and bounded: each shard evicts
 //! FIFO once it reaches its capacity share. The graph guard is the CSR's
 //! monotonic [`CsrGraph::generation`] — an *unannounced* generation change
 //! (a caller swapping in a different graph without going through

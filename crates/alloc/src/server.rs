@@ -25,12 +25,11 @@
 //!   every cached hop table;
 //! * demand hit/miss accounting uses sharded atomic [`Counter`]s shared
 //!   across entry versions, so resolution never publishes anything;
-//! * planning pipelines call [`snapshot`](AllocationServer::snapshot)
-//!   once per batch and resolve via
-//!   [`resolve_csr_snapshot`](AllocationServer::resolve_csr_snapshot),
-//!   carrying the returned entry version to commit time as the
-//!   staleness token (compared with
-//!   [`catalog_version`](AllocationServer::catalog_version)).
+//! * a caller reading many datasets at once loads one
+//!   [`snapshot`](AllocationServer::snapshot) and resolves against it
+//!   via [`resolve_csr_snapshot`](AllocationServer::resolve_csr_snapshot),
+//!   recording the accounting later through
+//!   [`commit_resolution`](AllocationServer::commit_resolution).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -95,8 +94,7 @@ pub struct AllocMetrics {
     pub rebalance_datasets: Counter,
     /// Catalog entries force-invalidated by
     /// [`touch_all`](AllocationServer::touch_all) — each one costs a hop
-    /// cache refill and a stale-plan replan, which is exactly why
-    /// versions are per entry.
+    /// cache refill, which is exactly why versions are per entry.
     pub touch_all: Counter,
 }
 
@@ -293,8 +291,7 @@ impl AllocationServer {
 
     /// One consistent-per-shard view of the whole catalog and the
     /// repository table. Loading is O(shards) refcount bumps; everything
-    /// read through the snapshot afterwards is lock-free. This is what a
-    /// planning phase grabs once per batch.
+    /// read through the snapshot afterwards is lock-free.
     pub fn snapshot(&self) -> CatalogSnapshot {
         CatalogSnapshot {
             shards: self.shards.iter().map(Published::load).collect(),
@@ -338,7 +335,7 @@ impl AllocationServer {
     /// Update a repository's monitored availability (CDN-client
     /// telemetry). In-place atomic store on the shared record — no
     /// republication, no epoch movement: availability is telemetry, and
-    /// planners deliberately read the freshest value.
+    /// readers deliberately see the freshest value.
     pub fn report_availability(
         &self,
         node: NodeId,
@@ -575,8 +572,8 @@ impl AllocationServer {
         };
         if entry.replicas.contains(&node) {
             // No catalog change: don't burn a version or an epoch (a
-            // spurious bump would invalidate cached hop distances and
-            // in-flight plans for nothing).
+            // spurious bump would invalidate cached hop distances for
+            // nothing).
             return Ok(false);
         }
         let version = self.next_version();
@@ -623,8 +620,8 @@ impl AllocationServer {
 
     /// Move a replica from one node to another (migration). Validation
     /// happens before anything publishes: a failed migration must not
-    /// spuriously invalidate the entry version (or the hop cache and the
-    /// in-flight plans keyed on it) or advance the shard epoch.
+    /// spuriously invalidate the entry version (or the hop cache keyed on
+    /// it) or advance the shard epoch.
     pub fn migrate_replica(
         &self,
         dataset: DatasetId,
@@ -662,8 +659,8 @@ impl AllocationServer {
     }
 
     /// Force-invalidate every catalog entry: each entry's version is
-    /// bumped (every cached hop table goes stale and every in-flight plan
-    /// replans) and every non-empty shard republishes. This is the
+    /// bumped (every cached hop table goes stale) and every non-empty
+    /// shard republishes. This is the
     /// wholesale counterpart of the per-entry invalidation the normal
     /// mutations perform — kept for out-of-band catalog surgery, and
     /// deliberately expensive. `alloc.catalog.touch_all` counts the
@@ -740,17 +737,15 @@ impl AllocationServer {
     }
 
     /// [`resolve_csr`](AllocationServer::resolve_csr) against a
-    /// caller-held [`CatalogSnapshot`] — the batch-planning hot path.
-    /// Acquires **no catalog lock at all**: every read is against the
-    /// snapshot the caller loaded once for the whole batch. The selection
-    /// is identical, but the resolve/demand accounting is deferred — the
-    /// caller records the outcome that actually commits via
+    /// caller-held [`CatalogSnapshot`]. Acquires **no catalog lock at
+    /// all**: every read is against the snapshot the caller loaded. The
+    /// selection is identical, but the resolve/demand accounting is
+    /// deferred — the caller records the outcome it acts on via
     /// [`commit_resolution`](AllocationServer::commit_resolution). Also
     /// returns the version of the catalog entry the selection was
-    /// computed against (`None` for an unregistered dataset) — the
-    /// staleness token a deferred commit compares with
-    /// [`catalog_version`](AllocationServer::catalog_version) before
-    /// applying the plan. Hop-cache counters (`alloc.resolve.cache.*`)
+    /// computed against (`None` for an unregistered dataset), comparable
+    /// with [`catalog_version`](AllocationServer::catalog_version).
+    /// Hop-cache counters (`alloc.resolve.cache.*`)
     /// still tick: they instrument the cache mechanics, not the request
     /// outcome.
     pub fn resolve_csr_snapshot(
@@ -774,7 +769,7 @@ impl AllocationServer {
         )
     }
 
-    /// Record the resolve outcome a deferred plan committed with:
+    /// Record the outcome of a deferred resolution:
     /// `Some(hops)` for a successful selection (its social-hop distance),
     /// `None` for a failed resolve. This is the accounting
     /// [`resolve_csr`](AllocationServer::resolve_csr) performs inline and
@@ -793,9 +788,8 @@ impl AllocationServer {
     }
 
     /// Current catalog-entry version of `dataset` (`None` if unknown).
-    /// Every mutation of the entry bumps it, so comparing it with the
-    /// version a deferred plan recorded detects whether the plan might
-    /// be stale.
+    /// Every mutation of the entry bumps it, so two equal readings mean
+    /// the entry did not change in between.
     pub fn catalog_version(&self, dataset: DatasetId) -> Option<u64> {
         self.shards[self.shard_of(dataset)]
             .load()
@@ -1303,7 +1297,7 @@ mod tests {
         let epochs = srv.shard_epochs();
         // Invalid migrations (unknown repo / dataset / source) must not
         // bump versions or epochs: the next resolution still hits the
-        // cache and no in-flight plan would replan.
+        // cache.
         assert!(srv
             .migrate_replica(DatasetId(0), NodeId(5), NodeId(99))
             .is_err());

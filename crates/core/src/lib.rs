@@ -25,17 +25,12 @@ pub mod ops;
 pub mod scenario;
 pub mod system;
 
-// Serial ≡ pipelined gates. In-crate because the serial loops they compare
-// against (`system`'s test-only `oracle.rs`) are not part of the built
-// library.
+// Fixed op streams pinned to what they produce, and the deterministic
+// systems they and the runtime's unit tests build on.
 #[cfg(test)]
-mod batch_equivalence;
+mod fixtures;
 #[cfg(test)]
-mod coded_equivalence;
-#[cfg(test)]
-mod maintain_equivalence;
-#[cfg(test)]
-mod review_repro;
+mod golden;
 
 pub use casestudy::{CaseStudy, HitRateCurve};
 pub use system::{RebalanceStrategy, Scdn, ScdnConfig, ScdnError};

@@ -63,10 +63,7 @@ impl Scdn {
                 self.tick(*ms);
                 OpOutcome::Ticked
             }
-            // A batch of one, exactly as `request` issues it.
-            Op::Request(node, dataset) => {
-                OpOutcome::Requests(self.request_batch(&[(*node, *dataset)]))
-            }
+            Op::Request(node, dataset) => OpOutcome::Requests(vec![self.request(*node, *dataset)]),
             Op::Batch(reqs) => OpOutcome::Requests(self.request_batch(reqs)),
             Op::Delta(delta) => OpOutcome::Delta(self.apply_graph_delta(delta)),
             Op::Maintain => OpOutcome::Changes(self.maintain()),

@@ -159,8 +159,7 @@ pub fn run(cfg: &ScenarioConfig) -> ScenarioReport {
 }
 
 /// The request stream: requests arriving at the same instant share one
-/// batch (planned in parallel, committed in order) after a tick of the
-/// arrival gap, and a maintenance cycle follows every
+/// batch after a tick of the arrival gap, and a maintenance cycle follows every
 /// `maintenance_every`-th request. The cycle cuts its batch, so it runs
 /// at exactly the request index a serial loop runs it, and the rest of
 /// that instant follows a `tick(0)`.

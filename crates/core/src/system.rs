@@ -219,7 +219,7 @@ struct DatasetMeta {
     segment_digests: Arc<[Checksum]>,
     /// The owner's digest of each coded block `0..n`, recorded by the
     /// first full encode of its plain copy (never, for an uncoded
-    /// dataset). Set once, possibly from a maintenance planning worker.
+    /// dataset). Set once, by that encode, which runs from `&self`.
     block_digests: OnceLock<Box<[Checksum]>>,
 }
 
@@ -289,41 +289,11 @@ pub struct Scdn {
     att_corrupted: Counter,
     /// Latest sampled online fraction (`core.online_fraction`).
     online_fraction: Gauge,
-    /// Commits that had to re-plan because an earlier commit in the same
-    /// batch invalidated their snapshot (`core.batch.replans`), the total
-    /// of the four cause counters
-    /// `core.batch.replan.{entry,repo_epoch,clock,session}` (indexed by
-    /// the pipeline's `ReplanCause`).
-    batch_replans: Counter,
-    batch_replan_causes: [Counter; 4],
-    /// Per-node repository mutation epochs: bumped whenever a commit
-    /// mutates a node's repository contents (stores after a remote
-    /// serve, grow-plan stores, shrink evictions). Plans record the
-    /// epoch of every repository whose quota/contents they read; at
-    /// commit time the plan is stale iff one of those epochs advanced —
-    /// the repository half of the version-vector staleness scheme that
-    /// replaced the per-batch touched-repo bitmap (the catalog half is
-    /// the alloc crate's per-entry versions).
-    repo_epochs: Vec<u64>,
-    /// Requests planned against a reused catalog snapshot — one load
-    /// serves the whole batch (`core.batch.snapshot_reuse`).
-    batch_snapshot_reuse: Counter,
-    /// Maintenance items planned against a reused catalog snapshot
-    /// (`core.maintain.snapshot_reuse`).
-    maintain_snapshot_reuse: Counter,
     /// Memoized full placement orderings: `replicate_to`, `maintain`, and
-    /// `repair` rank the social graph once per cycle and slice per
-    /// dataset instead of re-running the placement algorithm per dataset.
+    /// `repair` rank the social graph once per graph generation and slice
+    /// per dataset instead of re-running the placement algorithm per
+    /// dataset (`core.maintain.ranking_cache_{hit,miss}`).
     rankings: RankingCache,
-    /// Maintenance plan/commit counters (`core.maintain.*`):
-    /// `replanned` is the total of the three cause counters
-    /// `core.maintain.replan.{entry,repo_epoch,clock}` (indexed by
-    /// `ReplanCause`), each re-plan counted under the first trigger that
-    /// fired in that order.
-    maintain_planned: Counter,
-    maintain_committed: Counter,
-    maintain_replanned: Counter,
-    maintain_replan_causes: [Counter; 3],
     ranking_hits: Counter,
     ranking_misses: Counter,
     /// Wall time of every ranking-cache miss, i.e. of one full placement
@@ -354,17 +324,9 @@ pub struct Scdn {
     coded_blocks_preexisting: Counter,
     coded_discarded_corrupt: Counter,
     coded_shards_reconstructed: Counter,
-    /// Coded blocks regenerated from an owner's plain copy
-    /// (`core.maintain.coded_rows_encoded`), stale coded repair plans
-    /// that committed with the blocks they had already regenerated
-    /// (`core.maintain.coded_replans_kept_blocks`), and stale grow plans
-    /// re-planned with the owner's segments they had already read
-    /// (`core.maintain.replans_kept_payload`). All depend on how often
-    /// plans go stale, so they differ between serial and pipelined runs
-    /// like the rest of `core.maintain.*`.
+    /// Coded blocks regenerated from an owner's plain copy or a rebuild
+    /// (`core.maintain.coded_rows_encoded`).
     coded_rows_encoded: Counter,
-    coded_replans_kept_blocks: Counter,
-    replans_kept_payload: Counter,
     /// Segments and coded blocks received from another member under a
     /// digest other than the owner's (`core.transfer.owner_digest_mismatch`).
     owner_digest_mismatch: Counter,
@@ -427,7 +389,7 @@ fn coded_distinct(inventory: &[(NodeId, Arc<Vec<u32>>)], n: u32) -> usize {
 
 /// Coded-block indices absent from every host inventory (`0..n` minus the
 /// union), ascending. Empty when the dataset is fully provisioned.
-pub(crate) fn coded_missing(inventory: &[(NodeId, Arc<Vec<u32>>)], spec: &CodingSpec) -> Vec<u32> {
+fn coded_missing(inventory: &[(NodeId, Arc<Vec<u32>>)], spec: &CodingSpec) -> Vec<u32> {
     let present = coded_present(inventory, spec.n());
     (0..spec.n()).filter(|&b| !present[b as usize]).collect()
 }
@@ -601,16 +563,6 @@ impl Scdn {
         let att_lost = registry.counter("net.attempts.lost");
         let att_corrupted = registry.counter("net.attempts.corrupted");
         let online_fraction = registry.gauge("core.online_fraction");
-        let batch_replans = registry.counter("core.batch.replans");
-        let batch_replan_causes = ["entry", "repo_epoch", "clock", "session"]
-            .map(|cause| registry.counter(&format!("core.batch.replan.{cause}")));
-        let batch_snapshot_reuse = registry.counter("core.batch.snapshot_reuse");
-        let maintain_snapshot_reuse = registry.counter("core.maintain.snapshot_reuse");
-        let maintain_planned = registry.counter("core.maintain.planned");
-        let maintain_committed = registry.counter("core.maintain.committed");
-        let maintain_replanned = registry.counter("core.maintain.replanned");
-        let maintain_replan_causes = ["entry", "repo_epoch", "clock"]
-            .map(|cause| registry.counter(&format!("core.maintain.replan.{cause}")));
         let ranking_hits = registry.counter("core.maintain.ranking_cache_hit");
         let ranking_misses = registry.counter("core.maintain.ranking_cache_miss");
         let ranking_recompute_ms = registry.histogram_with(
@@ -628,8 +580,6 @@ impl Scdn {
         let coded_discarded_corrupt = registry.counter("core.coded.discarded_corrupt");
         let coded_shards_reconstructed = registry.counter("core.coded.shards_reconstructed");
         let coded_rows_encoded = registry.counter("core.maintain.coded_rows_encoded");
-        let coded_replans_kept_blocks = registry.counter("core.maintain.coded_replans_kept_blocks");
-        let replans_kept_payload = registry.counter("core.maintain.replans_kept_payload");
         let owner_digest_mismatch = registry.counter("core.transfer.owner_digest_mismatch");
         Scdn {
             social: sub.graph.clone(),
@@ -660,16 +610,7 @@ impl Scdn {
             att_lost,
             att_corrupted,
             online_fraction,
-            batch_replans,
-            batch_replan_causes,
-            repo_epochs: vec![0; n],
-            batch_snapshot_reuse,
-            maintain_snapshot_reuse,
             rankings: RankingCache::new(),
-            maintain_planned,
-            maintain_committed,
-            maintain_replanned,
-            maintain_replan_causes,
             ranking_hits,
             ranking_misses,
             ranking_recompute_ms,
@@ -684,8 +625,6 @@ impl Scdn {
             coded_discarded_corrupt,
             coded_shards_reconstructed,
             coded_rows_encoded,
-            coded_replans_kept_blocks,
-            replans_kept_payload,
             owner_digest_mismatch,
             config,
         }
@@ -730,9 +669,7 @@ impl Scdn {
     }
 
     /// [`is_online`](Self::is_online) at an explicit clock — the one
-    /// liveness test of the runtime: request plans ask it at the
-    /// batch-entry clock, commit-side re-plans at the live clock,
-    /// maintenance walks at their simulated per-candidate clock.
+    /// liveness test of the runtime.
     pub fn is_online_at(&self, node: NodeId, clock: SimTime) -> bool {
         self.departed.get(node.index()) == Some(&false)
             && self.availability.is_online(node.index(), clock)
@@ -816,7 +753,7 @@ impl Scdn {
 
     /// Count one network attempt in `net.attempts.*` — the one place an
     /// attempt is counted, whether a transfer observes it live or a
-    /// commit replays it from a plan.
+    /// request replays it from its plan.
     fn count_attempt(&self, outcome: AttemptOutcome) {
         match outcome {
             AttemptOutcome::Delivered => self.att_delivered.inc(),
@@ -825,7 +762,7 @@ impl Scdn {
         }
     }
 
-    /// The any-k fetch, shared by a coded request's commit and the
+    /// The any-k fetch, shared by a coded request's apply and the
     /// owner-offline rebuild: race `dataset`'s blocks from `donors` into
     /// `dst`'s `partition` until any k land, hold every landed block to the
     /// owner's digests, and decode the blocks on hand. Blocks that do not
@@ -902,9 +839,8 @@ impl Scdn {
     /// both caches are invalidated by the delta's change class: the
     /// resolve cache keeps every hop table across a delta that changes no
     /// hop distance and flushes on any other, the ranking cache keeps
-    /// every ordering the delta class cannot affect. Both request and maintenance pipelines pick up
-    /// the new snapshot on their next batch/cycle — plan-phase staleness
-    /// is already version-keyed, so nothing else needs republishing.
+    /// every ordering the delta class cannot affect. The next request or
+    /// cycle reads the new snapshot.
     ///
     /// Exposes `core.graph.delta_{applied,nodes_touched,bytes_copied,chunks_shared}`
     /// and `alloc.{resolve,ranking}.cache.retained` counters; the returned
@@ -1178,9 +1114,8 @@ impl Scdn {
     /// Regenerate coded blocks `rows` of `dataset` from the owner's plain
     /// copy: read (and verify) the `segments` plain segments out of the
     /// owner's user partition back into the published byte string, then
-    /// encode exactly those rows. Read-only, so the serial repair and a
-    /// parallel planning worker share it.
-    pub(crate) fn regenerate_coded_blocks(
+    /// encode exactly those rows.
+    fn regenerate_coded_blocks(
         &self,
         dataset: DatasetId,
         owner: NodeId,
@@ -1227,7 +1162,7 @@ impl Scdn {
         }
         let blocks = encode_block_rows(spec, dataset, content, rows);
         if let Some(cell) = recorded.filter(|_| rows.iter().copied().eq(0..spec.n())) {
-            // Still unset: a cycle plans each dataset on one worker.
+            // Still unset: this is the dataset's first full encode.
             let _ = cell.set(blocks.iter().map(|b| b.checksum).collect());
         }
         blocks
@@ -1242,7 +1177,7 @@ impl Scdn {
     /// hosting request, exactly like whole-replica placement; a failed
     /// transfer burns the candidate and retries the same block on the
     /// next one.
-    pub(crate) fn ship_coded_blocks(
+    fn ship_coded_blocks(
         &mut self,
         dataset: DatasetId,
         src: NodeId,
@@ -1312,7 +1247,7 @@ impl Scdn {
     /// Durability sample of a coded dataset in replica-equivalents, from
     /// the live inventory: n/k distinct blocks tolerate the same m losses
     /// as m+1 whole replicas.
-    pub(crate) fn record_coded_redundancy(&mut self, dataset: DatasetId, spec: &CodingSpec) {
+    fn record_coded_redundancy(&mut self, dataset: DatasetId, spec: &CodingSpec) {
         let inventory = self.alloc.coded_inventory(dataset).unwrap_or_default();
         let distinct = coded_distinct(&inventory, spec.n());
         self.cdn_metrics
@@ -1403,46 +1338,6 @@ impl Scdn {
         Ok(added)
     }
 
-    /// Request a dataset from `node`: authenticate, check access policy,
-    /// then deliver it into the requester's user partition.
-    ///
-    /// A coded dataset is raced when the requester is not its owner and
-    /// its online block hosts — only those with an overlay route to the
-    /// requester, under [`ScdnConfig::enforce_social_boundary`] — hold `k`
-    /// distinct blocks: every such host serves at once and the request
-    /// completes when any `k` land. A landed block must carry the owner's
-    /// digest ([`TransferError::SourceCorrupt`] otherwise); the plain
-    /// segments decoded from the blocks are stored under the owner's
-    /// digests, and a failed race gives back what it landed. Any other
-    /// request transfers every segment from the best online replica.
-    ///
-    /// Every request leaves a lifecycle trace: `authenticate → discover →
-    /// select replica → transfer attempt(s) → deliver | fail`, or
-    /// `authenticate → discover → deliver | fail` for a race. Control-plane
-    /// spans carry wall-clock time, attempts the simulated network time.
-    pub fn request(
-        &mut self,
-        node: NodeId,
-        dataset: DatasetId,
-    ) -> Result<RequestOutcome, ScdnError> {
-        // A batch of one through the plan/commit pipeline (see the
-        // `pipeline` module).
-        self.request_batch(std::slice::from_ref(&(node, dataset)))
-            .pop()
-            .expect("one request in, one result out")
-    }
-
-    /// [`request`](Self::request), which races the blocks of a coded
-    /// dataset itself. The name remains because `benchmark/`'s
-    /// `coded_repair` workload calls it.
-    pub fn request_coded(
-        &mut self,
-        node: NodeId,
-        dataset: DatasetId,
-    ) -> Result<RequestOutcome, ScdnError> {
-        self.request(node, dataset)
-    }
-
     /// Promote the freshly downloaded copy into the requester's replica
     /// partition through its cache manager (evicting unpinned opportunistic
     /// copies as needed) and tell the catalog about it. Datasets that lose
@@ -1497,7 +1392,7 @@ impl Scdn {
     /// reorder the replica list until the owner is no longer at the front,
     /// and a shrink must not delete the primary copy — if the owner sits
     /// within the last `n` entries, one fewer replica is shed instead.
-    pub(crate) fn shed_replicas(&mut self, dataset: DatasetId, n: usize) -> Vec<NodeId> {
+    fn shed_replicas(&mut self, dataset: DatasetId, n: usize) -> Vec<NodeId> {
         let owner = self.datasets.get(&dataset).map(|m| m.owner);
         let mut shed = Vec::new();
         if let Ok(replicas) = self.alloc.replicas_of(dataset) {
@@ -1624,17 +1519,15 @@ impl Scdn {
     }
 }
 
-// Child module so the plan/commit pipeline can reach the runtime's private
-// fields without widening their visibility.
-#[path = "pipeline.rs"]
-mod pipeline;
+// Child modules so the request and maintenance paths can reach the
+// runtime's private fields without widening their visibility.
+#[path = "maintain.rs"]
+mod maintain;
+#[path = "request.rs"]
+mod request;
 
-// Maintenance/repair plan/commit pipeline (same child-module pattern).
-#[path = "maintain_pipeline.rs"]
-mod maintain_pipeline;
-
-// The serial and flush-everything references the equivalence tests hold
-// the two pipelines and the delta path to.
+// Test-only knobs and the flush-everything reference the delta path is
+// held to.
 #[cfg(test)]
 #[path = "oracle.rs"]
 mod oracle;

@@ -2,38 +2,27 @@
 //! `system.rs` readable; included via `#[cfg(test)] mod system_tests`).
 
 use bytes::Bytes;
+use proptest::prelude::*;
 use scdn_alloc::placement::PlacementAlgorithm;
+use scdn_alloc::replication::{CycleStats, DatasetStats, RebalancePolicy};
 use scdn_graph::NodeId;
+use scdn_net::failure::FailureModel;
 use scdn_social::generator::{generate, CaseStudyParams};
-use scdn_social::trustgraph::{build_trust_subgraph, TrustFilter, TrustSubgraph};
-use scdn_social::SyntheticDblp;
-use scdn_storage::object::Sensitivity;
+use scdn_social::trustgraph::{build_trust_subgraph, TrustFilter};
+use scdn_storage::coding::encode_blocks;
+use scdn_storage::object::{Dataset, SegmentId, Sensitivity};
 use scdn_storage::repository::Partition;
 
-use crate::system::{AvailabilityConfig, Scdn, ScdnConfig, ScdnError};
-
-fn community() -> (SyntheticDblp, TrustSubgraph) {
-    let mut params = CaseStudyParams::default();
-    params.level2_prob = 0.3;
-    params.level3_prob = 0.0;
-    params.mega_pub_authors = 0;
-    params.rng_seed = 77;
-    let c = generate(&params);
-    let sub = build_trust_subgraph(
-        &c.corpus,
-        c.seed_author,
-        3,
-        2009..=2010,
-        TrustFilter::Baseline,
-    )
-    .expect("seed present");
-    (c, sub)
-}
+use crate::fixtures::{
+    catalog_state, coded_cycle_system, community, denser_community, export_without,
+    maintenance_system, owner_digest_mismatches, quota_system, ROOMY,
+};
+use crate::system::{AvailabilityConfig, RebalanceStrategy, Scdn, ScdnConfig, ScdnError};
 
 #[test]
 fn build_registers_everyone() {
     let (c, sub) = community();
-    let scdn = Scdn::build(&sub, &c.corpus, ScdnConfig::default());
+    let scdn = Scdn::build(sub, &c.corpus, ScdnConfig::default());
     assert_eq!(scdn.member_count(), sub.graph.node_count());
     assert_eq!(scdn.allocation().repository_count(), sub.graph.node_count());
     assert_eq!(scdn.platform().user_count(), sub.graph.node_count());
@@ -58,7 +47,7 @@ fn build_registers_everyone() {
 #[test]
 fn publish_stores_segments_in_user_partition() {
     let (c, sub) = community();
-    let mut scdn = Scdn::build(&sub, &c.corpus, ScdnConfig::default());
+    let mut scdn = Scdn::build(sub, &c.corpus, ScdnConfig::default());
     let owner = NodeId(3);
     let id = scdn
         .publish(
@@ -80,7 +69,7 @@ fn publish_stores_segments_in_user_partition() {
 #[test]
 fn publish_to_unknown_node_fails() {
     let (c, sub) = community();
-    let mut scdn = Scdn::build(&sub, &c.corpus, ScdnConfig::default());
+    let mut scdn = Scdn::build(sub, &c.corpus, ScdnConfig::default());
     let bogus = NodeId(scdn.member_count() as u32 + 5);
     match scdn.publish(bogus, "x", Bytes::new(), Sensitivity::Public, None) {
         Err(ScdnError::UnknownNode(n)) => assert_eq!(n, bogus),
@@ -94,7 +83,7 @@ fn replicate_respects_target_count_and_skips_owner() {
     let mut config = ScdnConfig::default();
     config.replicas_per_dataset = 4;
     config.placement = PlacementAlgorithm::NodeDegree;
-    let mut scdn = Scdn::build(&sub, &c.corpus, config);
+    let mut scdn = Scdn::build(sub, &c.corpus, config);
     let owner = NodeId(0);
     let id = scdn
         .publish(
@@ -124,7 +113,7 @@ fn replicate_respects_target_count_and_skips_owner() {
 #[test]
 fn replication_records_hosting_and_exchanges() {
     let (c, sub) = community();
-    let mut scdn = Scdn::build(&sub, &c.corpus, ScdnConfig::default());
+    let mut scdn = Scdn::build(sub, &c.corpus, ScdnConfig::default());
     let id = scdn
         .publish(
             NodeId(0),
@@ -151,7 +140,7 @@ fn offline_hosts_rejected_during_replication() {
         duty: 0.3,
     };
     config.replicas_per_dataset = 5;
-    let mut scdn = Scdn::build(&sub, &c.corpus, config);
+    let mut scdn = Scdn::build(sub, &c.corpus, config);
     let id = scdn
         .publish(
             NodeId(0),
@@ -176,7 +165,7 @@ fn offline_hosts_rejected_during_replication() {
 #[test]
 fn request_hits_when_neighbor_hosts() {
     let (c, sub) = community();
-    let mut scdn = Scdn::build(&sub, &c.corpus, ScdnConfig::default());
+    let mut scdn = Scdn::build(sub, &c.corpus, ScdnConfig::default());
     let owner = NodeId(0);
     let id = scdn
         .publish(
@@ -198,7 +187,7 @@ fn request_hits_when_neighbor_hosts() {
 #[test]
 fn requests_leave_well_formed_traces_and_valid_snapshot() {
     let (c, sub) = community();
-    let mut scdn = Scdn::build(&sub, &c.corpus, ScdnConfig::default());
+    let mut scdn = Scdn::build(sub, &c.corpus, ScdnConfig::default());
     let owner = NodeId(0);
     let id = scdn
         .publish(
@@ -241,7 +230,7 @@ fn coded_requests_leave_well_formed_traces() {
         coding: CodingConfig::Rs { k: 2, m: 1 },
         ..ScdnConfig::default()
     };
-    let mut scdn = Scdn::build(&sub, &c.corpus, config);
+    let mut scdn = Scdn::build(sub, &c.corpus, config);
     let id = scdn
         .publish(
             NodeId(0),
@@ -293,7 +282,7 @@ fn coded_requests_leave_well_formed_traces() {
 #[test]
 fn clock_advances_with_traffic() {
     let (c, sub) = community();
-    let mut scdn = Scdn::build(&sub, &c.corpus, ScdnConfig::default());
+    let mut scdn = Scdn::build(sub, &c.corpus, ScdnConfig::default());
     let t0 = scdn.now();
     scdn.tick(5_000);
     assert_eq!(scdn.now().since(t0), 5_000);
@@ -318,7 +307,7 @@ fn availability_sampling_tracks_duty() {
         period_ms: 20_000,
         duty: 0.6,
     };
-    let mut scdn = Scdn::build(&sub, &c.corpus, config);
+    let mut scdn = Scdn::build(sub, &c.corpus, config);
     for _ in 0..200 {
         scdn.tick(457);
     }
@@ -331,7 +320,7 @@ fn maintenance_sheds_idle_replicas() {
     let (c, sub) = community();
     let mut config = ScdnConfig::default();
     config.replicas_per_dataset = 6;
-    let mut scdn = Scdn::build(&sub, &c.corpus, config);
+    let mut scdn = Scdn::build(sub, &c.corpus, config);
     let id = scdn
         .publish(
             NodeId(0),
@@ -354,7 +343,7 @@ fn shrinking_to_the_floor_never_evicts_the_owner() {
     let (c, sub) = community();
     let mut config = ScdnConfig::default();
     config.replicas_per_dataset = 5;
-    let mut scdn = Scdn::build(&sub, &c.corpus, config);
+    let mut scdn = Scdn::build(sub, &c.corpus, config);
     let owner = NodeId(0);
     let id = scdn
         .publish(
@@ -401,7 +390,7 @@ fn adaptive_targets_are_honored_below_the_configured_count() {
     // old `replicas_per_dataset.max(target)` clamp would force 4.
     config.replicas_per_dataset = 4;
     config.rebalance = RebalanceStrategy::Adaptive(AdaptiveRebalance::with_budget(2));
-    let mut scdn = Scdn::build(&sub, &c.corpus, config);
+    let mut scdn = Scdn::build(sub, &c.corpus, config);
     let id = scdn
         .publish(
             NodeId(0),
@@ -426,7 +415,7 @@ fn adaptive_targets_are_honored_below_the_configured_count() {
 #[test]
 fn departure_and_repair_restore_redundancy() {
     let (c, sub) = community();
-    let mut scdn = Scdn::build(&sub, &c.corpus, ScdnConfig::default());
+    let mut scdn = Scdn::build(sub, &c.corpus, ScdnConfig::default());
     let id = scdn
         .publish(
             NodeId(0),
@@ -460,7 +449,7 @@ fn telemetry_reaches_allocation_server() {
         period_ms: 10_000,
         duty: 0.5,
     };
-    let mut scdn = Scdn::build(&sub, &c.corpus, config);
+    let mut scdn = Scdn::build(sub, &c.corpus, config);
     for _ in 0..400 {
         scdn.tick(333);
     }
@@ -485,7 +474,7 @@ fn telemetry_reaches_allocation_server() {
 #[test]
 fn departed_nodes_report_zero_availability() {
     let (c, sub) = community();
-    let mut scdn = Scdn::build(&sub, &c.corpus, ScdnConfig::default());
+    let mut scdn = Scdn::build(sub, &c.corpus, ScdnConfig::default());
     scdn.depart(NodeId(1)).expect("departs");
     for _ in 0..100 {
         scdn.tick(100);
@@ -502,7 +491,7 @@ fn departed_nodes_report_zero_availability() {
 #[test]
 fn overlay_links_mirror_social_edges() {
     let (c, sub) = community();
-    let scdn = Scdn::build(&sub, &c.corpus, ScdnConfig::default());
+    let scdn = Scdn::build(sub, &c.corpus, ScdnConfig::default());
     assert_eq!(scdn.overlay().link_count(), sub.graph.edge_count());
     let first_edge = sub.graph.edges().next();
     if let Some((a, b, _)) = first_edge {
@@ -644,7 +633,7 @@ fn coded_request_obeys_the_social_boundary() {
 #[test]
 fn audit_trail_records_grants_and_denials() {
     let (c, sub) = community();
-    let mut scdn = Scdn::build(&sub, &c.corpus, ScdnConfig::default());
+    let mut scdn = Scdn::build(sub, &c.corpus, ScdnConfig::default());
     let owner = sub.node_of(c.seed_author).expect("seed node");
     let policy = scdn_middleware::authz::AccessPolicy {
         sensitivity: Sensitivity::Restricted,
@@ -687,7 +676,7 @@ fn opportunistic_caching_turns_misses_into_hits() {
     let mut config = ScdnConfig::default();
     config.opportunistic_caching = true;
     config.replicas_per_dataset = 1; // only the owner holds it initially
-    let mut scdn = Scdn::build(&sub, &c.corpus, config);
+    let mut scdn = Scdn::build(sub, &c.corpus, config);
     let owner = NodeId(0);
     let id = scdn
         .publish(
@@ -720,7 +709,7 @@ fn caching_disabled_keeps_catalog_stable() {
     let (c, sub) = community();
     let mut config = ScdnConfig::default();
     config.replicas_per_dataset = 1;
-    let mut scdn = Scdn::build(&sub, &c.corpus, config);
+    let mut scdn = Scdn::build(sub, &c.corpus, config);
     let id = scdn
         .publish(
             NodeId(0),
@@ -745,7 +734,7 @@ fn transfer_concurrency_config_reduces_multi_segment_time() {
         let mut config = ScdnConfig::default();
         config.segment_size = 16 << 10;
         config.transfer_concurrency = streams;
-        let mut scdn = Scdn::build(&sub, &c.corpus, config);
+        let mut scdn = Scdn::build(sub, &c.corpus, config);
         let owner = NodeId(0);
         let id = scdn
             .publish(
@@ -774,7 +763,7 @@ fn batch_never_selects_node_departed_after_cache_warm() {
     // against committed state and never select the departed host, even
     // though the hop-distance cache was warmed while it was alive.
     let (c, sub) = community();
-    let mut scdn = Scdn::build(&sub, &c.corpus, ScdnConfig::default());
+    let mut scdn = Scdn::build(sub, &c.corpus, ScdnConfig::default());
     let owner = NodeId(0);
     let id = scdn
         .publish(
@@ -800,7 +789,7 @@ fn batch_never_selects_node_departed_after_cache_warm() {
 #[test]
 fn graph_delta_rejects_membership_changes() {
     let (c, sub) = community();
-    let mut scdn = Scdn::build(&sub, &c.corpus, ScdnConfig::default());
+    let mut scdn = Scdn::build(sub, &c.corpus, ScdnConfig::default());
     let gen_before = scdn.social_csr().generation();
 
     // Membership is fixed at build: node-adding deltas are refused.
@@ -829,7 +818,7 @@ fn graph_delta_rejects_membership_changes() {
 #[test]
 fn graph_delta_refreshes_csr_and_counts_metrics() {
     let (c, sub) = community();
-    let mut scdn = Scdn::build(&sub, &c.corpus, ScdnConfig::default());
+    let mut scdn = Scdn::build(sub, &c.corpus, ScdnConfig::default());
     let gen_before = scdn.social_csr().generation();
     let (a, b, _) = sub.graph.edges().next().expect("has edges");
 
@@ -872,8 +861,8 @@ fn graph_delta_path_matches_flush_oracle_resolutions() {
     // flush-everything oracle. Every subsequent resolution must agree,
     // and the frozen snapshots must be bit-identical.
     let (c, sub) = community();
-    let mut fast = Scdn::build(&sub, &c.corpus, ScdnConfig::default());
-    let mut oracle = Scdn::build(&sub, &c.corpus, ScdnConfig::default());
+    let mut fast = Scdn::build(sub, &c.corpus, ScdnConfig::default());
+    let mut oracle = Scdn::build(sub, &c.corpus, ScdnConfig::default());
     let owner = NodeId(0);
     let publish = |s: &mut Scdn| {
         let id = s
@@ -965,7 +954,7 @@ fn coded_system() -> (Scdn, DatasetId, Vec<NodeId>) {
         coding: CodingConfig::Rs { k: 3, m: 2 },
         ..Default::default()
     };
-    let mut scdn = Scdn::build(&sub, &c.corpus, config);
+    let mut scdn = Scdn::build(sub, &c.corpus, config);
     let dataset = scdn
         .publish(
             NodeId(0),
@@ -1098,7 +1087,7 @@ fn bad_coding_config_fails_the_publish_before_any_effect() {
             coding: CodingConfig::Rs { k, m },
             ..Default::default()
         };
-        let mut scdn = Scdn::build(&sub, &c.corpus, config);
+        let mut scdn = Scdn::build(sub, &c.corpus, config);
         let owner = NodeId(2);
         let publish = |scdn: &mut Scdn| {
             scdn.publish(
@@ -1120,5 +1109,736 @@ fn bad_coding_config_fails_the_publish_before_any_effect() {
         // The id the failed publish would have taken is still free.
         scdn.config.coding = CodingConfig::Rs { k: 2, m: 1 };
         assert_eq!(publish(&mut scdn).expect("valid scheme"), DatasetId(0));
+    }
+}
+
+// ---- serving, maintenance and coding behaviour ---------------------------
+
+/// One requester, two datasets, one batch: each delivery fits the
+/// requester's empty repository on its own, but once the first is stored
+/// the second no longer does, and it is refused without leaving anything
+/// behind.
+#[test]
+fn second_delivery_refused_after_first_commits() {
+    let (mut batched, datasets) = quota_system(FailureModel::reliable());
+    let requester = NodeId(batched.member_count() as u32 - 1);
+    let reqs = [(requester, datasets[0]), (requester, datasets[1])];
+
+    let out = batched.request_batch(&reqs);
+    assert_eq!(out[0].as_ref().expect("first fits").bytes, 14 << 10);
+    // 14 KiB + five 2 KiB segments leave 1 KiB; the sixth needs 2 KiB.
+    match &out[1] {
+        Err(ScdnError::Transfer(TransferError::Destination(RepoError::QuotaExceeded {
+            needed,
+            available,
+        }))) => assert_eq!((*needed, *available), (2 << 10, 1 << 10)),
+        other => panic!("expected a quota refusal, got {other:?}"),
+    }
+    // The refused delivery left nothing behind.
+    assert_eq!(batched.repo(requester).expect("member").used(), 14 << 10);
+}
+
+/// Always-reliable fabric under periodic churn (duty 0.6), one public
+/// 9 KiB dataset published by node 0 and replicated.
+fn churn_system() -> (Scdn, DatasetId) {
+    let (c, sub) = community();
+    let config = ScdnConfig {
+        segment_size: 2 << 10,
+        availability: AvailabilityConfig::Periodic {
+            period_ms: 8_000,
+            duty: 0.6,
+        },
+        ..Default::default()
+    };
+    let mut scdn = Scdn::build(sub, &c.corpus, config);
+    let id = scdn
+        .publish(
+            NodeId(0),
+            "churn",
+            Bytes::from(vec![7u8; 9 << 10]),
+            Sensitivity::Public,
+            None,
+        )
+        .expect("publish succeeds");
+    scdn.replicate(id).expect("replicates");
+    (scdn, id)
+}
+
+/// A replica's on → off boundary falls *inside* a batch: the batch starts
+/// one millisecond before replica `r` goes dark, the first request's
+/// transfer carries the clock across the boundary, and the second request
+/// — which would have resolved to `r` at the batch's starting clock — is
+/// judged on liveness at the clock it is served at.
+#[test]
+fn replica_going_dark_mid_batch_is_judged_at_the_live_clock() {
+    // Search a probe system for (r, requester) such that `requester`
+    // resolves to non-owner replica `r` one tick before `r` goes dark.
+    let found = {
+        let (probe, dataset) = churn_system();
+        let members = probe.member_count() as u32;
+        let base = probe.now();
+        probe
+            .replicas_of(dataset)
+            .expect("published")
+            .into_iter()
+            .filter(|&r| r != NodeId(0))
+            .find_map(|r| {
+                let last_on = (0..8_000).find(|&ms| {
+                    probe.is_online_at(r, base.plus_millis(ms))
+                        && !probe.is_online_at(r, base.plus_millis(ms + 1))
+                })?;
+                let (mut at_boundary, _) = churn_system();
+                at_boundary.tick(last_on);
+                let requester = (0..members)
+                    .map(NodeId)
+                    .find(|&m| m != r && at_boundary.resolve_replica(m, dataset).ok() == Some(r))?;
+                Some((r, last_on, requester))
+            })
+    };
+    let (r, last_on, second) = found.expect("some replica has a requester resolving to it");
+
+    let (mut batched, dataset) = churn_system();
+    let first = (0..batched.member_count() as u32)
+        .map(NodeId)
+        .find(|&m| m != second && m != r && m != NodeId(0))
+        .expect("a third member");
+    batched.tick(last_on);
+    let start_clock = batched.now();
+    assert!(batched.is_online_at(r, start_clock));
+    let reqs = [(first, dataset), (second, dataset)];
+
+    let out = batched.request_batch(&reqs);
+    out[0].as_ref().expect("served while r is still up");
+    assert!(
+        batched.now() > start_clock,
+        "the first request moved the clock"
+    );
+    assert!(
+        !batched.is_online(r),
+        "the boundary fell inside the batch: r is dark at the live clock"
+    );
+    if let Ok(o) = &out[1] {
+        assert_ne!(
+            o.served_by, r,
+            "liveness at the batch's starting clock leaked into the second request"
+        );
+    }
+}
+
+/// One answer to "is this member online?": a departed member that
+/// re-enters the catalog (here behind the runtime's back; its own
+/// opportunistic promotion does the same) is selectable by neither
+/// `resolve_replica` nor `request`, and an id outside the membership is
+/// offline rather than a panic.
+#[test]
+fn departed_member_back_in_the_catalog_is_never_selected() {
+    let (mut scdn, datasets) = quota_system(FailureModel::reliable());
+    let id = datasets[2];
+    let victim = scdn.replicate(id).expect("replicates")[0];
+    // A neighbour of the victim resolves to it while it is alive.
+    let requester = scdn
+        .social
+        .neighbors(victim)
+        .iter()
+        .map(|e| e.to)
+        .find(|&n| scdn.resolve_replica(n, id).ok() == Some(victim))
+        .expect("some neighbour prefers the victim");
+    scdn.depart(victim).expect("departs");
+    scdn.allocation()
+        .add_replica(id, victim)
+        .expect("known dataset");
+    assert!(scdn.replicas_of(id).expect("known").contains(&victim));
+    let resolved = scdn.resolve_replica(requester, id).expect("others alive");
+    let served = scdn.request(requester, id).expect("served").served_by;
+    assert_ne!(resolved, victim, "resolve_replica must honour departures");
+    assert_eq!(resolved, served);
+    assert!(!scdn.is_online(NodeId(scdn.member_count() as u32)));
+    assert!(!scdn.is_online_at(NodeId(u32::MAX), scdn.now()));
+}
+
+/// Every member's replica partition: each segment with its bytes, or
+/// `None` where the stored copy fails its own checksum.
+fn replica_contents(scdn: &Scdn) -> Vec<Vec<(SegmentId, Option<Bytes>)>> {
+    (0..scdn.member_count() as u32)
+        .map(|n| {
+            let repo = scdn.repo(NodeId(n)).expect("member");
+            repo.list(Partition::Replica)
+                .into_iter()
+                .map(|id| (id, repo.fetch(Partition::Replica, id).ok().map(|s| s.data)))
+                .collect()
+        })
+        .collect()
+}
+
+/// Depart one non-owner replica host of every dataset (owners are nodes
+/// 0..4), so the next repair grows every item.
+fn depart_a_replica_of_each(scdn: &mut Scdn, datasets: &[DatasetId]) {
+    for &d in datasets {
+        let victim = scdn
+            .replicas_of(d)
+            .expect("dataset exists")
+            .into_iter()
+            .find(|n| n.0 >= datasets.len() as u32);
+        if let Some(v) = victim {
+            let _ = scdn.depart(v);
+        }
+    }
+}
+
+/// The owner's copy of two datasets is corrupted at rest before a repair
+/// cycle. No dataset of the cycle may store a byte that did not pass the
+/// owner-side read check: every replica copy in the system still verifies
+/// and holds its own dataset's bytes.
+#[test]
+fn corrupt_owner_copy_is_never_replicated() {
+    let (mut scdn, datasets) = maintenance_system(RebalanceStrategy::Static, true, ROOMY);
+    let corrupted = [0usize, 2];
+    for &i in &corrupted {
+        let repo = scdn.repo(NodeId(i as u32)).expect("owner").clone();
+        let id = *repo
+            .list(Partition::User)
+            .iter()
+            .rev()
+            .find(|id| id.dataset == datasets[i])
+            .expect("owner holds its dataset");
+        let good = repo.fetch(Partition::User, id).expect("intact");
+        let mut raw = good.data.to_vec();
+        raw[0] ^= 0xff;
+        let bad = Segment {
+            data: Bytes::from(raw),
+            ..good
+        };
+        repo.store(Partition::User, bad)
+            .expect("overwrite in place");
+    }
+    depart_a_replica_of_each(&mut scdn, &datasets);
+    let before: Vec<usize> = datasets
+        .iter()
+        .map(|&d| scdn.replicas_of(d).expect("dataset exists").len())
+        .collect();
+    scdn.tick(1_300);
+    assert!(scdn.repair() > 0, "the intact datasets still repair");
+    for &i in &corrupted {
+        assert_eq!(
+            scdn.replicas_of(datasets[i]).expect("dataset exists").len(),
+            before[i],
+            "a corrupt source gains no replica"
+        );
+    }
+    for node in replica_contents(&scdn) {
+        for (id, data) in node {
+            let data = data.expect("every stored replica copy verifies");
+            let i = datasets
+                .iter()
+                .position(|&d| d == id.dataset)
+                .expect("a published dataset");
+            assert!(
+                data.iter().all(|&b| b == i as u8 + 1),
+                "{id:?} holds another dataset's bytes"
+            );
+        }
+    }
+}
+
+/// Regression for the under-provisioned candidate walk: the old
+/// `replicate` truncated the placement ranking at `want + current + 4`
+/// candidates, so when churn left most top-ranked hosts offline a
+/// dataset silently stayed under target even though plenty of online
+/// hosts sat deeper in the ranking. The walk now extends until the
+/// target is met or candidates are exhausted.
+#[test]
+fn replication_walks_past_offline_ranking_prefix() {
+    let (c, sub) = denser_community();
+    let config = ScdnConfig {
+        segment_size: 2 << 10,
+        repo_capacity: 4 << 20,
+        // Mostly-offline fabric: ~15% of hosts up at any instant. The
+        // long period keeps onlineness stable while transfer time
+        // accrues during the walk.
+        availability: AvailabilityConfig::Periodic {
+            period_ms: 1_000_000,
+            duty: 0.15,
+        },
+        failure: FailureModel::default(),
+        ..Default::default()
+    };
+    let mut scdn = Scdn::build(sub, &c.corpus, config);
+    let owner = NodeId(0);
+    let id = scdn
+        .publish(
+            owner,
+            "deep-walk",
+            Bytes::from(vec![7u8; 6 << 10]),
+            Sensitivity::Public,
+            None,
+        )
+        .expect("publish succeeds");
+    scdn.tick(2_500);
+    let online: Vec<NodeId> = (0..scdn.member_count() as u32)
+        .map(NodeId)
+        .filter(|&n| n != owner && scdn.is_online(n))
+        .collect();
+    let want = 6.min(online.len());
+    assert!(
+        want >= 4,
+        "fixture needs a handful of online hosts (got {})",
+        online.len()
+    );
+    // `publish` seeds the catalog with the owner as first replica.
+    let current = scdn.replicas_of(id).expect("dataset exists").len();
+    let added = scdn.replicate_to(id, want).expect("replication succeeds");
+    assert_eq!(
+        added.len(),
+        want - current,
+        "walk must extend past the offline ranking prefix to reach target"
+    );
+    assert_eq!(scdn.replicas_of(id).expect("dataset exists").len(), want);
+    for &n in &added {
+        assert!(online.contains(&n), "only online hosts accept replicas");
+    }
+}
+
+/// The memoized placement ranking is computed once per graph and reused
+/// by every later replication or repair cycle while the graph stands
+/// still.
+#[test]
+fn repeated_cycles_hit_the_ranking_cache() {
+    let (mut scdn, datasets) = maintenance_system(RebalanceStrategy::Static, true, ROOMY);
+    let hits = |s: &Scdn| {
+        s.registry()
+            .counter("core.maintain.ranking_cache_hit")
+            .get()
+    };
+    let misses = |s: &Scdn| {
+        s.registry()
+            .counter("core.maintain.ranking_cache_miss")
+            .get()
+    };
+    // Building replicated four datasets against one frozen graph: the
+    // ordering was computed exactly once and sliced three more times.
+    assert_eq!(misses(&scdn), 1, "one full ranking per graph");
+    assert_eq!(hits(&scdn), 3, "later datasets reuse the memoized order");
+    // Knock a replica out and repair: the cycle ranks again — from cache.
+    let victim = scdn.replicas_of(datasets[0]).expect("dataset exists")[0];
+    let _ = scdn.depart(victim);
+    scdn.tick(500);
+    let before = hits(&scdn);
+    let repaired = scdn.repair();
+    assert!(repaired > 0, "departure left something to repair");
+    assert!(hits(&scdn) > before, "repair cycle reuses the ranking");
+    assert_eq!(misses(&scdn), 1, "graph unchanged, nothing recomputed");
+}
+
+/// Contract 3: after a block host departs, repair ships exactly the
+/// missing blocks — `missing × (S/k)` bytes, never a surviving peer's
+/// block, far below the whole-replica copy a plain repair would move.
+#[test]
+fn coded_repair_transfers_only_missing_blocks() {
+    let (c, sub) = denser_community();
+    let (k, m) = (4u8, 2u8);
+    let config = ScdnConfig {
+        segment_size: 2 << 10,
+        repo_capacity: 8 << 20,
+        replicas_per_dataset: usize::from(m) + 1,
+        availability: AvailabilityConfig::AlwaysOn,
+        failure: FailureModel::default(),
+        coding: CodingConfig::Rs { k, m },
+        ..Default::default()
+    };
+    let mut scdn = Scdn::build(sub, &c.corpus, config);
+    let owner = NodeId(0);
+    let total = 40usize << 10;
+    let dataset = scdn
+        .publish(
+            owner,
+            "coded-repair",
+            Bytes::from(vec![0xA5u8; total]),
+            Sensitivity::Public,
+            None,
+        )
+        .expect("publishes");
+    let added = scdn.replicate(dataset).expect("replicates");
+    let n = usize::from(k) + usize::from(m);
+    assert_eq!(added.len(), n, "one fresh host per coded block");
+    let inventory = scdn.allocation().coded_inventory(dataset).expect("coded");
+    let blocks_present = |inv: &[(NodeId, std::sync::Arc<Vec<u32>>)]| {
+        let mut all: Vec<u32> = inv.iter().flat_map(|(_, b)| b.iter().copied()).collect();
+        all.sort_unstable();
+        all
+    };
+    assert_eq!(
+        blocks_present(&inventory),
+        (0..n as u32).collect::<Vec<_>>(),
+        "replication spreads every block exactly once"
+    );
+
+    // Depart one block host (never the owner): exactly one block goes
+    // missing.
+    let victim = *added.first().expect("nonempty");
+    let lost: Vec<u32> = inventory
+        .iter()
+        .find(|(host, _)| *host == victim)
+        .map(|(_, b)| b.to_vec())
+        .expect("victim holds a block");
+    assert_eq!(lost.len(), 1);
+    scdn.depart(victim).expect("departs");
+
+    let bytes_before = scdn
+        .observability_snapshot()
+        .counter("cdn.bytes_transferred")
+        .unwrap_or(0);
+    let survivors = scdn.allocation().coded_inventory(dataset).expect("coded");
+    let repaired = scdn.repair();
+    assert_eq!(repaired, 1, "exactly one block host restored");
+    let bytes_moved = scdn
+        .observability_snapshot()
+        .counter("cdn.bytes_transferred")
+        .unwrap_or(0)
+        - bytes_before;
+
+    let block_len = total.div_ceil(usize::from(k));
+    assert_eq!(
+        bytes_moved, block_len as u64,
+        "repair ships exactly the missing block"
+    );
+    assert!(
+        bytes_moved < total as u64,
+        "coded repair must move less than one whole replica"
+    );
+
+    // Full inventory restored; every surviving host kept exactly the
+    // blocks it had (no redundant re-transfer).
+    let after = scdn.allocation().coded_inventory(dataset).expect("coded");
+    assert_eq!(blocks_present(&after), (0..n as u32).collect::<Vec<_>>());
+    for (host, had) in &survivors {
+        let now = after
+            .iter()
+            .find(|(h, _)| h == host)
+            .map(|(_, b)| b.to_vec())
+            .unwrap_or_default();
+        assert_eq!(&now, &**had, "surviving host {host:?} inventory untouched");
+    }
+    // The restored block landed on a brand-new host.
+    let fresh: Vec<&NodeId> = after
+        .iter()
+        .filter(|(h, _)| !survivors.iter().any(|(s, _)| s == h))
+        .map(|(h, _)| h)
+        .collect();
+    assert_eq!(fresh.len(), 1, "one new block host");
+    assert_eq!(
+        after
+            .iter()
+            .find(|(h, _)| h == fresh[0])
+            .map(|(_, b)| b.to_vec()),
+        Some(lost),
+        "the new host holds exactly the lost block"
+    );
+}
+
+/// A requester racing any k of n blocks gets the original bytes back in
+/// its user partition, reassembled into the plain segment layout.
+#[test]
+fn request_coded_delivers_original_content() {
+    let (c, sub) = denser_community();
+    let config = ScdnConfig {
+        segment_size: 2 << 10,
+        repo_capacity: 8 << 20,
+        availability: AvailabilityConfig::AlwaysOn,
+        failure: FailureModel::default(),
+        coding: CodingConfig::Rs { k: 3, m: 2 },
+        ..Default::default()
+    };
+    let mut scdn = Scdn::build(sub, &c.corpus, config);
+    let owner = NodeId(0);
+    let payload = vec![0x5Cu8; 30 << 10];
+    let dataset = scdn
+        .publish(
+            owner,
+            "coded-fetch",
+            Bytes::from(payload.clone()),
+            Sensitivity::Public,
+            None,
+        )
+        .expect("publishes");
+    let _ = scdn.replicate(dataset).expect("replicates");
+    let requester = NodeId(5);
+    let outcome = scdn.request_coded(requester, dataset).expect("served");
+    // k blocks of ceil(S/k) bytes — less than the full S the plain path
+    // would move only when padding is zero; never more than S + k.
+    let k = 3u64;
+    let block = (payload.len() as u64).div_ceil(k);
+    assert_eq!(outcome.bytes, k * block, "exactly k blocks on the wire");
+    // The reassembled plain segments hold the original bytes.
+    let repo = scdn.repo(requester).expect("known node").clone();
+    let mut got = Vec::new();
+    let seg_size = 2usize << 10;
+    for ordinal in 0..payload.len().div_ceil(seg_size) as u32 {
+        let seg = repo
+            .fetch(Partition::User, SegmentId { dataset, ordinal })
+            .expect("plain segment stored");
+        got.extend_from_slice(&seg.data);
+    }
+    assert_eq!(got, payload, "decoded content matches the original");
+    // No coded scaffolding left behind.
+    assert!(repo.list_coded(Partition::User, dataset).is_empty());
+}
+
+/// The host of `dataset`'s block `index`.
+fn host_of(scdn: &Scdn, dataset: DatasetId, index: u32) -> NodeId {
+    scdn.allocation()
+        .coded_inventory(dataset)
+        .expect("coded")
+        .iter()
+        .find(|(_, blocks)| blocks.contains(&index))
+        .map(|(host, _)| *host)
+        .expect("block is placed")
+}
+
+/// Contract 4: whichever blocks the race lands — all data, one parity
+/// block, every parity block — and whether the segment size divides the
+/// block length, exceeds it, or straddles block boundaries, the requester
+/// ends up with exactly the segments `publish` cut.
+#[test]
+fn request_coded_segments_are_field_identical_to_published() {
+    let (c, sub) = denser_community();
+    let (k, m) = (4u8, 2u8);
+    let content: Vec<u8> = (0..14_999u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 11) as u8)
+        .collect();
+    let block_len = content.len().div_ceil(usize::from(k));
+    assert_eq!(block_len, 3_750);
+    // 1 250 divides the block length (every segment inside one shard),
+    // 3 000 straddles every other boundary, 5 000 exceeds a block.
+    for segment_size in [1_250usize, 3_000, 5_000] {
+        // Departing the hosts of the first data blocks pushes the race
+        // onto parity: 0, 1 and 2 (= m, every) parity blocks.
+        for data_hosts_lost in 0..=u32::from(m) {
+            let config = ScdnConfig {
+                segment_size,
+                repo_capacity: 8 << 20,
+                availability: AvailabilityConfig::AlwaysOn,
+                failure: FailureModel::default(),
+                coding: CodingConfig::Rs { k, m },
+                ..Default::default()
+            };
+            let mut scdn = Scdn::build(sub, &c.corpus, config);
+            let dataset = scdn
+                .publish(
+                    NodeId(0),
+                    "coded-fetch",
+                    Bytes::from(content.clone()),
+                    Sensitivity::Public,
+                    None,
+                )
+                .expect("publishes");
+            let hosts = scdn.replicate(dataset).expect("replicates");
+            for index in 0..data_hosts_lost {
+                let host = host_of(&scdn, dataset, index);
+                scdn.depart(host).expect("departs");
+            }
+            let requester = (1..scdn.member_count() as u32)
+                .map(NodeId)
+                .find(|n| !hosts.contains(n))
+                .expect("a member hosting nothing");
+            scdn.request_coded(requester, dataset).expect("served");
+
+            let case = format!("segment size {segment_size}, {data_hosts_lost} data hosts lost");
+            let published = Dataset::from_bytes(
+                dataset,
+                "coded-fetch",
+                Sensitivity::Public,
+                Bytes::from(content.clone()),
+                segment_size,
+            );
+            let repo = scdn.repo(requester).expect("known node");
+            let ids: Vec<SegmentId> = published.segments.iter().map(|s| s.id).collect();
+            assert_eq!(repo.list(Partition::User), ids, "{case}");
+            for want in &published.segments {
+                let got = repo.fetch(Partition::User, want.id).expect("stored");
+                assert_eq!(got.id, want.id, "{case}");
+                assert_eq!(got.data, want.data, "{case}: {:?}", want.id);
+                assert_eq!(got.checksum, want.checksum, "{case}: {:?}", want.id);
+            }
+            let snap = scdn.observability_snapshot();
+            assert_eq!(
+                snap.counter("core.coded.shards_reconstructed"),
+                Some(u64::from(data_hosts_lost)),
+                "{case}: only absent data shards are rebuilt"
+            );
+            assert_eq!(snap.counter("core.coded.blocks_landed"), Some(u64::from(k)));
+        }
+    }
+}
+
+/// Every block `dataset`'s hosts hold is field-identical to `first[index]`,
+/// and every index is held exactly once.
+fn assert_blocks_are_first_encode(scdn: &Scdn, dataset: DatasetId, first: &[Segment], case: &str) {
+    let mut held = Vec::new();
+    for (host, blocks) in scdn.allocation().coded_inventory(dataset).expect("coded") {
+        for &index in blocks.iter() {
+            let want = &first[index as usize];
+            let got = scdn
+                .repo(host)
+                .expect("member")
+                .fetch(Partition::Replica, want.id)
+                .expect("a placed block verifies");
+            assert_eq!(got.id, want.id, "{case}: block {index}");
+            assert_eq!(got.data, want.data, "{case}: block {index}");
+            assert_eq!(got.checksum, want.checksum, "{case}: block {index}");
+            held.push(index);
+        }
+    }
+    held.sort_unstable();
+    assert_eq!(
+        held,
+        (0..first.len() as u32).collect::<Vec<_>>(),
+        "{case}: every block held once"
+    );
+}
+
+/// A policy that wants one more replica of every dataset, so a
+/// maintenance cycle plans a grow (for a coded dataset, a `CodedGrow`)
+/// without any demand.
+struct AlwaysGrow;
+
+impl RebalancePolicy for AlwaysGrow {
+    fn target(&self, dataset: &DatasetStats, _cycle: &CycleStats) -> usize {
+        dataset.current + 1
+    }
+}
+
+proptest! {
+    /// With `CodingConfig::None`, `request_coded` is a
+    /// bit-identical alias of `request` — same outcomes, same clock, same
+    /// catalog, same full metric export.
+    #[test]
+    fn request_coded_is_identity_when_uncoded(
+        reqs in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..12),
+    ) {
+        let (mut plain, datasets) = coded_cycle_system(CodingConfig::None);
+        let (mut coded, _) = coded_cycle_system(CodingConfig::None);
+        let members = plain.member_count() as u32;
+        for &(n, d) in &reqs {
+            let node = NodeId(u32::from(n) % members);
+            let dataset = datasets[usize::from(d) % datasets.len()];
+            let a = plain.request(node, dataset);
+            let b = coded.request_coded(node, dataset);
+            match (a, b) {
+                (Ok(x), Ok(y)) => {
+                    prop_assert_eq!(x.served_by, y.served_by);
+                    prop_assert_eq!(x.social_hit, y.social_hit);
+                    prop_assert_eq!(x.bytes, y.bytes);
+                    prop_assert!((x.response_ms - y.response_ms).abs() < 1e-9);
+                }
+                (Err(_), Err(_)) => {}
+                (a, b) => prop_assert!(false, "outcomes diverge: {a:?} vs {b:?}"),
+            }
+        }
+        prop_assert_eq!(plain.now(), coded.now(), "clocks diverge");
+        prop_assert_eq!(
+            catalog_state(&plain, &datasets),
+            catalog_state(&coded, &datasets),
+            "catalog diverges"
+        );
+        // Everything but the one host-time series in the export.
+        let wall_clock = ["core.maintain.ranking_recompute_ms"];
+        prop_assert_eq!(
+            export_without(&plain, &wall_clock),
+            export_without(&coded, &wall_clock),
+            "full metric snapshots diverge"
+        );
+    }
+
+    /// Random codes, lengths (divisible by neither k nor the segment size,
+    /// empty included) and departures that force parity reconstruction:
+    /// every segment a coded request stores verifies and equals the
+    /// published one field for field, and every block regenerated later —
+    /// owner-online repair, a maintenance grow, owner-offline rebuild —
+    /// equals the first encode's. This is what makes storing a rebuilt
+    /// segment or block under the owner's recorded digest, instead of
+    /// digesting it again, sound.
+    #[test]
+    fn coded_rebuilds_carry_the_owners_digests(
+        (k, m) in (1u8..=5, 1u8..=3),
+        len in 0usize..24_000,
+        segment_size in 256usize..6_000,
+        data_hosts_lost in 0u8..=3,
+    ) {
+        let (c, sub) = denser_community();
+        let config = ScdnConfig {
+            segment_size,
+            repo_capacity: 8 << 20,
+            availability: AvailabilityConfig::AlwaysOn,
+            failure: FailureModel::default(),
+            coding: CodingConfig::Rs { k, m },
+            ..Default::default()
+        };
+        let case = format!("RS({k},{m}), {len} B, segment size {segment_size}");
+        let mut scdn = Scdn::build(sub, &c.corpus, config);
+        let owner = NodeId(0);
+        let content: Vec<u8> = (0..len as u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 11) as u8)
+            .collect();
+        let dataset = scdn
+            .publish(owner, "adopt", Bytes::from(content.clone()), Sensitivity::Public, None)
+            .expect("publishes");
+        let hosts = scdn.replicate(dataset).expect("replicates");
+        let spec = scdn.allocation().coding_of(dataset).expect("known").expect("coded");
+        let first = encode_blocks(&spec, dataset, &content);
+        assert_blocks_are_first_encode(&scdn, dataset, &first, &case);
+
+        // Departing the hosts of the first data blocks forces the race
+        // onto parity.
+        let lost = data_hosts_lost.min(k).min(m);
+        for index in 0..u32::from(lost) {
+            let host = host_of(&scdn, dataset, index);
+            scdn.depart(host).expect("departs");
+        }
+        let requester = (1..scdn.member_count() as u32)
+            .map(NodeId)
+            .find(|n| !hosts.contains(n))
+            .expect("a member hosting nothing");
+        scdn.request_coded(requester, dataset).expect("served");
+        let published = Dataset::from_bytes(
+            dataset,
+            "adopt",
+            Sensitivity::Public,
+            Bytes::from(content.clone()),
+            segment_size,
+        );
+        let repo = scdn.repo(requester).expect("member");
+        let ids: Vec<SegmentId> = published.segments.iter().map(|s| s.id).collect();
+        prop_assert_eq!(repo.list(Partition::User), ids, "{}", case);
+        for want in &published.segments {
+            let got = repo.fetch(Partition::User, want.id).expect("stored and verifies");
+            prop_assert!(got.verify(), "{case}: {:?}", want.id);
+            prop_assert_eq!(got.id, want.id, "{}", case);
+            prop_assert_eq!(&got.data, &want.data, "{}: {:?}", case, want.id);
+            prop_assert_eq!(got.checksum, want.checksum, "{}: {:?}", case, want.id);
+        }
+        prop_assert_eq!(
+            scdn.observability_snapshot().counter("core.coded.shards_reconstructed"),
+            Some(u64::from(lost)),
+            "{}: the race reconstructs every lost data shard",
+            case
+        );
+
+        // Owner-online repair, on the serial path.
+        let last = spec.n() - 1;
+        scdn.depart(host_of(&scdn, dataset, last)).expect("departs");
+        scdn.replicate(dataset).expect("owner regenerates");
+        assert_blocks_are_first_encode(&scdn, dataset, &first, &format!("{case}, repair"));
+
+        // Maintenance grows the coded dataset back.
+        scdn.depart(host_of(&scdn, dataset, 0)).expect("departs");
+        prop_assert_eq!(scdn.maintain_with(&AlwaysGrow), 1, "{}: maintain regrows the block", case);
+        assert_blocks_are_first_encode(&scdn, dataset, &first, &format!("{case}, maintain"));
+
+        // Owner-offline rebuild from k surviving blocks.
+        scdn.depart(owner).expect("owner departs");
+        scdn.depart(host_of(&scdn, dataset, last)).expect("departs");
+        prop_assert_eq!(scdn.repair(), 1, "{}: the rebuilder hosts the lost block", case);
+        assert_blocks_are_first_encode(&scdn, dataset, &first, &format!("{case}, rebuild"));
+        prop_assert_eq!(owner_digest_mismatches(&scdn), 0, "{}: an honest copy was refused", case);
     }
 }

@@ -1,24 +1,28 @@
 //! Minimal data-parallel helpers built on crossbeam scoped threads.
 //!
-//! The workspace deliberately builds its own fork–join layer instead of
-//! pulling in a full work-stealing runtime: the only parallel patterns the
-//! S-CDN needs are "map a function over node indices and combine" (Brandes
-//! betweenness, placement sweeps, 100-run experiment averaging), which a
-//! chunked scoped-thread map covers with no unsafe code.
+//! Two callers use them: parallel Brandes betweenness
+//! (`centrality`, through [`par_map_reduce_ranges`]) and the case-study
+//! sweeps of `scdn_core::casestudy` (Fig. 3's (algorithm, k) cells and
+//! the 100-run Random averages, through [`par_map_collect`]). The
+//! runtime's requests and maintenance cycles run serially. Both patterns
+//! are "map a function over indices and combine", which a chunked
+//! scoped-thread map covers without a work-stealing runtime.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Process-wide worker override: `0` means "use the hardware parallelism".
-/// Set by benchmarks sweeping thread counts; see [`set_worker_limit`].
+/// See [`set_worker_limit`].
 static WORKER_LIMIT: AtomicUsize = AtomicUsize::new(0);
 
 /// Override the number of worker threads every helper in this module uses.
 ///
 /// `0` restores the default (hardware parallelism). A non-zero value is
-/// taken literally — it may exceed the core count, which is exactly what a
-/// thread-scaling benchmark wants when measuring oversubscription. The
-/// limit is process-wide and racy by design (plain atomic store); callers
-/// that sweep it (benchmarks) are single-threaded at the point of the call.
+/// taken literally — it may exceed the core count. The limit is
+/// process-wide and racy by design (plain atomic store); its callers are
+/// single-threaded at the point of the call: `benchmark/` pins one worker
+/// (two for its `speedup_2w` probe), and `tests/placement_golden.rs` pins
+/// two so Brandes' per-worker float partials sum the same way on every
+/// host.
 pub fn set_worker_limit(limit: usize) {
     WORKER_LIMIT.store(limit, Ordering::Relaxed);
 }
@@ -29,7 +33,7 @@ pub fn set_worker_limit(limit: usize) {
 fn worker_count(items: usize) -> usize {
     let limit = WORKER_LIMIT.load(Ordering::Relaxed);
     // The host is asked only when no limit replaces its answer: the query
-    // reads cgroup files, and the request path sizes every batch here.
+    // reads cgroup files.
     let hardware = match limit {
         0 => std::thread::available_parallelism()
             .map(|n| n.get())

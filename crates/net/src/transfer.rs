@@ -76,9 +76,9 @@ impl std::fmt::Display for TransferError {
 impl std::error::Error for TransferError {}
 
 /// One network attempt of a segment transfer, reported to the observer
-/// callback of
-/// [`transfer_segment_observed`](TransferEngine::transfer_segment_observed)
-/// as it happens. This is how higher layers trace per-attempt outcomes
+/// callback of an observed transfer (such as
+/// [`transfer_many_observed`](TransferEngine::transfer_many_observed)) as
+/// it happens. This is how higher layers trace per-attempt outcomes
 /// without the transfer engine depending on any telemetry crate.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AttemptRecord {
@@ -202,13 +202,10 @@ impl TransferEngine {
     ///
     /// The per-attempt outcome comes from [`FailureModel::outcome`], a
     /// stateless hash of `(src, dst, segment key, attempt)` — so the result
-    /// is independent of call order and safe to compute from concurrent
-    /// planning threads. [`transfer_segment_observed`] is this simulation
-    /// replayed against real repositories, so a plan built from
-    /// `simulate_segment` commits to exactly the attempts/timings the
-    /// serial path would produce.
-    ///
-    /// [`transfer_segment_observed`]: Self::transfer_segment_observed
+    /// is independent of call order. The observed transfers replay this
+    /// simulation against real repositories, so a request planned from
+    /// `simulate_segment` commits to exactly the attempts and timings a
+    /// live transfer would produce.
     pub fn simulate_segment(
         &self,
         src: usize,
@@ -308,7 +305,7 @@ impl TransferEngine {
     /// including the final delivered/failed one — before the result is
     /// returned, so callers can build complete per-request traces.
     #[allow(clippy::too_many_arguments)]
-    pub fn transfer_segment_observed(
+    fn transfer_segment_observed(
         &self,
         src: usize,
         dst: usize,
@@ -328,9 +325,7 @@ impl TransferEngine {
 
     /// Deliver an in-memory segment from node `src` into the destination
     /// repository, with the same retry chain, observer protocol, and
-    /// failure injection as
-    /// [`transfer_segment_observed`](Self::transfer_segment_observed) —
-    /// but without requiring any source repository to hold the bytes.
+    /// failure injection as `transfer_segment_observed` — but without requiring any source repository to hold the bytes.
     /// This is how a dataset owner ships freshly re-encoded coded blocks
     /// that exist nowhere on disk yet.
     pub fn transfer_payload_observed(

@@ -96,11 +96,11 @@ impl CacheManager {
         self.metrics.touches.inc();
     }
 
-    /// Commit-side batch form of [`touch`](Self::touch): record one access
-    /// per segment, in order. A deferred request plan that served a whole
-    /// dataset applies its recency/frequency updates through this in a
-    /// single call, with tick/count/metric effects identical to touching
-    /// each segment individually.
+    /// Batch form of [`touch`](Self::touch): record one access per
+    /// segment, in order. A served request applies a whole dataset's
+    /// recency/frequency updates through this in a single call, with
+    /// tick/count/metric effects identical to touching each segment
+    /// individually.
     pub fn touch_all(&mut self, ids: impl IntoIterator<Item = SegmentId>) {
         for id in ids {
             self.touch(id);
