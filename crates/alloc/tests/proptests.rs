@@ -1,5 +1,8 @@
 //! Property-based tests for placement, partitioning, replication, and
-//! replica resolution (the resolve path vs the full-BFS oracle).
+//! replica resolution (the resolve path vs the full-BFS oracle), and the
+//! catalog against a reference model.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 use scdn_alloc::discovery::{select_replica_full_bfs, Candidate, Selection};
@@ -10,6 +13,7 @@ use scdn_alloc::server::{AllocationError, AllocationServer, RepositoryInfo};
 use scdn_graph::community::Partition;
 use scdn_graph::{CsrGraph, Graph, NodeId, TraversalScratch};
 use scdn_social::author::AuthorId;
+use scdn_storage::coding::CodingSpec;
 use scdn_storage::object::DatasetId;
 
 fn arb_graph() -> impl Strategy<Value = CsrGraph> {
@@ -390,4 +394,212 @@ fn migration_invalidates_cached_resolution() {
         .expect("resolves");
     assert_eq!(after.node, NodeId(1), "stale cache would still say 4");
     assert_eq!(after.social_hops, Some(1));
+}
+
+/// Reference catalog: the allocation server's table as plain ordered
+/// maps. Every op that changes an entry takes the next global version;
+/// a no-op or an error takes none.
+#[derive(Default)]
+struct CatalogModel {
+    availability: BTreeMap<NodeId, f64>,
+    entries: BTreeMap<DatasetId, ModelEntry>,
+    version: u64,
+}
+
+struct ModelEntry {
+    replicas: Vec<NodeId>,
+    coding: Option<CodingSpec>,
+    coded: BTreeMap<NodeId, BTreeSet<u32>>,
+    version: u64,
+}
+
+impl CatalogModel {
+    fn repo(&self, n: NodeId) -> Result<(), AllocationError> {
+        match self.availability.contains_key(&n) {
+            true => Ok(()),
+            false => Err(AllocationError::UnknownRepository(n)),
+        }
+    }
+
+    /// The entry of `d`, if `node` (when given) is a repository.
+    fn entry(
+        &mut self,
+        d: DatasetId,
+        node: Option<NodeId>,
+    ) -> Result<&mut ModelEntry, AllocationError> {
+        node.map_or(Ok(()), |n| self.repo(n))?;
+        self.entries
+            .get_mut(&d)
+            .ok_or(AllocationError::UnknownDataset(d))
+    }
+
+    /// Stamp `d` with the next version when `changed`.
+    fn bump(&mut self, d: DatasetId, changed: bool) -> bool {
+        if changed {
+            self.version += 1;
+            self.entries.get_mut(&d).expect("entry").version = self.version;
+        }
+        changed
+    }
+
+    fn register(
+        &mut self,
+        d: DatasetId,
+        primary: NodeId,
+        coding: Option<CodingSpec>,
+    ) -> Result<(), AllocationError> {
+        self.repo(primary)?;
+        if self.entries.contains_key(&d) {
+            return Err(AllocationError::DuplicateDataset(d));
+        }
+        let (replicas, coded, version) = (vec![primary], BTreeMap::new(), 0);
+        self.entries.insert(
+            d,
+            ModelEntry {
+                replicas,
+                coding,
+                coded,
+                version,
+            },
+        );
+        self.bump(d, true);
+        Ok(())
+    }
+
+    fn migrate(&mut self, d: DatasetId, from: NodeId, to: NodeId) -> Result<(), AllocationError> {
+        let e = self.entry(d, Some(to))?;
+        let pos = e.replicas.iter().position(|&n| n == from);
+        let pos = pos.ok_or(AllocationError::UnknownRepository(from))?;
+        if from != to {
+            match e.replicas.contains(&to) {
+                true => drop(e.replicas.remove(pos)),
+                false => e.replicas[pos] = to,
+            }
+        }
+        self.bump(d, from != to);
+        Ok(())
+    }
+
+    fn hosted_by(&self, n: NodeId) -> Vec<DatasetId> {
+        let hosts = |e: &ModelEntry| e.replicas.contains(&n) || e.coded.contains_key(&n);
+        self.entries
+            .iter()
+            .filter(|(_, e)| hosts(e))
+            .map(|(&d, _)| d)
+            .collect()
+    }
+}
+
+proptest! {
+    /// `AllocationServer`'s catalog agrees with `CatalogModel` after every
+    /// op of a random sequence: return values, replica lists, coded
+    /// inventories, coding specs, entry versions, the hosted index and
+    /// the repository availability. An op is `(kind, dataset, node a,
+    /// node b, blocks)`; nodes 0..6 are repositories, 6 and 7 are not.
+    /// Covers migrating a replica onto itself and onto unknown nodes,
+    /// no-op announcements and errors.
+    #[test]
+    fn catalog_matches_the_reference_model(
+        ops in proptest::collection::vec(
+            (0u8..9, 0u32..5, 0u32..8, 0u32..8, proptest::collection::vec(0u32..6, 0..4)),
+            1..48,
+        ),
+    ) {
+        let srv = AllocationServer::new();
+        let mut model = CatalogModel::default();
+        for v in 0..6 {
+            model.availability.insert(NodeId(v), 0.5);
+            srv.register_repository(RepositoryInfo {
+                node: NodeId(v),
+                owner: AuthorId(v),
+                capacity: 1,
+                availability: 0.5,
+            });
+        }
+        let spec = CodingSpec { k: 2, m: 1, seed: 3, total_len: 64 };
+        for (i, (kind, d, a, b, blocks)) in ops.into_iter().enumerate() {
+            let (d, a, b) = (DatasetId(d), NodeId(a), NodeId(b));
+            let (got, want) = match kind {
+                0 => (
+                    format!("{:?}", srv.register_dataset(d, 1, a)),
+                    format!("{:?}", model.register(d, a, None)),
+                ),
+                1 => (
+                    format!("{:?}", srv.register_dataset_coded(d, 1, a, spec)),
+                    format!("{:?}", model.register(d, a, Some(spec))),
+                ),
+                2 => (format!("{:?}", srv.add_replica(d, a)), {
+                    let added = model
+                        .entry(d, Some(a))
+                        .map(|e| !e.replicas.contains(&a) && { e.replicas.push(a); true });
+                    format!("{:?}", added.map(|added| model.bump(d, added)))
+                }),
+                3 => (format!("{:?}", srv.remove_replica(d, a)), {
+                    let removed = model.entry(d, None).map(|e| {
+                        let before = e.replicas.len();
+                        e.replicas.retain(|&n| n != a);
+                        e.replicas.len() != before
+                    });
+                    format!("{:?}", removed.map(|removed| model.bump(d, removed)))
+                }),
+                4 | 5 => {
+                    let to = if kind == 5 { a } else { b };
+                    (
+                        format!("{:?}", srv.migrate_replica(d, a, to)),
+                        format!("{:?}", model.migrate(d, a, to)),
+                    )
+                }
+                6 => (format!("{:?}", srv.add_coded_blocks(d, a, &blocks)), {
+                    let grew = model.entry(d, Some(a)).map(|e| {
+                        let held = e.coded.get(&a).map_or(0, BTreeSet::len);
+                        let merged: BTreeSet<u32> =
+                            e.coded.get(&a).into_iter().flatten().chain(&blocks).copied().collect();
+                        let grew = merged.len() != held;
+                        if grew {
+                            e.coded.insert(a, merged);
+                        }
+                        grew
+                    });
+                    format!("{:?}", grew.map(|grew| model.bump(d, grew)))
+                }),
+                7 => (format!("{:?}", srv.remove_coded_host(d, a)), {
+                    let held = model.entry(d, None).map(|e| e.coded.remove(&a).is_some());
+                    format!("{:?}", held.map(|held| model.bump(d, held)))
+                }),
+                _ => {
+                    let availability = f64::from(b.0) / 4.0 - 0.25;
+                    let want = model.repo(a).map(|()| {
+                        model.availability.insert(a, availability.clamp(0.0, 1.0));
+                    });
+                    (
+                        format!("{:?}", srv.report_availability(a, availability)),
+                        format!("{want:?}"),
+                    )
+                }
+            };
+            prop_assert_eq!(got, want, "op {} (kind {})", i, kind);
+            for d in (0..5).map(DatasetId) {
+                let e = model.entries.get(&d);
+                prop_assert_eq!(
+                    srv.replicas_of(d).ok(),
+                    e.map(|e| e.replicas.clone()),
+                    "op {}: replicas of {:?}", i, d
+                );
+                let inventory = srv.coded_inventory(d).ok().map(|inv| {
+                    inv.into_iter().map(|(n, b)| (n, (*b).clone())).collect::<Vec<_>>()
+                });
+                let want: Option<Vec<(NodeId, Vec<u32>)>> = e.map(|e| {
+                    e.coded.iter().map(|(&n, b)| (n, b.iter().copied().collect())).collect()
+                });
+                prop_assert_eq!(inventory, want, "op {}: inventory of {:?}", i, d);
+                prop_assert_eq!(srv.coding_of(d).ok(), e.map(|e| e.coding));
+                prop_assert_eq!(srv.catalog_version(d), e.map(|e| e.version), "op {}", i);
+            }
+            for n in (0..8).map(NodeId) {
+                prop_assert_eq!(srv.datasets_hosted_by(n), model.hosted_by(n), "op {}", i);
+                let availability = srv.repository(n).map(|r| r.availability);
+                prop_assert_eq!(availability, model.availability.get(&n).copied());
+            }
+        }
+    }
 }
