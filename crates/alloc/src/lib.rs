@@ -18,8 +18,8 @@
 //! * [`discovery`] — replica selection for a requesting user (social
 //!   distance, then latency, then availability).
 
+mod catalog;
 pub mod discovery;
-pub mod epoch;
 pub mod partitioning;
 pub mod placement;
 pub mod ranking_cache;
@@ -27,7 +27,7 @@ pub mod replication;
 mod resolve_cache;
 pub mod server;
 
-pub use epoch::{CatalogSnapshot, CodedInventory, DEFAULT_CATALOG_SHARDS};
+pub use catalog::{CatalogSnapshot, CodedInventory};
 pub use placement::PlacementAlgorithm;
 pub use ranking_cache::RankingCache;
 pub use replication::{

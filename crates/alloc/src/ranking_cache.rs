@@ -18,10 +18,10 @@
 //! `CsrGraph::fingerprint` guard collided on equal-sized swaps, which
 //! is why the generation replaced it).
 //!
-//! Rankings never read the catalog, so catalog commits — and the shard
-//! epochs they advance (see [`crate::epoch`]) — cannot invalidate an
+//! Rankings never read the catalog, so catalog commits — and the entry
+//! versions they advance (see `catalog.rs`) — cannot invalidate an
 //! ordering: the graph generation is the *only* guard this cache
-//! needs, and it is deliberately coarser than any shard epoch. Every
+//! needs. Every
 //! grow of a maintenance cycle re-slices the same memoized ordering; only
 //! a structural graph change recomputes it.
 //!

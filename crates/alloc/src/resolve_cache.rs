@@ -26,20 +26,16 @@
 //! replica set, so the cache stays keyed without liveness, and a cache
 //! answer still equals a cold recomputation.
 //!
-//! Keying on the entry version (see [`crate::epoch`]) means a commit to
-//! another dataset — even one in the same shard — invalidates nothing
-//! here. The wholesale
-//! counterpart is `AllocationServer::touch_all`, which bumps every
-//! entry version and thus flushes this cache implicitly — its
-//! `alloc.catalog.touch_all` counter makes that cost visible.
+//! Keying on the entry version (see [`crate::catalog`]) means a commit to
+//! another dataset invalidates nothing here.
 //!
-//! The cache is sharded (requester-hashed) so concurrent resolvers don't
-//! serialize on one mutex, and bounded: each shard evicts
-//! FIFO once it reaches its capacity share. The graph guard is the CSR's
-//! monotonic [`CsrGraph::generation`] — an *unannounced* generation change
-//! (a caller swapping in a different graph without going through
-//! [`ResolveCache::apply_delta`]) flushes everything, exactly like the old
-//! fingerprint guard but without its equal-sized-graph collision.
+//! The cache is one map with one FIFO, owned by the catalog table and
+//! reached only under the allocation server's lock, and bounded: it
+//! evicts the oldest insertion once it holds its capacity. The graph
+//! guard is the CSR's monotonic [`CsrGraph::generation`] — an
+//! *unannounced* generation change (a caller swapping in a different
+//! graph without going through [`ResolveCache::apply_delta`]) flushes
+//! everything.
 //!
 //! ## Invalidation under churn
 //!
@@ -67,12 +63,8 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use parking_lot::Mutex;
 use scdn_graph::{CsrGraph, NodeId};
 use scdn_storage::object::DatasetId;
-
-/// Number of independent shards (power of two).
-const SHARDS: usize = 8;
 
 /// Cache key: one requester resolving one dataset.
 type Key = (NodeId, DatasetId);
@@ -90,22 +82,6 @@ struct Slot {
     hops: Box<[Option<u32>]>,
 }
 
-#[derive(Default)]
-struct Shard {
-    map: HashMap<Key, Slot>,
-    /// Insertion order for FIFO eviction. Keys are pushed only on fresh
-    /// insert (version refreshes update in place) and every removal from
-    /// `map` also leaves the queue, so it holds exactly the map's keys,
-    /// each once.
-    fifo: VecDeque<Key>,
-}
-
-/// Outcome of a cache insert (for telemetry).
-pub(crate) struct InsertOutcome {
-    /// Number of entries evicted to make room.
-    pub evicted: u64,
-}
-
 /// Outcome of a delta invalidation (for telemetry).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct RetentionOutcome {
@@ -115,30 +91,36 @@ pub(crate) struct RetentionOutcome {
     pub evicted: u64,
 }
 
-/// Sharded, bounded, version-keyed hop-distance cache.
+/// Bounded, version-keyed hop-distance cache.
 pub(crate) struct ResolveCache {
-    shards: Vec<Mutex<Shard>>,
-    /// Total capacity across shards; 0 disables the cache entirely.
+    map: HashMap<Key, Slot>,
+    /// Insertion order for FIFO eviction. Keys are pushed only on fresh
+    /// insert (version refreshes update in place) and every removal from
+    /// `map` also leaves the queue, so it holds exactly the map's keys,
+    /// each once.
+    fifo: VecDeque<Key>,
+    /// Entry bound; 0 disables the cache entirely.
     capacity: usize,
     /// [`CsrGraph::generation`] of the graph the cached hops were computed
     /// on; `None` until the first traversal.
-    graph_gen: Mutex<Option<u64>>,
+    graph_gen: Option<u64>,
 }
 
 impl ResolveCache {
     pub(crate) fn new(capacity: usize) -> ResolveCache {
         ResolveCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
+            map: HashMap::new(),
+            fifo: VecDeque::new(),
             capacity,
-            graph_gen: Mutex::new(None),
+            graph_gen: None,
         }
     }
 
-    fn shard(&self, key: &Key) -> &Mutex<Shard> {
-        // Requester id spreads batch workloads; dataset id decorrelates a
-        // single hot requester fanning over many datasets.
-        let h = (key.0 .0 as usize).wrapping_mul(0x9E37_79B9) ^ (key.1 .0 as usize);
-        &self.shards[h % SHARDS]
+    fn clear(&mut self) -> u64 {
+        let flushed = self.map.len() as u64;
+        self.map.clear();
+        self.fifo.clear();
+        flushed
     }
 
     /// Flush the cache if `csr` is not the snapshot the cached hops were
@@ -147,21 +129,12 @@ impl ResolveCache {
     /// already announced its new generation and keeps its survivors; any
     /// *unannounced* generation change is an unknown graph swap and drops
     /// everything.
-    pub(crate) fn ensure_graph(&self, csr: &CsrGraph) {
+    pub(crate) fn ensure_graph(&mut self, csr: &CsrGraph) {
         let generation = csr.generation();
-        let mut cur = self.graph_gen.lock();
-        match *cur {
-            Some(prev) if prev == generation => {}
-            Some(_) => {
-                for shard in &self.shards {
-                    let mut s = shard.lock();
-                    s.map.clear();
-                    s.fifo.clear();
-                }
-                *cur = Some(generation);
-            }
-            None => *cur = Some(generation),
+        if self.graph_gen.is_some_and(|prev| prev != generation) {
+            self.clear();
         }
+        self.graph_gen = Some(generation);
     }
 
     /// Invalidation for a graph change `old → new` produced by
@@ -172,84 +145,67 @@ impl ResolveCache {
     /// Either way `new`'s generation is adopted, so subsequent
     /// [`ensure_graph`](ResolveCache::ensure_graph) calls leave the
     /// survivors alone.
-    pub(crate) fn apply_delta(&self, old: &CsrGraph, new: &CsrGraph) -> RetentionOutcome {
-        let mut out = RetentionOutcome::default();
-        let mut cur = self.graph_gen.lock();
-        let announced = *cur == Some(old.generation()) || cur.is_none();
-        *cur = Some(new.generation());
-        let keep = announced && new.last_delta().is_some_and(|d| d.distances_unchanged());
-        for shard in &self.shards {
-            let mut s = shard.lock();
-            if keep {
-                out.retained += s.map.len() as u64;
-            } else {
-                out.evicted += s.map.len() as u64;
-                s.map.clear();
-                s.fifo.clear();
+    pub(crate) fn apply_delta(&mut self, old: &CsrGraph, new: &CsrGraph) -> RetentionOutcome {
+        let announced = self.graph_gen.is_none_or(|g| g == old.generation());
+        self.graph_gen = Some(new.generation());
+        if announced && new.last_delta().is_some_and(|d| d.distances_unchanged()) {
+            let retained = self.map.len() as u64;
+            RetentionOutcome {
+                retained,
+                evicted: 0,
+            }
+        } else {
+            let evicted = self.clear();
+            RetentionOutcome {
+                retained: 0,
+                evicted,
             }
         }
-        out
     }
 
-    /// Run `f` over the cached hops and their bound for `key` if they
-    /// exist *and* were computed at `version`; `None` is a miss (absent
-    /// or stale). Whether the slot decides this request is the caller's
-    /// check (module docs).
-    pub(crate) fn with_hops<R>(
-        &self,
-        key: Key,
-        version: u64,
-        f: impl FnOnce(&[Option<u32>], u32) -> R,
-    ) -> Option<R> {
-        let shard = self.shard(&key).lock();
-        match shard.map.get(&key) {
-            Some(slot) if slot.version == version => Some(f(&slot.hops, slot.bound)),
-            _ => None,
-        }
+    /// The cached hops and their bound for `key`, if they exist *and*
+    /// were computed at `version`; `None` is a miss (absent or stale).
+    /// Whether the slot decides this request is the caller's check
+    /// (module docs).
+    pub(crate) fn hops(&self, key: Key, version: u64) -> Option<(&[Option<u32>], u32)> {
+        self.map
+            .get(&key)
+            .filter(|slot| slot.version == version)
+            .map(|slot| (&*slot.hops, slot.bound))
     }
 
     /// Insert (or refresh) the hops for `key` at `version`, settled within
-    /// `bound`, evicting FIFO past the capacity share. No-op when the
-    /// cache is disabled.
+    /// `bound`, evicting FIFO past the capacity. Returns the number of
+    /// entries evicted; a disabled cache stores nothing.
     pub(crate) fn insert(
-        &self,
+        &mut self,
         key: Key,
         version: u64,
         bound: u32,
         hops: Box<[Option<u32>]>,
-    ) -> InsertOutcome {
-        let mut outcome = InsertOutcome { evicted: 0 };
+    ) -> u64 {
         if self.capacity == 0 {
-            return outcome;
+            return 0;
         }
-        let per_shard = self.capacity.div_ceil(SHARDS).max(1);
-        let mut shard = self.shard(&key).lock();
-        // A `Some` return is an in-place version refresh: the FIFO slot
-        // pushed at first insert is kept, so no eviction check is needed.
         let slot = Slot {
             version,
             bound,
             hops,
         };
-        let fresh = shard.map.insert(key, slot).is_none();
-        if fresh {
-            while shard.map.len() > per_shard {
-                let Some(old) = shard.fifo.pop_front() else {
-                    break;
-                };
-                if shard.map.remove(&old).is_some() {
-                    outcome.evicted += 1;
-                }
-            }
-            shard.fifo.push_back(key);
+        // A `Some` return is an in-place version refresh: the FIFO slot
+        // pushed at first insert is kept, so no eviction check is needed.
+        if self.map.insert(key, slot).is_some() {
+            return 0;
         }
-        outcome
-    }
-
-    /// Number of cached entries (test/diagnostic surface).
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        let mut evicted = 0;
+        while self.map.len() > self.capacity {
+            let Some(old) = self.fifo.pop_front() else {
+                break;
+            };
+            evicted += u64::from(self.map.remove(&old).is_some());
+        }
+        self.fifo.push_back(key);
+        evicted
     }
 }
 
@@ -275,49 +231,48 @@ mod tests {
         v.to_vec().into_boxed_slice()
     }
 
+    fn owned(c: &ResolveCache, k: Key, version: u64) -> Option<(Vec<Option<u32>>, u32)> {
+        c.hops(k, version).map(|(h, bound)| (h.to_vec(), bound))
+    }
+
     #[test]
     fn hit_requires_matching_version() {
-        let c = ResolveCache::new(64);
+        let mut c = ResolveCache::new(64);
         c.insert(key(1, 2), 7, 1, hops(&[Some(1), None]));
-        assert_eq!(
-            c.with_hops(key(1, 2), 7, |h, bound| (h.to_vec(), bound)),
-            Some((vec![Some(1), None], 1))
-        );
-        assert!(
-            c.with_hops(key(1, 2), 8, |_, _| ()).is_none(),
-            "stale version"
-        );
-        assert!(c.with_hops(key(1, 3), 7, |_, _| ()).is_none(), "absent key");
+        assert_eq!(owned(&c, key(1, 2), 7), Some((vec![Some(1), None], 1)));
+        assert!(c.hops(key(1, 2), 8).is_none(), "stale version");
+        assert!(c.hops(key(1, 3), 7).is_none(), "absent key");
     }
 
     #[test]
     fn capacity_zero_disables() {
-        let c = ResolveCache::new(0);
+        let mut c = ResolveCache::new(0);
         c.insert(key(1, 1), 1, u32::MAX, hops(&[Some(0)]));
-        assert!(c.with_hops(key(1, 1), 1, |_, _| ()).is_none());
+        assert!(c.hops(key(1, 1), 1).is_none());
     }
 
     #[test]
     fn eviction_is_bounded_fifo() {
-        let c = ResolveCache::new(SHARDS); // one slot per shard
+        let mut c = ResolveCache::new(8);
         let mut evicted = 0;
         for i in 0..64u32 {
-            evicted += c.insert(key(i, 0), 1, u32::MAX, hops(&[Some(1)])).evicted;
+            evicted += c.insert(key(i, 0), 1, u32::MAX, hops(&[Some(1)]));
         }
-        assert!(c.len() <= SHARDS, "len {} > {}", c.len(), SHARDS);
-        assert!(evicted >= 64 - SHARDS as u64);
+        assert_eq!(c.map.len(), 8);
+        assert_eq!(evicted, 64 - 8);
+        assert!(
+            (56..64).all(|i| c.hops(key(i, 0), 1).is_some()),
+            "newest kept"
+        );
     }
 
     #[test]
     fn refresh_updates_in_place() {
-        let c = ResolveCache::new(64);
+        let mut c = ResolveCache::new(64);
         c.insert(key(4, 4), 1, u32::MAX, hops(&[Some(3)]));
         c.insert(key(4, 4), 2, u32::MAX, hops(&[Some(5)]));
-        assert_eq!(c.len(), 1);
-        assert_eq!(
-            c.with_hops(key(4, 4), 2, |h, _| h.to_vec()),
-            Some(vec![Some(5)])
-        );
+        assert_eq!(c.map.len(), 1);
+        assert_eq!(owned(&c, key(4, 4), 2), Some((vec![Some(5)], u32::MAX)));
     }
 
     #[test]
@@ -325,13 +280,17 @@ mod tests {
         let g = line(4);
         let a = CsrGraph::from(&g);
         let b = CsrGraph::from(&g); // structurally identical, new generation
-        let c = ResolveCache::new(64);
+        let mut c = ResolveCache::new(64);
         c.ensure_graph(&a);
         c.insert(key(1, 1), 1, u32::MAX, hops(&[Some(1)]));
         c.ensure_graph(&a);
-        assert_eq!(c.len(), 1, "same snapshot keeps entries");
+        assert_eq!(c.map.len(), 1, "same snapshot keeps entries");
         c.ensure_graph(&b);
-        assert_eq!(c.len(), 0, "generation change flushes even at equal shape");
+        assert_eq!(
+            c.map.len(),
+            0,
+            "generation change flushes even at equal shape"
+        );
     }
 
     #[test]
@@ -339,16 +298,13 @@ mod tests {
         // A working set well below capacity, evicted and re-inserted
         // round after round.
         const W: u32 = 6;
-        let c = ResolveCache::new(SHARDS * W as usize);
+        let mut c = ResolveCache::new(8 * W as usize);
         let mut g = line(12);
         let mut csr = CsrGraph::from(&g);
         c.ensure_graph(&csr);
         let check = |c: &ResolveCache| {
-            for shard in &c.shards {
-                let s = shard.lock();
-                assert_eq!(s.fifo.len(), s.map.len(), "queue tracks the map");
-                assert!(s.fifo.iter().all(|k| s.map.contains_key(k)));
-            }
+            assert_eq!(c.fifo.len(), c.map.len(), "queue tracks the map");
+            assert!(c.fifo.iter().all(|k| c.map.contains_key(k)));
         };
         for round in 0..20u32 {
             for d in 0..W {
@@ -369,16 +325,13 @@ mod tests {
             check(&c);
         }
 
-        // Eviction follows true insertion order. Three keys of one shard
-        // (same requester, datasets a multiple of SHARDS apart), two slots:
-        // with a ghost of `a` at the queue's head, inserting `c` would
-        // evict the live re-inserted `a` instead of the older `b`.
-        let c = ResolveCache::new(2 * SHARDS);
+        // Eviction follows true insertion order. Two slots: with a ghost
+        // of `a` at the queue's head, inserting `third` would evict the
+        // live re-inserted `a` instead of the older `b`.
+        let mut c = ResolveCache::new(2);
         let old = CsrGraph::from(&line(12));
         c.ensure_graph(&old);
-        let [a, b, third] = [0, 1, 2].map(|i| key(0, i * SHARDS as u32));
-        assert!(std::ptr::eq(c.shard(&a), c.shard(&b)));
-        assert!(std::ptr::eq(c.shard(&a), c.shard(&third)));
+        let [a, b, third] = [0, 1, 2].map(|i| key(0, i));
         c.insert(a, 1, u32::MAX, hops(&[Some(11)]));
         let mut delta = GraphDelta::new();
         delta.remove_edge(NodeId(5), NodeId(6));
@@ -386,10 +339,10 @@ mod tests {
         assert_eq!(c.apply_delta(&old, &new).evicted, 1);
         c.insert(b, 1, u32::MAX, hops(&[Some(5)]));
         c.insert(a, 1, u32::MAX, hops(&[Some(5)]));
-        assert_eq!(c.insert(third, 1, u32::MAX, hops(&[Some(5)])).evicted, 1);
-        assert!(c.with_hops(b, 1, |_, _| ()).is_none(), "oldest goes first");
-        assert!(c.with_hops(a, 1, |_, _| ()).is_some());
-        assert!(c.with_hops(third, 1, |_, _| ()).is_some());
+        assert_eq!(c.insert(third, 1, u32::MAX, hops(&[Some(5)])), 1);
+        assert!(c.hops(b, 1).is_none(), "oldest goes first");
+        assert!(c.hops(a, 1).is_some());
+        assert!(c.hops(third, 1).is_some());
         check(&c);
     }
 
@@ -397,7 +350,7 @@ mod tests {
     fn weight_only_delta_retains_everything() {
         let mut g = line(6);
         let old = CsrGraph::from(&g);
-        let c = ResolveCache::new(64);
+        let mut c = ResolveCache::new(64);
         c.ensure_graph(&old);
         c.insert(key(0, 1), 1, u32::MAX, hops(&[Some(5)]));
         c.insert(key(3, 2), 1, u32::MAX, hops(&[Some(2), None]));
@@ -417,7 +370,7 @@ mod tests {
         let g = line(5);
         let a = CsrGraph::from(&g);
         let b = CsrGraph::from(&g);
-        let c = ResolveCache::new(64);
+        let mut c = ResolveCache::new(64);
         c.ensure_graph(&a);
         c.insert(key(0, 1), 1, u32::MAX, hops(&[Some(1)]));
         let mut d = GraphDelta::new();
@@ -426,6 +379,6 @@ mod tests {
         let out = c.apply_delta(&b, &new);
         assert_eq!(out.retained, 0);
         assert_eq!(out.evicted, 1);
-        assert_eq!(c.len(), 0);
+        assert_eq!(c.map.len(), 0);
     }
 }

@@ -1,21 +1,22 @@
-//! Concurrent stress for the epoch-snapshot catalog: readers resolving
-//! against lock-free snapshots while writers commit and migrate.
+//! Concurrent stress for the one-lock catalog: readers resolving against
+//! snapshots while writers migrate.
 //!
-//! What the readers prove about the publication protocol:
+//! What the readers prove about the lock:
 //!
-//! * **No torn shards** — a snapshot's entry table and hosted index are
-//!   published in one `Arc` swap, so every observed shard must be
-//!   internally consistent ([`ShardSnapshot::is_consistent`]) and every
+//! * **No torn entries** — a snapshot is copied under the lock that every
+//!   mutation holds for its whole body, so every snapshot must be
+//!   internally consistent ([`CatalogSnapshot::is_consistent`]) and every
 //!   dataset must show exactly the replica cardinality the writers
 //!   maintain (one, here — a torn migrate would show zero or two).
-//! * **Every read maps to a published epoch** — per-shard epochs are
-//!   monotone within a reader (a later load never observes an earlier
-//!   publication) and bounded by the final epochs after the writers
-//!   join.
+//! * **Versions only move forward** — a dataset's entry version never
+//!   goes backwards within a reader, and the final versions account for
+//!   exactly one bump per registration and per migration.
 //! * **Resolution agrees with its own snapshot** — a selection computed
 //!   via [`AllocationServer::resolve_csr_snapshot`] lands on the replica
 //!   that snapshot holds, and reports the entry version that snapshot
 //!   holds, even while the live catalog has long moved on.
+//!
+//! [`CatalogSnapshot::is_consistent`]: scdn_alloc::CatalogSnapshot::is_consistent
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -86,21 +87,16 @@ fn readers_never_observe_torn_or_unpublished_state() {
             let csr = csr.clone();
             let done = done.clone();
             thread::spawn(move || {
-                let mut last_epochs = vec![0u64; srv.shard_count()];
+                let mut last_versions = vec![0u64; DATASETS as usize];
                 let mut snapshots_checked = 0u64;
                 while !done.load(Ordering::Relaxed) || snapshots_checked < 50 {
                     let snap = srv.snapshot();
-                    let epochs = snap.epochs();
-                    for (shard, (&now, last)) in epochs.iter().zip(&mut last_epochs).enumerate() {
-                        assert!(
-                            now >= *last,
-                            "shard {shard} epoch went backwards: {now} < {last}"
-                        );
+                    assert!(snap.is_consistent(), "torn snapshot");
+                    for (d, last) in last_versions.iter_mut().enumerate() {
+                        let dataset = DatasetId(d as u32);
+                        let now = snap.version_of(dataset).expect("registered");
+                        assert!(now >= *last, "dataset {d} went backwards: {now} < {last}");
                         *last = now;
-                        assert!(snap.shard(shard).is_consistent(), "torn shard {shard}");
-                    }
-                    for d in (r..DATASETS).step_by(READERS as usize) {
-                        let dataset = DatasetId(d);
                         let replicas = snap
                             .replicas_of(dataset)
                             .expect("dataset registered before any reader started");
@@ -109,6 +105,9 @@ fn readers_never_observe_torn_or_unpublished_state() {
                             1,
                             "dataset {d}: a migrate must never expose 0 or 2 replicas"
                         );
+                    }
+                    for d in (r..DATASETS).step_by(READERS as usize) {
+                        let dataset = DatasetId(d);
                         let (sel, version) = srv.resolve_csr_snapshot(
                             &snap,
                             dataset,
@@ -119,7 +118,8 @@ fn readers_never_observe_torn_or_unpublished_state() {
                         );
                         let sel = sel.expect("one online replica always resolvable");
                         assert_eq!(
-                            sel.node, replicas[0],
+                            Some(&[sel.node][..]),
+                            snap.replicas_of(dataset),
                             "selection disagrees with its own snapshot"
                         );
                         assert_eq!(
@@ -130,7 +130,6 @@ fn readers_never_observe_torn_or_unpublished_state() {
                     }
                     snapshots_checked += 1;
                 }
-                last_epochs
             })
         })
         .collect();
@@ -139,22 +138,23 @@ fn readers_never_observe_torn_or_unpublished_state() {
         w.join().expect("writer panicked");
     }
     done.store(true, Ordering::Relaxed);
-    let final_epochs = srv.shard_epochs();
     for reader in readers {
-        let observed = reader.join().expect("reader panicked");
-        for (shard, (seen, fin)) in observed.iter().zip(&final_epochs).enumerate() {
-            assert!(
-                seen <= fin,
-                "shard {shard}: reader observed epoch {seen} beyond final {fin}"
-            );
-        }
+        reader.join().expect("reader panicked");
     }
-    // Every migration republished exactly one shard: total epoch advance
-    // equals total migrations (plus the initial registrations).
-    let total: u64 = final_epochs.iter().sum();
+    // Every registration and every migration took exactly one version,
+    // and no two changes shared one: the versions are distinct and the
+    // newest is the total change count.
+    let mut versions: Vec<u64> = (0..DATASETS)
+        .map(|d| srv.catalog_version(DatasetId(d)).expect("registered"))
+        .collect();
+    versions.sort_unstable();
+    versions.dedup();
+    assert_eq!(versions.len(), DATASETS as usize, "one entry per version");
     assert_eq!(
-        total,
-        (DATASETS + WRITERS * MIGRATIONS_PER_WRITER * (DATASETS / WRITERS)) as u64,
-        "each commit advances its shard's epoch by exactly one"
+        versions.last().copied(),
+        Some(u64::from(
+            DATASETS + WRITERS * MIGRATIONS_PER_WRITER * (DATASETS / WRITERS)
+        )),
+        "each registration and each commit takes exactly one version"
     );
 }
