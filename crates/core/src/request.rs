@@ -1,42 +1,40 @@
-//! One request: authorize, plan, apply. [`Scdn::request`] serves one
-//! request at a time, [`Scdn::request_batch`] is its loop, and
-//! `request_coded` forwards to it.
+//! One request: authorize, decide, act. [`Scdn::request`] serves one
+//! request at a time in one pass, [`Scdn::request_batch`] is its loop, and
+//! `request_coded` forwards to it. Each step records its trace span and
+//! applies its effects as it runs.
 //!
 //! * **Authorize** — the session budget is consumed and an exhausted
-//!   session expires, exactly once per request.
-//! * **Plan** — reads state; the only thing it records is a resolution's
-//!   resolve and demand accounting. The access policy is checked at the
-//!   current clock, and then one of two bodies is planned:
+//!   session expires, exactly once per request. The access policy is
+//!   checked at the current clock and its decision audited.
+//! * **Decide** — one of two branches:
 //!   - **Coded** — the dataset has a `CodingSpec`, the requester is not its
 //!     owner, and its online block hosts hold at least k distinct blocks.
 //!     With the social boundary enforced, only hosts with an overlay route
-//!     to the requester count. The plan is the list of donors to race.
+//!     to the requester count. Those hosts are the donors to race.
 //!   - **Resolved** — otherwise: [`resolve_csr`][resolve] picks one online
-//!     replica and records the resolve and demand accounting, the
-//!     social-boundary rule vets it, and the transfer is simulated
-//!     ([`TransferEngine::simulate_segment`], a pure hash of endpoints ×
-//!     segment × attempt) against the requester's quota, with each payload
-//!     fetched and verified at the source.
-//! * **Apply** — the audit record, the body's effects (stores, cache
-//!   touches, opportunistic promotion, metrics, clock advance) and the
-//!   trace record. A coded body runs its any-k race here, through the
-//!   helper the owner-offline rebuild also uses.
+//!     replica and records the resolve and demand accounting, and the
+//!     social-boundary rule vets it.
+//! * **Act** — a coded request runs its any-k race through the helper the
+//!   owner-offline rebuild also uses. A resolved one moves each segment
+//!   in turn: fetch and verify at the source, simulate its retry chain
+//!   ([`TransferEngine::simulate_segment`], a pure hash of endpoints ×
+//!   segment × attempt), refuse a delivered segment without the owner's
+//!   digest, and store it, where the repository's quota rule is the only
+//!   one. Then the cache touches, opportunistic promotion, metrics and
+//!   clock advance follow.
 //!
-//! The plan's quota walk read the same repository the apply stores into,
-//! with nothing in between, so a store cannot fail. If one does anyway, the
-//! request fails with [`TransferError::Destination`] and counts a failure.
+//! A failed transfer removes the segments it added. A copy the requester
+//! already held is overwritten only once every segment has arrived, so a
+//! failed request leaves the user partition as it found it.
 //!
 //! [resolve]: scdn_alloc::server::AllocationServer::resolve_csr
 //! [`TransferEngine::simulate_segment`]: scdn_net::transfer::TransferEngine::simulate_segment
 
-use scdn_alloc::discovery::Selection;
 use scdn_alloc::server::AllocationError;
 use scdn_alloc::CodedInventory;
 use scdn_graph::NodeId;
-use scdn_middleware::authz::AccessDecision;
-use scdn_net::transfer::{SegmentSim, TransferError};
+use scdn_net::transfer::TransferError;
 use scdn_obs::{SpanKind, SpanStatus, TraceBuilder};
-use scdn_social::platform::UserId;
 use scdn_storage::coding::CodingSpec;
 use scdn_storage::integrity::Checksum;
 use scdn_storage::object::{DatasetId, Segment, SegmentId};
@@ -46,92 +44,6 @@ use super::{
     attempt_status, coded_distinct, discard_scaffolding, elapsed_ms, CodedRace, RequestOutcome,
     Scdn, ScdnError,
 };
-
-/// One planned trace span, recorded into the request's [`TraceBuilder`]
-/// when the plan is applied. Transfer attempts are not copied in here:
-/// they replay from the plan's [`Fetched`] list.
-struct TraceOp {
-    kind: SpanKind,
-    status: SpanStatus,
-    duration_ms: f64,
-    peer: Option<u32>,
-}
-
-/// A planned span without a peer.
-fn span(kind: SpanKind, status: SpanStatus, duration_ms: f64) -> TraceOp {
-    TraceOp {
-        kind,
-        status,
-        duration_ms,
-        peer: None,
-    }
-}
-
-/// One segment of a planned transfer: the checksum-verified payload
-/// fetched from the source and its simulated retry chain.
-struct Fetched {
-    seg: Segment,
-    sim: SegmentSim,
-}
-
-/// Where a planned request ended up, with everything the apply needs.
-enum PlanBody {
-    /// Dataset not in the runtime's policy table.
-    UnknownDataset,
-    /// Policy denied the requester.
-    AccessDenied {
-        user: UserId,
-        decision: AccessDecision,
-    },
-    /// A coded dataset whose blocks the requester races: `donors` are the
-    /// online block hosts (overlay-routable to the requester when the
-    /// social boundary is enforced) that hold at least k distinct blocks.
-    Coded {
-        user: UserId,
-        decision: AccessDecision,
-        spec: CodingSpec,
-        donors: CodedInventory,
-    },
-    /// Discovery found no online replica.
-    ResolveFailed {
-        user: UserId,
-        decision: AccessDecision,
-        error: AllocationError,
-    },
-    /// A replica was selected but the social-boundary rule blocks it.
-    BoundaryBlocked {
-        user: UserId,
-        decision: AccessDecision,
-    },
-    /// The simulated transfer failed permanently. `fetched` holds every
-    /// segment whose retry chain ran, the failing one included (unless
-    /// the source fetch itself failed).
-    TransferFailed {
-        user: UserId,
-        decision: AccessDecision,
-        selection: Selection,
-        fetched: Vec<Fetched>,
-        error: TransferError,
-    },
-    /// Delivered (or self-served, with nothing fetched): payloads staged
-    /// for the stores.
-    Served {
-        user: UserId,
-        decision: AccessDecision,
-        selection: Selection,
-        segments: Vec<SegmentId>,
-        fetched: Vec<Fetched>,
-        total_ms: f64,
-        total_bytes: u64,
-    },
-}
-
-/// A planned request: its trace spans in emission order (the terminal
-/// span excluded; the body implies it) and its body.
-struct RequestPlan {
-    trace: Vec<TraceOp>,
-    body: PlanBody,
-}
 
 impl Scdn {
     /// Request a dataset from `node`: authenticate, check access policy,
@@ -162,22 +74,13 @@ impl Scdn {
             return Err(ScdnError::UnknownNode(node));
         }
         let mut tb = self.traces.begin(node.0, dataset.0);
-        let auth_start = std::time::Instant::now();
-        let user = match self.middleware.authorize_op(self.sessions[node.index()]) {
-            Ok(u) => u,
-            Err(e) => {
-                tb.span(
-                    SpanKind::Authenticate,
-                    SpanStatus::Denied,
-                    elapsed_ms(auth_start),
-                );
-                self.traces
-                    .record(tb.finish(SpanKind::Fail, SpanStatus::Denied));
-                return Err(ScdnError::Auth(e));
-            }
+        let result = self.serve(&mut tb, node, dataset);
+        let (kind, status) = match &result {
+            Ok(_) => (SpanKind::Deliver, SpanStatus::Ok),
+            Err((_, status)) => (SpanKind::Fail, *status),
         };
-        let plan = self.plan(node, dataset, user, auth_start);
-        self.apply_plan(tb, node, dataset, plan)
+        self.traces.record(tb.finish(kind, status));
+        result.map_err(|(e, _)| e)
     }
 
     /// [`request`](Self::request), which races the blocks of a coded
@@ -202,24 +105,32 @@ impl Scdn {
             .collect()
     }
 
-    /// Plan one authorized request at the current clock. Changes nothing
-    /// but the resolve and demand accounting a resolution records.
-    fn plan(
-        &self,
+    /// One request's pass, every span but the terminal one written into
+    /// `tb`. An error carries the terminal span's status.
+    fn serve(
+        &mut self,
+        tb: &mut TraceBuilder,
         node: NodeId,
         dataset: DatasetId,
-        user: UserId,
-        auth_start: std::time::Instant,
-    ) -> RequestPlan {
-        let mut trace: Vec<TraceOp> = Vec::new();
-        let authenticate = |status| span(SpanKind::Authenticate, status, elapsed_ms(auth_start));
+    ) -> Result<RequestOutcome, (ScdnError, SpanStatus)> {
+        let auth_start = std::time::Instant::now();
+        let user = match self.middleware.authorize_op(self.sessions[node.index()]) {
+            Ok(u) => u,
+            Err(e) => {
+                let auth_ms = elapsed_ms(auth_start);
+                tb.span(SpanKind::Authenticate, SpanStatus::Denied, auth_ms);
+                return Err((ScdnError::Auth(e), SpanStatus::Denied));
+            }
+        };
         let Some(meta) = self.datasets.get(&dataset) else {
-            trace.push(authenticate(SpanStatus::Ok));
-            trace.push(span(SpanKind::Discover, SpanStatus::Error, 0.0));
-            return RequestPlan {
-                trace,
-                body: PlanBody::UnknownDataset,
-            };
+            tb.span(
+                SpanKind::Authenticate,
+                SpanStatus::Ok,
+                elapsed_ms(auth_start),
+            );
+            tb.span(SpanKind::Discover, SpanStatus::Error, 0.0);
+            let error = AllocationError::UnknownDataset(dataset);
+            return Err((ScdnError::Alloc(error), SpanStatus::Error));
         };
         let decision = meta.policy.check(
             &self.platform,
@@ -229,69 +140,102 @@ impl Scdn {
             &self.ledger,
             self.clock.as_secs_f64(),
         );
+        let status = if decision.allowed() {
+            SpanStatus::Ok
+        } else {
+            SpanStatus::Denied
+        };
+        tb.span(SpanKind::Authenticate, status, elapsed_ms(auth_start));
+        let at_ms = self.clock.as_millis();
+        self.audit.record(at_ms, user, dataset, decision.clone());
         if !decision.allowed() {
-            trace.push(authenticate(SpanStatus::Denied));
-            let body = PlanBody::AccessDenied { user, decision };
-            return RequestPlan { trace, body };
+            return Err((ScdnError::Access(decision), SpanStatus::Denied));
         }
-        trace.push(authenticate(SpanStatus::Ok));
-        let topology = &self.engine.topology;
+        let (owner, recorded) = (meta.owner, meta.segment_digests.clone());
         let discover_start = std::time::Instant::now();
-        let discover = |status| span(SpanKind::Discover, status, elapsed_ms(discover_start));
         // A coded dataset within reach races its blocks; any other request
         // resolves one replica.
-        if let Some((spec, donors)) = self.coded_donors(node, meta.owner, dataset) {
-            trace.push(discover(SpanStatus::Ok));
-            let body = PlanBody::Coded {
-                user,
-                decision,
-                spec,
-                donors,
-            };
-            return RequestPlan { trace, body };
+        if let Some((spec, donors)) = self.coded_donors(node, owner, dataset) {
+            tb.span(
+                SpanKind::Discover,
+                SpanStatus::Ok,
+                elapsed_ms(discover_start),
+            );
+            return self
+                .commit_coded(node, dataset, &spec, &donors)
+                .map_err(|e| self.failed(e, SpanStatus::Error));
         }
-        let resolved = self.alloc.resolve_csr(
-            dataset,
-            node,
-            &self.social_csr,
-            |n| self.is_online(n),
-            |n| topology.latency_ms(node.index(), n.index()),
-        );
-        let selection = match resolved {
+        let selection = match self.resolve(node, dataset) {
             Ok(sel) => sel,
             Err(error) => {
-                trace.push(discover(SpanStatus::NoReplica));
-                let body = PlanBody::ResolveFailed {
-                    user,
-                    decision,
-                    error,
-                };
-                return RequestPlan { trace, body };
+                let discover_ms = elapsed_ms(discover_start);
+                tb.span(SpanKind::Discover, SpanStatus::NoReplica, discover_ms);
+                return Err(self.failed(ScdnError::Alloc(error), SpanStatus::NoReplica));
             }
         };
-        trace.push(discover(SpanStatus::Ok));
-        let select = |status| TraceOp {
-            peer: Some(selection.node.0),
-            ..span(SpanKind::SelectReplica, status, 0.0)
-        };
-        if self.config.enforce_social_boundary
-            && selection.node != node
-            && self.overlay.route(selection.node, node).is_none()
-        {
-            trace.push(select(SpanStatus::BoundaryBlocked));
-            let body = PlanBody::BoundaryBlocked { user, decision };
-            return RequestPlan { trace, body };
-        }
-        trace.push(select(SpanStatus::Ok));
-        let body = self.plan_transfer(
-            node,
-            user,
-            decision,
-            selection,
-            dataset,
-            &meta.segment_digests,
+        tb.span(
+            SpanKind::Discover,
+            SpanStatus::Ok,
+            elapsed_ms(discover_start),
         );
-        RequestPlan { trace, body }
+        let src = selection.node;
+        if self.config.enforce_social_boundary
+            && src != node
+            && self.overlay.route(src, node).is_none()
+        {
+            tb.span_with_peer(
+                SpanKind::SelectReplica,
+                SpanStatus::BoundaryBlocked,
+                0.0,
+                src.0,
+            );
+            let error = ScdnError::Alloc(AllocationError::NoReplicaAvailable(dataset));
+            return Err(self.failed(error, SpanStatus::BoundaryBlocked));
+        }
+        tb.span_with_peer(SpanKind::SelectReplica, SpanStatus::Ok, 0.0, src.0);
+        let (total_ms, total_bytes) = if src == node {
+            // Self-service: the requester already holds a replica.
+            (0.0, 0)
+        } else {
+            match self.receive_segments(tb, node, src, dataset, &recorded) {
+                Ok(moved) => moved,
+                Err(e) => {
+                    self.social_metrics
+                        .record_exchange(src.index(), node.index(), 0, false);
+                    return Err(self.failed(ScdnError::Transfer(e), SpanStatus::Error));
+                }
+            }
+        };
+        let hit = matches!(selection.social_hops, Some(h) if h <= 1);
+        let response_ms = total_ms.max(selection.latency_ms);
+        self.record_hit(hit, response_ms);
+        self.cdn_metrics.bytes_transferred += total_bytes;
+        if src != node {
+            self.social_metrics
+                .record_exchange(src.index(), node.index(), total_bytes, true);
+            self.clients[src.index()].record_served(total_bytes);
+        }
+        let segments: Vec<SegmentId> = (0..recorded.len() as u32)
+            .map(|ordinal| SegmentId { dataset, ordinal })
+            .collect();
+        // Bump recency/frequency for the serving node's copies.
+        self.caches[src.index()].touch_all(segments.iter().copied());
+        self.clock = self.clock.plus_millis(total_ms as u64);
+        if self.config.opportunistic_caching && src != node {
+            self.promote_opportunistically(node, dataset, &segments);
+        }
+        Ok(RequestOutcome {
+            served_by: src,
+            social_hit: hit,
+            response_ms,
+            bytes: total_bytes,
+        })
+    }
+
+    /// Count a request that failed after its access check.
+    fn failed(&mut self, error: ScdnError, status: SpanStatus) -> (ScdnError, SpanStatus) {
+        self.cdn_metrics.failures += 1;
+        (error, status)
     }
 
     /// The block hosts `node` would race for `dataset`: online, not `node`,
@@ -326,271 +270,84 @@ impl Scdn {
         (coded_distinct(&donors, spec.n()) >= spec.k as usize).then_some((spec, donors))
     }
 
-    /// Plan the transfer of `dataset`'s segments — one per digest the
-    /// owner `recorded` — from the selected replica: per segment, fetch
-    /// from the source (verify-on-read), simulate the retry chain, refuse
-    /// a delivered segment whose checksum is not the owner's digest, then
-    /// simulate the destination quota.
-    fn plan_transfer(
+    /// Move `dataset`'s segments — one per digest the owner `recorded` —
+    /// from `src` into `node`'s user partition, tracing and counting every
+    /// attempt as it is observed. Per segment: fetch from the source
+    /// (verify-on-read), simulate the retry chain, refuse a delivered
+    /// segment whose checksum is not the owner's digest, then store it.
+    /// Copies `node` already holds are overwritten once every segment has
+    /// arrived; a failure removes the segments this call added. Returns
+    /// the transfer's simulated time and bytes.
+    fn receive_segments(
         &self,
+        tb: &mut TraceBuilder,
         node: NodeId,
-        user: UserId,
-        decision: AccessDecision,
-        selection: Selection,
+        src: NodeId,
         dataset: DatasetId,
         recorded: &[Checksum],
-    ) -> PlanBody {
-        let segments: Vec<SegmentId> = (0..recorded.len() as u32)
-            .map(|ordinal| SegmentId { dataset, ordinal })
-            .collect();
-        if selection.node == node {
-            // Self-service: the requester already holds a replica.
-            return PlanBody::Served {
-                user,
-                decision,
-                selection,
-                segments,
-                fetched: Vec::new(),
-                total_ms: 0.0,
-                total_bytes: 0,
-            };
-        }
-        let src_repo = &self.repos[selection.node.index()];
-        let dst_repo = &self.repos[node.index()];
-        let mut fetched = Vec::with_capacity(segments.len());
-        let mut segment_ms = Vec::with_capacity(segments.len());
+    ) -> Result<(f64, u64), TransferError> {
+        let (src_repo, dst_repo) = (&self.repos[src.index()], &self.repos[node.index()]);
+        let mut added = Vec::new();
+        let mut held = Vec::new();
+        let mut segment_ms = Vec::with_capacity(recorded.len());
         let mut total_bytes = 0u64;
-        // Quota simulation mirroring `StorageRepository::store`: an
-        // overwrite of a pre-existing copy is size-neutral (one dataset
-        // has one segmentation), a new segment must fit what remains.
-        let capacity = dst_repo.capacity();
-        let mut sim_used = dst_repo.used();
-        let mut failure = None;
-        for &s in &segments {
-            let seg = match src_repo.fetch_any(s) {
-                Ok(seg) => seg,
-                Err(RepoError::IntegrityFailure(id)) => {
-                    failure = Some(TransferError::SourceCorrupt(id));
-                    break;
+        let moved = recorded
+            .iter()
+            .zip(0u32..)
+            .try_for_each(|(&digest, ordinal)| {
+                let s = SegmentId { dataset, ordinal };
+                let seg = src_repo.fetch_any(s).map_err(|e| match e {
+                    RepoError::IntegrityFailure(id) => TransferError::SourceCorrupt(id),
+                    _ => TransferError::SourceMissing(s),
+                })?;
+                let bytes = seg.len() as u64;
+                let sim = self
+                    .engine
+                    .simulate_segment(src.index(), node.index(), s, bytes);
+                for rec in &sim.attempts {
+                    self.count_attempt(rec.outcome);
+                    tb.attempt(
+                        attempt_status(rec.outcome),
+                        rec.duration_ms,
+                        rec.attempt,
+                        src.0,
+                    );
                 }
-                Err(_) => {
-                    failure = Some(TransferError::SourceMissing(s));
-                    break;
+                if !sim.delivered {
+                    return Err(TransferError::RetriesExhausted {
+                        segment: s,
+                        attempts: self.engine.max_attempts,
+                    });
                 }
-            };
-            let bytes = seg.len() as u64;
-            let sim = self
-                .engine
-                .simulate_segment(selection.node.index(), node.index(), s, bytes);
-            let (delivered, elapsed_ms) = (sim.delivered, sim.elapsed_ms);
-            let forged = recorded.get(s.ordinal as usize) != Some(&seg.checksum);
-            fetched.push(Fetched { seg, sim });
-            if !delivered {
-                failure = Some(TransferError::RetriesExhausted {
-                    segment: s,
-                    attempts: self.engine.max_attempts,
-                });
-                break;
-            }
-            if forged {
-                // Delivered, then refused: the source rewrote the segment
-                // under a digest of its own.
-                failure = Some(TransferError::SourceCorrupt(s));
-                break;
-            }
-            if !dst_repo.contains_in(Partition::User, s) {
-                if sim_used + bytes > capacity {
-                    // The delivered attempt was observed (its span
-                    // recorded) before the destination rejected it.
-                    failure = Some(TransferError::Destination(RepoError::QuotaExceeded {
-                        needed: bytes,
-                        available: capacity - sim_used,
-                    }));
-                    break;
+                if seg.checksum != digest {
+                    // Delivered, then refused: the source rewrote the segment
+                    // under a digest of its own.
+                    self.owner_digest_mismatch.inc();
+                    return Err(TransferError::SourceCorrupt(s));
                 }
-                sim_used += bytes;
+                if dst_repo.contains_in(Partition::User, s) {
+                    held.push(seg);
+                } else {
+                    dst_repo
+                        .store(Partition::User, seg)
+                        .map_err(TransferError::Destination)?;
+                    added.push(s);
+                }
+                segment_ms.push(sim.elapsed_ms);
+                total_bytes += bytes;
+                Ok(())
+            });
+        let moved = moved
+            .and_then(|()| store_user_segments(dst_repo, held).map_err(TransferError::Destination));
+        if let Err(error) = moved {
+            for id in added {
+                let _ = dst_repo.remove(Partition::User, id, true);
             }
-            segment_ms.push(elapsed_ms);
-            total_bytes += bytes;
-        }
-        if let Some(error) = failure {
-            return PlanBody::TransferFailed {
-                user,
-                decision,
-                selection,
-                fetched,
-                error,
-            };
+            return Err(error);
         }
         // Segments move in waves of `concurrency` parallel streams; with
         // concurrency 1 this is the serial sum of per-segment times.
-        let total_ms = self.engine.aggregate_elapsed_ms(&segment_ms);
-        PlanBody::Served {
-            user,
-            decision,
-            selection,
-            segments,
-            fetched,
-            total_ms,
-            total_bytes,
-        }
-    }
-
-    /// Record planned trace ops into a live builder.
-    fn replay_trace(&self, tb: &mut TraceBuilder, ops: &[TraceOp]) {
-        for op in ops {
-            match op.peer {
-                Some(peer) => tb.span_with_peer(op.kind, op.status, op.duration_ms, peer),
-                None => tb.span(op.kind, op.status, op.duration_ms),
-            }
-        }
-    }
-
-    /// Record the simulated transfer attempts of a plan into a live
-    /// builder, counting each in `net.attempts.*`.
-    fn replay_attempts(&self, tb: &mut TraceBuilder, peer: u32, fetched: &[Fetched]) {
-        for rec in fetched.iter().flat_map(|f| &f.sim.attempts) {
-            self.count_attempt(rec.outcome);
-            tb.attempt(
-                attempt_status(rec.outcome),
-                rec.duration_ms,
-                rec.attempt,
-                peer,
-            );
-        }
-    }
-
-    /// Apply a plan's effects and record its trace.
-    fn apply_plan(
-        &mut self,
-        mut tb: TraceBuilder,
-        node: NodeId,
-        dataset: DatasetId,
-        plan: RequestPlan,
-    ) -> Result<RequestOutcome, ScdnError> {
-        let at_ms = self.clock.as_millis();
-        // Stores first, so a refused store leaves no other effect.
-        if let PlanBody::Served {
-            selection, fetched, ..
-        } = &plan.body
-        {
-            if selection.node != node {
-                let segments = fetched.iter().map(|f| f.seg.clone());
-                if let Err(e) = store_user_segments(&self.repos[node.index()], segments) {
-                    self.cdn_metrics.failures += 1;
-                    self.traces
-                        .record(tb.finish(SpanKind::Fail, SpanStatus::Error));
-                    return Err(ScdnError::Transfer(TransferError::Destination(e)));
-                }
-            }
-        }
-        self.replay_trace(&mut tb, &plan.trace);
-        let (result, status) = match plan.body {
-            PlanBody::UnknownDataset => (
-                Err(ScdnError::Alloc(AllocationError::UnknownDataset(dataset))),
-                SpanStatus::Error,
-            ),
-            PlanBody::AccessDenied { user, decision } => {
-                self.audit.record(at_ms, user, dataset, decision.clone());
-                (Err(ScdnError::Access(decision)), SpanStatus::Denied)
-            }
-            PlanBody::Coded {
-                user,
-                decision,
-                spec,
-                donors,
-            } => {
-                self.audit.record(at_ms, user, dataset, decision);
-                match self.commit_coded(node, dataset, &spec, &donors) {
-                    Ok(outcome) => (Ok(outcome), SpanStatus::Ok),
-                    Err(e) => {
-                        self.cdn_metrics.failures += 1;
-                        (Err(e), SpanStatus::Error)
-                    }
-                }
-            }
-            PlanBody::ResolveFailed {
-                user,
-                decision,
-                error,
-            } => {
-                self.audit.record(at_ms, user, dataset, decision);
-                self.cdn_metrics.failures += 1;
-                (Err(ScdnError::Alloc(error)), SpanStatus::NoReplica)
-            }
-            PlanBody::BoundaryBlocked { user, decision } => {
-                self.audit.record(at_ms, user, dataset, decision);
-                self.cdn_metrics.failures += 1;
-                let error = AllocationError::NoReplicaAvailable(dataset);
-                (Err(ScdnError::Alloc(error)), SpanStatus::BoundaryBlocked)
-            }
-            PlanBody::TransferFailed {
-                user,
-                decision,
-                selection,
-                fetched,
-                error,
-            } => {
-                // Nothing of a failed transfer is stored.
-                self.audit.record(at_ms, user, dataset, decision);
-                self.replay_attempts(&mut tb, selection.node.0, &fetched);
-                if fetched
-                    .last()
-                    .is_some_and(|f| f.sim.delivered && !self.carries_owner_digest(&f.seg))
-                {
-                    self.owner_digest_mismatch.inc();
-                }
-                self.cdn_metrics.failures += 1;
-                self.social_metrics
-                    .record_exchange(selection.node.index(), node.index(), 0, false);
-                (Err(ScdnError::Transfer(error)), SpanStatus::Error)
-            }
-            PlanBody::Served {
-                user,
-                decision,
-                selection,
-                segments,
-                fetched,
-                total_ms,
-                total_bytes,
-            } => {
-                self.audit.record(at_ms, user, dataset, decision);
-                self.replay_attempts(&mut tb, selection.node.0, &fetched);
-                let hit = matches!(selection.social_hops, Some(h) if h <= 1);
-                let response_ms = total_ms.max(selection.latency_ms);
-                self.record_hit(hit, response_ms);
-                self.cdn_metrics.bytes_transferred += total_bytes;
-                if selection.node != node {
-                    self.social_metrics.record_exchange(
-                        selection.node.index(),
-                        node.index(),
-                        total_bytes,
-                        true,
-                    );
-                    self.clients[selection.node.index()].record_served(total_bytes);
-                }
-                // Bump recency/frequency for the serving node's copies.
-                self.caches[selection.node.index()].touch_all(segments.iter().copied());
-                self.clock = self.clock.plus_millis(total_ms as u64);
-                if self.config.opportunistic_caching && selection.node != node {
-                    self.promote_opportunistically(node, dataset, &segments);
-                }
-                let outcome = RequestOutcome {
-                    served_by: selection.node,
-                    social_hit: hit,
-                    response_ms,
-                    bytes: total_bytes,
-                };
-                (Ok(outcome), SpanStatus::Ok)
-            }
-        };
-        let kind = if result.is_ok() {
-            SpanKind::Deliver
-        } else {
-            SpanKind::Fail
-        };
-        self.traces.record(tb.finish(kind, status));
-        result
+        Ok((self.engine.aggregate_elapsed_ms(&segment_ms), total_bytes))
     }
 
     /// Count a served request as a social hit or a miss, and sample its
@@ -604,7 +361,7 @@ impl Scdn {
         self.cdn_metrics.response_time_ms.record(response_ms);
     }
 
-    /// Apply a coded plan: race its blocks into the requester's user
+    /// Serve a coded request: race its blocks into the requester's user
     /// partition, then replace them with the plain segments they decode
     /// to, stored under the owner's digests (a wrong decode fails its
     /// first read).

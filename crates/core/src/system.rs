@@ -10,6 +10,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
+use scdn_alloc::discovery::Selection;
 use scdn_alloc::placement::PlacementAlgorithm;
 use scdn_alloc::ranking_cache::RankingCache;
 use scdn_alloc::replication::{AdaptiveRebalance, ReplicationPolicy, StaticRebalance};
@@ -752,8 +753,8 @@ impl Scdn {
     }
 
     /// Count one network attempt in `net.attempts.*` — the one place an
-    /// attempt is counted, whether a transfer observes it live or a
-    /// request replays it from its plan.
+    /// attempt is counted, whether a transfer engine observes it or a
+    /// request's segment loop does.
     fn count_attempt(&self, outcome: AttemptOutcome) {
         match outcome {
             AttemptOutcome::Delivered => self.att_delivered.inc(),
@@ -1507,15 +1508,21 @@ impl Scdn {
         requester: NodeId,
         dataset: DatasetId,
     ) -> Result<NodeId, ScdnError> {
+        Ok(self.resolve(requester, dataset)?.node)
+    }
+
+    /// The allocation server's pick among `dataset`'s online replicas for
+    /// `requester`, by current liveness and the topology's latency from
+    /// `requester`; records the resolve and demand accounting.
+    fn resolve(&self, requester: NodeId, dataset: DatasetId) -> Result<Selection, AllocationError> {
         let topology = &self.engine.topology;
-        let sel = self.alloc.resolve_csr(
+        self.alloc.resolve_csr(
             dataset,
             requester,
             &self.social_csr,
             |n| self.is_online(n),
             |n| topology.latency_ms(requester.index(), n.index()),
-        )?;
-        Ok(sel.node)
+        )
     }
 }
 

@@ -1136,6 +1136,69 @@ fn second_delivery_refused_after_first_commits() {
     }
     // The refused delivery left nothing behind.
     assert_eq!(batched.repo(requester).expect("member").used(), 14 << 10);
+    // The refused segment's attempt was observed before the repository
+    // refused it.
+    use scdn_obs::{SpanKind as K, SpanStatus as S};
+    let refused = batched.traces().recent().last().expect("traced");
+    let shape: Vec<_> = refused.spans.iter().map(|s| (s.kind, s.status)).collect();
+    let control = [
+        (K::Authenticate, S::Ok),
+        (K::Discover, S::Ok),
+        (K::SelectReplica, S::Ok),
+    ];
+    let attempts = [(K::TransferAttempt, S::Ok); 6];
+    assert_eq!(
+        shape,
+        [&control[..], &attempts, &[(K::Fail, S::Error)]].concat()
+    );
+}
+
+/// The requester holds an at-rest-corrupted copy of segment 0 and its
+/// request fails on a later segment: the held copy is not overwritten,
+/// and the segments the request added are gone again.
+#[test]
+fn failed_request_leaves_the_user_partition_as_it_found_it() {
+    let (mut scdn, datasets) = quota_system(FailureModel::reliable());
+    let requester = NodeId(scdn.member_count() as u32 - 1);
+    scdn.request(requester, datasets[0]).expect("14 KiB fits");
+    let seg0 = SegmentId {
+        dataset: datasets[1],
+        ordinal: 0,
+    };
+    let good = scdn
+        .repo(NodeId(1))
+        .expect("owner")
+        .fetch_any(seg0)
+        .expect("owner holds it");
+    let repo = scdn.repo(requester).expect("member").clone();
+    repo.store(Partition::User, corrupt_at_rest(&good))
+        .expect("fits");
+    let mut ids = repo.list(Partition::User);
+    ids.sort();
+    let used = repo.used();
+
+    // 16 KiB + four new 2 KiB segments leave 1 KiB; the fifth needs 2 KiB.
+    let refused = scdn.request(requester, datasets[1]);
+    assert!(
+        matches!(
+            refused,
+            Err(ScdnError::Transfer(TransferError::Destination(
+                RepoError::QuotaExceeded { .. }
+            )))
+        ),
+        "{refused:?}"
+    );
+    let mut after = repo.list(Partition::User);
+    after.sort();
+    assert_eq!(after, ids);
+    assert_eq!(repo.used(), used);
+    assert!(
+        matches!(
+            repo.fetch(Partition::User, seg0),
+            Err(RepoError::IntegrityFailure(id)) if id == seg0
+        ),
+        "segment 0 still holds its corrupt bytes"
+    );
 }
 
 /// Always-reliable fabric under periodic churn (duty 0.6), one public

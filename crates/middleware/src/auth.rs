@@ -100,9 +100,9 @@ impl Middleware {
 
     /// Read-only preview of [`authorize_op`](Self::authorize_op): reports
     /// the same decision the next `authorize_op` call would make, without
-    /// consuming an operation or expiring the session. Safe to call from
-    /// concurrent planning threads (takes only the read lock); the
-    /// authoritative, budget-consuming check still happens at commit time.
+    /// consuming an operation or expiring the session (takes only the
+    /// read lock). `authorize_op` stays the authoritative,
+    /// budget-consuming check.
     pub fn peek_op(&self, session_id: u64) -> Result<UserId, MiddlewareError> {
         let sessions = self.sessions.read();
         let s = sessions

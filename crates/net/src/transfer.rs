@@ -96,9 +96,8 @@ pub struct AttemptRecord {
 /// Pure simulation of one segment's retry chain: what the network would do
 /// to every attempt, with no repository access and no observer side
 /// effects. Produced by
-/// [`simulate_segment`](TransferEngine::simulate_segment) on (possibly
-/// concurrent) planning threads; replayed against real repositories and
-/// observers at commit time.
+/// [`simulate_segment`](TransferEngine::simulate_segment); the caller
+/// counts and traces each attempt and stores the delivered segment.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SegmentSim {
     /// Every attempt in order, including the final delivered one (when
@@ -202,10 +201,10 @@ impl TransferEngine {
     ///
     /// The per-attempt outcome comes from [`FailureModel::outcome`], a
     /// stateless hash of `(src, dst, segment key, attempt)` — so the result
-    /// is independent of call order. The observed transfers replay this
-    /// simulation against real repositories, so a request planned from
-    /// `simulate_segment` commits to exactly the attempts and timings a
-    /// live transfer would produce.
+    /// is independent of call order. The observed transfers run this
+    /// simulation against real repositories, so a request that moves its
+    /// segments through `simulate_segment` sees exactly the attempts and
+    /// timings a live transfer would produce.
     pub fn simulate_segment(
         &self,
         src: usize,
