@@ -2,8 +2,8 @@
 //! [`AllocationServer`](crate::server::AllocationServer): the paper's
 //! "centralized catalog of datasets → replicas", the hosted reverse
 //! index, the repository registry, the version counter, the hop cache
-//! and the search scratch, in one plain struct behind the server's one
-//! lock.
+//! and the search scratch, in one plain struct in the server's one
+//! cell.
 //!
 //! Change is judged per catalog entry: every mutation that changes an
 //! entry stamps it with the next server-wide **version**
@@ -11,9 +11,8 @@
 //! The hop cache keys on that version, so a commit to dataset A leaves a
 //! cached hop table that only read dataset B warm (see `DESIGN.md` §13).
 //!
-//! A [`CatalogSnapshot`] is a copy of the entries and the hosted index,
-//! taken under the lock, so it is always internally consistent. It
-//! carries no repository table: a resolution against it reads the
+//! A [`CatalogSnapshot`] is a copy of the entries at one catalog state.
+//! It carries no repository table: a resolution against it reads the
 //! monitored availability live.
 
 use std::collections::{BTreeSet, HashMap};
@@ -171,16 +170,14 @@ impl Catalog {
     pub(crate) fn snapshot(&self) -> CatalogSnapshot {
         CatalogSnapshot {
             entries: self.entries.clone(),
-            hosted: self.hosted.clone(),
         }
     }
 }
 
-/// A copy of every catalog entry and the hosted index, for a caller that
-/// reads many datasets at one catalog state.
+/// A copy of every catalog entry, for a caller that reads many datasets
+/// at one catalog state.
 pub struct CatalogSnapshot {
     pub(crate) entries: HashMap<DatasetId, Entry>,
-    hosted: HashMap<NodeId, BTreeSet<DatasetId>>,
 }
 
 impl CatalogSnapshot {
@@ -194,20 +191,5 @@ impl CatalogSnapshot {
     /// [`catalog_version`](crate::server::AllocationServer::catalog_version).
     pub fn version_of(&self, dataset: DatasetId) -> Option<u64> {
         self.entries.get(&dataset).map(|e| e.version)
-    }
-
-    /// `true` if the hosted index is exactly the inversion of the entry
-    /// table — whole replicas and coded-block holders both count as
-    /// hosting (test/diagnostic surface). A failure means a mutation
-    /// changed an entry without stamping it.
-    pub fn is_consistent(&self) -> bool {
-        let mut expect: HashMap<NodeId, BTreeSet<DatasetId>> = HashMap::new();
-        for (&d, e) in &self.entries {
-            let coded = e.coded_hosts.iter().filter(|(_, b)| !b.is_empty());
-            for n in e.replicas.iter().copied().chain(coded.map(|&(n, _)| n)) {
-                expect.entry(n).or_default().insert(d);
-            }
-        }
-        expect == self.hosted
     }
 }

@@ -43,7 +43,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use scdn_graph::{CsrGraph, NodeId};
 
 use crate::placement::PlacementAlgorithm;
@@ -68,7 +67,7 @@ pub struct RankingRetention {
 
 /// Memoized full placement orderings keyed on `(algorithm, seed)`.
 pub struct RankingCache {
-    entries: Mutex<HashMap<(PlacementAlgorithm, u64), Entry>>,
+    entries: HashMap<(PlacementAlgorithm, u64), Entry>,
 }
 
 impl Default for RankingCache {
@@ -81,7 +80,7 @@ impl RankingCache {
     /// An empty cache.
     pub fn new() -> RankingCache {
         RankingCache {
-            entries: Mutex::new(HashMap::new()),
+            entries: HashMap::new(),
         }
     }
 
@@ -90,29 +89,26 @@ impl RankingCache {
     /// node of the graph; any prefix of it is bit-identical to a direct
     /// `place` call with that prefix length (prefix consistency).
     pub fn full_ranking(
-        &self,
+        &mut self,
         csr: &CsrGraph,
         algorithm: PlacementAlgorithm,
         seed: u64,
     ) -> (Arc<Vec<NodeId>>, bool) {
         let generation = csr.generation();
         let key = (algorithm, seed);
-        if let Some(e) = self.entries.lock().get(&key) {
+        if let Some(e) = self.entries.get(&key) {
             if e.graph_gen == generation {
                 return (e.order.clone(), true);
             }
         }
-        // Compute outside the lock: rankings can be expensive (Brandes
-        // betweenness, closeness) and may themselves use the parallel pool.
         let order = Arc::new(algorithm.place(csr, csr.node_count(), seed));
-        let mut entries = self.entries.lock();
         // An unannounced generation change means the caller swapped
         // graphs without going through `note_delta`: every memoized
         // ordering (not just this key's) is garbage.
-        if entries.values().any(|e| e.graph_gen != generation) {
-            entries.clear();
+        if self.entries.values().any(|e| e.graph_gen != generation) {
+            self.entries.clear();
         }
-        entries.insert(
+        self.entries.insert(
             key,
             Entry {
                 graph_gen: generation,
@@ -140,11 +136,10 @@ impl RankingCache {
     /// `new` without a delta summary, fall back to dropping everything.
     ///
     /// [`full_ranking`]: RankingCache::full_ranking
-    pub fn note_delta(&self, old_generation: u64, new: &CsrGraph) -> RankingRetention {
+    pub fn note_delta(&mut self, old_generation: u64, new: &CsrGraph) -> RankingRetention {
         let mut out = RankingRetention::default();
-        let mut entries = self.entries.lock();
         let summary = new.last_delta();
-        entries.retain(|&(algorithm, _), entry| {
+        self.entries.retain(|&(algorithm, _), entry| {
             let keep = match summary {
                 Some(s) if entry.graph_gen == old_generation && s.nodes_added == 0 => {
                     if s.structural {
@@ -168,7 +163,7 @@ impl RankingCache {
 
     /// Number of memoized orderings (test/diagnostic surface).
     pub fn len(&self) -> usize {
-        self.entries.lock().len()
+        self.entries.len()
     }
 
     /// `true` if nothing is memoized.
@@ -193,7 +188,7 @@ mod tests {
     #[test]
     fn second_call_is_a_hit_with_identical_order() {
         let csr = line_graph(12);
-        let cache = RankingCache::new();
+        let mut cache = RankingCache::new();
         let (a, hit_a) = cache.full_ranking(&csr, PlacementAlgorithm::NodeDegree, 7);
         let (b, hit_b) = cache.full_ranking(&csr, PlacementAlgorithm::NodeDegree, 7);
         assert!(!hit_a);
@@ -205,7 +200,7 @@ mod tests {
     #[test]
     fn prefix_matches_direct_place() {
         let csr = line_graph(20);
-        let cache = RankingCache::new();
+        let mut cache = RankingCache::new();
         for algorithm in PlacementAlgorithm::PAPER_SET {
             let (full, _) = cache.full_ranking(&csr, algorithm, 13);
             for k in [1usize, 3, 7, 20] {
@@ -220,7 +215,7 @@ mod tests {
 
     #[test]
     fn graph_generation_change_invalidates() {
-        let cache = RankingCache::new();
+        let mut cache = RankingCache::new();
         let small = line_graph(8);
         let (_, hit) = cache.full_ranking(&small, PlacementAlgorithm::NodeDegree, 1);
         assert!(!hit);
@@ -243,7 +238,7 @@ mod tests {
     #[test]
     fn note_delta_keeps_random_across_edge_churn() {
         use scdn_graph::GraphDelta;
-        let cache = RankingCache::new();
+        let mut cache = RankingCache::new();
         let csr = line_graph(10);
         cache.full_ranking(&csr, PlacementAlgorithm::Random, 1);
         cache.full_ranking(&csr, PlacementAlgorithm::Random, 2);
@@ -265,7 +260,7 @@ mod tests {
     #[test]
     fn note_delta_weight_only_keeps_structural_algorithms() {
         use scdn_graph::GraphDelta;
-        let cache = RankingCache::new();
+        let mut cache = RankingCache::new();
         let csr = line_graph(10);
         cache.full_ranking(&csr, PlacementAlgorithm::NodeDegree, 1);
         cache.full_ranking(&csr, PlacementAlgorithm::ClusteringCoefficient, 1);
@@ -287,7 +282,7 @@ mod tests {
     #[test]
     fn note_delta_node_activation_drops_everything() {
         use scdn_graph::GraphDelta;
-        let cache = RankingCache::new();
+        let mut cache = RankingCache::new();
         let csr = line_graph(6);
         cache.full_ranking(&csr, PlacementAlgorithm::Random, 1);
         cache.full_ranking(&csr, PlacementAlgorithm::NodeDegree, 1);
@@ -303,7 +298,7 @@ mod tests {
     #[test]
     fn note_delta_survivors_match_recomputation() {
         use scdn_graph::GraphDelta;
-        let cache = RankingCache::new();
+        let mut cache = RankingCache::new();
         let csr = line_graph(12);
         let (warm, _) = cache.full_ranking(&csr, PlacementAlgorithm::Random, 5);
         let mut d = GraphDelta::new();
@@ -321,7 +316,7 @@ mod tests {
     #[test]
     fn distinct_seeds_are_distinct_entries() {
         let csr = line_graph(16);
-        let cache = RankingCache::new();
+        let mut cache = RankingCache::new();
         let (a, _) = cache.full_ranking(&csr, PlacementAlgorithm::Random, 1);
         let (b, _) = cache.full_ranking(&csr, PlacementAlgorithm::Random, 2);
         assert_eq!(cache.len(), 2);

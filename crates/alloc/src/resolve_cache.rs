@@ -30,7 +30,7 @@
 //! another dataset invalidates nothing here.
 //!
 //! The cache is one map with one FIFO, owned by the catalog table and
-//! reached only under the allocation server's lock, and bounded: it
+//! reached only through the allocation server's one cell, and bounded: it
 //! evicts the oldest insertion once it holds its capacity. The graph
 //! guard is the CSR's monotonic [`CsrGraph::generation`] — an
 //! *unannounced* generation change (a caller swapping in a different

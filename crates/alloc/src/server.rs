@@ -5,11 +5,10 @@
 //! together they maintain a list of current replicas and place, move,
 //! update, and maintain replicas." (Section V.)
 //!
-//! The whole state is one `Catalog` table (`catalog.rs`) behind one
-//! lock: the dataset entries with their demand counts, the hosted index,
-//! the repository registry, the version counter, the hop cache and the
-//! search scratch. Every method takes the lock once, so each one is
-//! atomic. Request resolution — the per-request control-plane hot path —
+//! The whole state is one `Catalog` table (`catalog.rs`) in one
+//! `RefCell`: the dataset entries with their demand counts, the hosted
+//! index, the repository registry, the version counter, the hop cache and
+//! the search scratch. Every method borrows it once. Request resolution — the per-request control-plane hot path —
 //! allocates only on a cache miss:
 //!
 //! * [`resolve_csr`](AllocationServer::resolve_csr) runs a
@@ -27,10 +26,10 @@
 //!   recording the accounting later through
 //!   [`commit_resolution`](AllocationServer::commit_resolution).
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use scdn_graph::{CsrGraph, NodeId, TraversalScratch};
 use scdn_obs::{Counter, Registry};
 use scdn_social::author::AuthorId;
@@ -187,17 +186,17 @@ impl RebalancePlan {
     }
 }
 
-/// An allocation server. Thread-safe: every method takes the one catalog
-/// lock for its whole body.
+/// An allocation server: one catalog cell, borrowed once per method, so
+/// the mutators take `&self`.
 pub struct AllocationServer {
-    catalog: Mutex<Catalog>,
+    catalog: RefCell<Catalog>,
     metrics: AllocMetrics,
 }
 
 impl Default for AllocationServer {
     fn default() -> Self {
         AllocationServer {
-            catalog: Mutex::new(Catalog::new()),
+            catalog: RefCell::new(Catalog::new()),
             metrics: AllocMetrics::default(),
         }
     }
@@ -234,16 +233,16 @@ impl AllocationServer {
     /// Returns `(retained, evicted)` entry counts; both are also exported
     /// via `alloc.resolve.cache.retained` / `alloc.resolve.cache.evict`.
     pub fn note_graph_delta(&self, old: &CsrGraph, new: &CsrGraph) -> (u64, u64) {
-        let outcome = self.catalog.lock().cache.apply_delta(old, new);
+        let outcome = self.catalog.borrow_mut().cache.apply_delta(old, new);
         self.metrics.cache_retained.add(outcome.retained);
         self.metrics.cache_evictions.add(outcome.evicted);
         (outcome.retained, outcome.evicted)
     }
 
-    /// A copy of every catalog entry and the hosted index, taken at one
-    /// catalog state: O(datasets).
+    /// A copy of every catalog entry, taken at one catalog state:
+    /// O(datasets).
     pub fn snapshot(&self) -> CatalogSnapshot {
-        self.catalog.lock().snapshot()
+        self.catalog.borrow().snapshot()
     }
 
     /// Register (or update) a contributed repository.
@@ -251,10 +250,10 @@ impl AllocationServer {
         self.register_repositories(std::iter::once(info));
     }
 
-    /// Register (or update) many repositories under one lock. System
+    /// Register (or update) many repositories in one borrow. System
     /// build-up registers every member through this.
     pub fn register_repositories(&self, infos: impl IntoIterator<Item = RepositoryInfo>) {
-        let mut catalog = self.catalog.lock();
+        let mut catalog = self.catalog.borrow_mut();
         catalog
             .repos
             .extend(infos.into_iter().map(|info| (info.node, info)));
@@ -262,12 +261,12 @@ impl AllocationServer {
 
     /// Registered repository count.
     pub fn repository_count(&self) -> usize {
-        self.catalog.lock().repos.len()
+        self.catalog.borrow().repos.len()
     }
 
     /// Fetch a repository record.
     pub fn repository(&self, node: NodeId) -> Option<RepositoryInfo> {
-        self.catalog.lock().repos.get(&node).cloned()
+        self.catalog.borrow().repos.get(&node).cloned()
     }
 
     /// Update a repository's monitored availability (CDN-client
@@ -278,7 +277,7 @@ impl AllocationServer {
         node: NodeId,
         availability: f64,
     ) -> Result<(), AllocationError> {
-        let mut catalog = self.catalog.lock();
+        let mut catalog = self.catalog.borrow_mut();
         let info = catalog
             .repos
             .get_mut(&node)
@@ -322,7 +321,7 @@ impl AllocationServer {
         primary: NodeId,
         coding: Option<CodingSpec>,
     ) -> Result<(), AllocationError> {
-        let mut catalog = self.catalog.lock();
+        let mut catalog = self.catalog.borrow_mut();
         catalog.repo(primary)?;
         if catalog.entries.contains_key(&dataset) {
             return Err(AllocationError::DuplicateDataset(dataset));
@@ -336,13 +335,13 @@ impl AllocationServer {
     /// Erasure-coding parameters of `dataset` (`None` for whole-replica
     /// datasets).
     pub fn coding_of(&self, dataset: DatasetId) -> Result<Option<CodingSpec>, AllocationError> {
-        self.catalog.lock().entry(dataset).map(|e| e.coding)
+        self.catalog.borrow().entry(dataset).map(|e| e.coding)
     }
 
     /// Current per-host coded-block inventory of `dataset`:
     /// `(host, sorted block indices)`, ordered by node id.
     pub fn coded_inventory(&self, dataset: DatasetId) -> Result<CodedInventory, AllocationError> {
-        let catalog = self.catalog.lock();
+        let catalog = self.catalog.borrow();
         catalog.entry(dataset).map(|e| e.coded_hosts.clone())
     }
 
@@ -357,7 +356,7 @@ impl AllocationServer {
         node: NodeId,
         blocks: &[u32],
     ) -> Result<bool, AllocationError> {
-        let mut catalog = self.catalog.lock();
+        let mut catalog = self.catalog.borrow_mut();
         let entry = catalog.entry_mut(dataset, Some(node))?;
         let held = entry.coded_hosts.iter().position(|(n, _)| *n == node);
         let mut merged: Vec<u32> =
@@ -391,7 +390,7 @@ impl AllocationServer {
         dataset: DatasetId,
         node: NodeId,
     ) -> Result<bool, AllocationError> {
-        let mut catalog = self.catalog.lock();
+        let mut catalog = self.catalog.borrow_mut();
         let entry = catalog.entry_mut(dataset, None)?;
         let before = entry.coded_hosts.len();
         entry.coded_hosts.retain(|(n, _)| *n != node);
@@ -404,27 +403,27 @@ impl AllocationServer {
 
     /// Number of datasets in the catalog.
     pub fn dataset_count(&self) -> usize {
-        self.catalog.lock().entries.len()
+        self.catalog.borrow().entries.len()
     }
 
     /// Current replica locations of a dataset.
     pub fn replicas_of(&self, dataset: DatasetId) -> Result<Vec<NodeId>, AllocationError> {
         self.catalog
-            .lock()
+            .borrow()
             .entry(dataset)
             .map(|e| e.replicas.clone())
     }
 
     /// Segment count of a dataset.
     pub fn segments_of(&self, dataset: DatasetId) -> Result<u32, AllocationError> {
-        self.catalog.lock().entry(dataset).map(|e| e.segments)
+        self.catalog.borrow().entry(dataset).map(|e| e.segments)
     }
 
     /// Add a single replica location for `dataset` (used by the system
     /// runtime after a successful replication transfer). Returns `false`,
     /// and burns no version, if the node already hosts the dataset.
     pub fn add_replica(&self, dataset: DatasetId, node: NodeId) -> Result<bool, AllocationError> {
-        let mut catalog = self.catalog.lock();
+        let mut catalog = self.catalog.borrow_mut();
         let entry = catalog.entry_mut(dataset, Some(node))?;
         if entry.replicas.contains(&node) {
             return Ok(false);
@@ -441,7 +440,7 @@ impl AllocationServer {
         dataset: DatasetId,
         node: NodeId,
     ) -> Result<bool, AllocationError> {
-        let mut catalog = self.catalog.lock();
+        let mut catalog = self.catalog.borrow_mut();
         let entry = catalog.entry_mut(dataset, None)?;
         let before = entry.replicas.len();
         entry.replicas.retain(|&n| n != node);
@@ -463,7 +462,7 @@ impl AllocationServer {
         from: NodeId,
         to: NodeId,
     ) -> Result<(), AllocationError> {
-        let mut catalog = self.catalog.lock();
+        let mut catalog = self.catalog.borrow_mut();
         let entry = catalog.entry_mut(dataset, Some(to))?;
         let Some(pos) = entry.replicas.iter().position(|&n| n == from) else {
             return Err(AllocationError::UnknownRepository(from));
@@ -483,7 +482,7 @@ impl AllocationServer {
     /// Resolve a request: pick the best online replica for `requester`
     /// on the frozen social graph. `online` reports current liveness per
     /// node. Records the outcome and the demand (hit = within 1 social
-    /// hop) under the same lock.
+    /// hop) in the same borrow.
     ///
     /// Hop distances come from the version-keyed cache when its slot
     /// decides the winner under this call's `online`; otherwise one
@@ -507,7 +506,7 @@ impl AllocationServer {
         online: impl Fn(NodeId) -> bool,
         latency_ms: impl Fn(NodeId) -> f64,
     ) -> Result<Selection, AllocationError> {
-        let mut guard = self.catalog.lock();
+        let mut guard = self.catalog.borrow_mut();
         let catalog = &mut *guard;
         let (sel, _) = self.select(
             catalog.entries.get(&dataset),
@@ -546,7 +545,7 @@ impl AllocationServer {
         online: impl Fn(NodeId) -> bool,
         latency_ms: impl Fn(NodeId) -> f64,
     ) -> (Result<Selection, AllocationError>, Option<u64>) {
-        let mut guard = self.catalog.lock();
+        let mut guard = self.catalog.borrow_mut();
         let catalog = &mut *guard;
         self.select(
             snap.entries.get(&dataset),
@@ -567,7 +566,7 @@ impl AllocationServer {
     /// [`resolve_csr`](AllocationServer::resolve_csr) performs inline and
     /// the snapshot variant defers.
     pub fn commit_resolution(&self, dataset: DatasetId, outcome: Option<Option<u32>>) {
-        self.record(&mut self.catalog.lock().entries, dataset, outcome);
+        self.record(&mut self.catalog.borrow_mut().entries, dataset, outcome);
     }
 
     fn record(
@@ -597,7 +596,11 @@ impl AllocationServer {
     /// Every change to the entry bumps it, so two equal readings mean
     /// the entry did not change in between.
     pub fn catalog_version(&self, dataset: DatasetId) -> Option<u64> {
-        self.catalog.lock().entries.get(&dataset).map(|e| e.version)
+        self.catalog
+            .borrow()
+            .entries
+            .get(&dataset)
+            .map(|e| e.version)
     }
 
     /// The resolution core: rank `entry`'s replicas for `requester` from
@@ -670,12 +673,12 @@ impl AllocationServer {
     /// All datasets with a replica or coded block on `node` (used for
     /// departure repair), from the hosted index in O(answer).
     pub fn datasets_hosted_by(&self, node: NodeId) -> Vec<DatasetId> {
-        self.catalog.lock().hosted_by(node)
+        self.catalog.borrow().hosted_by(node)
     }
 
     /// Demand window of a dataset (for the replication policy).
     pub fn demand_of(&self, dataset: DatasetId) -> Result<DemandWindow, AllocationError> {
-        self.catalog.lock().entry(dataset).map(Entry::window)
+        self.catalog.borrow().entry(dataset).map(Entry::window)
     }
 
     /// Drain every demand window **to the totals `plan` observed**: the
@@ -685,7 +688,7 @@ impl AllocationServer {
     /// the plan are untouched — their demand belongs to the window that is
     /// just opening.
     pub fn drain_demand(&self, plan: &RebalancePlan) {
-        let mut catalog = self.catalog.lock();
+        let mut catalog = self.catalog.borrow_mut();
         for &(dataset, hits, misses) in &plan.observed {
             if let Some(entry) = catalog.entries.get_mut(&dataset) {
                 entry.hits_drained = entry.hits_drained.max(hits);
@@ -703,7 +706,7 @@ impl AllocationServer {
     /// target. Policy evaluations are pure, so the second pass is
     /// order-independent; the emitted items are dataset-sorted.
     pub fn rebalance_plan<P: RebalancePolicy>(&self, policy: &P) -> RebalancePlan {
-        let catalog = self.catalog.lock();
+        let catalog = self.catalog.borrow();
         let mut observed: Vec<(DatasetId, u64, u64)> = Vec::new();
         let mut stats: Vec<(DatasetId, DatasetStats)> = Vec::new();
         let mut cycle = CycleStats::default();

@@ -7,8 +7,10 @@
 //! and resolves requests; the [`TransferEngine`] moves checksummed
 //! segments; availability churn and all Section V-E metrics are recorded.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::rc::Rc;
+use std::sync::Arc;
 
 use scdn_alloc::discovery::Selection;
 use scdn_alloc::placement::PlacementAlgorithm;
@@ -221,7 +223,7 @@ struct DatasetMeta {
     /// The owner's digest of each coded block `0..n`, recorded by the
     /// first full encode of its plain copy (never, for an uncoded
     /// dataset). Set once, by that encode, which runs from `&self`.
-    block_digests: OnceLock<Box<[Checksum]>>,
+    block_digests: OnceCell<Box<[Checksum]>>,
 }
 
 enum Availability {
@@ -257,10 +259,10 @@ pub struct Scdn {
     social_csr: CsrGraph,
     /// Node → author mapping.
     pub authors: Vec<AuthorId>,
-    platform: Arc<SocialPlatform>,
+    platform: Rc<SocialPlatform>,
     middleware: Middleware,
     sessions: Vec<u64>,
-    repos: Vec<Arc<StorageRepository>>,
+    repos: Vec<StorageRepository>,
     engine: TransferEngine,
     alloc: AllocationServer,
     availability: Availability,
@@ -279,7 +281,7 @@ pub struct Scdn {
     pub social_metrics: SocialMetrics,
     /// Shared metric registry: the alloc server, the per-node cache
     /// managers, and the runtime's own counters all register here.
-    registry: Arc<Registry>,
+    registry: Registry,
     /// Bounded ring of recent request-lifecycle traces.
     traces: TraceCollector,
     /// Per-node replica-partition cache managers (LRU, shared counters).
@@ -468,8 +470,8 @@ impl Scdn {
     /// training-period publications.
     pub fn build(sub: &TrustSubgraph, corpus: &Corpus, config: ScdnConfig) -> Scdn {
         let n = sub.graph.node_count();
-        let platform = Arc::new(SocialPlatform::new());
-        let middleware = Middleware::new(platform.clone());
+        let platform = Rc::new(SocialPlatform::new());
+        let mut middleware = Middleware::new(platform.clone());
         let mut sessions = Vec::with_capacity(n);
         let mut repos = Vec::with_capacity(n);
         let mut positions = Vec::with_capacity(n);
@@ -483,7 +485,7 @@ impl Scdn {
                 })
             }
         };
-        let registry = Arc::new(Registry::new());
+        let registry = Registry::new();
         let alloc = AllocationServer::with_registry(&registry);
         let mut repo_infos = Vec::with_capacity(n);
         let mut social_metrics = SocialMetrics::default();
@@ -507,7 +509,7 @@ impl Scdn {
                 .establish_session(&token)
                 .expect("fresh token validates");
             sessions.push(session.id);
-            repos.push(Arc::new(StorageRepository::new(config.repo_capacity)));
+            repos.push(StorageRepository::new(config.repo_capacity));
             repo_infos.push(RepositoryInfo {
                 node: NodeId(i as u32),
                 owner: author,
@@ -700,7 +702,7 @@ impl Scdn {
     }
 
     /// The repository contributed by `node`.
-    pub fn repo(&self, node: NodeId) -> Result<&Arc<StorageRepository>, ScdnError> {
+    pub fn repo(&self, node: NodeId) -> Result<&StorageRepository, ScdnError> {
         self.repos
             .get(node.index())
             .ok_or(ScdnError::UnknownNode(node))
@@ -942,7 +944,7 @@ impl Scdn {
                 owner: node,
                 policy,
                 segment_digests: dataset.segments.iter().map(|s| s.checksum).collect(),
-                block_digests: OnceLock::new(),
+                block_digests: OnceCell::new(),
             },
         );
         Ok(id)
@@ -970,7 +972,7 @@ impl Scdn {
     /// and seed, counting cache hits/misses in
     /// `core.maintain.ranking_cache_{hit,miss}` and the wall time of each
     /// miss in `core.maintain.ranking_recompute_ms`.
-    fn placement_ranking(&self) -> Arc<Vec<NodeId>> {
+    fn placement_ranking(&mut self) -> Arc<Vec<NodeId>> {
         let start = std::time::Instant::now();
         let (order, hit) =
             self.rankings
@@ -1148,7 +1150,7 @@ impl Scdn {
         rows: &[u32],
     ) -> Vec<Segment> {
         let recorded = self.datasets.get(&dataset).map(|m| &m.block_digests);
-        if let Some(digests) = recorded.and_then(OnceLock::get) {
+        if let Some(digests) = recorded.and_then(OnceCell::get) {
             return spec
                 .coder()
                 .encode_rows(content, rows)
@@ -1319,8 +1321,8 @@ impl Scdn {
         let blocks = self.encode_coded_rows(dataset, spec, &content, missing);
         // The fetched donor blocks were scaffolding: the rebuilder keeps
         // only the first regenerated missing block.
-        let dst_repo = self.repos[rebuilder.index()].clone();
-        discard_scaffolding(&dst_repo, Partition::Replica, dataset, &rep);
+        let dst_repo = &self.repos[rebuilder.index()];
+        discard_scaffolding(dst_repo, Partition::Replica, dataset, &rep);
         let keep = &blocks[0];
         dst_repo
             .store(Partition::Replica, keep.clone())
@@ -1350,12 +1352,12 @@ impl Scdn {
         dataset: DatasetId,
         segments: &[SegmentId],
     ) {
-        let repo = self.repos[node.index()].clone();
+        let repo = &self.repos[node.index()];
         let mut promoted = true;
         let mut evicted: Vec<SegmentId> = Vec::new();
         for &s in segments {
             match repo.fetch(Partition::User, s) {
-                Ok(seg) => match self.caches[node.index()].insert(&repo, seg) {
+                Ok(seg) => match self.caches[node.index()].insert(repo, seg) {
                     Ok(out) => evicted.extend(out),
                     Err(_) => {
                         promoted = false;
@@ -1437,7 +1439,7 @@ impl Scdn {
     }
 
     /// The shared metric registry (alloc, cache, and transfer counters).
-    pub fn registry(&self) -> &Arc<Registry> {
+    pub fn registry(&self) -> &Registry {
         &self.registry
     }
 
@@ -1478,7 +1480,7 @@ impl Scdn {
     }
 
     /// The social platform handle.
-    pub fn platform(&self) -> &Arc<SocialPlatform> {
+    pub fn platform(&self) -> &Rc<SocialPlatform> {
         &self.platform
     }
 

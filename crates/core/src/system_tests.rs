@@ -1025,7 +1025,7 @@ fn failed_coded_request_gives_back_what_it_landed() {
         // The requester already holds block 4 in its user partition — the
         // fetch counts it toward k without looking inside.
         let planted = bad_block(&stored_block(&scdn, dataset, 4));
-        let repo = scdn.repo(requester).expect("member").clone();
+        let repo = scdn.repo(requester).expect("member");
         repo.store(Partition::User, planted.clone()).expect("fits");
         let used_before = repo.used();
         let failures_before = scdn.cdn_metrics.failures;
@@ -1034,6 +1034,7 @@ fn failed_coded_request_gives_back_what_it_landed() {
             .request_coded(requester, dataset)
             .expect_err("an undecodable fetch fails the request");
         assert!(expected(&err), "unexpected error: {err:?}");
+        let repo = scdn.repo(requester).expect("member");
         assert_eq!(repo.used(), used_before, "landed blocks were given back");
         assert_eq!(
             repo.list(Partition::User),
@@ -1064,12 +1065,13 @@ fn failed_coded_rebuild_gives_back_what_it_landed() {
     let surviving = scdn.allocation().coded_inventory(dataset).expect("coded");
     let index = *surviving[0].1.first().expect("holds a block");
     let planted = mis_sized(&stored_block(&scdn, dataset, index));
-    let repo = scdn.repo(rebuilder).expect("member").clone();
+    let repo = scdn.repo(rebuilder).expect("member");
     repo.store(Partition::Replica, planted.clone())
         .expect("fits");
     let used_before = repo.used();
 
     assert!(scdn.replicate(dataset).is_err(), "rebuild cannot decode");
+    let repo = scdn.repo(rebuilder).expect("member");
     assert_eq!(repo.used(), used_before, "landed blocks were given back");
     assert_eq!(repo.list(Partition::Replica), vec![planted.id]);
     assert_eq!(
@@ -1170,7 +1172,7 @@ fn failed_request_leaves_the_user_partition_as_it_found_it() {
         .expect("owner")
         .fetch_any(seg0)
         .expect("owner holds it");
-    let repo = scdn.repo(requester).expect("member").clone();
+    let repo = scdn.repo(requester).expect("member");
     repo.store(Partition::User, corrupt_at_rest(&good))
         .expect("fits");
     let mut ids = repo.list(Partition::User);
@@ -1188,6 +1190,7 @@ fn failed_request_leaves_the_user_partition_as_it_found_it() {
         ),
         "{refused:?}"
     );
+    let repo = scdn.repo(requester).expect("member");
     let mut after = repo.list(Partition::User);
     after.sort();
     assert_eq!(after, ids);
@@ -1357,7 +1360,7 @@ fn corrupt_owner_copy_is_never_replicated() {
     let (mut scdn, datasets) = maintenance_system(RebalanceStrategy::Static, true, ROOMY);
     let corrupted = [0usize, 2];
     for &i in &corrupted {
-        let repo = scdn.repo(NodeId(i as u32)).expect("owner").clone();
+        let repo = scdn.repo(NodeId(i as u32)).expect("owner");
         let id = *repo
             .list(Partition::User)
             .iter()
@@ -1632,7 +1635,7 @@ fn request_coded_delivers_original_content() {
     let block = (payload.len() as u64).div_ceil(k);
     assert_eq!(outcome.bytes, k * block, "exactly k blocks on the wire");
     // The reassembled plain segments hold the original bytes.
-    let repo = scdn.repo(requester).expect("known node").clone();
+    let repo = scdn.repo(requester).expect("known node");
     let mut got = Vec::new();
     let seg_size = 2usize << 10;
     for ordinal in 0..payload.len().div_ceil(seg_size) as u32 {

@@ -35,7 +35,7 @@
 //! from.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::delta::{DeltaOp, DeltaSummary, GraphDelta};
@@ -63,7 +63,12 @@ pub const DEFAULT_CHUNK_ROWS: usize = 64;
 /// `(node_count, half_edge_count)` fingerprint, which collides whenever an
 /// equal-sized graph is swapped in. Monotonicity makes the id double as a
 /// happened-before ordering between snapshots of the same lineage.
-static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
+// Atomic, unlike every other counter in the workspace: a `CsrGraph` is
+// `Send + Sync` (the `parallel` workers share one) and is frozen on
+// whichever thread asks, several at once under the test harness, so the
+// generation source must stay unique across threads.
+#[allow(clippy::disallowed_types)]
+static NEXT_GENERATION: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
 
 fn next_generation() -> u64 {
     NEXT_GENERATION.fetch_add(1, Ordering::Relaxed)

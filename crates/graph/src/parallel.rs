@@ -8,6 +8,10 @@
 //! are "map a function over indices and combine", which a chunked
 //! scoped-thread map covers without a work-stealing runtime.
 
+// The one module that runs threads: its work cursor and worker limit are
+// atomics, exempt from the workspace's single-owner `disallowed-types`.
+#![allow(clippy::disallowed_types)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Process-wide worker override: `0` means "use the hardware parallelism".

@@ -5,7 +5,6 @@
 //! accountability"). Every access decision — grant or denial — is recorded
 //! with who, what, when, and why, and the trail is queryable.
 
-use parking_lot::RwLock;
 use scdn_social::platform::UserId;
 use scdn_storage::object::DatasetId;
 
@@ -33,10 +32,10 @@ impl AuditEntry {
     }
 }
 
-/// Append-only, thread-safe audit log.
+/// Append-only audit log.
 #[derive(Default)]
 pub struct AuditLog {
-    entries: RwLock<Vec<AuditEntry>>,
+    entries: Vec<AuditEntry>,
 }
 
 impl AuditLog {
@@ -47,15 +46,14 @@ impl AuditLog {
 
     /// Record a decision; returns its sequence number.
     pub fn record(
-        &self,
+        &mut self,
         at_ms: u64,
         user: UserId,
         dataset: DatasetId,
         decision: AccessDecision,
     ) -> u64 {
-        let mut entries = self.entries.write();
-        let seq = entries.len() as u64;
-        entries.push(AuditEntry {
+        let seq = self.entries.len() as u64;
+        self.entries.push(AuditEntry {
             seq,
             at_ms,
             user,
@@ -67,18 +65,17 @@ impl AuditLog {
 
     /// Number of recorded decisions.
     pub fn len(&self) -> usize {
-        self.entries.read().len()
+        self.entries.len()
     }
 
     /// `true` if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.entries.read().is_empty()
+        self.entries.is_empty()
     }
 
     /// All entries for one dataset, in order.
     pub fn by_dataset(&self, dataset: DatasetId) -> Vec<AuditEntry> {
         self.entries
-            .read()
             .iter()
             .filter(|e| e.dataset == dataset)
             .cloned()
@@ -88,7 +85,6 @@ impl AuditLog {
     /// All denials, in order.
     pub fn denials(&self) -> Vec<AuditEntry> {
         self.entries
-            .read()
             .iter()
             .filter(|e| !e.granted())
             .cloned()
@@ -97,18 +93,17 @@ impl AuditLog {
 
     /// Grant ratio over the whole trail (0 when empty).
     pub fn grant_ratio(&self) -> f64 {
-        let entries = self.entries.read();
-        if entries.is_empty() {
+        if self.entries.is_empty() {
             return 0.0;
         }
-        entries.iter().filter(|e| e.granted()).count() as f64 / entries.len() as f64
+        let granted = self.entries.iter().filter(|e| e.granted()).count();
+        granted as f64 / self.entries.len() as f64
     }
 
     /// The most recent `n` entries (oldest first).
     pub fn tail(&self, n: usize) -> Vec<AuditEntry> {
-        let entries = self.entries.read();
-        let start = entries.len().saturating_sub(n);
-        entries[start..].to_vec()
+        let start = self.entries.len().saturating_sub(n);
+        self.entries[start..].to_vec()
     }
 }
 
@@ -126,7 +121,7 @@ mod tests {
 
     #[test]
     fn records_in_order_with_sequence() {
-        let log = AuditLog::new();
+        let mut log = AuditLog::new();
         assert!(log.is_empty());
         let s0 = log.record(10, UserId(1), DatasetId(0), grant());
         let s1 = log.record(20, UserId(2), DatasetId(0), deny());
@@ -136,7 +131,7 @@ mod tests {
 
     #[test]
     fn query_by_dataset() {
-        let log = AuditLog::new();
+        let mut log = AuditLog::new();
         log.record(1, UserId(1), DatasetId(0), grant());
         log.record(2, UserId(2), DatasetId(0), deny());
         log.record(3, UserId(1), DatasetId(1), grant());
@@ -146,7 +141,7 @@ mod tests {
 
     #[test]
     fn denials_and_grant_ratio() {
-        let log = AuditLog::new();
+        let mut log = AuditLog::new();
         log.record(1, UserId(1), DatasetId(0), grant());
         log.record(2, UserId(2), DatasetId(0), deny());
         log.record(3, UserId(3), DatasetId(0), grant());
@@ -158,7 +153,7 @@ mod tests {
 
     #[test]
     fn tail_returns_newest() {
-        let log = AuditLog::new();
+        let mut log = AuditLog::new();
         for i in 0..10u64 {
             log.record(i, UserId(0), DatasetId(0), grant());
         }

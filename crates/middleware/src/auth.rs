@@ -6,9 +6,8 @@
 //! and mints short-lived CDN sessions bound to the platform user.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
-use parking_lot::RwLock;
 use scdn_social::platform::{AuthToken, PlatformError, SocialPlatform, UserId};
 
 /// A CDN session minted from a validated platform token.
@@ -51,61 +50,59 @@ impl From<PlatformError> for MiddlewareError {
 
 /// The social middleware: token validation and session management.
 pub struct Middleware {
-    platform: Arc<SocialPlatform>,
-    sessions: RwLock<HashMap<u64, Session>>,
-    counter: RwLock<u64>,
+    platform: Rc<SocialPlatform>,
+    sessions: HashMap<u64, Session>,
+    counter: u64,
     /// Operations allowed per session before re-authentication.
     pub ttl_ops: u32,
 }
 
 impl Middleware {
     /// Middleware over a platform, with the default session TTL.
-    pub fn new(platform: Arc<SocialPlatform>) -> Middleware {
+    pub fn new(platform: Rc<SocialPlatform>) -> Middleware {
         Middleware {
             platform,
-            sessions: RwLock::new(HashMap::new()),
-            counter: RwLock::new(0),
+            sessions: HashMap::new(),
+            counter: 0,
             ttl_ops: 1000,
         }
     }
 
     /// Exchange a platform token for a CDN session.
-    pub fn establish_session(&self, token: &AuthToken) -> Result<Session, MiddlewareError> {
+    pub fn establish_session(&mut self, token: &AuthToken) -> Result<Session, MiddlewareError> {
         let user = self.platform.validate_token(token)?;
-        let mut counter = self.counter.write();
-        *counter += 1;
+        self.counter += 1;
         let session = Session {
-            id: *counter,
+            id: self.counter,
             user,
             remaining_ops: self.ttl_ops,
         };
-        self.sessions.write().insert(session.id, session.clone());
+        self.sessions.insert(session.id, session.clone());
         Ok(session)
     }
 
     /// Validate a session and consume one operation from its budget.
     /// Returns the authenticated user.
-    pub fn authorize_op(&self, session_id: u64) -> Result<UserId, MiddlewareError> {
-        let mut sessions = self.sessions.write();
-        let s = sessions
+    pub fn authorize_op(&mut self, session_id: u64) -> Result<UserId, MiddlewareError> {
+        let s = self
+            .sessions
             .get_mut(&session_id)
             .ok_or(MiddlewareError::SessionInvalid)?;
         if s.remaining_ops == 0 {
-            sessions.remove(&session_id);
+            self.sessions.remove(&session_id);
             return Err(MiddlewareError::SessionInvalid);
         }
         s.remaining_ops -= 1;
         Ok(s.user)
     }
 
-    /// Read-only preview of [`authorize_op`](Self::authorize_op): reports
-    /// the same decision the next `authorize_op` call would make, without
-    /// consuming an operation or expiring the session (takes only the
-    /// read lock). `authorize_op` stays the authoritative,
-    /// budget-consuming check.
+    /// Non-consuming preview of [`authorize_op`](Self::authorize_op):
+    /// reports the same decision the next `authorize_op` call would make,
+    /// without consuming an operation or expiring the session.
+    /// `authorize_op` stays the authoritative, budget-consuming check.
     pub fn peek_op(&self, session_id: u64) -> Result<UserId, MiddlewareError> {
-        let sessions = self.sessions.read();
-        let s = sessions
+        let s = self
+            .sessions
             .get(&session_id)
             .ok_or(MiddlewareError::SessionInvalid)?;
         if s.remaining_ops == 0 {
@@ -119,16 +116,16 @@ impl Middleware {
 mod tests {
     use super::*;
 
-    fn platform() -> Arc<SocialPlatform> {
+    fn platform() -> Rc<SocialPlatform> {
         let p = SocialPlatform::new();
         p.register("alice", "Alice", "pw", None).expect("register");
-        Arc::new(p)
+        Rc::new(p)
     }
 
     #[test]
     fn token_to_session_flow() {
         let p = platform();
-        let mw = Middleware::new(p.clone());
+        let mut mw = Middleware::new(p.clone());
         let tok = p.login("alice", "pw").expect("login");
         let session = mw.establish_session(&tok).expect("session");
         let user = mw.authorize_op(session.id).expect("authorized");
@@ -138,7 +135,7 @@ mod tests {
     #[test]
     fn bad_token_rejected() {
         let p = platform();
-        let mw = Middleware::new(p.clone());
+        let mut mw = Middleware::new(p.clone());
         let err = mw
             .establish_session(&AuthToken("forged".into()))
             .unwrap_err();
@@ -148,7 +145,7 @@ mod tests {
     #[test]
     fn revoked_platform_token_cannot_mint_sessions() {
         let p = platform();
-        let mw = Middleware::new(p.clone());
+        let mut mw = Middleware::new(p.clone());
         let tok = p.login("alice", "pw").expect("login");
         p.revoke_token(&tok);
         assert!(mw.establish_session(&tok).is_err());
@@ -167,7 +164,7 @@ mod tests {
             mw.authorize_op(s.id).unwrap_err(),
             MiddlewareError::SessionInvalid
         );
-        assert_eq!(mw.sessions.read().len(), 0);
+        assert_eq!(mw.sessions.len(), 0);
     }
 
     #[test]
@@ -189,12 +186,12 @@ mod tests {
             mw.peek_op(s.id).unwrap_err(),
             MiddlewareError::SessionInvalid
         );
-        assert_eq!(mw.sessions.read().len(), 1);
+        assert_eq!(mw.sessions.len(), 1);
         assert_eq!(
             mw.authorize_op(s.id).unwrap_err(),
             MiddlewareError::SessionInvalid
         );
-        assert_eq!(mw.sessions.read().len(), 0);
+        assert_eq!(mw.sessions.len(), 0);
         assert_eq!(
             mw.peek_op(404).unwrap_err(),
             MiddlewareError::SessionInvalid
@@ -204,7 +201,7 @@ mod tests {
     #[test]
     fn unknown_session_invalid() {
         let p = platform();
-        let mw = Middleware::new(p.clone());
+        let mut mw = Middleware::new(p.clone());
         assert_eq!(
             mw.authorize_op(404).unwrap_err(),
             MiddlewareError::SessionInvalid

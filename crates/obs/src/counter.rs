@@ -1,48 +1,18 @@
-//! Sharded atomic counters and gauges.
+//! Counters and gauges.
 //!
-//! A [`Counter`] spreads its increments over cache-line-padded shards so
-//! that hot paths on different threads don't contend on one cache line;
-//! reads sum the shards. Handles are cheap `Arc` clones — every clone
-//! observes and contributes to the same value, which is how the
+//! A [`Counter`] is a shared `u64` cell and a [`Gauge`] a shared `f64`
+//! cell. Handles are cheap `Rc` clones: every clone observes and
+//! contributes to the same value, which is how the
 //! [`crate::registry::Registry`] hands the *same* counter to many
-//! subsystems.
+//! subsystems of one runtime.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
-/// Number of independent shards per counter (power of two).
-const SHARDS: usize = 16;
-
-/// One cache line per shard so concurrent writers don't false-share.
-#[repr(align(64))]
-#[derive(Default)]
-struct Shard(AtomicU64);
-
-static NEXT_THREAD_SLOT: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// Each thread gets a sticky shard index, assigned round-robin.
-    static THREAD_SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-fn shard_index() -> usize {
-    THREAD_SLOT.with(|slot| {
-        let mut s = slot.get();
-        if s == usize::MAX {
-            s = NEXT_THREAD_SLOT.fetch_add(1, Ordering::Relaxed) % SHARDS;
-            slot.set(s);
-        }
-        s
-    })
-}
-
-/// Monotonic event counter. `add`/`inc` are wait-free on the caller's
-/// shard; `get` sums all shards (O(SHARDS), racy-but-monotone under
-/// concurrent writers).
+/// Monotonic event counter.
 #[derive(Clone, Default)]
 pub struct Counter {
-    shards: Arc<[Shard; SHARDS]>,
+    value: Rc<Cell<u64>>,
 }
 
 impl Counter {
@@ -53,7 +23,7 @@ impl Counter {
 
     /// Add `n` events.
     pub fn add(&self, n: u64) {
-        self.shards[shard_index()].0.fetch_add(n, Ordering::Relaxed);
+        self.value.set(self.value.get() + n);
     }
 
     /// Add one event.
@@ -61,17 +31,14 @@ impl Counter {
         self.add(1);
     }
 
-    /// Current total across all shards.
+    /// Current total.
     pub fn get(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.value.get()
     }
 
     /// `true` if this handle and `other` share the same underlying counter.
     pub fn same_as(&self, other: &Counter) -> bool {
-        Arc::ptr_eq(&self.shards, &other.shards)
+        Rc::ptr_eq(&self.value, &other.value)
     }
 }
 
@@ -81,18 +48,10 @@ impl std::fmt::Debug for Counter {
     }
 }
 
-/// Last-write-wins scalar gauge holding an `f64` (stored as bit pattern).
-#[derive(Clone)]
+/// Last-write-wins scalar gauge holding an `f64`.
+#[derive(Clone, Default)]
 pub struct Gauge {
-    bits: Arc<AtomicU64>,
-}
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Gauge {
-            bits: Arc::new(AtomicU64::new(0f64.to_bits())),
-        }
-    }
+    value: Rc<Cell<f64>>,
 }
 
 impl Gauge {
@@ -103,12 +62,12 @@ impl Gauge {
 
     /// Set the gauge.
     pub fn set(&self, v: f64) {
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
+        self.value.set(v);
     }
 
     /// Read the gauge.
     pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
+        self.value.get()
     }
 }
 
@@ -139,25 +98,6 @@ mod tests {
         assert_eq!(c.get(), 12);
         assert!(c.same_as(&d));
         assert!(!c.same_as(&Counter::new()));
-    }
-
-    #[test]
-    fn concurrent_increments_all_land() {
-        let c = Counter::new();
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let c = c.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..10_000 {
-                        c.inc();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(c.get(), 80_000);
     }
 
     #[test]

@@ -36,11 +36,12 @@
 //!
 //! Two histograms with the same configuration can be [`Histogram::merge`]d
 //! bucket-wise without losing accuracy — the merged quantiles obey the
-//! same bound. [`SharedHistogram`] is the lock-free `&self` variant for
-//! concurrent recording through a [`crate::registry::Registry`].
+//! same bound. [`SharedHistogram`] is the handle a
+//! [`crate::registry::Registry`] hands out: one `Histogram` behind a
+//! shared cell, recording through `&self`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Shape of a log-linear histogram: precision and value quantization.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -271,110 +272,40 @@ impl Histogram {
     }
 }
 
-/// Thread-safe histogram handle: records through `&self`, cheap to clone
-/// (all clones share the same buckets). Buckets are allocated eagerly.
-#[derive(Clone, Debug)]
+/// Shared histogram handle: records through `&self`, cheap to clone (all
+/// clones share one [`Histogram`], so buckets allocate on the first
+/// finite record, as a plain histogram's do).
+#[derive(Clone, Debug, Default)]
 pub struct SharedHistogram {
-    inner: Arc<SharedInner>,
-}
-
-#[derive(Debug)]
-struct SharedInner {
-    config: HistogramConfig,
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    rejected: AtomicU64,
-    /// f64 bit patterns, updated by CAS.
-    sum_bits: AtomicU64,
-    min_bits: AtomicU64,
-    max_bits: AtomicU64,
-}
-
-impl Default for SharedHistogram {
-    fn default() -> Self {
-        SharedHistogram::new(HistogramConfig::default())
-    }
+    inner: Rc<RefCell<Histogram>>,
 }
 
 impl SharedHistogram {
     /// Shared histogram with the given shape.
     pub fn new(config: HistogramConfig) -> SharedHistogram {
-        let buckets = (0..config.bucket_count())
-            .map(|_| AtomicU64::new(0))
-            .collect();
         SharedHistogram {
-            inner: Arc::new(SharedInner {
-                config,
-                buckets,
-                count: AtomicU64::new(0),
-                rejected: AtomicU64::new(0),
-                sum_bits: AtomicU64::new(0f64.to_bits()),
-                min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
-                max_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
-            }),
+            inner: Rc::new(RefCell::new(Histogram::new(config))),
         }
     }
 
     /// The histogram's shape.
     pub fn config(&self) -> HistogramConfig {
-        self.inner.config
+        self.inner.borrow().config()
     }
 
-    /// Record one observation (same semantics as [`Histogram::record`]).
+    /// Record one observation ([`Histogram::record`]).
     pub fn record(&self, v: f64) {
-        let inner = &*self.inner;
-        if !v.is_finite() {
-            inner.rejected.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let v = v.max(0.0);
-        let idx = inner.config.index_of(inner.config.to_units(v));
-        inner.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        inner.count.fetch_add(1, Ordering::Relaxed);
-        fetch_update_f64(&inner.sum_bits, |s| s + v);
-        fetch_update_f64(&inner.min_bits, |m| m.min(v));
-        fetch_update_f64(&inner.max_bits, |m| m.max(v));
+        self.inner.borrow_mut().record(v);
     }
 
     /// Recorded observation count.
     pub fn count(&self) -> u64 {
-        self.inner.count.load(Ordering::Relaxed)
+        self.inner.borrow().count()
     }
 
-    /// Consistent point-in-time copy as a plain [`Histogram`] (the export
-    /// path; consistency is per-field under concurrent writers).
+    /// Point-in-time copy as a plain [`Histogram`] (the export path).
     pub fn snapshot(&self) -> Histogram {
-        let inner = &*self.inner;
-        let count = inner.count.load(Ordering::Relaxed);
-        Histogram {
-            config: inner.config,
-            buckets: if count == 0 {
-                Vec::new()
-            } else {
-                inner
-                    .buckets
-                    .iter()
-                    .map(|b| b.load(Ordering::Relaxed))
-                    .collect()
-            },
-            count,
-            rejected: inner.rejected.load(Ordering::Relaxed),
-            sum: f64::from_bits(inner.sum_bits.load(Ordering::Relaxed)),
-            min: f64::from_bits(inner.min_bits.load(Ordering::Relaxed)),
-            max: f64::from_bits(inner.max_bits.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-/// CAS-update an `AtomicU64` holding f64 bits.
-fn fetch_update_f64(bits: &AtomicU64, f: impl Fn(f64) -> f64) {
-    let mut cur = bits.load(Ordering::Relaxed);
-    loop {
-        let next = f(f64::from_bits(cur)).to_bits();
-        match bits.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(actual) => cur = actual,
-        }
+        self.inner.borrow().clone()
     }
 }
 
@@ -521,40 +452,39 @@ mod tests {
         a.merge(&b);
     }
 
+    /// The handle's snapshot is the plain histogram it wraps: fed the
+    /// same values, both export the same bytes, and neither allocates
+    /// buckets before a finite value arrives (empty and all-rejected).
     #[test]
     fn shared_histogram_snapshot_matches_plain() {
-        let sh = SharedHistogram::default();
-        let mut plain = Histogram::default();
-        for i in 0..500 {
-            let v = (i % 97) as f64 * 1.5;
-            sh.record(v);
-            plain.record(v);
+        let series: [Vec<f64>; 3] = [
+            Vec::new(),
+            vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY],
+            (0..500).map(|i| (i % 97) as f64 * 1.5).collect(),
+        ];
+        for values in &series {
+            let sh = SharedHistogram::default();
+            let mut plain = Histogram::default();
+            for &v in values {
+                sh.record(v);
+                plain.record(v);
+            }
+            let snap = sh.snapshot();
+            assert_eq!(snap.count(), plain.count());
+            assert_eq!(snap.rejected(), plain.rejected());
+            assert_eq!(snap.min(), plain.min());
+            assert_eq!(snap.max(), plain.max());
+            assert_eq!(snap.quantile(0.5), plain.quantile(0.5));
+            let export = |h: Histogram| {
+                let mut snap = crate::registry::Snapshot::new();
+                snap.add_histogram("h", h);
+                crate::to_json(&snap)
+            };
+            if plain.count() == 0 {
+                assert_eq!(snap.allocated_buckets(), 0, "{values:?}");
+                assert_eq!(plain.allocated_buckets(), 0, "{values:?}");
+            }
+            assert_eq!(export(snap), export(plain), "{values:?}");
         }
-        let snap = sh.snapshot();
-        assert_eq!(snap.count(), plain.count());
-        assert_eq!(snap.min(), plain.min());
-        assert_eq!(snap.max(), plain.max());
-        assert_eq!(snap.quantile(0.5), plain.quantile(0.5));
-    }
-
-    #[test]
-    fn shared_histogram_concurrent_recording() {
-        let sh = SharedHistogram::default();
-        let threads: Vec<_> = (0..4)
-            .map(|t| {
-                let h = sh.clone();
-                std::thread::spawn(move || {
-                    for i in 0..10_000 {
-                        h.record((t * 10_000 + i) as f64 / 7.0);
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let snap = sh.snapshot();
-        assert_eq!(snap.count(), 40_000);
-        assert_eq!(snap.min(), 0.0);
     }
 }

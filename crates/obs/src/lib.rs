@@ -4,11 +4,12 @@
 //! (`scdn-sim`) with telemetry primitives whose memory footprint is
 //! **independent of how many observations they absorb**:
 //!
-//! - [`Counter`] / [`Gauge`] — sharded atomic counters and last-write-wins
-//!   scalar gauges, wait-free on the record path.
+//! - [`Counter`] / [`Gauge`] — event counters and last-write-wins scalar
+//!   gauges, each one shared cell.
 //! - [`Histogram`] / [`SharedHistogram`] — fixed-bucket log-linear
-//!   (HDR-style) histograms: `O(buckets)` memory forever, mergeable, with
-//!   a documented relative-error bound on every quantile.
+//!   (HDR-style) histograms: `O(buckets)` memory forever, allocated on the
+//!   first record, mergeable, with a documented relative-error bound on
+//!   every quantile. The shared handle wraps one plain histogram.
 //! - [`TraceCollector`] / [`RequestTrace`] — a bounded ring of structured
 //!   request-lifecycle traces, each a span chain
 //!   `authenticate → discover → select replica → transfer attempt(s) →
@@ -17,8 +18,9 @@
 //!   snapshots feeding the [`export`] module's JSON (`scdn-obs/v1`) and
 //!   Prometheus-text exporters and schema validator.
 //!
-//! Handles are cheap `Arc` clones; subsystems grab them once at
-//! construction and record without taking any lock.
+//! Handles are cheap `Rc` clones of one runtime's cells: subsystems grab
+//! them once at construction and record through `&self`. A registry and
+//! its handles belong to one thread, as the runtime that owns them does.
 
 pub mod counter;
 pub mod export;

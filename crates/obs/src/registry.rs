@@ -1,26 +1,38 @@
 //! The metric registry: one named home for every counter, gauge, and
-//! histogram a process records, and the single source every exporter
+//! histogram a runtime records, and the single source every exporter
 //! reads from.
 //!
 //! Handles returned by [`Registry::counter`] / [`Registry::gauge`] /
-//! [`Registry::histogram`] are cheap clones of shared state: a subsystem
-//! grabs its handles once (at construction) and records lock-free on the
-//! hot path; the registry lock is only taken at registration and
+//! [`Registry::histogram`] are cheap clones of shared cells: a subsystem
+//! grabs its handles once (at construction) and records through them
+//! without going back to the registry, which is read again only at
 //! snapshot time.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-
-use parking_lot::RwLock;
 
 use crate::counter::{Counter, Gauge};
 use crate::histogram::{Histogram, HistogramConfig, SharedHistogram};
 
-/// Process-wide metric registry. Thread-safe; share via `Arc`.
+/// A runtime's metric registry, owned by that runtime.
 #[derive(Default)]
 pub struct Registry {
-    counters: RwLock<BTreeMap<String, Counter>>,
-    gauges: RwLock<BTreeMap<String, Gauge>>,
-    histograms: RwLock<BTreeMap<String, SharedHistogram>>,
+    counters: RefCell<BTreeMap<String, Counter>>,
+    gauges: RefCell<BTreeMap<String, Gauge>>,
+    histograms: RefCell<BTreeMap<String, SharedHistogram>>,
+}
+
+/// The handle named `name` in `map`, created by `make` if absent.
+fn get_or_create<H: Clone>(
+    map: &RefCell<BTreeMap<String, H>>,
+    name: &str,
+    make: impl FnOnce() -> H,
+) -> H {
+    let mut map = map.borrow_mut();
+    if let Some(h) = map.get(name) {
+        return h.clone();
+    }
+    map.entry(name.to_string()).or_insert_with(make).clone()
 }
 
 impl Registry {
@@ -31,26 +43,12 @@ impl Registry {
 
     /// Get or create the counter named `name`.
     pub fn counter(&self, name: &str) -> Counter {
-        if let Some(c) = self.counters.read().get(name) {
-            return c.clone();
-        }
-        self.counters
-            .write()
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+        get_or_create(&self.counters, name, Counter::new)
     }
 
     /// Get or create the gauge named `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        if let Some(g) = self.gauges.read().get(name) {
-            return g.clone();
-        }
-        self.gauges
-            .write()
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+        get_or_create(&self.gauges, name, Gauge::new)
     }
 
     /// Get or create the histogram named `name` with the default shape.
@@ -61,26 +59,19 @@ impl Registry {
     /// Get or create the histogram named `name`; `config` applies only on
     /// first creation.
     pub fn histogram_with(&self, name: &str, config: HistogramConfig) -> SharedHistogram {
-        if let Some(h) = self.histograms.read().get(name) {
-            return h.clone();
-        }
-        self.histograms
-            .write()
-            .entry(name.to_string())
-            .or_insert_with(|| SharedHistogram::new(config))
-            .clone()
+        get_or_create(&self.histograms, name, || SharedHistogram::new(config))
     }
 
     /// Point-in-time copy of every registered metric, sorted by name.
     pub fn snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::default();
-        for (name, c) in self.counters.read().iter() {
+        for (name, c) in self.counters.borrow().iter() {
             snap.counters.push((name.clone(), c.get()));
         }
-        for (name, g) in self.gauges.read().iter() {
+        for (name, g) in self.gauges.borrow().iter() {
             snap.gauges.push((name.clone(), g.get()));
         }
-        for (name, h) in self.histograms.read().iter() {
+        for (name, h) in self.histograms.borrow().iter() {
             snap.histograms.push((name.clone(), h.snapshot()));
         }
         snap

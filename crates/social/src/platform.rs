@@ -6,9 +6,8 @@
 //! This is an in-process simulation of "Facebook or a community tool such
 //! as myExperiment" — only the surface the S-CDN consumes is modelled.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
-
-use parking_lot::RwLock;
 
 use crate::author::AuthorId;
 
@@ -105,11 +104,11 @@ struct State {
     token_counter: u64,
 }
 
-/// The social network platform. Thread-safe; clones of the handle share
-/// state is *not* provided — wrap in `Arc` if multiple owners are needed.
+/// The social network platform: one state cell, mutated through `&self`
+/// (callers share one platform by `Rc`).
 #[derive(Default)]
 pub struct SocialPlatform {
-    state: RwLock<State>,
+    state: RefCell<State>,
 }
 
 impl SocialPlatform {
@@ -126,7 +125,7 @@ impl SocialPlatform {
         password: &str,
         author: Option<AuthorId>,
     ) -> Result<UserId, PlatformError> {
-        let mut s = self.state.write();
+        let mut s = self.state.borrow_mut();
         if s.login_index.contains_key(login) {
             return Err(PlatformError::DuplicateLogin(login.to_string()));
         }
@@ -149,12 +148,12 @@ impl SocialPlatform {
 
     /// Number of registered users.
     pub fn user_count(&self) -> usize {
-        self.state.read().users.len()
+        self.state.borrow().users.len()
     }
 
     /// Fetch a user record.
     pub fn user(&self, id: UserId) -> Result<User, PlatformError> {
-        let s = self.state.read();
+        let s = self.state.borrow();
         s.users
             .get(id.index())
             .cloned()
@@ -164,12 +163,12 @@ impl SocialPlatform {
     /// The user linked to a given corpus author, if any (the first
     /// registered, should several users claim one author).
     pub fn user_of_author(&self, a: AuthorId) -> Option<UserId> {
-        self.state.read().author_index.get(&a).copied()
+        self.state.borrow().author_index.get(&a).copied()
     }
 
     /// Add a declared research interest to a user profile.
     pub fn add_interest(&self, id: UserId, interest: &str) -> Result<(), PlatformError> {
-        let mut s = self.state.write();
+        let mut s = self.state.borrow_mut();
         let user = s
             .users
             .get_mut(id.index())
@@ -182,7 +181,7 @@ impl SocialPlatform {
 
     /// Establish a mutual relationship (friendship / collaboration link).
     pub fn befriend(&self, a: UserId, b: UserId) -> Result<(), PlatformError> {
-        let mut s = self.state.write();
+        let mut s = self.state.borrow_mut();
         if a.index() >= s.users.len() {
             return Err(PlatformError::UnknownUser(a));
         }
@@ -200,7 +199,7 @@ impl SocialPlatform {
     /// `true` if the two users have a relationship.
     pub fn are_friends(&self, a: UserId, b: UserId) -> bool {
         self.state
-            .read()
+            .borrow()
             .friendships
             .get(&a)
             .map(|f| f.contains(&b))
@@ -209,7 +208,7 @@ impl SocialPlatform {
 
     /// Authenticate and obtain a bearer token.
     pub fn login(&self, login: &str, password: &str) -> Result<AuthToken, PlatformError> {
-        let mut s = self.state.write();
+        let mut s = self.state.borrow_mut();
         let id = *s
             .login_index
             .get(login)
@@ -228,7 +227,7 @@ impl SocialPlatform {
     /// Resolve a token to the user it authenticates.
     pub fn validate_token(&self, token: &AuthToken) -> Result<UserId, PlatformError> {
         self.state
-            .read()
+            .borrow()
             .tokens
             .get(&token.0)
             .copied()
@@ -237,12 +236,12 @@ impl SocialPlatform {
 
     /// Revoke a token (logout).
     pub fn revoke_token(&self, token: &AuthToken) {
-        self.state.write().tokens.remove(&token.0);
+        self.state.borrow_mut().tokens.remove(&token.0);
     }
 
     /// Create a group owned by `owner`.
     pub fn create_group(&self, owner: UserId, name: &str) -> Result<GroupId, PlatformError> {
-        let mut s = self.state.write();
+        let mut s = self.state.borrow_mut();
         if owner.index() >= s.users.len() {
             return Err(PlatformError::UnknownUser(owner));
         }
@@ -265,7 +264,7 @@ impl SocialPlatform {
         group: GroupId,
         member: UserId,
     ) -> Result<(), PlatformError> {
-        let mut s = self.state.write();
+        let mut s = self.state.borrow_mut();
         if member.index() >= s.users.len() {
             return Err(PlatformError::UnknownUser(member));
         }
@@ -283,7 +282,7 @@ impl SocialPlatform {
     /// `true` if `user` belongs to `group`.
     pub fn is_member(&self, group: GroupId, user: UserId) -> bool {
         self.state
-            .read()
+            .borrow()
             .groups
             .get(group.0 as usize)
             .map(|g| g.members.contains(&user))
@@ -293,7 +292,7 @@ impl SocialPlatform {
     /// Fetch a group record.
     pub fn group(&self, id: GroupId) -> Result<Group, PlatformError> {
         self.state
-            .read()
+            .borrow()
             .groups
             .get(id.0 as usize)
             .cloned()

@@ -5,9 +5,8 @@
 //! user. Data stored in the replica partition are … read-only … managed by
 //! the CDN." (Section V-A.)
 
+use std::cell::{Ref, RefCell};
 use std::collections::HashMap;
-
-use parking_lot::RwLock;
 
 use crate::coding::CodedBlockId;
 use crate::object::{DatasetId, Segment, SegmentId};
@@ -60,13 +59,37 @@ impl std::fmt::Display for RepoError {
 impl std::error::Error for RepoError {}
 
 /// A participant's storage repository, split into replica and user
-/// partitions that share one capacity budget. Thread-safe.
+/// partitions that share one capacity budget. Both partitions and the
+/// usage total live in one cell, so `store` and `remove` move a segment
+/// and its bytes together.
 pub struct StorageRepository {
     /// Total capacity in bytes (both partitions combined).
     capacity: u64,
-    replica: RwLock<HashMap<SegmentId, Segment>>,
-    user: RwLock<HashMap<SegmentId, Segment>>,
-    used: RwLock<u64>,
+    shelves: RefCell<Shelves>,
+}
+
+#[derive(Default)]
+struct Shelves {
+    replica: HashMap<SegmentId, Segment>,
+    user: HashMap<SegmentId, Segment>,
+    /// Bytes stored across both partitions.
+    used: u64,
+}
+
+impl Shelves {
+    fn get(&self, p: Partition) -> &HashMap<SegmentId, Segment> {
+        match p {
+            Partition::Replica => &self.replica,
+            Partition::User => &self.user,
+        }
+    }
+
+    fn get_mut(&mut self, p: Partition) -> &mut HashMap<SegmentId, Segment> {
+        match p {
+            Partition::Replica => &mut self.replica,
+            Partition::User => &mut self.user,
+        }
+    }
 }
 
 impl StorageRepository {
@@ -74,9 +97,7 @@ impl StorageRepository {
     pub fn new(capacity: u64) -> Self {
         StorageRepository {
             capacity,
-            replica: RwLock::new(HashMap::new()),
-            user: RwLock::new(HashMap::new()),
-            used: RwLock::new(0),
+            shelves: RefCell::default(),
         }
     }
 
@@ -87,7 +108,7 @@ impl StorageRepository {
 
     /// Bytes currently used across both partitions.
     pub fn used(&self) -> u64 {
-        *self.used.read()
+        self.shelves.borrow().used
     }
 
     /// Bytes still available.
@@ -97,45 +118,37 @@ impl StorageRepository {
 
     /// Number of segments stored in a partition.
     pub fn segment_count(&self, p: Partition) -> usize {
-        match p {
-            Partition::Replica => self.replica.read().len(),
-            Partition::User => self.user.read().len(),
-        }
+        self.shelf(p).len()
     }
 
-    fn shelf(&self, p: Partition) -> &RwLock<HashMap<SegmentId, Segment>> {
-        match p {
-            Partition::Replica => &self.replica,
-            Partition::User => &self.user,
-        }
+    fn shelf(&self, p: Partition) -> Ref<'_, HashMap<SegmentId, Segment>> {
+        Ref::map(self.shelves.borrow(), |s| s.get(p))
     }
 
     /// Store a segment into a partition, enforcing the shared quota.
     /// Overwrites an existing copy of the same segment (adjusting usage).
     pub fn store(&self, p: Partition, seg: Segment) -> Result<(), RepoError> {
-        let mut used = self.used.write();
-        let mut shelf = self.shelf(p).write();
+        let shelves = &mut *self.shelves.borrow_mut();
+        let used = shelves.used;
+        let shelf = shelves.get_mut(p);
         let existing = shelf.get(&seg.id).map(|s| s.len() as u64).unwrap_or(0);
-        let new_used = *used - existing + seg.len() as u64;
+        let new_used = used - existing + seg.len() as u64;
         if new_used > self.capacity {
             return Err(RepoError::QuotaExceeded {
                 needed: seg.len() as u64 - existing,
-                available: self.capacity - *used,
+                available: self.capacity - used,
             });
         }
         shelf.insert(seg.id, seg);
-        *used = new_used;
+        shelves.used = new_used;
         Ok(())
     }
 
     /// Fetch a segment from a partition, verifying integrity. The segment
-    /// is cloned under the partition's read lock (a refcount bump) and
-    /// hashed after the lock is released, so a `store` or `remove` on this
-    /// repository never waits on a checksum pass.
+    /// is cloned (a refcount bump) and hashed after the cell is released.
     pub fn fetch(&self, p: Partition, id: SegmentId) -> Result<Segment, RepoError> {
         let seg = self
             .shelf(p)
-            .read()
             .get(&id)
             .cloned()
             .ok_or(RepoError::NotFound(id))?;
@@ -159,12 +172,13 @@ impl StorageRepository {
 
     /// `true` if the segment is present in either partition.
     pub fn contains(&self, id: SegmentId) -> bool {
-        self.replica.read().contains_key(&id) || self.user.read().contains_key(&id)
+        let shelves = self.shelves.borrow();
+        shelves.replica.contains_key(&id) || shelves.user.contains_key(&id)
     }
 
     /// `true` if the segment is present in partition `p` specifically.
     pub fn contains_in(&self, p: Partition, id: SegmentId) -> bool {
-        self.shelf(p).read().contains_key(&id)
+        self.shelf(p).contains_key(&id)
     }
 
     /// Remove a segment from a partition (CDN-side eviction or user
@@ -174,16 +188,18 @@ impl StorageRepository {
         if owner && p == Partition::Replica {
             return Err(RepoError::ReplicaPartitionReadOnly);
         }
-        let mut used = self.used.write();
-        let mut shelf = self.shelf(p).write();
-        let seg = shelf.remove(&id).ok_or(RepoError::NotFound(id))?;
-        *used -= seg.len() as u64;
+        let shelves = &mut *self.shelves.borrow_mut();
+        let seg = shelves
+            .get_mut(p)
+            .remove(&id)
+            .ok_or(RepoError::NotFound(id))?;
+        shelves.used -= seg.len() as u64;
         Ok(())
     }
 
     /// All segment ids in a partition (sorted for determinism).
     pub fn list(&self, p: Partition) -> Vec<SegmentId> {
-        let mut ids: Vec<SegmentId> = self.shelf(p).read().keys().copied().collect();
+        let mut ids: Vec<SegmentId> = self.shelf(p).keys().copied().collect();
         ids.sort_unstable();
         ids
     }
@@ -193,7 +209,6 @@ impl StorageRepository {
     pub fn list_coded(&self, p: Partition, dataset: DatasetId) -> Vec<u32> {
         let mut indices: Vec<u32> = self
             .shelf(p)
-            .read()
             .keys()
             .filter(|id| id.dataset == dataset)
             .filter_map(|id| CodedBlockId::from_segment_id(*id))

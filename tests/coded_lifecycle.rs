@@ -152,7 +152,7 @@ fn coded_dataset_survives_fetch_and_three_repairs() {
     );
     // A requester ends up with the published bytes as plain segments.
     let requester = requesters[0];
-    let repo = scdn.repo(requester).expect("member").clone();
+    let repo = scdn.repo(requester).expect("member");
     let mut fetched = Vec::new();
     for id in repo.list(Partition::User) {
         fetched.extend_from_slice(&repo.fetch(Partition::User, id).expect("verifies").data);
@@ -242,13 +242,13 @@ fn forged_block_fails_the_coded_request() {
         .map(NodeId)
         .find(|n| !placed.contains(n))
         .expect("a member hosting nothing");
-    let repo = scdn.repo(requester).expect("member").clone();
-    let used = repo.used();
+    let used = scdn.repo(requester).expect("member").used();
 
     match scdn.request_coded(requester, dataset) {
         Err(ScdnError::Transfer(TransferError::SourceCorrupt(bad))) => assert_eq!(bad, id),
         other => panic!("a forged block must fail the request, got {other:?}"),
     }
+    let repo = scdn.repo(requester).expect("member");
     assert!(
         repo.list(Partition::User).is_empty(),
         "no forged byte and no landed block stays"

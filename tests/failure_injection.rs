@@ -87,7 +87,7 @@ fn corrupted_source_copy_is_refused() {
         )
         .expect("publishes");
     // Tamper with the owner's stored copy behind the CDN's back.
-    let repo = scdn.repo(owner).expect("repo").clone();
+    let repo = scdn.repo(owner).expect("repo");
     let ids = repo.list(Partition::User);
     assert!(!ids.is_empty());
     let seg = repo.fetch(Partition::User, ids[0]).expect("intact");
@@ -143,7 +143,7 @@ fn forged_replica_copy_is_refused() {
         dataset,
         ordinal: 0,
     };
-    let repo = scdn.repo(source).expect("member").clone();
+    let repo = scdn.repo(source).expect("member");
     let partition = if repo.contains_in(Partition::Replica, id) {
         Partition::Replica
     } else {
