@@ -1,19 +1,20 @@
 //! Criterion benches for the two payload kernels of `scdn-storage`: the
 //! checksum and the product-row GF(2^8) coder at RS(4,2) over 1 MiB.
 //!
-//! `storage/checksum/*` reproduces EXPERIMENTS.md "Carry-less CRC":
-//! `checksum` is `Checksum::of` as the product runs it (byte-load FNV
-//! lanes, then the carry-less-multiply CRC-32 where the CPU has
-//! `pclmulqdq`); `crc32-only` and `fnv-lanes-only` are its two passes
+//! `storage/checksum/*` reproduces EXPERIMENTS.md "Word-wise digest":
+//! `checksum` is `Checksum::of` as the product runs it (the word-wise
+//! mix lanes, then the carry-less-multiply CRC-32 where the CPU has
+//! `pclmulqdq`); `crc32-only` and `mix-lanes-only` are its two passes
 //! alone; `portable` is what a host without `pclmulqdq` runs (the CRC on
-//! slice-by-16 tables); `references` is the two byte-at-a-time reference
-//! kernels back to back. For humans; the accept/reject numbers come from
-//! `benchmark/` (`storage.checksum.mib_per_s`, `storage.encode/decode.*`).
+//! slice-by-16 tables); `references` is the mix lanes and the
+//! byte-at-a-time CRC-32 back to back. For humans; the accept/reject
+//! numbers come from `benchmark/` (`storage.checksum.mib_per_s`,
+//! `storage.encode/decode.*`).
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use scdn_storage::coding::ErasureCoder;
-use scdn_storage::integrity::{crc32, crc32_fast, fnv1a64_lanes, fnv1a64_striped, Checksum};
+use scdn_storage::integrity::{crc32, crc32_fast, mix64, Checksum};
 
 /// Incompressible-looking bytes, so table lookups spread over the tables.
 fn payload(len: usize) -> Vec<u8> {
@@ -40,8 +41,8 @@ fn checksums(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("crc32-only", name), &data, |b, d| {
             b.iter(|| crc32_fast(std::hint::black_box(d)));
         });
-        group.bench_with_input(BenchmarkId::new("fnv-lanes-only", name), &data, |b, d| {
-            b.iter(|| fnv1a64_lanes(std::hint::black_box(d)));
+        group.bench_with_input(BenchmarkId::new("mix-lanes-only", name), &data, |b, d| {
+            b.iter(|| mix64(std::hint::black_box(d)));
         });
         group.bench_with_input(BenchmarkId::new("portable", name), &data, |b, d| {
             b.iter(|| Checksum::of_portable(std::hint::black_box(d)));
@@ -50,7 +51,7 @@ fn checksums(c: &mut Criterion) {
             b.iter(|| {
                 let d = std::hint::black_box(d);
                 Checksum {
-                    fnv: fnv1a64_striped(d),
+                    mix: mix64(d),
                     crc: crc32(d),
                 }
             });

@@ -285,8 +285,8 @@ mod tests {
         let social = Graph::from_edges(2, [(0, 1, 1)]);
         let mut o = overlay_with_certs(2);
         let f0 = o.certificates[&NodeId(0)].fingerprint;
-        // Single-chain FNV-1a of "key-0" — not the storage layer's striped
-        // segment digest.
+        // Single-chain FNV-1a of "key-0" — not the storage layer's
+        // word-wise segment digest.
         assert_eq!(f0, 0x71135bf295f28059);
         assert_eq!(
             o.establish_link(&social, NodeId(0), NodeId(1), f0, 0xBAD),

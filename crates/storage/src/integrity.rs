@@ -8,91 +8,77 @@
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
 
-/// 64-bit FNV-1a hash — fast, adequate for integrity checks in a simulated
-/// network (not cryptographic). One serial xor-multiply chain: the
-/// one-lane primitive of [`fnv1a64_striped`], and the digest behind the
-/// coder's golden hash and the overlay's certificate fingerprints.
+/// 64-bit FNV-1a hash — one serial xor-multiply chain per byte. Not part
+/// of [`Checksum`]: the digest behind the coder's golden hash and the
+/// overlay's certificate fingerprints.
 pub fn fnv1a64(data: &[u8]) -> u64 {
-    data.iter().fold(FNV_OFFSET, |h, &b| fnv_step(h, b))
+    data.iter()
+        .fold(FNV_OFFSET, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
 }
 
+/// Odd multiplier of the mix step: 2^64 over the golden ratio.
+const K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One step of the mix digest: xor the word in, multiply by the odd `K`,
+/// fold the high half onto the low. Each of the three is a bijection of
+/// the state, and the xor is one of the word, so the step is bijective in
+/// the state for a fixed word and in the word for a fixed state.
 #[inline(always)]
-const fn fnv_step(h: u64, b: u8) -> u64 {
-    (h ^ b as u64).wrapping_mul(FNV_PRIME)
+const fn mix(h: u64, w: u64) -> u64 {
+    let h = (h ^ w).wrapping_mul(K);
+    h ^ (h >> 32)
 }
 
-/// Independent FNV-1a chains of the striped digest. Chosen by measurement
-/// from {2, 4, 8} (EXPERIMENTS.md "Lane-striped digest"): four chains keep
-/// the multiplier busy every cycle, eight only spill registers.
-const LANES: usize = 4;
+/// Independent chains of the mix digest. Chosen by measurement from
+/// {4, 8} (EXPERIMENTS.md "Word-wise digest"): four chains leave the
+/// six-cycle step latency exposed, eight fill the issue width.
+const LANES: usize = 8;
 
 /// Bytes per stripe: one little-endian 8-byte word for each lane.
 const STRIPE: usize = 8 * LANES;
 
-/// Lane `j` starts from the FNV-1a digest of the single byte `j`, so equal
-/// words in different lanes do not leave equal lane states.
+/// Lane `j` starts from `mix(FNV_OFFSET, j)`, so equal words in different
+/// lanes do not leave equal lane states.
 const LANE_BASIS: [u64; LANES] = {
     let mut basis = [0; LANES];
     let mut j = 0;
     while j < LANES {
-        basis[j] = fnv_step(FNV_OFFSET, j as u8);
+        basis[j] = mix(FNV_OFFSET, j as u64);
         j += 1;
     }
     basis
 };
 
-/// Fold the lane states, in lane order, into one chain state: a word-wise
-/// xor-multiply, bijective in each lane with the others fixed and
-/// sensitive to their order.
+/// The little-endian word of up to eight bytes, zero-padded.
 #[inline(always)]
-fn fold_lanes(lanes: [u64; LANES]) -> u64 {
-    lanes
-        .iter()
-        .fold(FNV_OFFSET, |h, &lane| h.wrapping_mul(FNV_PRIME) ^ lane)
+fn le_word(bytes: &[u8]) -> u64 {
+    let mut word = [0; 8];
+    word[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(word)
 }
 
-/// Lane-striped FNV-1a 64, the `fnv` half of [`Checksum`]. The input is
-/// cut into 32-byte stripes; word `j` (bytes `8j..8j + 8`) of every stripe
-/// feeds lane `j`, an ordinary byte-wise FNV-1a chain from its own offset
-/// basis; after the last whole stripe the four lanes are folded in order
-/// by `h = h * P ^ lane` from the FNV offset basis, and the remaining
-/// `len % 32` bytes continue byte-wise on the folded state.
-///
-/// Byte-at-a-time reference kernel: this function *defines* the digest;
-/// [`fnv1a64_lanes`] computes it with the four chains in flight at once
-/// and is tested against this.
-pub fn fnv1a64_striped(data: &[u8]) -> u64 {
-    let (stripes, tail) = data.split_at(data.len() - data.len() % STRIPE);
-    let mut lanes = LANE_BASIS;
-    for (i, &b) in stripes.iter().enumerate() {
-        let lane = i % STRIPE / 8;
-        lanes[lane] = fnv_step(lanes[lane], b);
-    }
-    tail.iter().fold(fold_lanes(lanes), |h, &b| fnv_step(h, b))
-}
-
-/// [`fnv1a64_striped`], the four chains in flight at once: the `fnv` half
-/// of [`Checksum::of`]. Each lane's chain is one multiply latency per
-/// byte, but the four chains are independent, so a multiply issues every
-/// cycle. Each step reads its byte straight from the stripe — one
-/// zero-extending load — rather than shifting it out of a loaded word
-/// (EXPERIMENTS.md "Carry-less CRC"): the loads go to the load ports, and
-/// the shifts would have competed with the xors for the ALUs.
-pub fn fnv1a64_lanes(data: &[u8]) -> u64 {
+/// Word-wise mix digest, the `mix` half of [`Checksum`]. The input is cut
+/// into stripes of `LANES` little-endian 8-byte words; word `j` of every
+/// stripe feeds lane `j` by the `mix` step. After the last whole stripe the
+/// lanes fold in order, `h = mix(h, lane)` from the FNV offset basis; the
+/// `len % STRIPE` tail follows as zero-padded words, and the byte length
+/// is mixed in last. One multiply per 8 bytes, with the `LANES` chains
+/// in flight at once.
+pub fn mix64(data: &[u8]) -> u64 {
     let mut lanes = LANE_BASIS;
     let mut stripes = data.chunks_exact(STRIPE);
     for stripe in &mut stripes {
         let stripe: &[u8; STRIPE] = stripe.try_into().expect("chunks_exact yields a stripe");
-        for i in 0..8 {
-            for (j, lane) in lanes.iter_mut().enumerate() {
-                *lane = fnv_step(*lane, stripe[8 * j + i]);
-            }
+        for (j, lane) in lanes.iter_mut().enumerate() {
+            *lane = mix(*lane, le_word(&stripe[8 * j..8 * j + 8]));
         }
     }
-    stripes
+    let h = lanes.iter().fold(FNV_OFFSET, |h, &lane| mix(h, lane));
+    let h = stripes
         .remainder()
-        .iter()
-        .fold(fold_lanes(lanes), |h, &b| fnv_step(h, b))
+        .chunks(8)
+        .fold(h, |h, word| mix(h, le_word(word)));
+    mix(h, data.len() as u64)
 }
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected), one table lookup per byte.
@@ -340,22 +326,21 @@ mod clmul {
 /// bytes, compared together.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Checksum {
-    /// Lane-striped FNV-1a 64 digest ([`fnv1a64_striped`]) — not the
-    /// single-chain [`fnv1a64`] of the same bytes.
-    pub fnv: u64,
+    /// Word-wise mix digest ([`mix64`]).
+    pub mix: u64,
     /// CRC-32 digest ([`crc32`]).
     pub crc: u32,
 }
 
 impl Checksum {
     /// Compute the checksum of `data`: two single-purpose passes over the
-    /// same bytes, [`fnv1a64_lanes`] and [`crc32_fast`]. The second pass
-    /// reads what the first left in L1; kept apart, neither loop's
-    /// registers and ports crowd the other's (EXPERIMENTS.md "Carry-less
-    /// CRC" has the fused loop this replaced).
+    /// same bytes, [`mix64`] and [`crc32_fast`]. The second pass reads
+    /// what the first left in L1; kept apart, neither loop's registers
+    /// and ports crowd the other's (EXPERIMENTS.md "Word-wise digest" has
+    /// the fused loop measured against them).
     pub fn of(data: &[u8]) -> Checksum {
         Checksum {
-            fnv: fnv1a64_lanes(data),
+            mix: mix64(data),
             crc: crc32_fast(data),
         }
     }
@@ -366,7 +351,7 @@ impl Checksum {
     /// every host.
     pub fn of_portable(data: &[u8]) -> Checksum {
         Checksum {
-            fnv: fnv1a64_lanes(data),
+            mix: mix64(data),
             crc: !crc_slice16(!0, data),
         }
     }
@@ -412,40 +397,62 @@ mod tests {
         (0..len).map(|i| i as u8).collect()
     }
 
+    /// The mix digest word by word, straight from its definition: the
+    /// reference [`mix64`] is held to. Word `i` of the whole stripes goes
+    /// to lane `i % LANES`; every tail word is assembled byte by byte.
+    fn mix_reference(data: &[u8]) -> u64 {
+        let whole = data.len() - data.len() % STRIPE;
+        let word = |at: usize| {
+            (0..8).fold(0u64, |w, i| {
+                w | u64::from(data.get(at + i).copied().unwrap_or(0)) << (8 * i)
+            })
+        };
+        let mut lanes: Vec<u64> = (0..LANES as u64).map(|j| mix(FNV_OFFSET, j)).collect();
+        for i in 0..whole / 8 {
+            lanes[i % LANES] = mix(lanes[i % LANES], word(8 * i));
+        }
+        let mut h = lanes.iter().fold(FNV_OFFSET, |h, &lane| mix(h, lane));
+        for at in (whole..data.len()).step_by(8) {
+            h = mix(h, word(at));
+        }
+        mix(h, data.len() as u64)
+    }
+
     #[test]
     fn fused_kernel_known_vectors() {
-        // The striped digest of "", "a" and "123456789" (tail only), and of
-        // the counting bytes 0, 1, 2, … one short of a stripe, one stripe,
-        // one over, two stripes and two plus one. Worked out from the
-        // definition outside this crate; the CRC column is the standard
-        // CRC-32 of the same bytes.
+        // The mix digest of "", "a" and "123456789", and of the counting
+        // bytes 0, 1, 2, … 31, 32 and 33 long (all tail: zero-padded
+        // words), one stripe and one over. Worked out from the definition
+        // outside this crate; the CRC column is the standard CRC-32 of the
+        // same bytes.
         let vectors: [(&[u8], u64, u32); 8] = [
-            (b"", 0x9f05798b0448e9a1, 0),
-            (b"a", 0x7f37473847e53140, 0xe8b7be43),
-            (b"123456789", 0x2048710eee6a45f0, 0xcbf43926),
-            (&counting(31), 0xe2bb9a9ceaacd664, 0x4d786d77),
-            (&counting(32), 0x860c241aa195b821, 0x91267e8a),
-            (&counting(33), 0x5c595a409167a9b3, 0xe4908305),
-            (&counting(64), 0x660d53a5155fd921, 0x100ece8c),
-            (&counting(65), 0xc87e828351de5fd3, 0x40c06fd8),
+            (b"", 0x7f2e7adba4e689ac, 0),
+            (b"a", 0x6af33882f3dcf987, 0xe8b7be43),
+            (b"123456789", 0xca305d4cfa7aabd1, 0xcbf43926),
+            (&counting(31), 0xdfe6a050fffc6a35, 0x4d786d77),
+            (&counting(32), 0xfff7075fbd7ddf99, 0x91267e8a),
+            (&counting(33), 0x56c0d6fa2020ace2, 0xe4908305),
+            (&counting(64), 0x9e624990be9170b9, 0x100ece8c),
+            (&counting(65), 0x76db3d7bb28d5923, 0x40c06fd8),
         ];
-        for (data, fnv, crc) in vectors {
-            assert_eq!(Checksum::of(data), Checksum { fnv, crc }, "{data:?}");
+        for (data, mix, crc) in vectors {
+            assert_eq!(Checksum::of(data), Checksum { mix, crc }, "{data:?}");
             assert_eq!(
                 Checksum::of_portable(data),
-                Checksum { fnv, crc },
+                Checksum { mix, crc },
                 "{data:?}"
             );
-            assert_eq!(fnv1a64_striped(data), fnv, "{data:?}");
+            assert_eq!(mix_reference(data), mix, "{data:?}");
             assert_eq!(crc32(data), crc, "{data:?}");
         }
     }
 
-    /// Every length 0..=320 at 16 offsets through the dispatched and the
-    /// portable kernel, and through the carry-less fold itself from its
-    /// 64-byte minimum where the CPU has it: every fold branch (four
-    /// accumulators, zero to four single folds, every `len % 16` tail) on
-    /// every host, and the portable loop on a `pclmulqdq` host too.
+    /// Every length 0..=320 (up to five stripes and every tail) at 16
+    /// offsets through the dispatched and the portable kernel, and through
+    /// the carry-less fold itself from its 64-byte minimum where the CPU
+    /// has it: every fold branch (four accumulators, zero to four single
+    /// folds, every `len % 16` tail) on every host, and the portable loop
+    /// on a `pclmulqdq` host too.
     #[test]
     fn every_short_length_and_offset_matches_the_references() {
         let buffer: Vec<u8> = (0..336u32)
@@ -457,7 +464,7 @@ mod tests {
             for len in 0..=320 {
                 let d = &buffer[offset..offset + len];
                 let reference = Checksum {
-                    fnv: fnv1a64_striped(d),
+                    mix: mix_reference(d),
                     crc: crc32(d),
                 };
                 assert_eq!(Checksum::of(d), reference, "offset {offset}, len {len}");
@@ -503,7 +510,7 @@ mod tests {
                 }
                 tampered[at] = value;
                 let bad = Checksum::of(&tampered);
-                assert_ne!(bad.fnv, clean.fnv, "byte {at} -> {value}");
+                assert_ne!(bad.mix, clean.mix, "byte {at} -> {value}");
                 assert_ne!(bad.crc, clean.crc, "byte {at} -> {value}");
             }
         }
@@ -511,8 +518,9 @@ mod tests {
 
     #[test]
     fn word_order_is_bound() {
-        // Swapping two 8-byte words moves the FNV half whether they share
-        // a stripe (two lanes change) or a lane (one chain reordered).
+        // Swapping two 8-byte words moves the mix half whether they share
+        // a stripe (two lanes change), a lane (one chain reordered) or the
+        // tail.
         let data = counting(3 * STRIPE + 5);
         let clean = Checksum::of(&data);
         let words = data.len() / 8;
@@ -522,7 +530,7 @@ mod tests {
                 for i in 0..8 {
                     swapped.swap(8 * a + i, 8 * b + i);
                 }
-                assert_ne!(Checksum::of(&swapped).fnv, clean.fnv, "words {a} and {b}");
+                assert_ne!(Checksum::of(&swapped).mix, clean.mix, "words {a} and {b}");
             }
         }
     }
@@ -530,13 +538,14 @@ mod tests {
     #[test]
     fn length_is_bound() {
         // Zero bytes appended or cut — whole stripes of them included —
-        // change the FNV half: a zero byte still multiplies its chain.
+        // change the mix half: the tail's zero padding cannot tell them
+        // apart, so the length is mixed in last.
         for base in [0, 1, 31, 32, 33, 64, 100] {
             let mut data = counting(base);
-            let mut seen = vec![Checksum::of(&data).fnv];
+            let mut seen = vec![Checksum::of(&data).mix];
             for _ in 0..3 * STRIPE {
                 data.push(0);
-                let grown = Checksum::of(&data).fnv;
+                let grown = Checksum::of(&data).mix;
                 assert!(
                     !seen.contains(&grown),
                     "{base} + {} zero bytes",
@@ -544,6 +553,27 @@ mod tests {
                 );
                 seen.push(grown);
             }
+        }
+    }
+
+    #[test]
+    fn every_two_bit_flip_moves_the_mix_half() {
+        // Exhaustive over every pair of bits of two stripes and a 5-byte
+        // tail, the mix half alone. Two flips in one word are one changed
+        // word; bit 63 flipped in two consecutive words of one lane is
+        // what a plain xor-multiply chain cancels — `(h ^ 2^63) * K` is
+        // `h * K ^ 2^63` — and the xorshift carries it down to bit 31.
+        let mut data = counting(2 * STRIPE + 5);
+        let clean = mix64(&data);
+        let bits = data.len() * 8;
+        for a in 0..bits {
+            corrupt_bit(&mut data, a);
+            for b in a + 1..bits {
+                corrupt_bit(&mut data, b);
+                assert_ne!(mix64(&data), clean, "bits {a} and {b}");
+                corrupt_bit(&mut data, b);
+            }
+            corrupt_bit(&mut data, a);
         }
     }
 

@@ -10,8 +10,9 @@
 //! * [`coding`] — deterministic systematic erasure coding (any k of n
 //!   coded blocks reconstruct a dataset; implemented here — no external
 //!   coding crates);
-//! * [`integrity`] — checksum algorithms (FNV-1a and CRC-32, implemented
-//!   here: no external hashing crates) and corruption detection;
+//! * [`integrity`] — checksum algorithms (a word-wise multiply–xorshift
+//!   digest and CRC-32, implemented here: no external hashing crates) and
+//!   corruption detection;
 //! * [`repository`] — the partitioned repository with quotas and eviction.
 //!
 //! The crate's only `unsafe` is the carry-less-multiply CRC in

@@ -3,7 +3,7 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use scdn_storage::coding::{decode_blocks, encode_blocks, CodingError, CodingSpec};
-use scdn_storage::integrity::{corrupt_bit, crc32, fnv1a64_striped, Checksum};
+use scdn_storage::integrity::{corrupt_bit, crc32, mix64, Checksum};
 use scdn_storage::object::{Dataset, DatasetId, Segment, SegmentId, Sensitivity};
 use scdn_storage::repository::{Partition, StorageRepository};
 
@@ -69,9 +69,10 @@ proptest! {
 
     /// The dispatched kernel (`Checksum::of`: carry-less CRC where the CPU
     /// has it) and the portable one (`Checksum::of_portable`, slice-by-16
-    /// on every host), each against the two byte-at-a-time reference
-    /// kernels, on windows of one larger buffer so the loops start at
-    /// every alignment and end on every `len % 32` tail.
+    /// on every host), each against the definitions of the two halves —
+    /// `mix64` and the byte-at-a-time `crc32` — on windows of one larger
+    /// buffer so the loops start at every alignment and end on every
+    /// `len % 64` tail.
     #[test]
     fn fused_checksum_matches_reference_kernels(
         buffer in proptest::collection::vec(any::<u8>(), 70_064..=70_064),
@@ -81,7 +82,7 @@ proptest! {
     ) {
         for len in [len, short] {
             let d = &buffer[offset..offset + len];
-            let reference = Checksum { fnv: fnv1a64_striped(d), crc: crc32(d) };
+            let reference = Checksum { mix: mix64(d), crc: crc32(d) };
             prop_assert_eq!(Checksum::of(d), reference);
             prop_assert_eq!(Checksum::of_portable(d), reference);
         }
@@ -121,6 +122,21 @@ proptest! {
         padded.resize(content.len() + zeros, 0);
         prop_assert!(!checksum.verify(&padded));
         prop_assert!(!Checksum::of(&padded).verify(&content));
+    }
+
+    /// Any one aligned 8-byte word replaced by any other value moves the
+    /// mix half on its own: every step is a bijection in its word and in
+    /// the state, so the changed lane (or tail) state survives to the end.
+    #[test]
+    fn replacing_one_word_moves_the_mix_half(
+        content in proptest::collection::vec(any::<u8>(), 8..4096),
+        at in any::<usize>(),
+        word in any::<u64>(),
+    ) {
+        let at = 8 * (at % (content.len() / 8));
+        let mut replaced = content.clone();
+        replaced[at..at + 8].copy_from_slice(&word.to_le_bytes());
+        prop_assert_eq!(mix64(&replaced) == mix64(&content), replaced == content);
     }
 
     #[test]
