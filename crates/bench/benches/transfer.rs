@@ -60,9 +60,16 @@ fn transfers(c: &mut Criterion) {
             for s in dst.list(Partition::Replica) {
                 dst.remove(Partition::Replica, s, false).expect("evicted");
             }
-            engine
-                .transfer_many(0, 1, &src, &dst, std::hint::black_box(&ids))
-                .expect("delivers");
+            let (_, error) = engine.transfer_many_observed(
+                0,
+                1,
+                &src,
+                &dst,
+                std::hint::black_box(&ids),
+                Partition::Replica,
+                &mut |_| {},
+            );
+            assert!(error.is_none(), "delivers");
         });
     });
     group.finish();

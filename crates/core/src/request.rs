@@ -15,20 +15,19 @@
 //!     replica and records the resolve and demand accounting, and the
 //!     social-boundary rule vets it.
 //! * **Act** — a coded request runs its any-k race through the helper the
-//!   owner-offline rebuild also uses. A resolved one moves each segment
-//!   in turn: fetch and verify at the source, simulate its retry chain
-//!   ([`TransferEngine::simulate_segment`], a pure hash of endpoints ×
-//!   segment × attempt), refuse a delivered segment without the owner's
-//!   digest, and store it, where the repository's quota rule is the only
-//!   one. Then the cache touches, opportunistic promotion, metrics and
-//!   clock advance follow.
+//!   owner-offline rebuild also uses. A resolved one moves its segments
+//!   with one call of the transfer client every repository shares,
+//!   [`TransferEngine::transfer_segments`]: each attempt is counted and
+//!   traced as it is observed, and a delivered segment without the owner's
+//!   digest is refused. Then the cache touches, opportunistic promotion,
+//!   metrics and clock advance follow.
 //!
 //! A failed transfer removes the segments it added. A copy the requester
 //! already held is overwritten only once every segment has arrived, so a
 //! failed request leaves the user partition as it found it.
 //!
 //! [resolve]: scdn_alloc::server::AllocationServer::resolve_csr
-//! [`TransferEngine::simulate_segment`]: scdn_net::transfer::TransferEngine::simulate_segment
+//! [`TransferEngine::transfer_segments`]: scdn_net::transfer::TransferEngine::transfer_segments
 
 use scdn_alloc::server::AllocationError;
 use scdn_alloc::CodedInventory;
@@ -36,7 +35,6 @@ use scdn_graph::NodeId;
 use scdn_net::transfer::TransferError;
 use scdn_obs::{SpanKind, SpanStatus, TraceBuilder};
 use scdn_storage::coding::CodingSpec;
-use scdn_storage::integrity::Checksum;
 use scdn_storage::object::{DatasetId, Segment, SegmentId};
 use scdn_storage::repository::{Partition, RepoError, StorageRepository};
 
@@ -151,7 +149,10 @@ impl Scdn {
         if !decision.allowed() {
             return Err((ScdnError::Access(decision), SpanStatus::Denied));
         }
-        let (owner, recorded) = (meta.owner, meta.segment_digests.clone());
+        let owner = meta.owner;
+        let segments: Vec<SegmentId> = (0..meta.segment_digests.len() as u32)
+            .map(|ordinal| SegmentId { dataset, ordinal })
+            .collect();
         let discover_start = std::time::Instant::now();
         // A coded dataset within reach races its blocks; any other request
         // resolves one replica.
@@ -197,7 +198,7 @@ impl Scdn {
             // Self-service: the requester already holds a replica.
             (0.0, 0)
         } else {
-            match self.receive_segments(tb, node, src, dataset, &recorded) {
+            match self.receive_segments(tb, node, src, &segments) {
                 Ok(moved) => moved,
                 Err(e) => {
                     self.social_metrics
@@ -215,9 +216,6 @@ impl Scdn {
                 .record_exchange(src.index(), node.index(), total_bytes, true);
             self.clients[src.index()].record_served(total_bytes);
         }
-        let segments: Vec<SegmentId> = (0..recorded.len() as u32)
-            .map(|ordinal| SegmentId { dataset, ordinal })
-            .collect();
         // Bump recency/frequency for the serving node's copies.
         self.caches[src.index()].touch_all(segments.iter().copied());
         self.clock = self.clock.plus_millis(total_ms as u64);
@@ -270,84 +268,36 @@ impl Scdn {
         (coded_distinct(&donors, spec.n()) >= spec.k as usize).then_some((spec, donors))
     }
 
-    /// Move `dataset`'s segments — one per digest the owner `recorded` —
-    /// from `src` into `node`'s user partition, tracing and counting every
-    /// attempt as it is observed. Per segment: fetch from the source
-    /// (verify-on-read), simulate the retry chain, refuse a delivered
-    /// segment whose checksum is not the owner's digest, then store it.
-    /// Copies `node` already holds are overwritten once every segment has
-    /// arrived; a failure removes the segments this call added. Returns
+    /// Move `segments` from `src` into `node`'s user partition through
+    /// the one transfer loop, counting and tracing every attempt as it is
+    /// observed and refusing a segment without the owner's digest. Returns
     /// the transfer's simulated time and bytes.
     fn receive_segments(
         &self,
         tb: &mut TraceBuilder,
         node: NodeId,
         src: NodeId,
-        dataset: DatasetId,
-        recorded: &[Checksum],
+        segments: &[SegmentId],
     ) -> Result<(f64, u64), TransferError> {
-        let (src_repo, dst_repo) = (&self.repos[src.index()], &self.repos[node.index()]);
-        let mut added = Vec::new();
-        let mut held = Vec::new();
-        let mut segment_ms = Vec::with_capacity(recorded.len());
-        let mut total_bytes = 0u64;
-        let moved = recorded
-            .iter()
-            .zip(0u32..)
-            .try_for_each(|(&digest, ordinal)| {
-                let s = SegmentId { dataset, ordinal };
-                let seg = src_repo.fetch_any(s).map_err(|e| match e {
-                    RepoError::IntegrityFailure(id) => TransferError::SourceCorrupt(id),
-                    _ => TransferError::SourceMissing(s),
-                })?;
-                let bytes = seg.len() as u64;
-                let sim = self
-                    .engine
-                    .simulate_segment(src.index(), node.index(), s, bytes);
-                for rec in &sim.attempts {
-                    self.count_attempt(rec.outcome);
-                    tb.attempt(
-                        attempt_status(rec.outcome),
-                        rec.duration_ms,
-                        rec.attempt,
-                        src.0,
-                    );
-                }
-                if !sim.delivered {
-                    return Err(TransferError::RetriesExhausted {
-                        segment: s,
-                        attempts: self.engine.max_attempts,
-                    });
-                }
-                if seg.checksum != digest {
-                    // Delivered, then refused: the source rewrote the segment
-                    // under a digest of its own.
-                    self.owner_digest_mismatch.inc();
-                    return Err(TransferError::SourceCorrupt(s));
-                }
-                if dst_repo.contains_in(Partition::User, s) {
-                    held.push(seg);
-                } else {
-                    dst_repo
-                        .store(Partition::User, seg)
-                        .map_err(TransferError::Destination)?;
-                    added.push(s);
-                }
-                segment_ms.push(sim.elapsed_ms);
-                total_bytes += bytes;
-                Ok(())
-            });
-        let moved = moved
-            .and_then(|()| store_user_segments(dst_repo, held).map_err(TransferError::Destination));
-        if let Err(error) = moved {
-            for id in added {
-                let _ = dst_repo.remove(Partition::User, id, true);
-            }
-            return Err(error);
+        let src_repo = &self.repos[src.index()];
+        let (reports, error) = self.engine.transfer_segments(
+            src.index(),
+            node.index(),
+            segments,
+            &|id| src_repo.fetch_any(id),
+            &self.repos[node.index()],
+            Partition::User,
+            &mut |rec| {
+                self.count_attempt(rec.outcome);
+                let status = attempt_status(rec.outcome);
+                tb.attempt(status, rec.duration_ms, rec.attempt, src.0);
+            },
+            &mut |seg| self.carries_owner_digest(seg),
+        );
+        match error {
+            Some(e) => Err(e),
+            None => Ok(self.moved(&reports)),
         }
-        // Segments move in waves of `concurrency` parallel streams; with
-        // concurrency 1 this is the serial sum of per-segment times.
-        Ok((self.engine.aggregate_elapsed_ms(&segment_ms), total_bytes))
     }
 
     /// Count a served request as a social hit or a miss, and sample its

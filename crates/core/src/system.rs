@@ -24,7 +24,9 @@ use scdn_middleware::authz::{AccessDecision, AccessPolicy};
 use scdn_net::failure::{AttemptOutcome, FailureModel};
 use scdn_net::overlay::{PeerCertificate, SocialOverlay};
 use scdn_net::topology::{LinkQuality, Topology};
-use scdn_net::transfer::{CodedFetchReport, CodedSource, TransferEngine, TransferError};
+use scdn_net::transfer::{
+    CodedFetchReport, CodedSource, TransferEngine, TransferError, TransferReport,
+};
 use scdn_obs::{
     Counter, Gauge, HistogramConfig, Registry, SharedHistogram, SpanStatus, TraceCollector,
 };
@@ -718,19 +720,24 @@ impl Scdn {
 
     /// `true` if `seg`, received from another member, carries the digest
     /// the owner recorded for it — not merely one its own bytes match. A
-    /// 12-byte compare: the sender's read already digested the bytes.
+    /// 12-byte compare: the sender's read already digested the bytes. The
+    /// one place a refusal is counted (`core.transfer.owner_digest_mismatch`).
     fn carries_owner_digest(&self, seg: &Segment) -> bool {
-        let Some(meta) = self.datasets.get(&seg.id.dataset) else {
-            return false;
-        };
-        let recorded = match CodedBlockId::from_segment_id(seg.id) {
-            Some(block) => meta
-                .block_digests
-                .get()
-                .and_then(|d| d.get(block.index as usize)),
-            None => meta.segment_digests.get(seg.id.ordinal as usize),
-        };
-        recorded == Some(&seg.checksum)
+        let recorded =
+            self.datasets.get(&seg.id.dataset).and_then(
+                |meta| match CodedBlockId::from_segment_id(seg.id) {
+                    Some(block) => meta
+                        .block_digests
+                        .get()
+                        .and_then(|d| d.get(block.index as usize)),
+                    None => meta.segment_digests.get(seg.id.ordinal as usize),
+                },
+            );
+        let carries = recorded == Some(&seg.checksum);
+        if !carries {
+            self.owner_digest_mismatch.inc();
+        }
+        carries
     }
 
     /// Hold every block a coded fetch landed to the owner's digests. A
@@ -742,27 +749,38 @@ impl Scdn {
         partition: Partition,
         rep: &CodedFetchReport,
     ) -> Result<(), TransferError> {
-        let mut forged = rep
-            .landed
-            .iter()
-            .filter(|seg| !self.carries_owner_digest(seg));
-        let Some(first) = forged.next() else {
+        // Every block is checked, so every forged one is counted.
+        let mut first = None;
+        for seg in &rep.landed {
+            if !self.carries_owner_digest(seg) {
+                first.get_or_insert(seg.id);
+            }
+        }
+        let Some(first) = first else {
             return Ok(());
         };
-        self.owner_digest_mismatch.add(1 + forged.count() as u64);
         discard_landed(dst_repo, partition, rep);
-        Err(TransferError::SourceCorrupt(first.id))
+        Err(TransferError::SourceCorrupt(first))
     }
 
     /// Count one network attempt in `net.attempts.*` — the one place an
-    /// attempt is counted, whether a transfer engine observes it or a
-    /// request's segment loop does.
+    /// attempt is counted, whether the plain-segment loop
+    /// (`TransferEngine::transfer_segments`) or the any-k race observes it.
     fn count_attempt(&self, outcome: AttemptOutcome) {
         match outcome {
             AttemptOutcome::Delivered => self.att_delivered.inc(),
             AttemptOutcome::Lost => self.att_lost.inc(),
             AttemptOutcome::Corrupted => self.att_corrupted.inc(),
         }
+    }
+
+    /// The simulated wall-clock and bytes of the segments a transfer
+    /// `reports` moved: waves of `transfer_concurrency` parallel streams,
+    /// each costing its slowest member (with concurrency 1, the serial sum).
+    fn moved(&self, reports: &[TransferReport]) -> (f64, u64) {
+        let segment_ms: Vec<f64> = reports.iter().map(|r| r.duration_ms).collect();
+        let bytes = reports.iter().map(|r| r.bytes).sum();
+        (self.engine.aggregate_elapsed_ms(&segment_ms), bytes)
     }
 
     /// The any-k fetch, shared by a coded request's apply and the
@@ -1041,19 +1059,19 @@ impl Scdn {
             // replica must not squat in the candidate's replica partition,
             // since the catalog never learns about it and nothing would
             // ever reclaim that space.
-            let (reports, error) = self.engine.transfer_many_observed(
+            let src_repo = &self.repos[owner.index()];
+            let (reports, error) = self.engine.transfer_segments(
                 owner.index(),
                 cand.index(),
-                &self.repos[owner.index()],
-                &self.repos[cand.index()],
                 &segments,
+                &|id| src_repo.fetch_any(id),
+                &self.repos[cand.index()],
                 Partition::Replica,
                 &mut |r| self.count_attempt(r.outcome),
+                &mut |seg| self.carries_owner_digest(seg),
             );
             let failed = error.is_some();
-            let segment_ms: Vec<f64> = reports.iter().map(|r| r.duration_ms).collect();
-            let total_bytes: u64 = reports.iter().map(|r| r.bytes).sum();
-            let total_ms = self.engine.aggregate_elapsed_ms(&segment_ms);
+            let (total_ms, total_bytes) = self.moved(&reports);
             self.social_metrics
                 .record_exchange(owner.index(), cand.index(), total_bytes, !failed);
             self.cdn_metrics.bytes_transferred += total_bytes;
@@ -1214,34 +1232,30 @@ impl Scdn {
             if !online {
                 continue;
             }
-            let res = self.engine.transfer_payload_observed(
+            let (reports, error) = self.engine.transfer_segments(
                 src.index(),
                 cand.index(),
+                &[seg.id],
+                &|_| Ok(seg.clone()),
                 &self.repos[cand.index()],
-                seg,
                 Partition::Replica,
                 &mut |r| self.count_attempt(r.outcome),
+                &mut |s| self.carries_owner_digest(s),
             );
-            match res {
-                Ok(report) => {
-                    self.social_metrics.record_exchange(
-                        src.index(),
-                        cand.index(),
-                        report.bytes,
-                        true,
-                    );
-                    self.cdn_metrics.bytes_transferred += report.bytes;
-                    self.clock = self.clock.plus_millis(report.duration_ms as u64);
-                    self.alloc.add_coded_blocks(dataset, cand, &[block])?;
-                    self.caches[cand.index()].set_pinned(seg.id, true);
-                    added.push(cand);
-                    next = queue.next();
-                }
-                Err(_) => {
-                    self.social_metrics
-                        .record_exchange(src.index(), cand.index(), 0, false);
-                }
+            if error.is_some() {
+                self.social_metrics
+                    .record_exchange(src.index(), cand.index(), 0, false);
+                continue;
             }
+            let (ms, bytes) = self.moved(&reports);
+            self.social_metrics
+                .record_exchange(src.index(), cand.index(), bytes, true);
+            self.cdn_metrics.bytes_transferred += bytes;
+            self.clock = self.clock.plus_millis(ms as u64);
+            self.alloc.add_coded_blocks(dataset, cand, &[block])?;
+            self.caches[cand.index()].set_pinned(seg.id, true);
+            added.push(cand);
+            next = queue.next();
         }
         self.record_coded_redundancy(dataset, spec);
         Ok(added)

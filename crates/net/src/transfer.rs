@@ -1,16 +1,27 @@
-//! Third-party transfer engine (the GlobusTransfer substitute).
+//! Third-party transfer engine (the GlobusTransfer substitute): each
+//! repository's one transfer client.
 //!
-//! A transfer moves one segment from a source repository to a destination
-//! repository's replica partition. The engine:
+//! Two loops move bytes. [`TransferEngine::transfer_segments`] moves a
+//! list of plain segments from one source into one destination partition,
+//! all or nothing; requests, replica fan-in and rebuilt coded blocks all
+//! go through it. [`TransferEngine::transfer_coded_observed`] races coded
+//! blocks from many donors until any k land. Both:
 //!
-//! * models duration from the topology (latency + size / bottleneck
+//! * model duration from the topology (latency + size / bottleneck
 //!   bandwidth);
-//! * injects losses/corruption per the failure model, retrying up to a cap
-//!   with the attempt count recorded;
-//! * verifies the checksum at the destination before accepting delivery
+//! * inject losses/corruption per the failure model, retrying up to a cap
+//!   with the attempt count recorded
+//!   ([`simulate_segment`](TransferEngine::simulate_segment), which only
+//!   these two loops call);
+//! * verify the checksum at the destination before accepting delivery
 //!   (a corrupted attempt counts as failed and is retried);
-//! * supports *third-party* initiation: the caller need not be either
+//! * support *third-party* initiation: the caller need not be either
 //!   endpoint, exactly like Globus' control/data channel split.
+
+// `simulate_segment` is disallowed outside this file (root
+// `clippy.toml`): the two loops here are the only code that runs a retry
+// chain, so the attempts every caller observes come from one place.
+#![allow(clippy::disallowed_methods)]
 
 use scdn_storage::coding::CodedBlockId;
 use scdn_storage::object::{DatasetId, Segment, SegmentId};
@@ -77,8 +88,8 @@ impl std::error::Error for TransferError {}
 
 /// One network attempt of a segment transfer, reported to the observer
 /// callback of an observed transfer (such as
-/// [`transfer_many_observed`](TransferEngine::transfer_many_observed)) as
-/// it happens. This is how higher layers trace per-attempt outcomes
+/// [`transfer_segments`](TransferEngine::transfer_segments)) as it
+/// happens. This is how higher layers trace per-attempt outcomes
 /// without the transfer engine depending on any telemetry crate.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AttemptRecord {
@@ -96,8 +107,9 @@ pub struct AttemptRecord {
 /// Pure simulation of one segment's retry chain: what the network would do
 /// to every attempt, with no repository access and no observer side
 /// effects. Produced by
-/// [`simulate_segment`](TransferEngine::simulate_segment); the caller
-/// counts and traces each attempt and stores the delivered segment.
+/// [`simulate_segment`](TransferEngine::simulate_segment); the loop that
+/// called it shows each attempt to its observer and stores the delivered
+/// segment.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SegmentSim {
     /// Every attempt in order, including the final delivered one (when
@@ -201,10 +213,8 @@ impl TransferEngine {
     ///
     /// The per-attempt outcome comes from [`FailureModel::outcome`], a
     /// stateless hash of `(src, dst, segment key, attempt)` — so the result
-    /// is independent of call order. The observed transfers run this
-    /// simulation against real repositories, so a request that moves its
-    /// segments through `simulate_segment` sees exactly the attempts and
-    /// timings a live transfer would produce.
+    /// is independent of call order. Only this file's two loops call it
+    /// (a lint keeps it so); `benchmark/`'s probe times it alone.
     pub fn simulate_segment(
         &self,
         src: usize,
@@ -272,143 +282,98 @@ impl TransferEngine {
             .sum()
     }
 
-    /// Move `segment` from `src_repo` (node index `src`) into the replica
-    /// partition of `dst_repo` (node index `dst`).
+    /// The one loop that moves plain segments from node `src` into
+    /// `dst_repo` (node index `dst`)'s `partition`: a request's download,
+    /// a replica's fan-in and a rebuilt coded block's shipment all run
+    /// here. Per segment, in order, it
     ///
-    /// This is a third-party transfer: the caller orchestrates, the
-    /// endpoints move the data.
-    pub fn transfer_segment(
-        &self,
-        src: usize,
-        dst: usize,
-        src_repo: &StorageRepository,
-        dst_repo: &StorageRepository,
-        segment: SegmentId,
-    ) -> Result<TransferReport, TransferError> {
-        self.transfer_segment_observed(
-            src,
-            dst,
-            src_repo,
-            dst_repo,
-            segment,
-            Partition::Replica,
-            &mut |_| {},
-        )
-    }
-
-    /// Like [`transfer_segment`](Self::transfer_segment) but delivering
-    /// into a chosen destination partition (user downloads land in the
-    /// user partition; CDN replication lands in the replica partition) and
-    /// invoking `observe` once per network attempt, in order, with the
-    /// outcome and charged time of each. The observer sees every attempt —
-    /// including the final delivered/failed one — before the result is
-    /// returned, so callers can build complete per-request traces.
+    /// 1. reads the segment through `fetch` (a repository's `fetch_any`,
+    ///    or a block held in memory); a read that fails verification is
+    ///    [`TransferError::SourceCorrupt`], any other miss
+    ///    [`TransferError::SourceMissing`];
+    /// 2. runs [`simulate_segment`](Self::simulate_segment) and shows
+    ///    every attempt to `observe`, in order, the exhausted ones too;
+    /// 3. refuses a delivered segment that `accept` rejects
+    ///    ([`TransferError::SourceCorrupt`]);
+    /// 4. stores it, where the repository's quota rule is the only one.
+    ///
+    /// A copy the destination already holds is overwritten only once
+    /// every segment has arrived. On the first failure the segments this
+    /// call added are removed, so a failed move leaves the destination as
+    /// it found it. The reports of the segments that arrived are returned
+    /// either way, because the caller charges the bytes and wave time that
+    /// did move even when the move failed.
     #[allow(clippy::too_many_arguments)]
-    fn transfer_segment_observed(
+    pub fn transfer_segments(
         &self,
         src: usize,
         dst: usize,
-        src_repo: &StorageRepository,
+        segments: &[SegmentId],
+        fetch: &dyn Fn(SegmentId) -> Result<Segment, RepoError>,
         dst_repo: &StorageRepository,
-        segment: SegmentId,
         partition: Partition,
         observe: &mut dyn FnMut(AttemptRecord),
-    ) -> Result<TransferReport, TransferError> {
-        let seg = match src_repo.fetch_any(segment) {
-            Ok(s) => s,
-            Err(RepoError::IntegrityFailure(id)) => return Err(TransferError::SourceCorrupt(id)),
-            Err(_) => return Err(TransferError::SourceMissing(segment)),
-        };
-        self.transfer_payload_observed(src, dst, dst_repo, &seg, partition, observe)
-    }
-
-    /// Deliver an in-memory segment from node `src` into the destination
-    /// repository, with the same retry chain, observer protocol, and
-    /// failure injection as `transfer_segment_observed` — but without requiring any source repository to hold the bytes.
-    /// This is how a dataset owner ships freshly re-encoded coded blocks
-    /// that exist nowhere on disk yet.
-    pub fn transfer_payload_observed(
-        &self,
-        src: usize,
-        dst: usize,
-        dst_repo: &StorageRepository,
-        seg: &Segment,
-        partition: Partition,
-        observe: &mut dyn FnMut(AttemptRecord),
-    ) -> Result<TransferReport, TransferError> {
-        // The network behaviour is a pure function of the endpoints and
-        // segment identity: simulate the full retry chain, then replay it
-        // against the observer and the destination repository.
-        let segment = seg.id;
-        let sim = self.simulate_segment(src, dst, segment, seg.len() as u64);
-        for record in &sim.attempts {
-            observe(*record);
-            match record.outcome {
-                AttemptOutcome::Delivered => {
-                    dst_repo
-                        .store(partition, seg.clone())
-                        .map_err(TransferError::Destination)?;
-                    return Ok(TransferReport {
-                        bytes: seg.len() as u64,
-                        duration_ms: sim.elapsed_ms,
-                        attempts: record.attempt,
-                    });
+        accept: &mut dyn FnMut(&Segment) -> bool,
+    ) -> (Vec<TransferReport>, Option<TransferError>) {
+        let mut reports = Vec::with_capacity(segments.len());
+        let mut added = Vec::new();
+        let mut held = Vec::new();
+        let moved = segments.iter().try_for_each(|&id| {
+            let seg = fetch(id).map_err(|e| match e {
+                RepoError::IntegrityFailure(bad) => TransferError::SourceCorrupt(bad),
+                _ => TransferError::SourceMissing(id),
+            })?;
+            let bytes = seg.len() as u64;
+            let sim = self.simulate_segment(src, dst, id, bytes);
+            // A lost attempt never arrives and a corrupted one fails the
+            // destination's checksum (`any_flipped_bit_fails_segment_verify`):
+            // only the delivered last attempt stores anything.
+            sim.attempts.iter().for_each(|&record| observe(record));
+            if !sim.delivered {
+                return Err(TransferError::RetriesExhausted {
+                    segment: id,
+                    attempts: self.max_attempts,
+                });
+            }
+            if !accept(&seg) {
+                return Err(TransferError::SourceCorrupt(id));
+            }
+            if dst_repo.contains_in(partition, id) {
+                held.push(seg);
+            } else {
+                dst_repo
+                    .store(partition, seg)
+                    .map_err(TransferError::Destination)?;
+                added.push(id);
+            }
+            reports.push(TransferReport {
+                bytes,
+                duration_ms: sim.elapsed_ms,
+                attempts: sim.attempts.len() as u32,
+            });
+            Ok(())
+        });
+        let moved = moved.and_then(|()| {
+            held.into_iter().try_for_each(|seg| {
+                dst_repo
+                    .store(partition, seg)
+                    .map_err(TransferError::Destination)
+            })
+        });
+        match moved {
+            Ok(()) => (reports, None),
+            Err(error) => {
+                for id in added {
+                    dst_repo.remove(partition, id, false).ok();
                 }
-                // A full attempt spent and nothing stored: a lost payload
-                // never arrives, a corrupted one fails the destination's
-                // checksum (`any_flipped_bit_fails_segment_verify`).
-                AttemptOutcome::Lost | AttemptOutcome::Corrupted => {}
+                (reports, Some(error))
             }
         }
-        Err(TransferError::RetriesExhausted {
-            segment,
-            attempts: self.max_attempts,
-        })
     }
 
-    /// Transfer a whole dataset's segments, returning per-segment reports.
-    ///
-    /// Stops at the first permanent failure and **rolls back** every
-    /// segment this call delivered, so a failed batch never leaves a
-    /// partial dataset occupying the destination's replica partition.
-    /// Segments that were already present in the destination's replica
-    /// partition before the call are left untouched (a re-delivery
-    /// overwrites in place and is not rolled back).
-    pub fn transfer_many(
-        &self,
-        src: usize,
-        dst: usize,
-        src_repo: &StorageRepository,
-        dst_repo: &StorageRepository,
-        segments: &[SegmentId],
-    ) -> Result<Vec<TransferReport>, TransferError> {
-        let (out, error) = self.transfer_many_observed(
-            src,
-            dst,
-            src_repo,
-            dst_repo,
-            segments,
-            Partition::Replica,
-            &mut |_| {},
-        );
-        match error {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
-    }
-
-    /// [`transfer_many`](Self::transfer_many) with an attempt observer, a
-    /// destination partition, and a partial-result return: the reports of
-    /// every segment that delivered (in order) plus the first permanent
-    /// failure, if one stopped the batch early.
-    ///
-    /// Rollback semantics are identical to `transfer_many` — on failure,
-    /// newly delivered segments are removed from the destination while
-    /// pre-existing copies survive — but the successful reports are kept,
-    /// because replication accounting charges the bytes and wave time of
-    /// the segments that did move even when the batch ultimately failed.
-    /// The observer sees every attempt of every processed segment,
-    /// including the retries of the segment that failed.
+    /// [`transfer_segments`](Self::transfer_segments) out of `src_repo`,
+    /// accepting every delivered segment. The name remains because
+    /// `benchmark/`'s transfer probe calls it.
     #[allow(clippy::too_many_arguments)]
     pub fn transfer_many_observed(
         &self,
@@ -420,28 +385,16 @@ impl TransferEngine {
         partition: Partition,
         observe: &mut dyn FnMut(AttemptRecord),
     ) -> (Vec<TransferReport>, Option<TransferError>) {
-        let mut out = Vec::with_capacity(segments.len());
-        let mut newly_delivered: Vec<SegmentId> = Vec::new();
-        for &s in segments {
-            let pre_existing = dst_repo.contains_in(partition, s);
-            match self
-                .transfer_segment_observed(src, dst, src_repo, dst_repo, s, partition, observe)
-            {
-                Ok(report) => {
-                    out.push(report);
-                    if !pre_existing {
-                        newly_delivered.push(s);
-                    }
-                }
-                Err(e) => {
-                    for id in newly_delivered {
-                        dst_repo.remove(partition, id, false).ok();
-                    }
-                    return (out, Some(e));
-                }
-            }
-        }
-        (out, None)
+        self.transfer_segments(
+            src,
+            dst,
+            segments,
+            &|id| src_repo.fetch_any(id),
+            dst_repo,
+            partition,
+            observe,
+            &mut |_| true,
+        )
     }
 
     /// Coded any-k-of-n multi-source fetch: race `dataset`'s coded blocks
@@ -468,8 +421,8 @@ impl TransferEngine {
     /// attempts are not observed and their bytes are not stored.
     ///
     /// **Partial-failure accounting** (distinct from
-    /// [`transfer_many_observed`](Self::transfer_many_observed)'s
-    /// all-or-nothing batches): once k blocks have landed the fetch *is*
+    /// [`transfer_segments`](Self::transfer_segments)' all-or-nothing
+    /// moves): once k blocks have landed the fetch *is*
     /// the success — later failures cannot occur (no further waves
     /// launch), and failures in earlier waves never roll back delivered
     /// blocks. Only a fetch that exhausts every donor below k rolls back
@@ -702,6 +655,31 @@ mod tests {
         )
     }
 
+    /// Move `ids` out of `a` (node 0) into `b`'s (node 1) replica
+    /// partition, every attempt handed to `observe`.
+    fn batch(
+        e: &TransferEngine,
+        a: &StorageRepository,
+        b: &StorageRepository,
+        ids: &[SegmentId],
+        observe: &mut dyn FnMut(AttemptRecord),
+    ) -> Result<Vec<TransferReport>, TransferError> {
+        match e.transfer_many_observed(0, 1, a, b, ids, Partition::Replica, observe) {
+            (reports, None) => Ok(reports),
+            (_, Some(error)) => Err(error),
+        }
+    }
+
+    /// [`batch`] of the one segment `id`.
+    fn one(
+        e: &TransferEngine,
+        a: &StorageRepository,
+        b: &StorageRepository,
+        id: SegmentId,
+    ) -> Result<TransferReport, TransferError> {
+        batch(e, a, b, &[id], &mut |_| {}).map(|reports| reports[0])
+    }
+
     fn two_node_engine(failure: FailureModel) -> TransferEngine {
         let topo = Topology::uniform(vec![(41.88, -87.63), (49.01, 8.40)], LinkQuality::default());
         TransferEngine {
@@ -719,7 +697,7 @@ mod tests {
         let b = StorageRepository::new(1 << 20);
         let s = seg(1, 0, 4096);
         a.store(Partition::User, s.clone()).expect("stored");
-        let r = e.transfer_segment(0, 1, &a, &b, s.id).expect("delivers");
+        let r = one(&e, &a, &b, s.id).expect("delivers");
         assert_eq!(r.bytes, 4096);
         assert_eq!(r.attempts, 1);
         assert!(r.duration_ms > 0.0);
@@ -736,7 +714,7 @@ mod tests {
             ordinal: 0,
         };
         assert_eq!(
-            e.transfer_segment(0, 1, &a, &b, id).unwrap_err(),
+            one(&e, &a, &b, id).unwrap_err(),
             TransferError::SourceMissing(id)
         );
     }
@@ -748,7 +726,7 @@ mod tests {
         let b = StorageRepository::new(10); // too small
         let s = seg(1, 0, 4096);
         a.store(Partition::User, s.clone()).expect("stored");
-        match e.transfer_segment(0, 1, &a, &b, s.id).unwrap_err() {
+        match one(&e, &a, &b, s.id).unwrap_err() {
             TransferError::Destination(RepoError::QuotaExceeded { .. }) => {}
             other => panic!("unexpected: {other:?}"),
         }
@@ -770,7 +748,7 @@ mod tests {
         for i in 0..200 {
             let s = seg(i, 0, 256);
             a.store(Partition::User, s.clone()).expect("stored");
-            match e.transfer_segment(0, 1, &a, &b, s.id) {
+            match one(&e, &a, &b, s.id) {
                 Ok(r) => {
                     delivered += 1;
                     if r.attempts > 1 {
@@ -805,7 +783,7 @@ mod tests {
                 seed,
                 ..FailureModel::default()
             });
-            if let Ok(r) = e.transfer_segment(0, 1, &a, &b, s.id) {
+            if let Ok(r) = one(&e, &a, &b, s.id) {
                 if r.attempts == 2 {
                     let single = e.attempt_time_ms(0, 1, 1000);
                     assert!((r.duration_ms - 1.5 * single).abs() < 1e-6);
@@ -830,7 +808,7 @@ mod tests {
                 id
             })
             .collect();
-        let reports = e.transfer_many(0, 1, &a, &b, &ids).expect("all deliver");
+        let reports = batch(&e, &a, &b, &ids, &mut |_| {}).expect("all deliver");
         assert_eq!(reports.len(), 5);
         assert_eq!(b.segment_count(Partition::Replica), 5);
     }
@@ -857,7 +835,7 @@ mod tests {
             dataset: DatasetId(3),
             ordinal: 99,
         });
-        let err = e.transfer_many(0, 1, &a, &b, &ids).unwrap_err();
+        let err = batch(&e, &a, &b, &ids, &mut |_| {}).unwrap_err();
         assert!(matches!(err, TransferError::SourceMissing(_)));
         // Only the pre-existing replica remains; the three new deliveries
         // were rolled back instead of squatting in the replica partition.
@@ -912,6 +890,77 @@ mod tests {
         assert!(b.fetch(Partition::Replica, s.id).is_err());
     }
 
+    /// The destination holds a valid copy of segment 0 with other bytes,
+    /// and the batch's last segment is missing at the source: the failed
+    /// move must leave that copy as it was, not overwritten in place.
+    #[test]
+    fn a_failed_move_keeps_a_held_copy() {
+        let e = two_node_engine(FailureModel::reliable());
+        let a = StorageRepository::new(1 << 20);
+        let b = StorageRepository::new(1 << 20);
+        let mut ids = Vec::new();
+        for ord in 0..3 {
+            let s = seg(8, ord, 512);
+            ids.push(s.id);
+            a.store(Partition::User, s).expect("stored");
+        }
+        let held = Segment::new(ids[0], Bytes::from(vec![0x11; 512]));
+        b.store(Partition::Replica, held.clone()).expect("stored");
+        ids.push(SegmentId {
+            dataset: DatasetId(8),
+            ordinal: 99,
+        });
+        let (reports, error) =
+            e.transfer_many_observed(0, 1, &a, &b, &ids, Partition::Replica, &mut |_| {});
+        assert!(matches!(error, Some(TransferError::SourceMissing(_))));
+        assert_eq!(reports.len(), 3, "three segments arrived before the miss");
+        assert_eq!(b.list(Partition::Replica), vec![held.id]);
+        let after = b.fetch(Partition::Replica, held.id).expect("kept");
+        assert_eq!(after.data, held.data, "the held copy is byte-identical");
+        assert_eq!(after.checksum, held.checksum);
+    }
+
+    /// A segment `accept` refuses after it was delivered fails the move as
+    /// [`TransferError::SourceCorrupt`], after its attempts were observed,
+    /// and the move gives back what it stored. The source here is blocks
+    /// held in memory, as a rebuilt coded block's shipment reads them.
+    #[test]
+    fn a_refused_delivery_fails_the_move_and_rolls_back() {
+        let e = two_node_engine(FailureModel::reliable());
+        let b = StorageRepository::new(1 << 20);
+        let blocks: Vec<Segment> = (0..4).map(|ord| seg(9, ord, 256)).collect();
+        let ids: Vec<SegmentId> = blocks.iter().map(|s| s.id).collect();
+        let fetch = |id: SegmentId| Ok(blocks[id.ordinal as usize].clone());
+        let mut observed = 0;
+        let (reports, error) = e.transfer_segments(
+            0,
+            1,
+            &ids,
+            &fetch,
+            &b,
+            Partition::Replica,
+            &mut |_| observed += 1,
+            &mut |s| s.id.ordinal != 2,
+        );
+        assert_eq!(error, Some(TransferError::SourceCorrupt(ids[2])));
+        assert_eq!(reports.len(), 2, "segments 0 and 1 arrived");
+        assert_eq!(observed, 3, "the refused segment's attempt was observed");
+        assert!(b.list(Partition::Replica).is_empty(), "rolled back");
+        let (reports, error) = e.transfer_segments(
+            0,
+            1,
+            &ids,
+            &fetch,
+            &b,
+            Partition::Replica,
+            &mut |_| {},
+            &mut |_| true,
+        );
+        assert!(error.is_none());
+        assert_eq!(reports.len(), 4);
+        assert_eq!(b.list(Partition::Replica), ids);
+    }
+
     #[test]
     fn simulation_matches_observed_transfer() {
         let a = StorageRepository::new(1 << 20);
@@ -927,13 +976,11 @@ mod tests {
             a.store(Partition::User, s.clone()).expect("stored");
             let sim = e.simulate_segment(0, 1, s.id, 777);
             let mut records: Vec<AttemptRecord> = Vec::new();
-            let result =
-                e.transfer_segment_observed(0, 1, &a, &b, s.id, Partition::Replica, &mut |r| {
-                    records.push(r)
-                });
+            let result = batch(&e, &a, &b, &[s.id], &mut |r| records.push(r));
             assert_eq!(records, sim.attempts, "dataset {ds}");
             match result {
-                Ok(report) => {
+                Ok(reports) => {
+                    let report = reports[0];
                     assert!(sim.delivered);
                     assert_eq!(report.duration_ms, sim.elapsed_ms);
                     assert_eq!(report.attempts, sim.attempts.len() as u32);
@@ -1349,35 +1396,6 @@ mod tests {
     }
 
     #[test]
-    fn transfer_payload_observed_matches_repo_transfer() {
-        let e = two_node_engine(FailureModel {
-            loss_prob: 0.3,
-            corruption_prob: 0.1,
-            seed: 31,
-            ..FailureModel::default()
-        });
-        for ds in 0..20 {
-            let s = seg(ds, 0, 999);
-            let a = StorageRepository::new(1 << 20);
-            let b1 = StorageRepository::new(1 << 20);
-            let b2 = StorageRepository::new(1 << 20);
-            a.store(Partition::User, s.clone()).expect("stored");
-            let via_repo =
-                e.transfer_segment_observed(0, 1, &a, &b1, s.id, Partition::Replica, &mut |_| {});
-            let via_payload =
-                e.transfer_payload_observed(0, 1, &b2, &s, Partition::Replica, &mut |_| {});
-            assert_eq!(via_repo.is_ok(), via_payload.is_ok(), "dataset {ds}");
-            if let (Ok(r1), Ok(r2)) = (via_repo, via_payload) {
-                assert_eq!(r1, r2, "identical retry chain either way");
-                assert_eq!(
-                    b1.fetch(Partition::Replica, s.id).expect("held").data,
-                    b2.fetch(Partition::Replica, s.id).expect("held").data
-                );
-            }
-        }
-    }
-
-    #[test]
     fn observer_sees_every_attempt_in_order() {
         let a = StorageRepository::new(1 << 20);
         let b = StorageRepository::new(1 << 20);
@@ -1393,12 +1411,9 @@ mod tests {
                 ..FailureModel::default()
             });
             let mut records: Vec<AttemptRecord> = Vec::new();
-            let result =
-                e.transfer_segment_observed(0, 1, &a, &b, s.id, Partition::Replica, &mut |r| {
-                    records.push(r)
-                });
-            match result {
-                Ok(report) if report.attempts > 1 => {
+            let result = batch(&e, &a, &b, &[s.id], &mut |r| records.push(r));
+            match result.as_deref() {
+                Ok(&[report]) if report.attempts > 1 => {
                     assert_eq!(records.len(), report.attempts as usize);
                     for (i, r) in records.iter().enumerate() {
                         assert_eq!(r.attempt, i as u32 + 1);

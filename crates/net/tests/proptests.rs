@@ -90,7 +90,9 @@ proptest! {
         );
         src.store(Partition::User, seg.clone()).expect("stored");
         // With 10 attempts delivery is near-certain at these rates.
-        if let Ok(report) = engine.transfer_segment(0, 1, &src, &dst, seg.id) {
+        let (reports, error) =
+            engine.transfer_many_observed(0, 1, &src, &dst, &[seg.id], Partition::Replica, &mut |_| {});
+        if let (&[report], None) = (reports.as_slice(), error) {
             prop_assert_eq!(report.bytes as usize, size);
             let got = dst.fetch(Partition::Replica, seg.id).expect("delivered");
             prop_assert_eq!(got.data.to_vec(), payload);
