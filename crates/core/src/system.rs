@@ -1013,6 +1013,10 @@ impl Scdn {
     /// prefix — until `want` replicas exist or every member has been
     /// considered, so a mostly-offline membership degrades to "as many
     /// replicas as are reachable" instead of silently under-provisioning.
+    ///
+    /// The owner seeds every new replica unless it departed; then the
+    /// first online catalog replica does, and with none nothing grows.
+    /// Either way each copy is held to the owner's digests.
     pub fn replicate_to(
         &mut self,
         dataset: DatasetId,
@@ -1033,6 +1037,14 @@ impl Scdn {
         if current.len() >= want {
             return Ok(Vec::new());
         }
+        let source = if self.departed[owner.index()] {
+            match current.iter().copied().find(|&r| self.is_online(r)) {
+                Some(replica) => replica,
+                None => return Ok(Vec::new()),
+            }
+        } else {
+            owner
+        };
         let ranked = self.placement_ranking();
         let segments = self.segment_ids(dataset)?;
         let mut added = Vec::new();
@@ -1045,7 +1057,10 @@ impl Scdn {
                 continue;
             }
             let online = self.is_online(cand);
-            let latency = self.engine.topology.latency_ms(owner.index(), cand.index());
+            let latency = self
+                .engine
+                .topology
+                .latency_ms(source.index(), cand.index());
             self.social_metrics.record_hosting_request(
                 online,
                 online.then(|| SimTime::from_millis(latency as u64)),
@@ -1059,9 +1074,9 @@ impl Scdn {
             // replica must not squat in the candidate's replica partition,
             // since the catalog never learns about it and nothing would
             // ever reclaim that space.
-            let src_repo = &self.repos[owner.index()];
+            let src_repo = &self.repos[source.index()];
             let (reports, error) = self.engine.transfer_segments(
-                owner.index(),
+                source.index(),
                 cand.index(),
                 &segments,
                 &|id| src_repo.fetch_any(id),
@@ -1073,7 +1088,7 @@ impl Scdn {
             let failed = error.is_some();
             let (total_ms, total_bytes) = self.moved(&reports);
             self.social_metrics
-                .record_exchange(owner.index(), cand.index(), total_bytes, !failed);
+                .record_exchange(source.index(), cand.index(), total_bytes, !failed);
             self.cdn_metrics.bytes_transferred += total_bytes;
             self.clock = self.clock.plus_millis(total_ms as u64);
             if failed {

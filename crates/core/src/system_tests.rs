@@ -1406,6 +1406,79 @@ fn corrupt_owner_copy_is_never_replicated() {
     }
 }
 
+/// A dataset whose sole holder departed has no source left: `replicate`
+/// must copy nothing out of the departed repository, whose bytes are
+/// still on its disk.
+#[test]
+fn departed_sole_holder_is_not_copied() {
+    let (c, sub) = community();
+    let mut scdn = Scdn::build(sub, &c.corpus, ScdnConfig::default());
+    let owner = NodeId(3);
+    let id = scdn
+        .publish(
+            owner,
+            "orphan",
+            Bytes::from(vec![7u8; 300 << 10]),
+            Sensitivity::Public,
+            None,
+        )
+        .expect("publishes");
+    scdn.depart(owner).expect("member");
+    assert!(scdn.replicas_of(id).expect("catalogued").is_empty());
+    let added = scdn.replicate(id).expect("runs");
+    assert!(
+        added.is_empty(),
+        "copied out of a departed owner: {added:?}"
+    );
+    assert!(scdn.replicas_of(id).expect("catalogued").is_empty());
+}
+
+/// After the owner departs, a surviving replica seeds the grow walk, and
+/// its copy is held to the owner's digests: one re-stored under a digest
+/// of its own bytes is refused at every candidate and counted.
+#[test]
+fn forged_survivor_copy_is_never_replicated() {
+    let (c, sub) = community();
+    let config = ScdnConfig {
+        availability: AvailabilityConfig::AlwaysOn,
+        ..ScdnConfig::default()
+    };
+    let mut scdn = Scdn::build(sub, &c.corpus, config);
+    let owner = NodeId(3);
+    let id = scdn
+        .publish(
+            owner,
+            "survivor",
+            Bytes::from(vec![9u8; 300 << 10]),
+            Sensitivity::Public,
+            None,
+        )
+        .expect("publishes");
+    scdn.replicate(id).expect("replicates");
+    scdn.depart(owner).expect("member");
+    let survivors = scdn.replicas_of(id).expect("catalogued");
+    assert!(!survivors.is_empty(), "the replicas outlive the owner");
+    for &host in &survivors {
+        let repo = scdn.repo(host).expect("member");
+        let seg = SegmentId {
+            dataset: id,
+            ordinal: 0,
+        };
+        let len = repo.fetch(Partition::Replica, seg).expect("held").len();
+        let forged = Segment::new(seg, Bytes::from(vec![0x55u8; len]));
+        repo.store(Partition::Replica, forged)
+            .expect("same size fits");
+    }
+    let before = owner_digest_mismatches(&scdn);
+    let added = scdn.replicate_to(id, survivors.len() + 2).expect("runs");
+    assert!(added.is_empty(), "a forged copy was replicated: {added:?}");
+    assert_eq!(scdn.replicas_of(id).expect("catalogued"), survivors);
+    assert!(
+        owner_digest_mismatches(&scdn) > before,
+        "the refusal is counted"
+    );
+}
+
 /// Regression for the under-provisioned candidate walk: the old
 /// `replicate` truncated the placement ranking at `want + current + 4`
 /// candidates, so when churn left most top-ranked hosts offline a
@@ -1484,8 +1557,10 @@ fn repeated_cycles_hit_the_ranking_cache() {
     // ordering was computed exactly once and sliced three more times.
     assert_eq!(misses(&scdn), 1, "one full ranking per graph");
     assert_eq!(hits(&scdn), 3, "later datasets reuse the memoized order");
-    // Knock a replica out and repair: the cycle ranks again — from cache.
-    let victim = scdn.replicas_of(datasets[0]).expect("dataset exists")[0];
+    // Knock a replica other than the owner's (`NodeId(0)`) out and repair:
+    // the cycle ranks again — from cache.
+    let victim = scdn.replicas_of(datasets[0]).expect("dataset exists")[1];
+    assert_ne!(victim, NodeId(0), "the victim is not the owner");
     let _ = scdn.depart(victim);
     scdn.tick(500);
     let before = hits(&scdn);
