@@ -149,10 +149,7 @@ impl Scdn {
         if !decision.allowed() {
             return Err((ScdnError::Access(decision), SpanStatus::Denied));
         }
-        let owner = meta.owner;
-        let segments: Vec<SegmentId> = (0..meta.segment_digests.len() as u32)
-            .map(|ordinal| SegmentId { dataset, ordinal })
-            .collect();
+        let (owner, segment_count) = (meta.owner, meta.segment_digests.len() as u32);
         let discover_start = std::time::Instant::now();
         // A coded dataset within reach races its blocks; any other request
         // resolves one replica.
@@ -194,6 +191,9 @@ impl Scdn {
             return Err(self.failed(error, SpanStatus::BoundaryBlocked));
         }
         tb.span_with_peer(SpanKind::SelectReplica, SpanStatus::Ok, 0.0, src.0);
+        let segments: Vec<SegmentId> = (0..segment_count)
+            .map(|ordinal| SegmentId { dataset, ordinal })
+            .collect();
         let (total_ms, total_bytes) = if src == node {
             // Self-service: the requester already holds a replica.
             (0.0, 0)

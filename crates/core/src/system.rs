@@ -723,16 +723,11 @@ impl Scdn {
     /// 12-byte compare: the sender's read already digested the bytes. The
     /// one place a refusal is counted (`core.transfer.owner_digest_mismatch`).
     fn carries_owner_digest(&self, seg: &Segment) -> bool {
-        let recorded =
-            self.datasets.get(&seg.id.dataset).and_then(
-                |meta| match CodedBlockId::from_segment_id(seg.id) {
-                    Some(block) => meta
-                        .block_digests
-                        .get()
-                        .and_then(|d| d.get(block.index as usize)),
-                    None => meta.segment_digests.get(seg.id.ordinal as usize),
-                },
-            );
+        let meta = self.datasets.get(&seg.id.dataset);
+        let recorded = match CodedBlockId::from_segment_id(seg.id) {
+            Some(block) => meta.and_then(|m| m.block_digests.get()?.get(block.index as usize)),
+            None => meta.and_then(|m| m.segment_digests.get(seg.id.ordinal as usize)),
+        };
         let carries = recorded == Some(&seg.checksum);
         if !carries {
             self.owner_digest_mismatch.inc();
