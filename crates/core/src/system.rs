@@ -744,14 +744,12 @@ impl Scdn {
         partition: Partition,
         rep: &CodedFetchReport,
     ) -> Result<(), TransferError> {
-        // Every block is checked, so every forged one is counted.
-        let mut first = None;
-        for seg in &rep.landed {
-            if !self.carries_owner_digest(seg) {
-                first.get_or_insert(seg.id);
-            }
-        }
-        let Some(first) = first else {
+        // `reduce` checks every block, so every forged one is counted.
+        let forged = rep
+            .landed
+            .iter()
+            .filter(|seg| !self.carries_owner_digest(seg));
+        let Some(first) = forged.map(|seg| seg.id).reduce(|first, _| first) else {
             return Ok(());
         };
         discard_landed(dst_repo, partition, rep);

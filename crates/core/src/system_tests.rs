@@ -1406,24 +1406,28 @@ fn corrupt_owner_copy_is_never_replicated() {
     }
 }
 
+/// `config`'s system with 300 KiB of `byte`s published at its owner
+/// `NodeId(3)` — replicated first if `replicated` — and then departed.
+fn departed_owner(config: ScdnConfig, byte: u8, replicated: bool) -> (Scdn, DatasetId) {
+    let (c, sub) = community();
+    let mut scdn = Scdn::build(sub, &c.corpus, config);
+    let content = Bytes::from(vec![byte; 300 << 10]);
+    let id = scdn
+        .publish(NodeId(3), "orphan", content, Sensitivity::Public, None)
+        .expect("publishes");
+    if replicated {
+        scdn.replicate(id).expect("replicates");
+    }
+    scdn.depart(NodeId(3)).expect("member");
+    (scdn, id)
+}
+
 /// A dataset whose sole holder departed has no source left: `replicate`
 /// must copy nothing out of the departed repository, whose bytes are
 /// still on its disk.
 #[test]
 fn departed_sole_holder_is_not_copied() {
-    let (c, sub) = community();
-    let mut scdn = Scdn::build(sub, &c.corpus, ScdnConfig::default());
-    let owner = NodeId(3);
-    let id = scdn
-        .publish(
-            owner,
-            "orphan",
-            Bytes::from(vec![7u8; 300 << 10]),
-            Sensitivity::Public,
-            None,
-        )
-        .expect("publishes");
-    scdn.depart(owner).expect("member");
+    let (mut scdn, id) = departed_owner(ScdnConfig::default(), 7, false);
     assert!(scdn.replicas_of(id).expect("catalogued").is_empty());
     let added = scdn.replicate(id).expect("runs");
     assert!(
@@ -1438,32 +1442,19 @@ fn departed_sole_holder_is_not_copied() {
 /// of its own bytes is refused at every candidate and counted.
 #[test]
 fn forged_survivor_copy_is_never_replicated() {
-    let (c, sub) = community();
     let config = ScdnConfig {
         availability: AvailabilityConfig::AlwaysOn,
         ..ScdnConfig::default()
     };
-    let mut scdn = Scdn::build(sub, &c.corpus, config);
-    let owner = NodeId(3);
-    let id = scdn
-        .publish(
-            owner,
-            "survivor",
-            Bytes::from(vec![9u8; 300 << 10]),
-            Sensitivity::Public,
-            None,
-        )
-        .expect("publishes");
-    scdn.replicate(id).expect("replicates");
-    scdn.depart(owner).expect("member");
+    let (mut scdn, id) = departed_owner(config, 9, true);
     let survivors = scdn.replicas_of(id).expect("catalogued");
     assert!(!survivors.is_empty(), "the replicas outlive the owner");
+    let seg = SegmentId {
+        dataset: id,
+        ordinal: 0,
+    };
     for &host in &survivors {
         let repo = scdn.repo(host).expect("member");
-        let seg = SegmentId {
-            dataset: id,
-            ordinal: 0,
-        };
         let len = repo.fetch(Partition::Replica, seg).expect("held").len();
         let forged = Segment::new(seg, Bytes::from(vec![0x55u8; len]));
         repo.store(Partition::Replica, forged)

@@ -1,18 +1,16 @@
 //! Third-party transfer engine (the GlobusTransfer substitute): each
 //! repository's one transfer client.
 //!
-//! Two loops move bytes. [`TransferEngine::transfer_segments`] moves a
-//! list of plain segments from one source into one destination partition,
-//! all or nothing; requests, replica fan-in and rebuilt coded blocks all
-//! go through it. [`TransferEngine::transfer_coded_observed`] races coded
-//! blocks from many donors until any k land. Both:
+//! [`TransferEngine::transfer_segments`] moves plain segments from one
+//! source into one destination partition, all or nothing: a request, a
+//! replica's fan-in and a rebuilt coded block all go through it.
+//! [`TransferEngine::transfer_coded_observed`] races coded blocks from
+//! many donors until any k land. Both loops:
 //!
 //! * model duration from the topology (latency + size / bottleneck
 //!   bandwidth);
 //! * inject losses/corruption per the failure model, retrying up to a cap
-//!   with the attempt count recorded
-//!   ([`simulate_segment`](TransferEngine::simulate_segment), which only
-//!   these two loops call);
+//!   with the attempt count recorded;
 //! * verify the checksum at the destination before accepting delivery
 //!   (a corrupted attempt counts as failed and is retried);
 //! * support *third-party* initiation: the caller need not be either
@@ -107,9 +105,8 @@ pub struct AttemptRecord {
 /// Pure simulation of one segment's retry chain: what the network would do
 /// to every attempt, with no repository access and no observer side
 /// effects. Produced by
-/// [`simulate_segment`](TransferEngine::simulate_segment); the loop that
-/// called it shows each attempt to its observer and stores the delivered
-/// segment.
+/// [`simulate_segment`](TransferEngine::simulate_segment); the calling
+/// loop observes each attempt and stores the delivered segment.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SegmentSim {
     /// Every attempt in order, including the final delivered one (when
@@ -283,9 +280,8 @@ impl TransferEngine {
     }
 
     /// The one loop that moves plain segments from node `src` into
-    /// `dst_repo` (node index `dst`)'s `partition`: a request's download,
-    /// a replica's fan-in and a rebuilt coded block's shipment all run
-    /// here. Per segment, in order, it
+    /// `dst_repo` (node index `dst`)'s `partition`. Per segment, in order,
+    /// it
     ///
     /// 1. reads the segment through `fetch` (a repository's `fetch_any`,
     ///    or a block held in memory); a read that fails verification is
@@ -813,66 +809,40 @@ mod tests {
         assert_eq!(b.segment_count(Partition::Replica), 5);
     }
 
+    /// A batch whose last segment is missing at the source fails after
+    /// three deliveries: it reports them and their attempts, rolls them
+    /// back, and leaves the destination's own valid copy of segment 0,
+    /// with other bytes, as it was rather than overwritten in place.
     #[test]
     fn transfer_many_rolls_back_partial_delivery() {
         let e = two_node_engine(FailureModel::reliable());
         let a = StorageRepository::new(1 << 20);
         let b = StorageRepository::new(1 << 20);
-        // A segment already replicated at the destination before the batch:
-        // it must survive the rollback.
-        let kept = seg(3, 0, 512);
-        a.store(Partition::User, kept.clone()).expect("stored");
-        b.store(Partition::Replica, kept.clone()).expect("stored");
-        let mut ids = vec![kept.id];
-        for ord in 1..4 {
-            let s = seg(3, ord, 512);
-            ids.push(s.id);
-            a.store(Partition::User, s).expect("stored");
-        }
-        // The final segment is missing at the source, so the batch fails
-        // after three successful deliveries.
+        let mut ids: Vec<SegmentId> = (0..3)
+            .map(|ord| {
+                let s = seg(3, ord, 512);
+                let id = s.id;
+                a.store(Partition::User, s).expect("stored");
+                id
+            })
+            .collect();
+        let held = Segment::new(ids[0], Bytes::from(vec![0x11; 512]));
+        b.store(Partition::Replica, held.clone()).expect("stored");
         ids.push(SegmentId {
             dataset: DatasetId(3),
             ordinal: 99,
         });
-        let err = batch(&e, &a, &b, &ids, &mut |_| {}).unwrap_err();
-        assert!(matches!(err, TransferError::SourceMissing(_)));
-        // Only the pre-existing replica remains; the three new deliveries
-        // were rolled back instead of squatting in the replica partition.
-        assert_eq!(b.list(Partition::Replica), vec![kept.id]);
-    }
-
-    #[test]
-    fn transfer_many_observed_keeps_partial_reports_and_rolls_back() {
-        let e = two_node_engine(FailureModel::reliable());
-        let a = StorageRepository::new(1 << 20);
-        let b = StorageRepository::new(1 << 20);
-        let mut ids = Vec::new();
-        for ord in 0..3 {
-            let s = seg(4, ord, 512);
-            ids.push(s.id);
-            a.store(Partition::User, s).expect("stored");
-        }
-        // Missing at the source: fails after two successful deliveries.
-        ids.insert(
-            2,
-            SegmentId {
-                dataset: DatasetId(4),
-                ordinal: 99,
-            },
-        );
-        let mut attempts = 0usize;
+        let mut attempts = 0;
         let (reports, error) =
             e.transfer_many_observed(0, 1, &a, &b, &ids, Partition::Replica, &mut |_| {
                 attempts += 1
             });
         assert!(matches!(error, Some(TransferError::SourceMissing(_))));
-        assert_eq!(reports.len(), 2, "the two delivered segments are reported");
-        assert_eq!(attempts, 2, "one reliable attempt per delivered segment");
-        assert!(
-            b.list(Partition::Replica).is_empty(),
-            "failed batch rolled back"
-        );
+        assert_eq!(reports.len(), 3, "the delivered segments are reported");
+        assert_eq!(attempts, 3, "one reliable attempt per delivered segment");
+        assert_eq!(b.list(Partition::Replica), vec![held.id]);
+        let after = b.fetch(Partition::Replica, held.id).expect("kept");
+        assert_eq!((after.data, after.checksum), (held.data, held.checksum));
     }
 
     #[test]
@@ -890,75 +860,34 @@ mod tests {
         assert!(b.fetch(Partition::Replica, s.id).is_err());
     }
 
-    /// The destination holds a valid copy of segment 0 with other bytes,
-    /// and the batch's last segment is missing at the source: the failed
-    /// move must leave that copy as it was, not overwritten in place.
-    #[test]
-    fn a_failed_move_keeps_a_held_copy() {
-        let e = two_node_engine(FailureModel::reliable());
-        let a = StorageRepository::new(1 << 20);
-        let b = StorageRepository::new(1 << 20);
-        let mut ids = Vec::new();
-        for ord in 0..3 {
-            let s = seg(8, ord, 512);
-            ids.push(s.id);
-            a.store(Partition::User, s).expect("stored");
-        }
-        let held = Segment::new(ids[0], Bytes::from(vec![0x11; 512]));
-        b.store(Partition::Replica, held.clone()).expect("stored");
-        ids.push(SegmentId {
-            dataset: DatasetId(8),
-            ordinal: 99,
-        });
-        let (reports, error) =
-            e.transfer_many_observed(0, 1, &a, &b, &ids, Partition::Replica, &mut |_| {});
-        assert!(matches!(error, Some(TransferError::SourceMissing(_))));
-        assert_eq!(reports.len(), 3, "three segments arrived before the miss");
-        assert_eq!(b.list(Partition::Replica), vec![held.id]);
-        let after = b.fetch(Partition::Replica, held.id).expect("kept");
-        assert_eq!(after.data, held.data, "the held copy is byte-identical");
-        assert_eq!(after.checksum, held.checksum);
-    }
-
-    /// A segment `accept` refuses after it was delivered fails the move as
-    /// [`TransferError::SourceCorrupt`], after its attempts were observed,
-    /// and the move gives back what it stored. The source here is blocks
-    /// held in memory, as a rebuilt coded block's shipment reads them.
+    /// A segment `accept` refuses after delivery fails the move as
+    /// [`TransferError::SourceCorrupt`] once its attempt was observed, and
+    /// the move gives back what it stored. The source is blocks held in
+    /// memory, as a rebuilt coded block's shipment reads them.
     #[test]
     fn a_refused_delivery_fails_the_move_and_rolls_back() {
         let e = two_node_engine(FailureModel::reliable());
         let b = StorageRepository::new(1 << 20);
         let blocks: Vec<Segment> = (0..4).map(|ord| seg(9, ord, 256)).collect();
         let ids: Vec<SegmentId> = blocks.iter().map(|s| s.id).collect();
-        let fetch = |id: SegmentId| Ok(blocks[id.ordinal as usize].clone());
         let mut observed = 0;
         let (reports, error) = e.transfer_segments(
             0,
             1,
             &ids,
-            &fetch,
+            &|id| Ok(blocks[id.ordinal as usize].clone()),
             &b,
             Partition::Replica,
             &mut |_| observed += 1,
             &mut |s| s.id.ordinal != 2,
         );
         assert_eq!(error, Some(TransferError::SourceCorrupt(ids[2])));
-        assert_eq!(reports.len(), 2, "segments 0 and 1 arrived");
-        assert_eq!(observed, 3, "the refused segment's attempt was observed");
-        assert!(b.list(Partition::Replica).is_empty(), "rolled back");
-        let (reports, error) = e.transfer_segments(
-            0,
-            1,
-            &ids,
-            &fetch,
-            &b,
-            Partition::Replica,
-            &mut |_| {},
-            &mut |_| true,
+        assert_eq!(
+            (reports.len(), observed),
+            (2, 3),
+            "segment 2's attempt seen"
         );
-        assert!(error.is_none());
-        assert_eq!(reports.len(), 4);
-        assert_eq!(b.list(Partition::Replica), ids);
+        assert!(b.list(Partition::Replica).is_empty(), "rolled back");
     }
 
     #[test]
