@@ -845,6 +845,42 @@ mod tests {
         assert_eq!((after.data, after.checksum), (held.data, held.checksum));
     }
 
+    /// A miss in the middle of a batch stops it there: the segments before
+    /// it are reported, the ones after it are never tried, and the batch
+    /// is rolled back.
+    #[test]
+    fn transfer_many_observed_keeps_partial_reports_and_rolls_back() {
+        let e = two_node_engine(FailureModel::reliable());
+        let a = StorageRepository::new(1 << 20);
+        let b = StorageRepository::new(1 << 20);
+        let mut ids = Vec::new();
+        for ord in 0..3 {
+            let s = seg(4, ord, 512);
+            ids.push(s.id);
+            a.store(Partition::User, s).expect("stored");
+        }
+        // Missing at the source: fails after two successful deliveries.
+        ids.insert(
+            2,
+            SegmentId {
+                dataset: DatasetId(4),
+                ordinal: 99,
+            },
+        );
+        let mut attempts = 0usize;
+        let (reports, error) =
+            e.transfer_many_observed(0, 1, &a, &b, &ids, Partition::Replica, &mut |_| {
+                attempts += 1
+            });
+        assert!(matches!(error, Some(TransferError::SourceMissing(_))));
+        assert_eq!(reports.len(), 2, "the two delivered segments are reported");
+        assert_eq!(attempts, 2, "one reliable attempt per delivered segment");
+        assert!(
+            b.list(Partition::Replica).is_empty(),
+            "failed batch rolled back"
+        );
+    }
+
     #[test]
     fn transfer_many_observed_honors_partition() {
         let e = two_node_engine(FailureModel::reliable());
