@@ -1,5 +1,5 @@
 //! Criterion benches for the two payload kernels of `scdn-storage`: the
-//! checksum and the product-row GF(2^8) coder at RS(4,2) over 1 MiB.
+//! checksum and the GF(2^8) coder at RS(4,2) over 1 MiB.
 //!
 //! `storage/checksum/*` reproduces EXPERIMENTS.md "Word-wise digest":
 //! `checksum` is `Checksum::of` as the product runs it (the word-wise
@@ -7,13 +7,19 @@
 //! `pclmulqdq`); `crc32-only` and `mix-lanes-only` are its two passes
 //! alone; `portable` is what a host without `pclmulqdq` runs (the CRC on
 //! slice-by-16 tables); `references` is the mix lanes and the
-//! byte-at-a-time CRC-32 back to back. For humans; the accept/reject
-//! numbers come from `benchmark/` (`storage.checksum.mib_per_s`,
+//! byte-at-a-time CRC-32 back to back. Each of those reads one buffer
+//! over and over, from cache; `storage/checksum/cold/256KiB` walks a
+//! 64 MiB pool, larger than L2, a scattered window at a time, as a coded
+//! donor read or a repair's re-read of owner segments does (EXPERIMENTS.md
+//! "Cold-byte kernels"). `storage/coding/mul_acc/*` is the GF(2^8)
+//! multiply-accumulate alone, as the CPU dispatches it and on the
+//! portable product-row loop. For humans; the accept/reject numbers come
+//! from `benchmark/` (`storage.checksum.mib_per_s`,
 //! `storage.encode/decode.*`).
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use scdn_storage::coding::ErasureCoder;
+use scdn_storage::coding::{mul_acc, mul_acc_portable, ErasureCoder};
 use scdn_storage::integrity::{crc32, crc32_fast, mix64, Checksum};
 
 /// Incompressible-looking bytes, so table lookups spread over the tables.
@@ -57,6 +63,19 @@ fn checksums(c: &mut Criterion) {
             });
         });
     }
+    // Windows are visited 167 apart (odd, so each of the 256 in turn): a
+    // prefetch that runs past one window never brings in the next.
+    let pool = payload(64 << 20);
+    let window = 256 << 10;
+    let mut at = 0;
+    group.throughput(Throughput::Bytes(window as u64));
+    group.bench_function(BenchmarkId::new("cold", "256KiB"), |b| {
+        b.iter(|| {
+            let d = &pool[at..at + window];
+            at = (at + 167 * window) % pool.len();
+            Checksum::of(std::hint::black_box(d))
+        });
+    });
     group.finish();
 }
 
@@ -101,6 +120,20 @@ fn coding(c: &mut Criterion) {
             });
         });
     }
+    group.finish();
+
+    // One shard of a `coded_repair` dataset under a parity coefficient.
+    let src = payload(256 << 10);
+    let mut acc = vec![0u8; src.len()];
+    let coef = 0x8e;
+    let mut group = c.benchmark_group("storage/coding/mul_acc");
+    group.throughput(Throughput::Bytes(src.len() as u64));
+    group.bench_function(BenchmarkId::new("dispatched", "256KiB"), |b| {
+        b.iter(|| mul_acc(&mut acc, coef, std::hint::black_box(&src)));
+    });
+    group.bench_function(BenchmarkId::new("portable", "256KiB"), |b| {
+        b.iter(|| mul_acc_portable(&mut acc, coef, std::hint::black_box(&src)));
+    });
     group.finish();
 }
 

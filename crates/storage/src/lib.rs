@@ -15,9 +15,11 @@
 //!   corruption detection;
 //! * [`repository`] — the partitioned repository with quotas and eviction.
 //!
-//! The crate's only `unsafe` is the carry-less-multiply CRC in
-//! [`integrity`]; each block names the run-time feature detection it
-//! relies on, and the lint below keeps it that way.
+//! The crate's only `unsafe` is in its two payload kernels on `x86_64`:
+//! the carry-less-multiply CRC and the mix pass's prefetch in
+//! [`integrity`], and the AVX2 split-nibble multiply in [`coding`]. Each
+//! block names the baseline or run-time-detected feature it relies on,
+//! and the lint below keeps it that way.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
