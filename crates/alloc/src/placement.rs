@@ -13,10 +13,10 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use scdn_graph::centrality::{betweenness_parallel, closeness, top_k_by_score};
+use scdn_graph::centrality::{betweenness, closeness, top_k_by_score};
 use scdn_graph::cover::greedy_weighted_dominating_set;
 use scdn_graph::metrics::all_clustering_coefficients;
-use scdn_graph::pagerank::{pagerank, PageRankOptions};
+use scdn_graph::pagerank::pagerank;
 use scdn_graph::{CsrGraph, Graph, NodeId};
 
 /// The placement algorithms evaluated in the paper (first four) plus the
@@ -93,11 +93,9 @@ impl PlacementAlgorithm {
             PlacementAlgorithm::NodeDegree => place_by_degree(g, k),
             PlacementAlgorithm::CommunityNodeDegree => place_community_degree(g, k),
             PlacementAlgorithm::ClusteringCoefficient => place_by_clustering(g, k),
-            PlacementAlgorithm::Betweenness => top_k_by_score(&betweenness_parallel(g), k),
+            PlacementAlgorithm::Betweenness => top_k_by_score(&betweenness(g), k),
             PlacementAlgorithm::SocialScore => place_by_social_score(g, k),
-            PlacementAlgorithm::PageRank => {
-                top_k_by_score(&pagerank(g, PageRankOptions::default()), k)
-            }
+            PlacementAlgorithm::PageRank => top_k_by_score(&pagerank(g), k),
             PlacementAlgorithm::KCore => place_by_kcore(g, k),
             PlacementAlgorithm::WeightedDegree => place_by_strength(g, k),
         }

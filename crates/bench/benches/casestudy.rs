@@ -1,5 +1,5 @@
-//! Criterion benches: the end-to-end case-study evaluation (hit-rate
-//! measurement and full sweeps at reduced run counts).
+//! Criterion benches: the end-to-end case-study evaluation (one literal
+//! hit-rate measurement, and a 100-run Random sweep).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use scdn_alloc::placement::PlacementAlgorithm;
@@ -27,16 +27,14 @@ fn random_runs(c: &mut Criterion) {
     let sub = cs
         .subgraph(TrustFilter::MaxAuthorsPerPub(6))
         .expect("seed present");
-    let csr = CsrGraph::from(&sub.graph);
     let mut group = c.benchmark_group("casestudy/random-100-runs");
     group.sample_size(10);
     group.bench_function("numauthors-k5", |b| {
         b.iter(|| {
-            cs.mean_hit_rate(
+            cs.sweep(
                 std::hint::black_box(&sub),
-                &csr,
-                PlacementAlgorithm::Random,
-                5,
+                &[PlacementAlgorithm::Random],
+                &[5],
                 100,
             )
         });

@@ -1,8 +1,8 @@
 //! Criterion benches: core graph algorithms (BFS, components, clustering,
-//! Brandes betweenness sequential vs parallel, label propagation).
+//! Brandes betweenness, label propagation).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use scdn_graph::centrality::{betweenness, betweenness_parallel};
+use scdn_graph::centrality::betweenness;
 use scdn_graph::community::label_propagation;
 use scdn_graph::components::connected_components;
 use scdn_graph::generators::{barabasi_albert, watts_strogatz};
@@ -39,11 +39,8 @@ fn brandes(c: &mut Criterion) {
     let mut group = c.benchmark_group("graph/betweenness");
     group.sample_size(10);
     let g = CsrGraph::from(&barabasi_albert(400, 3, 11));
-    group.bench_function("sequential-400", |b| {
+    group.bench_function("400", |b| {
         b.iter(|| betweenness(std::hint::black_box(&g)));
-    });
-    group.bench_function("parallel-400", |b| {
-        b.iter(|| betweenness_parallel(std::hint::black_box(&g)));
     });
     group.finish();
 }

@@ -12,7 +12,6 @@
 use scdn_alloc::placement::PlacementAlgorithm;
 use scdn_bench::{paper_corpus, REPLICA_COUNTS, RUNS};
 use scdn_core::casestudy::CaseStudy;
-use scdn_graph::CsrGraph;
 
 fn main() {
     let g = paper_corpus();
@@ -24,19 +23,17 @@ fn main() {
         "(c) Number of Authors",
     ];
     for (sub, panel) in subs.iter().zip(panels) {
-        let csr = CsrGraph::from(&sub.graph);
         println!("Fig. 3{panel}: replica hit rate (%) vs number of replicas");
         print!("{:<24}", "algorithm\\replicas");
         for k in REPLICA_COUNTS {
             print!(" {k:>6}");
         }
         println!();
-        for alg in PlacementAlgorithm::PAPER_SET {
-            let curve: Vec<f64> = REPLICA_COUNTS
-                .iter()
-                .map(|&k| cs.mean_hit_rate(sub, &csr, alg, k, RUNS))
-                .collect();
-            println!("{}", scdn_bench::row(alg.name(), &curve));
+        for curve in cs.sweep(sub, &PlacementAlgorithm::PAPER_SET, &REPLICA_COUNTS, RUNS) {
+            println!(
+                "{}",
+                scdn_bench::row(curve.algorithm.name(), &curve.hit_rate_pct)
+            );
         }
         println!();
     }

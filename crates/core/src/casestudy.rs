@@ -15,7 +15,6 @@
 //!   randomness".
 
 use scdn_alloc::placement::PlacementAlgorithm;
-use scdn_graph::parallel::par_map_collect;
 use scdn_graph::traversal::multi_source_bfs;
 use scdn_graph::{CsrGraph, NodeId};
 use scdn_social::author::AuthorId;
@@ -92,8 +91,10 @@ impl<'c> CaseStudy<'c> {
     }
 
     /// Hit rate (%) of a fixed replica placement on a subgraph, measured
-    /// over the test-year publications. `csr` is `sub.graph` frozen — once
-    /// per subgraph by the caller, not once per (algorithm, k, run).
+    /// over the test-year publications: the paper's definition read
+    /// literally, one multi-source BFS and one publication scan. `csr` is
+    /// `sub.graph` frozen by the caller. [`sweep`](Self::sweep) computes
+    /// the same numbers for whole curves.
     pub fn hit_rate(&self, sub: &TrustSubgraph, csr: &CsrGraph, replicas: &[NodeId]) -> f64 {
         let dist = multi_source_bfs(csr, replicas);
         self.score_hits(sub, &dist)
@@ -117,47 +118,41 @@ impl<'c> CaseStudy<'c> {
                 .filter(|v| matches!(dist[v.index()], Some(d) if d <= 1))
                 .count() as u64;
         }
-        if denom == 0 {
-            0.0
-        } else {
-            100.0 * hits as f64 / denom as f64
-        }
+        percent(hits, denom)
     }
 
-    /// Mean hit rate (%) of `algorithm` with `k` replicas over `runs`
-    /// repetitions (only random placement varies across runs; the paper
-    /// still averages 100 runs for all algorithms). `csr` is `sub.graph`
-    /// frozen by the caller.
-    pub fn mean_hit_rate(
-        &self,
-        sub: &TrustSubgraph,
-        csr: &CsrGraph,
-        algorithm: PlacementAlgorithm,
-        k: usize,
-        runs: usize,
-    ) -> f64 {
-        if runs == 0 {
-            return 0.0;
+    /// Test-year author slots per subgraph node, and the hit-rate
+    /// denominator: every author slot of a test-year publication that
+    /// touches the subgraph. A node's slots are the hits it scores once a
+    /// replica is within one hop of it.
+    fn test_year_slots(&self, sub: &TrustSubgraph) -> (Vec<u64>, u64) {
+        let mut slots = vec![0u64; sub.graph.node_count()];
+        let mut denom = 0u64;
+        for p in self.corpus.publications_in(self.test_years.clone()) {
+            let mut touches = false;
+            for v in p.authors.iter().filter_map(|&a| sub.node_of(a)) {
+                slots[v.index()] += 1;
+                touches = true;
+            }
+            if touches {
+                denom += p.authors.len() as u64;
+            }
         }
-        if algorithm == PlacementAlgorithm::Random {
-            // Each run uses a distinct seed; runs execute in parallel.
-            let rates = par_map_collect(runs, 4, |run| {
-                let replicas = algorithm.place(csr, k, run as u64);
-                self.hit_rate(sub, csr, &replicas)
-            });
-            rates.iter().sum::<f64>() / runs as f64
-        } else {
-            // Deterministic algorithms produce the same placement per run.
-            let replicas = algorithm.place(csr, k, 0);
-            self.hit_rate(sub, csr, &replicas)
-        }
+        (slots, denom)
     }
 
     /// Produce the full Fig. 3 panel for one subgraph: hit-rate curves for
-    /// each algorithm over `ks`, averaged over `runs`. The subgraph is
-    /// frozen to CSR exactly once for the whole sweep, and the
-    /// (algorithm, k) cells evaluate in parallel — each cell is an
-    /// independent placement + scoring job over the shared frozen graph.
+    /// each algorithm over `ks`, averaged over `runs`. Only random
+    /// placement varies across runs, so a deterministic algorithm is
+    /// ranked once (the paper still averages 100 runs for all of them).
+    ///
+    /// Every ranking is prefix-consistent, so each (algorithm, run) is
+    /// ranked once, at the largest `k`, and its prefix is walked: a replica
+    /// covers itself and its neighbours (hop ≤ 1), and the hits at `k` are
+    /// the test-year author slots covered by the first `k` replicas. One
+    /// publication scan per sweep gives the slots and the denominator. Each
+    /// entry equals, bit for bit, the mean over runs of
+    /// [`hit_rate`](Self::hit_rate) of `place(csr, k, run)`.
     pub fn sweep(
         &self,
         sub: &TrustSubgraph,
@@ -166,43 +161,62 @@ impl<'c> CaseStudy<'c> {
         runs: usize,
     ) -> Vec<HitRateCurve> {
         let csr = CsrGraph::from(&sub.graph);
-        if ks.is_empty() {
-            return algorithms
-                .iter()
-                .map(|&algorithm| HitRateCurve {
-                    algorithm,
-                    ks: Vec::new(),
-                    hit_rate_pct: Vec::new(),
-                })
-                .collect();
-        }
-        let cells = par_map_collect(algorithms.len() * ks.len(), 1, |i| {
-            let algorithm = algorithms[i / ks.len()];
-            let k = ks[i % ks.len()];
-            // Random averages its runs serially inside the cell: the cells
-            // themselves already saturate the worker pool.
-            if algorithm == PlacementAlgorithm::Random {
-                (0..runs)
-                    .map(|run| {
-                        let replicas = algorithm.place(&csr, k, run as u64);
-                        self.hit_rate(sub, &csr, &replicas)
-                    })
-                    .sum::<f64>()
-                    / (runs.max(1) as f64)
-            } else {
-                self.mean_hit_rate(sub, &csr, algorithm, k, runs)
-            }
-        });
+        let (slots, denom) = self.test_year_slots(sub);
+        let max_k = ks.iter().copied().max().unwrap_or(0);
         algorithms
             .iter()
-            .enumerate()
-            .map(|(a, &algorithm)| HitRateCurve {
-                algorithm,
-                ks: ks.to_vec(),
-                hit_rate_pct: cells[a * ks.len()..(a + 1) * ks.len()].to_vec(),
+            .map(|&algorithm| {
+                let ranked = if algorithm == PlacementAlgorithm::Random {
+                    runs
+                } else {
+                    runs.min(1)
+                };
+                let mut hit_rate_pct = vec![0.0; ks.len()];
+                for run in 0..ranked {
+                    let ranking = algorithm.place(&csr, max_k, run as u64);
+                    let hits = prefix_hits(&csr, &ranking, &slots);
+                    for (rate, &k) in hit_rate_pct.iter_mut().zip(ks) {
+                        *rate += percent(hits[k.min(ranking.len())], denom);
+                    }
+                }
+                for rate in &mut hit_rate_pct {
+                    *rate /= ranked.max(1) as f64;
+                }
+                HitRateCurve {
+                    algorithm,
+                    ks: ks.to_vec(),
+                    hit_rate_pct,
+                }
             })
             .collect()
     }
+}
+
+/// `hits` as a percentage of `denom` (0 for an empty denominator).
+fn percent(hits: u64, denom: u64) -> f64 {
+    if denom == 0 {
+        0.0
+    } else {
+        100.0 * hits as f64 / denom as f64
+    }
+}
+
+/// Hits after each prefix of `ranking`: entry `i` sums the `slots` of the
+/// nodes within one hop of the first `i` replicas.
+fn prefix_hits(csr: &CsrGraph, ranking: &[NodeId], slots: &[u64]) -> Vec<u64> {
+    let mut covered = vec![false; csr.node_count()];
+    let mut hits = 0;
+    let mut prefix = Vec::with_capacity(ranking.len() + 1);
+    prefix.push(0);
+    for &replica in ranking {
+        for &v in std::iter::once(&replica.0).chain(csr.neighbor_ids(replica)) {
+            if !std::mem::replace(&mut covered[v as usize], true) {
+                hits += slots[v as usize];
+            }
+        }
+        prefix.push(hits);
+    }
+    prefix
 }
 
 #[cfg(test)]
@@ -220,6 +234,72 @@ mod tests {
         generate(&p)
     }
 
+    /// The per-cell loop [`CaseStudy::sweep`] replaced: the mean over
+    /// runs of [`CaseStudy::hit_rate`] of `place(csr, k, run)`, with a
+    /// deterministic algorithm evaluated once.
+    fn mean_hit_rate_reference(
+        cs: &CaseStudy,
+        sub: &TrustSubgraph,
+        csr: &CsrGraph,
+        algorithm: PlacementAlgorithm,
+        k: usize,
+        runs: usize,
+    ) -> f64 {
+        if runs == 0 {
+            return 0.0;
+        }
+        if algorithm == PlacementAlgorithm::Random {
+            (0..runs)
+                .map(|run| cs.hit_rate(sub, csr, &algorithm.place(csr, k, run as u64)))
+                .sum::<f64>()
+                / runs as f64
+        } else {
+            cs.hit_rate(sub, csr, &algorithm.place(csr, k, 0))
+        }
+    }
+
+    /// One sweep cell: `algorithm` at `k` replicas over `runs`.
+    fn cell(
+        cs: &CaseStudy,
+        sub: &TrustSubgraph,
+        algorithm: PlacementAlgorithm,
+        k: usize,
+        runs: usize,
+    ) -> f64 {
+        cs.sweep(sub, &[algorithm], &[k], runs)[0].hit_rate_pct[0]
+    }
+
+    #[test]
+    fn sweep_matches_the_per_cell_reference() {
+        let g = small_synthetic();
+        let cs = CaseStudy::paper_setup(&g.corpus, g.seed_author);
+        let algorithms: Vec<PlacementAlgorithm> = PlacementAlgorithm::PAPER_SET
+            .into_iter()
+            .chain(PlacementAlgorithm::EXTENDED_SET)
+            .collect();
+        for sub in cs.paper_subgraphs().expect("seed present") {
+            let csr = CsrGraph::from(&sub.graph);
+            let ks = [0, 1, 2, 3, 5, 10, csr.node_count() + 5];
+            for runs in [0, 1, 4] {
+                for curve in cs.sweep(&sub, &algorithms, &ks, runs) {
+                    let want: Vec<f64> = ks
+                        .iter()
+                        .map(|&k| {
+                            mean_hit_rate_reference(&cs, &sub, &csr, curve.algorithm, k, runs)
+                        })
+                        .collect();
+                    assert_eq!(
+                        curve.hit_rate_pct,
+                        want,
+                        "{}: {:?}, runs = {runs}",
+                        sub.filter.name(),
+                        curve.algorithm
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn hit_rate_zero_without_replicas() {
         let g = small_synthetic();
@@ -233,10 +313,9 @@ mod tests {
         let g = small_synthetic();
         let cs = CaseStudy::paper_setup(&g.corpus, g.seed_author);
         let sub = cs.subgraph(TrustFilter::Baseline).expect("seed present");
-        let csr = CsrGraph::from(&sub.graph);
         let mut prev = 0.0;
         for k in [1, 3, 5, 10] {
-            let r = cs.mean_hit_rate(&sub, &csr, PlacementAlgorithm::NodeDegree, k, 1);
+            let r = cell(&cs, &sub, PlacementAlgorithm::NodeDegree, k, 1);
             assert!(r >= prev - 1e-9, "k={k}: {r} < {prev}");
             prev = r;
         }
@@ -248,9 +327,8 @@ mod tests {
         let g = small_synthetic();
         let cs = CaseStudy::paper_setup(&g.corpus, g.seed_author);
         for sub in cs.paper_subgraphs().expect("seed present") {
-            let csr = CsrGraph::from(&sub.graph);
             for alg in PlacementAlgorithm::PAPER_SET {
-                let r = cs.mean_hit_rate(&sub, &csr, alg, 5, 3);
+                let r = cell(&cs, &sub, alg, 5, 3);
                 assert!((0.0..=100.0).contains(&r), "{alg:?}: {r}");
             }
         }
@@ -264,7 +342,7 @@ mod tests {
         let csr = CsrGraph::from(&sub.graph);
         let all: Vec<NodeId> = csr.nodes().collect();
         let full = cs.hit_rate(&sub, &csr, &all);
-        let partial = cs.mean_hit_rate(&sub, &csr, PlacementAlgorithm::NodeDegree, 5, 1);
+        let partial = cell(&cs, &sub, PlacementAlgorithm::NodeDegree, 5, 1);
         assert!(full >= partial);
         assert!(
             full > 50.0,
@@ -290,8 +368,7 @@ mod tests {
         let g = small_synthetic();
         let cs = CaseStudy::paper_setup(&g.corpus, g.seed_author);
         let sub = cs.subgraph(TrustFilter::Baseline).expect("seed");
-        let csr = CsrGraph::from(&sub.graph);
-        let avg = cs.mean_hit_rate(&sub, &csr, PlacementAlgorithm::Random, 5, 50);
+        let avg = cell(&cs, &sub, PlacementAlgorithm::Random, 5, 50);
         assert!(avg > 0.0 && avg < 50.0, "avg = {avg}");
     }
 }

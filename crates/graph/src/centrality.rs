@@ -1,5 +1,6 @@
 //! Node centrality measures on a frozen [`CsrGraph`]: degree, closeness,
-//! and Brandes betweenness (sequential and parallel).
+//! and Brandes betweenness. Each runs on one thread, so a score is a
+//! function of the graph alone, not of the host's core count.
 //!
 //! Section V-D of the paper lists "centrality and betweenness values derived
 //! from the social connectivity graph" as social placement metrics; the
@@ -9,7 +10,6 @@
 
 use crate::csr::{CsrGraph, TraversalScratch, UNVISITED};
 use crate::graph::NodeId;
-use crate::parallel::par_map_reduce_ranges;
 
 /// Degree centrality: `deg(v) / (n - 1)` (0 when `n < 2`).
 pub fn degree_centrality(g: &CsrGraph) -> Vec<f64> {
@@ -121,33 +121,6 @@ pub fn betweenness(g: &CsrGraph) -> Vec<f64> {
     bc
 }
 
-/// Exact betweenness centrality, parallel over sources (crossbeam scoped
-/// threads; each worker owns one scratch and accumulates privately over a
-/// fixed contiguous source range, and the accumulators merge in worker
-/// order, so results are machine-deterministic). Matches [`betweenness`]
-/// up to floating-point summation order.
-pub fn betweenness_parallel(g: &CsrGraph) -> Vec<f64> {
-    let n = g.node_count();
-    let (mut bc, _) = par_map_reduce_ranges(
-        n,
-        || (vec![0.0f64; n], TraversalScratch::new()),
-        |i, acc| {
-            let (bc, scratch) = acc;
-            brandes_from_source(g, NodeId(i as u32), scratch, bc);
-        },
-        |(mut a, scratch), (b, _)| {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += y;
-            }
-            (a, scratch)
-        },
-    );
-    for b in &mut bc {
-        *b /= 2.0;
-    }
-    bc
-}
-
 /// Indices of the top-`k` nodes by `score` (descending), ties broken by
 /// smaller node id for determinism.
 pub fn top_k_by_score(scores: &[f64], k: usize) -> Vec<NodeId> {
@@ -242,27 +215,6 @@ mod tests {
         bc
     }
 
-    /// The parallel reference: the same fixed source ranges and worker
-    /// order as [`betweenness_parallel`], over the reference iteration.
-    fn betweenness_parallel_reference(g: &Graph) -> Vec<f64> {
-        let n = g.node_count();
-        let mut bc = par_map_reduce_ranges(
-            n,
-            || vec![0.0f64; n],
-            |i, acc| brandes_reference(g, NodeId(i as u32), acc),
-            |mut a, b| {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += y;
-                }
-                a
-            },
-        );
-        for b in &mut bc {
-            *b /= 2.0;
-        }
-        bc
-    }
-
     proptest! {
         #[test]
         fn closeness_bit_identical_to_reference(g in arb_graph(35, 100)) {
@@ -274,7 +226,6 @@ mod tests {
         fn betweenness_bit_identical_to_reference(g in arb_graph(30, 90)) {
             let c = CsrGraph::from(&g);
             prop_assert_eq!(betweenness_reference(&g), betweenness(&c));
-            prop_assert_eq!(betweenness_parallel_reference(&g), betweenness_parallel(&c));
         }
     }
 
@@ -299,16 +250,6 @@ mod tests {
         assert!((bc[2] - 4.0).abs() < 1e-9);
         assert!((bc[3] - 3.0).abs() < 1e-9);
         assert!((bc[4]).abs() < 1e-9);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let g = CsrGraph::from(&crate::generators::barabasi_albert(200, 3, 42));
-        let seq = betweenness(&g);
-        let par = betweenness_parallel(&g);
-        for (a, b) in seq.iter().zip(&par) {
-            assert!((a - b).abs() < 1e-6, "{a} vs {b}");
-        }
     }
 
     #[test]
@@ -344,7 +285,6 @@ mod tests {
         let g = crate::generators::barabasi_albert(300, 3, 31);
         let c = CsrGraph::from(&g);
         assert_eq!(betweenness_reference(&g), betweenness(&c));
-        assert_eq!(betweenness_parallel_reference(&g), betweenness_parallel(&c));
         assert_eq!(closeness_reference(&g), closeness(&c));
     }
 }

@@ -9,9 +9,9 @@
 //!   construction (components, community detection, covers, DOT export,
 //!   generators);
 //! * [`CsrGraph`] — the frozen, chunked copy-on-write view you **query**:
-//!   BFS and eccentricity, centrality (including a parallel Brandes
-//!   betweenness), PageRank, k-core and clustering each exist once, on
-//!   this type. `CsrGraph::from(&graph)` freezes; `apply_delta` follows
+//!   BFS and eccentricity, centrality (Brandes betweenness included),
+//!   PageRank, k-core and clustering each exist once, on this type, and
+//!   each runs on one thread. `CsrGraph::from(&graph)` freezes; `apply_delta` follows
 //!   churn without a rebuild.
 //!
 //! The S-CDN paper (Chard et al., SC 2012) uses coauthorship graphs as its
@@ -57,7 +57,7 @@ pub use union_find::UnionFind;
 
 /// Convenience prelude re-exporting the most commonly used items.
 pub mod prelude {
-    pub use crate::centrality::{betweenness, betweenness_parallel, closeness, degree_centrality};
+    pub use crate::centrality::{betweenness, closeness, degree_centrality};
     pub use crate::community::{label_propagation, modularity};
     pub use crate::components::{connected_components, largest_component, ComponentLabels};
     pub use crate::csr::{CsrGraph, TraversalScratch};

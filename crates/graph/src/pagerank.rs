@@ -4,33 +4,20 @@
 
 use crate::csr::CsrGraph;
 
-/// Options for [`pagerank`].
-#[derive(Clone, Copy, Debug)]
-pub struct PageRankOptions {
-    /// Damping factor (probability of following an edge). Typical: 0.85.
-    pub damping: f64,
-    /// Stop when the L1 change between iterations drops below this.
-    pub tolerance: f64,
-    /// Hard iteration cap.
-    pub max_iters: usize,
-}
-
-impl Default for PageRankOptions {
-    fn default() -> Self {
-        PageRankOptions {
-            damping: 0.85,
-            tolerance: 1e-9,
-            max_iters: 200,
-        }
-    }
-}
+/// Damping factor: the probability of following an edge.
+const DAMPING: f64 = 0.85;
+/// The iteration stops once the L1 change between iterations drops below
+/// this.
+const TOLERANCE: f64 = 1e-9;
+/// Hard iteration cap.
+const MAX_ITERS: usize = 200;
 
 /// Weighted PageRank on the undirected graph (each undirected edge acts as
 /// two directed edges; transition probability ∝ edge weight).
 ///
 /// Returns a probability vector summing to 1 (for non-empty graphs).
 /// Dangling (isolated) nodes redistribute uniformly.
-pub fn pagerank(g: &CsrGraph, opts: PageRankOptions) -> Vec<f64> {
+pub fn pagerank(g: &CsrGraph) -> Vec<f64> {
     let n = g.node_count();
     if n == 0 {
         return Vec::new();
@@ -39,28 +26,28 @@ pub fn pagerank(g: &CsrGraph, opts: PageRankOptions) -> Vec<f64> {
     let mut rank = vec![uniform; n];
     let mut next = vec![0.0; n];
     let strengths: Vec<f64> = g.nodes().map(|v| g.strength(v) as f64).collect();
-    for _ in 0..opts.max_iters {
+    for _ in 0..MAX_ITERS {
         let mut dangling_mass = 0.0;
         for (v, &s) in strengths.iter().enumerate() {
             if s == 0.0 {
                 dangling_mass += rank[v];
             }
         }
-        let base = (1.0 - opts.damping) * uniform + opts.damping * dangling_mass * uniform;
+        let base = (1.0 - DAMPING) * uniform + DAMPING * dangling_mass * uniform;
         next.iter_mut().for_each(|x| *x = base);
         for v in g.nodes() {
             let s = strengths[v.index()];
             if s == 0.0 {
                 continue;
             }
-            let share = opts.damping * rank[v.index()] / s;
+            let share = DAMPING * rank[v.index()] / s;
             for (&to, &w) in g.neighbor_ids(v).iter().zip(g.neighbor_weights(v)) {
                 next[to as usize] += share * w as f64;
             }
         }
         let delta: f64 = rank.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
         std::mem::swap(&mut rank, &mut next);
-        if delta < opts.tolerance {
+        if delta < TOLERANCE {
             break;
         }
     }
@@ -77,7 +64,7 @@ mod tests {
     /// The adjacency-list power iteration [`pagerank`] replaced: same node
     /// and edge order, reading `(to, weight)` pairs instead of the two
     /// CSR columns.
-    fn pagerank_reference(g: &Graph, opts: PageRankOptions) -> Vec<f64> {
+    fn pagerank_reference(g: &Graph) -> Vec<f64> {
         let n = g.node_count();
         if n == 0 {
             return Vec::new();
@@ -86,28 +73,28 @@ mod tests {
         let mut rank = vec![uniform; n];
         let mut next = vec![0.0; n];
         let strengths: Vec<f64> = g.nodes().map(|v| g.strength(v) as f64).collect();
-        for _ in 0..opts.max_iters {
+        for _ in 0..MAX_ITERS {
             let mut dangling_mass = 0.0;
             for (v, &s) in strengths.iter().enumerate() {
                 if s == 0.0 {
                     dangling_mass += rank[v];
                 }
             }
-            let base = (1.0 - opts.damping) * uniform + opts.damping * dangling_mass * uniform;
+            let base = (1.0 - DAMPING) * uniform + DAMPING * dangling_mass * uniform;
             next.iter_mut().for_each(|x| *x = base);
             for v in g.nodes() {
                 let s = strengths[v.index()];
                 if s == 0.0 {
                     continue;
                 }
-                let share = opts.damping * rank[v.index()] / s;
+                let share = DAMPING * rank[v.index()] / s;
                 for e in g.neighbors(v) {
                     next[e.to.index()] += share * e.weight as f64;
                 }
             }
             let delta: f64 = rank.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
             std::mem::swap(&mut rank, &mut next);
-            if delta < opts.tolerance {
+            if delta < TOLERANCE {
                 break;
             }
         }
@@ -115,13 +102,13 @@ mod tests {
     }
 
     fn ranks(g: &Graph) -> Vec<f64> {
-        pagerank(&CsrGraph::from(g), PageRankOptions::default())
+        pagerank(&CsrGraph::from(g))
     }
 
     proptest! {
         #[test]
         fn pagerank_bit_identical_to_reference(g in arb_graph(35, 100)) {
-            prop_assert_eq!(pagerank_reference(&g, PageRankOptions::default()), ranks(&g));
+            prop_assert_eq!(pagerank_reference(&g), ranks(&g));
         }
     }
 
@@ -177,9 +164,6 @@ mod tests {
     #[test]
     fn pagerank_bit_identical_to_reference_at_scale() {
         let g = crate::generators::barabasi_albert(200, 3, 9);
-        assert_eq!(
-            pagerank_reference(&g, PageRankOptions::default()),
-            ranks(&g)
-        );
+        assert_eq!(pagerank_reference(&g), ranks(&g));
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the graph substrate invariants.
 
 use proptest::prelude::*;
-use scdn_graph::centrality::{betweenness, betweenness_parallel};
+use scdn_graph::centrality::betweenness;
 use scdn_graph::components::connected_components;
 use scdn_graph::cover::{greedy_dominating_set, is_dominating_set};
 use scdn_graph::metrics::{all_clustering_coefficients, global_clustering_coefficient};
@@ -107,12 +107,8 @@ proptest! {
 
     #[test]
     fn betweenness_nonnegative_and_parallel_matches(g in arb_graph(20, 50)) {
-        let csr = CsrGraph::from(&g);
-        let seq = betweenness(&csr);
-        let par = betweenness_parallel(&csr);
-        for (a, b) in seq.iter().zip(&par) {
-            prop_assert!(*a >= -1e-9);
-            prop_assert!((a - b).abs() < 1e-6);
+        for b in betweenness(&CsrGraph::from(&g)) {
+            prop_assert!(b >= -1e-9);
         }
     }
 

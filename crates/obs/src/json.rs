@@ -1,9 +1,9 @@
 //! Minimal JSON value model and recursive-descent parser.
 //!
-//! The vendored `serde` is a derive-only stub (no format crate), so the
-//! exporter writes JSON by hand and this module reads it back — enough
-//! for the `metrics_report --check` round-trip and for tests to assert on
-//! exported schemas. Supports the full JSON grammar except `\u` escapes
+//! The workspace has no serialization crate, so the exporter writes JSON
+//! by hand and this module reads it back — enough for the
+//! `metrics_report --check` round-trip and for tests to assert on exported
+//! schemas. Supports the full JSON grammar except `\u` escapes
 //! beyond the BMP surrogate pairs (escaped code points are decoded
 //! individually).
 

@@ -4,10 +4,8 @@
 //! (`scdn-net`) can derive latency from distance and the metrics layer can
 //! report the paper's "ratio of scarce to abundant resource locations".
 
-use serde::{Deserialize, Serialize};
-
 /// Dense author identifier.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct AuthorId(pub u32);
 
 impl AuthorId {
@@ -25,7 +23,7 @@ impl std::fmt::Display for AuthorId {
 }
 
 /// Dense institution identifier.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct InstitutionId(pub u32);
 
 impl InstitutionId {
@@ -37,7 +35,7 @@ impl InstitutionId {
 }
 
 /// Coarse world region, used for geographic distribution metrics.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Region {
     /// North America.
     NorthAmerica,
@@ -96,7 +94,7 @@ impl Region {
 }
 
 /// A research institution with a location.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Institution {
     /// Identifier (index into the corpus institution table).
     pub id: InstitutionId,
@@ -111,7 +109,7 @@ pub struct Institution {
 }
 
 /// A researcher.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Author {
     /// Identifier (index into the corpus author table).
     pub id: AuthorId,

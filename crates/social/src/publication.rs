@@ -1,11 +1,9 @@
 //! Publications: the atoms of "proven trust" in the case study.
 
-use serde::{Deserialize, Serialize};
-
 use crate::author::AuthorId;
 
 /// Dense publication identifier.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct PubId(pub u32);
 
 impl PubId {
@@ -17,7 +15,7 @@ impl PubId {
 }
 
 /// A publication record (DBLP-like).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Publication {
     /// Identifier (index into the corpus publication table).
     pub id: PubId,

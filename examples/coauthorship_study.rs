@@ -9,7 +9,6 @@
 
 use scdn::alloc::placement::PlacementAlgorithm;
 use scdn::core::casestudy::CaseStudy;
-use scdn::graph::CsrGraph;
 use scdn::social::generator::{generate, CaseStudyParams};
 
 fn main() {
@@ -39,11 +38,10 @@ fn main() {
             print!(" {k:>6}");
         }
         println!();
-        let csr = CsrGraph::from(&s.graph);
-        for alg in PlacementAlgorithm::PAPER_SET {
-            print!("  {:<24}", alg.name());
-            for k in ks {
-                print!(" {:>6.2}", cs.mean_hit_rate(s, &csr, alg, k, runs));
+        for curve in cs.sweep(s, &PlacementAlgorithm::PAPER_SET, &ks, runs) {
+            print!("  {:<24}", curve.algorithm.name());
+            for rate in curve.hit_rate_pct {
+                print!(" {rate:>6.2}");
             }
             println!();
         }

@@ -17,7 +17,6 @@ use scdn::alloc::placement::PlacementAlgorithm;
 use scdn::core::casestudy::CaseStudy;
 use scdn::core::scenario::{run as run_scenario, ScenarioConfig};
 use scdn::core::system::AvailabilityConfig;
-use scdn::graph::CsrGraph;
 use scdn::social::author::AuthorId;
 use scdn::social::dblp_format::{from_text, to_text};
 use scdn::social::generator::{generate, CaseStudyParams};
@@ -142,12 +141,12 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         .paper_subgraphs()
         .ok_or("seed author absent from the training-year coauthorship graph")?;
     println!("graph,algorithm,replicas,hit_rate_pct");
+    let ks: Vec<usize> = (1..=10).collect();
     for s in &subs {
-        let csr = CsrGraph::from(&s.graph);
-        for alg in PlacementAlgorithm::PAPER_SET {
-            for k in 1..=10usize {
-                let rate = cs.mean_hit_rate(s, &csr, alg, k, runs);
-                println!("{},{},{k},{rate:.3}", s.filter.name(), alg.name());
+        for curve in cs.sweep(s, &PlacementAlgorithm::PAPER_SET, &ks, runs) {
+            let name = curve.algorithm.name();
+            for (k, rate) in ks.iter().zip(&curve.hit_rate_pct) {
+                println!("{},{name},{k},{rate:.3}", s.filter.name());
             }
         }
     }

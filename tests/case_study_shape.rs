@@ -8,10 +8,22 @@ use scdn::graph::components::island_stats;
 use scdn::graph::traversal::max_span;
 use scdn::graph::CsrGraph;
 use scdn::social::generator::{generate, CaseStudyParams};
-use scdn::social::SyntheticDblp;
+use scdn::social::{SyntheticDblp, TrustSubgraph};
 
 fn corpus() -> SyntheticDblp {
     generate(&CaseStudyParams::default())
+}
+
+/// Mean hit rate (%) of `algorithm` with `k` replicas over `runs`: one
+/// cell of [`CaseStudy::sweep`].
+fn rate_at(
+    cs: &CaseStudy,
+    sub: &TrustSubgraph,
+    algorithm: PlacementAlgorithm,
+    k: usize,
+    runs: usize,
+) -> f64 {
+    cs.sweep(sub, &[algorithm], &[k], runs)[0].hit_rate_pct[0]
 }
 
 #[test]
@@ -69,8 +81,7 @@ fn community_degree_wins_at_ten_replicas_on_baseline() {
     let base = cs
         .subgraph(scdn::social::TrustFilter::Baseline)
         .expect("seed");
-    let csr = CsrGraph::from(&base.graph);
-    let rate = |alg, runs| cs.mean_hit_rate(&base, &csr, alg, 10, runs);
+    let rate = |alg, runs| rate_at(&cs, &base, alg, 10, runs);
     let community = rate(PlacementAlgorithm::CommunityNodeDegree, 1);
     let degree = rate(PlacementAlgorithm::NodeDegree, 1);
     let random = rate(PlacementAlgorithm::Random, 20);
@@ -96,9 +107,8 @@ fn node_degree_flattens_on_baseline() {
     let base = cs
         .subgraph(scdn::social::TrustFilter::Baseline)
         .expect("seed");
-    let csr = CsrGraph::from(&base.graph);
-    let at3 = cs.mean_hit_rate(&base, &csr, PlacementAlgorithm::NodeDegree, 3, 1);
-    let at10 = cs.mean_hit_rate(&base, &csr, PlacementAlgorithm::NodeDegree, 10, 1);
+    let at3 = rate_at(&cs, &base, PlacementAlgorithm::NodeDegree, 3, 1);
+    let at10 = rate_at(&cs, &base, PlacementAlgorithm::NodeDegree, 10, 1);
     assert!(
         at10 - at3 < 0.5,
         "node degree must flatten: {at3} -> {at10}"
@@ -111,9 +121,8 @@ fn node_degree_flattens_on_baseline() {
     let base2 = cs2
         .subgraph(scdn::social::TrustFilter::Baseline)
         .expect("seed");
-    let csr2 = CsrGraph::from(&base2.graph);
-    let b3 = cs2.mean_hit_rate(&base2, &csr2, PlacementAlgorithm::NodeDegree, 3, 1);
-    let b10 = cs2.mean_hit_rate(&base2, &csr2, PlacementAlgorithm::NodeDegree, 10, 1);
+    let b3 = rate_at(&cs2, &base2, PlacementAlgorithm::NodeDegree, 3, 1);
+    let b10 = rate_at(&cs2, &base2, PlacementAlgorithm::NodeDegree, 10, 1);
     assert!(
         b10 - b3 > (at10 - at3) + 0.5,
         "without the mega pub the curve should keep rising: {b3} -> {b10} \
@@ -126,10 +135,7 @@ fn trust_pruning_improves_hit_rates() {
     let g = corpus();
     let cs = CaseStudy::paper_setup(&g.corpus, g.seed_author);
     let [base, double, few] = cs.paper_subgraphs().expect("seed present");
-    let rate = |s: &scdn::social::TrustSubgraph| {
-        let csr = CsrGraph::from(&s.graph);
-        cs.mean_hit_rate(s, &csr, PlacementAlgorithm::CommunityNodeDegree, 10, 1)
-    };
+    let rate = |s| rate_at(&cs, s, PlacementAlgorithm::CommunityNodeDegree, 10, 1);
     let (rb, rd, rf) = (rate(&base), rate(&double), rate(&few));
     assert!(rd > rb, "double-coauthorship {rd} must beat baseline {rb}");
     assert!(
@@ -145,14 +151,13 @@ fn hit_rates_monotone_in_replica_count() {
     let base = cs
         .subgraph(scdn::social::TrustFilter::Baseline)
         .expect("seed");
-    let csr = CsrGraph::from(&base.graph);
     for alg in [
         PlacementAlgorithm::NodeDegree,
         PlacementAlgorithm::CommunityNodeDegree,
     ] {
         let mut prev = 0.0;
         for k in [1, 2, 4, 6, 8, 10] {
-            let r = cs.mean_hit_rate(&base, &csr, alg, k, 1);
+            let r = rate_at(&cs, &base, alg, k, 1);
             assert!(r + 1e-9 >= prev, "{alg:?} k={k}: {r} < {prev}");
             prev = r;
         }

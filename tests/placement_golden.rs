@@ -3,7 +3,9 @@
 //! **recorded at the commit before the adjacency-list algorithm twins were
 //! removed, through the adjacency-list path** (`place(&Graph, ..)`,
 //! `multi_source_bfs(&Graph, ..)`, and a `hit_rate(&Graph)`-per-cell
-//! re-derivation of `sweep`).
+//! re-derivation of `sweep`). Two Betweenness digests were re-recorded
+//! when Brandes became serial: it sums sources in index order, where the
+//! recorded values summed two per-worker halves.
 //!
 //! Every equivalence proptest in the workspace compares two things built
 //! from the same commit; this is the check across commits. It runs under
@@ -14,20 +16,12 @@
 use scdn::alloc::placement::PlacementAlgorithm;
 use scdn::core::casestudy::CaseStudy;
 use scdn::graph::generators::barabasi_albert;
-use scdn::graph::parallel::set_worker_limit;
 use scdn::graph::traversal::multi_source_bfs;
 use scdn::graph::CsrGraph;
 use scdn::social::generator::{generate, CaseStudyParams};
 
 /// Seed of every `place` call (only `Random` reads it).
 const SEED: u64 = 7;
-
-/// The parallel Brandes merge sums per-worker partial scores in worker
-/// order, so near-ties in the betweenness ranking depend on the worker
-/// count. The constants were recorded on two workers; pinning that here
-/// makes the gate independent of the host's core count. (Every test in
-/// this file sets the same value, so their running concurrently is fine.)
-const WORKERS: usize = 2;
 
 /// Digests of one graph: `place(g, n, SEED)` for `PAPER_SET` then
 /// `EXTENDED_SET`, in declaration order, then `multi_source_bfs` from the
@@ -74,7 +68,8 @@ const PAPER_SUBGRAPHS: [(RankingDigests, u64); 3] = [
             0xee0544fa232b2039,
             0xdadb36471780f6a9,
             0x8788191544efd9f1,
-            0x61fe168221b7e4bd,
+            // Re-recorded: serial Brandes.
+            0x7f3fd8d34bf03a89,
             0x6059188e204d46b9,
             0xfb7cd287a22b853d,
             0x97067574d9204279,
@@ -89,7 +84,8 @@ const PAPER_SUBGRAPHS: [(RankingDigests, u64); 3] = [
             0xd9a3454274ffa4ad,
             0xdc7e400d9d0f1289,
             0x9df08505765ca7b1,
-            0x86f5047fefc74aa9,
+            // Re-recorded: serial Brandes.
+            0xc668f724fc941b21,
             0x594253450bde9bd1,
             0x713fff3fea0e779d,
             0xca5b93cfbddbc29d,
@@ -140,14 +136,12 @@ fn assert_rankings(graph: &str, g: &CsrGraph, golden: &RankingDigests) {
 
 #[test]
 fn generator_graph_rankings_match_recorded_digests() {
-    set_worker_limit(WORKERS);
     let g = CsrGraph::from(&barabasi_albert(2_000, 3, 7));
     assert_rankings("barabasi_albert(2000, 3, 7)", &g, &BA_2000);
 }
 
 #[test]
 fn paper_subgraph_rankings_and_sweep_match_recorded_digests() {
-    set_worker_limit(WORKERS);
     let corpus = generate(&CaseStudyParams::default());
     let cs = CaseStudy::paper_setup(&corpus.corpus, corpus.seed_author);
     let subs = cs.paper_subgraphs().expect("seed present");
