@@ -31,27 +31,31 @@ use crate::server::{AllocationError, RepositoryInfo, DEFAULT_RESOLVE_CACHE_CAPAC
 pub type CodedInventory = Vec<(NodeId, Arc<Vec<u32>>)>;
 
 /// One dataset's catalog entry.
-#[derive(Clone, Debug)]
-pub(crate) struct Entry {
-    pub(crate) replicas: Vec<NodeId>,
-    pub(crate) segments: u32,
+#[derive(Clone, Debug, PartialEq)]
+pub struct Entry {
+    /// Whole-replica hosts, the primary first.
+    pub replicas: Vec<NodeId>,
+    /// Plain segments the dataset was cut into.
+    pub segments: u32,
     /// The server-wide version this entry's last change took. The hop
     /// cache keys on it.
-    pub(crate) version: u64,
+    pub version: u64,
     /// Erasure-coding parameters, when the dataset is stored coded
     /// (`None` for whole-replica datasets).
-    pub(crate) coding: Option<CodingSpec>,
+    pub coding: Option<CodingSpec>,
     /// Per-host coded-block inventories, sorted by node id: which of the
     /// dataset's n coded blocks each host holds. Tracked *next to* the
     /// whole-replica list — a node may appear in both (the owner's full
     /// copy coexists with coded blocks spread across peers).
-    pub(crate) coded_hosts: CodedInventory,
-    /// Resolutions served within one social hop, and beyond it.
-    pub(crate) hits: u64,
-    pub(crate) misses: u64,
-    /// The totals the last drain opened the current window at.
-    pub(crate) hits_drained: u64,
-    pub(crate) misses_drained: u64,
+    pub coded_hosts: CodedInventory,
+    /// Resolutions served within one social hop.
+    pub hits: u64,
+    /// Resolutions served beyond one social hop.
+    pub misses: u64,
+    /// The hit total the last drain opened the current window at.
+    pub hits_drained: u64,
+    /// The miss total the last drain opened the current window at.
+    pub misses_drained: u64,
 }
 
 impl Entry {
@@ -172,6 +176,43 @@ impl Catalog {
             entries: self.entries.clone(),
         }
     }
+
+    pub(crate) fn state(&self) -> CatalogState {
+        let mut entries: Vec<(DatasetId, Entry)> =
+            self.entries.iter().map(|(&d, e)| (d, e.clone())).collect();
+        entries.sort_unstable_by_key(|&(d, _)| d);
+        let mut hosted: Vec<(NodeId, Vec<DatasetId>)> = self
+            .hosted
+            .iter()
+            .map(|(&n, set)| (n, set.iter().copied().collect()))
+            .collect();
+        hosted.sort_unstable_by_key(|&(n, _)| n);
+        let mut repositories: Vec<RepositoryInfo> = self.repos.values().cloned().collect();
+        repositories.sort_unstable_by_key(|r| r.node);
+        CatalogState {
+            entries,
+            hosted,
+            repositories,
+            last_version: self.next_version,
+        }
+    }
+}
+
+/// Everything the catalog decides from, as one plain value: the entries
+/// with their demand counts, the hosted index, the repository registry
+/// and the version counter. The hop cache and the search scratch are left
+/// out: a cache never decides.
+#[derive(Debug, PartialEq)]
+pub struct CatalogState {
+    /// Every entry, in `DatasetId` order.
+    pub entries: Vec<(DatasetId, Entry)>,
+    /// The hosted index: each node with a replica or coded block, in node
+    /// order, and the datasets it hosts, sorted.
+    pub hosted: Vec<(NodeId, Vec<DatasetId>)>,
+    /// The repository registry, in node order.
+    pub repositories: Vec<RepositoryInfo>,
+    /// The last server-wide version an entry change took.
+    pub last_version: u64,
 }
 
 /// A copy of every catalog entry, for a caller that reads many datasets

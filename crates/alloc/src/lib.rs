@@ -27,7 +27,7 @@ pub mod replication;
 mod resolve_cache;
 pub mod server;
 
-pub use catalog::{CatalogSnapshot, CodedInventory};
+pub use catalog::{CatalogSnapshot, CatalogState, CodedInventory, Entry as CatalogEntry};
 pub use placement::PlacementAlgorithm;
 pub use ranking_cache::RankingCache;
 pub use replication::{

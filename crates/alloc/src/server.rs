@@ -36,7 +36,7 @@ use scdn_social::author::AuthorId;
 use scdn_storage::coding::CodingSpec;
 use scdn_storage::object::DatasetId;
 
-use crate::catalog::{Catalog, CatalogSnapshot, CodedInventory, Entry};
+use crate::catalog::{Catalog, CatalogSnapshot, CatalogState, CodedInventory, Entry};
 use crate::discovery::{select_from_hops, Selection};
 use crate::replication::{CycleStats, DatasetStats, DemandWindow, RebalancePolicy};
 use crate::resolve_cache::ResolveCache;
@@ -107,7 +107,7 @@ impl AllocMetrics {
 }
 
 /// Registry entry for a contributed repository.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RepositoryInfo {
     /// The owner's node in the social graph (also the network node index).
     pub node: NodeId,
@@ -243,6 +243,12 @@ impl AllocationServer {
     /// O(datasets).
     pub fn snapshot(&self) -> CatalogSnapshot {
         self.catalog.borrow().snapshot()
+    }
+
+    /// The whole catalog as one value, for comparing two catalog states:
+    /// O(datasets + members).
+    pub fn state(&self) -> CatalogState {
+        self.catalog.borrow().state()
     }
 
     /// Register (or update) a contributed repository.

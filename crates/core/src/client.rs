@@ -61,6 +61,12 @@ impl MonitoringClient {
         self.bytes_since_report += bytes;
     }
 
+    /// The EWMA availability estimate and the samples behind it: what
+    /// [`report`](Self::report) sends and what the next sample weighs.
+    pub(crate) fn estimate(&self) -> (f64, u64) {
+        (self.ewma_availability, self.samples)
+    }
+
     /// Flush the telemetry to an allocation server, resetting the usage
     /// counters. Returns `(served, bytes)` flushed.
     pub fn report(&mut self, server: &AllocationServer) -> (u64, u64) {

@@ -16,7 +16,7 @@ use scdn_storage::coding::CodingConfig;
 use scdn_storage::object::{DatasetId, Sensitivity};
 use scdn_trust::threshold::TrustPolicy;
 
-use crate::system::{AvailabilityConfig, RebalanceStrategy, Scdn, ScdnConfig};
+use crate::system::{AvailabilityConfig, DecisionState, RebalanceStrategy, Scdn, ScdnConfig};
 
 /// Room for every copy the maintenance schedules make.
 pub(crate) const ROOMY: u64 = 4 << 20;
@@ -327,28 +327,78 @@ pub(crate) fn export_without(scdn: &Scdn, dropped: &[&str]) -> String {
         .join("\n")
 }
 
-/// Catalog state per dataset: replica set, entry version, and the full
-/// per-host coded-block inventory.
-#[allow(clippy::type_complexity)]
-pub(crate) fn catalog_state(
-    scdn: &Scdn,
-    datasets: &[DatasetId],
-) -> Vec<(Vec<NodeId>, Option<u64>, Vec<(NodeId, Vec<u32>)>)> {
-    datasets
-        .iter()
-        .map(|&d| {
-            (
-                scdn.replicas_of(d).unwrap_or_default(),
-                scdn.allocation().catalog_version(d),
-                scdn.allocation()
-                    .coded_inventory(d)
-                    .unwrap_or_default()
-                    .into_iter()
-                    .map(|(n, b)| (n, b.to_vec()))
-                    .collect(),
-            )
-        })
-        .collect()
+/// Panic, naming each part of the state that differs, unless `got` and
+/// `want` are equal. The destructuring names every field, so a field
+/// added to [`DecisionState`] must be added here too.
+#[track_caller]
+pub(crate) fn assert_same_state(got: &DecisionState, want: &DecisionState, case: &str) {
+    let DecisionState {
+        clock,
+        catalog,
+        repos,
+        edges,
+        departed,
+        sessions,
+        datasets,
+        next_dataset,
+        ledger,
+        overlay_links,
+        estimates,
+    } = got;
+    let differ: Vec<&str> = [
+        ("clock", *clock == want.clock),
+        ("catalog", *catalog == want.catalog),
+        ("repos", *repos == want.repos),
+        ("edges", *edges == want.edges),
+        ("departed", *departed == want.departed),
+        ("sessions", *sessions == want.sessions),
+        ("datasets", *datasets == want.datasets),
+        ("next_dataset", *next_dataset == want.next_dataset),
+        ("ledger", *ledger == want.ledger),
+        ("overlay_links", *overlay_links == want.overlay_links),
+        ("estimates", *estimates == want.estimates),
+    ]
+    .into_iter()
+    .filter(|&(_, same)| !same)
+    .map(|(field, _)| field)
+    .collect();
+    assert!(differ.is_empty(), "{case}: {} differ", differ.join(", "));
+}
+
+/// `state` with the two charges of a request by `node` that failed
+/// after authenticating: one operation of `node`'s session and, when
+/// the request's resolve succeeded, one more hit or miss of
+/// `resolved`'s demand. The hop distance decides which of the two;
+/// `after` says which, and nothing else about the entry may move.
+pub(crate) fn charged(
+    mut state: DecisionState,
+    after: &DecisionState,
+    node: NodeId,
+    resolved: Option<DatasetId>,
+) -> DecisionState {
+    let slot = &mut state.sessions[node.index()];
+    let session = slot.as_mut().expect("an authenticated session");
+    session.remaining_ops -= 1;
+    if session.remaining_ops == 0 {
+        *slot = None;
+    }
+    if let Some(dataset) = resolved {
+        let at = |s: &DecisionState| {
+            let entries = &s.catalog.entries;
+            entries.iter().position(|&(d, _)| d == dataset)
+        };
+        let i = at(&state).expect("catalogued");
+        assert_eq!(at(after), Some(i));
+        let (want, got) = (&mut state.catalog.entries[i].1, &after.catalog.entries[i].1);
+        let was = (want.hits, want.misses);
+        assert!(
+            [(was.0 + 1, was.1), (was.0, was.1 + 1)].contains(&(got.hits, got.misses)),
+            "{dataset:?}: demand went from {was:?} to {:?}",
+            (got.hits, got.misses)
+        );
+        (want.hits, want.misses) = (got.hits, got.misses);
+    }
+    state
 }
 
 /// Trace structure without wall-clock span durations (which measure host

@@ -11,12 +11,13 @@
 //!
 //! Every stream pins four numbers: the outcome [`Digest`], an FNV-1a of
 //! the exported metric snapshot, of the trace shapes and of the catalog
-//! state. The values were recorded when batches and cycles still ran
-//! through a parallel plan/commit pipeline, itself held bit-identical to
-//! the serial loops the runtime now is; the snapshot omits only the
-//! series that pipeline's re-plans inflated ([`NOT_DECISIONS`]) and the
-//! counters it alone kept. Any change to what a request, a cycle or a
-//! repair decides, stores, charges or records fails here.
+//! part of the [`DecisionState`] ([`catalog_pin`]). The values were
+//! recorded when batches and cycles still ran through a parallel
+//! plan/commit pipeline, itself held bit-identical to the serial loops
+//! the runtime now is; the snapshot omits only the series that
+//! pipeline's re-plans inflated ([`NOT_DECISIONS`]) and the counters it
+//! alone kept. Any change to what a request, a cycle or a repair decides,
+//! stores, charges or records fails here.
 
 use scdn_alloc::replication::AdaptiveRebalance;
 use scdn_graph::NodeId;
@@ -25,17 +26,20 @@ use scdn_storage::coding::CodingConfig;
 use scdn_storage::object::DatasetId;
 
 use crate::fixtures::{
-    catalog_state, coded_cycle_system, export_without, fast_churn_system, maintenance_system,
-    mixed_system, pick, quota_system, serving_system, trace_shapes, ROOMY,
+    coded_cycle_system, export_without, fast_churn_system, maintenance_system, mixed_system, pick,
+    quota_system, serving_system, trace_shapes, ROOMY,
 };
 use crate::ops::{Digest, Op};
-use crate::system::{AvailabilityConfig, RebalanceStrategy, Scdn};
+use crate::system::{AvailabilityConfig, DecisionState, RebalanceStrategy, Scdn};
 
 /// Export lines that count work rather than decisions — hop-cache
 /// lookups, the searches behind them and coded rows encoded, all of which
 /// a plan/commit pipeline that re-planned stale work repeated — the
 /// one host-time series, and the retired catalog-wide invalidation
-/// counter.
+/// counter. The metric-side complement of [`DecisionState`]: the
+/// snapshot pin hashes what is left of the export, which records what
+/// was decided; the state is what decides. It stays until the export
+/// can tell a decision metric from a work metric by its kind.
 const NOT_DECISIONS: [&str; 5] = [
     "alloc.catalog.touch_all",
     "alloc.resolve.cache.",
@@ -103,20 +107,30 @@ fn fold(scdn: &mut Scdn, ops: &[Op], digest: &mut Digest) {
     }
 }
 
-fn observe(scdn: &Scdn, datasets: &[DatasetId], digest: Digest) -> Golden {
+/// The catalog pin's text: each catalog entry's replica set, version and
+/// per-host coded inventory, in `DatasetId` order.
+fn catalog_pin(state: &DecisionState) -> String {
+    let entries = state.catalog.entries.iter();
+    let rows: Vec<_> = entries
+        .map(|(_, e)| (&e.replicas, Some(e.version), &e.coded_hosts))
+        .collect();
+    format!("{rows:?}")
+}
+
+fn observe(scdn: &Scdn, digest: Digest) -> Golden {
     Golden {
         digest: digest.value(),
         snapshot: fnv(&export_without(scdn, &NOT_DECISIONS)),
         traces: fnv(&trace_shapes(scdn).join("\n")),
-        catalog: fnv(&format!("{:?}", catalog_state(scdn, datasets))),
+        catalog: fnv(&catalog_pin(&scdn.decision_state())),
     }
 }
 
 /// Run `ops` from a fresh digest and observe the result.
-fn run(mut scdn: Scdn, datasets: &[DatasetId], ops: &[Op]) -> Golden {
+fn run(mut scdn: Scdn, ops: &[Op]) -> Golden {
     let mut digest = Digest::default();
     fold(&mut scdn, ops, &mut digest);
-    observe(&scdn, datasets, digest)
+    observe(&scdn, digest)
 }
 
 /// `steps` ticks below `dt_max`, each followed by a batch of up to
@@ -199,7 +213,7 @@ fn request_batches(seed: u64) -> Golden {
                 seed == 1,
                 false,
             );
-            run(scdn, &datasets, &ops)
+            run(scdn, &ops)
         }
         _ => {
             let (scdn, datasets) = quota_system(FailureModel {
@@ -219,7 +233,7 @@ fn request_batches(seed: u64) -> Golden {
                 false,
                 false,
             );
-            run(scdn, &datasets, &ops)
+            run(scdn, &ops)
         }
     }
 }
@@ -234,7 +248,7 @@ fn maintenance_cycles(seed: u64) -> Golden {
     };
     let (scdn, datasets) = maintenance_system(rebalance, periodic, capacity);
     let ops = cycle_stream(&scdn, &datasets, &mut choices, 6);
-    run(scdn, &datasets, &ops)
+    run(scdn, &ops)
 }
 
 fn coded_streams(seed: u64) -> Golden {
@@ -242,7 +256,7 @@ fn coded_streams(seed: u64) -> Golden {
     if seed == 1 {
         let (scdn, datasets) = coded_cycle_system(CodingConfig::Rs { k: 3, m: 2 });
         let ops = cycle_stream(&scdn, &datasets, &mut choices, 6);
-        return run(scdn, &datasets, &ops);
+        return run(scdn, &ops);
     }
     let availability = if seed == 2 {
         AvailabilityConfig::Periodic {
@@ -264,7 +278,7 @@ fn coded_streams(seed: u64) -> Golden {
         true,
         true,
     );
-    run(scdn, &datasets, &ops)
+    run(scdn, &ops)
 }
 
 /// Place both datasets at a random start clock, then three rounds of:
@@ -298,7 +312,7 @@ fn depart_then_repair(seed: u64) -> Golden {
         ops.push(Op::Repair);
         fold(&mut scdn, &ops, &mut digest);
     }
-    observe(&scdn, &datasets, digest)
+    observe(&scdn, digest)
 }
 
 /// Hold `family`'s three seeds to `want`, reporting every mismatch.

@@ -324,7 +324,6 @@ impl Scdn {
     ) -> Result<RequestOutcome, ScdnError> {
         let (rep, race) = self.race_coded(node, Partition::User, dataset, spec, donors);
         self.cdn_metrics.bytes_transferred += rep.total_bytes;
-        self.clock = self.clock.plus_millis(rep.total_ms as u64);
         self.coded_blocks_landed.add(rep.landed.len() as u64);
         self.coded_blocks_preexisting
             .add(rep.pre_existing.len() as u64);
@@ -365,6 +364,7 @@ impl Scdn {
             Segment { id, data, checksum }
         });
         store_user_segments(dst_repo, plain).map_err(ScdnError::Repo)?;
+        self.clock = self.clock.plus_millis(rep.total_ms as u64);
         let neighbors = self.social.neighbors(node);
         let social_hit = rep
             .delivered

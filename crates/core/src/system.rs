@@ -215,7 +215,9 @@ pub struct RequestOutcome {
     pub bytes: u64,
 }
 
-struct DatasetMeta {
+/// What the runtime records about one published dataset.
+#[derive(Clone, Debug, PartialEq)]
+pub struct DatasetMeta {
     owner: NodeId,
     policy: AccessPolicy,
     /// The owner's digest of each plain segment, as `publish` cut it: the
@@ -1556,6 +1558,10 @@ impl Scdn {
 mod maintain;
 #[path = "request.rs"]
 mod request;
+
+#[path = "state.rs"]
+mod state;
+pub use state::{DecisionState, HeldSegment, RepoState};
 
 // Test-only knobs and the flush-everything reference the delta path is
 // held to.

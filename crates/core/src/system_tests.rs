@@ -14,7 +14,7 @@ use scdn_storage::object::{Dataset, SegmentId, Sensitivity};
 use scdn_storage::repository::Partition;
 
 use crate::fixtures::{
-    catalog_state, coded_cycle_system, community, denser_community, export_without,
+    assert_same_state, charged, coded_cycle_system, community, denser_community, export_without,
     maintenance_system, owner_digest_mismatches, quota_system, ROOMY,
 };
 use crate::system::{AvailabilityConfig, RebalanceStrategy, Scdn, ScdnConfig, ScdnError};
@@ -1026,21 +1026,19 @@ fn failed_coded_request_gives_back_what_it_landed() {
         // fetch counts it toward k without looking inside.
         let planted = bad_block(&stored_block(&scdn, dataset, 4));
         let repo = scdn.repo(requester).expect("member");
-        repo.store(Partition::User, planted.clone()).expect("fits");
-        let used_before = repo.used();
+        repo.store(Partition::User, planted).expect("fits");
+        let before = scdn.decision_state();
         let failures_before = scdn.cdn_metrics.failures;
 
         let err = scdn
             .request_coded(requester, dataset)
             .expect_err("an undecodable fetch fails the request");
         assert!(expected(&err), "unexpected error: {err:?}");
-        let repo = scdn.repo(requester).expect("member");
-        assert_eq!(repo.used(), used_before, "landed blocks were given back");
-        assert_eq!(
-            repo.list(Partition::User),
-            vec![planted.id],
-            "the block that was there before stays, nothing else does"
-        );
+        // The landed blocks were given back and the planted one stays: the
+        // request charged its session and moved nothing else.
+        let after = scdn.decision_state();
+        let want = charged(before, &after, requester, None);
+        assert_same_state(&after, &want, "failed coded request");
         assert_eq!(scdn.cdn_metrics.failures, failures_before + 1);
         let snap = scdn.observability_snapshot();
         assert_eq!(snap.counter("core.coded.blocks_landed"), Some(2));
@@ -1066,19 +1064,17 @@ fn failed_coded_rebuild_gives_back_what_it_landed() {
     let index = *surviving[0].1.first().expect("holds a block");
     let planted = mis_sized(&stored_block(&scdn, dataset, index));
     let repo = scdn.repo(rebuilder).expect("member");
-    repo.store(Partition::Replica, planted.clone())
-        .expect("fits");
-    let used_before = repo.used();
+    repo.store(Partition::Replica, planted).expect("fits");
+    let mut before = scdn.decision_state();
 
     assert!(scdn.replicate(dataset).is_err(), "rebuild cannot decode");
-    let repo = scdn.repo(rebuilder).expect("member");
-    assert_eq!(repo.used(), used_before, "landed blocks were given back");
-    assert_eq!(repo.list(Partition::Replica), vec![planted.id]);
-    assert_eq!(
-        scdn.allocation().coded_inventory(dataset).expect("coded"),
-        surviving,
-        "a failed rebuild announces nothing"
-    );
+    // The landed blocks were given back, the planted one stays and the
+    // catalog heard nothing. Like every maintenance transfer, delivered
+    // or not, the race took its time on the clock.
+    let after = scdn.decision_state();
+    assert!(after.clock > before.clock, "the race took no time");
+    before.clock = after.clock;
+    assert_same_state(&after, &before, "failed coded rebuild");
 }
 
 #[test]
@@ -1175,9 +1171,7 @@ fn failed_request_leaves_the_user_partition_as_it_found_it() {
     let repo = scdn.repo(requester).expect("member");
     repo.store(Partition::User, corrupt_at_rest(&good))
         .expect("fits");
-    let mut ids = repo.list(Partition::User);
-    ids.sort();
-    let used = repo.used();
+    let before = scdn.decision_state();
 
     // 16 KiB + four new 2 KiB segments leave 1 KiB; the fifth needs 2 KiB.
     let refused = scdn.request(requester, datasets[1]);
@@ -1190,18 +1184,11 @@ fn failed_request_leaves_the_user_partition_as_it_found_it() {
         ),
         "{refused:?}"
     );
-    let repo = scdn.repo(requester).expect("member");
-    let mut after = repo.list(Partition::User);
-    after.sort();
-    assert_eq!(after, ids);
-    assert_eq!(repo.used(), used);
-    assert!(
-        matches!(
-            repo.fetch(Partition::User, seg0),
-            Err(RepoError::IntegrityFailure(id)) if id == seg0
-        ),
-        "segment 0 still holds its corrupt bytes"
-    );
+    // Segment 0 still holds its corrupt bytes and the added segments are
+    // gone: only the failed request's two charges moved.
+    let after = scdn.decision_state();
+    let want = charged(before, &after, requester, Some(datasets[1]));
+    assert_same_state(&after, &want, "failed request");
 }
 
 /// Always-reliable fabric under periodic churn (duty 0.6), one public
@@ -1841,8 +1828,8 @@ impl RebalancePolicy for AlwaysGrow {
 
 proptest! {
     /// With `CodingConfig::None`, `request_coded` is a
-    /// bit-identical alias of `request` — same outcomes, same clock, same
-    /// catalog, same full metric export.
+    /// bit-identical alias of `request` — same outcomes, same decision
+    /// state, same full metric export.
     #[test]
     fn request_coded_is_identity_when_uncoded(
         reqs in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..12),
@@ -1866,11 +1853,9 @@ proptest! {
                 (a, b) => prop_assert!(false, "outcomes diverge: {a:?} vs {b:?}"),
             }
         }
-        prop_assert_eq!(plain.now(), coded.now(), "clocks diverge");
-        prop_assert_eq!(
-            catalog_state(&plain, &datasets),
-            catalog_state(&coded, &datasets),
-            "catalog diverges"
+        prop_assert!(
+            plain.decision_state() == coded.decision_state(),
+            "decision states diverge"
         );
         // Everything but the one host-time series in the export.
         let wall_clock = ["core.maintain.ranking_recompute_ms"];

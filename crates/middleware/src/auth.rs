@@ -96,6 +96,12 @@ impl Middleware {
         Ok(s.user)
     }
 
+    /// The session `session_id` names, while the middleware holds it (an
+    /// exhausted session is dropped on its next use).
+    pub fn session(&self, session_id: u64) -> Option<&Session> {
+        self.sessions.get(&session_id)
+    }
+
     /// Non-consuming preview of [`authorize_op`](Self::authorize_op):
     /// reports the same decision the next `authorize_op` call would make,
     /// without consuming an operation or expiring the session.

@@ -34,7 +34,7 @@ impl AccessDecision {
 }
 
 /// A dataset's access policy.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AccessPolicy {
     /// Sensitivity of the dataset.
     pub sensitivity: Sensitivity,

@@ -190,6 +190,11 @@ impl SocialOverlay {
             .unwrap_or(false)
     }
 
+    /// Each member's verified links, in the order they came up.
+    pub fn links(&self) -> &[Vec<NodeId>] {
+        &self.links
+    }
+
     /// Number of verified links.
     pub fn link_count(&self) -> usize {
         self.links.iter().map(Vec::len).sum::<usize>() / 2

@@ -115,6 +115,18 @@ impl CacheManager {
         entry.2 = pinned;
     }
 
+    /// Every pinned segment, in id order.
+    pub fn pinned(&self) -> Vec<SegmentId> {
+        let mut ids: Vec<SegmentId> = self
+            .state
+            .iter()
+            .filter(|(_, e)| e.2)
+            .map(|(&id, _)| id)
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
     /// `true` if the segment is pinned.
     fn is_pinned(&self, id: SegmentId) -> bool {
         self.state.get(&id).map(|e| e.2).unwrap_or(false)

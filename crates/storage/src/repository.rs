@@ -204,6 +204,14 @@ impl StorageRepository {
         ids
     }
 
+    /// Every segment and coded block in a partition as stored, unverified,
+    /// in id order.
+    pub fn segments(&self, p: Partition) -> Vec<Segment> {
+        let mut segments: Vec<Segment> = self.shelf(p).values().cloned().collect();
+        segments.sort_unstable_by_key(|s| s.id);
+        segments
+    }
+
     /// Coded-block indices of `dataset` held in partition `p` (sorted).
     /// Plain segments of the same dataset are not included.
     pub fn list_coded(&self, p: Partition, dataset: DatasetId) -> Vec<u32> {

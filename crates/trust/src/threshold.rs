@@ -8,7 +8,7 @@ use crate::model::TrustModel;
 /// A trust policy: minimum score and minimum evidence to be considered
 /// trusted. Mirrors the paper's trust thresholds ("continue to explore
 /// different trust thresholds", Section VIII).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TrustPolicy {
     /// Minimum trust score in (0, 1).
     pub min_score: f64,

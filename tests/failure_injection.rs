@@ -152,15 +152,27 @@ fn forged_replica_copy_is_refused() {
     repo.store(partition, Segment::new(id, Bytes::from(vec![0x55u8; 8000])))
         .expect("same size fits");
 
-    let before = scdn.repo(requester).expect("member").list(Partition::User);
+    let before = scdn.decision_state();
     match scdn.request(requester, dataset) {
         Err(ScdnError::Transfer(TransferError::SourceCorrupt(bad))) => assert_eq!(bad, id),
         other => panic!("a forged copy must be refused, got {other:?}"),
     }
-    assert_eq!(
-        scdn.repo(requester).expect("member").list(Partition::User),
-        before,
-        "nothing forged reaches the requester"
+    // Nothing forged reaches the requester. The failed request charged its
+    // session one operation and the dataset one resolution — a hit when
+    // the source is a social neighbour — and moved nothing else.
+    let mut want = before;
+    let session = want.sessions[requester.index()].as_mut().expect("live");
+    session.remaining_ops -= 1;
+    let (catalogued, entry) = &mut want.catalog.entries[0];
+    assert_eq!(*catalogued, dataset);
+    if scdn.social_csr().has_edge(source, requester) {
+        entry.hits += 1;
+    } else {
+        entry.misses += 1;
+    }
+    assert!(
+        scdn.decision_state() == want,
+        "the refused request changed more than its charges"
     );
     assert_eq!(
         scdn.observability_snapshot()
