@@ -100,25 +100,6 @@ impl PlacementAlgorithm {
             PlacementAlgorithm::WeightedDegree => place_by_strength(g, k),
         }
     }
-
-    /// `true` if the ranking reads the edge set at all. `Random` shuffles
-    /// the bare node-id list (see `place_random`), so it survives
-    /// pure edge churn — only a node-count change can affect it.
-    pub fn edge_sensitive(self) -> bool {
-        !matches!(self, PlacementAlgorithm::Random)
-    }
-
-    /// `true` if the ranking reads edge *weights* rather than just the
-    /// adjacency shape: weighted degree sums them, weighted PageRank
-    /// splits transition probability by them. Everything else scores on
-    /// unweighted structure (degree, clustering, hop-based centralities),
-    /// so a weight-only delta cannot change its ordering.
-    pub fn weight_sensitive(self) -> bool {
-        matches!(
-            self,
-            PlacementAlgorithm::WeightedDegree | PlacementAlgorithm::PageRank
-        )
-    }
 }
 
 /// Uniform random placement. Only the node-id list enters the shuffle, so

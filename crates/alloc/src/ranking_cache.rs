@@ -13,32 +13,16 @@
 //! [`RankingCache`] computes the **full** ordering once per
 //! `(algorithm, seed)` and hands out a shared slice; callers take
 //! whatever prefix they need and apply their own owner / current-replica
-//! / offline filtering. A [`CsrGraph::generation`] mismatch flushes the
-//! cache (the graph changed under us — the long-deleted
-//! `CsrGraph::fingerprint` guard collided on equal-sized swaps, which
-//! is why the generation replaced it).
+//! / offline filtering.
 //!
-//! Rankings never read the catalog, so catalog commits — and the entry
-//! versions they advance (see `catalog.rs`) — cannot invalidate an
-//! ordering: the graph generation is the *only* guard this cache
-//! needs. Every
-//! grow of a maintenance cycle re-slices the same memoized ordering; only
-//! a structural graph change recomputes it.
-//!
-//! Under churn, [`note_delta`](RankingCache::note_delta) marks only the
-//! *affected* `(algorithm, seed)` entries stale instead of clearing the
-//! map: `Random` ranks the bare node-id list and survives any pure edge
-//! churn; the unweighted structural algorithms survive weight-only
-//! reinforcement. Survivors are re-stamped to the new generation so the
-//! next [`full_ranking`](RankingCache::full_ranking) hits.
-//!
-//! The CSR's chunked copy-on-write storage does not interact with this
-//! cache: generations stay globally monotonic across the O(touched)
-//! delta path (a delta-applied snapshot gets a *fresh* generation, never
-//! its base's), and the change classes `note_delta` inspects come from
-//! the [`DeltaSummary`](scdn_graph::DeltaSummary), which is computed from
-//! the ops — not from which chunks happened to be rewritten. Keying and
-//! invalidation are layout-independent.
+//! The one staleness rule is the [`CsrGraph::generation`]: a lookup on
+//! any other graph than the memoized orderings were computed on flushes
+//! them all. Every freeze and every [`CsrGraph::apply_delta`] mints a
+//! fresh generation, so each churn delta recomputes the next ranking
+//! asked for. Rankings never read the catalog, so catalog commits — and
+//! the entry versions they advance (see `catalog.rs`) — cannot
+//! invalidate an ordering. Every grow of a maintenance cycle between two
+//! deltas re-slices the same memoized ordering.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -53,16 +37,6 @@ struct Entry {
     graph_gen: u64,
     /// The complete ranking: every node of the graph, best first.
     order: Arc<Vec<NodeId>>,
-}
-
-/// Outcome of a scoped delta invalidation (for telemetry).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RankingRetention {
-    /// Orderings provably unaffected by the delta, re-stamped to the new
-    /// generation.
-    pub retained: u64,
-    /// Orderings dropped because the delta can change them.
-    pub evicted: u64,
 }
 
 /// Memoized full placement orderings keyed on `(algorithm, seed)`.
@@ -102,9 +76,8 @@ impl RankingCache {
             }
         }
         let order = Arc::new(algorithm.place(csr, csr.node_count(), seed));
-        // An unannounced generation change means the caller swapped
-        // graphs without going through `note_delta`: every memoized
-        // ordering (not just this key's) is garbage.
+        // Another generation: every memoized ordering (not just this
+        // key's) is stale.
         if self.entries.values().any(|e| e.graph_gen != generation) {
             self.entries.clear();
         }
@@ -116,49 +89,6 @@ impl RankingCache {
             },
         );
         (order, false)
-    }
-
-    /// Scoped invalidation for a graph change `old_generation → new`
-    /// produced by [`CsrGraph::apply_delta`]: drop only the orderings the
-    /// delta can affect and re-stamp the provable survivors onto `new`'s
-    /// generation (so subsequent [`full_ranking`] calls hit).
-    ///
-    /// Affectedness is conservative per algorithm class:
-    /// - node activation can reorder *every* algorithm (the candidate list
-    ///   itself changes) — drop all;
-    /// - a structural edge change affects every
-    ///   [`edge_sensitive`](PlacementAlgorithm::edge_sensitive) algorithm
-    ///   (all but `Random`);
-    /// - a weight-only delta affects only the
-    ///   [`weight_sensitive`](PlacementAlgorithm::weight_sensitive) ones.
-    ///
-    /// Entries stamped with a generation other than `old_generation`, or a
-    /// `new` without a delta summary, fall back to dropping everything.
-    ///
-    /// [`full_ranking`]: RankingCache::full_ranking
-    pub fn note_delta(&mut self, old_generation: u64, new: &CsrGraph) -> RankingRetention {
-        let mut out = RankingRetention::default();
-        let summary = new.last_delta();
-        self.entries.retain(|&(algorithm, _), entry| {
-            let keep = match summary {
-                Some(s) if entry.graph_gen == old_generation && s.nodes_added == 0 => {
-                    if s.structural {
-                        !algorithm.edge_sensitive()
-                    } else {
-                        !(s.weights_changed && algorithm.weight_sensitive())
-                    }
-                }
-                _ => false,
-            };
-            if keep {
-                entry.graph_gen = new.generation();
-                out.retained += 1;
-            } else {
-                out.evicted += 1;
-            }
-            keep
-        });
-        out
     }
 
     /// Number of memoized orderings (test/diagnostic surface).
@@ -175,7 +105,7 @@ impl RankingCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scdn_graph::Graph;
+    use scdn_graph::{Graph, GraphDelta};
 
     fn line_graph(n: usize) -> CsrGraph {
         let mut g = Graph::new(n);
@@ -233,84 +163,10 @@ mod tests {
         let twin = line_graph(9);
         let (_, hit) = cache.full_ranking(&twin, PlacementAlgorithm::NodeDegree, 1);
         assert!(!hit, "equal-shape rebuild must still miss");
-    }
-
-    #[test]
-    fn note_delta_keeps_random_across_edge_churn() {
-        use scdn_graph::GraphDelta;
-        let mut cache = RankingCache::new();
-        let csr = line_graph(10);
-        cache.full_ranking(&csr, PlacementAlgorithm::Random, 1);
-        cache.full_ranking(&csr, PlacementAlgorithm::Random, 2);
-        cache.full_ranking(&csr, PlacementAlgorithm::NodeDegree, 1);
-        cache.full_ranking(&csr, PlacementAlgorithm::WeightedDegree, 1);
-
-        let mut d = GraphDelta::new();
-        d.remove_edge(NodeId(3), NodeId(4));
-        let new = csr.apply_delta(&d);
-        let out = cache.note_delta(csr.generation(), &new);
-        assert_eq!(out.retained, 2, "both Random seeds survive edge churn");
-        assert_eq!(out.evicted, 2);
-        let (_, hit) = cache.full_ranking(&new, PlacementAlgorithm::Random, 1);
-        assert!(hit, "survivor re-stamped to the new generation");
-        let (_, hit) = cache.full_ranking(&new, PlacementAlgorithm::NodeDegree, 1);
-        assert!(!hit, "edge-sensitive ordering was dropped");
-    }
-
-    #[test]
-    fn note_delta_weight_only_keeps_structural_algorithms() {
-        use scdn_graph::GraphDelta;
-        let mut cache = RankingCache::new();
-        let csr = line_graph(10);
-        cache.full_ranking(&csr, PlacementAlgorithm::NodeDegree, 1);
-        cache.full_ranking(&csr, PlacementAlgorithm::ClusteringCoefficient, 1);
-        cache.full_ranking(&csr, PlacementAlgorithm::WeightedDegree, 1);
-        cache.full_ranking(&csr, PlacementAlgorithm::PageRank, 1);
-
-        let mut d = GraphDelta::new();
-        d.add_edge(NodeId(0), NodeId(1), 7); // reinforce an existing edge
-        let new = csr.apply_delta(&d);
-        let out = cache.note_delta(csr.generation(), &new);
-        assert_eq!(out.retained, 2, "unweighted structural rankings survive");
-        assert_eq!(out.evicted, 2, "weight-sensitive rankings dropped");
-        let (_, hit) = cache.full_ranking(&new, PlacementAlgorithm::NodeDegree, 1);
-        assert!(hit);
-        let (_, hit) = cache.full_ranking(&new, PlacementAlgorithm::WeightedDegree, 1);
-        assert!(!hit);
-    }
-
-    #[test]
-    fn note_delta_node_activation_drops_everything() {
-        use scdn_graph::GraphDelta;
-        let mut cache = RankingCache::new();
-        let csr = line_graph(6);
-        cache.full_ranking(&csr, PlacementAlgorithm::Random, 1);
-        cache.full_ranking(&csr, PlacementAlgorithm::NodeDegree, 1);
-        let mut d = GraphDelta::new();
-        d.add_nodes(2);
-        let new = csr.apply_delta(&d);
-        let out = cache.note_delta(csr.generation(), &new);
-        assert_eq!(out.retained, 0, "a changed candidate list affects all");
-        assert_eq!(out.evicted, 2);
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn note_delta_survivors_match_recomputation() {
-        use scdn_graph::GraphDelta;
-        let mut cache = RankingCache::new();
-        let csr = line_graph(12);
-        let (warm, _) = cache.full_ranking(&csr, PlacementAlgorithm::Random, 5);
-        let mut d = GraphDelta::new();
-        d.add_edge(NodeId(0), NodeId(11), 1)
-            .remove_edge(NodeId(5), NodeId(6));
-        let new = csr.apply_delta(&d);
-        cache.note_delta(csr.generation(), &new);
-        let (served, hit) = cache.full_ranking(&new, PlacementAlgorithm::Random, 5);
-        assert!(hit);
-        let fresh = PlacementAlgorithm::Random.place(&new, new.node_count(), 5);
-        assert_eq!(served.as_slice(), fresh.as_slice());
-        assert_eq!(warm, served);
+        // A delta mints a generation too, even one that moves no degree.
+        let reinforced = twin.apply_delta(GraphDelta::new().add_edge(NodeId(0), NodeId(1), 1));
+        let (_, hit) = cache.full_ranking(&reinforced, PlacementAlgorithm::NodeDegree, 1);
+        assert!(!hit, "a delta-applied snapshot must miss");
     }
 
     #[test]

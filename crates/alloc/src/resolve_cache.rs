@@ -31,35 +31,18 @@
 //!
 //! The cache is one map with one FIFO, owned by the catalog table and
 //! reached only through the allocation server's one cell, and bounded: it
-//! evicts the oldest insertion once it holds its capacity. The graph
-//! guard is the CSR's monotonic [`CsrGraph::generation`] — an
-//! *unannounced* generation change (a caller swapping in a different
-//! graph without going through [`ResolveCache::apply_delta`]) flushes
-//! everything.
+//! evicts the oldest insertion once it holds its capacity.
 //!
-//! ## Invalidation under churn
+//! ## One staleness rule for the graph
 //!
-//! A graph change announced through [`ResolveCache::apply_delta`] is
-//! evicted by generation: a delta whose
-//! [`DeltaSummary::distances_unchanged`](scdn_graph::DeltaSummary::distances_unchanged)
-//! (weight-only reinforcement, isolated activation) keeps every entry, and
-//! any other delta flushes the cache, exactly like an unannounced swap.
-//! Keeping the entries a distance-changing delta could not reach would
-//! need two whole-graph frontier searches per delta; measured under churn
-//! they kept under 1% of the cache (about one resolve miss saved per
-//! delta) at hundreds of times the cost of that miss (EXPERIMENTS.md
-//! "Cheap churn").
-//!
-//! ## Chunked COW storage changes nothing here
-//!
-//! `CsrGraph` stores its columns as `Arc`-shared row chunks and
-//! [`CsrGraph::apply_delta`] rewrites only touched chunks. That is a
-//! *storage* optimization: the generation counter stays globally
-//! monotonic (every apply/freeze mints a fresh value, never reuses one),
-//! and whether a delta changed any distance does not depend on how many
-//! chunks its rows map onto. Both guards this cache relies on are
-//! therefore layout-independent — no rekeying, and no sensitivity to
-//! `chunk_rows`.
+//! The graph guard is the CSR's monotonic [`CsrGraph::generation`]: a
+//! lookup on any graph other than the one the entries were filled on
+//! flushes them all. Every freeze and every [`CsrGraph::apply_delta`]
+//! mints a fresh generation, so a churn delta flushes the cache whatever
+//! it changed. Finer rules — keeping the entries a delta cannot reach, or
+//! every entry across a weight-only delta — saved no measurable work
+//! (EXPERIMENTS.md "Cheap churn" and "One staleness rule"). The chunked
+//! copy-on-write layout does not enter the rule.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -80,15 +63,6 @@ struct Slot {
     /// Hop distance per replica, parallel to the entry's replica list at
     /// `version` (`None` = beyond `bound`, or socially unreachable).
     hops: Box<[Option<u32>]>,
-}
-
-/// Outcome of a delta invalidation (for telemetry).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct RetentionOutcome {
-    /// Entries kept because the delta changed no hop distance.
-    pub retained: u64,
-    /// Entries flushed because the delta may have changed a distance.
-    pub evicted: u64,
 }
 
 /// Bounded, version-keyed hop-distance cache.
@@ -124,42 +98,16 @@ impl ResolveCache {
     }
 
     /// Flush the cache if `csr` is not the snapshot the cached hops were
-    /// computed on (first call just records the generation). A churned
-    /// graph that went through [`apply_delta`](ResolveCache::apply_delta)
-    /// already announced its new generation and keeps its survivors; any
-    /// *unannounced* generation change is an unknown graph swap and drops
-    /// everything.
-    pub(crate) fn ensure_graph(&mut self, csr: &CsrGraph) {
+    /// computed on (the first call just records the generation). Returns
+    /// the number of entries flushed.
+    pub(crate) fn ensure_graph(&mut self, csr: &CsrGraph) -> u64 {
         let generation = csr.generation();
-        if self.graph_gen.is_some_and(|prev| prev != generation) {
-            self.clear();
-        }
+        let stale = self.graph_gen.is_some_and(|prev| prev != generation);
         self.graph_gen = Some(generation);
-    }
-
-    /// Invalidation for a graph change `old → new` produced by
-    /// [`CsrGraph::apply_delta`]: a delta that provably changed no hop
-    /// distance (weight-only reinforcement, isolated activation) retains
-    /// every entry; any other delta, an `old` that is not the announced
-    /// snapshot, or a `new` without a delta summary flushes the cache.
-    /// Either way `new`'s generation is adopted, so subsequent
-    /// [`ensure_graph`](ResolveCache::ensure_graph) calls leave the
-    /// survivors alone.
-    pub(crate) fn apply_delta(&mut self, old: &CsrGraph, new: &CsrGraph) -> RetentionOutcome {
-        let announced = self.graph_gen.is_none_or(|g| g == old.generation());
-        self.graph_gen = Some(new.generation());
-        if announced && new.last_delta().is_some_and(|d| d.distances_unchanged()) {
-            let retained = self.map.len() as u64;
-            RetentionOutcome {
-                retained,
-                evicted: 0,
-            }
+        if stale {
+            self.clear()
         } else {
-            let evicted = self.clear();
-            RetentionOutcome {
-                retained: 0,
-                evicted,
-            }
+            0
         }
     }
 
@@ -319,8 +267,7 @@ mod tests {
             }
             let next = csr.apply_delta(&delta);
             delta.apply_to(&mut g);
-            let out = c.apply_delta(&csr, &next);
-            assert_eq!((out.retained, out.evicted), (0, u64::from(W)));
+            assert_eq!(c.ensure_graph(&next), u64::from(W));
             csr = next;
             check(&c);
         }
@@ -336,7 +283,7 @@ mod tests {
         let mut delta = GraphDelta::new();
         delta.remove_edge(NodeId(5), NodeId(6));
         let new = old.apply_delta(&delta);
-        assert_eq!(c.apply_delta(&old, &new).evicted, 1);
+        assert_eq!(c.ensure_graph(&new), 1);
         c.insert(b, 1, u32::MAX, hops(&[Some(5)]));
         c.insert(a, 1, u32::MAX, hops(&[Some(5)]));
         assert_eq!(c.insert(third, 1, u32::MAX, hops(&[Some(5)])), 1);
@@ -344,25 +291,6 @@ mod tests {
         assert!(c.hops(a, 1).is_some());
         assert!(c.hops(third, 1).is_some());
         check(&c);
-    }
-
-    #[test]
-    fn weight_only_delta_retains_everything() {
-        let mut g = line(6);
-        let old = CsrGraph::from(&g);
-        let mut c = ResolveCache::new(64);
-        c.ensure_graph(&old);
-        c.insert(key(0, 1), 1, u32::MAX, hops(&[Some(5)]));
-        c.insert(key(3, 2), 1, u32::MAX, hops(&[Some(2), None]));
-
-        let mut d = GraphDelta::new();
-        d.add_edge(NodeId(2), NodeId(3), 9); // reinforce an existing edge
-        let new = old.apply_delta(&d);
-        d.apply_to(&mut g);
-
-        let out = c.apply_delta(&old, &new);
-        assert_eq!(out.retained, 2, "hop distances provably unchanged");
-        assert_eq!(out.evicted, 0);
     }
 
     #[test]
@@ -376,9 +304,7 @@ mod tests {
         let mut d = GraphDelta::new();
         d.add_edge(NodeId(0), NodeId(4), 1);
         let new = b.apply_delta(&d); // delta over a snapshot we never saw
-        let out = c.apply_delta(&b, &new);
-        assert_eq!(out.retained, 0);
-        assert_eq!(out.evicted, 1);
+        assert_eq!(c.ensure_graph(&new), 1);
         assert_eq!(c.map.len(), 0);
     }
 }

@@ -76,12 +76,9 @@ pub struct AllocMetrics {
     /// beyond the nearest online replica (or is unreachable), so its
     /// distance was never computed.
     pub targets_beyond_bound: Counter,
-    /// Cache entries evicted by the capacity bound or by a
-    /// distance-changing graph delta.
+    /// Cache entries evicted by the capacity bound or flushed by a graph
+    /// delta ([`note_graph_delta`](AllocationServer::note_graph_delta)).
     pub cache_evictions: Counter,
-    /// Cache entries kept across a graph delta that changed no hop
-    /// distance ([`note_graph_delta`](AllocationServer::note_graph_delta)).
-    pub cache_retained: Counter,
     /// Datasets flagged for replica-count changes by rebalance plans.
     pub rebalance_datasets: Counter,
 }
@@ -100,7 +97,6 @@ impl AllocMetrics {
             bfs_visited: reg.counter("alloc.resolve.bfs.visited"),
             targets_beyond_bound: reg.counter("alloc.resolve.bfs.targets_beyond_bound"),
             cache_evictions: reg.counter("alloc.resolve.cache.evict"),
-            cache_retained: reg.counter("alloc.resolve.cache.retained"),
             rebalance_datasets: reg.counter("alloc.rebalance.datasets"),
         }
     }
@@ -222,21 +218,20 @@ impl AllocationServer {
         &self.metrics
     }
 
-    /// Announce a social-graph change `old → new` produced by
-    /// [`CsrGraph::apply_delta`]. The hop cache is evicted by generation:
-    /// a delta that changed no hop distance (weight-only reinforcement,
-    /// isolated activation) keeps every entry warm for the next resolve on
-    /// `new`; any other delta flushes it (see `resolve_cache` module docs).
-    /// Without this call, the next resolve on `new` flushes the cache
-    /// wholesale (unannounced generation change).
+    /// The hop cache's generation check, run eagerly for a graph change
+    /// `old → new`: the cache is flushed unless `new` is the graph it was
+    /// filled on (see `resolve_cache` module docs). A resolve on `new`
+    /// would flush it anyway; this call only counts the flush, in
+    /// `alloc.resolve.cache.evict`. `old` is unused; the signature stays
+    /// because `benchmark/` times this call.
     ///
-    /// Returns `(retained, evicted)` entry counts; both are also exported
-    /// via `alloc.resolve.cache.retained` / `alloc.resolve.cache.evict`.
-    pub fn note_graph_delta(&self, old: &CsrGraph, new: &CsrGraph) -> (u64, u64) {
-        let outcome = self.catalog.borrow_mut().cache.apply_delta(old, new);
-        self.metrics.cache_retained.add(outcome.retained);
-        self.metrics.cache_evictions.add(outcome.evicted);
-        (outcome.retained, outcome.evicted)
+    /// Returns `(0, flushed)`. The first count, entries retained, is
+    /// always 0 — a new generation keeps none — and stays because
+    /// `benchmark/` reads it as `GraphDeltaStats::resolve_retained`.
+    pub fn note_graph_delta(&self, _old: &CsrGraph, new: &CsrGraph) -> (u64, u64) {
+        let flushed = self.catalog.borrow_mut().cache.ensure_graph(new);
+        self.metrics.cache_evictions.add(flushed);
+        (0, flushed)
     }
 
     /// A copy of every catalog entry, taken at one catalog state:
@@ -499,11 +494,8 @@ impl AllocationServer {
     /// bound. The selection equals ranking the replicas by a full BFS
     /// from the requester.
     ///
-    /// The cache assumes `csr` is the announced snapshot: passing a graph
-    /// with an unannounced [`CsrGraph::generation`] flushes it wholesale,
-    /// while a distance-preserving delta routed through
-    /// [`note_graph_delta`](AllocationServer::note_graph_delta) keeps every
-    /// entry warm.
+    /// A `csr` of another [`CsrGraph::generation`] than the cache was
+    /// filled on flushes it first.
     pub fn resolve_csr(
         &self,
         dataset: DatasetId,

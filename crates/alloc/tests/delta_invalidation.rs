@@ -1,13 +1,13 @@
 //! Hop-cache invalidation under graph deltas: stale-hop regression tests,
-//! the retention rule, and a cold-recomputation property.
+//! the flush rule, and a cold-recomputation property.
 //!
-//! The resolve cache keeps its entries across a graph delta only when the
-//! delta changed no hop distance; any other delta flushes it (see
-//! `resolve_cache` module docs). These tests drive the public
-//! `AllocationServer` surface: resolve to warm the cache, churn the
-//! graph, resolve again, and require the answer to be identical to a
-//! cold full recomputation — under both the announced delta path
-//! (`note_graph_delta`) and an unannounced re-freeze.
+//! The resolve cache keeps one staleness rule for the graph: a resolve on
+//! another CSR generation than the entries were filled on flushes them
+//! all, and every delta mints a generation (see `resolve_cache` module
+//! docs). These tests drive the public `AllocationServer` surface:
+//! resolve to warm the cache, churn the graph, resolve again, and require
+//! the answer to be identical to a cold full recomputation — whether the
+//! change was announced (`note_graph_delta`) or not (a re-freeze).
 
 use proptest::prelude::*;
 use scdn_alloc::server::{AllocationServer, RepositoryInfo};
@@ -32,12 +32,10 @@ fn resolve_hops(srv: &AllocationServer, d: DatasetId, q: NodeId, csr: &CsrGraph)
         .social_hops
 }
 
-/// After `remove_edge` on a cached shortest path, `resolve_csr` must
-/// never serve the stale hop distance — delta path.
-#[test]
-fn removed_shortest_path_edge_is_never_served_stale_delta_path() {
-    // 0 — 1 — 2 — 3 plus a detour 0 — 4 — 5 — 6 — 3.
-    let mut g = Graph::from_edges(
+/// The diamond 0 — 1 — 2 — 3 plus a detour 0 — 4 — 5 — 6 — 3, with
+/// dataset 0 at node 3 and `(requester 0, dataset 0)` resolved once.
+fn warm_diamond() -> (Graph, AllocationServer, CsrGraph) {
+    let g = Graph::from_edges(
         7,
         [
             (0, 1, 1),
@@ -53,6 +51,15 @@ fn removed_shortest_path_edge_is_never_served_stale_delta_path() {
     srv.register_dataset(DatasetId(0), 16, NodeId(3)).unwrap();
     let old = CsrGraph::from(&g);
     assert_eq!(resolve_hops(&srv, DatasetId(0), NodeId(0), &old), Some(3));
+    (g, srv, old)
+}
+
+/// After `remove_edge` on a cached shortest path, `resolve_csr` must
+/// never serve the stale hop distance — delta path: the delta-applied
+/// snapshot is announced through `note_graph_delta`, which flushes.
+#[test]
+fn removed_shortest_path_edge_is_never_served_stale_delta_path() {
+    let (_, srv, old) = warm_diamond();
     // Warm hit on the cached shortest path 0-1-2-3.
     assert_eq!(resolve_hops(&srv, DatasetId(0), NodeId(0), &old), Some(3));
     assert!(srv.metrics().cache_hits.get() >= 1);
@@ -60,37 +67,21 @@ fn removed_shortest_path_edge_is_never_served_stale_delta_path() {
     let mut delta = GraphDelta::new();
     delta.remove_edge(NodeId(1), NodeId(2));
     let new = old.apply_delta(&delta);
-    delta.apply_to(&mut g);
-    srv.note_graph_delta(&old, &new);
-    // The delta changed a distance: the cached 3-hop entry must be gone,
-    // and the resolve must see the detour distance.
+    assert_eq!(srv.note_graph_delta(&old, &new), (0, 1));
     assert_eq!(resolve_hops(&srv, DatasetId(0), NodeId(0), &new), Some(4));
 }
 
-/// Same regression through the flush-everything oracle: an unannounced
-/// generation change (fresh re-freeze) drops the whole cache.
+/// Same regression with nothing announced: a resolve on a fresh re-freeze
+/// sees another generation and flushes the whole cache itself.
 #[test]
 fn removed_shortest_path_edge_is_never_served_stale_flush_path() {
-    let mut g = Graph::from_edges(
-        7,
-        [
-            (0, 1, 1),
-            (1, 2, 1),
-            (2, 3, 1),
-            (0, 4, 1),
-            (4, 5, 1),
-            (5, 6, 1),
-            (6, 3, 1),
-        ],
-    );
-    let srv = server_for(&g);
-    srv.register_dataset(DatasetId(0), 16, NodeId(3)).unwrap();
-    let old = CsrGraph::from(&g);
-    assert_eq!(resolve_hops(&srv, DatasetId(0), NodeId(0), &old), Some(3));
-
+    let (mut g, srv, _) = warm_diamond();
     g.remove_edge(NodeId(1), NodeId(2));
-    let new = CsrGraph::from(&g); // no note_graph_delta: wholesale flush
-    assert_eq!(resolve_hops(&srv, DatasetId(0), NodeId(0), &new), Some(4));
+    let refrozen = CsrGraph::from(&g); // no note_graph_delta
+    assert_eq!(
+        resolve_hops(&srv, DatasetId(0), NodeId(0), &refrozen),
+        Some(4)
+    );
 }
 
 /// Warm `(requester 0, dataset 0)` on a 30-node line whose replica sits
@@ -109,8 +100,8 @@ fn warm_line_then(delta: &GraphDelta) -> (AllocationServer, CsrGraph, (u64, u64)
     (srv, new, counts)
 }
 
-/// A delta that can change a distance evicts every entry — even one whose
-/// hops it provably cannot reach, 28 hops from the churn.
+/// A delta evicts every entry — even one whose hops it provably cannot
+/// reach, 28 hops from the churn.
 #[test]
 fn distance_changing_delta_evicts_every_entry() {
     let mut delta = GraphDelta::new();
@@ -120,19 +111,6 @@ fn distance_changing_delta_evicts_every_entry() {
     let misses = srv.metrics().cache_misses.get();
     assert_eq!(resolve_hops(&srv, DatasetId(0), NodeId(0), &new), Some(1));
     assert_eq!(srv.metrics().cache_misses.get(), misses + 1, "served cold");
-}
-
-/// A weight-only delta changes no hop distance: every entry is retained
-/// and keeps serving warm.
-#[test]
-fn weight_only_delta_retains_every_entry() {
-    let mut delta = GraphDelta::new();
-    delta.add_edge(NodeId(28), NodeId(29), 5); // reinforce an existing edge
-    let (srv, new, counts) = warm_line_then(&delta);
-    assert_eq!(counts, (1, 0));
-    let hits = srv.metrics().cache_hits.get();
-    assert_eq!(resolve_hops(&srv, DatasetId(0), NodeId(0), &new), Some(1));
-    assert_eq!(srv.metrics().cache_hits.get(), hits + 1, "served warm");
 }
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -152,11 +130,11 @@ fn arb_churn(max_ops: usize) -> impl Strategy<Value = Vec<(bool, u32, u32)>> {
 const CHUNK_SWEEP: [usize; 3] = [1, 8, 64];
 
 proptest! {
-    /// After any random delta, every resolve on the delta path — warm
-    /// survivors of a weight-only delta included — must return exactly
-    /// what a cold server computes on the post-churn graph with a fresh
-    /// full BFS, at every chunk size. A stale survivor shows up as a hop
-    /// mismatch.
+    /// After any random delta — edge additions, removals and
+    /// reinforcements — every resolve on the delta path must return
+    /// exactly what a cold server computes on the post-churn graph with a
+    /// fresh full BFS, at every chunk size. An entry that outlived its
+    /// generation shows up as a hop mismatch.
     #[test]
     fn answers_after_a_delta_match_a_cold_recomputation(
         mut g in arb_graph(),
@@ -186,7 +164,8 @@ proptest! {
         }
         let new = old.apply_delta(&delta);
         delta.apply_to(&mut g);
-        srv.note_graph_delta(&old, &new);
+        let (retained, _) = srv.note_graph_delta(&old, &new);
+        prop_assert_eq!(retained, 0);
 
         // Cold oracle: a fresh server on the post-churn graph.
         let oracle = server_for(&g);
@@ -204,6 +183,6 @@ proptest! {
                 );
             }
         }
-        prop_assert!(srv.metrics().cache_retained.get() + srv.metrics().cache_evictions.get() > 0);
+        prop_assert!(srv.metrics().cache_evictions.get() > 0);
     }
 }

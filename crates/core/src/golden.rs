@@ -14,10 +14,12 @@
 //! part of the [`DecisionState`] ([`catalog_pin`]). The values were
 //! recorded when batches and cycles still ran through a parallel
 //! plan/commit pipeline, itself held bit-identical to the serial loops
-//! the runtime now is; the snapshot omits only the series that
-//! pipeline's re-plans inflated ([`NOT_DECISIONS`]) and the counters it
-//! alone kept. Any change to what a request, a cycle or a repair decides,
-//! stores, charges or records fails here.
+//! the runtime now is; the snapshot omits the series that count work
+//! rather than decisions ([`NOT_DECISIONS`]) and the counters that
+//! pipeline alone kept, and its pins were re-recorded once, when the
+//! ranking-cache counters joined that list. Any change to what a
+//! request, a cycle or a repair decides, stores, charges or records
+//! fails here.
 
 use scdn_alloc::replication::AdaptiveRebalance;
 use scdn_graph::NodeId;
@@ -34,17 +36,20 @@ use crate::system::{AvailabilityConfig, DecisionState, RebalanceStrategy, Scdn};
 
 /// Export lines that count work rather than decisions — hop-cache
 /// lookups, the searches behind them and coded rows encoded, all of which
-/// a plan/commit pipeline that re-planned stale work repeated — the
-/// one host-time series, and the retired catalog-wide invalidation
-/// counter. The metric-side complement of [`DecisionState`]: the
-/// snapshot pin hashes what is left of the export, which records what
-/// was decided; the state is what decides. It stays until the export
-/// can tell a decision metric from a work metric by its kind.
-const NOT_DECISIONS: [&str; 5] = [
+/// a plan/commit pipeline that re-planned stale work repeated, and
+/// ranking-cache hits and misses, which move with the cache's staleness
+/// rule — the one host-time series, and the retired catalog-wide
+/// invalidation counter. The metric-side complement of
+/// [`DecisionState`]: the snapshot pin hashes what is left of the export,
+/// which records what was decided; the state is what decides. It stays
+/// until the export can tell a decision metric from a work metric by its
+/// kind.
+const NOT_DECISIONS: [&str; 6] = [
     "alloc.catalog.touch_all",
     "alloc.resolve.cache.",
     "alloc.resolve.bfs.",
     "core.maintain.coded_rows_encoded",
+    "core.maintain.ranking_cache_",
     "core.maintain.ranking_recompute_ms",
 ];
 
@@ -344,19 +349,19 @@ fn request_batches_reproduce_their_goldens() {
         [
             [
                 0xb96a_07bc_e044_c371,
-                0x14d7_2be8_2c02_6ba5,
+                0xc1ee_5c20_5e70_4e90,
                 0x3bda_ff6a_7b5e_a18c,
                 0x01ac_53ee_2081_3031,
             ],
             [
                 0xbd45_9b11_e883_fb99,
-                0x61f8_2509_b50e_0fe4,
+                0x89e7_379f_8394_734f,
                 0xeafe_4c3b_86cb_b8b6,
                 0x3b81_9eff_97f3_11ef,
             ],
             [
                 0x3bc8_4c39_b82e_1010,
-                0x951f_9a26_23b6_7f81,
+                0xd76c_9d19_408a_faa0,
                 0x2f29_81c1_65c1_1967,
                 0xe13a_8c6b_b649_53ee,
             ],
@@ -372,19 +377,19 @@ fn maintenance_cycles_reproduce_their_goldens() {
         [
             [
                 0x4b67_a6ba_9150_8a3e,
-                0x8bd8_763d_6a6b_f1a1,
+                0x128d_c3d8_3a30_3c71,
                 0xd72c_d5e8_c72b_2f66,
                 0x20df_e89f_5086_04f7,
             ],
             [
                 0xebeb_1ef3_06f1_6de3,
-                0xa8a7_751d_a58c_32e0,
+                0xc943_cc88_e5b4_d8ab,
                 0x0b2b_dee9_9aad_d428,
                 0xa2b2_2796_c784_e827,
             ],
             [
                 0xe7d7_ba36_c23e_c2e3,
-                0x627f_8481_19d0_d02e,
+                0x3ab8_9160_11a3_7265,
                 0xb346_79c9_72cf_5f55,
                 0xd2dd_c844_88c3_bad8,
             ],
@@ -400,19 +405,19 @@ fn coded_streams_reproduce_their_goldens() {
         [
             [
                 0x22c8_209e_ce22_cdb7,
-                0xb64e_04fd_1f9f_0a3a,
+                0x0414_6eba_5a17_23f1,
                 0x9b6d_ea48_31b5_ac75,
                 0x0b09_9571_fec5_3965,
             ],
             [
                 0xf5af_0643_79dd_4b67,
-                0x3b83_b9d5_258c_5127,
+                0x5059_2175_f04b_8a36,
                 0x395e_d9eb_7350_aee0,
                 0x8ecd_c1ab_b9d4_7f0b,
             ],
             [
                 0xe92a_7787_605b_8af1,
-                0x37ca_46e4_9dc8_ccdd,
+                0x8ac2_e187_f7d6_8e1e,
                 0xf196_a430_5aea_6fd1,
                 0x8b9c_5156_547b_289e,
             ],
@@ -428,19 +433,19 @@ fn departures_then_repair_reproduce_their_goldens() {
         [
             [
                 0x2e6e_b331_bf48_8e29,
-                0xe2b2_aa3d_7103_e2fd,
+                0xb9d9_9a93_1c87_0346,
                 0xcbf2_9ce4_8422_2325,
                 0xfa08_9b99_e151_1607,
             ],
             [
                 0xc372_3fe5_19de_00a2,
-                0x8cb7_f7f6_a540_6633,
+                0x03ab_22db_7f10_40e0,
                 0xcbf2_9ce4_8422_2325,
                 0xb19f_162b_0abc_db19,
             ],
             [
                 0xdc3c_b0b2_12bf_2982,
-                0x2932_e032_de08_a375,
+                0xc1dd_7c30_798d_3392,
                 0xcbf2_9ce4_8422_2325,
                 0xbc2f_25d3_99ae_0db5,
             ],

@@ -385,8 +385,8 @@ impl Scdn {
 
 /// Store `segments` in `repo`'s user partition. On the first refusal, the
 /// segments this call added are removed again (overwritten ones stay) and
-/// the refusal is returned.
-fn store_user_segments(
+/// the refusal is returned. Requests and `publish` both store through it.
+pub(super) fn store_user_segments(
     repo: &StorageRepository,
     segments: impl IntoIterator<Item = Segment>,
 ) -> Result<(), RepoError> {

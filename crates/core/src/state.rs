@@ -177,8 +177,6 @@ impl Scdn {
             delta_nodes_touched: _,
             delta_bytes_copied: _,
             delta_chunks_shared: _,
-            ranking_retained: _,
-            ranking_evicted: _,
             coded_blocks_landed: _,
             coded_blocks_preexisting: _,
             coded_discarded_corrupt: _,
@@ -489,6 +487,23 @@ mod tests {
         let after = scdn.decision_state();
         let want = charged(before, &after, full, Some(datasets[1]));
         assert_same_state(&after, &want, "quota");
+
+        // 20 KiB more does not fit beside the owner's 14 KiB: the publish
+        // keeps none of its segments and takes no dataset id.
+        let owner = NodeId(0);
+        let before = scdn.decision_state();
+        let content = Bytes::from(vec![9u8; 20 << 10]);
+        let refused = scdn.publish(owner, "too-big", content, Sensitivity::Public, None);
+        assert!(
+            matches!(
+                refused,
+                Err(ScdnError::Repo(RepoError::QuotaExceeded { .. }))
+            ),
+            "{refused:?}"
+        );
+        let after = scdn.decision_state();
+        let want = charged(before, &after, owner, None);
+        assert_same_state(&after, &want, "publish over quota");
 
         // An any-k race on a fabric that loses every attempt: no resolve,
         // so no demand, and neither a landed block nor the race's time

@@ -319,10 +319,6 @@ pub struct Scdn {
     delta_nodes_touched: Counter,
     delta_bytes_copied: Counter,
     delta_chunks_shared: Counter,
-    /// Ranking-cache scoped-invalidation counters
-    /// (`alloc.ranking.cache.{retained,evicted}`).
-    ranking_retained: Counter,
-    ranking_evicted: Counter,
     /// What coded requests did with blocks (`core.coded.*`): blocks a
     /// fetch landed, blocks the requester already held, donor chains
     /// dropped for serving corrupt bytes, and data shards that had to be
@@ -340,7 +336,7 @@ pub struct Scdn {
 }
 
 /// What one [`Scdn::apply_graph_delta`] call did: how much of the CSR was
-/// rebuilt and how much cached state survived the churn.
+/// rebuilt and how many hop-cache entries the new generation flushed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GraphDeltaStats {
     /// Nodes whose CSR adjacency rows were rebuilt.
@@ -350,15 +346,13 @@ pub struct GraphDeltaStats {
     pub bytes_copied: u64,
     /// Chunks the new CSR snapshot shares with its predecessor.
     pub chunks_shared: usize,
-    /// Resolve-cache entries kept because the delta changed no hop
-    /// distance (weight-only reinforcement, isolated activation).
+    /// Always 0: a delta mints a new CSR generation, which flushes the
+    /// hop cache whatever the delta changed. The field stays because
+    /// `benchmark/` reads it.
     pub resolve_retained: u64,
-    /// Resolve-cache entries flushed by a distance-changing delta.
+    /// Hop-cache entries the delta's new generation flushed. `benchmark/`
+    /// reads it.
     pub resolve_evicted: u64,
-    /// Placement orderings that provably survived.
-    pub ranking_retained: u64,
-    /// Placement orderings dropped as potentially affected.
-    pub ranking_evicted: u64,
 }
 
 /// Wall-clock elapsed time in milliseconds (control-plane span timing).
@@ -580,8 +574,6 @@ impl Scdn {
         let delta_nodes_touched = registry.counter("core.graph.delta_nodes_touched");
         let delta_bytes_copied = registry.counter("core.graph.delta_bytes_copied");
         let delta_chunks_shared = registry.counter("core.graph.delta_chunks_shared");
-        let ranking_retained = registry.counter("alloc.ranking.cache.retained");
-        let ranking_evicted = registry.counter("alloc.ranking.cache.evicted");
         let coded_blocks_landed = registry.counter("core.coded.blocks_landed");
         let coded_blocks_preexisting = registry.counter("core.coded.blocks_preexisting");
         let coded_discarded_corrupt = registry.counter("core.coded.discarded_corrupt");
@@ -625,8 +617,6 @@ impl Scdn {
             delta_nodes_touched,
             delta_bytes_copied,
             delta_chunks_shared,
-            ranking_retained,
-            ranking_evicted,
             coded_blocks_landed,
             coded_blocks_preexisting,
             coded_discarded_corrupt,
@@ -851,27 +841,22 @@ impl Scdn {
     ///
     /// The mutable graph absorbs the ops, the frozen CSR is refreshed
     /// incrementally ([`CsrGraph::apply_delta`] rebuilds only the touched
-    /// rows), overlay links are re-verified for every churned pair, and
-    /// both caches are invalidated by the delta's change class: the
-    /// resolve cache keeps every hop table across a delta that changes no
-    /// hop distance and flushes on any other, the ranking cache keeps
-    /// every ordering the delta class cannot affect. The next request or
-    /// cycle reads the new snapshot.
+    /// rows) under a new generation, and overlay links are re-verified for
+    /// every churned pair. The new generation is the graph caches' one
+    /// staleness rule: the hop cache is flushed here, so that
+    /// `alloc.resolve.cache.evict` counts the flush, and the ranking cache
+    /// flushes at its next lookup. The next request or cycle reads the
+    /// new snapshot.
     ///
     /// Exposes `core.graph.delta_{applied,nodes_touched,bytes_copied,chunks_shared}`
-    /// and `alloc.{resolve,ranking}.cache.retained` counters; the returned
-    /// [`GraphDeltaStats`] carries the same numbers per call.
+    /// counters; the returned [`GraphDeltaStats`] carries the same numbers
+    /// per call.
     pub fn apply_graph_delta(&mut self, delta: &GraphDelta) -> Result<GraphDeltaStats, ScdnError> {
         self.check_delta(delta)?;
         delta.apply_to(&mut self.social);
         let new_csr = self.social_csr.apply_delta(delta);
         let (resolve_retained, resolve_evicted) =
             self.alloc.note_graph_delta(&self.social_csr, &new_csr);
-        let rankings = self
-            .rankings
-            .note_delta(self.social_csr.generation(), &new_csr);
-        self.ranking_retained.add(rankings.retained);
-        self.ranking_evicted.add(rankings.evicted);
         for (a, b) in delta.edge_pairs() {
             self.overlay.refresh_link(&self.social, a, b);
         }
@@ -888,8 +873,6 @@ impl Scdn {
             chunks_shared: cow.chunks_shared,
             resolve_retained,
             resolve_evicted,
-            ranking_retained: rankings.retained,
-            ranking_evicted: rankings.evicted,
         })
     }
 
@@ -912,14 +895,12 @@ impl Scdn {
         }
         self.middleware.authorize_op(self.sessions[node.index()])?;
         let id = DatasetId(self.next_dataset);
-        self.next_dataset += 1;
         let total_len = content.len() as u64;
         let dataset = Dataset::from_bytes(id, name, sensitivity, content, self.config.segment_size);
-        for seg in &dataset.segments {
-            self.repos[node.index()]
-                .store(Partition::User, seg.clone())
-                .map_err(ScdnError::Repo)?;
-        }
+        // A refused store leaves the partition as it was and the id unused.
+        request::store_user_segments(&self.repos[node.index()], dataset.segments.iter().cloned())
+            .map_err(ScdnError::Repo)?;
+        self.next_dataset += 1;
         self.social_metrics.allocated_bytes += dataset.total_bytes();
         match self.config.coding {
             CodingConfig::None => {
@@ -1563,11 +1544,15 @@ mod request;
 mod state;
 pub use state::{DecisionState, HeldSegment, RepoState};
 
-// Test-only knobs and the flush-everything reference the delta path is
-// held to.
 #[cfg(test)]
-#[path = "oracle.rs"]
-mod oracle;
+impl Scdn {
+    /// Publish later datasets under `coding`; earlier ones keep theirs, so
+    /// one fixture can hold coded and whole-replica datasets side by side
+    /// (`fixtures::mixed_system`).
+    pub(crate) fn set_publish_coding(&mut self, coding: CodingConfig) {
+        self.config.coding = coding;
+    }
+}
 
 #[cfg(test)]
 #[path = "system_tests.rs"]

@@ -856,86 +856,102 @@ fn graph_delta_refreshes_csr_and_counts_metrics() {
 
 #[test]
 fn graph_delta_path_matches_flush_oracle_resolutions() {
-    // Two identical systems absorb the same churn — one through the
-    // incremental delta path with announced invalidation, one through the
-    // flush-everything oracle. Every subsequent resolution must agree,
-    // and the frozen snapshots must be bit-identical.
+    // One system absorbs a weight-only delta, then a structural one.
+    // After each, every resolution must equal a cold full BFS on the
+    // frozen snapshot — what a flushed cache computes — and the snapshot
+    // must equal a from-scratch freeze of the mutable graph.
+    use scdn_alloc::discovery::{select_replica_full_bfs, Candidate, Selection};
+    use scdn_graph::{CsrGraph, GraphDelta, TraversalScratch};
+
     let (c, sub) = community();
-    let mut fast = Scdn::build(sub, &c.corpus, ScdnConfig::default());
-    let mut oracle = Scdn::build(sub, &c.corpus, ScdnConfig::default());
-    let owner = NodeId(0);
-    let publish = |s: &mut Scdn| {
-        let id = s
-            .publish(
-                owner,
-                "churned",
-                Bytes::from(vec![5u8; 8192]),
-                Sensitivity::Public,
-                None,
-            )
-            .expect("publishes");
-        s.replicate(id).expect("replicates");
-        id
+    let mut scdn = Scdn::build(sub, &c.corpus, ScdnConfig::default());
+    let id = scdn
+        .publish(
+            NodeId(0),
+            "churned",
+            Bytes::from(vec![5u8; 8192]),
+            Sensitivity::Public,
+            None,
+        )
+        .expect("publishes");
+    scdn.replicate(id).expect("replicates");
+    let members = 0..scdn.member_count() as u32;
+    let resolved = |s: &Scdn| -> Vec<_> {
+        members
+            .clone()
+            .map(|q| s.resolve_replica(NodeId(q), id).ok())
+            .collect()
     };
-    let id_fast = publish(&mut fast);
-    let id_oracle = publish(&mut oracle);
-    assert_eq!(id_fast, id_oracle, "deterministic builds");
+    let full_bfs = |s: &Scdn| -> Vec<_> {
+        let replicas = s.replicas_of(id).expect("catalogued");
+        let mut scratch = TraversalScratch::new();
+        members
+            .clone()
+            .map(|q| {
+                let candidates: Vec<Candidate> = replicas
+                    .iter()
+                    .map(|&node| Candidate {
+                        node,
+                        online: s.is_online(node),
+                        latency_ms: s.engine.topology.latency_ms(q as usize, node.index()),
+                        availability: s.alloc.repository(node).map_or(0.0, |r| r.availability),
+                    })
+                    .collect();
+                select_replica_full_bfs(s.social_csr(), NodeId(q), &candidates, &mut scratch)
+            })
+            .collect()
+    };
+    let nodes = |sels: Vec<Option<Selection>>| -> Vec<_> {
+        sels.into_iter()
+            .map(|sel| sel.map(|sel| sel.node))
+            .collect()
+    };
+    // Warm the resolve cache across the membership.
+    let warm = full_bfs(&scdn);
+    assert_eq!(resolved(&scdn), nodes(warm.clone()));
 
-    // Warm both resolve caches across the membership.
-    for q in 0..fast.member_count() as u32 {
-        let _ = fast.resolve_replica(NodeId(q), id_fast);
-        let _ = oracle.resolve_replica(NodeId(q), id_oracle);
-    }
-
-    // Churn. First recurring coauthorship on an existing tie — a
-    // weight-only delta, which no hop distance and no weight-blind ranking
-    // can feel — then drop the first coauthorship edge and add a fresh
-    // long-range one.
+    // First a recurring coauthorship on an existing tie, which moves no
+    // hop distance; then drop that tie and tie a member whose pick is two
+    // or more hops away to another replica, which then wins at one hop:
+    // a hop table kept across that delta would still name the old pick.
     let (a, b, w) = sub.graph.edges().next().expect("has edges");
-    let far = NodeId(fast.member_count() as u32 - 1);
-    let mut reinforce = scdn_graph::GraphDelta::new();
+    let (q, far_pick) = (members.clone())
+        .map(NodeId)
+        .zip(&warm)
+        .find_map(|(q, sel)| {
+            sel.filter(|sel| sel.social_hops >= Some(2))
+                .map(|sel| (q, sel.node))
+        })
+        .expect("a member two hops from its pick");
+    let closer = scdn
+        .replicas_of(id)
+        .expect("catalogued")
+        .into_iter()
+        .find(|&r| r != far_pick && scdn.is_online(r))
+        .expect("a second online replica");
+    let mut reinforce = GraphDelta::new();
     reinforce.add_edge(a, b, w + 1);
-    let mut delta = scdn_graph::GraphDelta::new();
-    delta.remove_edge(a, b).add_edge(NodeId(0), far, 3);
-    let kept = fast.apply_graph_delta(&reinforce).expect("delta path");
-    oracle
-        .apply_graph_delta_flush(&reinforce)
-        .expect("flush path");
-    // The ranking that survived places what a recomputed one places.
-    assert_eq!(
-        fast.replicate_to(id_fast, 5).expect("grows"),
-        oracle.replicate_to(id_oracle, 5).expect("grows")
-    );
-    let stats = fast.apply_graph_delta(&delta).expect("delta path");
-    oracle.apply_graph_delta_flush(&delta).expect("flush path");
-
-    assert_eq!(
-        fast.social_csr(),
-        oracle.social_csr(),
-        "incremental rebuild must be bit-identical to from-scratch"
-    );
-    for q in 0..fast.member_count() as u32 {
+    let mut rewire = GraphDelta::new();
+    rewire.remove_edge(a, b).add_edge(q, closer, 1);
+    for delta in [reinforce, rewire] {
+        let stats = scdn.apply_graph_delta(&delta).expect("delta path");
         assert_eq!(
-            fast.resolve_replica(NodeId(q), id_fast).ok(),
-            oracle.resolve_replica(NodeId(q), id_oracle).ok(),
-            "requester {q} diverged after churn"
+            *scdn.social_csr(),
+            CsrGraph::from(&scdn.social),
+            "incremental rebuild must be bit-identical to from-scratch"
         );
+        assert_eq!(
+            resolved(&scdn),
+            nodes(full_bfs(&scdn)),
+            "diverged after {delta:?}"
+        );
+        // Every delta is a new generation: the warm cache was flushed…
+        assert_eq!(stats.resolve_retained, 0);
+        assert!(stats.resolve_evicted > 0);
+        // …and the chunked apply shares what it did not touch.
+        assert!(stats.chunks_shared > 0);
     }
-    assert_eq!(
-        kept.resolve_retained + stats.resolve_retained,
-        fast.registry()
-            .counter("alloc.resolve.cache.retained")
-            .get()
-    );
-    // A weight-only delta keeps every hop table and the ranking…
-    assert!(kept.resolve_retained > 0, "no distance moved");
-    assert!(kept.ranking_retained > 0, "the ranking reads no weight");
-    // …and the chunked apply shares what it did not touch, where the
-    // oracle's re-freeze copies every column byte.
-    assert!(stats.chunks_shared > 0);
-    let refrozen = oracle.social_csr().cow_stats();
-    assert_eq!(refrozen.chunks_shared, 0);
-    assert!(stats.bytes_copied < refrozen.bytes_copied);
+    assert_eq!(scdn.resolve_replica(q, id).ok(), Some(closer));
 }
 
 // ---- coded requests and repairs that cannot decode -----------------------

@@ -333,8 +333,7 @@ impl CsrGraph {
     }
 
     /// Summary of the delta that produced this snapshot, or `None` if it
-    /// was frozen from scratch. Caches read its change class to decide
-    /// which entries survive the delta.
+    /// was frozen from scratch.
     #[inline]
     pub fn last_delta(&self) -> Option<&DeltaSummary> {
         self.last_delta.as_ref()
@@ -482,9 +481,8 @@ impl CsrGraph {
     ///
     /// The result carries a fresh [`generation`](CsrGraph::generation), a
     /// [`DeltaSummary`] ([`last_delta`](CsrGraph::last_delta)) with the
-    /// touched-node set and change class — caches read the class to decide
-    /// whether their entries survive, and the runtime reports the touched
-    /// count — and [`CowStats`] ([`cow_stats`](CsrGraph::cow_stats))
+    /// touched-node set — the runtime reports its size — and
+    /// [`CowStats`] ([`cow_stats`](CsrGraph::cow_stats))
     /// pricing the assembly.
     ///
     /// # Panics
@@ -494,9 +492,6 @@ impl CsrGraph {
         let old_n = self.node_count();
         let mut n = old_n;
         let mut edge_count = self.edge_count;
-        let mut nodes_added = 0u32;
-        let mut structural = false;
-        let mut weights_changed = false;
 
         // Working rows, materialized lazily on first touch from the old
         // CSR row (new nodes start empty).
@@ -518,10 +513,7 @@ impl CsrGraph {
 
         for op in delta.ops() {
             match *op {
-                DeltaOp::AddNodes { count } => {
-                    n += count as usize;
-                    nodes_added += count;
-                }
+                DeltaOp::AddNodes { count } => n += count as usize,
                 DeltaOp::AddEdge { a, b, weight } => {
                     assert!(a.index() < n, "node {a:?} out of range");
                     assert!(b.index() < n, "node {b:?} out of range");
@@ -533,9 +525,6 @@ impl CsrGraph {
                     Graph::insert_half(row_mut(&mut rows, self, old_n, b), a, weight);
                     if inserted {
                         edge_count += 1;
-                        structural = true;
-                    } else {
-                        weights_changed = true;
                     }
                 }
                 DeltaOp::RemoveEdge { a, b } => {
@@ -556,7 +545,6 @@ impl CsrGraph {
                             row_b.remove(i);
                         }
                         edge_count -= 1;
-                        structural = true;
                     }
                 }
             }
@@ -627,9 +615,6 @@ impl CsrGraph {
             generation: next_generation(),
             last_delta: Some(DeltaSummary {
                 touched: touched.into_iter().map(NodeId).collect(),
-                nodes_added,
-                structural,
-                weights_changed,
             }),
             cow: CowStats {
                 bytes_copied,
@@ -1461,6 +1446,8 @@ mod tests {
         assert_eq!(incremental.node_count(), 203);
     }
 
+    /// The summary sorts the rows into touched and untouched: an edge op
+    /// touches both endpoints, an activation its new row.
     #[test]
     fn apply_delta_summary_classifies_change() {
         let g = path4();
@@ -1469,20 +1456,13 @@ mod tests {
         let mut reinforce = GraphDelta::new();
         reinforce.add_edge(NodeId(0), NodeId(1), 5);
         let c = base.apply_delta(&reinforce);
-        let s = c.last_delta().unwrap();
-        assert!(!s.structural);
-        assert!(s.weights_changed);
-        assert!(s.distances_unchanged());
-        assert_eq!(s.touched, vec![NodeId(0), NodeId(1)]);
+        assert_eq!(c.last_delta().unwrap().touched, vec![NodeId(0), NodeId(1)]);
 
         let mut structural = GraphDelta::new();
         structural.remove_edge(NodeId(1), NodeId(2)).add_nodes(1);
         let c2 = base.apply_delta(&structural);
-        let s2 = c2.last_delta().unwrap();
-        assert!(s2.structural);
-        assert!(!s2.weights_changed);
-        assert_eq!(s2.nodes_added, 1);
-        assert_eq!(s2.touched, vec![NodeId(1), NodeId(2), NodeId(4)]);
+        let touched = &c2.last_delta().unwrap().touched;
+        assert_eq!(*touched, vec![NodeId(1), NodeId(2), NodeId(4)]);
         assert!(base.last_delta().is_none());
     }
 

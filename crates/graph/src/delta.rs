@@ -11,10 +11,9 @@
 //! bit-identical outcomes.
 //!
 //! Applying a delta to a CSR also produces a [`DeltaSummary`]: the sorted
-//! set of nodes whose adjacency rows changed plus a coarse classification
-//! of the change (structural vs. weight-only). Downstream caches use the
-//! summary for *scoped* invalidation — evicting only entries whose cached
-//! results can have been affected — instead of flushing wholesale.
+//! set of nodes whose adjacency rows were rebuilt. The runtime reports its
+//! size; no cache reads it, since a new CSR generation flushes every graph
+//! cache.
 
 use crate::graph::{Graph, NodeId};
 
@@ -161,22 +160,6 @@ pub struct DeltaSummary {
     /// Nodes whose adjacency rows were rebuilt (sorted, deduplicated),
     /// including freshly activated nodes.
     pub touched: Vec<NodeId>,
-    /// Total nodes activated.
-    pub nodes_added: u32,
-    /// `true` if the adjacency *shape* changed: at least one edge was
-    /// created or removed. Hop distances can only change when this is set.
-    pub structural: bool,
-    /// `true` if at least one existing edge's weight was reinforced.
-    pub weights_changed: bool,
-}
-
-impl DeltaSummary {
-    /// `true` if the delta provably left every pairwise hop distance
-    /// intact (weight-only reinforcement and/or isolated node activation).
-    #[inline]
-    pub fn distances_unchanged(&self) -> bool {
-        !self.structural
-    }
 }
 
 #[cfg(test)]
