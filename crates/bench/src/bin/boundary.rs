@@ -3,8 +3,12 @@
 //!
 //! Runs the same request workload over the fragmented double-coauthorship
 //! trust graph twice — once serving any online replica, once refusing to
-//! cross the social overlay's island boundaries — and compares service and
-//! confinement.
+//! serve from a host the requester cannot reach in the social graph — and
+//! compares service and confinement.
+//!
+//! Exits non-zero unless the boundary holds: the boundary mode serves no
+//! cross-island request, and refuses exactly the requests the open mode
+//! served across islands.
 //!
 //! ```text
 //! cargo run -p scdn-bench --release --bin boundary
@@ -41,6 +45,8 @@ fn main() {
         "{:<22} {:>9} {:>9} {:>12} {:>16}",
         "mode", "served", "refused", "hit-rate", "cross-island"
     );
+    // (refused, cross-island) per mode, open first.
+    let mut tallies = Vec::new();
     for (label, enforce) in [("open", false), ("social-boundary", true)] {
         let mut config = ScdnConfig::default();
         config.enforce_social_boundary = enforce;
@@ -97,9 +103,20 @@ fn main() {
             scdn.cdn_metrics.hit_rate(),
             cross_island
         );
+        tallies.push((refused, cross_island));
     }
     println!();
     println!("cross-island = requests served by a replica outside the requester's");
     println!("trust island; the boundary mode must drive this to zero, trading");
     println!("confinement for refused requests.");
+    let [(_, open_cross), (boundary_refused, boundary_cross)] = tallies[..] else {
+        unreachable!("two modes");
+    };
+    if boundary_cross != 0 || boundary_refused != open_cross {
+        eprintln!(
+            "boundary broken: {boundary_cross} cross-island requests served, \
+             {boundary_refused} refused against {open_cross} open cross-island"
+        );
+        std::process::exit(1);
+    }
 }

@@ -342,7 +342,6 @@ pub(crate) fn assert_same_state(got: &DecisionState, want: &DecisionState, case:
         datasets,
         next_dataset,
         ledger,
-        overlay_links,
         estimates,
     } = got;
     let differ: Vec<&str> = [
@@ -355,7 +354,6 @@ pub(crate) fn assert_same_state(got: &DecisionState, want: &DecisionState, case:
         ("datasets", *datasets == want.datasets),
         ("next_dataset", *next_dataset == want.next_dataset),
         ("ledger", *ledger == want.ledger),
-        ("overlay_links", *overlay_links == want.overlay_links),
         ("estimates", *estimates == want.estimates),
     ]
     .into_iter()

@@ -9,11 +9,14 @@
 //! * **Decide** — one of two branches:
 //!   - **Coded** — the dataset has a `CodingSpec`, the requester is not its
 //!     owner, and its online block hosts hold at least k distinct blocks.
-//!     With the social boundary enforced, only hosts with an overlay route
-//!     to the requester count. Those hosts are the donors to race.
+//!     With the social boundary enforced, only hosts socially reachable
+//!     from the requester count, found by one search of the current graph.
+//!     Those hosts are the donors to race.
 //!   - **Resolved** — otherwise: [`resolve_csr`][resolve] picks one online
-//!     replica and records the resolve and demand accounting, and the
-//!     social-boundary rule vets it.
+//!     replica and records the resolve and demand accounting. With the
+//!     boundary enforced, a pick with no hop count is refused: the search
+//!     is unbounded and ranks reachable replicas first, so no online
+//!     replica is reachable.
 //! * **Act** — a coded request runs its any-k race through the helper the
 //!   owner-offline rebuild also uses. A resolved one moves its segments
 //!   with one call of the transfer client every repository shares,
@@ -48,7 +51,7 @@ impl Scdn {
     /// then deliver it into the requester's user partition.
     ///
     /// A coded dataset is raced when the requester is not its owner and
-    /// its online block hosts — only those with an overlay route to the
+    /// its online block hosts — only those socially reachable from the
     /// requester, under [`ScdnConfig::enforce_social_boundary`] — hold `k`
     /// distinct blocks: every such host serves at once and the request
     /// completes when any `k` land. A landed block must carry the owner's
@@ -177,10 +180,9 @@ impl Scdn {
             elapsed_ms(discover_start),
         );
         let src = selection.node;
-        if self.config.enforce_social_boundary
-            && src != node
-            && self.overlay.route(src, node).is_none()
-        {
+        // The search is unbounded and ranks reachable replicas first: no
+        // hop count means no online replica is socially reachable.
+        if self.config.enforce_social_boundary && selection.social_hops.is_none() {
             tb.span_with_peer(
                 SpanKind::SelectReplica,
                 SpanStatus::BoundaryBlocked,
@@ -237,7 +239,7 @@ impl Scdn {
     }
 
     /// The block hosts `node` would race for `dataset`: online, not `node`,
-    /// and overlay-routable to it when the social boundary is enforced.
+    /// and socially reachable from it when the social boundary is enforced.
     /// `None` — resolve one replica instead — when the dataset is uncoded,
     /// `node` is its `owner`, or those hosts hold fewer than k distinct
     /// blocks.
@@ -252,20 +254,47 @@ impl Scdn {
             .coding_of(dataset)
             .ok()?
             .filter(|_| owner != node)?;
-        let donors: CodedInventory = self
+        let mut donors: CodedInventory = self
             .alloc
             .coded_inventory(dataset)
             .ok()?
             .into_iter()
-            .filter(|(host, blocks)| {
-                !blocks.is_empty()
-                    && *host != node
-                    && self.is_online(*host)
-                    && (!self.config.enforce_social_boundary
-                        || self.overlay.route(*host, node).is_some())
-            })
+            .filter(|(host, blocks)| !blocks.is_empty() && *host != node && self.is_online(*host))
             .collect();
+        if self.config.enforce_social_boundary {
+            self.retain_reachable(node, &mut donors);
+        }
         (coded_distinct(&donors, spec.n()) >= spec.k as usize).then_some((spec, donors))
+    }
+
+    /// Keep the `donors` socially reachable from `node` in the current
+    /// graph: one BFS over the CSR that stops once every donor is found.
+    fn retain_reachable(&self, node: NodeId, donors: &mut CodedInventory) {
+        const SEEN: u8 = 1;
+        const DONOR: u8 = 2;
+        let csr = &self.social_csr;
+        let mut mark = vec![0u8; csr.node_count()];
+        let mut unseen = 0;
+        for (host, _) in donors.iter() {
+            unseen += usize::from(mark[host.index()] != DONOR);
+            mark[host.index()] = DONOR;
+        }
+        mark[node.index()] = SEEN;
+        let mut queue = vec![node.0];
+        let mut head = 0;
+        while unseen > 0 && head < queue.len() {
+            let v = queue[head];
+            head += 1;
+            for &w in csr.neighbor_ids(NodeId(v)) {
+                let m = &mut mark[w as usize];
+                if *m != SEEN {
+                    unseen -= usize::from(*m == DONOR);
+                    *m = SEEN;
+                    queue.push(w);
+                }
+            }
+        }
+        donors.retain(|(host, _)| mark[host.index()] == SEEN);
     }
 
     /// Move `segments` from `src` into `node`'s user partition through
@@ -365,11 +394,11 @@ impl Scdn {
         });
         store_user_segments(dst_repo, plain).map_err(ScdnError::Repo)?;
         self.clock = self.clock.plus_millis(rep.total_ms as u64);
-        let neighbors = self.social.neighbors(node);
+        let neighbors = self.social_csr.neighbor_ids(node);
         let social_hit = rep
             .delivered
             .iter()
-            .any(|&(_, d)| neighbors.iter().any(|e| e.to.index() == d));
+            .any(|&(_, d)| neighbors.contains(&(d as u32)));
         self.record_hit(social_hit, rep.total_ms);
         Ok(RequestOutcome {
             served_by: rep

@@ -27,14 +27,14 @@ use super::{DatasetMeta, Scdn};
 ///   clients' served-since-report counts: they record what was decided;
 /// - the trace ring and the audit log: the same, as records;
 /// - every cache — the hop cache, the ranking cache and the cache
-///   managers' recency and frequency: a cache never decides. What one
+///   managers' recency: a cache never decides. What one
 ///   evicts or answers shows here once it changes a repository or the
 ///   catalog;
 /// - the CSR snapshot's generation: a process-wide counter, so two equal
 ///   graphs frozen apart carry different ones;
 /// - what only the build writes — the configuration, topology,
-///   availability model, trust parameters, platform accounts, overlay
-///   certificates and the node → author map.
+///   availability model, trust parameters, platform accounts and the
+///   node → author map.
 ///
 /// **Pins are in.** A cache manager's pin is the catalog's mandate that a
 /// copy is a replica and never an eviction victim: `replicate` and repair
@@ -72,8 +72,6 @@ pub struct DecisionState {
     pub next_dataset: u32,
     /// The interaction ledger trust is scored from, in pair order.
     pub ledger: Vec<((AuthorId, AuthorId), Vec<Interaction>)>,
-    /// Each member's verified overlay links, in the order they came up.
-    pub overlay_links: Vec<Vec<NodeId>>,
     /// Each member's CDN-client availability estimate and its sample
     /// count: what `report_telemetry` sends the catalog.
     pub estimates: Vec<(f64, u64)>,
@@ -147,7 +145,6 @@ impl Scdn {
             datasets,
             next_dataset,
             ledger,
-            overlay,
             clients,
             // Written only by the build; `social` is `social_csr`'s
             // mutable twin, the same edge set.
@@ -214,7 +211,6 @@ impl Scdn {
             datasets,
             next_dataset: *next_dataset,
             ledger,
-            overlay_links: overlay.links().to_vec(),
             estimates: clients.iter().map(|c| c.estimate()).collect(),
         }
     }
@@ -223,7 +219,7 @@ impl Scdn {
 #[cfg(test)]
 mod tests {
     use bytes::Bytes;
-    use scdn_graph::{Graph, GraphDelta, NodeId};
+    use scdn_graph::{GraphDelta, NodeId};
     use scdn_net::failure::FailureModel;
     use scdn_net::transfer::TransferError;
     use scdn_storage::object::{DatasetId, Segment, SegmentId, Sensitivity};
@@ -320,10 +316,11 @@ mod tests {
                 delta.add_edge(a, b, 1);
                 s.apply_graph_delta(&delta).expect("members");
             }),
-            ("a dropped overlay link", |s, _| {
+            ("a lapsed edge", |s, _| {
                 let (a, b, _) = s.social_csr.edges().next().expect("an edge");
-                let unlinked = Graph::new(s.member_count());
-                assert!(!s.overlay.refresh_link(&unlinked, a, b), "torn down");
+                let mut delta = GraphDelta::new();
+                delta.remove_edge(a, b);
+                s.apply_graph_delta(&delta).expect("members");
             }),
             ("a ledger interaction", |s, _| {
                 let interaction = Interaction {

@@ -22,7 +22,6 @@ use scdn_middleware::audit::AuditLog;
 use scdn_middleware::auth::{Middleware, MiddlewareError};
 use scdn_middleware::authz::{AccessDecision, AccessPolicy};
 use scdn_net::failure::{AttemptOutcome, FailureModel};
-use scdn_net::overlay::{PeerCertificate, SocialOverlay};
 use scdn_net::topology::{LinkQuality, Topology};
 use scdn_net::transfer::{
     CodedFetchReport, CodedSource, TransferEngine, TransferError, TransferReport,
@@ -102,10 +101,10 @@ pub struct ScdnConfig {
     /// How maintenance cycles pick per-dataset replica targets (see
     /// [`RebalanceStrategy`]). `Static` keeps today's behavior.
     pub rebalance: RebalanceStrategy,
-    /// When set, requests are only served over the social overlay: a
-    /// replica that is socially unreachable from the requester (e.g. in a
-    /// different island of a pruned trust graph) cannot serve it — "data
-    /// stays within the bounds of a particular project" (Section V).
+    /// When set, a request is served only by hosts socially reachable
+    /// from the requester in the current graph: a replica or coded block
+    /// host in another island of a pruned trust graph cannot serve it —
+    /// "data stays within the bounds of a particular project" (Section V).
     pub enforce_social_boundary: bool,
     /// Opportunistic caching: after a successful remote fetch, the
     /// requester's downloaded copy is promoted into its replica partition
@@ -270,7 +269,6 @@ pub struct Scdn {
     engine: TransferEngine,
     alloc: AllocationServer,
     availability: Availability,
-    overlay: SocialOverlay,
     departed: Vec<bool>,
     clients: Vec<crate::client::MonitoringClient>,
     clock: SimTime,
@@ -524,17 +522,6 @@ impl Scdn {
         // One catalog publication for the whole membership instead of a
         // copy-on-write republication per member.
         alloc.register_repositories(repo_infos);
-        // Mirror the social graph into platform relationships.
-        let users: Vec<_> = sub
-            .authors
-            .iter()
-            .map(|&a| platform.user_of_author(a).expect("registered above"))
-            .collect();
-        for (a, b, _) in sub.graph.edges() {
-            platform
-                .befriend(users[a.index()], users[b.index()])
-                .expect("users exist");
-        }
         let mut ledger = InteractionLedger::new();
         ledger.seed_from_corpus(corpus, 1900..=2100);
         let topology = Topology::uniform(positions, LinkQuality::default());
@@ -547,16 +534,6 @@ impl Scdn {
         let clients = (0..n)
             .map(|i| crate::client::MonitoringClient::new(NodeId(i as u32), 0.05))
             .collect();
-        // Bring up the SocialVPN-style overlay: every member publishes a
-        // certificate and links come up for every social edge.
-        let mut overlay = SocialOverlay::new(n);
-        for (i, &author) in sub.authors.iter().enumerate() {
-            overlay.publish_certificate(PeerCertificate::from_key(
-                NodeId(i as u32),
-                format!("scdn-key-{}", author.0).as_bytes(),
-            ));
-        }
-        overlay.establish_all(&sub.graph);
         let caches = (0..n)
             .map(|_| CacheManager::with_registry(EvictionPolicy::Lru, &registry))
             .collect();
@@ -591,7 +568,6 @@ impl Scdn {
             engine,
             alloc,
             availability,
-            overlay,
             departed: vec![false; n],
             clients,
             clock: SimTime::ZERO,
@@ -841,8 +817,7 @@ impl Scdn {
     ///
     /// The mutable graph absorbs the ops, the frozen CSR is refreshed
     /// incrementally ([`CsrGraph::apply_delta`] rebuilds only the touched
-    /// rows) under a new generation, and overlay links are re-verified for
-    /// every churned pair. The new generation is the graph caches' one
+    /// rows) under a new generation. The new generation is the graph caches' one
     /// staleness rule: the hop cache is flushed here, so that
     /// `alloc.resolve.cache.evict` counts the flush, and the ranking cache
     /// flushes at its next lookup. The next request or cycle reads the
@@ -857,9 +832,6 @@ impl Scdn {
         let new_csr = self.social_csr.apply_delta(delta);
         let (resolve_retained, resolve_evicted) =
             self.alloc.note_graph_delta(&self.social_csr, &new_csr);
-        for (a, b) in delta.edge_pairs() {
-            self.overlay.refresh_link(&self.social, a, b);
-        }
         let nodes_touched = new_csr.last_delta().map_or(0, |s| s.touched.len());
         let cow = new_csr.cow_stats();
         self.delta_applied.inc();
@@ -1487,11 +1459,6 @@ impl Scdn {
     /// The social platform handle.
     pub fn platform(&self) -> &Rc<SocialPlatform> {
         &self.platform
-    }
-
-    /// The verified social overlay (SocialVPN-style peer links).
-    pub fn overlay(&self) -> &SocialOverlay {
-        &self.overlay
     }
 
     /// The access audit trail (every grant and denial, in order).

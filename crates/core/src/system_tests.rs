@@ -1,14 +1,16 @@
 //! Unit tests for the S-CDN runtime (kept in a separate file to keep
 //! `system.rs` readable; included via `#[cfg(test)] mod system_tests`).
 
+use std::collections::{BTreeSet, VecDeque};
+
 use bytes::Bytes;
 use proptest::prelude::*;
 use scdn_alloc::placement::PlacementAlgorithm;
 use scdn_alloc::replication::{CycleStats, DatasetStats, RebalancePolicy};
-use scdn_graph::NodeId;
+use scdn_graph::{Graph, GraphDelta, NodeId};
 use scdn_net::failure::FailureModel;
 use scdn_social::generator::{generate, CaseStudyParams};
-use scdn_social::trustgraph::{build_trust_subgraph, TrustFilter};
+use scdn_social::trustgraph::{build_trust_subgraph, TrustFilter, TrustSubgraph};
 use scdn_storage::coding::encode_blocks;
 use scdn_storage::object::{Dataset, SegmentId, Sensitivity};
 use scdn_storage::repository::Partition;
@@ -31,17 +33,6 @@ fn build_registers_everyone() {
         scdn.social_metrics.contributed_bytes,
         sub.graph.node_count() as u64 * ScdnConfig::default().repo_capacity
     );
-    // Relationships mirror the coauthorship edges.
-    let (a, b, _) = sub.graph.edges().next().expect("has edges");
-    let ua = scdn
-        .platform()
-        .user_of_author(sub.author_of(a))
-        .expect("registered");
-    let ub = scdn
-        .platform()
-        .user_of_author(sub.author_of(b))
-        .expect("registered");
-    assert!(scdn.platform().are_friends(ua, ub));
 }
 
 #[test]
@@ -489,17 +480,6 @@ fn departed_nodes_report_zero_availability() {
 }
 
 #[test]
-fn overlay_links_mirror_social_edges() {
-    let (c, sub) = community();
-    let scdn = Scdn::build(sub, &c.corpus, ScdnConfig::default());
-    assert_eq!(scdn.overlay().link_count(), sub.graph.edge_count());
-    let first_edge = sub.graph.edges().next();
-    if let Some((a, b, _)) = first_edge {
-        assert!(scdn.overlay().linked(a, b));
-    }
-}
-
-#[test]
 fn social_boundary_blocks_cross_island_service() {
     // Build on the double-coauthorship graph, which fragments into
     // islands; with the boundary enforced, a replica in another island
@@ -557,8 +537,8 @@ fn coded_request_obeys_the_social_boundary() {
     use scdn_storage::coding::CodingConfig;
 
     // The same fragmented double-coauthorship graph, with the dataset held
-    // as RS(2,1) blocks on hosts in the owner's island: a requester in
-    // another island has no overlay route to any donor.
+    // as RS(2,1) blocks on hosts in the owner's island: no donor is
+    // socially reachable from a requester in another island.
     let mut params = CaseStudyParams::default();
     params.rng_seed = 13;
     let c = generate(&params);
@@ -618,7 +598,7 @@ fn coded_request_obeys_the_social_boundary() {
     }
     assert_eq!(landed(&scdn), 0, "no block crossed the boundary");
 
-    // A member of the owner's island, every donor routable, races k blocks.
+    // A member of the owner's island, every donor reachable, races k blocks.
     let insider = scdn
         .social
         .nodes()
@@ -1842,6 +1822,54 @@ impl RebalancePolicy for AlwaysGrow {
     }
 }
 
+/// Which members a plain BFS on `g` reaches from `from`: the boundary
+/// property's reference.
+fn reachable_in(g: &Graph, from: NodeId) -> Vec<bool> {
+    let mut seen = vec![false; g.node_count()];
+    seen[from.index()] = true;
+    let mut queue = VecDeque::from([from]);
+    while let Some(v) = queue.pop_front() {
+        for e in g.neighbors(v) {
+            if !std::mem::replace(&mut seen[e.to.index()], true) {
+                queue.push_back(e.to);
+            }
+        }
+    }
+    seen
+}
+
+/// An always-on, lossless system under the social boundary on `graph`,
+/// with two RS(2,1) datasets published by nodes 0 and 1 and two
+/// whole-replica ones by nodes 2 and 3, each placed. Returns the
+/// datasets with their owners.
+fn island_system(graph: Graph) -> (Scdn, Vec<(DatasetId, NodeId)>) {
+    let (c, sub) = community();
+    let authors = sub.authors[..graph.node_count()].to_vec();
+    let islands = TrustSubgraph::from_parts(TrustFilter::Baseline, graph, authors);
+    let config = ScdnConfig {
+        enforce_social_boundary: true,
+        segment_size: 1 << 10,
+        replicas_per_dataset: 2,
+        availability: AvailabilityConfig::AlwaysOn,
+        coding: CodingConfig::Rs { k: 2, m: 1 },
+        ..ScdnConfig::default()
+    };
+    let mut scdn = Scdn::build(&islands, &c.corpus, config);
+    let mut datasets = Vec::new();
+    for owner in (0..4).map(NodeId) {
+        if owner == NodeId(2) {
+            scdn.set_publish_coding(CodingConfig::None);
+        }
+        let content = Bytes::from(vec![owner.0 as u8 + 1; 2 << 10]);
+        let id = scdn
+            .publish(owner, "island", content, Sensitivity::Public, None)
+            .expect("publishes");
+        let _ = scdn.replicate(id);
+        datasets.push((id, owner));
+    }
+    (scdn, datasets)
+}
+
 proptest! {
     /// With `CodingConfig::None`, `request_coded` is a
     /// bit-identical alias of `request` — same outcomes, same decision
@@ -1880,6 +1908,99 @@ proptest! {
             export_without(&coded, &wall_clock),
             "full metric snapshots diverge"
         );
+    }
+
+    /// Random island graphs, coded and whole-replica datasets, departures,
+    /// and deltas that join islands or cut edges: under the social
+    /// boundary a request is refused at the boundary — no coded race, or a
+    /// `BoundaryBlocked` span — exactly when a plain BFS on `scdn.social`
+    /// from the requester finds no online holder: block hosts holding k
+    /// distinct blocks for the race, a replica for the resolved path. A
+    /// served request is served from a reachable member.
+    #[test]
+    fn the_boundary_refuses_exactly_when_no_holder_is_reachable(
+        islands in proptest::collection::vec(0u8..4, 8..=20),
+        edges in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..24),
+        departures in proptest::collection::vec(any::<u8>(), 0..4),
+        steps in proptest::collection::vec((any::<u8>(), any::<u8>(), 0u8..4), 1..32),
+    ) {
+        use scdn_obs::{SpanKind, SpanStatus};
+
+        let n = islands.len();
+        let member = |x: u8| NodeId(u32::from(x) % n as u32);
+        // Each island is a chain of its members plus random chords.
+        let mut graph = Graph::new(n);
+        let mut last: [Option<NodeId>; 4] = [None; 4];
+        for (v, &island) in islands.iter().enumerate() {
+            let v = NodeId(v as u32);
+            if let Some(u) = last[usize::from(island)].replace(v) {
+                graph.add_edge(u, v, 1);
+            }
+        }
+        for (a, b) in edges.into_iter().map(|(a, b)| (member(a), member(b))) {
+            if islands[a.index()] == islands[b.index()] {
+                graph.add_edge(a, b, 1);
+            }
+        }
+        let (mut scdn, datasets) = island_system(graph);
+        for x in departures {
+            scdn.depart(member(x)).expect("a member");
+        }
+        for (x, y, kind) in steps {
+            if kind < 2 {
+                let mut delta = GraphDelta::new();
+                if kind == 0 {
+                    // A new collaboration, often across islands.
+                    delta.add_edge(member(x), member(y), 1);
+                } else {
+                    // A lapsed one.
+                    let edges: Vec<_> = scdn.social_csr().edges().collect();
+                    if let Some(&(a, b, _)) = edges.get(usize::from(x) % edges.len().max(1)) {
+                        delta.remove_edge(a, b);
+                    }
+                }
+                scdn.apply_graph_delta(&delta).expect("members");
+                continue;
+            }
+            let node = member(x);
+            let (dataset, owner) = datasets[usize::from(y) % datasets.len()];
+            let reach = reachable_in(&scdn.social, node);
+            let reachable_online = |host: NodeId| reach[host.index()] && scdn.is_online(host);
+            let spec = scdn.allocation().coding_of(dataset).expect("registered");
+            let race_expected = spec.filter(|_| owner != node).is_some_and(|spec| {
+                let inventory = scdn.allocation().coded_inventory(dataset).expect("registered");
+                let blocks: BTreeSet<u32> = inventory
+                    .iter()
+                    .filter(|(host, _)| *host != node && reachable_online(*host))
+                    .flat_map(|(_, blocks)| blocks.iter().copied())
+                    .collect();
+                blocks.len() >= usize::from(spec.k)
+            });
+            let online: Vec<NodeId> = scdn
+                .allocation()
+                .replicas_of(dataset)
+                .expect("registered")
+                .into_iter()
+                .filter(|&r| scdn.is_online(r))
+                .collect();
+            let blocked_expected =
+                !race_expected && !online.is_empty() && !online.iter().any(|&r| reach[r.index()]);
+
+            let result = scdn.request(node, dataset);
+            let trace = scdn.traces().recent().last().expect("every request is traced");
+            let spans = &trace.spans;
+            prop_assert_eq!(spans[0].status, SpanStatus::Ok, "authenticated");
+            let raced = spans[1].kind == SpanKind::Discover
+                && spans[1].status == SpanStatus::Ok
+                && spans.iter().all(|s| s.kind != SpanKind::SelectReplica);
+            let blocked = spans.iter().any(|s| s.status == SpanStatus::BoundaryBlocked);
+            let case = format!("{node:?} asks for {dataset:?} of {owner:?}");
+            prop_assert_eq!(raced, race_expected, "race: {}", case);
+            prop_assert_eq!(blocked, blocked_expected, "blocked: {}", case);
+            if let Ok(outcome) = result {
+                prop_assert!(reach[outcome.served_by.index()], "served across: {}", case);
+            }
+        }
     }
 
     /// Random codes, lengths (divisible by neither k nor the segment size,

@@ -113,10 +113,8 @@ impl GraphDelta {
             .sum()
     }
 
-    /// Every distinct endpoint pair named by an edge op, in op order
-    /// (duplicates preserved). Callers that maintain per-edge side state
-    /// (e.g. overlay links) re-check each pair against the post-delta
-    /// graph.
+    /// Every endpoint pair named by an edge op, in op order (duplicates
+    /// preserved): what a caller vets before applying the delta.
     pub fn edge_pairs(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         self.ops.iter().filter_map(|op| match *op {
             DeltaOp::AddEdge { a, b, .. } => Some((a, b)),

@@ -11,11 +11,9 @@
 //! every delivery is checksum-verified at the destination.
 
 pub mod failure;
-pub mod overlay;
 pub mod topology;
 pub mod transfer;
 
 pub use failure::FailureModel;
-pub use overlay::{PeerCertificate, SocialOverlay};
 pub use topology::{LinkQuality, Topology};
 pub use transfer::{CodedFetchReport, CodedSource, TransferEngine, TransferError, TransferReport};

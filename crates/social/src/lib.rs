@@ -14,7 +14,7 @@
 //! * a plain-text corpus format with parser ([`dblp_format`]) so ingestion
 //!   follows a realistic file-based path;
 //! * the Social Network Platform of the architecture ([`platform`]): users,
-//!   credentials, relationships, groups, and token issuance, consumed by
+//!   credentials, groups, and token issuance, consumed by
 //!   `scdn-middleware`.
 
 pub mod author;

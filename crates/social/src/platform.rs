@@ -1,8 +1,9 @@
 //! The Social Network Platform of the S-CDN architecture (Fig. 1).
 //!
 //! Users register against the platform (optionally linked to a corpus
-//! author), establish relationships, form groups representing collaborative
-//! projects, and obtain bearer tokens that the social middleware validates.
+//! author), form groups representing collaborative projects, and obtain
+//! bearer tokens that the social middleware validates. Relationships live
+//! in the social graph the runtime is built from, not here.
 //! This is an in-process simulation of "Facebook or a community tool such
 //! as myExperiment" — only the surface the S-CDN consumes is modelled.
 
@@ -98,7 +99,6 @@ struct State {
     /// First-registered user per linked corpus author.
     author_index: HashMap<AuthorId, UserId>,
     passwords: HashMap<UserId, String>,
-    friendships: HashMap<UserId, HashSet<UserId>>,
     groups: Vec<Group>,
     tokens: HashMap<String, UserId>,
     token_counter: u64,
@@ -142,7 +142,6 @@ impl SocialPlatform {
             s.author_index.entry(a).or_insert(id);
         }
         s.passwords.insert(id, password.to_string());
-        s.friendships.insert(id, HashSet::new());
         Ok(id)
     }
 
@@ -177,33 +176,6 @@ impl SocialPlatform {
             user.interests.push(interest.to_string());
         }
         Ok(())
-    }
-
-    /// Establish a mutual relationship (friendship / collaboration link).
-    pub fn befriend(&self, a: UserId, b: UserId) -> Result<(), PlatformError> {
-        let mut s = self.state.borrow_mut();
-        if a.index() >= s.users.len() {
-            return Err(PlatformError::UnknownUser(a));
-        }
-        if b.index() >= s.users.len() {
-            return Err(PlatformError::UnknownUser(b));
-        }
-        if a == b {
-            return Ok(());
-        }
-        s.friendships.entry(a).or_default().insert(b);
-        s.friendships.entry(b).or_default().insert(a);
-        Ok(())
-    }
-
-    /// `true` if the two users have a relationship.
-    pub fn are_friends(&self, a: UserId, b: UserId) -> bool {
-        self.state
-            .borrow()
-            .friendships
-            .get(&a)
-            .map(|f| f.contains(&b))
-            .unwrap_or(false)
     }
 
     /// Authenticate and obtain a bearer token.
@@ -335,21 +307,6 @@ mod tests {
             p.register("alice", "Other", "x", None).unwrap_err(),
             PlatformError::DuplicateLogin("alice".to_string())
         );
-    }
-
-    #[test]
-    fn friendship_is_mutual() {
-        let (p, a, b) = platform_with_two_users();
-        p.befriend(a, b).expect("befriend");
-        assert!(p.are_friends(a, b));
-        assert!(p.are_friends(b, a));
-    }
-
-    #[test]
-    fn self_friendship_is_noop() {
-        let (p, a, _) = platform_with_two_users();
-        p.befriend(a, a).expect("ok");
-        assert!(!p.are_friends(a, a));
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! The paper's repositories serve "caching, temporary, as well as
 //! persistent storage" (Section I). Replica partitions are capacity-bound,
 //! so when an allocation server pushes more segments than fit, something
-//! must be evicted. This module provides LRU and LFU eviction policies over
-//! a repository's replica partition, with pinning for segments the catalog
-//! requires to stay resident (persistent replicas vs opportunistic cache).
+//! must be evicted. This module provides LRU eviction over a repository's
+//! replica partition, with pinning for segments the catalog requires to
+//! stay resident (persistent replicas vs opportunistic cache).
 
 use std::collections::HashMap;
 
@@ -19,7 +19,7 @@ use crate::repository::{Partition, RepoError, StorageRepository};
 /// up in exported snapshots under the `storage.cache.*` namespace.
 #[derive(Clone, Debug, Default)]
 pub struct CacheMetrics {
-    /// Accesses to resident segments (recency/frequency bumps).
+    /// Accesses to resident segments (recency bumps).
     pub touches: Counter,
     /// Segments inserted into the replica partition.
     pub insertions: Counter,
@@ -41,30 +41,28 @@ impl CacheMetrics {
     }
 }
 
-/// Eviction policy for cached segments.
+/// Eviction policy for cached segments. LRU is the only one: the
+/// runtime builds nothing else, and the enum stays because the benchmark
+/// harness names `Lru` when it builds a manager.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EvictionPolicy {
     /// Evict the least-recently-used unpinned segment.
     Lru,
-    /// Evict the least-frequently-used unpinned segment (ties → LRU).
-    Lfu,
 }
 
 /// A cache manager wrapping one repository's replica partition.
 pub struct CacheManager {
-    policy: EvictionPolicy,
     /// Logical access clock.
     tick: u64,
-    /// Per-segment (last-use tick, use count, pinned).
-    state: HashMap<SegmentId, (u64, u64, bool)>,
+    /// Per-segment (last-use tick, pinned).
+    state: HashMap<SegmentId, (u64, bool)>,
     metrics: CacheMetrics,
 }
 
 impl CacheManager {
-    /// Manager with the given policy and standalone metrics.
-    pub fn new(policy: EvictionPolicy) -> CacheManager {
+    /// LRU manager with standalone metrics (`Lru` is the only policy).
+    pub fn new(_policy: EvictionPolicy) -> CacheManager {
         CacheManager {
-            policy,
             tick: 0,
             state: HashMap::new(),
             metrics: CacheMetrics::default(),
@@ -73,9 +71,8 @@ impl CacheManager {
 
     /// Manager whose metrics are bound to `reg` (exported under
     /// `storage.cache.*`).
-    pub fn with_registry(policy: EvictionPolicy, reg: &Registry) -> CacheManager {
+    pub fn with_registry(_policy: EvictionPolicy, reg: &Registry) -> CacheManager {
         CacheManager {
-            policy,
             tick: 0,
             state: HashMap::new(),
             metrics: CacheMetrics::from_registry(reg),
@@ -87,20 +84,17 @@ impl CacheManager {
         &self.metrics
     }
 
-    /// Record an access to a cached segment (bumps recency/frequency).
+    /// Record an access to a cached segment (bumps its recency).
     pub fn touch(&mut self, id: SegmentId) {
         self.tick += 1;
-        let entry = self.state.entry(id).or_insert((0, 0, false));
-        entry.0 = self.tick;
-        entry.1 += 1;
+        self.state.entry(id).or_insert((0, false)).0 = self.tick;
         self.metrics.touches.inc();
     }
 
     /// Batch form of [`touch`](Self::touch): record one access per
     /// segment, in order. A served request applies a whole dataset's
-    /// recency/frequency updates through this in a single call, with
-    /// tick/count/metric effects identical to touching each segment
-    /// individually.
+    /// recency updates through this in a single call, with tick and
+    /// metric effects identical to touching each segment individually.
     pub fn touch_all(&mut self, ids: impl IntoIterator<Item = SegmentId>) {
         for id in ids {
             self.touch(id);
@@ -111,8 +105,7 @@ impl CacheManager {
     /// these are the catalog-mandated persistent replicas.
     pub fn set_pinned(&mut self, id: SegmentId, pinned: bool) {
         self.tick += 1;
-        let entry = self.state.entry(id).or_insert((0, 0, false));
-        entry.2 = pinned;
+        self.state.entry(id).or_insert((0, false)).1 = pinned;
     }
 
     /// Every pinned segment, in id order.
@@ -120,7 +113,7 @@ impl CacheManager {
         let mut ids: Vec<SegmentId> = self
             .state
             .iter()
-            .filter(|(_, e)| e.2)
+            .filter(|(_, e)| e.1)
             .map(|(&id, _)| id)
             .collect();
         ids.sort_unstable();
@@ -129,7 +122,7 @@ impl CacheManager {
 
     /// `true` if the segment is pinned.
     fn is_pinned(&self, id: SegmentId) -> bool {
-        self.state.get(&id).map(|e| e.2).unwrap_or(false)
+        self.state.get(&id).is_some_and(|e| e.1)
     }
 
     /// Drop all tracking state for a segment (after it was removed from
@@ -176,17 +169,10 @@ impl CacheManager {
 
     /// Choose the eviction victim among unpinned resident segments.
     fn pick_victim(&self, repo: &StorageRepository) -> Option<SegmentId> {
-        let resident = repo.list(Partition::Replica);
-        let candidates = resident.into_iter().filter(|id| !self.is_pinned(*id));
-        match self.policy {
-            EvictionPolicy::Lru => {
-                candidates.min_by_key(|id| self.state.get(id).map(|e| e.0).unwrap_or(0))
-            }
-            EvictionPolicy::Lfu => candidates.min_by_key(|id| {
-                let e = self.state.get(id).copied().unwrap_or((0, 0, false));
-                (e.1, e.0)
-            }),
-        }
+        repo.list(Partition::Replica)
+            .into_iter()
+            .filter(|id| !self.is_pinned(*id))
+            .min_by_key(|id| self.state.get(id).map_or(0, |e| e.0))
     }
 }
 
@@ -218,21 +204,6 @@ mod tests {
         assert_eq!(evicted, vec![s1.id]);
         assert!(repo.contains(s0.id));
         assert!(repo.contains(s2.id));
-    }
-
-    #[test]
-    fn lfu_evicts_least_frequent() {
-        let repo = StorageRepository::new(250);
-        let mut cache = CacheManager::new(EvictionPolicy::Lfu);
-        let (s0, s1, s2) = (seg(0, 100), seg(1, 100), seg(2, 100));
-        cache.insert(&repo, s0.clone()).expect("fits");
-        cache.insert(&repo, s1.clone()).expect("fits");
-        for _ in 0..5 {
-            cache.touch(s1.id);
-        }
-        cache.touch(s0.id);
-        let evicted = cache.insert(&repo, s2.clone()).expect("evicts");
-        assert_eq!(evicted, vec![s0.id], "s0 used less often than s1");
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //! dependency set has no hashing crates.
 
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
 
 /// 64-bit FNV-1a hash — one serial xor-multiply chain per byte. Not part
-/// of [`Checksum`]: the digest behind the coder's golden hash and the
-/// overlay's certificate fingerprints.
-pub fn fnv1a64(data: &[u8]) -> u64 {
+/// of [`Checksum`]: the digest behind the coder's golden hash.
+#[cfg(test)]
+pub(crate) fn fnv1a64(data: &[u8]) -> u64 {
+    const FNV_PRIME: u64 = 0x100000001b3;
     data.iter()
         .fold(FNV_OFFSET, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
 }
