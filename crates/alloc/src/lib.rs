@@ -5,8 +5,10 @@
 //!
 //! * [`placement`] — replica placement over the social graph: the four
 //!   case-study algorithms (Random, Node Degree, Community Node Degree,
-//!   Clustering Coefficient) plus the extensions the paper discusses
-//!   (betweenness, social score, PageRank, My3-style availability cover);
+//!   Clustering Coefficient), the three more the paper names
+//!   (betweenness, social score, the My3-style availability cover) and
+//!   two additions that each win a panel of the extended Fig. 3
+//!   (PageRank, weighted degree);
 //! * [`server`] — the allocation server: repository registry, dataset →
 //!   replica catalog, request resolution, demand tracking, and replica
 //!   migration;

@@ -52,7 +52,10 @@ proptest! {
             PlacementAlgorithm::NodeDegree,
             PlacementAlgorithm::CommunityNodeDegree,
             PlacementAlgorithm::ClusteringCoefficient,
-            PlacementAlgorithm::KCore,
+            PlacementAlgorithm::Betweenness,
+            PlacementAlgorithm::SocialScore,
+            PlacementAlgorithm::PageRank,
+            PlacementAlgorithm::WeightedDegree,
         ] {
             prop_assert_eq!(alg.place(&g, k, 1), alg.place(&g, k, 999), "{:?}", alg);
         }

@@ -67,10 +67,10 @@ fn full_ranking(c: &mut Criterion) {
         let mut group = c.benchmark_group(&format!("placement/full-ranking/{label}"));
         group.sample_size(10);
         let g = CsrGraph::from(&barabasi_albert(n, 3, 7));
-        for alg in PlacementAlgorithm::PAPER_SET.into_iter().chain([
-            PlacementAlgorithm::KCore,
-            PlacementAlgorithm::WeightedDegree,
-        ]) {
+        for alg in PlacementAlgorithm::PAPER_SET
+            .into_iter()
+            .chain([PlacementAlgorithm::WeightedDegree])
+        {
             group.bench_with_input(BenchmarkId::from_parameter(alg.name()), &alg, |b, &alg| {
                 b.iter(|| alg.place(std::hint::black_box(&g), n, 42));
             });

@@ -12,11 +12,11 @@
 
 use scdn_bench::paper_corpus;
 use scdn_graph::components::island_stats;
-use scdn_graph::dot::{to_dot, DotOptions};
 use scdn_graph::metrics::{global_clustering_coefficient, mean_degree};
 use scdn_graph::traversal::max_span;
-use scdn_graph::CsrGraph;
+use scdn_graph::{CsrGraph, Graph, NodeId};
 use scdn_social::trustgraph::build_paper_subgraphs;
+use std::fmt::Write as _;
 
 fn main() {
     let g = paper_corpus();
@@ -46,15 +46,7 @@ fn main() {
             mean_degree(&s.graph),
             global_clustering_coefficient(&frozen),
         );
-        let dot = to_dot(
-            &s.graph,
-            &DotOptions {
-                name: name.to_string(),
-                highlight: Some(seed_node),
-                highlight_incident_edges: true,
-                ..Default::default()
-            },
-        );
+        let dot = to_dot(&s.graph, name, seed_node);
         std::fs::create_dir_all("results").expect("create results dir");
         let path = format!("results/fig2_{name}.dot");
         std::fs::write(&path, dot).expect("write DOT file");
@@ -65,4 +57,58 @@ fn main() {
     println!("  * the maximum span stays ~6 hops in every subgraph;");
     println!("  * the double-coauthorship graph fragments into isolated islands;");
     println!("  * the other two remain a single connected supercluster.");
+}
+
+/// Render `g` as an undirected Graphviz DOT document named `name`, with
+/// `seed` filled red and its incident edges drawn red, as in the paper's
+/// figure.
+fn to_dot(g: &Graph, name: &str, seed: NodeId) -> String {
+    let mut out = String::with_capacity(64 + g.node_count() * 16 + g.edge_count() * 16);
+    writeln!(out, "graph {name} {{").expect("write to string");
+    writeln!(out, "  node [shape=point, width=0.08];").expect("write to string");
+    for v in g.nodes() {
+        let style = if v == seed {
+            " [color=red, style=filled, fillcolor=red, width=0.2]"
+        } else {
+            ""
+        };
+        writeln!(out, "  {}{style};", v.0).expect("write to string");
+    }
+    for (a, b, _) in g.edges() {
+        let style = if a == seed || b == seed {
+            " [color=red, penwidth=2]"
+        } else {
+            ""
+        };
+        writeln!(out, "  {} -- {}{style};", a.0, b.0).expect("write to string");
+    }
+    out.push_str("}\n");
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn basic_structure() {
+        let g = Graph::from_edges(4, [(0, 1, 2), (1, 2, 1), (2, 3, 1)]);
+        let dot = to_dot(&g, "scdn", NodeId(0));
+        assert!(dot.starts_with("graph scdn {"));
+        assert!(dot.contains("  1 -- 2;\n"));
+        assert!(dot.contains("  2 -- 3;\n"));
+        assert!(dot.contains("  3;\n"));
+        assert!(dot.trim_end().ends_with('}'));
+    }
+
+    #[test]
+    fn highlight_seed_and_edges() {
+        let g = Graph::from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)]);
+        let dot = to_dot(&g, "scdn", NodeId(1));
+        assert!(dot.contains("  1 [color=red"));
+        assert!(dot.contains("  0 -- 1 [color=red"));
+        assert!(dot.contains("  1 -- 2 [color=red"));
+        assert!(dot.contains("  2 -- 3;\n"));
+        assert!(dot.contains("  0;\n"));
+    }
 }

@@ -4,48 +4,11 @@
 //! connect nodes with overlapping availability windows, weight edges by
 //! transfer "distance", and pick a subset of nodes that covers the whole
 //! graph with the lowest-cost edges. Dominating set is NP-hard, so we use
-//! the standard greedy ln(n)-approximation, plus a weighted variant that
-//! scores candidates by (new coverage) / (node cost).
+//! the greedy approximation that scores candidates by
+//! (new coverage) / (node cost); with unit costs it is the standard greedy
+//! ln(n)-approximation.
 
 use crate::graph::{Graph, NodeId};
-
-/// Greedy minimum dominating set: repeatedly take the node covering the most
-/// uncovered nodes (itself + neighbors). Ties break toward smaller ids.
-pub fn greedy_dominating_set(g: &Graph) -> Vec<NodeId> {
-    let n = g.node_count();
-    let mut covered = vec![false; n];
-    let mut chosen = Vec::new();
-    let mut remaining = n;
-    while remaining > 0 {
-        let mut best: Option<(usize, NodeId)> = None;
-        for v in g.nodes() {
-            let mut gain = usize::from(!covered[v.index()]);
-            for e in g.neighbors(v) {
-                gain += usize::from(!covered[e.to.index()]);
-            }
-            if gain > 0 {
-                match best {
-                    Some((bg, _)) if bg >= gain => {}
-                    _ => best = Some((gain, v)),
-                }
-            }
-        }
-        let (gain, v) = best.expect("uncovered nodes must have a coverer");
-        chosen.push(v);
-        if !covered[v.index()] {
-            covered[v.index()] = true;
-            remaining -= 1;
-        }
-        for e in g.neighbors(v) {
-            if !covered[e.to.index()] {
-                covered[e.to.index()] = true;
-                remaining -= 1;
-            }
-        }
-        debug_assert!(gain > 0);
-    }
-    chosen
-}
 
 /// Cost-aware greedy dominating set: maximize (newly covered) / cost(v).
 /// `cost[v]` might be the inverse availability or expected transfer latency
@@ -111,10 +74,15 @@ mod tests {
     use crate::generators::erdos_renyi;
     use crate::graph::Graph;
 
+    /// The cover with every cost 1: the unweighted greedy.
+    fn unit_cover(g: &Graph) -> Vec<NodeId> {
+        greedy_weighted_dominating_set(g, &vec![1.0; g.node_count()])
+    }
+
     #[test]
     fn star_dominated_by_center() {
         let g = Graph::from_edges(5, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1)]);
-        let ds = greedy_dominating_set(&g);
+        let ds = unit_cover(&g);
         assert_eq!(ds, vec![NodeId(0)]);
         assert!(is_dominating_set(&g, &ds));
     }
@@ -122,7 +90,7 @@ mod tests {
     #[test]
     fn isolated_nodes_must_self_cover() {
         let g = Graph::from_edges(3, [(0, 1, 1)]); // node 2 isolated
-        let ds = greedy_dominating_set(&g);
+        let ds = unit_cover(&g);
         assert!(ds.contains(&NodeId(2)));
         assert!(is_dominating_set(&g, &ds));
     }
@@ -131,7 +99,7 @@ mod tests {
     fn dominating_set_on_random_graphs() {
         for seed in 0..5 {
             let g = erdos_renyi(60, 0.08, seed);
-            let ds = greedy_dominating_set(&g);
+            let ds = unit_cover(&g);
             assert!(is_dominating_set(&g, &ds));
             assert!(ds.len() <= g.node_count());
         }
@@ -149,7 +117,7 @@ mod tests {
     #[test]
     fn empty_graph_covers() {
         let g = Graph::new(0);
-        assert!(greedy_dominating_set(&g).is_empty());
+        assert!(unit_cover(&g).is_empty());
         assert!(is_dominating_set(&g, &[]));
     }
 }

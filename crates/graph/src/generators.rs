@@ -1,8 +1,9 @@
 //! Random graph generators used by tests, benches, and the synthetic
-//! workloads: Erdős–Rényi, Barabási–Albert preferential attachment,
-//! Watts–Strogatz small worlds, planted-partition community graphs, and a
-//! clique helper (the 86-author mega-publication of the case study is a
-//! clique in the coauthorship graph).
+//! workloads: Barabási–Albert preferential attachment, Watts–Strogatz small
+//! worlds, planted-partition community graphs, and a clique helper (the
+//! 86-author mega-publication of the case study is a clique in the
+//! coauthorship graph). Erdős–Rényi and the complete graph are test
+//! fixtures of this crate only.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -11,7 +12,8 @@ use crate::graph::{Graph, NodeId};
 
 /// Erdős–Rényi `G(n, p)`: each of the `n (n-1) / 2` pairs becomes an edge
 /// independently with probability `p`.
-pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> Graph {
+#[cfg(test)]
+pub(crate) fn erdos_renyi(n: usize, p: f64, seed: u64) -> Graph {
     assert!((0.0..=1.0).contains(&p), "p must be a probability");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut g = Graph::new(n);
@@ -116,7 +118,8 @@ pub fn add_clique(g: &mut Graph, members: &[NodeId], w: u32) {
 }
 
 /// Complete graph on `n` nodes.
-pub fn complete(n: usize) -> Graph {
+#[cfg(test)]
+pub(crate) fn complete(n: usize) -> Graph {
     let mut g = Graph::new(n);
     let members: Vec<NodeId> = g.nodes().collect();
     add_clique(&mut g, &members, 1);

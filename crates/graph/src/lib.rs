@@ -6,13 +6,13 @@
 //! * [`Graph`] — the adjacency-list graph you **build and mutate**
 //!   (`add_edge`, `remove_edge`, [`GraphDelta`], `induced_subgraph`),
 //!   together with the algorithms that only ever run on a graph under
-//!   construction (components, community detection, covers, DOT export,
-//!   generators);
+//!   construction (components, community detection, the weighted
+//!   dominating-set cover, generators);
 //! * [`CsrGraph`] — the frozen, chunked copy-on-write view you **query**:
 //!   BFS and eccentricity, centrality (Brandes betweenness included),
-//!   PageRank, k-core and clustering each exist once, on this type, and
-//!   each runs on one thread. `CsrGraph::from(&graph)` freezes; `apply_delta` follows
-//!   churn without a rebuild.
+//!   PageRank and clustering each exist once, on this type, and each runs
+//!   on one thread. `CsrGraph::from(&graph)` freezes; `apply_delta`
+//!   follows churn without a rebuild.
 //!
 //! The S-CDN paper (Chard et al., SC 2012) uses coauthorship graphs as its
 //! social fabric; those graphs are built by `scdn-social` on top of the
@@ -40,10 +40,8 @@ pub mod components;
 pub mod cover;
 pub mod csr;
 pub mod delta;
-pub mod dot;
 pub mod generators;
 pub mod graph;
-pub mod kcore;
 pub mod metrics;
 pub mod pagerank;
 pub mod parallel;

@@ -5,8 +5,8 @@
 //! replaced, that kernel survives as a `#[cfg(test)]` `*_reference` beside
 //! it (`traversal.rs`, `centrality.rs`, `pagerank.rs`, `metrics.rs`) and is
 //! property-tested bit-identical there. Algorithms whose adjacency twin
-//! was the same text (degree centrality, k-core) need no reference: this
-//! test pins their only input.
+//! was the same text (degree centrality) need no reference: this test
+//! pins their only input.
 
 use proptest::prelude::*;
 use scdn_graph::{CsrGraph, Graph};

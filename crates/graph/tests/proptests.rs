@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use scdn_graph::centrality::betweenness;
 use scdn_graph::components::connected_components;
-use scdn_graph::cover::{greedy_dominating_set, is_dominating_set};
+use scdn_graph::cover::{greedy_weighted_dominating_set, is_dominating_set};
 use scdn_graph::metrics::{all_clustering_coefficients, global_clustering_coefficient};
 use scdn_graph::traversal::{bfs_distances, ego_network, max_span, multi_source_bfs};
 use scdn_graph::{CsrGraph, Graph, NodeId, UnionFind};
@@ -113,9 +113,15 @@ proptest! {
     }
 
     #[test]
-    fn dominating_set_always_dominates(g in arb_graph(30, 70)) {
-        let ds = greedy_dominating_set(&g);
-        prop_assert!(is_dominating_set(&g, &ds));
+    fn dominating_set_always_dominates(
+        g in arb_graph(30, 70),
+        costs in proptest::collection::vec(0.01f64..100.0, 30),
+    ) {
+        let unit = vec![1.0; g.node_count()];
+        for cost in [&unit[..], &costs[..g.node_count()]] {
+            let ds = greedy_weighted_dominating_set(&g, cost);
+            prop_assert!(is_dominating_set(&g, &ds), "costs {:?}", cost);
+        }
     }
 
     #[test]

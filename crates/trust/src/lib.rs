@@ -11,12 +11,10 @@
 //!   with exponential recency decay, seedable from a publication corpus;
 //! * [`threshold`] — trust policies (minimum score / minimum history) that
 //!   gate participation, mirroring the trust-graph pruning of Section VI;
-//! * [`propagation`] — transitive ("friend-of-a-friend") trust across the
-//!   coauthorship graph with per-hop damping.
+//! * [`reputation`] — per-author rollups of the scores a ledger yields.
 
 pub mod interaction;
 pub mod model;
-pub mod propagation;
 pub mod reputation;
 pub mod threshold;
 

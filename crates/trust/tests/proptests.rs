@@ -4,7 +4,6 @@ use proptest::prelude::*;
 use scdn_social::author::AuthorId;
 use scdn_trust::interaction::{Interaction, InteractionKind, InteractionLedger};
 use scdn_trust::model::{TrustModel, TrustParams};
-use scdn_trust::propagation::{propagate_from, PropagationParams};
 use scdn_trust::reputation::reputations;
 
 fn arb_ledger() -> impl Strategy<Value = InteractionLedger> {
@@ -86,26 +85,5 @@ proptest! {
             prop_assert!(r.partners >= 1);
             prop_assert!(r.evidence >= 0.0);
         }
-    }
-
-    #[test]
-    fn propagation_bounded_and_source_maximal(
-        n in 3usize..20,
-        edges in proptest::collection::vec((0u32..20, 0u32..20), 1..40),
-        damping in 0.1f64..1.0,
-    ) {
-        let g = scdn_graph::Graph::from_edges(
-            n,
-            edges
-                .into_iter()
-                .filter(|(a, b)| (*a as usize) < n && (*b as usize) < n)
-                .map(|(a, b)| (a, b, 1)),
-        );
-        let params = PropagationParams { damping, max_hops: 3 };
-        let scores = propagate_from(&g, scdn_graph::NodeId(0), params, |_, _| 0.8);
-        for (i, s) in scores.iter().enumerate() {
-            prop_assert!((0.0..=1.0).contains(s), "node {i}: {s}");
-        }
-        prop_assert_eq!(scores[0], 1.0);
     }
 }
