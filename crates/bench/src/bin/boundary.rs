@@ -22,7 +22,7 @@ use scdn_graph::components::connected_components;
 use scdn_graph::NodeId;
 use scdn_sim::workload::{generate_requests, WorkloadConfig};
 use scdn_social::trustgraph::{build_trust_subgraph, TrustFilter};
-use scdn_storage::object::{DatasetId, Sensitivity};
+use scdn_storage::object::DatasetId;
 
 fn main() {
     let g = paper_corpus();
@@ -57,16 +57,10 @@ fn main() {
         let mut by_degree: Vec<NodeId> = scdn.social.nodes().collect();
         by_degree.sort_by_key(|&v| std::cmp::Reverse(scdn.social.degree(v)));
         for (i, &publisher) in by_degree.iter().take(12).enumerate() {
-            let id = scdn
-                .publish(
-                    publisher,
-                    &format!("ds-{i}"),
-                    Bytes::from(vec![i as u8; 32 << 10]),
-                    Sensitivity::Public,
-                    None,
-                )
-                .expect("publishes");
-            let _ = scdn.replicate(id);
+            let content = Bytes::from(vec![i as u8; 32 << 10]);
+            let publish = Op::publish(publisher, &format!("ds-{i}"), content);
+            let id = scdn.apply(&publish).published().expect("publishes");
+            scdn.apply(&Op::Replicate(id));
             datasets.push(id);
         }
         let workload = generate_requests(&WorkloadConfig {
@@ -84,15 +78,14 @@ fn main() {
         let mut refused = 0u64;
         let mut cross_island = 0u64;
         for op in &ops {
-            let outcome = scdn.apply(op);
-            refused += outcome.failed() as u64;
-            if let (Op::Request(node, _), OpOutcome::Requests(results)) = (op, &outcome) {
-                for o in results.iter().flatten() {
+            match (op, scdn.apply(op)) {
+                (Op::Request(node, _), OpOutcome::Requested(Ok(o))) => {
                     served += 1;
                     if !comps.same_component(o.served_by, *node) {
                         cross_island += 1;
                     }
                 }
+                _ => refused += 1,
             }
         }
         println!(

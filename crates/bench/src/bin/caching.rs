@@ -14,7 +14,7 @@ use scdn_core::system::{Scdn, ScdnConfig};
 use scdn_graph::NodeId;
 use scdn_sim::workload::{generate_requests, WorkloadConfig};
 use scdn_social::trustgraph::{build_trust_subgraph, TrustFilter};
-use scdn_storage::object::{DatasetId, Sensitivity};
+use scdn_storage::object::DatasetId;
 
 fn main() {
     let g = paper_corpus();
@@ -43,16 +43,10 @@ fn main() {
         let mut scdn = Scdn::build(&sub, &g.corpus, config);
         let mut datasets: Vec<DatasetId> = Vec::new();
         for i in 0..10u32 {
-            let id = scdn
-                .publish(
-                    NodeId(i),
-                    &format!("ds{i}"),
-                    Bytes::from(vec![i as u8; 64 << 10]),
-                    Sensitivity::Public,
-                    None,
-                )
-                .expect("publishes");
-            let _ = scdn.replicate(id);
+            let content = Bytes::from(vec![i as u8; 64 << 10]);
+            let publish = Op::publish(NodeId(i), &format!("ds{i}"), content);
+            let id = scdn.apply(&publish).published().expect("publishes");
+            scdn.apply(&Op::Replicate(id));
             datasets.push(id);
         }
         let workload = generate_requests(&WorkloadConfig {

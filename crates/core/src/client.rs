@@ -1,4 +1,4 @@
-//! The CDN client: per-node monitoring and telemetry.
+//! The CDN client: per-node availability monitoring and telemetry.
 //!
 //! "The CDN client is a lightweight server that … manages the contributed
 //! storage repository and monitors system statistics such as availability
@@ -7,13 +7,13 @@
 //! (Section V-A.)
 //!
 //! Each member node runs one [`MonitoringClient`]; the system samples them
-//! on every tick and periodically flushes EWMA availability and service
-//! statistics to the allocation server.
+//! on every tick and, on [`Op::Telemetry`](crate::ops::Op::Telemetry),
+//! flushes each EWMA availability estimate to the allocation server.
 
 use scdn_alloc::server::AllocationServer;
 use scdn_graph::NodeId;
 
-/// Exponentially-weighted telemetry for one member node.
+/// Exponentially-weighted availability telemetry for one member node.
 #[derive(Clone, Debug)]
 pub struct MonitoringClient {
     /// The node this client runs on.
@@ -25,10 +25,6 @@ pub struct MonitoringClient {
     alpha: f64,
     /// Samples observed so far.
     samples: u64,
-    /// Requests served by this node's repository since the last report.
-    served_since_report: u64,
-    /// Bytes served since the last report.
-    bytes_since_report: u64,
 }
 
 impl MonitoringClient {
@@ -39,8 +35,6 @@ impl MonitoringClient {
             ewma_availability: 1.0,
             alpha: alpha.clamp(0.001, 1.0),
             samples: 0,
-            served_since_report: 0,
-            bytes_since_report: 0,
         }
     }
 
@@ -55,28 +49,17 @@ impl MonitoringClient {
         self.samples += 1;
     }
 
-    /// Record a request served from this node's repository.
-    pub fn record_served(&mut self, bytes: u64) {
-        self.served_since_report += 1;
-        self.bytes_since_report += bytes;
-    }
-
     /// The EWMA availability estimate and the samples behind it: what
     /// [`report`](Self::report) sends and what the next sample weighs.
     pub(crate) fn estimate(&self) -> (f64, u64) {
         (self.ewma_availability, self.samples)
     }
 
-    /// Flush the telemetry to an allocation server, resetting the usage
-    /// counters. Returns `(served, bytes)` flushed.
-    pub fn report(&mut self, server: &AllocationServer) -> (u64, u64) {
+    /// Send the availability estimate to an allocation server.
+    pub fn report(&self, server: &AllocationServer) {
         // Ignore the error for unregistered nodes: a client may outlive a
         // departed repository registration.
         let _ = server.report_availability(self.node, self.ewma_availability);
-        let flushed = (self.served_since_report, self.bytes_since_report);
-        self.served_since_report = 0;
-        self.bytes_since_report = 0;
-        flushed
     }
 }
 
@@ -106,7 +89,7 @@ mod tests {
     }
 
     #[test]
-    fn report_updates_server_and_resets_counters() {
+    fn report_updates_the_servers_availability() {
         let server = AllocationServer::new();
         server.register_repository(RepositoryInfo {
             node: NodeId(3),
@@ -117,12 +100,9 @@ mod tests {
         let mut c = MonitoringClient::new(NodeId(3), 0.5);
         c.sample_online(false);
         c.sample_online(false);
-        c.record_served(100);
-        c.record_served(50);
-        let (served, bytes) = c.report(&server);
-        assert_eq!((served, bytes), (2, 150));
-        assert_eq!(c.report(&server), (0, 0), "counters reset after flush");
+        c.report(&server);
         let info = server.repository(NodeId(3)).expect("registered");
+        assert_eq!(info.availability, c.estimate().0);
         assert!(info.availability < 0.1);
     }
 
@@ -131,7 +111,7 @@ mod tests {
         let server = AllocationServer::new();
         let mut c = MonitoringClient::new(NodeId(9), 0.5);
         c.sample_online(true);
-        c.record_served(10);
-        assert_eq!(c.report(&server), (1, 10));
+        c.report(&server);
+        assert!(server.repository(NodeId(9)).is_none());
     }
 }

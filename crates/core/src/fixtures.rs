@@ -343,6 +343,7 @@ pub(crate) fn assert_same_state(got: &DecisionState, want: &DecisionState, case:
         next_dataset,
         ledger,
         estimates,
+        groups,
     } = got;
     let differ: Vec<&str> = [
         ("clock", *clock == want.clock),
@@ -355,6 +356,7 @@ pub(crate) fn assert_same_state(got: &DecisionState, want: &DecisionState, case:
         ("next_dataset", *next_dataset == want.next_dataset),
         ("ledger", *ledger == want.ledger),
         ("estimates", *estimates == want.estimates),
+        ("groups", *groups == want.groups),
     ]
     .into_iter()
     .filter(|&(_, same)| !same)

@@ -53,11 +53,12 @@ const NOT_DECISIONS: [&str; 6] = [
     "core.maintain.ranking_recompute_ms",
 ];
 
-/// A splitmix64 sequence: the stream generator's only source of choice.
-struct Choices(u64);
+/// A splitmix64 sequence from a seed: the stream generators' only source
+/// of choice, here and in `fuzz`.
+pub(crate) struct Choices(pub(crate) u64);
 
 impl Choices {
-    fn next(&mut self) -> u64 {
+    pub(crate) fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -65,15 +66,15 @@ impl Choices {
         z ^ (z >> 31)
     }
 
-    fn below(&mut self, n: u64) -> u64 {
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         self.next() % n
     }
 
-    fn coin(&mut self) -> bool {
+    pub(crate) fn coin(&mut self) -> bool {
         self.next() & 1 == 1
     }
 
-    fn byte(&mut self) -> u8 {
+    pub(crate) fn byte(&mut self) -> u8 {
         self.next() as u8
     }
 
@@ -162,9 +163,10 @@ fn batch_stream(
         }
         ops.push(Op::Tick(choices.below(dt_max)));
         let batch = choices.selectors(batch_max, members);
-        ops.push(Op::Batch(
-            batch.into_iter().map(|s| pick(scdn, datasets, s)).collect(),
-        ));
+        ops.extend(batch.into_iter().map(|s| {
+            let (node, dataset) = pick(scdn, datasets, s);
+            Op::Request(node, dataset)
+        }));
         if repair {
             ops.push(Op::Repair);
         }

@@ -24,6 +24,8 @@ impl Scdn {
     /// to every dataset (growing hot datasets, shrinking idle ones), then
     /// drain the demand windows to the totals the plan observed. Returns
     /// the number of replica changes made.
+    ///
+    /// `pub` only because `benchmark/` calls it (ROADMAP 5(e)); see [`Op`](crate::ops::Op).
     pub fn maintain(&mut self) -> usize {
         match self.config.rebalance {
             RebalanceStrategy::Static => {
@@ -40,7 +42,7 @@ impl Scdn {
     /// strategy applies that floor inside [`StaticRebalance`].
     ///
     /// [`StaticRebalance`]: scdn_alloc::replication::StaticRebalance
-    pub fn maintain_with<P: RebalancePolicy>(&mut self, policy: &P) -> usize {
+    pub(crate) fn maintain_with<P: RebalancePolicy>(&mut self, policy: &P) -> usize {
         let plan = self.alloc.rebalance_plan(policy);
         let mut changes = 0usize;
         for (dataset, current, target) in plan.triples() {
@@ -62,6 +64,8 @@ impl Scdn {
     /// Re-replicate every dataset below the configured replica count
     /// (post-departure repair), one [`replicate`](Self::replicate) per
     /// dataset in dataset order. Returns the number of replicas restored.
+    ///
+    /// `pub` only because `benchmark/` calls it (ROADMAP 5(e)); see [`Op`](crate::ops::Op).
     pub fn repair(&mut self) -> usize {
         let mut datasets: Vec<DatasetId> = self.datasets.keys().copied().collect();
         datasets.sort_unstable();

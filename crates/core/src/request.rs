@@ -65,6 +65,8 @@ impl Scdn {
     /// `authenticate → discover → deliver | fail` for a race. Control-plane
     /// spans carry wall-clock time, attempts the simulated network time.
     ///
+    /// `pub` only because `benchmark/` calls it (ROADMAP 5(e)); see [`Op`](crate::ops::Op).
+    ///
     /// [`ScdnConfig::enforce_social_boundary`]: super::ScdnConfig::enforce_social_boundary
     pub fn request(
         &mut self,
@@ -85,8 +87,8 @@ impl Scdn {
     }
 
     /// [`request`](Self::request), which races the blocks of a coded
-    /// dataset itself. The name remains because `benchmark/`'s
-    /// `coded_repair` workload calls it.
+    /// dataset itself. The name remains only because `benchmark/`'s
+    /// `coded_repair` workload calls it (ROADMAP 5(e)); see [`Op`](crate::ops::Op).
     pub fn request_coded(
         &mut self,
         node: NodeId,
@@ -97,6 +99,8 @@ impl Scdn {
 
     /// Serve `reqs` in order, one [`request`](Self::request) each. Results
     /// are positionally parallel to `reqs`.
+    ///
+    /// `pub` only because `benchmark/` calls it (ROADMAP 5(e)); see [`Op`](crate::ops::Op).
     pub fn request_batch(
         &mut self,
         reqs: &[(NodeId, DatasetId)],
@@ -216,7 +220,6 @@ impl Scdn {
         if src != node {
             self.social_metrics
                 .record_exchange(src.index(), node.index(), total_bytes, true);
-            self.clients[src.index()].record_served(total_bytes);
         }
         // Bump recency/frequency for the serving node's copies.
         self.caches[src.index()].touch_all(segments.iter().copied());
@@ -366,7 +369,7 @@ impl Scdn {
             }
             CodedRace::Landed(decoded) => decoded,
         };
-        // Per-donor exchange and served accounting, in acceptance order.
+        // Per-donor exchange accounting, in acceptance order.
         let mut per_donor: Vec<(usize, u64)> = Vec::new();
         for ((_, donor), report) in rep.delivered.iter().zip(&rep.reports) {
             match per_donor.iter_mut().find(|(d, _)| d == donor) {
@@ -377,7 +380,6 @@ impl Scdn {
         for &(donor, bytes) in &per_donor {
             self.social_metrics
                 .record_exchange(donor, node.index(), bytes, true);
-            self.clients[donor].record_served(bytes);
         }
         let decoded = decoded?;
         self.coded_shards_reconstructed

@@ -11,7 +11,7 @@ use scdn_graph::NodeId;
 use scdn_sim::workload::{generate_requests, Request, WorkloadConfig};
 use scdn_social::generator::{generate, CaseStudyParams};
 use scdn_social::trustgraph::TrustFilter;
-use scdn_storage::object::{DatasetId, Sensitivity};
+use scdn_storage::object::DatasetId;
 
 use crate::ops::{Digest, Op, OpOutcome};
 use crate::system::{Scdn, ScdnConfig};
@@ -78,7 +78,9 @@ pub struct ScenarioReport {
     pub requests_failed: usize,
     /// Replica changes made by maintenance cycles.
     pub maintenance_changes: usize,
-    /// [`Digest`] of every operation's outcome.
+    /// [`Digest`] of every request-stream operation's outcome (the
+    /// publishes and replications that set the scenario up are not
+    /// folded).
     pub digest: u64,
 }
 
@@ -113,16 +115,12 @@ pub fn run(cfg: &ScenarioConfig) -> ScenarioReport {
         let publisher = publisher_pool[i % publisher_pool.len()];
         let mut content = vec![0u8; cfg.dataset_bytes];
         rng.fill(content.as_mut_slice());
+        let publish = Op::publish(publisher, &format!("dataset-{i:03}"), Bytes::from(content));
         let id = scdn
-            .publish(
-                publisher,
-                &format!("dataset-{i:03}"),
-                Bytes::from(content),
-                Sensitivity::Public,
-                None,
-            )
+            .apply(&publish)
+            .published()
             .expect("publishing to an owned repository succeeds");
-        let _ = scdn.replicate(id);
+        scdn.apply(&Op::Replicate(id));
         datasets.push(id);
     }
     // Request workload.
@@ -142,7 +140,7 @@ pub fn run(cfg: &ScenarioConfig) -> ScenarioReport {
     for op in &ops {
         let outcome = scdn.apply(op);
         digest.fold(op, &outcome);
-        failed += outcome.failed();
+        failed += usize::from(outcome.error().is_some());
         if let OpOutcome::Changes(n) = outcome {
             maintenance_changes += n;
         }
@@ -158,18 +156,19 @@ pub fn run(cfg: &ScenarioConfig) -> ScenarioReport {
     }
 }
 
-/// The request stream: requests arriving at the same instant share one
-/// batch after a tick of the arrival gap, and a maintenance cycle follows every
-/// `maintenance_every`-th request. The cycle cuts its batch, so it runs
-/// at exactly the request index a serial loop runs it, and the rest of
-/// that instant follows a `tick(0)`.
+/// The request stream: the requests arriving at one instant follow one
+/// tick of the arrival gap, and a maintenance cycle follows every
+/// `maintenance_every`-th request. The cycle cuts its instant, so it runs
+/// at exactly that request index, and the rest of the instant follows a
+/// `Tick(0)`, which still samples every client and records an
+/// availability sample.
 fn schedule(workload: &[Request], datasets: &[DatasetId], maintenance_every: usize) -> Vec<Op> {
     let mut ops = Vec::new();
     let mut last_time = 0u64;
-    let mut batch = Vec::new();
+    let mut instant = Vec::new();
     for (i, req) in workload.iter().enumerate() {
         let at = req.at.as_millis();
-        batch.push((
+        instant.push(Op::Request(
             NodeId(req.user as u32),
             datasets[req.dataset % datasets.len()],
         ));
@@ -180,7 +179,7 @@ fn schedule(workload: &[Request], datasets: &[DatasetId], maintenance_every: usi
         if maintain || instant_ends {
             ops.push(Op::Tick(at.saturating_sub(last_time)));
             last_time = at;
-            ops.push(Op::Batch(std::mem::take(&mut batch)));
+            ops.append(&mut instant);
             if maintain {
                 ops.push(Op::Maintain);
             }

@@ -5,11 +5,14 @@
 //! request may leave are stated on [`DecisionState`] and in DESIGN.md
 //! ("Decision state").
 
+use std::collections::BTreeSet;
+
 use scdn_alloc::CatalogState;
 use scdn_graph::NodeId;
 use scdn_middleware::auth::Session;
 use scdn_sim::engine::SimTime;
 use scdn_social::author::AuthorId;
+use scdn_social::platform::{GroupId, UserId};
 use scdn_storage::cache::CacheManager;
 use scdn_storage::integrity::Checksum;
 use scdn_storage::object::{DatasetId, SegmentId};
@@ -23,8 +26,8 @@ use super::{DatasetMeta, Scdn};
 /// systems built the same way and fed the same operations are `==`.
 ///
 /// **Out**, each for its reason:
-/// - counters, gauges, histograms, the Section V-E metric structs and the
-///   clients' served-since-report counts: they record what was decided;
+/// - counters, gauges, histograms and the Section V-E metric structs:
+///   they record what was decided;
 /// - the trace ring and the audit log: the same, as records;
 /// - every cache — the hop cache, the ranking cache and the cache
 ///   managers' recency: a cache never decides. What one
@@ -35,6 +38,9 @@ use super::{DatasetMeta, Scdn};
 /// - what only the build writes — the configuration, topology,
 ///   availability model, trust parameters, platform accounts and the
 ///   node → author map.
+///
+/// **Groups are in**: restricted access is granted by membership, and the
+/// shared platform takes new groups and members after the build.
 ///
 /// **Pins are in.** A cache manager's pin is the catalog's mandate that a
 /// copy is a replica and never an eviction victim: `replicate` and repair
@@ -73,8 +79,11 @@ pub struct DecisionState {
     /// The interaction ledger trust is scored from, in pair order.
     pub ledger: Vec<((AuthorId, AuthorId), Vec<Interaction>)>,
     /// Each member's CDN-client availability estimate and its sample
-    /// count: what `report_telemetry` sends the catalog.
+    /// count: what a telemetry report sends the catalog.
     pub estimates: Vec<(f64, u64)>,
+    /// Each platform group's owner and its members, sorted, in `GroupId`
+    /// order: what restricted access is granted by.
+    pub groups: Vec<(UserId, Vec<UserId>)>,
 }
 
 /// One member's repository as a value.
@@ -146,12 +155,12 @@ impl Scdn {
             next_dataset,
             ledger,
             clients,
+            platform,
             // Written only by the build; `social` is `social_csr`'s
             // mutable twin, the same edge set.
             config: _,
             social: _,
             authors: _,
-            platform: _,
             engine: _,
             availability: _,
             trust_model: _,
@@ -212,6 +221,10 @@ impl Scdn {
             next_dataset: *next_dataset,
             ledger,
             estimates: clients.iter().map(|c| c.estimate()).collect(),
+            groups: (0..)
+                .map_while(|id| platform.group(GroupId(id)).ok())
+                .map(|g| (g.owner, Vec::from_iter(BTreeSet::from_iter(g.members))))
+                .collect(),
         }
     }
 }
@@ -266,7 +279,7 @@ mod tests {
     #[test]
     fn every_kind_of_write_shows_in_the_state() {
         type Write = (&'static str, fn(&mut Scdn, &[DatasetId]));
-        let writes: [Write; 14] = [
+        let writes: [Write; 15] = [
             ("a tick", |s, _| s.tick(1)),
             ("a flipped byte at rest", |s, d| {
                 let good = owners_first_segment(s, d);
@@ -303,6 +316,14 @@ mod tests {
                 s.alloc.add_replica(d[0], n).expect("registered");
             }),
             ("reported telemetry", |s, _| s.report_telemetry()),
+            ("an enrolled member", |s, _| {
+                let owner = s.platform.user_of_author(s.authors[0]).expect("a user");
+                let member = s.platform.user_of_author(s.authors[1]).expect("a user");
+                let group = s.platform.create_group(owner, "trial").expect("created");
+                s.platform
+                    .add_to_group(owner, group, member)
+                    .expect("the owner enrolls");
+            }),
             ("a sampled estimate", |s, _| {
                 s.clients[3].sample_online(false)
             }),
@@ -345,17 +366,12 @@ mod tests {
         }
     }
 
-    /// Apply `op`; every result it returns must be an error matching
-    /// `refused`.
+    /// Apply `op`; it must return an error matching `refused`.
     fn refuse(scdn: &mut Scdn, op: Op, refused: fn(&ScdnError) -> bool) {
-        let errors: Vec<ScdnError> = match scdn.apply(&op) {
-            OpOutcome::Requests(results) => results.into_iter().map(|r| r.unwrap_err()).collect(),
-            OpOutcome::Delta(result) => vec![result.unwrap_err()],
-            OpOutcome::Departed(result) => vec![result.unwrap_err()],
-            other => panic!("{op:?} cannot fail: {other:?}"),
-        };
-        for e in &errors {
-            assert!(refused(e), "{op:?}: unexpected {e:?}");
+        let outcome = scdn.apply(&op);
+        match outcome.error() {
+            Some(e) => assert!(refused(e), "{op:?}: unexpected {e:?}"),
+            None => panic!("{op:?} did not fail: {outcome:?}"),
         }
     }
 
@@ -386,6 +402,21 @@ mod tests {
         refuse(&mut scdn, Op::Delta(wild), |e| {
             matches!(e, ScdnError::UnknownNode(_))
         });
+        refuse(
+            &mut scdn,
+            Op::publish(stranger, "late", Bytes::from(vec![9u8; 1 << 10])),
+            |e| matches!(e, ScdnError::UnknownNode(_)),
+        );
+        let unknown = DatasetId(99);
+        refuse(&mut scdn, Op::Replicate(unknown), |e| {
+            matches!(e, ScdnError::Alloc(_))
+        });
+        refuse(&mut scdn, Op::Resolve(NodeId(3), unknown), |e| {
+            matches!(e, ScdnError::Alloc(_))
+        });
+        refuse(&mut scdn, Op::Resolve(stranger, datasets[0]), |e| {
+            matches!(e, ScdnError::UnknownNode(_))
+        });
         assert_same_state(&scdn.decision_state(), &before, "refused before auth");
 
         // A second departure finds nothing left to take.
@@ -397,7 +428,7 @@ mod tests {
         assert_same_state(&scdn.decision_state(), &before, "a repeated departure");
 
         // Authenticated, then refused: the session pays, no demand moves.
-        let (asker, unknown) = (NodeId(3), DatasetId(99));
+        let asker = NodeId(3);
         let before = scdn.decision_state();
         refuse(&mut scdn, Op::Request(asker, unknown), |e| {
             matches!(e, ScdnError::Alloc(_))
@@ -424,8 +455,9 @@ mod tests {
         // A session spent to its last operation refuses the next one at
         // authentication, and the dropped session equals the spent one.
         let spender = NodeId(4);
-        let spend = vec![(spender, unknown); scdn.middleware.ttl_ops as usize];
-        scdn.apply(&Op::Batch(spend));
+        for _ in 0..scdn.middleware.ttl_ops {
+            scdn.apply(&Op::Request(spender, unknown));
+        }
         let before = scdn.decision_state();
         assert_eq!(before.sessions[spender.index()], None, "spent");
         refuse(&mut scdn, Op::Request(spender, datasets[0]), |e| {
@@ -453,7 +485,7 @@ mod tests {
         let want = charged(before, &after, outsider, Some(datasets[0]));
         assert_same_state(&after, &want, "boundary");
 
-        // A fabric that loses every attempt: a batch of two transfers.
+        // A fabric that loses every attempt: two transfers.
         let lossy = FailureModel {
             loss_prob: 1.0,
             ..FailureModel::reliable()
@@ -461,9 +493,11 @@ mod tests {
         let (mut scdn, datasets) = quota_system(lossy);
         let reqs = [(NodeId(7), datasets[0]), (NodeId(8), datasets[1])];
         let before = scdn.decision_state();
-        refuse(&mut scdn, Op::Batch(reqs.to_vec()), |e| {
-            matches!(e, ScdnError::Transfer(_))
-        });
+        for (node, dataset) in reqs {
+            refuse(&mut scdn, Op::Request(node, dataset), |e| {
+                matches!(e, ScdnError::Transfer(_))
+            });
+        }
         let after = scdn.decision_state();
         let want = reqs
             .iter()
@@ -489,14 +523,10 @@ mod tests {
         // keeps none of its segments and takes no dataset id.
         let owner = NodeId(0);
         let before = scdn.decision_state();
-        let content = Bytes::from(vec![9u8; 20 << 10]);
-        let refused = scdn.publish(owner, "too-big", content, Sensitivity::Public, None);
-        assert!(
-            matches!(
-                refused,
-                Err(ScdnError::Repo(RepoError::QuotaExceeded { .. }))
-            ),
-            "{refused:?}"
+        refuse(
+            &mut scdn,
+            Op::publish(owner, "too-big", Bytes::from(vec![9u8; 20 << 10])),
+            |e| matches!(e, ScdnError::Repo(RepoError::QuotaExceeded { .. })),
         );
         let after = scdn.decision_state();
         let want = charged(before, &after, owner, None);

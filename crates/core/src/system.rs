@@ -68,8 +68,7 @@ pub enum AvailabilityConfig {
 /// [`ReplicationPolicy`] formula with `replicas_per_dataset` as the grow
 /// floor. `Adaptive` distributes a global replica budget in proportion to
 /// each dataset's share of the demand window (see
-/// [`AdaptiveRebalance`]). Callers with their own policy impl can bypass
-/// the enum entirely via [`Scdn::maintain_with`].
+/// [`AdaptiveRebalance`]).
 ///
 /// [`RebalancePolicy`]: scdn_alloc::replication::RebalancePolicy
 #[derive(Clone, Copy, Debug)]
@@ -614,13 +613,14 @@ impl Scdn {
     }
 
     /// Advance the simulation clock by `ms` milliseconds, sample fabric
-    /// availability into the metrics, and feed each node's CDN client.
+    /// availability into the metrics, and feed each node's CDN client
+    /// ([`Op::Tick`](crate::ops::Op::Tick)).
     ///
     /// The one operation that visits every member: each client samples
     /// its own liveness at the new clock. Requests and maintenance never
     /// tabulate the membership — they ask [`is_online_at`](Self::is_online_at)
     /// about the few candidates they reach.
-    pub fn tick(&mut self, ms: u64) {
+    pub(crate) fn tick(&mut self, ms: u64) {
         self.clock = self.clock.plus_millis(ms);
         let mut online = 0usize;
         for i in 0..self.repos.len() {
@@ -648,11 +648,11 @@ impl Scdn {
             && self.availability.is_online(node.index(), clock)
     }
 
-    /// Flush every CDN client's telemetry (EWMA availability, usage
-    /// counters) to the allocation server, as the clients of Section V-A
-    /// periodically do.
-    pub fn report_telemetry(&mut self) {
-        for c in &mut self.clients {
+    /// Flush every CDN client's EWMA availability estimate to the
+    /// allocation server, as the clients of Section V-A periodically do
+    /// ([`Op::Telemetry`](crate::ops::Op::Telemetry)).
+    pub(crate) fn report_telemetry(&mut self) {
+        for c in &self.clients {
             c.report(&self.alloc);
         }
     }
@@ -660,6 +660,8 @@ impl Scdn {
     /// A member leaves the Social Cloud permanently: its repository goes
     /// dark and its replicas are dropped from the catalog. Returns the
     /// datasets that lost a replica (candidates for [`Self::repair`]).
+    ///
+    /// `pub` only because `benchmark/` calls it (ROADMAP 5(e)); see [`Op`](crate::ops::Op).
     pub fn depart(&mut self, node: NodeId) -> Result<Vec<DatasetId>, ScdnError> {
         self.check_node(node)?;
         self.departed[node.index()] = true;
@@ -826,6 +828,8 @@ impl Scdn {
     /// Exposes `core.graph.delta_{applied,nodes_touched,bytes_copied,chunks_shared}`
     /// counters; the returned [`GraphDeltaStats`] carries the same numbers
     /// per call.
+    ///
+    /// `pub` only because `benchmark/` calls it (ROADMAP 5(e)); see [`Op`](crate::ops::Op).
     pub fn apply_graph_delta(&mut self, delta: &GraphDelta) -> Result<GraphDeltaStats, ScdnError> {
         self.check_delta(delta)?;
         delta.apply_to(&mut self.social);
@@ -851,6 +855,8 @@ impl Scdn {
     /// Publish a dataset from `node`'s repository: segments are stored in
     /// the owner's user partition and the dataset is registered with the
     /// allocation server under `policy` (pass `None` for a public dataset).
+    ///
+    /// `pub` only because `benchmark/` calls it (ROADMAP 5(e)); see [`Op`](crate::ops::Op).
     pub fn publish(
         &mut self,
         node: NodeId,
@@ -930,6 +936,8 @@ impl Scdn {
     /// full segment set via third-party transfers.
     ///
     /// Returns the nodes that now host new replicas.
+    ///
+    /// `pub` only because `benchmark/` calls it (ROADMAP 5(e)); see [`Op`](crate::ops::Op).
     pub fn replicate(&mut self, dataset: DatasetId) -> Result<Vec<NodeId>, ScdnError> {
         self.replicate_to(dataset, self.config.replicas_per_dataset)
     }
@@ -965,11 +973,7 @@ impl Scdn {
     /// The owner seeds every new replica unless it departed; then the
     /// first online catalog replica does, and with none nothing grows.
     /// Either way each copy is held to the owner's digests.
-    pub fn replicate_to(
-        &mut self,
-        dataset: DatasetId,
-        want: usize,
-    ) -> Result<Vec<NodeId>, ScdnError> {
+    fn replicate_to(&mut self, dataset: DatasetId, want: usize) -> Result<Vec<NodeId>, ScdnError> {
         let meta = self
             .datasets
             .get(&dataset)
@@ -1473,15 +1477,17 @@ impl Scdn {
 
     /// Resolve `dataset` to the replica the allocation server would serve
     /// `requester` from, without transferring anything — the discovery
-    /// half of a request. Records the same resolve and demand accounting
-    /// as a served request's resolution step, so the demand-driven
-    /// replication policy observes the load (maintenance studies use this
-    /// to synthesize demand without paying for transfers).
-    pub fn resolve_replica(
-        &self,
+    /// half of a request ([`Op::Resolve`](crate::ops::Op::Resolve)).
+    /// Records the same resolve and demand accounting as a served
+    /// request's resolution step, so the demand-driven replication policy
+    /// observes the load (maintenance studies use this to synthesize
+    /// demand without paying for transfers).
+    pub(crate) fn resolve_replica(
+        &mut self,
         requester: NodeId,
         dataset: DatasetId,
     ) -> Result<NodeId, ScdnError> {
+        self.check_node(requester)?;
         Ok(self.resolve(requester, dataset)?.node)
     }
 

@@ -16,8 +16,8 @@ use scdn_storage::object::{Dataset, SegmentId, Sensitivity};
 use scdn_storage::repository::Partition;
 
 use crate::fixtures::{
-    assert_same_state, charged, coded_cycle_system, community, denser_community, export_without,
-    maintenance_system, owner_digest_mismatches, quota_system, ROOMY,
+    assert_same_state, charged, community, denser_community, maintenance_system,
+    owner_digest_mismatches, quota_system, ROOMY,
 };
 use crate::system::{AvailabilityConfig, RebalanceStrategy, Scdn, ScdnConfig, ScdnError};
 
@@ -591,7 +591,6 @@ fn coded_request_obeys_the_social_boundary() {
         .collect();
     assert!(!outsiders.is_empty(), "another island exists");
     for &outsider in &outsiders {
-        assert!(refused(scdn.request_coded(outsider, id)), "{outsider:?}");
         assert!(refused(scdn.request(outsider, id)), "{outsider:?}");
         let batch = scdn.request_batch(&[(outsider, id)]).pop().expect("one");
         assert!(refused(batch), "{outsider:?}");
@@ -856,7 +855,7 @@ fn graph_delta_path_matches_flush_oracle_resolutions() {
         .expect("publishes");
     scdn.replicate(id).expect("replicates");
     let members = 0..scdn.member_count() as u32;
-    let resolved = |s: &Scdn| -> Vec<_> {
+    let resolved = |s: &mut Scdn| -> Vec<_> {
         members
             .clone()
             .map(|q| s.resolve_replica(NodeId(q), id).ok())
@@ -888,7 +887,7 @@ fn graph_delta_path_matches_flush_oracle_resolutions() {
     };
     // Warm the resolve cache across the membership.
     let warm = full_bfs(&scdn);
-    assert_eq!(resolved(&scdn), nodes(warm.clone()));
+    assert_eq!(resolved(&mut scdn), nodes(warm.clone()));
 
     // First a recurring coauthorship on an existing tie, which moves no
     // hop distance; then drop that tie and tie a member whose pick is two
@@ -921,7 +920,7 @@ fn graph_delta_path_matches_flush_oracle_resolutions() {
             "incremental rebuild must be bit-identical to from-scratch"
         );
         assert_eq!(
-            resolved(&scdn),
+            resolved(&mut scdn),
             nodes(full_bfs(&scdn)),
             "diverged after {delta:?}"
         );
@@ -1027,7 +1026,7 @@ fn failed_coded_request_gives_back_what_it_landed() {
         let failures_before = scdn.cdn_metrics.failures;
 
         let err = scdn
-            .request_coded(requester, dataset)
+            .request(requester, dataset)
             .expect_err("an undecodable fetch fails the request");
         assert!(expected(&err), "unexpected error: {err:?}");
         // The landed blocks were given back and the planted one stays: the
@@ -1285,11 +1284,9 @@ fn departed_member_back_in_the_catalog_is_never_selected() {
     let id = datasets[2];
     let victim = scdn.replicate(id).expect("replicates")[0];
     // A neighbour of the victim resolves to it while it is alive.
-    let requester = scdn
-        .social
-        .neighbors(victim)
-        .iter()
-        .map(|e| e.to)
+    let neighbours: Vec<NodeId> = scdn.social.neighbors(victim).iter().map(|e| e.to).collect();
+    let requester = neighbours
+        .into_iter()
         .find(|&n| scdn.resolve_replica(n, id).ok() == Some(victim))
         .expect("some neighbour prefers the victim");
     scdn.depart(victim).expect("departs");
@@ -1677,7 +1674,7 @@ fn request_coded_delivers_original_content() {
         .expect("publishes");
     let _ = scdn.replicate(dataset).expect("replicates");
     let requester = NodeId(5);
-    let outcome = scdn.request_coded(requester, dataset).expect("served");
+    let outcome = scdn.request(requester, dataset).expect("served");
     // k blocks of ceil(S/k) bytes — less than the full S the plain path
     // would move only when padding is zero; never more than S + k.
     let k = 3u64;
@@ -1755,7 +1752,7 @@ fn request_coded_segments_are_field_identical_to_published() {
                 .map(NodeId)
                 .find(|n| !hosts.contains(n))
                 .expect("a member hosting nothing");
-            scdn.request_coded(requester, dataset).expect("served");
+            scdn.request(requester, dataset).expect("served");
 
             let case = format!("segment size {segment_size}, {data_hosts_lost} data hosts lost");
             let published = Dataset::from_bytes(
@@ -1871,45 +1868,6 @@ fn island_system(graph: Graph) -> (Scdn, Vec<(DatasetId, NodeId)>) {
 }
 
 proptest! {
-    /// With `CodingConfig::None`, `request_coded` is a
-    /// bit-identical alias of `request` — same outcomes, same decision
-    /// state, same full metric export.
-    #[test]
-    fn request_coded_is_identity_when_uncoded(
-        reqs in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..12),
-    ) {
-        let (mut plain, datasets) = coded_cycle_system(CodingConfig::None);
-        let (mut coded, _) = coded_cycle_system(CodingConfig::None);
-        let members = plain.member_count() as u32;
-        for &(n, d) in &reqs {
-            let node = NodeId(u32::from(n) % members);
-            let dataset = datasets[usize::from(d) % datasets.len()];
-            let a = plain.request(node, dataset);
-            let b = coded.request_coded(node, dataset);
-            match (a, b) {
-                (Ok(x), Ok(y)) => {
-                    prop_assert_eq!(x.served_by, y.served_by);
-                    prop_assert_eq!(x.social_hit, y.social_hit);
-                    prop_assert_eq!(x.bytes, y.bytes);
-                    prop_assert!((x.response_ms - y.response_ms).abs() < 1e-9);
-                }
-                (Err(_), Err(_)) => {}
-                (a, b) => prop_assert!(false, "outcomes diverge: {a:?} vs {b:?}"),
-            }
-        }
-        prop_assert!(
-            plain.decision_state() == coded.decision_state(),
-            "decision states diverge"
-        );
-        // Everything but the one host-time series in the export.
-        let wall_clock = ["core.maintain.ranking_recompute_ms"];
-        prop_assert_eq!(
-            export_without(&plain, &wall_clock),
-            export_without(&coded, &wall_clock),
-            "full metric snapshots diverge"
-        );
-    }
-
     /// Random island graphs, coded and whole-replica datasets, departures,
     /// and deltas that join islands or cut edges: under the social
     /// boundary a request is refused at the boundary — no coded race, or a
@@ -2052,7 +2010,7 @@ proptest! {
             .map(NodeId)
             .find(|n| !hosts.contains(n))
             .expect("a member hosting nothing");
-        scdn.request_coded(requester, dataset).expect("served");
+        scdn.request(requester, dataset).expect("served");
         let published = Dataset::from_bytes(
             dataset,
             "adopt",

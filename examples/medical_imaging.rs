@@ -10,6 +10,7 @@
 //! cargo run --release --example medical_imaging
 //! ```
 
+use scdn::core::ops::Op;
 use scdn::core::system::{Scdn, ScdnConfig, ScdnError};
 use scdn::middleware::authz::AccessPolicy;
 use scdn::social::generator::{generate, CaseStudyParams};
@@ -75,30 +76,35 @@ fn main() {
         trust: Some(TrustPolicy::default()),
     };
     let raw = scdn
-        .publish(
-            seed_node,
-            "raw-session-017",
-            bytes::Bytes::from(vec![1u8; 100 << 10]),
-            Sensitivity::Restricted,
-            Some(raw_policy),
-        )
+        .apply(&Op::Publish {
+            node: seed_node,
+            name: "raw-session-017".to_string(),
+            content: bytes::Bytes::from(vec![1u8; 100 << 10]),
+            sensitivity: Sensitivity::Restricted,
+            policy: Some(raw_policy),
+        })
+        .published()
         .expect("published");
     let fa = scdn
-        .publish(
-            seed_node,
-            "fa-map-017",
-            bytes::Bytes::from(vec![2u8; 1400 << 10]),
-            Sensitivity::Public,
-            None,
-        )
+        .apply(&Op::Publish {
+            node: seed_node,
+            name: "fa-map-017".to_string(),
+            content: bytes::Bytes::from(vec![2u8; 1400 << 10]),
+            sensitivity: Sensitivity::Public,
+            policy: None,
+        })
+        .published()
         .expect("published");
-    scdn.replicate(raw).expect("replicated");
-    scdn.replicate(fa).expect("replicated");
+    for dataset in [raw, fa] {
+        scdn.apply(&Op::Replicate(dataset))
+            .replicated()
+            .expect("replicated");
+    }
     println!("published raw session {raw:?} (restricted + trust gate) and FA map {fa:?} (public)");
 
     // A trial collaborator fetches the raw session: granted.
     let collaborator = collaborators[0].to;
-    match scdn.request(collaborator, raw) {
+    match scdn.apply(&Op::Request(collaborator, raw)).requested() {
         Ok(outcome) => println!(
             "collaborator {collaborator:?}: GRANTED raw session ({} bytes from {:?})",
             outcome.bytes, outcome.served_by
@@ -112,7 +118,7 @@ fn main() {
         .nodes()
         .find(|&v| v != seed_node && !collaborators.iter().any(|e| e.to == v))
         .expect("someone outside the trial");
-    match scdn.request(outsider, raw) {
+    match scdn.apply(&Op::Request(outsider, raw)).requested() {
         Err(ScdnError::Access(decision)) => {
             println!("outsider {outsider:?}: DENIED raw session ({decision:?})")
         }
@@ -120,7 +126,7 @@ fn main() {
     }
 
     // The same outsider may still fetch the public derived FA map.
-    match scdn.request(outsider, fa) {
+    match scdn.apply(&Op::Request(outsider, fa)).requested() {
         Ok(outcome) => println!(
             "outsider {outsider:?}: GRANTED public FA map ({} bytes, {:.1} ms)",
             outcome.bytes, outcome.response_ms

@@ -6,6 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use scdn::core::ops::Op;
 use scdn::core::system::{Scdn, ScdnConfig};
 use scdn::graph::NodeId;
 use scdn::social::generator::{generate, CaseStudyParams};
@@ -44,30 +45,37 @@ fn main() {
     let mut scdn = Scdn::build(&sub, &community.corpus, ScdnConfig::default());
     println!("S-CDN up: {} contributed repositories", scdn.member_count());
 
-    // 4. Publish a dataset from the seed's repository.
+    // 4. Publish a dataset from the seed's repository. Every change to
+    //    the S-CDN is an `Op` folded through `Scdn::apply`.
     let seed_node = sub
         .node_of(community.seed_author)
         .expect("seed in subgraph");
-    let content = bytes::Bytes::from(vec![42u8; 2 << 20]);
     let dataset = scdn
-        .publish(
-            seed_node,
-            "DTI-FA-study-001",
-            content,
-            Sensitivity::Public,
-            None,
-        )
+        .apply(&Op::Publish {
+            node: seed_node,
+            name: "DTI-FA-study-001".to_string(),
+            content: bytes::Bytes::from(vec![42u8; 2 << 20]),
+            sensitivity: Sensitivity::Public,
+            policy: None,
+        })
+        .published()
         .expect("publish succeeds");
     println!("published {dataset:?} from node {seed_node:?}");
 
     // 5. Replicate it across the community (community-node-degree
     //    placement by default).
-    let hosts = scdn.replicate(dataset).expect("replication succeeds");
+    let hosts = scdn
+        .apply(&Op::Replicate(dataset))
+        .replicated()
+        .expect("replication succeeds");
     println!("replicated to {} hosts: {hosts:?}", hosts.len());
 
     // 6. Another member requests the dataset.
     let requester = NodeId((scdn.member_count() as u32).saturating_sub(1));
-    let outcome = scdn.request(requester, dataset).expect("request succeeds");
+    let outcome = scdn
+        .apply(&Op::Request(requester, dataset))
+        .requested()
+        .expect("request succeeds");
     println!(
         "request from {requester:?}: served by {:?} ({}; {:.1} ms, {} bytes)",
         outcome.served_by,

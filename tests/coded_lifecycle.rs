@@ -5,6 +5,7 @@
 //! no faster in the tail.
 
 use scdn::bytes::Bytes;
+use scdn::core::ops::Op;
 use scdn::core::system::{Scdn, ScdnConfig};
 use scdn::graph::NodeId;
 use scdn::social::generator::{generate, CaseStudyParams};
@@ -12,7 +13,6 @@ use scdn::social::trustgraph::{build_trust_subgraph, TrustFilter};
 use scdn::storage::coding::{decode_blocks, CodedBlockId, CodingConfig};
 use scdn::storage::object::{DatasetId, Segment};
 use scdn::storage::repository::Partition;
-use scdn::storage::Sensitivity;
 
 const K: u32 = 4;
 const N: u32 = 6;
@@ -112,22 +112,19 @@ fn coded_dataset_survives_fetch_and_three_repairs() {
         .map(|i| (i.wrapping_mul(2_654_435_761) >> 9) as u8)
         .collect();
     let block_len = 12_500u64;
-    let publish = |scdn: &mut Scdn| {
-        scdn.publish(
-            owner,
-            "lifecycle",
-            Bytes::from(published.clone()),
-            Sensitivity::Public,
-            None,
-        )
-        .expect("publishes")
-    };
-    let dataset = publish(&mut scdn);
-    let placed = scdn.replicate(dataset).expect("places every block");
+    let publish = Op::publish(owner, "lifecycle", Bytes::from(published.clone()));
+    let dataset = scdn.apply(&publish).published().expect("publishes");
+    let placed = scdn
+        .apply(&Op::Replicate(dataset))
+        .replicated()
+        .expect("places every block");
     assert_eq!(placed.len(), N as usize);
     assert_any_k_decode(&scdn, dataset, &published);
-    let plain_dataset = publish(&mut plain);
-    let copies = plain.replicate(plain_dataset).expect("places every copy");
+    let plain_dataset = plain.apply(&publish).published().expect("publishes");
+    let copies = plain
+        .apply(&Op::Replicate(plain_dataset))
+        .replicated()
+        .expect("places every copy");
     assert_eq!(copies.len(), (N - K) as usize);
 
     // Every member that hosts nothing fetches any k blocks, and the same
@@ -139,9 +136,15 @@ fn coded_dataset_survives_fetch_and_three_repairs() {
         .collect();
     let (mut slowest_race, mut slowest_stream) = (0.0f64, 0.0f64);
     for &n in &requesters {
-        let raced = scdn.request_coded(n, dataset).expect("served");
+        let raced = scdn
+            .apply(&Op::Request(n, dataset))
+            .requested()
+            .expect("served");
         assert_eq!(raced.bytes, u64::from(K) * block_len);
-        let streamed = plain.request(n, plain_dataset).expect("served");
+        let streamed = plain
+            .apply(&Op::Request(n, plain_dataset))
+            .requested()
+            .expect("served");
         assert_eq!(streamed.bytes, published.len() as u64);
         slowest_race = slowest_race.max(raced.response_ms);
         slowest_stream = slowest_stream.max(streamed.response_ms);
@@ -164,9 +167,10 @@ fn coded_dataset_survives_fetch_and_three_repairs() {
     // the owner regenerates and ships exactly the block that went missing.
     for lost in [1u32, 5] {
         let victim = block_hosts(&scdn, dataset)[lost as usize];
-        scdn.depart(victim).expect("departs");
+        scdn.apply(&Op::Depart(victim)).departed().expect("departs");
         let before = bytes_transferred(&scdn);
-        assert_eq!(scdn.repair(), 1, "block {lost} gets one new host");
+        let restored = scdn.apply(&Op::Repair).changes();
+        assert_eq!(restored, 1, "block {lost} gets one new host");
         assert_eq!(
             bytes_transferred(&scdn) - before,
             block_len,
@@ -175,9 +179,13 @@ fn coded_dataset_survives_fetch_and_three_repairs() {
         assert_any_k_decode(&scdn, dataset, &published);
     }
     // Losing a host under full replication costs a whole copy.
-    plain.depart(copies[0]).expect("departs");
+    plain
+        .apply(&Op::Depart(copies[0]))
+        .departed()
+        .expect("departs");
     let before = bytes_transferred(&plain);
-    assert_eq!(plain.repair(), 1, "the lost copy gets one new host");
+    let restored = plain.apply(&Op::Repair).changes();
+    assert_eq!(restored, 1, "the lost copy gets one new host");
     assert!(
         block_len < bytes_transferred(&plain) - before,
         "coded repair must move less than re-replication"
@@ -186,9 +194,11 @@ fn coded_dataset_survives_fetch_and_three_repairs() {
     // The owner and a block host leave together: a rebuilder reconstructs
     // the content from k surviving blocks and regenerates the lost one.
     let victim = block_hosts(&scdn, dataset)[2];
-    scdn.depart(owner).expect("owner departs");
-    scdn.depart(victim).expect("host departs");
-    assert_eq!(scdn.repair(), 1, "the rebuilder hosts the lost block");
+    for gone in [owner, victim] {
+        scdn.apply(&Op::Depart(gone)).departed().expect("departs");
+    }
+    let restored = scdn.apply(&Op::Repair).changes();
+    assert_eq!(restored, 1, "the rebuilder hosts the lost block");
     assert_any_k_decode(&scdn, dataset, &published);
 }
 
@@ -222,15 +232,17 @@ fn forged_block_fails_the_coded_request() {
     };
     let mut scdn = Scdn::build(&sub, &c.corpus, config);
     let dataset = scdn
-        .publish(
+        .apply(&Op::publish(
             NodeId(0),
             "forged",
             Bytes::from(vec![0xA1u8; 10_000]),
-            Sensitivity::Public,
-            None,
-        )
+        ))
+        .published()
         .expect("publishes");
-    let placed = scdn.replicate(dataset).expect("places every block");
+    let placed = scdn
+        .apply(&Op::Replicate(dataset))
+        .replicated()
+        .expect("places every block");
     // The race takes blocks in ascending order, so block 0 always lands.
     let id = CodedBlockId { dataset, index: 0 }.segment_id();
     let forged = Segment::new(id, Bytes::from(vec![0x55u8; 2_500]));
@@ -244,7 +256,7 @@ fn forged_block_fails_the_coded_request() {
         .expect("a member hosting nothing");
     let used = scdn.repo(requester).expect("member").used();
 
-    match scdn.request_coded(requester, dataset) {
+    match scdn.apply(&Op::Request(requester, dataset)).requested() {
         Err(ScdnError::Transfer(TransferError::SourceCorrupt(bad))) => assert_eq!(bad, id),
         other => panic!("a forged block must fail the request, got {other:?}"),
     }
@@ -259,11 +271,11 @@ fn forged_block_fails_the_coded_request() {
     assert_eq!(snap.counter("core.coded.blocks_landed"), Some(u64::from(K)));
 }
 
-/// `request` and a two-request `request_batch` race a coded dataset's
-/// blocks as `request_coded` does: each requester is charged k blocks and
-/// ends up with the published bytes as plain segments.
+/// Four requests folded as one op stream race a coded dataset's blocks:
+/// each requester is charged k blocks, ends up with the published bytes
+/// as plain segments, and leaves one trace.
 #[test]
-fn every_request_entry_point_races_a_coded_dataset() {
+fn folded_requests_race_a_coded_dataset() {
     let mut params = CaseStudyParams::default();
     params.level2_prob = 0.4;
     params.level3_prob = 0.0;
@@ -288,15 +300,17 @@ fn every_request_entry_point_races_a_coded_dataset() {
         .map(|i| (i.wrapping_mul(2_654_435_761) >> 9) as u8)
         .collect();
     let dataset = scdn
-        .publish(
+        .apply(&Op::publish(
             NodeId(0),
-            "entry-points",
+            "folded",
             Bytes::from(published.clone()),
-            Sensitivity::Public,
-            None,
-        )
+        ))
+        .published()
         .expect("publishes");
-    let placed = scdn.replicate(dataset).expect("places every block");
+    let placed = scdn
+        .apply(&Op::Replicate(dataset))
+        .replicated()
+        .expect("places every block");
     let requesters: Vec<NodeId> = (1..scdn.member_count() as u32)
         .map(NodeId)
         .filter(|n| !placed.contains(n))
@@ -304,13 +318,11 @@ fn every_request_entry_point_races_a_coded_dataset() {
         .collect();
     assert_eq!(requesters.len(), 4);
 
-    let mut outcomes = vec![
-        scdn.request_coded(requesters[0], dataset),
-        scdn.request(requesters[1], dataset),
-    ];
-    outcomes.extend(scdn.request_batch(&[(requesters[2], dataset), (requesters[3], dataset)]));
-    for (outcome, &n) in outcomes.iter().zip(&requesters) {
-        let outcome = outcome.as_ref().expect("served");
+    for &n in &requesters {
+        let outcome = scdn
+            .apply(&Op::Request(n, dataset))
+            .requested()
+            .expect("served");
         assert_eq!(outcome.bytes, u64::from(K) * 12_500, "{n:?}: k blocks");
         let repo = scdn.repo(n).expect("member");
         let mut fetched = Vec::new();

@@ -2,6 +2,7 @@
 //! through publication, replication, policy-gated requests, and
 //! demand-driven maintenance.
 
+use scdn::core::ops::Op;
 use scdn::core::system::{AvailabilityConfig, Scdn, ScdnConfig, ScdnError};
 use scdn::graph::NodeId;
 use scdn::middleware::authz::{AccessDecision, AccessPolicy};
@@ -35,21 +36,26 @@ fn publish_replicate_request_flow() {
     let mut scdn = Scdn::build(&sub, &community.corpus, ScdnConfig::default());
     let owner = NodeId(0);
     let dataset = scdn
-        .publish(
+        .apply(&Op::publish(
             owner,
             "study",
             bytes::Bytes::from(vec![9u8; 1 << 20]),
-            Sensitivity::Public,
-            None,
-        )
+        ))
+        .published()
         .expect("publishes");
-    let hosts = scdn.replicate(dataset).expect("replicates");
+    let hosts = scdn
+        .apply(&Op::Replicate(dataset))
+        .replicated()
+        .expect("replicates");
     assert!(!hosts.is_empty(), "replication must add hosts");
     let replicas = scdn.replicas_of(dataset).expect("catalogued");
     assert_eq!(replicas.len(), 3, "owner + 2 replicas (default config)");
     // Every member can fetch it.
     let far = NodeId((scdn.member_count() - 1) as u32);
-    let outcome = scdn.request(far, dataset).expect("served");
+    let outcome = scdn
+        .apply(&Op::Request(far, dataset))
+        .requested()
+        .expect("served");
     assert!(outcome.bytes > 0);
     assert!(outcome.response_ms > 0.0);
     // The segments landed in the requester's user partition.
@@ -63,16 +69,18 @@ fn self_service_when_hosting() {
     let mut scdn = Scdn::build(&sub, &community.corpus, ScdnConfig::default());
     let owner = NodeId(2);
     let dataset = scdn
-        .publish(
+        .apply(&Op::publish(
             owner,
             "local",
             bytes::Bytes::from(vec![1u8; 4096]),
-            Sensitivity::Public,
-            None,
-        )
+        ))
+        .published()
         .expect("publishes");
     // The owner requesting its own dataset is a zero-byte social hit.
-    let outcome = scdn.request(owner, dataset).expect("served");
+    let outcome = scdn
+        .apply(&Op::Request(owner, dataset))
+        .requested()
+        .expect("served");
     assert_eq!(outcome.served_by, owner);
     assert!(outcome.social_hit);
     assert_eq!(outcome.bytes, 0);
@@ -96,18 +104,21 @@ fn restricted_data_denied_outside_group() {
         trust: None,
     };
     let dataset = scdn
-        .publish(
-            owner_node,
-            "sensitive",
-            bytes::Bytes::from(vec![3u8; 1024]),
-            Sensitivity::Restricted,
-            Some(policy),
-        )
+        .apply(&Op::Publish {
+            node: owner_node,
+            name: "sensitive".to_string(),
+            content: bytes::Bytes::from(vec![3u8; 1024]),
+            sensitivity: Sensitivity::Restricted,
+            policy: Some(policy),
+        })
+        .published()
         .expect("publishes");
-    scdn.replicate(dataset).expect("replicates");
+    scdn.apply(&Op::Replicate(dataset))
+        .replicated()
+        .expect("replicates");
     // A non-member is denied.
     let outsider = NodeId((scdn.member_count() - 1) as u32);
-    match scdn.request(outsider, dataset) {
+    match scdn.apply(&Op::Request(outsider, dataset)).requested() {
         Err(ScdnError::Access(AccessDecision::DeniedNotGroupMember)) => {}
         other => panic!("expected group denial, got {:?}", other.map(|o| o.bytes)),
     }
@@ -120,7 +131,8 @@ fn restricted_data_denied_outside_group() {
         .add_to_group(owner_user, group, outsider_user)
         .expect("enrolled");
     let outcome = scdn
-        .request(outsider, dataset)
+        .apply(&Op::Request(outsider, dataset))
+        .requested()
         .expect("served after enrollment");
     assert!(outcome.bytes > 0);
 }
@@ -138,15 +150,18 @@ fn trust_gate_follows_publication_history() {
         trust: Some(TrustPolicy::default()),
     };
     let dataset = scdn
-        .publish(
-            owner_node,
-            "trusted-only",
-            bytes::Bytes::from(vec![5u8; 1024]),
-            Sensitivity::Public,
-            Some(policy),
-        )
+        .apply(&Op::Publish {
+            node: owner_node,
+            name: "trusted-only".to_string(),
+            content: bytes::Bytes::from(vec![5u8; 1024]),
+            sensitivity: Sensitivity::Public,
+            policy: Some(policy),
+        })
+        .published()
         .expect("publishes");
-    scdn.replicate(dataset).expect("replicates");
+    scdn.apply(&Op::Replicate(dataset))
+        .replicated()
+        .expect("replicates");
     // A direct repeat coauthor passes the gate.
     let coauthor = sub
         .graph
@@ -155,7 +170,10 @@ fn trust_gate_follows_publication_history() {
         .map(|e| e.to)
         .max_by_key(|&v| sub.graph.edge_weight(owner_node, v))
         .expect("seed has coauthors");
-    assert!(scdn.request(coauthor, dataset).is_ok());
+    assert!(scdn
+        .apply(&Op::Request(coauthor, dataset))
+        .error()
+        .is_none());
     // A stranger two or more hops away (never coauthored with the seed)
     // is denied.
     let stranger = scdn::graph::traversal::bfs_distances(scdn.social_csr(), owner_node)
@@ -164,7 +182,7 @@ fn trust_gate_follows_publication_history() {
         .find(|(_, d)| matches!(d, Some(h) if *h >= 2))
         .map(|(i, _)| NodeId(i as u32))
         .expect("2-hop node exists");
-    match scdn.request(stranger, dataset) {
+    match scdn.apply(&Op::Request(stranger, dataset)).requested() {
         Err(ScdnError::Access(AccessDecision::DeniedUntrusted)) => {}
         other => panic!("expected trust denial, got ok={}", other.is_ok()),
     }
@@ -178,22 +196,21 @@ fn maintenance_grows_hot_datasets() {
     let mut scdn = Scdn::build(&sub, &community.corpus, config);
     let owner = NodeId(0);
     let dataset = scdn
-        .publish(
+        .apply(&Op::publish(
             owner,
             "hot",
             bytes::Bytes::from(vec![7u8; 4096]),
-            Sensitivity::Public,
-            None,
-        )
+        ))
+        .published()
         .expect("publishes");
     assert_eq!(scdn.replicas_of(dataset).expect("known").len(), 1);
     // Hammer it from far-away nodes: all misses.
     let n = scdn.member_count() as u32;
     for i in 0..300u32 {
         let node = NodeId(n - 1 - (i % 20));
-        let _ = scdn.request(node, dataset);
+        let _ = scdn.apply(&Op::Request(node, dataset)).requested();
     }
-    let changes = scdn.maintain();
+    let changes = scdn.apply(&Op::Maintain).changes();
     assert!(changes > 0, "maintenance must add replicas under demand");
     assert!(scdn.replicas_of(dataset).expect("known").len() > 1);
 }
@@ -204,24 +221,31 @@ fn every_request_leaves_a_complete_ordered_trace() {
     let mut scdn = Scdn::build(&sub, &community.corpus, ScdnConfig::default());
     let owner = NodeId(0);
     let dataset = scdn
-        .publish(
+        .apply(&Op::publish(
             owner,
             "traced",
             bytes::Bytes::from(vec![4u8; 64 << 10]),
-            Sensitivity::Public,
-            None,
-        )
+        ))
+        .published()
         .expect("publishes");
-    scdn.replicate(dataset).expect("replicates");
+    scdn.apply(&Op::Replicate(dataset))
+        .replicated()
+        .expect("replicates");
     // A mix of outcomes: remote fetches, a self-service hit, and a lookup
     // of a dataset that does not exist.
     let far = NodeId((scdn.member_count() - 1) as u32);
     let mid = NodeId((scdn.member_count() / 2) as u32);
-    scdn.request(far, dataset).expect("served");
-    scdn.request(mid, dataset).expect("served");
-    scdn.request(owner, dataset).expect("self-served");
+    scdn.apply(&Op::Request(far, dataset))
+        .requested()
+        .expect("served");
+    scdn.apply(&Op::Request(mid, dataset))
+        .requested()
+        .expect("served");
+    scdn.apply(&Op::Request(owner, dataset))
+        .requested()
+        .expect("self-served");
     let missing = scdn::storage::DatasetId(9_999);
-    assert!(scdn.request(far, missing).is_err());
+    assert!(scdn.apply(&Op::Request(far, missing)).requested().is_err());
 
     let traces: Vec<_> = scdn.traces().recent().cloned().collect();
     assert_eq!(scdn.traces().total_recorded(), 4, "one trace per request");
@@ -289,22 +313,22 @@ fn churn_degrades_service_but_not_consistency() {
     let mut scdn = Scdn::build(&sub, &community.corpus, config);
     let owner = NodeId(0);
     let dataset = scdn
-        .publish(
+        .apply(&Op::publish(
             owner,
             "churny",
             bytes::Bytes::from(vec![2u8; 8192]),
-            Sensitivity::Public,
-            None,
-        )
+        ))
+        .published()
         .expect("publishes");
-    scdn.replicate(dataset)
+    scdn.apply(&Op::Replicate(dataset))
+        .replicated()
         .expect("replication tolerates churn");
     let mut served = 0;
     let mut failed = 0;
     for i in 0..60u64 {
-        scdn.tick(1_500);
+        scdn.apply(&Op::Tick(1_500));
         let node = NodeId((i % scdn.member_count() as u64) as u32);
-        match scdn.request(node, dataset) {
+        match scdn.apply(&Op::Request(node, dataset)).requested() {
             Ok(outcome) => {
                 served += 1;
                 assert!(outcome.bytes > 0 || outcome.served_by == node);

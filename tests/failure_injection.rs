@@ -3,13 +3,13 @@
 //! across the transfer path.
 
 use scdn::bytes::Bytes;
+use scdn::core::ops::Op;
 use scdn::core::system::{Scdn, ScdnConfig, ScdnError};
 use scdn::graph::NodeId;
 use scdn::net::failure::FailureModel;
 use scdn::social::generator::{generate, CaseStudyParams};
 use scdn::social::trustgraph::{build_trust_subgraph, TrustFilter, TrustSubgraph};
 use scdn::storage::repository::Partition;
-use scdn::storage::Sensitivity;
 
 fn community() -> (scdn::social::SyntheticDblp, TrustSubgraph) {
     let mut params = CaseStudyParams::default();
@@ -42,20 +42,19 @@ fn lossy_network_served_via_retries() {
     let mut scdn = Scdn::build(&sub, &c.corpus, config);
     let owner = NodeId(0);
     let dataset = scdn
-        .publish(
+        .apply(&Op::publish(
             owner,
             "lossy",
             Bytes::from(vec![1u8; 256 << 10]),
-            Sensitivity::Public,
-            None,
-        )
+        ))
+        .published()
         .expect("publishes");
-    let _ = scdn.replicate(dataset);
+    scdn.apply(&Op::Replicate(dataset));
     let mut served = 0;
     let mut transfer_failures = 0;
     for i in 1..40u32 {
         let node = NodeId(i % scdn.member_count() as u32);
-        match scdn.request(node, dataset) {
+        match scdn.apply(&Op::Request(node, dataset)).requested() {
             Ok(_) => served += 1,
             Err(ScdnError::Transfer(_)) => transfer_failures += 1,
             Err(e) => panic!("unexpected error class: {e}"),
@@ -78,13 +77,12 @@ fn corrupted_source_copy_is_refused() {
     let mut scdn = Scdn::build(&sub, &c.corpus, ScdnConfig::default());
     let owner = NodeId(0);
     let dataset = scdn
-        .publish(
+        .apply(&Op::publish(
             owner,
             "tampered",
             Bytes::from(vec![9u8; 4096]),
-            Sensitivity::Public,
-            None,
-        )
+        ))
+        .published()
         .expect("publishes");
     // Tamper with the owner's stored copy behind the CDN's back.
     let repo = scdn.repo(owner).expect("repo");
@@ -101,7 +99,7 @@ fn corrupted_source_copy_is_refused() {
     repo.store(Partition::User, bad)
         .expect("stored tampered copy");
     // Replication must refuse to propagate the corrupted segment.
-    match scdn.replicate(dataset) {
+    match scdn.apply(&Op::Replicate(dataset)).replicated() {
         Ok(added) => assert!(
             added.is_empty(),
             "corrupted source must not replicate, added {added:?}"
@@ -123,21 +121,24 @@ fn forged_replica_copy_is_refused() {
     let mut scdn = Scdn::build(&sub, &c.corpus, ScdnConfig::default());
     let owner = NodeId(0);
     let dataset = scdn
-        .publish(
+        .apply(&Op::publish(
             owner,
             "forged",
             Bytes::from(vec![0x3Cu8; 8000]),
-            Sensitivity::Public,
-            None,
-        )
+        ))
+        .published()
         .expect("publishes");
-    let hosts = scdn.replicate(dataset).expect("replicates");
+    let hosts = scdn
+        .apply(&Op::Replicate(dataset))
+        .replicated()
+        .expect("replicates");
     let requester = (1..scdn.member_count() as u32)
         .map(NodeId)
         .find(|n| !hosts.contains(n))
         .expect("a member hosting nothing");
     let source = scdn
-        .resolve_replica(requester, dataset)
+        .apply(&Op::Resolve(requester, dataset))
+        .resolved()
         .expect("a replica serves");
     let id = SegmentId {
         dataset,
@@ -153,7 +154,7 @@ fn forged_replica_copy_is_refused() {
         .expect("same size fits");
 
     let before = scdn.decision_state();
-    match scdn.request(requester, dataset) {
+    match scdn.apply(&Op::Request(requester, dataset)).requested() {
         Err(ScdnError::Transfer(TransferError::SourceCorrupt(bad))) => assert_eq!(bad, id),
         other => panic!("a forged copy must be refused, got {other:?}"),
     }
@@ -190,22 +191,11 @@ fn quota_pressure_surfaces_cleanly() {
     let mut scdn = Scdn::build(&sub, &c.corpus, config);
     let owner = NodeId(0);
     // First dataset fits.
-    scdn.publish(
-        owner,
-        "fits",
-        Bytes::from(vec![1u8; 32 << 10]),
-        Sensitivity::Public,
-        None,
-    )
-    .expect("fits");
+    let fits = Op::publish(owner, "fits", Bytes::from(vec![1u8; 32 << 10]));
+    scdn.apply(&fits).published().expect("fits");
     // Second one exceeds the owner's capacity.
-    match scdn.publish(
-        owner,
-        "too-big",
-        Bytes::from(vec![2u8; 64 << 10]),
-        Sensitivity::Public,
-        None,
-    ) {
+    let too_big = Op::publish(owner, "too-big", Bytes::from(vec![2u8; 64 << 10]));
+    match scdn.apply(&too_big).published() {
         Err(ScdnError::Repo(scdn::storage::RepoError::QuotaExceeded { .. })) => {}
         other => panic!("expected quota error, got ok={}", other.is_ok()),
     }
@@ -225,19 +215,18 @@ fn end_to_end_integrity_across_lossy_transfers() {
     let owner = NodeId(1);
     let payload = vec![0xC3u8; 128 << 10];
     let dataset = scdn
-        .publish(
+        .apply(&Op::publish(
             owner,
             "integrity",
             Bytes::from(payload.clone()),
-            Sensitivity::Public,
-            None,
-        )
+        ))
+        .published()
         .expect("publishes");
-    let _ = scdn.replicate(dataset);
+    scdn.apply(&Op::Replicate(dataset));
     // Find a request that succeeds and verify the delivered bytes match.
     for i in 2..30u32 {
         let node = NodeId(i);
-        if scdn.request(node, dataset).is_ok() {
+        if scdn.apply(&Op::Request(node, dataset)).error().is_none() {
             let repo = scdn.repo(node).expect("repo");
             let mut delivered = Vec::new();
             for id in repo.list(Partition::User) {
@@ -287,15 +276,17 @@ fn byzantine_block_host_cannot_poison_coded_fetch() {
         }
         let mut scdn = Scdn::build(&sub, &c.corpus, config);
         let dataset = scdn
-            .publish(
+            .apply(&Op::publish(
                 owner,
                 "byzantine",
                 Bytes::from(payload.clone()),
-                Sensitivity::Public,
-                None,
-            )
+            ))
+            .published()
             .expect("publishes");
-        let hosts = scdn.replicate(dataset).expect("replicates");
+        let hosts = scdn
+            .apply(&Op::Replicate(dataset))
+            .replicated()
+            .expect("replicates");
         assert_eq!(hosts.len(), 5, "k + m block hosts placed");
         let byz = hosts
             .iter()
@@ -308,7 +299,8 @@ fn byzantine_block_host_cannot_poison_coded_fetch() {
     }
     let (mut scdn, dataset) =
         fixture.expect("some seed in 0..64 yields a Byzantine host among 5 with 3 honest");
-    scdn.request_coded(requester, dataset)
+    scdn.apply(&Op::Request(requester, dataset))
+        .requested()
         .expect("k-of-n fetch succeeds despite Byzantine donors");
     // The decoded, reassembled content is byte-identical to the original.
     let repo = scdn.repo(requester).expect("repo");

@@ -12,7 +12,6 @@ use scdn::sim::workload::{generate_requests, with_flash_crowd, Request, Workload
 use scdn::social::generator::{generate, CaseStudyParams};
 use scdn::social::trustgraph::{build_trust_subgraph, TrustFilter};
 use scdn::storage::object::DatasetId;
-use scdn::storage::Sensitivity;
 
 fn build_system(rebalance: RebalanceStrategy) -> (Scdn, Vec<DatasetId>) {
     let mut params = CaseStudyParams::default();
@@ -35,16 +34,14 @@ fn build_system(rebalance: RebalanceStrategy) -> (Scdn, Vec<DatasetId>) {
     let mut scdn = Scdn::build(&sub, &c.corpus, config);
     let mut datasets = Vec::new();
     for i in 0..6u32 {
+        let content = Bytes::from(vec![i as u8; 16 << 10]);
         let id = scdn
-            .publish(
-                NodeId(i),
-                &format!("ds{i}"),
-                Bytes::from(vec![i as u8; 16 << 10]),
-                Sensitivity::Public,
-                None,
-            )
+            .apply(&Op::publish(NodeId(i), &format!("ds{i}"), content))
+            .published()
             .expect("publishes");
-        scdn.replicate(id).expect("replicates");
+        scdn.apply(&Op::Replicate(id))
+            .replicated()
+            .expect("replicates");
         datasets.push(id);
     }
     (scdn, datasets)
@@ -88,11 +85,9 @@ fn schedule(workload: &[Request], datasets: &[DatasetId], every_ms: u64) -> Vec<
 fn run(scdn: &mut Scdn, workload: &[Request], datasets: &[DatasetId], every_ms: u64) -> Stats {
     let mut stats = Stats::default();
     for op in &schedule(workload, datasets, every_ms) {
-        let outcome = scdn.apply(op);
-        let failed = outcome.failed() as u64;
-        stats.failed += failed;
-        match outcome {
-            OpOutcome::Requests(results) => stats.served += results.len() as u64 - failed,
+        match scdn.apply(op) {
+            OpOutcome::Requested(Ok(_)) => stats.served += 1,
+            OpOutcome::Requested(Err(_)) => stats.failed += 1,
             OpOutcome::Changes(n) => stats.maintenance_changes += n as u64,
             _ => {}
         }
